@@ -14,19 +14,26 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Rational = Union[Fraction, int, str]
 
 
 def as_fraction(value: Rational) -> Fraction:
-    """Coerce an int, "p/q" string, or Fraction to an exact rational."""
+    """Coerce an int, "p/q" string, or Fraction to an exact rational.
+
+    A string that is not a rational or has a zero denominator raises
+    ValueError; any other type, floats included, raises TypeError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot interpret {value!r} as an exact rational") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -125,6 +132,19 @@ def multinomial(d: int, alpha: Iterable[int]) -> int:
     for a in parts:
         result //= math.factorial(a)
     return result
+
+
+def falling_product(alpha: Iterable[int], gamma: Iterable[int]) -> int:
+    """prod_i alpha_i * (alpha_i - 1) * ... * (alpha_i - gamma_i + 1).
+
+    The factor that differentiating X^alpha by x^gamma puts in front of
+    X^(alpha - gamma).
+    """
+    out = 1
+    for a, g in zip(alpha, gamma):
+        for j in range(g):
+            out *= a - j
+    return out
 
 
 def divisors(e: int) -> list[int]:
@@ -541,22 +561,30 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
-_STUCK = object()
+def poly_divides(p: SparsePoly, q: SparsePoly) -> bool:
+    """Whether p divides q exactly in Q[a1..an, b1..bn].
 
-
-def _divide_exact(q: SparsePoly, p: SparsePoly):
-    """Quotient dict of q by p, or _STUCK when a leading term fails to divide."""
+    Decides by exact multivariate division in graded lex order.  Graded lex
+    is a monomial order, so LT(p*h) = LT(p)*LT(h) for every nonzero h.  If p
+    divides q, each remainder q - p*(partial quotient) is a multiple of p and
+    its leading term is divisible by LT(p).  A division that gets stuck on a
+    leading term therefore proves that p does not divide q, and one that
+    reaches the zero remainder has found the quotient (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, section 2.3).
+    """
+    if p.is_zero():
+        raise ZeroDivisionError("divisibility by the zero polynomial")
+    if q.is_zero():
+        return True
+    p._check(q)
     lead_key, lead_coeff = p.leading_term()
     rem = dict(q.terms)
-    quot: dict[tuple[int, ...], Fraction] = {}
     while rem:
         rkey = max(rem, key=_term_sort_key)
-        rcoeff = rem[rkey]
         diff = tuple(x - y for x, y in zip(rkey, lead_key))
         if any(e < 0 for e in diff):
-            return _STUCK
-        factor = rcoeff / lead_coeff
-        quot[diff] = factor
+            return False
+        factor = rem[rkey] / lead_coeff
         for pkey, pcoeff in p.terms.items():
             key = tuple(x + y for x, y in zip(diff, pkey))
             total = rem.get(key, Fraction(0)) - factor * pcoeff
@@ -564,89 +592,4 @@ def _divide_exact(q: SparsePoly, p: SparsePoly):
                 rem[key] = total
             elif key in rem:
                 del rem[key]
-    return quot
-
-
-def _probe_points(n: int, count: int = 3) -> Iterator[tuple[list[int], list[int]]]:
-    # Small deterministic integer points used as substitution probes.
-    for t in range(count):
-        a_vals = [(2 + t + i) % 7 + 1 for i in range(n)]
-        b_vals = [(3 + 2 * t + i) % 5 + 1 for i in range(n)]
-        yield a_vals, b_vals
-
-
-def _kronecker_divides(p: SparsePoly, q: SparsePoly) -> bool:
-    # Pack exponent vectors into a single variable and divide exactly there;
-    # a surviving quotient is unpacked and verified by an exact multiply.
-    nn = 2 * p.n
-    degs = [0] * nn
-    for key in q.terms:
-        for i, e in enumerate(key):
-            if e > degs[i]:
-                degs[i] = e
-    for key in p.terms:
-        for i, e in enumerate(key):
-            if e > degs[i]:
-                return False
-    base = max(degs) + 1
-
-    def pack(key: tuple[int, ...]) -> int:
-        v = 0
-        for e in reversed(key):
-            v = v * base + e
-        return v
-
-    pu = {pack(k): c for k, c in p.terms.items()}
-    qu = {pack(k): c for k, c in q.terms.items()}
-    lead_exp = max(pu)
-    lead_coeff = pu[lead_exp]
-    quot: dict[int, Fraction] = {}
-    while qu:
-        e = max(qu)
-        if e < lead_exp:
-            return False
-        c = qu.pop(e)
-        qe, qc = e - lead_exp, c / lead_coeff
-        quot[qe] = qc
-        for pe, pc in pu.items():
-            if pe == lead_exp:
-                continue
-            ne = qe + pe
-            nc = qu.get(ne, Fraction(0)) - qc * pc
-            if nc:
-                qu[ne] = nc
-            elif ne in qu:
-                del qu[ne]
-    h_terms = []
-    for e, c in quot.items():
-        key = []
-        v = e
-        for _ in range(nn):
-            key.append(v % base)
-            v //= base
-        if v:
-            return False
-        h_terms.append((tuple(key), c))
-    return p * SparsePoly(p.n, h_terms) == q
-
-
-def poly_divides(p: SparsePoly, q: SparsePoly) -> bool:
-    """Whether p divides q exactly in Q[a1..an, b1..bn].
-
-    Decides by exact multivariate division in graded lex order, double-checked
-    by substitution probes; when the division gets stuck on a leading term the
-    question is settled by exact division under a Kronecker substitution.
-    """
-    if p.is_zero():
-        raise ZeroDivisionError("divisibility by the zero polynomial")
-    if q.is_zero():
-        return True
-    p._check(q)
-    quotient = _divide_exact(q, p)
-    if quotient is _STUCK:
-        return _kronecker_divides(p, q)
-    h = SparsePoly(p.n, quotient.items())
-    for a_vals, b_vals in _probe_points(p.n):
-        if p.evaluate(a_vals, b_vals) * h.evaluate(a_vals, b_vals) != q.evaluate(a_vals, b_vals):
-            raise AssertionError("division result failed a substitution probe")
     return True

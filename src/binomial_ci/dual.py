@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import CoeffMonomial, Monomial, SparsePoly, as_fraction, multinomial
+from .algebra import CoeffMonomial, Monomial, SparsePoly, as_fraction, falling_product, multinomial
 from .family import BinomialFamily
 from .graph import build_graph
 
@@ -39,14 +39,15 @@ def _paths_to_target(family: BinomialFamily):
 
     Returns (graph, {vertex index: label-count vector}, s) where s holds the
     per-label maxima.  Paths in a functional graph are unique; the traversal
-    asserts each vertex is reached once.
+    checks that each vertex is reached once.
     """
     n = family.n
     degree = family.socle_degree
     graph = build_graph(family, degree)
     target = Monomial(tuple(d - 1 for d in family.degrees))
     target_idx = graph.index[target]
-    assert graph.succ[target_idx] is None, "the socle-degree target must be a sink"
+    if graph.succ[target_idx] is not None:
+        raise AssertionError("the socle-degree target must be a sink")
     preds: dict[int, list[int]] = {}
     for v, s in enumerate(graph.succ):
         if s is not None:
@@ -57,7 +58,8 @@ def _paths_to_target(family: BinomialFamily):
         v = queue.pop()
         rv = reach[v]
         for u in preds.get(v, ()):
-            assert u not in reach, "duplicate path to the dual target"
+            if u in reach:
+                raise AssertionError("duplicate path to the dual target")
             label = graph.labels[u]
             reach[u] = tuple(
                 c + 1 if j == label - 1 else c for j, c in enumerate(rv)
@@ -134,13 +136,6 @@ def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> Dua
     return DualGenerator(family, convention, degree, s, coeffs)
 
 
-def _falling(base: int, steps: int) -> int:
-    out = 1
-    for j in range(steps):
-        out *= base - j
-    return out
-
-
 def _coerce_terms(terms, n: int | None = None):
     """Normalize {monomial/tuple: coeff} to exponent keys, and report whether
     any coefficient is symbolic (SparsePoly or CoeffMonomial)."""
@@ -190,12 +185,7 @@ def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
         for alpha, cF in big_norm.items():
             if any(g > a for g, a in zip(gamma, alpha)):
                 continue
-            if convention == DIFFERENTIATION:
-                mult = 1
-                for a, g in zip(alpha, gamma):
-                    mult *= _falling(a, g)
-            else:
-                mult = 1
+            mult = falling_product(alpha, gamma) if convention == DIFFERENTIATION else 1
             key = tuple(a - g for a, g in zip(alpha, gamma))
             if symbolic:
                 term = _lift(cf, n) * _lift(cF, n) * mult

@@ -202,10 +202,10 @@ class CoeffAssignment:
         a: list[OptionalRational] = [None] * n
         b: list[OptionalRational] = [None] * n
         for name, value in symbols.items():
-            block, idx = name[0], int(name[1:])
-            if block not in "ab" or not 1 <= idx <= n:
+            block, digits = name[:1], name[1:]
+            if block not in ("a", "b") or not digits.isdecimal() or not 1 <= int(digits) <= n:
                 raise FamilyValidationError(f"unknown symbol {name!r}")
-            (a if block == "a" else b)[idx - 1] = as_fraction(value)
+            (a if block == "a" else b)[int(digits) - 1] = as_fraction(value)
         return cls(tuple(a), tuple(b))
 
 
@@ -284,6 +284,10 @@ def _tokenize(text: str) -> list[_Token]:
                 while j < len(text) and text[j].isdigit():
                     j += 1
                 if j > i + 1:
+                    if not int(text[i + 1 : j]):
+                        raise FamilyParseError(
+                            f"zero denominator in {text[start:j]!r}", line, col
+                        )
                     i = j
             tokens.append(_Token("NUMBER", text[start:i], line, col))
             col += i - start
@@ -515,6 +519,17 @@ def family_to_json(family: BinomialFamily) -> dict:
     }
 
 
+def _json_value(value) -> OptionalRational:
+    if value is None:
+        return None
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError):
+        raise FamilyValidationError(
+            f"coefficient {value!r} is not an integer or a \"p/q\" string"
+        ) from None
+
+
 def family_from_json(data: dict | str) -> BinomialFamily:
     if isinstance(data, str):
         data = json.loads(data)
@@ -542,8 +557,8 @@ def family_from_json(data: dict | str) -> BinomialFamily:
     if mode == "symbolic":
         a_values = b_values = None
     elif mode in ("numeric", "mixed"):
-        a_values = [None if v is None else as_fraction(v) for v in coefficients["a"]]
-        b_values = [None if v is None else as_fraction(v) for v in coefficients["b"]]
+        a_values = [_json_value(v) for v in coefficients["a"]]
+        b_values = [_json_value(v) for v in coefficients["b"]]
         if mode == "numeric" and (None in a_values or None in b_values):
             raise FamilyValidationError("numeric mode does not admit missing values")
     else:

@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .algebra import Monomial, monomials_of_degree
 from .dual import DIFFERENTIATION, Exponents
-from .linalg import RowSpace, dense_rank
-from .oracle import _falling_product, _numeric_form, catalecticant_rows
+from .linalg import RowSpace, dense_rank, rank_of
+from .oracle import _action_image, _numeric_form, catalecticant_rows
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:
@@ -35,10 +35,7 @@ def monomial_basis(F, k: int) -> list[Monomial]:
 
 def graded_dimension(F, k: int) -> int:
     """dim of the degree-k part of R/Ann(F) under differentiation."""
-    space = RowSpace()
-    for row in catalecticant_rows(F, k, None, DIFFERENTIATION):
-        space.add(row)
-    return space.rank
+    return rank_of(catalecticant_rows(F, k, None, DIFFERENTIATION))
 
 
 class HessianMatrix:
@@ -56,11 +53,8 @@ class HessianMatrix:
         for g in basis:
             if g.degree != k:
                 raise ValueError("basis elements must have the Hessian's degree")
-        rows = catalecticant_rows(F, k, list(basis), DIFFERENTIATION)
-        space = RowSpace()
-        for row in rows:
-            if not space.add(row):
-                raise ValueError("Hessian basis is dependent in the quotient")
+        if rank_of(catalecticant_rows(F, k, list(basis), DIFFERENTIATION)) < len(basis):
+            raise ValueError("Hessian basis is dependent in the quotient")
         self.k = k
         self.n = n
         self.socle_degree = top
@@ -69,13 +63,7 @@ class HessianMatrix:
         entries: list[list[dict[Exponents, Fraction]]] = [[None] * size for _ in range(size)]  # type: ignore[list-item]
         for i in range(size):
             for j in range(i, size):
-                product = basis[i] * basis[j]
-                gexp = product.exponents
-                entry: dict[Exponents, Fraction] = {}
-                for alpha, c in terms.items():
-                    if all(g <= a for g, a in zip(gexp, alpha)):
-                        key = tuple(a - g for a, g in zip(alpha, gexp))
-                        entry[key] = c * _falling_product(alpha, gexp)
+                entry = _action_image(terms, (basis[i] * basis[j]).exponents, True)
                 entries[i][j] = entry
                 entries[j][i] = entry
         self.entries = entries

@@ -14,10 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, monomials_of_degree
-from .dual import Exponents, _as_exponents
+from .algebra import Monomial, falling_product, monomials_of_degree
+from .dual import DIFFERENTIATION, Exponents, _as_exponents, _check_convention
 from .family import BinomialFamily
-from .linalg import RowSpace
+from .linalg import RowSpace, rank_of
 
 
 class NotCompleteIntersectionError(ValueError):
@@ -88,33 +88,38 @@ def _family_generators(family: BinomialFamily) -> list[dict[Monomial, Fraction]]
     return [family.generator_values(i) for i in range(1, family.n + 1)]
 
 
-@lru_cache(maxsize=512)
-def _ideal_space(family: BinomialFamily, degree: int) -> RowSpace:
+def _macaulay_space(n: int, generators: Generators, degree: int) -> RowSpace:
+    """Row space of the degree-`degree` Macaulay matrix."""
     space = RowSpace()
-    for row in macaulay_rows(family.n, _family_generators(family), degree):
+    for row in macaulay_rows(n, generators, degree):
         space.add(row)
     return space
 
 
+@lru_cache(maxsize=512)
+def _ideal_space(family: BinomialFamily, degree: int) -> RowSpace:
+    # Shared by every caller: read it, or mutate a copy().
+    return _macaulay_space(family.n, _family_generators(family), degree)
+
+
 def hilbert_function_of_generators(n: int, generators: Generators, max_degree: int) -> HilbertFunction:
-    values = []
-    for j in range(max_degree + 1):
-        count = len(monomials_of_degree(n, j))
-        space = RowSpace()
-        for row in macaulay_rows(n, generators, j):
-            space.add(row)
-        values.append(count - space.rank)
-    return HilbertFunction(tuple(values))
+    return HilbertFunction(
+        tuple(
+            len(monomials_of_degree(n, j)) - _macaulay_space(n, generators, j).rank
+            for j in range(max_degree + 1)
+        )
+    )
 
 
 def hilbert_function(family: BinomialFamily, max_degree: int) -> HilbertFunction:
     """h_j = dim R_j - rank(Macaulay matrix) for j = 0..max_degree."""
     _require_numeric(family)
-    values = []
-    for j in range(max_degree + 1):
-        count = len(monomials_of_degree(family.n, j))
-        values.append(count - _ideal_space(family, j).rank)
-    return HilbertFunction(tuple(values))
+    return HilbertFunction(
+        tuple(
+            len(monomials_of_degree(family.n, j)) - _ideal_space(family, j).rank
+            for j in range(max_degree + 1)
+        )
+    )
 
 
 def ci_reference(degrees: Sequence[int], max_degree: int) -> tuple[int, ...]:
@@ -149,9 +154,7 @@ def basis_check(family: BinomialFamily) -> bool:
         )
     for j in range(family.socle_degree + 1):
         columns = {m: c for c, m in enumerate(monomials_of_degree(family.n, j))}
-        space = RowSpace()
-        for row in macaulay_rows(family.n, _family_generators(family), j):
-            space.add(row)
+        space = _ideal_space(family, j).copy()
         h = len(columns) - space.rank
         basis = family.basis_monomials(j)
         if len(basis) != h:
@@ -202,12 +205,16 @@ def _numeric_form(F) -> tuple[dict[Exponents, Fraction], int, int]:
     return terms, n, degrees.pop()
 
 
-def _falling_product(alpha: Exponents, gamma: Exponents) -> int:
-    out = 1
-    for a, g in zip(alpha, gamma):
-        for j in range(g):
-            out *= a - j
-    return out
+def _action_image(
+    terms: Mapping[Exponents, Fraction], gamma: Exponents, differentiate: bool
+) -> dict[Exponents, Fraction]:
+    """x^gamma o F for a numeric form F given as exponent -> coefficient."""
+    image = {}
+    for alpha, c in terms.items():
+        if all(g <= a for g, a in zip(gamma, alpha)):
+            key = tuple(a - g for a, g in zip(alpha, gamma))
+            image[key] = c * falling_product(alpha, gamma) if differentiate else c
+    return image
 
 
 def catalecticant_rows(
@@ -221,33 +228,23 @@ def catalecticant_rows(
     Contraction by default; differentiation weights each image coefficient by
     the falling factorials of the exponents.
     """
+    _check_convention(convention)
     terms, n, top = _numeric_form(F)
     if monomials is None:
         monomials = monomials_of_degree(n, degree)
-    columns = {m.exponents: j for j, m in enumerate(monomials_of_degree(n, top - degree))} if degree <= top else {}
-    differentiate = convention == "differentiation"
-    rows = []
-    for g in monomials:
-        row: dict[int, Fraction] = {}
-        gexp = g.exponents
-        if degree <= top:
-            for alpha, c in terms.items():
-                if all(ge <= ae for ge, ae in zip(gexp, alpha)):
-                    key = tuple(ae - ge for ae, ge in zip(alpha, gexp))
-                    row[columns[key]] = c * _falling_product(alpha, gexp) if differentiate else c
-        rows.append(row)
-    return rows
+    if degree > top:
+        return [{} for _ in monomials]
+    columns = {m.exponents: j for j, m in enumerate(monomials_of_degree(n, top - degree))}
+    differentiate = convention == DIFFERENTIATION
+    return [
+        {columns[key]: c for key, c in _action_image(terms, g.exponents, differentiate).items()}
+        for g in monomials
+    ]
 
 
 def inverse_system_dims(F, max_degree: int) -> HilbertFunction:
     """h_j = rank of the contraction map from degree-j monomials into F."""
-    values = []
-    for j in range(max_degree + 1):
-        space = RowSpace()
-        for row in catalecticant_rows(F, j):
-            space.add(row)
-        values.append(space.rank)
-    return HilbertFunction(tuple(values))
+    return HilbertFunction(tuple(rank_of(catalecticant_rows(F, j)) for j in range(max_degree + 1)))
 
 
 def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
@@ -260,12 +257,7 @@ def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
     if n != family.n:
         raise ValueError("form and family have different variable counts")
     for j in range(top + 1):
-        full = RowSpace()
-        for row in catalecticant_rows(F, j):
-            full.add(row)
-        restricted = RowSpace()
-        for row in catalecticant_rows(F, j, family.basis_monomials(j)):
-            restricted.add(row)
-        if restricted.rank != full.rank:
+        full = rank_of(catalecticant_rows(F, j))
+        if rank_of(catalecticant_rows(F, j, family.basis_monomials(j))) != full:
             return False
     return True

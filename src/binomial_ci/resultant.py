@@ -16,7 +16,7 @@ from math import gcd
 
 from .algebra import Monomial, SparsePoly, cyclotomic, divisors
 from .family import BinomialFamily, CoeffAssignment, specialize
-from .graph import CYCLIC, ReductionGraph, build_graph
+from .graph import CYCLIC, Cycle, ReductionGraph, build_graph, cycle_polynomial
 from .linalg import det_rational
 from .oracle import ci_reference, hilbert_function_of_generators
 
@@ -97,28 +97,34 @@ class CMatrix:
 
 
 def build_c_matrix(family: BinomialFamily) -> CMatrix:
-    graph = build_graph(family, family.resultant_degree)
-    return CMatrix(family, graph)
+    return CMatrix(family, build_graph(family, family.resultant_degree))
 
 
-def det_structural_parts(family: BinomialFamily) -> tuple[SparsePoly, list[tuple[SparsePoly, int]]]:
-    """Factored determinant: (a-monomial, [(cycle polynomial, multiplicity)])."""
-    graph = build_graph(family, family.resultant_degree)
-    n = family.n
+def det_structural_parts(graph: ReductionGraph) -> tuple[SparsePoly, list[tuple[SparsePoly, int]]]:
+    """Factored determinant of the resultant-degree graph:
+    (a-monomial, [(cycle polynomial, multiplicity)])."""
+    n = graph.n
     a_exp = [0] * n
     for label, cls in zip(graph.labels, graph.vertex_class):
         if cls != CYCLIC:
             a_exp[label - 1] += 1
     monomial = SparsePoly.monomial(n, tuple(a_exp), (0,) * n)
-    grouped: dict[tuple[int, ...], int] = {}
+    grouped: dict[tuple[int, ...], list[Cycle]] = {}
     for cycle in graph.cycles:
-        grouped[cycle.label_counts] = grouped.get(cycle.label_counts, 0) + 1
-    zero = (0,) * n
+        grouped.setdefault(cycle.label_counts, []).append(cycle)
     factors = [
-        (SparsePoly(n, [(r + zero, 1), (zero + r, -1)]), count)
-        for r, count in sorted(grouped.items(), reverse=True)
+        (cycle_polynomial(cycles[0]), len(cycles))
+        for _, cycles in sorted(grouped.items(), reverse=True)
     ]
     return monomial, factors
+
+
+def expand_factored(monomial: SparsePoly, factors: list[tuple[SparsePoly, int]]) -> SparsePoly:
+    """The product monomial * prod(poly ** count) of a factored determinant."""
+    result = monomial
+    for poly, count in factors:
+        result = result * poly**count
+    return result
 
 
 def det_structural(family: BinomialFamily) -> SparsePoly:
@@ -127,11 +133,7 @@ def det_structural(family: BinomialFamily) -> SparsePoly:
     With the a-symbols on the diagonal the sign works out to +1: the product
     of the transient labels' a-symbols times the cycle polynomials.
     """
-    monomial, factors = det_structural_parts(family)
-    result = monomial
-    for poly, count in factors:
-        result = result * poly**count
-    return result
+    return expand_factored(*det_structural_parts(build_graph(family, family.resultant_degree)))
 
 
 def det_numeric_oracle(family: BinomialFamily, assignment: CoeffAssignment | None = None) -> Fraction:
@@ -140,7 +142,15 @@ def det_numeric_oracle(family: BinomialFamily, assignment: CoeffAssignment | Non
         family = specialize(family, assignment)
     if not family.is_numeric:
         raise ValueError("the numeric determinant needs a fully numeric family")
-    matrix = build_c_matrix(family)
+    return matrix_determinant(build_c_matrix(family))
+
+
+def matrix_determinant(matrix: CMatrix) -> Fraction:
+    """Bareiss determinant of the matrix at its fully numeric family's values.
+
+    Eliminates the dense matrix generically, independent of the cycle formula.
+    """
+    family = matrix.family
     return det_rational(matrix.numeric_matrix(family.a_values, family.b_values))
 
 
@@ -284,8 +294,13 @@ def resultant_radical(family: BinomialFamily, probe: bool = False, rng: random.R
     Remaining indices are probed probabilistically when `probe` is set and
     reported as bounded otherwise.
     """
+    return graph_radical(build_graph(family, family.resultant_degree), probe, rng)
+
+
+def graph_radical(graph: ReductionGraph, probe: bool = False, rng: random.Random | None = None) -> RadicalResult:
+    """resultant_radical of the graph's family, from its resultant-degree graph."""
+    family = graph.family
     n = family.n
-    graph = build_graph(family, family.resultant_degree)
     raw_factors = radical_of_cycle_product(graph)
     factors: list[SparsePoly] = []
     for f in raw_factors:

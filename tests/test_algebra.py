@@ -247,3 +247,42 @@ class TestPolyDivides:
                 # adding 1 to a product with positive degree breaks divisibility
                 if (p * h).total_degree() > 0 and p.total_degree() > 0:
                     assert not poly_divides(p, p * h + 1)
+
+
+def test_poly_divides_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    n = 2
+    symbols = sympy.symbols("a1 a2 b1 b2")
+    rng = random.Random(20261017)
+
+    def random_poly(max_terms, max_exp):
+        return SparsePoly(
+            n,
+            [
+                (tuple(rng.randint(0, max_exp) for _ in range(2 * n)), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, max_terms))
+            ],
+        )
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {key: sympy.Rational(c.numerator, c.denominator) for key, c in p.terms.items()},
+            symbols,
+            domain="QQ",
+        )
+
+    outcomes = {True: 0, False: 0}
+    for _ in range(120):
+        p, h, r = random_poly(3, 2), random_poly(3, 2), random_poly(2, 3)
+        if p.is_zero():
+            continue
+        for q in (p * h, p * h + r):
+            if q.is_zero():
+                continue
+            sp = to_sympy(p)
+            # p | q exactly when gcd(p, q) is p up to a scalar.
+            expected = sp.gcd(to_sympy(q)).monic() == sp.monic()
+            assert poly_divides(p, q) == expected, (p, q)
+            outcomes[expected] += 1
+    # Every "no" answer comes from a division stuck on a leading term.
+    assert outcomes[True] > 50 and outcomes[False] > 50

@@ -1,15 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from binomial_ci.cli import main
 from binomial_ci.family import family_to_json
-from binomial_ci.catalog import five_var_pentagon, three_var_double_cycle
+from binomial_ci.catalog import five_var_pentagon, three_var_chain, three_var_double_cycle
 
 DOUBLE_CYCLE = "f1 = a1*x1^2 - b1*x1*x3 ; f2 = a2*x2^2 - b2*x2*x3 ; f3 = a3*x3^2 - b3*x2*x3"
 CHAIN = "f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x3 ; f3 = a3*x3^2 - b3*x1^2"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +268,80 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "a1*a2*a3*(a2*a3 - b2*b3)" in result.stdout
+
+
+def _json_chain_with_float_coefficient() -> str:
+    data = family_to_json(three_var_chain())
+    data["coefficients"] = {"mode": "numeric", "a": [1.5, "1", "1"], "b": ["1", "1", "1"]}
+    return json.dumps(data)
+
+
+class TestBadRationalInput:
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["graph", "--family", CHAIN, "--set", "a1=1/0", "--degree", "2"], "1/0"),
+            (
+                ["reduce", "--family", CHAIN, "--set", "a1=1,a2=1,a3=1,b1=1,b2=1,b3=1", "--poly", "1/0*x1"],
+                "1/0",
+            ),
+            (
+                ["graph", "--family", CHAIN.replace("a1*x1^2", "1/0*x1^2"), "--degree", "2"],
+                "1/0",
+            ),
+            (["graph", "--family", _json_chain_with_float_coefficient(), "--degree", "2"], "1.5"),
+            (["graph", "--family", CHAIN, "--set", "a=1", "--degree", "2"], "'a'"),
+        ],
+        ids=["set-zero-denominator", "poly-zero-denominator", "text-zero-denominator", "json-float", "set-no-index"],
+    )
+    def test_exits_1_naming_the_value(self, capsys, argv, bad):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert bad in err
+        assert "Traceback" not in err
+
+
+class TestGoldenBytes:
+    def test_resultant_json_with_numeric_determinant(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "resultant",
+            "--family",
+            CHAIN,
+            "--set",
+            "a1=2,a2=1,a3=3,b1=3,b2=5/2,b3=1",
+            "--matrix",
+            "--det",
+            "--radical",
+            "--probe",
+            "--seed",
+            "3",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "resultant_chain.json").read_text()
+
+    def test_lefschetz_json_on_dual_file(self, capsys, tmp_path):
+        pentagon = family_to_json(five_var_pentagon())
+        pentagon["coefficients"] = {"mode": "numeric", "a": ["1"] * 5, "b": ["2", "3", "1", "1", "1"]}
+        code, out, _ = run_cli(
+            capsys,
+            "dual",
+            "--family",
+            json.dumps(pentagon),
+            "--convention",
+            "differentiation",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        dual_file = tmp_path / "dual.json"
+        dual_file.write_text(out)
+        code, out, _ = run_cli(
+            capsys, "lefschetz", "--dual-file", str(dual_file), "--trials", "3", "--seed", "5", "--format", "json"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "lefschetz_pentagon.json").read_text()

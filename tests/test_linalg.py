@@ -108,3 +108,13 @@ def test_det_matches_permutation_expansion_on_random_matrices():
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det_rational([[1, 2, 3], [4, 5, 6]])
+
+
+def test_rowspace_copy_is_independent():
+    space = RowSpace()
+    space.add({0: 1, 1: 2})
+    copy = space.copy()
+    assert copy.add({1: 1, 2: 1})
+    assert copy.rank == 2 and space.rank == 1
+    assert not space.contains({1: 1, 2: 1})
+    assert copy.contains({0: 1, 1: 2})

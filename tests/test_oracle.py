@@ -177,3 +177,10 @@ class TestSpanning:
 
     def test_arbitrary_form_can_fail(self, pentagon):
         assert not m_spans_ann_quotient(pentagon, wlp_failure_form())
+
+
+def test_catalecticant_rows_rejects_unknown_convention():
+    from binomial_ci.oracle import catalecticant_rows
+
+    with pytest.raises(ValueError, match="convention"):
+        catalecticant_rows(wlp_failure_form(), 1, convention="differentation")

@@ -108,17 +108,26 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    out: list[tuple[int, ...]] = []
-
-    def fill(prefix: tuple[int, ...], left: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (left,))
-            return
-        for e in range(left, -1, -1):
-            fill(prefix + (e,), left - e, slots - 1)
-
-    fill((), d, n)
-    return [Monomial(t) for t in out]
+    # Step like an odometer, without recursion: the next exponent vector in
+    # descending lex order moves one unit out of e[j], the rightmost nonzero
+    # entry before the last, and puts it together with the last entry into
+    # e[j + 1].
+    e = [d] + [0] * (n - 1)
+    out = [Monomial(tuple(e))]
+    last = n - 1
+    j = 0 if last and d else -1
+    while j >= 0:
+        rest = e[last]
+        e[last] = 0
+        e[j] -= 1
+        e[j + 1] = rest + 1
+        out.append(Monomial(tuple(e)))
+        if j + 1 < last:
+            j += 1
+        else:
+            while j >= 0 and not e[j]:
+                j -= 1
+    return out
 
 
 def multinomial(d: int, alpha: Iterable[int]) -> int:

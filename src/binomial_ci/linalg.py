@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Rank and membership queries run on sparse rows kept as gcd-normalized integer
-dictionaries, so elimination never introduces fractions.  Determinants use
-Bareiss' fraction-free scheme on a dense integer copy.
+dictionaries, so elimination never introduces fractions.  Determinants
+eliminate sparse rows with Fraction entries, so a row's cost follows its
+nonzeros rather than the matrix width.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Row = Mapping[int, Fraction | int]
 
@@ -100,39 +101,64 @@ def dense_rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
     return rank_of({j: v for j, v in enumerate(row) if v} for row in matrix)
 
 
+def det_sparse(rows: Sequence[Row], size: int) -> Fraction:
+    """Exact determinant of a size x size matrix given as sparse rows.
+
+    Each {column: rational} row is reduced against the earlier pivot rows,
+    always cancelling its least column first, with Fraction entries and no
+    row scaling.  Sorted by pivot column the reduced rows are upper
+    triangular, so the determinant is the product of the pivots times the
+    sign of the permutation row -> pivot column.  A row that reduces to zero
+    makes the matrix singular.
+    """
+    if len(rows) != size:
+        raise ValueError(f"a {size} x {size} determinant needs {size} rows, not {len(rows)}")
+    matrix = []
+    for row in rows:
+        for k in row:
+            if not 0 <= k < size:
+                raise ValueError(f"column {k} outside 0..{size - 1}")
+        matrix.append({k: v if type(v) is Fraction else Fraction(v) for k, v in row.items() if v})
+    pivots: dict[int, dict[int, Fraction]] = {}
+    pivot_cols = []
+    det = Fraction(1)
+    for row in matrix:
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            factor = row[lead] / piv[lead]
+            for k, v in piv.items():
+                w = row.get(k, 0) - factor * v
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+        else:  # the row reduced to zero
+            return Fraction(0)
+        pivots[lead] = row
+        pivot_cols.append(lead)
+        det *= row[lead]
+    # A permutation is odd when size minus its cycle count is odd.
+    seen = [False] * size
+    parity = size
+    for start in range(size):
+        if not seen[start]:
+            parity -= 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = pivot_cols[k]
+    return -det if parity % 2 else det
+
+
 def det_rational(matrix: list[list[Fraction | int]]) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant of a dense square matrix, by det_sparse."""
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    m: list[list[int]] = []
+    rows = []
     for row in matrix:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
-        lcm = 1
-        for v in row:
-            den = Fraction(v).denominator
-            lcm = lcm * den // gcd(lcm, den)
-        scale *= lcm
-        m.append([(Fraction(v) * lcm).numerator for v in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            head = m[i][k]
-            ri, rk = m[i], m[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - head * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], scale)
+        rows.append(dict(enumerate(row)))
+    return det_sparse(rows, n)

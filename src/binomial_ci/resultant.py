@@ -17,7 +17,7 @@ from math import gcd
 from .algebra import Monomial, SparsePoly, cyclotomic, divisors
 from .family import BinomialFamily, CoeffAssignment, specialize
 from .graph import CYCLIC, Cycle, ReductionGraph, build_graph, cycle_polynomial
-from .linalg import det_rational
+from .linalg import det_sparse
 from .oracle import ci_reference, hilbert_function_of_generators
 
 CERTAIN = "certain"
@@ -47,16 +47,18 @@ class CMatrix:
     def size(self) -> int:
         return len(self.monomials)
 
-    def numeric_matrix(self, a_vals, b_vals) -> list[list[Fraction]]:
-        size = self.size
-        rows = []
-        for r in range(size):
-            i = self.partition[r]
-            row = [Fraction(0)] * size
-            row[r] = Fraction(a_vals[i - 1])
-            row[self.succ_cols[r]] += -Fraction(b_vals[i - 1])
-            rows.append(row)
-        return rows
+    def numeric_rows(self, a_vals, b_vals) -> list[dict[int, Fraction]]:
+        """The rows at the given values, as {column: entry} dictionaries.
+
+        The successor column is never the diagonal, since no tail equals its
+        generator's lead monomial.
+        """
+        a = [Fraction(v) for v in a_vals]
+        minus_b = [-Fraction(v) for v in b_vals]
+        return [
+            {r: a[i - 1], succ: minus_b[i - 1]}
+            for r, (i, succ) in enumerate(zip(self.partition, self.succ_cols))
+        ]
 
     def entry_symbol(self, r: int, c: int) -> str:
         i = self.partition[r]
@@ -137,7 +139,7 @@ def det_structural(family: BinomialFamily) -> SparsePoly:
 
 
 def det_numeric_oracle(family: BinomialFamily, assignment: CoeffAssignment | None = None) -> Fraction:
-    """Exact determinant of the specialized matrix, by Bareiss elimination."""
+    """Exact determinant of the specialized matrix, by sparse elimination."""
     if assignment is not None:
         family = specialize(family, assignment)
     if not family.is_numeric:
@@ -146,12 +148,13 @@ def det_numeric_oracle(family: BinomialFamily, assignment: CoeffAssignment | Non
 
 
 def matrix_determinant(matrix: CMatrix) -> Fraction:
-    """Bareiss determinant of the matrix at its fully numeric family's values.
+    """Exact determinant of the matrix at its fully numeric family's values.
 
-    Eliminates the dense matrix generically, independent of the cycle formula.
+    Eliminates the two-entry rows generically with det_sparse, independent of
+    the cycle formula.
     """
     family = matrix.family
-    return det_rational(matrix.numeric_matrix(family.a_values, family.b_values))
+    return det_sparse(matrix.numeric_rows(family.a_values, family.b_values), matrix.size)
 
 
 def _homogenized_cyclotomic(n: int, e: int, s: tuple[int, ...]) -> SparsePoly:

@@ -70,6 +70,21 @@ class TestMonomialEnumeration:
             for d in range(0, 6):
                 assert len(monomials_of_degree(n, d)) == math.comb(d + n - 1, n - 1)
 
+    def test_order_matches_recursive_reference(self):
+        def reference(n, d):
+            if n == 1:
+                return [(d,)]
+            return [(e,) + rest for e in range(d, -1, -1) for rest in reference(n - 1, d - e)]
+
+        for n, d in [(1, 0), (1, 5), (2, 0), (3, 4), (5, 9), (6, 7), (8, 4)]:
+            assert [m.exponents for m in monomials_of_degree(n, d)] == reference(n, d)
+
+    def test_many_variables_do_not_recurse(self):
+        mons = monomials_of_degree(1500, 1)
+        assert len(mons) == 1500
+        assert mons[0].exponents == (1,) + (0,) * 1499
+        assert mons[-1].exponents == (0,) * 1499 + (1,)
+
 
 class TestMultinomial:
     def test_known_values(self):

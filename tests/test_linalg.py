@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from binomial_ci.linalg import RowSpace, dense_rank, det_rational, rank_of, to_int_row
+from binomial_ci.linalg import RowSpace, dense_rank, det_rational, det_sparse, rank_of, to_int_row
 
 
 def test_to_int_row_clears_denominators():
@@ -118,3 +119,151 @@ def test_rowspace_copy_is_independent():
     assert copy.rank == 2 and space.rank == 1
     assert not space.contains({1: 1, 2: 1})
     assert copy.contains({0: 1, 1: 2})
+
+
+def naive_sparse_det(rows, size):
+    """Leibniz expansion over all permutations, skipping zero products."""
+    total = Fraction(0)
+    for perm in permutations(range(size)):
+        prod = Fraction(1)
+        for r, c in enumerate(perm):
+            entry = rows[r].get(c, 0)
+            if not entry:
+                break
+            prod *= entry
+        else:
+            inversions = sum(1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j])
+            total += -prod if inversions % 2 else prod
+    return total
+
+
+def random_entry(rng):
+    num = 0
+    while num == 0:
+        num = rng.randint(-5, 5)
+    return Fraction(num, rng.randint(1, 4))
+
+
+def zero_diagonal_matrix(rng, size, density=0.5):
+    """Sparse rows with every diagonal entry zero, so pivots leave row order."""
+    return [
+        {c: random_entry(rng) for c in range(size) if c != r and rng.random() < density}
+        for r in range(size)
+    ]
+
+
+def singular_matrix(rng, size):
+    """Sparse rows where the last is a combination of the others, then shuffled."""
+    rows = [{c: random_entry(rng) for c in range(size) if rng.random() < 0.5} for _ in range(size - 1)]
+    last: dict[int, Fraction] = {}
+    for row in rows:
+        factor = Fraction(rng.randint(-2, 2))
+        for c, v in row.items():
+            last[c] = last.get(c, 0) + factor * v
+    rows.append({c: v for c, v in last.items() if v})
+    rng.shuffle(rows)
+    return rows
+
+
+def functional_graph_matrix(rng, size):
+    """A nonzero diagonal and one more entry per row on a random successor
+    column, which may be the row itself (as in the resultant matrix)."""
+    rows = []
+    for r in range(size):
+        row = {r: random_entry(rng)}
+        succ = rng.randrange(size)
+        row[succ] = row.get(succ, 0) - random_entry(rng)
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+@pytest.mark.parametrize("kind", [zero_diagonal_matrix, singular_matrix, functional_graph_matrix])
+def test_det_sparse_matches_permutation_expansion(kind):
+    rng = random.Random(23)
+    for size in range(1, 7):
+        for _ in range(12 if size < 6 else 4):
+            rows = kind(rng, size)
+            assert det_sparse(rows, size) == naive_sparse_det(rows, size)
+
+
+def test_det_sparse_known_values():
+    assert det_sparse([], 0) == 1
+    assert det_sparse([{0: 1, 1: 2}, {}], 2) == 0
+    assert det_sparse([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 0
+    assert det_sparse([{1: 1}, {0: 1}], 2) == -1
+    assert det_sparse([{2: 2}, {0: 3}, {1: 5}], 3) == 30
+    # every row starts in column 0: later rows must pivot further right
+    assert det_sparse([{0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1}], 3) == 1
+
+
+def test_det_sparse_agrees_with_dense_wrapper():
+    rng = random.Random(31)
+    for size in range(1, 6):
+        rows = zero_diagonal_matrix(rng, size)
+        dense = [[row.get(c, 0) for c in range(size)] for row in rows]
+        assert det_rational(dense) == det_sparse(rows, size)
+
+
+def test_det_sparse_rejects_a_column_out_of_range():
+    with pytest.raises(ValueError, match="column"):
+        det_sparse([{0: 1}, {2: 1}], 2)
+    with pytest.raises(ValueError, match="column"):
+        det_sparse([{0: 1}, {-1: 1}], 2)
+
+
+def test_det_sparse_rejects_a_wrong_row_count():
+    with pytest.raises(ValueError, match="rows"):
+        det_sparse([{0: 1}], 2)
+
+
+def test_det_sparse_leaves_its_input_unchanged():
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(4)}]
+    copy = [dict(row) for row in rows]
+    assert det_sparse(rows, 2) == -2
+    assert rows == copy
+
+
+def test_det_sparse_property_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    )
+
+    @st.composite
+    def sparse_matrices(draw):
+        size = draw(st.integers(min_value=1, max_value=5))
+        rows = [
+            {c: v for c in range(size) if (v := draw(entries))} for _ in range(size)
+        ]
+        return rows, size
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(sparse_matrices())
+    def check(matrix):
+        rows, size = matrix
+        assert det_sparse(rows, size) == naive_sparse_det(rows, size)
+
+    check()
+
+
+@pytest.mark.parametrize("size", [30, 45, 60])
+def test_det_sparse_agrees_with_sympy(size):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(size)
+    if size % 2:
+        rows = functional_graph_matrix(rng, size)
+    else:
+        rows = zero_diagonal_matrix(rng, size, density=3 / size)
+    matrix = sympy.Matrix(
+        size,
+        size,
+        lambda r, c: sympy.Rational(rows[r].get(c, 0).numerator, rows[r].get(c, 0).denominator)
+        if c in rows[r]
+        else 0,
+    )
+    expected = matrix.det(method="domain-ge")
+    got = det_sparse(rows, size)
+    assert sympy.Rational(got.numerator, got.denominator) == expected
+

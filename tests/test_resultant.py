@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from binomial_ci import (
+    BinomialFamily,
     CoeffAssignment,
     Monomial,
     SparsePoly,
@@ -11,6 +12,7 @@ from binomial_ci import (
     det_structural,
     graph_cycle_polynomial,
     is_complete_intersection,
+    monomials_of_degree,
     parse_family,
     poly_divides,
     radical_of_cycle_product,
@@ -62,6 +64,17 @@ class TestCMatrix:
                 assert fam.step(matrix.monomials[r])[0] == i
             assert all(c == 1 for c in a_per_column)
 
+    def test_numeric_rows_hold_a_on_the_diagonal_and_minus_b_on_the_successor(self, loop2):
+        matrix = build_c_matrix(loop2)
+        rows = matrix.numeric_rows([2, Fraction(1, 3)], [5, 7])
+        assert rows == [
+            {0: 2, 1: -5},
+            {1: 2, 2: -5},
+            {2: Fraction(1, 3), 1: -7},
+            {3: Fraction(1, 3), 2: -7},
+        ]
+        assert all(isinstance(v, Fraction) for row in rows for v in row.values())
+
     def test_text_and_json_dumps(self, loop2):
         matrix = build_c_matrix(loop2)
         text = matrix.to_text()
@@ -107,6 +120,25 @@ class TestDetStructural:
             for _ in range(4):
                 a = [random_nonzero(rng) for _ in range(fam.n)]
                 b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(fam.n)]
+                numeric = specialize(fam, CoeffAssignment(tuple(a), tuple(b)))
+                assert det_numeric_oracle(numeric) == det.evaluate(a, b)
+
+    def test_matches_numeric_oracle_on_larger_cubic_families(self):
+        # n = 4 and 5 with every d_i = 3: matrices of size 220 and 1365.
+        rng = random.Random(45)
+        for n in (4, 4, 5, 5):
+            tails = []
+            for i in range(1, n + 1):
+                lead = Monomial.variable(n, i, 3)
+                tails.append(rng.choice([m for m in monomials_of_degree(n, 3) if m != lead]))
+            fam = BinomialFamily.symbolic([3] * n, tails)
+            det = det_structural(fam)
+            points = [([Fraction(1)] * n, [Fraction(1)] * n)]
+            for _ in range(3):
+                a = [random_nonzero(rng) for _ in range(n)]
+                b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                points.append((a, b))
+            for a, b in points:
                 numeric = specialize(fam, CoeffAssignment(tuple(a), tuple(b)))
                 assert det_numeric_oracle(numeric) == det.evaluate(a, b)
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation/computation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -48,13 +49,26 @@ from .rewrite import (
 from .selftest import run_selftest
 
 
-def _read_family(source: str) -> BinomialFamily:
+@contextlib.contextmanager
+def _int_digits(limit: int):
+    """Python's digit limit on int <-> str conversion for the block; 0 lifts it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
-        is_file = Path(source).exists()
-    except OSError:  # inline text can exceed path-name limits
-        is_file = False
-    text = Path(source).read_text() if is_file else source
-    return load_family(text)
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _parsed(parse, *args):
+    """parse(*args) under Python's default digit limit, which guards against
+    quadratic-time decimal parsing; commands run with it lifted, so exact
+    results print in full."""
+    with _int_digits(getattr(sys.int_info, "default_max_str_digits", 0)):
+        return parse(*args)
 
 
 def _apply_set(family: BinomialFamily, assignments: list[str]) -> BinomialFamily:
@@ -73,6 +87,16 @@ def _apply_set(family: BinomialFamily, assignments: list[str]) -> BinomialFamily
     return specialize(family, CoeffAssignment.of(family.n, **symbols))
 
 
+def _load_family(args) -> BinomialFamily:
+    """The --family source, a file path or inline text, with --set applied."""
+    try:
+        is_file = Path(args.family).exists()
+    except OSError:  # inline text can exceed path-name limits
+        is_file = False
+    text = Path(args.family).read_text() if is_file else args.family
+    return _apply_set(load_family(text), args.set)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -81,7 +105,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_graph(args) -> int:
-    family = _apply_set(_read_family(args.family), args.set)
+    family = _parsed(_load_family, args)
     graph = build_graph(family, args.degree)
     if args.format == "dot":
         print(to_dot(graph))
@@ -104,9 +128,9 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    family = _apply_set(_read_family(args.family), args.set)
+    family = _parsed(_load_family, args)
     if args.poly is not None:
-        terms = parse_x_polynomial(args.poly, family.n)
+        terms = _parsed(parse_x_polynomial, args.poly, family.n)
         result = reduce_polynomial(family, terms)
         ordered = sorted(result.terms.items(), key=lambda kv: kv[0].exponents, reverse=True)
         rendered = " + ".join(
@@ -119,7 +143,7 @@ def _cmd_reduce(args) -> int:
         text = f"reduced: {rendered}\nconditional zeros used: {'yes' if result.used_conditional_zero else 'no'}"
         _emit(args, payload, text)
         return 0
-    m = parse_monomial(args.monomial, family.n)
+    m = _parsed(parse_monomial, args.monomial, family.n)
     outcome = reduce_monomial(family, m, args.cutoff)
     payload = {
         "monomial": str(m),
@@ -151,7 +175,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    family = _apply_set(_read_family(args.family), args.set)
+    family = _parsed(_load_family, args)
     convention = CONTRACTION if args.convention == "contraction" else DIFFERENTIATION
     dual = dual_generator(family, convention)
     payload = dual_to_json(dual)
@@ -171,7 +195,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_resultant(args) -> int:
-    family = _apply_set(_read_family(args.family), args.set)
+    family = _parsed(_load_family, args)
     show_radical = args.radical or not (args.matrix or args.det)
     payload: dict = {}
     lines: list[str] = []
@@ -209,7 +233,7 @@ def _cmd_resultant(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    family = _apply_set(_read_family(args.family), args.set)
+    family = _parsed(_load_family, args)
     hf = hilbert_function(family, args.max_degree)
     payload: dict = {"values": list(hf.values), "series": hf.series_str()}
     lines = [f"h = {hf.series_str()}", f"values: {list(hf.values)}"]
@@ -242,7 +266,7 @@ def _load_dual_file(path: str):
 
 
 def _cmd_lefschetz(args) -> int:
-    terms = _load_dual_file(args.dual_file)
+    terms = _parsed(_load_dual_file, args.dual_file)
     rng = random.Random(args.seed)
     verdicts = slp_check(terms, trials=args.trials, rng=rng)
     payload = {"k": [v.to_json() for v in verdicts], "slp": all(v.maximal for v in verdicts)}
@@ -339,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _int_digits(0):
+            return args.func(args)
     except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,6 +4,10 @@ The coefficient of X^alpha is a^(s-r) * b^r (times a multinomial factor under
 differentiation) when the vertex x^alpha has a directed path with label counts
 r to the target x1^(d1-1)...xn^(dn-1), and zero otherwise; s collects the
 per-label maxima over all such paths.
+
+The action x^gamma o F lives here only, in `action_image`, on forms normalized
+by `normalize_terms`; apply_action, verify_annihilation, the catalecticants
+of `oracle` and the Hessians of `lefschetz` all call it.
 """
 
 from __future__ import annotations
@@ -21,12 +25,6 @@ DIFFERENTIATION = "differentiation"
 _CONVENTIONS = (CONTRACTION, DIFFERENTIATION)
 
 Exponents = tuple[int, ...]
-
-
-def _as_exponents(key) -> Exponents:
-    if isinstance(key, Monomial):
-        return key.exponents
-    return tuple(int(e) for e in key)
 
 
 def _check_convention(convention: str) -> None:
@@ -89,9 +87,6 @@ class DualGenerator:
     def n(self) -> int:
         return self.family.n
 
-    def sorted_terms(self) -> list[tuple[Exponents, CoeffMonomial]]:
-        return [(k, self.coeffs[k]) for k in sorted(self.coeffs, reverse=True)]
-
     def sparse_terms(self) -> dict[Exponents, SparsePoly]:
         """Coefficients as polynomials, with the family's values substituted."""
         out = {}
@@ -136,34 +131,77 @@ def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> Dua
     return DualGenerator(family, convention, degree, s, coeffs)
 
 
-def _coerce_terms(terms, n: int | None = None):
-    """Normalize {monomial/tuple: coeff} to exponent keys, and report whether
-    any coefficient is symbolic (SparsePoly or CoeffMonomial)."""
-    out = {}
-    symbolic = False
-    width = n
+Terms = dict[Exponents, Fraction | SparsePoly]
+
+
+def normalize_terms(terms, n: int | None = None) -> tuple[Terms, int | None]:
+    """(terms, width): {monomial or exponent tuple: coefficient} with exponent
+    keys all of width n (default: the first key's), zero terms dropped, and
+    each coefficient a SparsePoly or, through as_fraction, a Fraction."""
+    out: Terms = {}
     for key, coeff in terms.items():
-        exps = _as_exponents(key)
-        if width is None:
-            width = len(exps)
+        exps = key.exponents if isinstance(key, Monomial) else tuple(int(e) for e in key)
+        if n is None:
+            n = len(exps)
+        elif len(exps) != n:
+            raise ValueError(f"exponent vector {exps} does not have {n} entries")
         if isinstance(coeff, CoeffMonomial):
             coeff = coeff.to_sparse()
         if isinstance(coeff, SparsePoly):
-            symbolic = True
             if coeff.is_zero():
                 continue
         else:
             coeff = as_fraction(coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
         out[exps] = coeff
-    return out, symbolic, width
+    return out, n
 
 
-def _lift(coeff, n: int) -> SparsePoly:
-    if isinstance(coeff, SparsePoly):
-        return coeff
-    return SparsePoly.constant(n, coeff)
+def numeric_form(F) -> tuple[dict[Exponents, Fraction], int, int]:
+    """(terms, n, degree) of a nonzero homogeneous form with rational
+    coefficients."""
+    terms, n = normalize_terms(F)
+    if any(isinstance(c, SparsePoly) for c in terms.values()):
+        raise TypeError("the form needs rational coefficients")
+    if not terms:
+        raise ValueError("the zero form has no inverse system")
+    degrees = {sum(k) for k in terms}
+    if len(degrees) != 1:
+        raise ValueError("the form must be homogeneous")
+    return terms, n, degrees.pop()
+
+
+def action_image(terms: Terms, gamma: Exponents, differentiate: bool) -> Terms:
+    """x^gamma o F for F given as normalized exponent -> coefficient terms.
+
+    The one implementation of the action: contraction sends X^alpha to
+    X^(alpha-gamma) when gamma <= alpha and to 0 otherwise; differentiation
+    also multiplies by the falling factorials of alpha over gamma.
+    """
+    image = {}
+    support = [(i, g) for i, g in enumerate(gamma) if g]
+    for alpha, c in terms.items():
+        for i, g in support:
+            if alpha[i] < g:
+                break
+        else:
+            key = tuple(a - g for a, g in zip(alpha, gamma))
+            image[key] = c * falling_product(alpha, gamma) if differentiate else c
+    return image
+
+
+def _lifted(terms: Terms, n: int) -> dict[Exponents, SparsePoly]:
+    return {k: c if isinstance(c, SparsePoly) else SparsePoly.constant(n, c) for k, c in terms.items()}
+
+
+def _act(f_terms: Terms, big_terms: Terms, differentiate: bool) -> Terms:
+    """sum over gamma of c_gamma * (x^gamma o F), zero terms dropped."""
+    acc: Terms = {}
+    for gamma, cf in f_terms.items():
+        for key, c in action_image(big_terms, gamma, differentiate).items():
+            acc[key] = acc[key] + cf * c if key in acc else cf * c
+    return {k: v for k, v in acc.items() if v != 0}
 
 
 def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
@@ -172,36 +210,15 @@ def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
     Contraction sends x^g o X^a to X^(a-g) when a >= g and to 0 otherwise;
     differentiation additionally multiplies by the falling factorials.  Both
     inputs map monomials (or exponent tuples) to coefficients, which may be
-    rationals, coefficient monomials, or sparse polynomials.
+    rationals, coefficient monomials, or sparse polynomials; when either side
+    is symbolic, every coefficient of the result is a SparsePoly.
     """
     _check_convention(convention)
-    f_norm, f_symbolic, n = _coerce_terms(f_terms)
-    big_norm, big_symbolic, n = _coerce_terms(big_terms, n)
-    if n is None:
-        return {}
-    symbolic = f_symbolic or big_symbolic
-    acc: dict[Exponents, object] = {}
-    for gamma, cf in f_norm.items():
-        for alpha, cF in big_norm.items():
-            if any(g > a for g, a in zip(gamma, alpha)):
-                continue
-            mult = falling_product(alpha, gamma) if convention == DIFFERENTIATION else 1
-            key = tuple(a - g for a, g in zip(alpha, gamma))
-            if symbolic:
-                term = _lift(cf, n) * _lift(cF, n) * mult
-                total = acc.get(key, SparsePoly.zero(n)) + term
-                if total.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-            else:
-                term = cf * cF * mult
-                total = acc.get(key, Fraction(0)) + term
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-    return acc
+    f_norm, n = normalize_terms(f_terms)
+    big_norm, n = normalize_terms(big_terms, n)
+    if any(isinstance(c, SparsePoly) for c in (*f_norm.values(), *big_norm.values())):
+        f_norm, big_norm = _lifted(f_norm, n), _lifted(big_norm, n)
+    return _act(f_norm, big_norm, convention == DIFFERENTIATION)
 
 
 @dataclass(frozen=True)
@@ -221,17 +238,15 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     generator coefficients; everything else stays symbolic.
     """
     _check_convention(convention)
+    n = family.n
     if isinstance(F, DualGenerator):
-        big_terms = F.sparse_terms()
-    else:
-        big_terms = F
+        F = F.sparse_terms()
+    big_terms = _lifted(normalize_terms(F, n)[0], n)
+    differentiate = convention == DIFFERENTIATION
     residuals: dict[int, dict] = {}
-    for i in range(1, family.n + 1):
-        f_terms = {
-            family.lead_monomial(i): family.a_poly(i),
-            family.tails[i - 1]: -family.b_poly(i),
-        }
-        res = apply_action(f_terms, big_terms, convention)
+    for i in range(1, n + 1):
+        f_terms, _ = normalize_terms(family.generator(i), n)
+        res = _act(f_terms, big_terms, differentiate)
         if res:
             residuals[i] = res
     return AnnihilationResult(not residuals, residuals)

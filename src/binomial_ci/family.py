@@ -380,6 +380,17 @@ class _Parser:
             coeff_payload = -(coeff_payload if coeff_payload is not None else Fraction(1))
         return coeff_kind, coeff_payload, exps
 
+    @staticmethod
+    def monomial(exps: dict[int, int], n: int, where: str = "") -> Monomial:
+        """The x-factors {var_index: exponent} of a term as a monomial in n
+        variables."""
+        if any(not 1 <= v <= n for v in exps):
+            raise FamilyValidationError(f"variable index out of range 1..{n}{where}")
+        out = [0] * n
+        for v, e in exps.items():
+            out[v - 1] = e
+        return Monomial(tuple(out))
+
     def parse_generator(self):
         block, idx = self.indexed_name("f")
         if block != "f":
@@ -429,10 +440,6 @@ def parse_family(text: str) -> BinomialFamily:
     b_values: list[OptionalRational] = [None] * n
     for (idx, lead, tail), tok in raw:
         lead_kind, lead_payload, lead_exps = lead
-        if any(not 1 <= v <= n for v in lead_exps):
-            raise FamilyParseError(
-                f"variable index out of range 1..{n} in generator f{idx}", tok.line, tok.col
-            )
         if list(lead_exps.keys()) != [idx]:
             raise FamilyParseError(
                 f"the leading monomial of f{idx} must be a power of x{idx}", tok.line, tok.col
@@ -453,10 +460,6 @@ def parse_family(text: str) -> BinomialFamily:
         degrees[idx - 1] = lead_exps[idx]
 
         tail_kind, tail_payload, tail_exps = tail
-        if any(not 1 <= v <= n for v in tail_exps):
-            raise FamilyParseError(
-                f"variable index out of range 1..{n} in generator f{idx}", tok.line, tok.col
-            )
         if not tail_exps:
             raise FamilyParseError(f"missing tail monomial in f{idx}", tok.line, tok.col)
         if tail_kind == "b":
@@ -472,15 +475,8 @@ def parse_family(text: str) -> BinomialFamily:
             b_values[idx - 1] = tail_payload
         else:
             b_values[idx - 1] = Fraction(1)
-        exps = [0] * n
-        for v, e in tail_exps.items():
-            exps[v - 1] = e
-        tails[idx - 1] = Monomial(tuple(exps))
+        tails[idx - 1] = _Parser.monomial(tail_exps, n, f" in generator f{idx}")
     return BinomialFamily(n, tuple(degrees), tuple(tails), tuple(a_values), tuple(b_values))
-
-
-def _format_value(v: Fraction) -> str:
-    return str(v)
 
 
 def format_family(family: BinomialFamily) -> str:
@@ -488,8 +484,8 @@ def format_family(family: BinomialFamily) -> str:
     parts = []
     for i in range(1, family.n + 1):
         a, b = family.a_values[i - 1], family.b_values[i - 1]
-        lead_coeff = f"a{i}" if a is None else _format_value(a)
-        tail_coeff = f"b{i}" if b is None else _format_value(b)
+        lead_coeff = f"a{i}" if a is None else str(a)
+        tail_coeff = f"b{i}" if b is None else str(b)
         lead = family.lead_monomial(i).render()
         tail = family.tails[i - 1].render()
         parts.append(f"f{i} = {lead_coeff}*{lead} - {tail_coeff}*{tail}")
@@ -503,10 +499,7 @@ def _values_to_json(values: tuple[OptionalRational, ...]) -> list[str | None]:
 def family_to_json(family: BinomialFamily) -> dict:
     mode = family.coeff_mode
     coefficients: dict = {"mode": mode}
-    if mode == "numeric":
-        coefficients["a"] = [str(v) for v in family.a_values]
-        coefficients["b"] = [str(v) for v in family.b_values]
-    elif mode == "mixed":
+    if mode != "symbolic":
         coefficients["a"] = _values_to_json(family.a_values)
         coefficients["b"] = _values_to_json(family.b_values)
     return {
@@ -575,24 +568,23 @@ def load_family(text: str) -> BinomialFamily:
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse "x1^2*x3" (or "1") into a monomial in n variables."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
+    """Parse "x1^2*x3" (or "1") into a monomial in n variables.
+
+    A coefficient or a sign is an error, never dropped: "3*x1^2", "a1*x1",
+    "-x1" and "2" all raise FamilyParseError.
+    """
+    parser = _Parser(_tokenize(text))
     tok = parser.peek()
     if tok.kind == "NUMBER" and tok.text == "1":
         parser.next()
-        if parser.peek().kind != "END":
-            parser.fail("trailing input after monomial")
-        return Monomial.one(n)
-    _, _, exps = parser.parse_term()
+        exps: dict[int, int] = {}
+    else:
+        kind, _, exps = parser.parse_term()
+        if kind is not None:
+            raise FamilyParseError("a monomial takes no coefficient or sign", tok.line, tok.col)
     if parser.peek().kind != "END":
         parser.fail("trailing input after monomial")
-    if any(not 1 <= v <= n for v in exps):
-        raise FamilyValidationError(f"variable index out of range 1..{n}")
-    out = [0] * n
-    for v, e in exps.items():
-        out[v - 1] = e
-    return Monomial(tuple(out))
+    return _Parser.monomial(exps, n)
 
 
 def parse_x_polynomial(text: str, n: int) -> dict[Monomial, Fraction]:
@@ -609,12 +601,7 @@ def parse_x_polynomial(text: str, n: int) -> dict[Monomial, Fraction]:
         if kind in ("a", "b"):
             parser.fail("polynomial coefficients must be rational literals")
         coeff = sign * (payload if kind == "num" else Fraction(1))
-        if any(not 1 <= v <= n for v in exps):
-            raise FamilyValidationError(f"variable index out of range 1..{n}")
-        out = [0] * n
-        for v, e in exps.items():
-            out[v - 1] = e
-        key = Monomial(tuple(out))
+        key = _Parser.monomial(exps, n)
         total = terms.get(key, Fraction(0)) + coeff
         if total:
             terms[key] = total

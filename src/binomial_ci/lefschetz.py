@@ -3,7 +3,8 @@
 The k-th Hessian w.r.t. a basis g_1..g_r of A_k has entries (g_i*g_j) o F;
 substituting a linear form's coefficients for the X-variables represents the
 multiplication map by that form's (D-2k)-th power from A_k to A_{D-k}, so
-Lefschetz properties reduce to exact ranks of substituted Hessians.
+Lefschetz properties reduce to exact ranks of substituted Hessians.  Hessian
+entries and catalecticant rows both come from `dual.action_image`.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Monomial, monomials_of_degree
-from .dual import DIFFERENTIATION, Exponents
+from .dual import DIFFERENTIATION, Exponents, action_image, numeric_form
 from .linalg import RowSpace, dense_rank, rank_of
-from .oracle import _action_image, _numeric_form, catalecticant_rows
+from .oracle import catalecticant_rows
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:
     """A monomial basis of the degree-k part of R/Ann(F) under differentiation,
     chosen greedily in canonical monomial order via catalecticant ranks."""
-    _, n, top = _numeric_form(F)
+    _, n, _ = numeric_form(F)
     candidates = monomials_of_degree(n, k)
     rows = catalecticant_rows(F, k, candidates, DIFFERENTIATION)
     space = RowSpace()
@@ -47,7 +48,7 @@ class HessianMatrix:
     """
 
     def __init__(self, F, k: int, basis: Sequence[Monomial]):
-        terms, n, top = _numeric_form(F)
+        terms, n, top = numeric_form(F)
         if top - 2 * k < 0:
             raise ValueError("socle degree is too small for this Hessian order")
         for g in basis:
@@ -63,7 +64,7 @@ class HessianMatrix:
         entries: list[list[dict[Exponents, Fraction]]] = [[None] * size for _ in range(size)]  # type: ignore[list-item]
         for i in range(size):
             for j in range(i, size):
-                entry = _action_image(terms, (basis[i] * basis[j]).exponents, True)
+                entry = action_image(terms, (basis[i] * basis[j]).exponents, True)
                 entries[i][j] = entry
                 entries[j][i] = entry
         self.entries = entries
@@ -133,14 +134,16 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
     trials fall short the verdict is only probabilistic.  Random linear forms
     use integer entries in [-100, 100].
     """
-    _, n, top = _numeric_form(F)
+    _, n, top = numeric_form(F)
     if rng is None:
         rng = random.Random(0)
     verdicts = []
     for k in range(top // 2 + 1):
         basis = monomial_basis(F, k)
-        target = graded_dimension(F, top - k)
-        maximal_rank = min(len(basis), target)
+        # R/Ann(F) is Gorenstein: Cat_{D-k} is Cat_k transposed up to
+        # invertible diagonal scalings (factorials, over Q), so the target
+        # A_{D-k} has the dimension of A_k and needs no elimination of its own.
+        target = len(basis)
         matrix = HessianMatrix(F, k, basis)
         best_rank = -1
         best_ell: tuple[Fraction, ...] = ()
@@ -150,7 +153,7 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
             rank = matrix.rank_at(ell)
             if rank > best_rank:
                 best_rank, best_ell = rank, ell
-            if rank == maximal_rank:
+            if rank == target:
                 certified = True
                 break
         status = "holds" if certified else "probably fails"

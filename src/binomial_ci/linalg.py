@@ -151,14 +151,3 @@ def det_sparse(rows: Sequence[Row], size: int) -> Fraction:
                 seen[k] = True
                 k = pivot_cols[k]
     return -det if parity % 2 else det
-
-
-def det_rational(matrix: list[list[Fraction | int]]) -> Fraction:
-    """Exact determinant of a dense square matrix, by det_sparse."""
-    n = len(matrix)
-    rows = []
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("determinant of a non-square matrix")
-        rows.append(dict(enumerate(row)))
-    return det_sparse(rows, n)

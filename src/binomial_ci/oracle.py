@@ -4,6 +4,7 @@ Hilbert functions come from ranks of Macaulay matrices (rows: the degree-j
 multiples of the generators in the monomial basis), complete-intersection
 tests compare against the product series of the generator degrees, and
 inverse-system dimensions come from catalecticant ranks under contraction.
+A catalecticant row is an image x^gamma o F from `dual.action_image`.
 Everything is deterministic and exact; no probabilistic rank anywhere.
 """
 
@@ -14,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, falling_product, monomials_of_degree
-from .dual import DIFFERENTIATION, Exponents, _as_exponents, _check_convention
+from .algebra import Monomial, monomials_of_degree
+from .dual import DIFFERENTIATION, _check_convention, action_image, numeric_form
 from .family import BinomialFamily
 from .linalg import RowSpace, rank_of
 
@@ -188,35 +189,6 @@ def polynomial_in_ideal(family: BinomialFamily, terms: Mapping[Monomial, Fractio
     )
 
 
-def _numeric_form(F) -> tuple[dict[Exponents, Fraction], int, int]:
-    terms = {}
-    n = None
-    for key, c in F.items():
-        exps = _as_exponents(key)
-        n = len(exps)
-        c = Fraction(c)
-        if c:
-            terms[exps] = c
-    if not terms:
-        raise ValueError("the zero form has no inverse system")
-    degrees = {sum(k) for k in terms}
-    if len(degrees) != 1:
-        raise ValueError("the form must be homogeneous")
-    return terms, n, degrees.pop()
-
-
-def _action_image(
-    terms: Mapping[Exponents, Fraction], gamma: Exponents, differentiate: bool
-) -> dict[Exponents, Fraction]:
-    """x^gamma o F for a numeric form F given as exponent -> coefficient."""
-    image = {}
-    for alpha, c in terms.items():
-        if all(g <= a for g, a in zip(gamma, alpha)):
-            key = tuple(a - g for a, g in zip(alpha, gamma))
-            image[key] = c * falling_product(alpha, gamma) if differentiate else c
-    return image
-
-
 def catalecticant_rows(
     F,
     degree: int,
@@ -229,7 +201,7 @@ def catalecticant_rows(
     the falling factorials of the exponents.
     """
     _check_convention(convention)
-    terms, n, top = _numeric_form(F)
+    terms, n, top = numeric_form(F)
     if monomials is None:
         monomials = monomials_of_degree(n, degree)
     if degree > top:
@@ -237,7 +209,7 @@ def catalecticant_rows(
     columns = {m.exponents: j for j, m in enumerate(monomials_of_degree(n, top - degree))}
     differentiate = convention == DIFFERENTIATION
     return [
-        {columns[key]: c for key, c in _action_image(terms, g.exponents, differentiate).items()}
+        {columns[key]: c for key, c in action_image(terms, g.exponents, differentiate).items()}
         for g in monomials
     ]
 
@@ -251,13 +223,21 @@ def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
     """Whether the avoided-power monomials span each graded piece of R/Ann(F).
 
     Only the variable count and degrees of the family matter here; F is any
-    numeric homogeneous form in the same variables.
+    numeric homogeneous form in the same variables.  One elimination per
+    degree: every other catalecticant row must lie in the avoided-power span.
     """
-    _, n, top = _numeric_form(F)
+    _, n, top = numeric_form(F)
     if n != family.n:
         raise ValueError("form and family have different variable counts")
     for j in range(top + 1):
-        full = rank_of(catalecticant_rows(F, j))
-        if rank_of(catalecticant_rows(F, j, family.basis_monomials(j))) != full:
+        monomials = monomials_of_degree(n, j)
+        space = RowSpace()
+        others = []
+        for m, row in zip(monomials, catalecticant_rows(F, j, monomials)):
+            if family.in_basis(m):
+                space.add(row)
+            else:
+                others.append(row)
+        if not all(space.contains(row) for row in others):
             return False
     return True

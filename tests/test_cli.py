@@ -345,3 +345,51 @@ class TestGoldenBytes:
         )
         assert code == 0
         assert out == (GOLDEN / "lefschetz_pentagon.json").read_text()
+
+
+class TestMonomialArgument:
+    @pytest.mark.parametrize("text", ["3*x1^2", "a1*x1", "-x1", "2", "1*x1"])
+    def test_coefficient_or_sign_exits_1(self, capsys, text):
+        code, out, err = run_cli(capsys, "reduce", "--family", CHAIN, f"--monomial={text}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_unit_monomial_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "reduce", "--family", CHAIN, "--monomial", "1")
+        assert code == 0
+        assert out.startswith("monomial: 1\n")
+
+
+class TestLongExactOutput:
+    # a1 = a2 = a3 = 10^300 puts a determinant of 10800 digits past Python's
+    # default 4300-digit limit on int -> str conversion.
+    CUBIC = "f1 = a1*x1^3 - b1*x1^2*x2 ; f2 = a2*x2^3 - b2*x2^2*x3 ; f3 = a3*x3^3 - b3*x1*x3^2"
+    BIG = 10**300
+
+    def test_resultant_det_prints_every_digit(self, capsys):
+        big = str(self.BIG)
+        values = f"a1={big},a2={big},a3={big},b1=1,b2=1,b3=2"
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "resultant", "--family", self.CUBIC, "--set", values, "--det", "--format", "json"
+        )
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        data = json.loads(out)
+        assert data["determinant_factored"] == "a1^14*a2^11*a3^8*(a1*a2*a3 - b1*b2*b3)"
+        expected = self.BIG**33 * (self.BIG**3 - 2)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert data["determinant_value"] == str(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(data["determinant_value"]) == 10800
+
+    def test_input_keeps_the_default_digit_limit(self, capsys):
+        huge = "1" * (sys.int_info.default_max_str_digits + 1)
+        code, out, err = run_cli(capsys, "graph", "--family", CHAIN, "--set", f"a1={huge}", "--degree", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")

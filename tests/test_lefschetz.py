@@ -11,12 +11,16 @@ from binomial_ci import (
     hessian,
     lefschetz_rank,
     monomial_basis,
+    monomials_of_degree,
     parse_family,
     slp_check,
     specialize,
 )
 from binomial_ci.catalog import pentagon_dual_form_at, wlp_failure_form
+from binomial_ci.dual import numeric_form
 from binomial_ci.lefschetz import graded_dimension, has_slp
+
+from conftest import random_family, random_nonzero
 
 
 def squarefree_product_form():
@@ -130,3 +134,40 @@ class TestSlpCheck:
         assert data["basis_size"] == 3
         assert data["verdict"] == "holds"
         assert len(data["ell"]) == 3
+
+
+def gorenstein_cases():
+    """wlp_failure_form, sparse random forms, and duals of random families."""
+    rng = random.Random(71)
+    forms = [wlp_failure_form()]
+    for _ in range(8):
+        monomials = monomials_of_degree(rng.randint(2, 4), rng.randint(1, 5))
+        chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 6)))
+        forms.append({m: random_nonzero(rng) for m in chosen})
+    for _ in range(6):
+        family = random_family(rng, n_range=(2, 3))
+        forms.append(dual_generator(family, DIFFERENTIATION).evaluate())
+    return forms
+
+
+def test_target_size_is_the_high_degree_dimension():
+    for F in gorenstein_cases():
+        _, _, top = numeric_form(F)
+        for v in slp_check(F, trials=1, rng=random.Random(5)):
+            basis = monomial_basis(F, v.k)
+            assert graded_dimension(F, top - v.k) == len(basis) == v.target_size
+
+
+def test_slp_check_eliminates_only_up_to_half_the_socle_degree(monkeypatch):
+    import binomial_ci.lefschetz as lefschetz
+
+    degrees = []
+    real = lefschetz.catalecticant_rows
+
+    def counting(F, degree, *args, **kwargs):
+        degrees.append(degree)
+        return real(F, degree, *args, **kwargs)
+
+    monkeypatch.setattr(lefschetz, "catalecticant_rows", counting)
+    slp_check(wlp_failure_form(), trials=2, rng=random.Random(3))  # socle degree 5
+    assert sorted(set(degrees)) == [0, 1, 2]

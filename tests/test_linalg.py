@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from binomial_ci.linalg import RowSpace, dense_rank, det_rational, det_sparse, rank_of, to_int_row
+from binomial_ci.linalg import RowSpace, dense_rank, det_sparse, rank_of, to_int_row
 
 
 def test_to_int_row_clears_denominators():
@@ -60,17 +60,22 @@ def test_rank_matches_naive_gaussian_on_random_matrices():
         assert rank_of(rows) == naive_rank(rows, ncols)
 
 
+def dict_rows(matrix):
+    """The rows of a dense matrix as {column: value}, zeros included."""
+    return [dict(enumerate(row)) for row in matrix]
+
+
 def test_det_known_values():
-    assert det_rational([[Fraction(2)]]) == 2
-    assert det_rational([[1, 2], [3, 4]]) == -2
-    assert det_rational([[0, 1], [1, 0]]) == -1
-    assert det_rational([[1, 2], [2, 4]]) == 0
-    assert det_rational([]) == 1
+    assert det_sparse([{0: Fraction(2)}], 1) == 2
+    assert det_sparse([{0: 1, 1: 2}, {0: 3, 1: 4}], 2) == -2
+    assert det_sparse([{0: 0, 1: 1}, {0: 1, 1: 0}], 2) == -1
+    assert det_sparse([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 0
+    assert det_sparse([], 0) == 1
 
 
 def test_det_with_fractions():
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
-    assert det_rational(m) == Fraction(1, 2) * Fraction(1, 7) - Fraction(1, 3) * Fraction(1, 5)
+    assert det_sparse(dict_rows(m), 2) == Fraction(1, 2) * Fraction(1, 7) - Fraction(1, 3) * Fraction(1, 5)
 
 
 def test_det_matches_permutation_expansion_on_random_matrices():
@@ -103,12 +108,15 @@ def test_det_matches_permutation_expansion_on_random_matrices():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
             for _ in range(n)
         ]
-        assert det_rational([row[:] for row in m]) == naive_det(m)
+        assert det_sparse(dict_rows(m), n) == naive_det(m)
 
 
 def test_det_rejects_non_square():
-    with pytest.raises(ValueError):
-        det_rational([[1, 2, 3], [4, 5, 6]])
+    wide = dict_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="column"):
+        det_sparse(wide, 2)
+    with pytest.raises(ValueError, match="rows"):
+        det_sparse(wide, 3)
 
 
 def test_rowspace_copy_is_independent():
@@ -196,12 +204,12 @@ def test_det_sparse_known_values():
     assert det_sparse([{0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1}], 3) == 1
 
 
-def test_det_sparse_agrees_with_dense_wrapper():
+def test_det_sparse_ignores_explicit_zeros():
     rng = random.Random(31)
     for size in range(1, 6):
         rows = zero_diagonal_matrix(rng, size)
         dense = [[row.get(c, 0) for c in range(size)] for row in rows]
-        assert det_rational(dense) == det_sparse(rows, size)
+        assert det_sparse(dict_rows(dense), size) == det_sparse(rows, size)
 
 
 def test_det_sparse_rejects_a_column_out_of_range():

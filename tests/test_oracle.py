@@ -23,7 +23,8 @@ from binomial_ci import (
     specialize,
 )
 from binomial_ci.catalog import wlp_failure_form
-from binomial_ci.oracle import HilbertFunction, polynomial_in_ideal
+from binomial_ci.linalg import rank_of
+from binomial_ci.oracle import HilbertFunction, catalecticant_rows, polynomial_in_ideal
 from binomial_ci.rewrite import TO_BASIS
 
 from conftest import random_family, random_nonzero
@@ -184,3 +185,48 @@ def test_catalecticant_rows_rejects_unknown_convention():
 
     with pytest.raises(ValueError, match="convention"):
         catalecticant_rows(wlp_failure_form(), 1, convention="differentation")
+
+
+def spans_by_two_ranks(family, F, top):
+    """m_spans_ann_quotient by its definition: in every degree the
+    avoided-power rows reach the rank of the whole catalecticant."""
+    return all(
+        rank_of(catalecticant_rows(F, j)) == rank_of(catalecticant_rows(F, j, family.basis_monomials(j)))
+        for j in range(top + 1)
+    )
+
+
+def test_one_pass_spanning_matches_the_two_rank_definition(pentagon):
+    rng = random.Random(83)
+    cases = [(pentagon, wlp_failure_form(), 5)]
+    for _ in range(10):
+        family = random_family(rng, n_range=(2, 3))
+        top = family.socle_degree
+        cases.append((family, dual_generator(family, CONTRACTION).evaluate(), top))
+        monomials = monomials_of_degree(family.n, top)
+        chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+        cases.append((family, {m: random_nonzero(rng) for m in chosen}, top))
+    outcomes = set()
+    for family, F, top in cases:
+        expected = spans_by_two_ranks(family, F, top)
+        assert m_spans_ann_quotient(family, F) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+class TestFormValidation:
+    def test_float_coefficient_is_rejected(self):
+        with pytest.raises(TypeError):
+            inverse_system_dims({(2, 0): 0.1, (1, 1): 1}, 2)
+
+    def test_mixed_width_keys_are_rejected(self):
+        with pytest.raises(ValueError, match="entries"):
+            inverse_system_dims({(2, 0): 1, (1, 1, 0): 1}, 2)
+        with pytest.raises(ValueError, match="entries"):
+            inverse_system_dims({Monomial((2, 0)): 1, Monomial((1, 1, 0)): 1}, 2)
+
+    def test_symbolic_coefficient_is_rejected(self):
+        from binomial_ci import SparsePoly
+
+        with pytest.raises(TypeError):
+            inverse_system_dims({(2, 0): SparsePoly.symbol_a(2, 1)}, 2)

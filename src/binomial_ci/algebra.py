@@ -6,6 +6,12 @@ live in Q[a1..an, b1..bn]; exponent vectors store the a-block first, then the
 b-block.  The canonical term order is graded lex (total degree first, then the
 exponent tuple compared a1, .., an, b1, .., bn), fixed once so that every
 printed polynomial is byte-reproducible.
+
+Validation happens at the API boundary.  The public constructors
+`Monomial(exps)` and `SparsePoly(n, terms)` check and coerce everything they
+are given.  `Monomial._raw` and `SparsePoly._raw` build a value unchecked;
+they are internal, and only for values derived from already checked ones
+(products, quotients, graph successors, sums of polynomials).
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ class Monomial:
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
+    def _raw(cls, exps: tuple[int, ...]) -> Monomial:
+        """Unchecked: exps must be a tuple of nonnegative ints."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exponents", exps)
+        return m
+
+    @classmethod
     def one(cls, n: int) -> Monomial:
         return cls((0,) * n)
 
@@ -74,7 +87,7 @@ class Monomial:
 
     def __mul__(self, other: Monomial) -> Monomial:
         self._check(other)
-        return Monomial(tuple(x + y for x, y in zip(self.exponents, other.exponents)))
+        return Monomial._raw(tuple(x + y for x, y in zip(self.exponents, other.exponents)))
 
     def divides(self, other: Monomial) -> bool:
         self._check(other)
@@ -84,7 +97,7 @@ class Monomial:
         self._check(other)
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial(tuple(x - y for x, y in zip(self.exponents, other.exponents)))
+        return Monomial._raw(tuple(x - y for x, y in zip(self.exponents, other.exponents)))
 
     def render(self, symbol: str = "x") -> str:
         parts = []
@@ -113,7 +126,7 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     # entry before the last, and puts it together with the last entry into
     # e[j + 1].
     e = [d] + [0] * (n - 1)
-    out = [Monomial(tuple(e))]
+    out = [Monomial._raw(tuple(e))]
     last = n - 1
     j = 0 if last and d else -1
     while j >= 0:
@@ -121,7 +134,7 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
         e[last] = 0
         e[j] -= 1
         e[j + 1] = rest + 1
-        out.append(Monomial(tuple(e)))
+        out.append(Monomial._raw(tuple(e)))
         if j + 1 < last:
             j += 1
         else:
@@ -311,7 +324,9 @@ class CoeffMonomial:
         """View as a SparsePoly; fails on negative (Laurent) exponents."""
         if any(e < 0 for e in self.a_exp) or any(e < 0 for e in self.b_exp):
             raise ValueError("Laurent exponents cannot be converted to a polynomial")
-        return SparsePoly(self.n, [(self.a_exp + self.b_exp, self.scalar)])
+        return SparsePoly._raw(
+            _checked_n(self.n), {self.a_exp + self.b_exp: self.scalar} if self.scalar else {}
+        )
 
     def __str__(self) -> str:
         if self.scalar == 0:
@@ -334,6 +349,12 @@ class CoeffMonomial:
         if den:
             return f"{sign}{head}/(" + "*".join(den) + ")"
         return sign + head
+
+
+def _checked_n(n: int) -> int:
+    if n < 1:
+        raise ValueError("need at least one symbol pair")
+    return n
 
 
 def _term_sort_key(key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -360,9 +381,7 @@ class SparsePoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping | Iterable | None = None):
-        if n < 1:
-            raise ValueError("need at least one symbol pair")
-        self.n = n
+        self.n = _checked_n(n)
         acc: dict[tuple[int, ...], Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
@@ -383,8 +402,17 @@ class SparsePoly:
         self.terms = acc
 
     @classmethod
+    def _raw(cls, n: int, terms: dict[tuple[int, ...], Fraction]) -> SparsePoly:
+        """Unchecked: terms must map 2n-entry nonnegative int tuples to
+        nonzero Fractions, and the dict becomes the polynomial's own."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, n: int) -> SparsePoly:
-        return cls(n)
+        return cls._raw(_checked_n(n), {})
 
     @classmethod
     def one(cls, n: int) -> SparsePoly:
@@ -392,18 +420,19 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, n: int, value: Rational) -> SparsePoly:
-        return cls(n, [((0,) * (2 * n), as_fraction(value))])
+        value = as_fraction(value)
+        return cls._raw(_checked_n(n), {(0,) * (2 * n): value} if value else {})
 
     @classmethod
     def symbol_a(cls, n: int, i: int) -> SparsePoly:
         """The symbol a_i (1-based)."""
         key = tuple(1 if j == i - 1 else 0 for j in range(2 * n))
-        return cls(n, [(key, 1)])
+        return cls._raw(_checked_n(n), {key: Fraction(1)})
 
     @classmethod
     def symbol_b(cls, n: int, i: int) -> SparsePoly:
         key = tuple(1 if j == n + i - 1 else 0 for j in range(2 * n))
-        return cls(n, [(key, 1)])
+        return cls._raw(_checked_n(n), {key: Fraction(1)})
 
     @classmethod
     def monomial(cls, n: int, a_exp: Iterable[int], b_exp: Iterable[int], coeff: Rational = 1) -> SparsePoly:
@@ -440,16 +469,12 @@ class SparsePoly:
                 acc[key] = total
             elif key in acc:
                 del acc[key]
-        result = SparsePoly(self.n)
-        result.terms = acc
-        return result
+        return SparsePoly._raw(self.n, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> SparsePoly:
-        result = SparsePoly(self.n)
-        result.terms = {k: -c for k, c in self.terms.items()}
-        return result
+        return SparsePoly._raw(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: SparsePoly | Rational) -> SparsePoly:
         if not isinstance(other, SparsePoly):
@@ -462,10 +487,9 @@ class SparsePoly:
     def __mul__(self, other: SparsePoly | Rational) -> SparsePoly:
         if not isinstance(other, SparsePoly):
             value = as_fraction(other)
-            result = SparsePoly(self.n)
-            if value:
-                result.terms = {k: c * value for k, c in self.terms.items()}
-            return result
+            return SparsePoly._raw(
+                self.n, {k: c * value for k, c in self.terms.items()} if value else {}
+            )
         self._check(other)
         small, large = (self.terms, other.terms)
         if len(small) > len(large):
@@ -479,9 +503,7 @@ class SparsePoly:
                     acc[key] = total
                 elif key in acc:
                     del acc[key]
-        result = SparsePoly(self.n)
-        result.terms = acc
-        return result
+        return SparsePoly._raw(self.n, acc)
 
     __rmul__ = __mul__
 

@@ -153,15 +153,20 @@ class BinomialFamily:
         """One rewrite step at m: (i, m*m_i/x_i^{d_i}) for the least i with
         x_i^{d_i} | m, or None when m is a sink or the least index exceeds the
         cutoff."""
-        limit = self.n if cutoff is None else cutoff
+        if len(m.exponents) != self.n:
+            raise ValueError(f"monomial {m} does not have {self.n} variables")
+        move = self._move(m.exponents, self.n if cutoff is None else cutoff)
+        return None if move is None else (move[0], Monomial._raw(move[1]))
+
+    def _move(self, exps: tuple[int, ...], limit: int) -> tuple[int, tuple[int, ...]] | None:
+        """`step` on an exponent tuple of length n: (i, successor exponents)."""
         for i, d in enumerate(self.degrees):
-            if m.exponents[i] >= d:
+            if exps[i] >= d:
                 if i >= limit:
                     return None
-                quotient = tuple(
-                    e - d if j == i else e for j, e in enumerate(m.exponents)
-                )
-                return (i + 1, Monomial(quotient) * self.tails[i])
+                nxt = [e + t for e, t in zip(exps, self.tails[i].exponents)]
+                nxt[i] -= d
+                return (i + 1, tuple(nxt))
         return None
 
     def in_basis(self, m: Monomial, k: int | None = None) -> bool:

@@ -77,18 +77,19 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     vertices = tuple(monomials_of_degree(family.n, d))
-    index = {m: i for i, m in enumerate(vertices)}
+    lookup = {m.exponents: v for v, m in enumerate(vertices)}
+    move = family._move
+    n = family.n
     succ: list[int | None] = []
     labels: list[int | None] = []
     for m in vertices:
-        move = family.step(m)
-        if move is None:
+        edge = move(m.exponents, n)
+        if edge is None:
             succ.append(None)
             labels.append(None)
         else:
-            i, nxt = move
-            succ.append(index[nxt])
-            labels.append(i)
+            labels.append(edge[0])
+            succ.append(lookup[edge[1]])
 
     count = len(vertices)
     state = [0] * count  # 0 fresh, 1 on the current walk, 2 finished
@@ -120,10 +121,13 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
         for u in walk:
             state[u] = 2
 
-    cycles = []
+    rotations = []
     for raw in raw_cycles:
         smallest = min(range(len(raw)), key=lambda j: vertices[raw[j]].exponents)
-        rotated = raw[smallest:] + raw[:smallest]
+        rotations.append(raw[smallest:] + raw[:smallest])
+    rotations.sort(key=lambda rotated: rotated[0])
+    cycles = []
+    for rotated in rotations:
         cycle_labels = tuple(labels[v] for v in rotated)
         counts = [0] * family.n
         for lab in cycle_labels:
@@ -131,7 +135,6 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
         cycles.append(
             Cycle(tuple(vertices[v] for v in rotated), cycle_labels, tuple(counts))
         )
-    cycles.sort(key=lambda c: index[c.vertices[0]])
     return ReductionGraph(
         family, d, vertices, tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles)
     )

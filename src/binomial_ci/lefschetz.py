@@ -15,17 +15,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Monomial, monomials_of_degree
-from .dual import DIFFERENTIATION, Exponents, action_image, numeric_form
+from .dual import Exponents, action_image, numeric_form
 from .linalg import RowSpace, dense_rank, rank_of
-from .oracle import catalecticant_rows
+from .oracle import _catalecticant_rows
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:
     """A monomial basis of the degree-k part of R/Ann(F) under differentiation,
     chosen greedily in canonical monomial order via catalecticant ranks."""
-    _, n, _ = numeric_form(F)
+    return _monomial_basis(*numeric_form(F), k)
+
+
+def _monomial_basis(terms: dict[Exponents, Fraction], n: int, top: int, k: int) -> list[Monomial]:
     candidates = monomials_of_degree(n, k)
-    rows = catalecticant_rows(F, k, candidates, DIFFERENTIATION)
+    rows = _catalecticant_rows(terms, n, top, k, candidates, differentiate=True)
     space = RowSpace()
     basis = []
     for m, row in zip(candidates, rows):
@@ -36,7 +39,7 @@ def monomial_basis(F, k: int) -> list[Monomial]:
 
 def graded_dimension(F, k: int) -> int:
     """dim of the degree-k part of R/Ann(F) under differentiation."""
-    return rank_of(catalecticant_rows(F, k, None, DIFFERENTIATION))
+    return rank_of(_catalecticant_rows(*numeric_form(F), k, None, differentiate=True))
 
 
 class HessianMatrix:
@@ -54,7 +57,8 @@ class HessianMatrix:
         for g in basis:
             if g.degree != k:
                 raise ValueError("basis elements must have the Hessian's degree")
-        if rank_of(catalecticant_rows(F, k, list(basis), DIFFERENTIATION)) < len(basis):
+        rows = _catalecticant_rows(terms, n, top, k, list(basis), differentiate=True)
+        if rank_of(rows) < len(basis):
             raise ValueError("Hessian basis is dependent in the quotient")
         self.k = k
         self.n = n
@@ -134,12 +138,12 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
     trials fall short the verdict is only probabilistic.  Random linear forms
     use integer entries in [-100, 100].
     """
-    _, n, top = numeric_form(F)
+    terms, n, top = numeric_form(F)
     if rng is None:
         rng = random.Random(0)
     verdicts = []
     for k in range(top // 2 + 1):
-        basis = monomial_basis(F, k)
+        basis = _monomial_basis(terms, n, top, k)
         # R/Ann(F) is Gorenstein: Cat_{D-k} is Cat_k transposed up to
         # invertible diagonal scalings (factorials, over Q), so the target
         # A_{D-k} has the dimension of A_k and needs no elimination of its own.

@@ -10,13 +10,14 @@ Everything is deterministic and exact; no probabilistic rank anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .algebra import Monomial, monomials_of_degree
-from .dual import DIFFERENTIATION, _check_convention, action_image, numeric_form
+from .dual import DIFFERENTIATION, Exponents, _check_convention, action_image, numeric_form
 from .family import BinomialFamily
 from .linalg import RowSpace, rank_of
 
@@ -106,7 +107,7 @@ def _ideal_space(family: BinomialFamily, degree: int) -> RowSpace:
 def hilbert_function_of_generators(n: int, generators: Generators, max_degree: int) -> HilbertFunction:
     return HilbertFunction(
         tuple(
-            len(monomials_of_degree(n, j)) - _macaulay_space(n, generators, j).rank
+            math.comb(j + n - 1, n - 1) - _macaulay_space(n, generators, j).rank
             for j in range(max_degree + 1)
         )
     )
@@ -117,7 +118,7 @@ def hilbert_function(family: BinomialFamily, max_degree: int) -> HilbertFunction
     _require_numeric(family)
     return HilbertFunction(
         tuple(
-            len(monomials_of_degree(family.n, j)) - _ideal_space(family, j).rank
+            math.comb(j + family.n - 1, family.n - 1) - _ideal_space(family, j).rank
             for j in range(max_degree + 1)
         )
     )
@@ -201,13 +202,26 @@ def catalecticant_rows(
     the falling factorials of the exponents.
     """
     _check_convention(convention)
-    terms, n, top = numeric_form(F)
+    return _catalecticant_rows(
+        *numeric_form(F), degree, monomials, convention == DIFFERENTIATION
+    )
+
+
+def _catalecticant_rows(
+    terms: Mapping[Exponents, Fraction],
+    n: int,
+    top: int,
+    degree: int,
+    monomials: Sequence[Monomial] | None = None,
+    differentiate: bool = False,
+):
+    """catalecticant_rows for F already normalized to (terms, n, top) by
+    `dual.numeric_form`."""
     if monomials is None:
         monomials = monomials_of_degree(n, degree)
     if degree > top:
         return [{} for _ in monomials]
     columns = {m.exponents: j for j, m in enumerate(monomials_of_degree(n, top - degree))}
-    differentiate = convention == DIFFERENTIATION
     return [
         {columns[key]: c for key, c in action_image(terms, g.exponents, differentiate).items()}
         for g in monomials
@@ -216,7 +230,10 @@ def catalecticant_rows(
 
 def inverse_system_dims(F, max_degree: int) -> HilbertFunction:
     """h_j = rank of the contraction map from degree-j monomials into F."""
-    return HilbertFunction(tuple(rank_of(catalecticant_rows(F, j)) for j in range(max_degree + 1)))
+    form = numeric_form(F)
+    return HilbertFunction(
+        tuple(rank_of(_catalecticant_rows(*form, j)) for j in range(max_degree + 1))
+    )
 
 
 def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
@@ -226,14 +243,14 @@ def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
     numeric homogeneous form in the same variables.  One elimination per
     degree: every other catalecticant row must lie in the avoided-power span.
     """
-    _, n, top = numeric_form(F)
+    terms, n, top = numeric_form(F)
     if n != family.n:
         raise ValueError("form and family have different variable counts")
     for j in range(top + 1):
         monomials = monomials_of_degree(n, j)
         space = RowSpace()
         others = []
-        for m, row in zip(monomials, catalecticant_rows(F, j, monomials)):
+        for m, row in zip(monomials, _catalecticant_rows(terms, n, top, j, monomials)):
             if family.in_basis(m):
                 space.add(row)
             else:

@@ -301,3 +301,75 @@ def test_poly_divides_agrees_with_sympy():
             outcomes[expected] += 1
     # Every "no" answer comes from a division stuck on a leading term.
     assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+class TestBoundaryValidation:
+    """The public constructors check everything; the unchecked internal
+    values they are compared with must be indistinguishable from checked ones."""
+
+    def test_monomial_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            Monomial((1, -1))
+
+    def test_sparse_poly_rejects_bad_keys(self):
+        with pytest.raises(ValueError):
+            SparsePoly(2, {(1, 0, 0): 1})  # needs 2n = 4 entries
+        with pytest.raises(ValueError):
+            SparsePoly(2, {(1, 0, 0, -1): 1})
+        with pytest.raises(ValueError):
+            SparsePoly(0)
+        with pytest.raises(ValueError):
+            SparsePoly.zero(0)
+        with pytest.raises(ValueError):
+            SparsePoly.constant(0, 1)
+
+    def test_sparse_poly_coerces_and_drops_zeros(self):
+        p = SparsePoly(1, {(1, 0): "3/2", (0, 1): 2, (1, 1): 0, (2, 0): "0"})
+        assert p.terms == {(1, 0): Fraction(3, 2), (0, 1): Fraction(2)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert SparsePoly.constant(2, "1/2") == SparsePoly(2, {(0, 0, 0, 0): Fraction(1, 2)})
+
+    def test_float_coefficients_raise_type_error(self):
+        with pytest.raises(TypeError):
+            SparsePoly(1, {(1, 0): 1.5})
+        with pytest.raises(TypeError):
+            SparsePoly.constant(1, 0.5)
+        with pytest.raises(TypeError):
+            sym(1, "a1") * 1.5
+        with pytest.raises(TypeError):
+            sym(1, "a1") + 1.5
+
+    def test_enumerated_monomials_equal_and_hash_like_checked_ones(self):
+        for n, d in ((1, 3), (3, 4), (5, 2)):
+            for m in monomials_of_degree(n, d):
+                checked = Monomial(m.exponents)
+                assert m == checked and hash(m) == hash(checked)
+                assert type(m.exponents) is tuple
+                assert all(type(e) is int for e in m.exponents)
+
+    def test_products_and_quotients_equal_and_hash_like_checked_ones(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            x = Monomial(tuple(rng.randint(0, 3) for _ in range(4)))
+            y = Monomial(tuple(rng.randint(0, 3) for _ in range(4)))
+            product = x * y
+            expected = Monomial(tuple(a + b for a, b in zip(x.exponents, y.exponents)))
+            assert product == expected and hash(product) == hash(expected)
+            assert product / y == x and hash(product / y) == hash(x)
+            assert {product: 1}[expected] == 1
+
+    def test_derived_polynomials_equal_and_hash_like_checked_ones(self):
+        n = 2
+        assert SparsePoly.constant(n, 0) == SparsePoly.zero(n) == SparsePoly(n)
+        assert hash(SparsePoly.constant(n, 0)) == hash(SparsePoly.zero(n))
+        p = sym(n, "a1") * sym(n, "b2") - 3 * sym(n, "a2") + "1/2"
+        checked = SparsePoly(
+            n, {(1, 0, 0, 1): 1, (0, 1, 0, 0): -3, (0, 0, 0, 0): Fraction(1, 2)}
+        )
+        assert p == checked and hash(p) == hash(checked)
+        assert -p == SparsePoly(n, {k: -c for k, c in checked.terms.items()})
+        assert p * 0 == SparsePoly.zero(n) and (p * 0).terms == {}
+        assert (p - p).terms == {}
+        cm = CoeffMonomial(Fraction(2), (1, 0), (0, 3))
+        assert cm.to_sparse() == SparsePoly(n, {(1, 0, 0, 3): 2})
+        assert CoeffMonomial.zero(n).to_sparse() == SparsePoly.zero(n)

@@ -197,6 +197,11 @@ class TestHelpers:
         assert not double_cycle.in_basis(Monomial((2, 1, 0)))
         assert double_cycle.step(Monomial((0, 2, 2)), cutoff=1) is None
 
+    def test_step_rejects_monomials_of_another_variable_count(self, double_cycle):
+        for exps in ((2, 1), (0, 0), (2, 1, 0, 0), (0, 0, 0, 5)):
+            with pytest.raises(ValueError):
+                double_cycle.step(Monomial(exps))
+
     def test_socle_and_resultant_degrees(self, double_cycle):
         assert double_cycle.socle_degree == 3
         assert double_cycle.resultant_degree == 4

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 from binomial_ci import (
+    BinomialFamily,
     CoeffAssignment,
     Monomial,
     SparsePoly,
@@ -190,3 +191,129 @@ class TestExports:
             {"vertices": ["x1*x2*x3^2", "x1*x2^2*x3"], "r": [0, 1, 1]},
             {"vertices": ["x2*x3^3", "x2^2*x3^2"], "r": [0, 1, 1]},
         ]
+
+
+# ---------------------------------------------------------------------------
+# Differential test: build_graph against the checked public Monomial arithmetic
+
+
+def exponent_vectors(n, d):
+    """Every length-n vector of nonnegative ints summing to d, by recursion."""
+    if n == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in exponent_vectors(n - 1, d - first):
+            yield (first,) + rest
+
+
+def reference_graph(family, d):
+    """Vertices in descending lex order, and each vertex's (label, successor)
+    or None: the least i with e_i >= d_i, then (m / x_i^{d_i}) * tail_i."""
+    vertices = sorted(
+        (Monomial(e) for e in exponent_vectors(family.n, d)),
+        key=lambda m: m.exponents,
+        reverse=True,
+    )
+    moves = {}
+    for m in vertices:
+        moves[m] = None
+        for i in range(1, family.n + 1):
+            lead = Monomial.variable(family.n, i, family.degrees[i - 1])
+            if lead.divides(m):
+                moves[m] = (i, (m / lead) * family.tails[i - 1])
+                break
+    return vertices, moves
+
+
+def reference_cycles(vertices, moves):
+    """Each cycle as (vertices from the lex-smallest one, edge labels), in the
+    order of its first vertex among `vertices`."""
+    position = {m: k for k, m in enumerate(vertices)}
+    on_cycle = set()
+    for m in vertices:
+        seen = []
+        v = m
+        while v not in seen and moves[v] is not None:
+            seen.append(v)
+            v = moves[v][1]
+        if v in seen:
+            on_cycle.update(seen[seen.index(v):])
+    cycles = []
+    done = set()
+    for m in vertices:
+        if m not in on_cycle or m in done:
+            continue
+        members = [m]
+        v = moves[m][1]
+        while v != m:
+            members.append(v)
+            v = moves[v][1]
+        done.update(members)
+        start = members.index(min(members, key=lambda u: u.exponents))
+        rotated = members[start:] + members[:start]
+        cycles.append((tuple(rotated), tuple(moves[u][0] for u in rotated)))
+    cycles.sort(key=lambda c: position[c[0][0]])
+    return cycles, on_cycle
+
+
+def differential_families():
+    """Seeded families with n = 2..6 variables and mixed degrees: random tails,
+    pure-power tails x_j^{d_i}, and tails equal to another generator's lead.
+    (No one-variable family exists: its only tail candidate is its lead.)"""
+    rng = random.Random(20261018)
+    families = []
+    for n in range(2, 7):
+        for kind in ("random", "pure power", "other lead"):
+            for _ in range(2):
+                degrees = [rng.randint(1, 3 if n < 6 else 2) for _ in range(n)]
+                if kind == "other lead":
+                    degrees[1] = degrees[0]
+                tails = []
+                for i, di in enumerate(degrees):
+                    lead = Monomial.variable(n, i + 1, di)
+                    others = [j for j in range(n) if j != i]
+                    if kind == "pure power" or (kind == "other lead" and i < 2):
+                        j = (1 - i) if kind == "other lead" else rng.choice(others)
+                        tail = Monomial.variable(n, j + 1, di)
+                    else:
+                        tail = lead
+                        while tail == lead:
+                            tail = Monomial(rng.choice(list(exponent_vectors(n, di))))
+                    tails.append(tail)
+                families.append(BinomialFamily.symbolic(degrees, tails))
+    return families
+
+
+def test_build_graph_matches_checked_reference():
+    compared = 0
+    cycles_seen = 0
+    for family in differential_families():
+        top = family.resultant_degree
+        for d in sorted({0, 1, family.socle_degree, top}):
+            g = build_graph(family, d)
+            vertices, moves = reference_graph(family, d)
+            cycles, on_cycle = reference_cycles(vertices, moves)
+            assert list(g.vertices) == vertices
+            assert all(type(e) is int for m in g.vertices for e in m.exponents)
+            position = {m: k for k, m in enumerate(vertices)}
+            assert list(g.succ) == [
+                None if moves[m] is None else position[moves[m][1]] for m in vertices
+            ]
+            assert list(g.labels) == [None if moves[m] is None else moves[m][0] for m in vertices]
+            assert list(g.vertex_class) == [
+                SINK if moves[m] is None else CYCLIC if m in on_cycle else TRANSIENT
+                for m in vertices
+            ]
+            assert [(c.vertices, c.labels) for c in g.cycles] == cycles
+            for c in g.cycles:
+                assert c.label_counts == tuple(c.labels.count(i) for i in range(1, family.n + 1))
+            for m in g.vertices:
+                move = family.step(m)
+                if move is None:
+                    assert g.successor(m) is None and g.label(m) is None
+                else:
+                    assert move == (g.label(m), g.successor(m))
+            compared += len(vertices)
+            cycles_seen += len(cycles)
+    assert compared > 3000 and cycles_seen > 100

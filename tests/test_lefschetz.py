@@ -162,12 +162,12 @@ def test_slp_check_eliminates_only_up_to_half_the_socle_degree(monkeypatch):
     import binomial_ci.lefschetz as lefschetz
 
     degrees = []
-    real = lefschetz.catalecticant_rows
+    real = lefschetz._catalecticant_rows
 
-    def counting(F, degree, *args, **kwargs):
+    def counting(terms, n, top, degree, *args, **kwargs):
         degrees.append(degree)
-        return real(F, degree, *args, **kwargs)
+        return real(terms, n, top, degree, *args, **kwargs)
 
-    monkeypatch.setattr(lefschetz, "catalecticant_rows", counting)
+    monkeypatch.setattr(lefschetz, "_catalecticant_rows", counting)
     slp_check(wlp_failure_form(), trials=2, rng=random.Random(3))  # socle degree 5
     assert sorted(set(degrees)) == [0, 1, 2]

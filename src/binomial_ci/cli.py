@@ -249,17 +249,19 @@ def _cmd_hilbert(args) -> int:
 
 def _load_dual_file(path: str):
     data = json.loads(Path(path).read_text())
+    try:
+        items = [(tuple(item["alpha"]), item["coeff"]) for item in data["terms"]]
+    except (KeyError, TypeError) as exc:
+        raise FamilyError(f"malformed dual file: {exc}") from exc
     terms = {}
-    for item in data["terms"]:
-        alpha = tuple(int(e) for e in item["alpha"])
+    for alpha, coeff in items:
         try:
-            coeff = as_fraction(item["coeff"])
+            terms[alpha] = as_fraction(coeff)
         except (ValueError, TypeError) as exc:
             raise FamilyError(
-                f"dual file carries a symbolic coefficient {item['coeff']!r}; "
+                f"dual file carries a symbolic coefficient {coeff!r}; "
                 "lefschetz needs numeric values"
             ) from exc
-        terms[alpha] = coeff
     if not terms:
         raise FamilyError("dual file has no terms")
     return terms

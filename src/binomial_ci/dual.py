@@ -135,12 +135,18 @@ Terms = dict[Exponents, Fraction | SparsePoly]
 
 
 def normalize_terms(terms, n: int | None = None) -> tuple[Terms, int | None]:
-    """(terms, width): {monomial or exponent tuple: coefficient} with exponent
-    keys all of width n (default: the first key's), zero terms dropped, and
-    each coefficient a SparsePoly or, through as_fraction, a Fraction."""
+    """(terms, width): {monomial or exponent tuple: coefficient} with
+    nonnegative exponent keys all of width n (default: the first key's), zero
+    terms dropped, and each coefficient a SparsePoly or, through as_fraction,
+    a Fraction."""
     out: Terms = {}
     for key, coeff in terms.items():
-        exps = key.exponents if isinstance(key, Monomial) else tuple(int(e) for e in key)
+        if isinstance(key, Monomial):
+            exps = key.exponents
+        else:
+            exps = tuple(key)
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponent vector {exps} must hold nonnegative integers")
         if n is None:
             n = len(exps)
         elif len(exps) != n:

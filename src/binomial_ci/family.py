@@ -528,39 +528,47 @@ def _json_value(value) -> OptionalRational:
         ) from None
 
 
+def _json_int(value) -> int:
+    # int() would truncate a float and read a bool as 0 or 1.
+    if isinstance(value, (bool, float)):
+        raise FamilyValidationError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def family_from_json(data: dict | str) -> BinomialFamily:
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"])
         generators = data["generators"]
+        if len(generators) != n:
+            raise FamilyValidationError(f"expected {n} generators, got {len(generators)}")
+        degrees = [0] * n
+        tails: list[Monomial] = [Monomial.one(n)] * n
+        seen = set()
+        for g in generators:
+            i = _json_int(g["i"])
+            if not 1 <= i <= n:
+                raise FamilyValidationError(f"generator index {i} out of range 1..{n}")
+            if i in seen:
+                raise FamilyValidationError(f"duplicate generator index {i}")
+            seen.add(i)
+            degrees[i - 1] = _json_int(g["d"])
+            tails[i - 1] = Monomial(tuple(_json_int(e) for e in g["m"]))
         coefficients = data.get("coefficients", {"mode": "symbolic"})
-    except (KeyError, TypeError) as exc:
+        mode = coefficients.get("mode", "symbolic")
+        if mode == "symbolic":
+            a_values = b_values = None
+        elif mode in ("numeric", "mixed"):
+            a_values = [_json_value(v) for v in coefficients["a"]]
+            b_values = [_json_value(v) for v in coefficients["b"]]
+            if mode == "numeric" and (None in a_values or None in b_values):
+                raise FamilyValidationError("numeric mode does not admit missing values")
+        else:
+            raise FamilyValidationError(f"unknown coefficient mode {mode!r}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        # A missing key, or a value of the wrong JSON type.
         raise FamilyValidationError(f"malformed family JSON: {exc}") from exc
-    if len(generators) != n:
-        raise FamilyValidationError(f"expected {n} generators, got {len(generators)}")
-    degrees = [0] * n
-    tails: list[Monomial] = [Monomial.one(n)] * n
-    seen = set()
-    for g in generators:
-        i = int(g["i"])
-        if not 1 <= i <= n:
-            raise FamilyValidationError(f"generator index {i} out of range 1..{n}")
-        if i in seen:
-            raise FamilyValidationError(f"duplicate generator index {i}")
-        seen.add(i)
-        degrees[i - 1] = int(g["d"])
-        tails[i - 1] = Monomial(tuple(int(e) for e in g["m"]))
-    mode = coefficients.get("mode", "symbolic")
-    if mode == "symbolic":
-        a_values = b_values = None
-    elif mode in ("numeric", "mixed"):
-        a_values = [_json_value(v) for v in coefficients["a"]]
-        b_values = [_json_value(v) for v in coefficients["b"]]
-        if mode == "numeric" and (None in a_values or None in b_values):
-            raise FamilyValidationError("numeric mode does not admit missing values")
-    else:
-        raise FamilyValidationError(f"unknown coefficient mode {mode!r}")
     return BinomialFamily(n, tuple(degrees), tuple(tails), a_values, b_values)
 
 

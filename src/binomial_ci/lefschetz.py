@@ -17,16 +17,16 @@ from typing import Sequence
 from .algebra import Monomial, monomials_of_degree
 from .dual import Exponents, action_image, numeric_form
 from .linalg import RowSpace, dense_rank, rank_of
-from .oracle import _catalecticant_rows
+from .oracle import _catalecticant_rows, _integer_form
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:
     """A monomial basis of the degree-k part of R/Ann(F) under differentiation,
     chosen greedily in canonical monomial order via catalecticant ranks."""
-    return _monomial_basis(*numeric_form(F), k)
+    return _monomial_basis(*_integer_form(F), k)
 
 
-def _monomial_basis(terms: dict[Exponents, Fraction], n: int, top: int, k: int) -> list[Monomial]:
+def _monomial_basis(terms: dict[Exponents, int], n: int, top: int, k: int) -> list[Monomial]:
     candidates = monomials_of_degree(n, k)
     rows = _catalecticant_rows(terms, n, top, k, candidates, differentiate=True)
     space = RowSpace()
@@ -39,7 +39,7 @@ def _monomial_basis(terms: dict[Exponents, Fraction], n: int, top: int, k: int) 
 
 def graded_dimension(F, k: int) -> int:
     """dim of the degree-k part of R/Ann(F) under differentiation."""
-    return rank_of(_catalecticant_rows(*numeric_form(F), k, None, differentiate=True))
+    return rank_of(_catalecticant_rows(*_integer_form(F), k, None, differentiate=True))
 
 
 class HessianMatrix:
@@ -138,7 +138,7 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
     trials fall short the verdict is only probabilistic.  Random linear forms
     use integer entries in [-100, 100].
     """
-    terms, n, top = numeric_form(F)
+    terms, n, top = _integer_form(F)
     if rng is None:
         rng = random.Random(0)
     verdicts = []

@@ -9,13 +9,13 @@ nonzeros rather than the matrix width.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Row = Mapping[int, Fraction | int]
 
 
-def _normalize(row: dict[int, int]) -> dict[int, int]:
+def _normalize(row: dict) -> dict:
     g = 0
     for c in row.values():
         g = gcd(g, c)
@@ -24,18 +24,15 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def to_int_row(row: Row) -> dict[int, int]:
-    """Scale a {column: rational} row to coprime integers."""
-    lcm = 1
-    for v in row.values():
-        den = Fraction(v).denominator
-        lcm = lcm * den // gcd(lcm, den)
-    out = {}
-    for k, v in row.items():
-        scaled = Fraction(v) * lcm
-        if scaled:
-            out[int(k)] = scaled.numerator
-    return _normalize(out)
+def to_int_row(row: Row) -> dict:
+    """Scale a {key: int or Fraction} row to coprime integers, dropping
+    zeros.  No Fraction is built; any other value type raises TypeError."""
+    try:
+        scale = lcm(*(v.denominator for v in row.values()))
+    except AttributeError:
+        bad = next(v for v in row.values() if not hasattr(v, "denominator"))
+        raise TypeError(f"row values must be int or Fraction, not {type(bad).__name__}") from None
+    return _normalize({k: v.numerator * (scale // v.denominator) for k, v in row.items() if v})
 
 
 class RowSpace:

@@ -1,25 +1,26 @@
 """Brute-force verification by exact linear algebra.
 
-Hilbert functions come from ranks of Macaulay matrices (rows: the degree-j
-multiples of the generators in the monomial basis), complete-intersection
-tests compare against the product series of the generator degrees, and
-inverse-system dimensions come from catalecticant ranks under contraction.
-A catalecticant row is an image x^gamma o F from `dual.action_image`.
-Everything is deterministic and exact; no probabilistic rank anywhere.
+Hilbert functions come from ranks of Macaulay matrices with integer rows
+(the degree-j multiples of the generators, each scaled once to coprime
+integers); the complete-intersection test is the one rank h_{D+1} = 0.
+Inverse-system dimensions come from catalecticant ranks under contraction of
+rows x^gamma o F from `dual.action_image`.  Column indices come from
+`_columns`.  Everything is deterministic and exact; no probabilistic rank.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, monomials_of_degree
-from .dual import DIFFERENTIATION, Exponents, _check_convention, action_image, numeric_form
+from .algebra import Monomial, as_fraction, monomials_of_degree
+from .dual import DIFFERENTIATION, Exponents, _check_convention, action_image, normalize_terms, numeric_form
 from .family import BinomialFamily
-from .linalg import RowSpace, rank_of
+from .linalg import RowSpace, rank_of, to_int_row
 
 
 class NotCompleteIntersectionError(ValueError):
@@ -62,32 +63,31 @@ def _require_numeric(family: BinomialFamily) -> None:
         raise ValueError("this oracle needs a fully numeric family")
 
 
-Generators = Sequence[Mapping[Monomial, Fraction]]
+Generators = Sequence[Mapping[Monomial | Exponents, Fraction | int]]
 
 
-def macaulay_rows(n: int, generators: Generators, degree: int) -> list[dict[int, Fraction]]:
-    """Rows of the degree-`degree` Macaulay matrix for explicit generators."""
-    columns = {m: j for j, m in enumerate(monomials_of_degree(n, degree))}
+@lru_cache(maxsize=32)
+def _columns(n: int, degree: int) -> dict[Exponents, int]:
+    """The column index of the degree-`degree` monomials: exponent tuple ->
+    position in canonical order.  Shared by every caller: read it only."""
+    return {m.exponents: j for j, m in enumerate(monomials_of_degree(n, degree))}
+
+
+def macaulay_rows(n: int, generators: Generators, degree: int) -> list[dict[int, int]]:
+    """Integer rows x^beta * f_k of the degree-`degree` Macaulay matrix, by
+    generator and then by beta in canonical order."""
+    columns = _columns(n, degree)
     rows = []
     for gen in generators:
-        if not gen:
+        terms = to_int_row(normalize_terms(gen, n)[0])
+        if not terms:
             continue
-        gen_degree = max(m.degree for m in gen)
-        shift = degree - gen_degree
+        shift = degree - max(map(sum, terms))
         if shift < 0:
             continue
-        for mult in monomials_of_degree(n, shift):
-            row: dict[int, Fraction] = {}
-            for m, c in gen.items():
-                if c:
-                    row[columns[mult * m]] = c
-            if row:
-                rows.append(row)
+        for beta in _columns(n, shift):
+            rows.append({columns[tuple(map(add, beta, exps))]: c for exps, c in terms.items()})
     return rows
-
-
-def _family_generators(family: BinomialFamily) -> list[dict[Monomial, Fraction]]:
-    return [family.generator_values(i) for i in range(1, family.n + 1)]
 
 
 def _macaulay_space(n: int, generators: Generators, degree: int) -> RowSpace:
@@ -101,20 +101,22 @@ def _macaulay_space(n: int, generators: Generators, degree: int) -> RowSpace:
 @lru_cache(maxsize=512)
 def _ideal_space(family: BinomialFamily, degree: int) -> RowSpace:
     # Shared by every caller: read it, or mutate a copy().
-    return _macaulay_space(family.n, _family_generators(family), degree)
+    return _macaulay_space(family.n, [family.generator_values(i) for i in range(1, family.n + 1)], degree)
 
 
-def hilbert_function_of_generators(n: int, generators: Generators, max_degree: int) -> HilbertFunction:
-    return HilbertFunction(
-        tuple(
-            math.comb(j + n - 1, n - 1) - _macaulay_space(n, generators, j).rank
-            for j in range(max_degree + 1)
-        )
-    )
+def _fills_degree(space: RowSpace, n: int, degree: int) -> bool:
+    """Whether a degree-`degree` row space is all of R_degree: h_degree = 0."""
+    return space.rank == math.comb(degree + n - 1, n - 1)
+
+
+def _check_max_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise ValueError("max degree must be nonnegative")
 
 
 def hilbert_function(family: BinomialFamily, max_degree: int) -> HilbertFunction:
     """h_j = dim R_j - rank(Macaulay matrix) for j = 0..max_degree."""
+    _check_max_degree(max_degree)
     _require_numeric(family)
     return HilbertFunction(
         tuple(
@@ -126,6 +128,7 @@ def hilbert_function(family: BinomialFamily, max_degree: int) -> HilbertFunction
 
 def ci_reference(degrees: Sequence[int], max_degree: int) -> tuple[int, ...]:
     """Coefficients of prod_i (1 + t + ... + t^(d_i - 1)) through max_degree."""
+    _check_max_degree(max_degree)
     series = [1]
     for d in degrees:
         block = [1] * d
@@ -140,10 +143,14 @@ def ci_reference(degrees: Sequence[int], max_degree: int) -> tuple[int, ...]:
 
 
 def is_complete_intersection(family: BinomialFamily) -> bool:
-    """Whether the Hilbert function matches the product series through D+1."""
+    """Whether f_1..f_n form a regular sequence, by one rank: h_{D+1} = 0.
+
+    Then R/I is Artinian, and n forms generating an m-primary ideal of the
+    Cohen-Macaulay ring R are a regular sequence (Bruns & Herzog, 2.1), whose
+    Hilbert function is ci_reference, zero past D."""
     _require_numeric(family)
     top = family.socle_degree + 1
-    return hilbert_function(family, top).values == ci_reference(family.degrees, top)
+    return _fills_degree(_ideal_space(family, top), family.n, top)
 
 
 def basis_check(family: BinomialFamily) -> bool:
@@ -155,14 +162,14 @@ def basis_check(family: BinomialFamily) -> bool:
             "basis_check requires a complete intersection at the given coefficients"
         )
     for j in range(family.socle_degree + 1):
-        columns = {m: c for c, m in enumerate(monomials_of_degree(family.n, j))}
+        columns = _columns(family.n, j)
         space = _ideal_space(family, j).copy()
         h = len(columns) - space.rank
         basis = family.basis_monomials(j)
         if len(basis) != h:
             return False
         for m in basis:
-            if not space.add({columns[m]: Fraction(1)}):
+            if not space.add({columns[m.exponents]: 1}):
                 return False
     return True
 
@@ -170,23 +177,24 @@ def basis_check(family: BinomialFamily) -> bool:
 def ideal_membership(family: BinomialFamily, m: Monomial) -> bool:
     """Whether m lies in the degree-deg(m) piece of the ideal."""
     _require_numeric(family)
-    columns = {mm: c for c, mm in enumerate(monomials_of_degree(family.n, m.degree))}
-    return _ideal_space(family, m.degree).contains({columns[m]: Fraction(1)})
+    column = _columns(family.n, m.degree)[m.exponents]
+    return _ideal_space(family, m.degree).contains({column: 1})
 
 
 def polynomial_in_ideal(family: BinomialFamily, terms: Mapping[Monomial, Fraction]) -> bool:
     """Membership for a homogeneous polynomial given as monomial -> rational."""
     _require_numeric(family)
-    nonzero = {m: c for m, c in terms.items() if c}
+    coeffs = {m: as_fraction(c) for m, c in terms.items()}
+    nonzero = {m: c for m, c in coeffs.items() if c}
     if not nonzero:
         return True
     degrees = {m.degree for m in nonzero}
     if len(degrees) != 1:
         raise ValueError("membership test expects a homogeneous polynomial")
     degree = degrees.pop()
-    columns = {mm: c for c, mm in enumerate(monomials_of_degree(family.n, degree))}
+    columns = _columns(family.n, degree)
     return _ideal_space(family, degree).contains(
-        {columns[m]: c for m, c in nonzero.items()}
+        {columns[m.exponents]: c for m, c in nonzero.items()}
     )
 
 
@@ -216,21 +224,27 @@ def _catalecticant_rows(
     differentiate: bool = False,
 ):
     """catalecticant_rows for F already normalized to (terms, n, top) by
-    `dual.numeric_form`."""
-    if monomials is None:
-        monomials = monomials_of_degree(n, degree)
+    `dual.numeric_form`; integer terms give integer rows."""
+    gammas = _columns(n, degree) if monomials is None else [g.exponents for g in monomials]
     if degree > top:
-        return [{} for _ in monomials]
-    columns = {m.exponents: j for j, m in enumerate(monomials_of_degree(n, top - degree))}
+        return [{} for _ in gammas]
+    columns = _columns(n, top - degree)
     return [
-        {columns[key]: c for key, c in action_image(terms, g.exponents, differentiate).items()}
-        for g in monomials
+        {columns[key]: c for key, c in action_image(terms, gamma, differentiate).items()}
+        for gamma in gammas
     ]
+
+
+def _integer_form(F) -> tuple[dict[Exponents, int], int, int]:
+    """numeric_form(F) scaled to coprime integers, for rank-only callers."""
+    terms, n, top = numeric_form(F)
+    return to_int_row(terms), n, top
 
 
 def inverse_system_dims(F, max_degree: int) -> HilbertFunction:
     """h_j = rank of the contraction map from degree-j monomials into F."""
-    form = numeric_form(F)
+    _check_max_degree(max_degree)
+    form = _integer_form(F)
     return HilbertFunction(
         tuple(rank_of(_catalecticant_rows(*form, j)) for j in range(max_degree + 1))
     )
@@ -243,7 +257,7 @@ def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
     numeric homogeneous form in the same variables.  One elimination per
     degree: every other catalecticant row must lie in the avoided-power span.
     """
-    terms, n, top = numeric_form(F)
+    terms, n, top = _integer_form(F)
     if n != family.n:
         raise ValueError("form and family have different variable counts")
     for j in range(top + 1):

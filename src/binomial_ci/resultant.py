@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import Monomial, SparsePoly, cyclotomic, divisors
+from .algebra import SparsePoly, cyclotomic, divisors
 from .family import BinomialFamily, CoeffAssignment, specialize
 from .graph import CYCLIC, Cycle, ReductionGraph, build_graph, cycle_polynomial
 from .linalg import det_sparse
-from .oracle import ci_reference, hilbert_function_of_generators
+from .oracle import _fills_degree, _macaulay_space
 
 CERTAIN = "certain"
 PROBABILISTIC = "probabilistic"
@@ -244,24 +244,19 @@ def _random_nonzero(rng: random.Random, bound: int = 1000) -> Fraction:
 
 def _probe_t_index(family: BinomialFamily, i: int, rng: random.Random, trials: int = 5) -> TEntry:
     # Specialize a_i := 0 (and unfixed symbols to random nonzero rationals);
-    # any complete intersection among the trials certifies a_i does not divide
-    # the resultant.
+    # any complete intersection (h_{D+1} = 0, as in is_complete_intersection)
+    # among the trials certifies a_i does not divide the resultant.
     n = family.n
     for _ in range(trials):
         a_vals = [v if v is not None else _random_nonzero(rng) for v in family.a_values]
         b_vals = [v if v is not None else _random_nonzero(rng) for v in family.b_values]
         a_vals[i - 1] = Fraction(0)
-        generators = []
-        for k in range(1, n + 1):
-            gen: dict[Monomial, Fraction] = {}
-            if a_vals[k - 1]:
-                gen[family.lead_monomial(k)] = a_vals[k - 1]
-            if b_vals[k - 1]:
-                gen[family.tails[k - 1]] = -b_vals[k - 1]
-            generators.append(gen)
+        generators = [
+            {family.lead_monomial(k): a_vals[k - 1], family.tails[k - 1]: -b_vals[k - 1]}
+            for k in range(1, n + 1)
+        ]
         top = family.socle_degree + 1
-        hf = hilbert_function_of_generators(n, generators, top)
-        if hf.values == ci_reference(family.degrees, top):
+        if _fills_degree(_macaulay_space(n, generators, top), n, top):
             return TEntry(i, 0, CERTAIN)
     return TEntry(i, 1, PROBABILISTIC)
 

@@ -232,6 +232,45 @@ class TestErrorsAndExitCodes:
         )
         assert code == 1
 
+    def test_negative_max_degree_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "hilbert",
+            "--family",
+            DOUBLE_CYCLE,
+            "--set",
+            "a1=1,a2=1,a3=1,b1=1,b2=1,b3=2",
+            "--max-degree",
+            "-2",
+            "--spec",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: max degree must be nonnegative\n"
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("graph", {"n": 2, "generators": [1, 2]}),
+            ("graph", {"n": 2, "generators": [{"i": 1, "d": 2, "m": [0, 2]}, {"i": 2, "d": 2.7, "m": [2, 0]}]}),
+            ("lefschetz", [1, 2]),
+            ("lefschetz", {"terms": [{"alpha": [1, -3], "coeff": "1"}]}),
+            ("lefschetz", {"terms": [{"alpha": [1.5, 0.5], "coeff": "1"}, {"alpha": [0, 1], "coeff": "1"}]}),
+        ],
+        ids=["generator-not-an-object", "float-degree", "dual-file-not-an-object", "negative-exponent", "float-exponent"],
+    )
+    def test_malformed_json_exits_1(self, capsys, tmp_path, command, payload):
+        if command == "graph":
+            argv = ["graph", "--family", json.dumps(payload), "--degree", "2"]
+        else:
+            dual_file = tmp_path / "dual.json"
+            dual_file.write_text(json.dumps(payload))
+            argv = ["lefschetz", "--dual-file", str(dual_file)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

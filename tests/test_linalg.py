@@ -12,6 +12,20 @@ def test_to_int_row_clears_denominators():
     assert row == {0: 3, 3: -4}
 
 
+def test_to_int_row_divides_an_int_row_by_its_gcd_and_drops_zeros():
+    assert to_int_row({0: 6, 2: 0, 5: -9}) == {0: 2, 5: -3}
+    assert to_int_row({(1, 0): 4, (0, 1): 0}) == {(1, 0): 1}
+    assert to_int_row({1: 0}) == {}
+    assert to_int_row({0: Fraction(4), 1: 6, 2: Fraction(0)}) == {0: 2, 1: 3}
+
+
+def test_to_int_row_rejects_values_that_are_not_int_or_fraction():
+    with pytest.raises(TypeError, match="int or Fraction, not str"):
+        to_int_row({0: 1, 1: "1/2"})
+    with pytest.raises(TypeError, match="not float"):
+        RowSpace().add({0: 0.5})
+
+
 def test_rowspace_rank_and_membership():
     space = RowSpace()
     assert space.add({0: 1, 1: 2})

@@ -145,6 +145,16 @@ class TestIdealMembership:
                 diff[out.basis_monomial] = diff.get(out.basis_monomial, Fraction(0)) - value
                 assert polynomial_in_ideal(fam, diff)
 
+    def test_string_coefficients_are_converted_at_the_boundary(self, ci_corpus):
+        fam = ci_corpus[0]
+        gen = fam.generator_values(1)
+        as_strings = {m: f"{c.numerator}/{c.denominator}" for m, c in gen.items()}
+        assert polynomial_in_ideal(fam, as_strings)
+        halved = {m: c / 2 for m, c in gen.items()}
+        assert polynomial_in_ideal(fam, {m: str(c) for m, c in halved.items()})
+        with pytest.raises(TypeError):
+            polynomial_in_ideal(fam, {m: float(c) for m, c in gen.items()})
+
 
 class TestInverseSystem:
     def test_single_variable_powers(self):
@@ -230,3 +240,74 @@ class TestFormValidation:
 
         with pytest.raises(TypeError):
             inverse_system_dims({(2, 0): SparsePoly.symbol_a(2, 1)}, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hilbert_function(unit_point(parse_family("f1 = a1*x1^2 - b1*x2^2 ; f2 = a2*x2^2 - b2*x1*x2")), -2),
+        lambda: ci_reference((2, 2), -2),
+        lambda: inverse_system_dims({(2, 0): 1}, -1),
+    ],
+    ids=["hilbert_function", "ci_reference", "inverse_system_dims"],
+)
+def test_negative_max_degree_is_rejected(call):
+    with pytest.raises(ValueError, match="max degree must be nonnegative"):
+        call()
+
+
+def degenerate(family):
+    """The family at b_i = a_i, where many cycle polynomials vanish."""
+    return specialize(family, CoeffAssignment(family.a_values, family.a_values))
+
+
+def test_one_rank_ci_test_matches_the_full_hilbert_function(ci_corpus):
+    # is_complete_intersection reads h_{D+1} alone; the full-degree oracle
+    # compares every degree through D+1 with the product series.
+    rng = random.Random(61)
+    randoms = [random_family(rng) for _ in range(30)]
+    families = list(ci_corpus) + [degenerate(f) for f in ci_corpus + randoms] + randoms
+    verdicts = set()
+    for fam in families:
+        top = fam.socle_degree + 1
+        expected = hilbert_function(fam, top).values == ci_reference(fam.degrees, top)
+        assert is_complete_intersection(fam) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_macaulay_rows_are_integer_and_span_the_fraction_rows():
+    from binomial_ci.linalg import RowSpace
+    from binomial_ci.oracle import macaulay_rows
+
+    rng = random.Random(71)
+    for _ in range(8):
+        fam = random_family(rng, n_range=(2, 3))
+        generators = [fam.generator_values(i) for i in range(1, fam.n + 1)]
+        for degree in range(fam.socle_degree + 2):
+            columns = {m: c for c, m in enumerate(monomials_of_degree(fam.n, degree))}
+            expected = []
+            for gen in generators:
+                shift = degree - max(m.degree for m in gen)
+                if shift >= 0:
+                    for beta in monomials_of_degree(fam.n, shift):
+                        expected.append({columns[beta * m]: c for m, c in gen.items() if c})
+            rows = macaulay_rows(fam.n, generators, degree)
+            assert all(type(c) is int for row in rows for c in row.values())
+            built, reference = RowSpace(), RowSpace()
+            for row in rows:
+                built.add(row)
+            for row in expected:
+                reference.add(row)
+            assert built.rank == reference.rank
+            assert all(built.contains(row) for row in expected)
+
+
+@pytest.mark.parametrize("c", [Fraction(7, 3), Fraction(-5)])
+def test_rank_callers_ignore_a_scalar_on_the_form(c, ci_corpus, pentagon):
+    cases = [(fam, dual_generator(fam, CONTRACTION).evaluate(), fam.socle_degree) for fam in ci_corpus[:6]]
+    cases.append((pentagon, wlp_failure_form(), 5))
+    for fam, F, top in cases:
+        scaled = {key: c * v for key, v in F.items()}
+        assert inverse_system_dims(scaled, top) == inverse_system_dims(F, top)
+        assert m_spans_ann_quotient(fam, scaled) == m_spans_ann_quotient(fam, F)

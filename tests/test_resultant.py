@@ -280,3 +280,83 @@ class TestResultantRadical:
         data = resultant_radical(double_cycle).to_json()
         assert data["factors"] == ["a2*a3 - b2*b3"]
         assert all(entry["status"] == "certain" for entry in data["t"])
+
+
+def pure_power_family(rng):
+    """A symbolic family in which each tail is, with probability 1/2, a pure
+    power of another variable."""
+    n = rng.randint(3, 4)
+    degrees = [rng.randint(2, 3) for _ in range(n)]
+    tails = []
+    for i in range(n):
+        if rng.random() < 0.5:
+            j = rng.choice([j for j in range(n) if j != i])
+            tails.append(Monomial.variable(n, j + 1, degrees[i]))
+        else:
+            lead = Monomial.variable(n, i + 1, degrees[i])
+            tails.append(rng.choice([m for m in monomials_of_degree(n, degrees[i]) if m != lead]))
+    return BinomialFamily.symbolic(degrees, tails)
+
+
+def full_hilbert_function(n, generators, max_degree):
+    """h_j for j <= max_degree from Macaulay rows built monomial by monomial."""
+    from binomial_ci.linalg import rank_of
+
+    values = []
+    for j in range(max_degree + 1):
+        columns = {m: c for c, m in enumerate(monomials_of_degree(n, j))}
+        rows = []
+        for gen in generators:
+            support = [m for m, c in gen.items() if c]
+            if not support or support[0].degree > j:
+                continue
+            for beta in monomials_of_degree(n, j - support[0].degree):
+                rows.append({columns[beta * m]: gen[m] for m in support})
+        values.append(len(columns) - rank_of(rows))
+    return tuple(values)
+
+
+def reference_probe(family, seed, trials=5):
+    """The probe's statuses, with the full Hilbert function through D+1 as the
+    CI test.  Draws follow the probe: per bounded index in order, per trial,
+    the unfixed a-values and then the unfixed b-values."""
+    from binomial_ci import ci_reference
+
+    def draw():
+        num = 0
+        while num == 0:
+            num = rng.randint(-1000, 1000)
+        return Fraction(num, rng.randint(1, 1000))
+
+    rng = random.Random(seed)
+    n, top = family.n, family.socle_degree + 1
+    statuses = {}
+    for entry in resultant_radical(family).t:
+        if entry.status != BOUNDED:
+            statuses[entry.index] = (entry.status, entry.value)
+            continue
+        statuses[entry.index] = (PROBABILISTIC, 1)
+        for _ in range(trials):
+            a = [v if v is not None else draw() for v in family.a_values]
+            b = [v if v is not None else draw() for v in family.b_values]
+            a[entry.index - 1] = Fraction(0)
+            generators = [
+                {family.lead_monomial(k): a[k - 1], family.tails[k - 1]: -b[k - 1]}
+                for k in range(1, n + 1)
+            ]
+            if full_hilbert_function(n, generators, top) == ci_reference(family.degrees, top):
+                statuses[entry.index] = (CERTAIN, 0)
+                break
+    return statuses
+
+
+def test_probe_statuses_match_the_full_hilbert_function_reference():
+    rng = random.Random(2024)
+    seen = set()
+    for seed in range(12):
+        family = pure_power_family(rng)
+        result = resultant_radical(family, probe=True, rng=random.Random(seed))
+        got = {e.index: (e.status, e.value) for e in result.t}
+        assert got == reference_probe(family, seed)
+        seen.update(got.values())
+    assert {(CERTAIN, 0), (PROBABILISTIC, 1)} <= seen

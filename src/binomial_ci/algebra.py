@@ -12,6 +12,11 @@ Validation happens at the API boundary.  The public constructors
 are given.  `Monomial._raw` and `SparsePoly._raw` build a value unchecked;
 they are internal, and only for values derived from already checked ones
 (products, quotients, graph successors, sums of polynomials).
+
+The exact identity checks (`dual.verify_annihilation`, `dual.apply_action`,
+`rewrite.check_certificate`) accumulate into one flat dict that maps
+(outer exponents, symbol exponents) to a rational, int while integral;
+`group_flat_terms` turns it back into one SparsePoly per outer key.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 Rational = Union[Fraction, int, str]
@@ -87,7 +93,7 @@ class Monomial:
 
     def __mul__(self, other: Monomial) -> Monomial:
         self._check(other)
-        return Monomial._raw(tuple(x + y for x, y in zip(self.exponents, other.exponents)))
+        return Monomial._raw(tuple(map(add, self.exponents, other.exponents)))
 
     def divides(self, other: Monomial) -> bool:
         self._check(other)
@@ -97,7 +103,7 @@ class Monomial:
         self._check(other)
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial._raw(tuple(x - y for x, y in zip(self.exponents, other.exponents)))
+        return Monomial._raw(tuple(map(sub, self.exponents, other.exponents)))
 
     def render(self, symbol: str = "x") -> str:
         parts = []
@@ -322,11 +328,11 @@ class CoeffMonomial:
 
     def to_sparse(self) -> SparsePoly:
         """View as a SparsePoly; fails on negative (Laurent) exponents."""
-        if any(e < 0 for e in self.a_exp) or any(e < 0 for e in self.b_exp):
+        n = _checked_n(self.n)
+        key = self.a_exp + self.b_exp
+        if min(key) < 0:
             raise ValueError("Laurent exponents cannot be converted to a polynomial")
-        return SparsePoly._raw(
-            _checked_n(self.n), {self.a_exp + self.b_exp: self.scalar} if self.scalar else {}
-        )
+        return SparsePoly._raw(n, {key: self.scalar} if self.scalar else {})
 
     def __str__(self) -> str:
         if self.scalar == 0:
@@ -558,16 +564,22 @@ class SparsePoly:
         vals = list(a_vals) + list(b_vals)
         if len(vals) != 2 * self.n:
             raise ValueError("need one entry per symbol")
-        pairs = []
+        fixed = [(i, as_fraction(v)) for i, v in enumerate(vals) if v is not None]
+        acc: dict[tuple[int, ...], Fraction] = {}
         for key, coeff in self.terms.items():
-            new_key = list(key)
-            for i, v in enumerate(vals):
-                if v is None or not key[i]:
-                    continue
-                coeff = coeff * as_fraction(v) ** key[i]
-                new_key[i] = 0
-            pairs.append((tuple(new_key), coeff))
-        return SparsePoly(self.n, pairs)
+            hits = [(i, v) for i, v in fixed if key[i]]
+            if hits:
+                new_key = list(key)
+                for i, v in hits:
+                    coeff = coeff * v ** key[i]
+                    new_key[i] = 0
+                key = tuple(new_key)
+            total = acc[key] + coeff if key in acc else coeff
+            if total:
+                acc[key] = total
+            elif key in acc:
+                del acc[key]
+        return SparsePoly._raw(self.n, acc)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -590,6 +602,23 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({self})"
+
+
+FlatKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def group_flat_terms(n: int, flat: Mapping[FlatKey, int | Fraction]) -> dict[tuple[int, ...], SparsePoly]:
+    """{outer: SparsePoly in n symbol pairs} from flat terms that map
+    (outer exponents, 2n-entry symbol exponents) to a rational.
+
+    Zero totals are dropped, so an outer key appears only when some term of
+    its coefficient is nonzero.
+    """
+    grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for (outer, sym), c in flat.items():
+        if c:
+            grouped.setdefault(outer, {})[sym] = Fraction(c)
+    return {outer: SparsePoly._raw(n, terms) for outer, terms in grouped.items()}
 
 
 def poly_divides(p: SparsePoly, q: SparsePoly) -> bool:

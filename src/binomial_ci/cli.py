@@ -130,6 +130,8 @@ def _cmd_graph(args) -> int:
 def _cmd_reduce(args) -> int:
     family = _parsed(_load_family, args)
     if args.poly is not None:
+        if args.cutoff is not None:
+            raise ValueError("--cutoff applies to --monomial only")
         terms = _parsed(parse_x_polynomial, args.poly, family.n)
         result = reduce_polynomial(family, terms)
         ordered = sorted(result.terms.items(), key=lambda kv: kv[0].exponents, reverse=True)
@@ -167,7 +169,7 @@ def _cmd_reduce(args) -> int:
         lines.append("zero modulo the ideal when the family is a regular sequence")
     lines.append(f"path labels: {' '.join(map(str, outcome.path_labels)) or '(empty)'}")
     if args.certificate:
-        cert = certificate(family, m)
+        cert = certificate(family, m, args.cutoff)
         payload["certificate"] = certificate_to_json(cert)
         lines.append("certificate: " + render_certificate(cert))
     _emit(args, payload, "\n".join(lines))
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--monomial", help='monomial such as "x1^2*x2"')
     group.add_argument("--poly", help='rational polynomial such as "2*x1^2*x2 - x2^3"')
-    p.add_argument("--cutoff", type=int, default=None, help="only follow labels <= cutoff")
+    p.add_argument("--cutoff", type=int, default=None, help="only follow labels <= cutoff (--monomial only)")
     p.add_argument("--certificate", action="store_true", help="emit the rewriting certificate")
     p.set_defaults(func=_cmd_reduce)
 

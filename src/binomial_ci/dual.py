@@ -7,16 +7,30 @@ per-label maxima over all such paths.
 
 The action x^gamma o F lives here only, in `action_image`, on forms normalized
 by `normalize_terms`; apply_action, verify_annihilation, the catalecticants
-of `oracle` and the Hessians of `lefschetz` all call it.
+of `oracle` and the Hessians of `lefschetz` all call it.  apply_action and
+verify_annihilation go through the flat kernel `_act`: it expands every
+coefficient once into (symbol exponents, rational) terms and accumulates
+the products in one dict keyed by (X exponents, symbol exponents), so no
+intermediate polynomial is built; only nonzero results are grouped back
+into SparsePoly (or, for numeric inputs, Fraction) coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping
 
-from .algebra import CoeffMonomial, Monomial, SparsePoly, as_fraction, falling_product, multinomial
+from .algebra import (
+    CoeffMonomial,
+    Monomial,
+    SparsePoly,
+    as_fraction,
+    falling_product,
+    group_flat_terms,
+    multinomial,
+)
 from .family import BinomialFamily
 from .graph import build_graph
 
@@ -192,22 +206,54 @@ def action_image(terms: Terms, gamma: Exponents, differentiate: bool) -> Terms:
             if alpha[i] < g:
                 break
         else:
-            key = tuple(a - g for a, g in zip(alpha, gamma))
+            key = tuple(map(sub, alpha, gamma))
             image[key] = c * falling_product(alpha, gamma) if differentiate else c
     return image
 
 
-def _lifted(terms: Terms, n: int) -> dict[Exponents, SparsePoly]:
-    return {k: c if isinstance(c, SparsePoly) else SparsePoly.constant(n, c) for k, c in terms.items()}
+Flat = dict[Exponents, list[tuple[Exponents, int | Fraction]]]
 
 
-def _act(f_terms: Terms, big_terms: Terms, differentiate: bool) -> Terms:
-    """sum over gamma of c_gamma * (x^gamma o F), zero terms dropped."""
-    acc: Terms = {}
-    for gamma, cf in f_terms.items():
-        for key, c in action_image(big_terms, gamma, differentiate).items():
-            acc[key] = acc[key] + cf * c if key in acc else cf * c
-    return {k: v for k, v in acc.items() if v != 0}
+def _flat(terms: Terms, m: int) -> Flat:
+    """Each coefficient as its (symbol exponents, rational) terms in m symbol
+    pairs, integral values as int; a Fraction is one term on the zero key."""
+    zero = (0,) * (2 * m)
+    out: Flat = {}
+    for key, c in terms.items():
+        if isinstance(c, SparsePoly):
+            if c.n != m:
+                raise ValueError("polynomials live in different symbol counts")
+            items = c.terms.items()
+        else:
+            items = ((zero, c),)
+        out[key] = [(sym, q.numerator if q.denominator == 1 else q) for sym, q in items]
+    return out
+
+
+def _act(f_flat: Flat, big_flat: Flat, differentiate: bool) -> dict:
+    """sum over gamma of c_gamma * (x^gamma o F) as flat terms.
+
+    The one exact kernel of apply_action and verify_annihilation: each
+    product of a term of c_gamma and a term of a coefficient of F is one
+    tuple add and one rational multiply into a single dict keyed by
+    (X exponents, symbol exponents).  action_image, on the positions of F's
+    terms, gives each shifted key and the term it comes from.
+    """
+    alphas = list(big_flat)
+    positions = {alpha: j for j, alpha in enumerate(alphas)}
+    sources = list(big_flat.values())
+    acc: dict = {}
+    get = acc.get
+    for gamma, f_syms in f_flat.items():
+        for key, j in action_image(positions, gamma, False).items():
+            scale = falling_product(alphas[j], gamma) if differentiate else 1
+            big_syms = sources[j]
+            for s1, c1 in f_syms:
+                c1 *= scale
+                for s2, c2 in big_syms:
+                    k = (key, tuple(map(add, s1, s2)))
+                    acc[k] = get(k, 0) + c1 * c2
+    return acc
 
 
 def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
@@ -222,9 +268,11 @@ def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
     _check_convention(convention)
     f_norm, n = normalize_terms(f_terms)
     big_norm, n = normalize_terms(big_terms, n)
-    if any(isinstance(c, SparsePoly) for c in (*f_norm.values(), *big_norm.values())):
-        f_norm, big_norm = _lifted(f_norm, n), _lifted(big_norm, n)
-    return _act(f_norm, big_norm, convention == DIFFERENTIATION)
+    m = next((c.n for c in (*f_norm.values(), *big_norm.values()) if isinstance(c, SparsePoly)), None)
+    acc = _act(_flat(f_norm, m or 0), _flat(big_norm, m or 0), convention == DIFFERENTIATION)
+    if m is None:
+        return {key: Fraction(c) for (key, _), c in acc.items() if c}
+    return group_flat_terms(m, acc)
 
 
 @dataclass(frozen=True)
@@ -247,12 +295,12 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     n = family.n
     if isinstance(F, DualGenerator):
         F = F.sparse_terms()
-    big_terms = _lifted(normalize_terms(F, n)[0], n)
+    big_flat = _flat(normalize_terms(F, n)[0], n)
     differentiate = convention == DIFFERENTIATION
     residuals: dict[int, dict] = {}
     for i in range(1, n + 1):
-        f_terms, _ = normalize_terms(family.generator(i), n)
-        res = _act(f_terms, big_terms, differentiate)
+        f_flat = _flat(normalize_terms(family.generator(i), n)[0], n)
+        res = group_flat_terms(n, _act(f_flat, big_flat, differentiate))
         if res:
             residuals[i] = res
     return AnnihilationResult(not residuals, residuals)

@@ -3,8 +3,10 @@
 Following the reduction edges with labels <= k rewrites a monomial either to a
 basis monomial (no exponent reaches its d_i for i <= k) with an exact
 coefficient b^r/a^r, or into a cycle, in which case the monomial lies in the
-ideal whenever the family is a regular sequence.  Every reduction can be
-certified by a relation that expands to zero symbolically.
+ideal whenever the family is a regular sequence.  Every reduction, under any
+cutoff k, can be certified by a relation that expands to zero symbolically;
+certificate_residual expands it into one flat dict of (x exponents, symbol
+exponents) -> rational terms, with no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CoeffMonomial, Monomial, SparsePoly
+from .algebra import CoeffMonomial, Monomial, SparsePoly, group_flat_terms
 from .family import BinomialFamily
 
 TO_BASIS = "basis"
@@ -134,8 +136,10 @@ class Certificate:
     rhs_monomial: Monomial
 
 
-def certificate(family: BinomialFamily, m: Monomial) -> Certificate:
-    monomials, labels, kind = _walk(family, m, family.n)
+def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Certificate:
+    """The relation of reduce_monomial(family, m, k): the same walk along the
+    edges with labels <= k (default n), so kind and rhs match its outcome."""
+    monomials, labels, kind = _walk(family, m, family.n if k is None else k)
     n = family.n
     r = _label_counts(n, labels)
     zero = (0,) * n
@@ -156,26 +160,35 @@ def certificate(family: BinomialFamily, m: Monomial) -> Certificate:
 
 
 def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Monomial, SparsePoly]:
-    """Symbolic expansion of the certificate identity; empty means it holds."""
+    """Symbolic expansion of the certificate identity; empty means it holds.
+
+    Every coefficient is a coefficient monomial, so each term of the identity
+    is one flat term (x exponents, symbol exponents) -> rational: the input
+    and rhs terms, and per step -p_s*a_i at mult_s*x_i^{d_i} and +p_s*b_i at
+    mult_s*tail_i.
+    """
     n = family.n
-    acc: dict[Monomial, SparsePoly] = {}
+    acc: dict = {}
 
-    def put(mono: Monomial, coeff: SparsePoly) -> None:
-        total = acc.get(mono, SparsePoly.zero(n)) + coeff
-        if total.is_zero():
-            acc.pop(mono, None)
-        else:
-            acc[mono] = total
+    def put(mono: Monomial, cm: CoeffMonomial, sign: int, slot: int | None = None) -> None:
+        if cm.n != n:
+            raise ValueError("polynomials live in different symbol counts")
+        sym = cm.a_exp + cm.b_exp
+        if min(sym) < 0:
+            raise ValueError("Laurent exponents cannot be converted to a polynomial")
+        if slot is not None:
+            sym = sym[:slot] + (sym[slot] + 1,) + sym[slot + 1 :]
+        q = cm.scalar
+        key = (mono.exponents, sym)
+        acc[key] = acc.get(key, 0) + sign * (q.numerator if q.denominator == 1 else q)
 
-    put(cert.input, cert.a_product.to_sparse())
+    put(cert.input, cert.a_product, 1)
     for step in cert.steps:
         i = step.gen_index
-        scale = step.scale.to_sparse()
-        lead = family.lead_monomial(i)
-        put(step.multiplier * lead, -(scale * SparsePoly.symbol_a(n, i)))
-        put(step.multiplier * family.tails[i - 1], scale * SparsePoly.symbol_b(n, i))
-    put(cert.rhs_monomial, -cert.rhs_coeff.to_sparse())
-    return acc
+        put(step.multiplier * family.lead_monomial(i), step.scale, -1, i - 1)
+        put(step.multiplier * family.tails[i - 1], step.scale, 1, n + i - 1)
+    put(cert.rhs_monomial, cert.rhs_coeff, -1)
+    return {Monomial._raw(x): poly for x, poly in group_flat_terms(n, acc).items()}
 
 
 def check_certificate(family: BinomialFamily, cert: Certificate) -> bool:

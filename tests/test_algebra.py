@@ -373,3 +373,63 @@ class TestBoundaryValidation:
         cm = CoeffMonomial(Fraction(2), (1, 0), (0, 3))
         assert cm.to_sparse() == SparsePoly(n, {(1, 0, 0, 3): 2})
         assert CoeffMonomial.zero(n).to_sparse() == SparsePoly.zero(n)
+
+
+class TestSubstitute:
+    def test_colliding_keys_merge(self):
+        n = 2
+        p = sym(n, "a1") * sym(n, "b1") + 2 * sym(n, "a1")
+        out = p.substitute([None, None], [Fraction(3), None])
+        assert out.terms == {(1, 0, 0, 0): Fraction(5)}
+
+    def test_collision_cancelling_to_zero_drops_the_key(self):
+        n = 2
+        p = sym(n, "a1") * sym(n, "b1") - 2 * sym(n, "a1") + sym(n, "a2")
+        out = p.substitute([None, None], ["2", None])
+        assert out.terms == {(0, 1, 0, 0): Fraction(1)}
+
+    def test_substituted_zero_drops_terms(self):
+        n = 2
+        p = sym(n, "a1") * sym(n, "b2") ** 2 + sym(n, "a2")
+        assert p.substitute([None, None], [None, 0]) == sym(n, "a2")
+        assert p.substitute([None, 0], [None, 0]).is_zero()
+
+    def test_matches_the_checked_constructor(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            pairs = [
+                (tuple(rng.randint(0, 2) for _ in range(2 * n)), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 6))
+            ]
+            p = SparsePoly(n, pairs)
+            vals = [rng.choice([None, None, 0, 1, -2, Fraction(2, 3), "5/4"]) for _ in range(2 * n)]
+            expected = []
+            for key, coeff in p.terms.items():
+                new_key = list(key)
+                for i, v in enumerate(vals):
+                    if v is not None:
+                        coeff *= Fraction(v) ** key[i]
+                        new_key[i] = 0
+                expected.append((tuple(new_key), coeff))
+            out = p.substitute(vals[:n], vals[n:])
+            assert out == SparsePoly(n, expected)
+            assert all(type(c) is Fraction and c for c in out.terms.values())
+
+    def test_accepts_rational_text(self):
+        p = sym(1, "a1") ** 2 * sym(1, "b1")
+        assert p.substitute(["2/3"], [None]).terms == {(0, 1): Fraction(4, 9)}
+
+    def test_rejects_floats(self):
+        p = sym(2, "a1")
+        with pytest.raises(TypeError):
+            p.substitute([0.5, None], [None, None])
+        with pytest.raises(TypeError):  # even for a symbol the polynomial lacks
+            p.substitute([None, 0.5], [None, None])
+
+    def test_rejects_a_wrong_number_of_values(self):
+        p = sym(2, "a1")
+        with pytest.raises(ValueError):
+            p.substitute([1], [None, None])
+        with pytest.raises(ValueError):
+            p.substitute([1, 2], [None, None, None])

@@ -110,6 +110,29 @@ class TestReduce:
         assert "reduced: x1*x2*x3" in out
 
 
+    def test_cutoff_certificate_ends_at_the_cutoff_basis(self, capsys):
+        numeric_chain = "f1 = 2*x1^2 - 3*x1*x2 ; f2 = x2^2 - 5*x1*x3 ; f3 = x3^2 - 7*x1^2"
+        code, out, _ = run_cli(
+            capsys, "reduce", "--family", numeric_chain, "--monomial", "x1^3*x2",
+            "--cutoff", "1", "--certificate", "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["outcome"] == "basis"
+        assert data["basis"] == "x1*x2^3"
+        assert data["certificate"]["kind"] == "basis"
+        assert data["certificate"]["rhs"]["monomial"] == "x1*x2^3"
+
+    def test_polynomial_with_cutoff_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "reduce", "--family", CHAIN, "--set", "a1=1,a2=1,a3=1,b1=1,b2=1,b3=1",
+            "--poly", "x1^3*x2", "--cutoff", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--cutoff" in err
+
+
 class TestDual:
     def test_contraction_text(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,13 +14,14 @@ from binomial_ci import (
     apply_action,
     build_graph,
     dual_generator,
+    monomials_of_degree,
     multinomial,
     reduce_monomial,
     s_vector,
     specialize,
     verify_annihilation,
 )
-from binomial_ci.catalog import pentagon_dual_form
+from binomial_ci.catalog import five_var_pentagon, pentagon_dual_form, three_var_chain
 from binomial_ci.dual import dual_to_json
 from binomial_ci.rewrite import TO_BASIS
 
@@ -178,3 +180,139 @@ class TestAnnihilation:
         # same ratio on every term
         for alpha, poly in constructed.items():
             assert poly == form[alpha] * Fraction(10)
+
+
+def _reference_action(f_terms, big_terms, differentiate, n):
+    """sum over gamma of c_gamma * (x^gamma o F), expanded with public
+    SparsePoly arithmetic; every coefficient is lifted to n symbol pairs."""
+
+    def lift(c):
+        if isinstance(c, CoeffMonomial):
+            return c.to_sparse()
+        return c if isinstance(c, SparsePoly) else SparsePoly.constant(n, c)
+
+    acc = {}
+    for gamma, cf in f_terms.items():
+        gamma = gamma.exponents if isinstance(gamma, Monomial) else tuple(gamma)
+        for alpha, c in big_terms.items():
+            alpha = alpha.exponents if isinstance(alpha, Monomial) else tuple(alpha)
+            if any(a < g for a, g in zip(alpha, gamma)):
+                continue
+            factor = math.prod(math.perm(a, g) for a, g in zip(alpha, gamma)) if differentiate else 1
+            key = tuple(a - g for a, g in zip(alpha, gamma))
+            acc[key] = acc.get(key, SparsePoly.zero(n)) + lift(cf) * lift(c) * factor
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def _reference_residuals(fam, F, differentiate):
+    residuals = {}
+    for i in range(1, fam.n + 1):
+        res = _reference_action(fam.generator(i), F, differentiate, fam.n)
+        if res:
+            residuals[i] = res
+    return residuals
+
+
+def _perturbed(rng, terms, n):
+    """A copy of the form with one coefficient scaled by a symbol, another
+    term dropped and a new term of the same degree added."""
+    out = dict(terms)
+    keys = sorted(out)
+    scaled = rng.choice(keys)
+    out[scaled] = out[scaled] * SparsePoly.symbol_b(n, rng.randint(1, n))
+    others = [k for k in keys if k != scaled]
+    if others:
+        del out[rng.choice(others)]
+    degree = sum(keys[0])
+    missing = [m.exponents for m in monomials_of_degree(n, degree) if m.exponents not in out]
+    if missing:
+        out[rng.choice(missing)] = Fraction(rng.choice([-3, 2]), rng.choice([1, 5]))
+    return out
+
+
+def _kernel_families():
+    rng = random.Random(26)
+    families = [random_family(rng, numeric=False) for _ in range(10)]
+    families += [random_family(rng, numeric=True) for _ in range(3)]
+    mixed = random_family(rng, numeric=False)
+    families.append(specialize(mixed, CoeffAssignment((Fraction(2, 3),) + (None,) * (mixed.n - 1), (None,) * mixed.n)))
+    families.append(five_var_pentagon())
+    return families
+
+
+class TestFlatKernel:
+    """verify_annihilation and apply_action against a SparsePoly expansion."""
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_residuals_match_the_reference_expansion(self, convention):
+        rng = random.Random(27)
+        differentiate = convention == DIFFERENTIATION
+        nonzero = 0
+        for fam in _kernel_families():
+            dual = dual_generator(fam, convention)
+            exact = dual.sparse_terms()
+            for F in (exact, _perturbed(rng, exact, fam.n)):
+                got = verify_annihilation(fam, F, convention)
+                assert got.residuals == _reference_residuals(fam, F, differentiate)
+                assert got.ok == (not got.residuals)
+                nonzero += bool(got.residuals)
+            assert verify_annihilation(fam, dual, convention).ok
+        assert nonzero >= 10
+
+    def test_pentagon_form_residuals_match_the_reference(self, pentagon):
+        form = pentagon_dual_form()
+        contraction = verify_annihilation(pentagon, form, CONTRACTION)
+        assert contraction.residuals == _reference_residuals(pentagon, form, False)
+        assert contraction.residuals
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_apply_action_matches_the_reference_expansion(self, convention):
+        rng = random.Random(28)
+        differentiate = convention == DIFFERENTIATION
+        for fam in _kernel_families():
+            F = _perturbed(rng, dual_generator(fam, convention).sparse_terms(), fam.n)
+            for i in range(1, fam.n + 1):
+                f = fam.generator(i)
+                got = apply_action(f, F, convention)
+                assert got == _reference_action(f, F, differentiate, fam.n)
+                assert all(isinstance(c, SparsePoly) for c in got.values())
+
+    def test_mixed_coefficient_kinds(self):
+        n = 2
+        a1, b2 = SparsePoly.symbol_a(n, 1), SparsePoly.symbol_b(n, 2)
+        f = {Monomial((1, 0)): Fraction(3, 2), (0, 1): a1 + 1, (1, 1): CoeffMonomial(Fraction(-1), (0, 1), (1, 0))}
+        F = {(3, 1): b2, (2, 2): Fraction(-5), (1, 2): 7, Monomial((2, 1)): "1/3"}
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            got = apply_action(f, F, convention)
+            assert got == _reference_action(f, F, convention == DIFFERENTIATION, n)
+            assert all(isinstance(c, SparsePoly) for c in got.values())
+            flipped = apply_action(F, f, convention)
+            assert flipped == _reference_action(F, f, convention == DIFFERENTIATION, n)
+
+    def test_numeric_inputs_give_fractions(self):
+        f = {(1, 0): Fraction(1, 2), (0, 1): -2}
+        F = {(3, 1): Fraction(4), (2, 2): "3/7", (1, 3): 5}
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            got = apply_action(f, F, convention)
+            expected = _reference_action(f, F, convention == DIFFERENTIATION, 2)
+            assert got == {k: v.constant_value() for k, v in expected.items()}
+            assert all(type(c) is Fraction for c in got.values())
+
+    def test_terms_cancelling_inside_one_key(self):
+        # (x1 - x2) o (X1^2*X2 + X1*X2^2) = X2^2 - X1^2: the X1*X2 terms cancel
+        n = 2
+        a1, b1 = SparsePoly.symbol_a(n, 1), SparsePoly.symbol_b(n, 1)
+        F = {(2, 1): 1, (1, 2): 1}
+        got = apply_action({(1, 0): a1, (0, 1): -a1}, F, CONTRACTION)
+        assert got == {(0, 2): a1, (2, 0): -a1}
+        # only the a1 part cancels at X1*X2; the b1 part stays
+        got = apply_action({(1, 0): a1 + b1, (0, 1): -a1}, F, CONTRACTION)
+        assert got == {(0, 2): a1 + b1, (1, 1): b1, (2, 0): -a1}
+        assert got[(1, 1)].terms == {(0, 0, 1, 0): Fraction(1)}
+        assert apply_action({(1, 0): 2, (0, 1): -2}, {(1, 0): 1, (0, 1): 1}, CONTRACTION) == {}
+
+    def test_symbol_counts_must_agree(self):
+        with pytest.raises(ValueError):
+            apply_action({(1, 0): SparsePoly.symbol_a(2, 1)}, {(1, 1): SparsePoly.symbol_a(3, 1)})
+        with pytest.raises(ValueError):
+            verify_annihilation(three_var_chain(), {(1, 1, 1): SparsePoly.symbol_a(2, 1)})

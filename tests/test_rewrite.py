@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from binomial_ci import (
     CoeffAssignment,
     CoeffMonomial,
     Monomial,
+    SparsePoly,
     TO_BASIS,
     TO_CYCLE,
     build_graph,
@@ -240,3 +242,100 @@ class TestCertificates:
         text = render_certificate(cert)
         assert text.startswith("(a1^2*a2)*x1^2*x2 = ")
         assert "f1" in text and "f2" in text
+
+
+class TestCutoffCertificates:
+    def test_certificate_follows_the_cutoff_reduction(self, chain, double_cycle, loop2):
+        rng = random.Random(17)
+        families = [chain, double_cycle, loop2] + [random_family(rng, numeric=False) for _ in range(4)]
+        cases = 0
+        for fam in families:
+            for d in range(1, 5):
+                for m in monomials_of_degree(fam.n, d):
+                    for k in range(1, fam.n + 1):
+                        out = reduce_monomial(fam, m, k)
+                        cert = certificate(fam, m, k)
+                        assert cert.kind == out.kind
+                        end = out.basis_monomial if out.kind == TO_BASIS else out.cycle_entry
+                        assert cert.rhs_monomial == end
+                        assert cert.rhs_coeff.b_exp == out.r_vector
+                        assert [s.gen_index for s in cert.steps] == list(out.path_labels)
+                        assert check_certificate(fam, cert)
+                        cases += 1
+        assert cases > 500
+
+    def test_cli_example_stops_at_the_cutoff_basis(self, chain):
+        m = parse_monomial("x1^3*x2", 3)
+        cert = certificate(chain, m, 1)
+        assert cert.kind == TO_BASIS
+        assert cert.rhs_monomial == parse_monomial("x1*x2^3", 3)
+        assert certificate(chain, m) == certificate(chain, m, chain.n)
+
+    def test_invalid_cutoff(self, chain):
+        with pytest.raises(ValueError):
+            certificate(chain, parse_monomial("x1^2", 3), 0)
+
+
+def _reference_residual(family, cert):
+    """The certificate identity expanded with public SparsePoly arithmetic."""
+    n = family.n
+    acc = {}
+
+    def put(mono, poly):
+        acc[mono] = acc.get(mono, SparsePoly.zero(n)) + poly
+
+    put(cert.input, cert.a_product.to_sparse())
+    for step in cert.steps:
+        i = step.gen_index
+        scale = step.scale.to_sparse()
+        put(step.multiplier * family.lead_monomial(i), scale * SparsePoly.symbol_a(n, i) * -1)
+        put(step.multiplier * family.tails[i - 1], scale * SparsePoly.symbol_b(n, i))
+    put(cert.rhs_monomial, cert.rhs_coeff.to_sparse() * -1)
+    return {m: p for m, p in acc.items() if not p.is_zero()}
+
+
+def _tampered(rng, cert, n):
+    """Certificates with one step's scale, multiplier or generator index changed."""
+    s = rng.randrange(len(cert.steps))
+    step = cert.steps[s]
+    x = Monomial.variable(n, rng.randint(1, n))
+    other = rng.choice([i for i in range(1, n + 1) if i != step.gen_index])
+    changes = [
+        dataclasses.replace(step, scale=step.scale * CoeffMonomial(Fraction(2, 3), (0,) * n, (0,) * n)),
+        dataclasses.replace(step, scale=step.scale * CoeffMonomial(Fraction(1), (1,) + (0,) * (n - 1), (0,) * n)),
+        dataclasses.replace(step, multiplier=step.multiplier * x),
+        dataclasses.replace(step, gen_index=other),
+    ]
+    for new in changes:
+        steps = cert.steps[:s] + (new,) + cert.steps[s + 1 :]
+        yield dataclasses.replace(cert, steps=steps)
+
+
+class TestCertificateResidual:
+    def test_tampered_certificates_match_the_reference_expansion(self):
+        rng = random.Random(18)
+        tampered = 0
+        for _ in range(12):
+            fam = random_family(rng, numeric=False)
+            for m in rng.sample(monomials_of_degree(fam.n, rng.randint(2, 4)), k=3):
+                for k in (None, 1):
+                    cert = certificate(fam, m, k)
+                    assert certificate_residual(fam, cert) == {}
+                    if not cert.steps:
+                        continue
+                    for bad in _tampered(rng, cert, fam.n):
+                        residual = certificate_residual(fam, bad)
+                        assert residual == _reference_residual(fam, bad)
+                        assert all(not p.is_zero() for p in residual.values())
+                        assert residual
+                        tampered += 1
+        assert tampered > 50
+
+    def test_laurent_exponents_raise(self, chain):
+        cert = certificate(chain, parse_monomial("x1^2*x2", 3))
+        laurent = CoeffMonomial(Fraction(1), (-1, 0, 0), (0, 0, 0))
+        step = dataclasses.replace(cert.steps[0], scale=laurent)
+        with pytest.raises(ValueError, match="Laurent"):
+            certificate_residual(chain, dataclasses.replace(cert, steps=(step,) + cert.steps[1:]))
+        with pytest.raises(ValueError, match="Laurent"):
+            certificate_residual(chain, dataclasses.replace(cert, rhs_coeff=laurent))

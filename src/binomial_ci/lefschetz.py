@@ -3,8 +3,14 @@
 The k-th Hessian w.r.t. a basis g_1..g_r of A_k has entries (g_i*g_j) o F;
 substituting a linear form's coefficients for the X-variables represents the
 multiplication map by that form's (D-2k)-th power from A_k to A_{D-k}, so
-Lefschetz properties reduce to exact ranks of substituted Hessians.  Hessian
-entries and catalecticant rows both come from `dual.action_image`.
+Lefschetz properties reduce to exact ranks of substituted Hessians.
+
+`HessianMatrix` keeps the symbolic entries, from `dual.action_image`, as the
+oracle.  The rank callers evaluate at a point from one form instead
+(`_hessian_at`): with m = D-2k and L = sum ell_t x_t, the form G = L^m o F
+has degree 2k, and since (sum ell_t d/dX_t)^m P = m! P(ell) for P of degree
+m, m! H_ij(ell) = (g_i+g_j)! G[g_i+g_j], the factorial of an exponent vector
+being the product of its entries' factorials.
 """
 
 from __future__ import annotations
@@ -12,9 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
+from operator import add
 from typing import Sequence
 
-from .algebra import Monomial, monomials_of_degree
+from .algebra import Monomial, as_fraction, monomials_of_degree
 from .dual import Exponents, action_image, numeric_form
 from .linalg import RowSpace, dense_rank, rank_of
 from .oracle import _catalecticant_rows, _integer_form
@@ -79,9 +87,7 @@ class HessianMatrix:
 
     def substitute(self, ell: Sequence) -> list[list[Fraction]]:
         """Evaluate every entry at X_i = ell_i."""
-        values = [Fraction(c) for c in ell]
-        if len(values) != self.n:
-            raise ValueError("need one value per variable")
+        values = _point(ell, self.n)
         out = []
         for row in self.entries:
             line = []
@@ -105,9 +111,57 @@ def hessian(F, k: int, basis: Sequence[Monomial]) -> HessianMatrix:
     return HessianMatrix(F, k, basis)
 
 
+def _point(ell: Sequence, n: int) -> list[Fraction]:
+    """ell as n exact rationals; a float raises TypeError."""
+    values = [as_fraction(c) for c in ell]
+    if len(values) != n:
+        raise ValueError("need one value per variable")
+    return values
+
+
+def _hessian_at(
+    terms: dict[Exponents, int], top: int, k: int, basis: Sequence[Exponents], ell: Sequence[int]
+) -> list[list[int]]:
+    """m! times the k-th Hessian of the integer form at the integer point
+    ell, m = top - 2k: G = L^m o F by m passes of sum ell_t d/dX_t, then
+    entry (i, j) is (g_i+g_j)! G[g_i+g_j]."""
+    active = [(t, v) for t, v in enumerate(ell) if v]
+    form = terms
+    for _ in range(top - 2 * k):
+        image: dict[Exponents, int] = {}
+        get = image.get
+        for alpha, c in form.items():
+            for t, v in active:
+                e = alpha[t]
+                if e:
+                    key = (*alpha[:t], e - 1, *alpha[t + 1 :])
+                    image[key] = get(key, 0) + c * v * e
+        form = {key: c for key, c in image.items() if c}
+    facts = [factorial(e) for e in range(2 * k + 1)]
+    size = len(basis)
+    matrix = [[0] * size for _ in range(size)]
+    for i, gi in enumerate(basis):
+        for j in range(i, size):
+            gamma = tuple(map(add, gi, basis[j]))
+            c = form.get(gamma)
+            if c:
+                for e in gamma:
+                    c *= facts[e]
+                matrix[i][j] = matrix[j][i] = c
+    return matrix
+
+
 def lefschetz_rank(F, k: int, ell: Sequence) -> int:
     """Exact rank of the k-th Hessian at ell, over the monomial basis."""
-    return HessianMatrix(F, k, monomial_basis(F, k)).rank_at(ell)
+    terms, n, top = _integer_form(F)
+    values = _point(ell, n)
+    if top - 2 * k < 0:
+        raise ValueError("socle degree is too small for this Hessian order")
+    # H(c*ell) = c^(D-2k) * H(ell): clearing denominators keeps the rank.
+    scale = lcm(*(v.denominator for v in values))
+    point = [v.numerator * (scale // v.denominator) for v in values]
+    basis = [g.exponents for g in _monomial_basis(terms, n, top, k)]
+    return dense_rank(_hessian_at(terms, top, k, basis, point))
 
 
 @dataclass(frozen=True)
@@ -138,6 +192,8 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
     trials fall short the verdict is only probabilistic.  Random linear forms
     use integer entries in [-100, 100].
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     terms, n, top = _integer_form(F)
     if rng is None:
         rng = random.Random(0)
@@ -148,15 +204,15 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
         # invertible diagonal scalings (factorials, over Q), so the target
         # A_{D-k} has the dimension of A_k and needs no elimination of its own.
         target = len(basis)
-        matrix = HessianMatrix(F, k, basis)
+        gammas = [g.exponents for g in basis]
         best_rank = -1
         best_ell: tuple[Fraction, ...] = ()
         certified = False
-        for _ in range(max(1, trials)):
-            ell = tuple(Fraction(rng.randint(-100, 100)) for _ in range(n))
-            rank = matrix.rank_at(ell)
+        for _ in range(trials):
+            point = [rng.randint(-100, 100) for _ in range(n)]
+            rank = dense_rank(_hessian_at(terms, top, k, gammas, point))
             if rank > best_rank:
-                best_rank, best_ell = rank, ell
+                best_rank, best_ell = rank, tuple(map(Fraction, point))
             if rank == target:
                 certified = True
                 break

@@ -4,8 +4,9 @@ Hilbert functions come from ranks of Macaulay matrices with integer rows
 (the degree-j multiples of the generators, each scaled once to coprime
 integers); the complete-intersection test is the one rank h_{D+1} = 0.
 Inverse-system dimensions come from catalecticant ranks under contraction of
-rows x^gamma o F from `dual.action_image`.  Column indices come from
-`_columns`.  Everything is deterministic and exact; no probabilistic rank.
+rows x^gamma o F from `dual.action_image`, up to half the degree of F (the
+catalecticants of complementary degrees are transposes).  Column indices
+come from `_columns`.  Everything is deterministic and exact; no probabilistic rank.
 """
 
 from __future__ import annotations
@@ -242,11 +243,18 @@ def _integer_form(F) -> tuple[dict[Exponents, int], int, int]:
 
 
 def inverse_system_dims(F, max_degree: int) -> HilbertFunction:
-    """h_j = rank of the contraction map from degree-j monomials into F."""
+    """h_j = rank of the contraction map from degree-j monomials into F.
+
+    Under contraction the entry of Cat_j at (gamma, beta) is the coefficient
+    of X^(gamma+beta), so Cat_{D-j} is Cat_j transposed for any form F: only
+    j <= D/2 is eliminated, h_j = h_{D-j} above that, and h_j = 0 past D.
+    """
     _check_max_degree(max_degree)
     form = _integer_form(F)
+    top = form[2]
+    half = [rank_of(_catalecticant_rows(*form, j)) for j in range(min(top // 2, max_degree) + 1)]
     return HilbertFunction(
-        tuple(rank_of(_catalecticant_rows(*form, j)) for j in range(max_degree + 1))
+        tuple(half[min(j, top - j)] if j <= top else 0 for j in range(max_degree + 1))
     )
 
 

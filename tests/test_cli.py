@@ -237,6 +237,15 @@ class TestLefschetz:
         assert code == 1
         assert "symbolic" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_exit_1(self, capsys, tmp_path, trials):
+        dual_file = tmp_path / "dual.json"
+        dual_file.write_text(json.dumps({"terms": [{"alpha": [1, 1, 1], "coeff": "1"}]}))
+        code, out, err = run_cli(capsys, "lefschetz", "--dual-file", str(dual_file), "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert err == "error: trials must be at least 1\n"
+
 
 class TestErrorsAndExitCodes:
     def test_validation_error_exits_1(self, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -9,6 +10,7 @@ from binomial_ci import (
     Monomial,
     dual_generator,
     hessian,
+    is_complete_intersection,
     lefschetz_rank,
     monomial_basis,
     monomials_of_degree,
@@ -18,7 +20,9 @@ from binomial_ci import (
 )
 from binomial_ci.catalog import pentagon_dual_form_at, wlp_failure_form
 from binomial_ci.dual import numeric_form
-from binomial_ci.lefschetz import graded_dimension, has_slp
+from binomial_ci.lefschetz import HessianMatrix, _hessian_at, _monomial_basis, graded_dimension, has_slp
+from binomial_ci.linalg import dense_rank
+from binomial_ci.oracle import _integer_form
 
 from conftest import random_family, random_nonzero
 
@@ -171,3 +175,100 @@ def test_slp_check_eliminates_only_up_to_half_the_socle_degree(monkeypatch):
     monkeypatch.setattr(lefschetz, "_catalecticant_rows", counting)
     slp_check(wlp_failure_form(), trials=2, rng=random.Random(3))  # socle degree 5
     assert sorted(set(degrees)) == [0, 1, 2]
+
+
+class TestPointValidation:
+    def test_float_point_is_rejected(self):
+        F = squarefree_product_form()
+        with pytest.raises(TypeError):
+            lefschetz_rank(F, 1, [0.1, 0.2, 0.3])
+        with pytest.raises(TypeError):
+            hessian(F, 1, monomial_basis(F, 1)).substitute([1, 2, 0.5])
+
+    def test_wrong_length_point_is_rejected(self):
+        F = squarefree_product_form()
+        with pytest.raises(ValueError, match="one value per variable"):
+            lefschetz_rank(F, 1, [1, 2])
+        with pytest.raises(ValueError, match="one value per variable"):
+            hessian(F, 1, monomial_basis(F, 1)).rank_at([1, 2, 3, 4])
+
+    def test_exact_non_integer_points_are_accepted(self):
+        F = pentagon_dual_form_at([Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(11)])
+        ell = [Fraction(1, 2), "-2/3", 3, Fraction(0), Fraction(5, 7)]
+        for k in (0, 1, 2):
+            oracle = hessian(F, k, monomial_basis(F, k)).rank_at(ell)
+            assert lefschetz_rank(F, k, ell) == oracle
+
+    def test_hessian_order_above_half_the_socle_degree_is_rejected(self):
+        with pytest.raises(ValueError, match="socle"):
+            lefschetz_rank(squarefree_product_form(), 2, [1, 1, 1])
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_nonpositive_trials_are_rejected(trials):
+    with pytest.raises(ValueError, match="trials"):
+        slp_check(squarefree_product_form(), trials=trials)
+
+
+def kernel_cases():
+    """Catalog forms and seeded duals of random CI families with 3-5 variables."""
+    rng = random.Random(91)
+    forms = [
+        squarefree_product_form(),
+        wlp_failure_form(),
+        pentagon_dual_form_at([Fraction(rng.randint(2, 9), rng.randint(1, 3)) for _ in range(5)]),
+    ]
+    while len(forms) < 9:
+        family = random_family(rng, n_range=(3, 5), max_degree=3)
+        if is_complete_intersection(family) and family.socle_degree <= 7:
+            forms.append(dual_generator(family, DIFFERENTIATION).evaluate())
+    return forms
+
+
+def test_hessian_kernel_matches_the_symbolic_oracle():
+    rng = random.Random(92)
+    for F in kernel_cases():
+        terms, n, top = _integer_form(F)
+        for k in range(top // 2 + 1):
+            basis = _monomial_basis(terms, n, top, k)
+            oracle = HessianMatrix(terms, k, basis)
+            scale = factorial(top - 2 * k)
+            points = [
+                [rng.randint(-9, 9) for _ in range(n)],
+                [0] * (n - 1) + [rng.randint(1, 9)],
+                [rng.choice((0, rng.randint(-9, 9))) for _ in range(n)],
+                [0] * n,
+            ]
+            for ell in points:
+                expected = [[scale * v for v in row] for row in oracle.substitute(ell)]
+                got = _hessian_at(terms, top, k, [g.exponents for g in basis], ell)
+                assert got == expected
+
+
+def slp_by_oracle(F, trials, rng):
+    """slp_check's verdicts from the symbolic Hessians, trial by trial."""
+    _, n, top = numeric_form(F)
+    out = []
+    for k in range(top // 2 + 1):
+        basis = monomial_basis(F, k)
+        matrix = HessianMatrix(F, k, basis)
+        best = (-1, ())
+        for _ in range(trials):
+            ell = tuple(Fraction(rng.randint(-100, 100)) for _ in range(n))
+            rank = matrix.rank_at(ell)
+            if rank > best[0]:
+                best = (rank, ell)
+            if rank == len(basis):
+                break
+        out.append((k, len(basis), best[0], best[0] == len(basis), best[1]))
+    return out
+
+
+def test_slp_check_matches_a_loop_over_the_symbolic_hessians():
+    statuses = set()
+    for seed, F in enumerate(kernel_cases()):
+        verdicts = slp_check(F, trials=3, rng=random.Random(seed))
+        got = [(v.k, v.basis_size, v.rank, v.maximal, v.ell) for v in verdicts]
+        assert got == slp_by_oracle(F, 3, random.Random(seed))
+        statuses.update(v.status for v in verdicts)
+    assert statuses == {"holds", "probably fails"}

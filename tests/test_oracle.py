@@ -311,3 +311,47 @@ def test_rank_callers_ignore_a_scalar_on_the_form(c, ci_corpus, pentagon):
         scaled = {key: c * v for key, v in F.items()}
         assert inverse_system_dims(scaled, top) == inverse_system_dims(F, top)
         assert m_spans_ann_quotient(fam, scaled) == m_spans_ann_quotient(fam, F)
+
+
+def random_forms(rng, count):
+    """Seeded random homogeneous forms, dense and sparse, not built as duals."""
+    forms = []
+    for _ in range(count):
+        n, degree = rng.randint(2, 4), rng.randint(0, 7)
+        monomials = monomials_of_degree(n, degree)
+        chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 12)))
+        forms.append({m: random_nonzero(rng) for m in chosen})
+    return forms
+
+
+def test_mirrored_dims_match_the_rank_at_every_degree():
+    from binomial_ci.oracle import _catalecticant_rows, _integer_form
+
+    rng = random.Random(97)
+    nonconstant = 0
+    for F in random_forms(rng, 40) + [wlp_failure_form()]:
+        form = _integer_form(F)
+        top = form[2]
+        expected = [rank_of(_catalecticant_rows(*form, j)) for j in range(top + 4)]
+        for max_degree in {max(0, top // 2 - 1), max(0, top - 1), top, top + 3}:
+            assert inverse_system_dims(F, max_degree).values == tuple(expected[: max_degree + 1])
+        nonconstant += expected[1] != expected[top // 2]
+    assert nonconstant  # not every case has a constant Hilbert function
+
+
+def test_inverse_system_dims_eliminates_only_up_to_half_the_degree(monkeypatch):
+    import binomial_ci.oracle as oracle
+
+    degrees = []
+    real = oracle._catalecticant_rows
+
+    def counting(terms, n, top, degree, *args, **kwargs):
+        degrees.append(degree)
+        return real(terms, n, top, degree, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_catalecticant_rows", counting)
+    assert inverse_system_dims(wlp_failure_form(), 8).values == (1, 5, 10, 10, 5, 1, 0, 0, 0)
+    assert degrees == [0, 1, 2]
+    degrees.clear()
+    assert inverse_system_dims(wlp_failure_form(), 1).values == (1, 5)
+    assert degrees == [0, 1]

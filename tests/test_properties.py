@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from binomial_ci import (
     CONTRACTION,
     CoeffAssignment,
@@ -16,6 +18,7 @@ from binomial_ci import (
     inverse_system_dims,
     is_complete_intersection,
     m_spans_ann_quotient,
+    monomials_of_degree,
     poly_divides,
     radical_of_cycle_product,
     resultant_radical,
@@ -91,7 +94,7 @@ def test_gorenstein_duality_on_ci_families(ci_corpus):
 
 def test_cutoff_reduction_is_congruent_modulo_the_leading_generators():
     # with labels <= k the identity m = coeff*m' holds modulo (f_1, .., f_k)
-    from binomial_ci import monomials_of_degree, reduce_monomial
+    from binomial_ci import reduce_monomial
     from binomial_ci.linalg import RowSpace
     from binomial_ci.oracle import macaulay_rows
     from binomial_ci.rewrite import TO_BASIS
@@ -132,3 +135,36 @@ def test_spanning_is_coefficient_independent():
             continue
         assert m_spans_ann_quotient(fam, F)
         done += 1
+
+
+def test_hessian_kernel_matches_the_symbolic_oracle_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from math import factorial
+
+    from binomial_ci.lefschetz import HessianMatrix, _hessian_at, _monomial_basis
+    from binomial_ci.oracle import _integer_form
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(min_value=1, max_value=4))
+        degree = draw(st.integers(min_value=0, max_value=6))
+        monomials = monomials_of_degree(n, degree)
+        chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=8, unique=True))
+        coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
+        F = {m: Fraction(draw(coeffs), draw(st.integers(min_value=1, max_value=5))) for m in chosen}
+        k = draw(st.integers(min_value=0, max_value=degree // 2))
+        ell = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n))
+        return F, k, ell
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        F, k, ell = case
+        terms, n, top = _integer_form(F)
+        basis = _monomial_basis(terms, n, top, k)
+        scale = factorial(top - 2 * k)
+        expected = [[scale * v for v in row] for row in HessianMatrix(terms, k, basis).substitute(ell)]
+        assert _hessian_at(terms, top, k, [g.exponents for g in basis], ell) == expected
+
+    check()

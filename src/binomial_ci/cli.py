@@ -9,19 +9,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("BINOMIAL_CI_SEED", "0"))
-    except ValueError:
-        return 0
 
 from .algebra import as_fraction
 from .dual import CONTRACTION, DIFFERENTIATION, dual_generator, dual_to_json, verify_annihilation
@@ -178,17 +171,11 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_dual(args) -> int:
     family = _parsed(_load_family, args)
-    convention = CONTRACTION if args.convention == "contraction" else DIFFERENTIATION
-    dual = dual_generator(family, convention)
+    dual = dual_generator(family, args.convention)
     payload = dual_to_json(dual)
     payload["n"] = family.n
-    if family.is_numeric:
-        payload["terms"] = [
-            {"alpha": list(alpha), "coeff": str(value)}
-            for alpha, value in sorted(dual.evaluate().items(), reverse=True)
-        ]
     if args.verify:
-        payload["annihilation"] = verify_annihilation(family, dual, convention).ok
+        payload["annihilation"] = verify_annihilation(family, dual, args.convention).ok
     lines = [f"socle degree: {dual.socle_degree}", f"s vector: {list(dual.s)}", f"F = {dual}"]
     if "annihilation" in payload:
         lines.append(f"annihilation check: {'ok' if payload['annihilation'] else 'FAILED'}")
@@ -259,11 +246,10 @@ def _load_dual_file(path: str):
     for alpha, coeff in items:
         try:
             terms[alpha] = as_fraction(coeff)
-        except (ValueError, TypeError) as exc:
-            raise FamilyError(
-                f"dual file carries a symbolic coefficient {coeff!r}; "
-                "lefschetz needs numeric values"
-            ) from exc
+        except ValueError as exc:
+            raise FamilyError(f"dual file carries a symbolic coefficient {coeff!r}; lefschetz needs numeric values") from exc
+        except TypeError as exc:
+            raise FamilyError(f'dual file coefficient {coeff!r} is not an exact rational (an int or a "p/q" string)') from exc
     if not terms:
         raise FamilyError("dual file has no terms")
     return terms
@@ -288,14 +274,16 @@ def _cmd_selftest(args) -> int:
     return 1 if run_selftest() else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once on first use; parsing never mutates it (append actions copy their default)."""
     parser = argparse.ArgumentParser(
         prog="binomial-ci",
         description="Exact computations for binomial complete intersections on normal form.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p):
+    def add_family(p, formats=("text", "json")):
         p.add_argument("--family", required=True, help="family file path or inline text/JSON")
         p.add_argument(
             "--set",
@@ -304,16 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SYM=VALUE",
             help="assign coefficient symbols, e.g. --set a1=1,b3=2/5 (repeatable)",
         )
-        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("graph", help="build and export a reduction graph")
-    add_family(p)
+    add_family(p, ("text", "json", "dot"))
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=_cmd_graph)
-    # graph additionally understands dot output
-    for action in p._actions:
-        if action.dest == "format":
-            action.choices = ["text", "json", "dot"]
 
     p = sub.add_parser("reduce", help="reduce a monomial or polynomial to the basis")
     add_family(p)
@@ -327,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="construct the Macaulay dual generator")
     add_family(p)
     p.add_argument(
-        "--convention", choices=["contraction", "differentiation"], default="contraction"
+        "--convention", choices=[CONTRACTION, DIFFERENTIATION], default=CONTRACTION
     )
     p.add_argument("--verify", action="store_true", help="check f_i o F = 0 symbolically")
     p.set_defaults(func=_cmd_dual)
@@ -338,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", action="store_true", help="print the structural determinant")
     p.add_argument("--radical", action="store_true", help="print the radical (default)")
     p.add_argument("--probe", action="store_true", help="probe undetermined a-exponents")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_resultant)
 
     p = sub.add_parser("hilbert", help="Hilbert function of a numeric family")
@@ -354,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lefschetz", help="Hessian-rank Lefschetz checks of a dual form")
     p.add_argument("--dual-file", required=True, help="JSON dual dump with numeric coefficients")
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_lefschetz)
 

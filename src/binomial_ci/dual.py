@@ -5,6 +5,10 @@ differentiation) when the vertex x^alpha has a directed path with label counts
 r to the target x1^(d1-1)...xn^(dn-1), and zero otherwise; s collects the
 per-label maxima over all such paths.
 
+The family's values enter F once, in `DualGenerator._substituted`, from one
+table of powers per symbol (no exponent exceeds s_i); sparse_terms, evaluate,
+str, dual_to_json and verify_annihilation all read its flat terms.
+
 The action x^gamma o F lives here only, in `action_image`, on forms normalized
 by `normalize_terms`; apply_action, verify_annihilation, the catalecticants
 of `oracle` and the Hessians of `lefschetz` all call it.  apply_action and
@@ -56,8 +60,7 @@ def _paths_to_target(family: BinomialFamily):
     n = family.n
     degree = family.socle_degree
     graph = build_graph(family, degree)
-    target = Monomial(tuple(d - 1 for d in family.degrees))
-    target_idx = graph.index[target]
+    target_idx = graph.index[tuple(d - 1 for d in family.degrees)]
     if graph.succ[target_idx] is not None:
         raise AssertionError("the socle-degree target must be a sink")
     preds: dict[int, list[int]] = {}
@@ -101,34 +104,44 @@ class DualGenerator:
     def n(self) -> int:
         return self.family.n
 
-    def sparse_terms(self) -> dict[Exponents, SparsePoly]:
-        """Coefficients as polynomials, with the family's values substituted."""
+    def _substituted(self) -> dict[Exponents, tuple[Exponents, int | Fraction]]:
+        """{alpha: (2n symbol exponents, rational)} for the nonzero coefficients:
+        fixed values substituted (their exponents drop to 0) in integer numerator
+        and denominator products, integral values as int."""
+        fam = self.family
+        fixed = [
+            (i, [(v.numerator**e, v.denominator**e) for e in range(top + 1)])
+            for i, (v, top) in enumerate(zip(fam.a_values + fam.b_values, self.s + self.s))
+            if v is not None
+        ]
         out = {}
-        for key, cm in self.coeffs.items():
-            poly = cm.to_sparse().substitute(self.family.a_values, self.family.b_values)
-            if not poly.is_zero():
-                out[key] = poly
+        for alpha, cm in self.coeffs.items():
+            num, den = cm.scalar.numerator, cm.scalar.denominator
+            sym = [*cm.a_exp, *cm.b_exp]
+            for i, powers in fixed:
+                if sym[i]:
+                    pn, pd = powers[sym[i]]
+                    num, den = num * pn, den * pd
+                    sym[i] = 0
+            if num:
+                q = Fraction(num, den)
+                out[alpha] = (tuple(sym), q.numerator if q.denominator == 1 else q)
         return out
 
-    def evaluate(self, a_vals=None, b_vals=None) -> dict[Exponents, Fraction]:
-        """Numeric coefficients; values default to the family's assignment."""
-        a_vals = self.family.a_values if a_vals is None else [as_fraction(v) for v in a_vals]
-        b_vals = self.family.b_values if b_vals is None else [as_fraction(v) for v in b_vals]
-        if None in tuple(a_vals) or None in tuple(b_vals):
+    def sparse_terms(self) -> dict[Exponents, SparsePoly]:
+        """Coefficients as polynomials, with the family's values substituted."""
+        n = self.n
+        return {alpha: SparsePoly._raw(n, {sym: Fraction(q)}) for alpha, (sym, q) in self._substituted().items()}
+
+    def evaluate(self) -> dict[Exponents, Fraction]:
+        """Numeric coefficients at the family's values."""
+        if not self.family.is_numeric:
             raise ValueError("evaluation needs a value for every symbol")
-        out = {}
-        for key, cm in self.coeffs.items():
-            value = cm.evaluate(a_vals, b_vals)
-            if value:
-                out[key] = value
-        return out
+        return {alpha: Fraction(q) for alpha, (_, q) in self._substituted().items()}
 
     def __str__(self) -> str:
         terms = self.sparse_terms()
-        parts = []
-        for key in sorted(terms, reverse=True):
-            parts.append(f"{terms[key]}*{Monomial(key).render('X')}")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"{terms[key]}*{Monomial(key).render('X')}" for key in sorted(terms, reverse=True)) or "0"
 
 
 def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> DualGenerator:
@@ -294,8 +307,11 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     _check_convention(convention)
     n = family.n
     if isinstance(F, DualGenerator):
-        F = F.sparse_terms()
-    big_flat = _flat(normalize_terms(F, n)[0], n)
+        if F.n != n:
+            raise ValueError("the dual generator and the family have different variable counts")
+        big_flat = {alpha: [term] for alpha, term in F._substituted().items()}
+    else:
+        big_flat = _flat(normalize_terms(F, n)[0], n)
     differentiate = convention == DIFFERENTIATION
     residuals: dict[int, dict] = {}
     for i in range(1, n + 1):

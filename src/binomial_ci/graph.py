@@ -37,6 +37,7 @@ class ReductionGraph:
         family: BinomialFamily,
         d: int,
         vertices: tuple[Monomial, ...],
+        index: dict[tuple[int, ...], int],
         succ: tuple[int | None, ...],
         labels: tuple[int | None, ...],
         vertex_class: tuple[str, ...],
@@ -45,7 +46,7 @@ class ReductionGraph:
         self.family = family
         self.d = d
         self.vertices = vertices
-        self.index = {m: i for i, m in enumerate(vertices)}
+        self.index = index  # exponent tuple -> vertex position
         self.succ = succ
         self.labels = labels
         self.vertex_class = vertex_class
@@ -56,14 +57,14 @@ class ReductionGraph:
         return self.family.n
 
     def successor(self, m: Monomial) -> Monomial | None:
-        s = self.succ[self.index[m]]
+        s = self.succ[self.index[m.exponents]]
         return None if s is None else self.vertices[s]
 
     def label(self, m: Monomial) -> int | None:
-        return self.labels[self.index[m]]
+        return self.labels[self.index[m.exponents]]
 
     def class_of(self, m: Monomial) -> str:
-        return self.vertex_class[self.index[m]]
+        return self.vertex_class[self.index[m.exponents]]
 
     def sinks(self) -> list[Monomial]:
         return [m for m, c in zip(self.vertices, self.vertex_class) if c == SINK]
@@ -136,7 +137,7 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
             Cycle(tuple(vertices[v] for v in rotated), cycle_labels, tuple(counts))
         )
     return ReductionGraph(
-        family, d, vertices, tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles)
+        family, d, vertices, lookup, tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles)
     )
 
 

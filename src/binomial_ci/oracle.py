@@ -5,8 +5,10 @@ Hilbert functions come from ranks of Macaulay matrices with integer rows
 integers); the complete-intersection test is the one rank h_{D+1} = 0.
 Inverse-system dimensions come from catalecticant ranks under contraction of
 rows x^gamma o F from `dual.action_image`, up to half the degree of F (the
-catalecticants of complementary degrees are transposes).  Column indices
-come from `_columns`.  Everything is deterministic and exact; no probabilistic rank.
+catalecticants of complementary degrees are transposes).  The avoided-power
+monomials span R/Ann(F) when, in each degree j, the rank of their rows is
+that h_j.  Column indices come from `_columns`.  Everything is deterministic
+and exact; no probabilistic rank.
 """
 
 from __future__ import annotations
@@ -242,6 +244,14 @@ def _integer_form(F) -> tuple[dict[Exponents, int], int, int]:
     return to_int_row(terms), n, top
 
 
+def _inverse_dims(form: tuple[dict[Exponents, int], int, int], max_degree: int) -> tuple[int, ...]:
+    """h_0..h_max_degree of an integer form (terms, n, top): catalecticant
+    ranks up to top/2, mirrored above, zero past top."""
+    top = form[2]
+    half = [rank_of(_catalecticant_rows(*form, j)) for j in range(min(top // 2, max_degree) + 1)]
+    return tuple(half[min(j, top - j)] if j <= top else 0 for j in range(max_degree + 1))
+
+
 def inverse_system_dims(F, max_degree: int) -> HilbertFunction:
     """h_j = rank of the contraction map from degree-j monomials into F.
 
@@ -250,33 +260,24 @@ def inverse_system_dims(F, max_degree: int) -> HilbertFunction:
     j <= D/2 is eliminated, h_j = h_{D-j} above that, and h_j = 0 past D.
     """
     _check_max_degree(max_degree)
-    form = _integer_form(F)
-    top = form[2]
-    half = [rank_of(_catalecticant_rows(*form, j)) for j in range(min(top // 2, max_degree) + 1)]
-    return HilbertFunction(
-        tuple(half[min(j, top - j)] if j <= top else 0 for j in range(max_degree + 1))
-    )
+    return HilbertFunction(_inverse_dims(_integer_form(F), max_degree))
 
 
 def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
     """Whether the avoided-power monomials span each graded piece of R/Ann(F).
 
     Only the variable count and degrees of the family matter here; F is any
-    numeric homogeneous form in the same variables.  One elimination per
-    degree: every other catalecticant row must lie in the avoided-power span.
+    numeric homogeneous form in the same variables.  The rows m o F of the
+    avoided-power monomials m of degree j are among the rows of Cat_j, so
+    they span its row space exactly when their rank is h_j = rank Cat_j:
+    one rank per degree, checked against the mirrored half-degree ranks.
     """
-    terms, n, top = _integer_form(F)
+    form = _integer_form(F)
+    n, top = form[1], form[2]
     if n != family.n:
         raise ValueError("form and family have different variable counts")
-    for j in range(top + 1):
-        monomials = monomials_of_degree(n, j)
-        space = RowSpace()
-        others = []
-        for m, row in zip(monomials, _catalecticant_rows(terms, n, top, j, monomials)):
-            if family.in_basis(m):
-                space.add(row)
-            else:
-                others.append(row)
-        if not all(space.contains(row) for row in others):
-            return False
-    return True
+    h = _inverse_dims(form, top)
+    return all(
+        rank_of(_catalecticant_rows(*form, j, family.basis_monomials(j))) == h[j]
+        for j in range(top + 1)
+    )

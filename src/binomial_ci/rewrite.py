@@ -146,16 +146,13 @@ def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Ce
     a_product = CoeffMonomial(Fraction(1), r, zero)
     rhs_coeff = CoeffMonomial(Fraction(1), zero, r)
     steps = []
-    for s, label in enumerate(labels, start=1):
-        before = [0] * n
-        after = [0] * n
-        for lab in labels[s:]:
-            after[lab - 1] += 1
-        for lab in labels[: s - 1]:
-            before[lab - 1] += 1
+    before = [0] * n  # label counts of the steps already taken
+    for m_prev, label in zip(monomials, labels):
+        after = [total - seen for total, seen in zip(r, before)]
+        after[label - 1] -= 1
         scale = CoeffMonomial(Fraction(1), tuple(after), tuple(before))
-        multiplier = monomials[s - 1] / family.lead_monomial(label)
-        steps.append(CertificateStep(label, multiplier, scale))
+        steps.append(CertificateStep(label, m_prev / family.lead_monomial(label), scale))
+        before[label - 1] += 1
     return Certificate(kind, m, a_product, tuple(steps), rhs_coeff, monomials[-1])
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from binomial_ci.cli import main
+from binomial_ci.cli import build_parser, main
 from binomial_ci.family import family_to_json
 from binomial_ci.catalog import five_var_pentagon, three_var_chain, three_var_double_cycle
 
@@ -237,6 +237,22 @@ class TestLefschetz:
         assert code == 1
         assert "symbolic" in err
 
+    @pytest.mark.parametrize(
+        "coeff, message",
+        [
+            (1.5, 'error: dual file coefficient 1.5 is not an exact rational (an int or a "p/q" string)\n'),
+            ("a1*b2", "error: dual file carries a symbolic coefficient 'a1*b2'; lefschetz needs numeric values\n"),
+        ],
+        ids=["float", "symbolic"],
+    )
+    def test_non_rational_coefficient_messages(self, capsys, tmp_path, coeff, message):
+        dual_file = tmp_path / "dual.json"
+        dual_file.write_text(json.dumps({"terms": [{"alpha": [1, 1, 1], "coeff": coeff}]}))
+        code, out, err = run_cli(capsys, "lefschetz", "--dual-file", str(dual_file))
+        assert code == 1
+        assert out == ""
+        assert err == message
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_trials_exit_1(self, capsys, tmp_path, trials):
         dual_file = tmp_path / "dual.json"
@@ -302,6 +318,24 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_set_values_do_not_reach_the_next_call(self, capsys):
+        plain = ["dual", "--family", CHAIN, "--format", "json"]
+        _, before, _ = run_cli(capsys, *plain)
+        code, numeric, _ = run_cli(
+            capsys, "dual", "--family", CHAIN, "--set", "a1=2,a2=1,a3=3", "--set", "b1=3,b2=5/2,b3=1", *plain[3:]
+        )
+        assert code == 0
+        code, after, _ = run_cli(capsys, *plain)
+        assert code == 0
+        assert after == before != numeric
+        assert "a1" in after and "a1" not in numeric
+        assert build_parser().parse_args(plain).set == []
 
 
 class TestSelftest:
@@ -374,6 +408,32 @@ class TestBadRationalInput:
         assert "Traceback" not in err
 
 
+PENTAGON = (
+    "f1 = x1^2 - b1*x2*x3 ; f2 = x2^2 - b2*x3*x4 ; f3 = x3^2 - b3*x4*x5 ; "
+    "f4 = x4^2 - b4*x1*x5 ; f5 = x5^2 - b5*x1*x2"
+)
+# name -> dual arguments: numeric, mixed, symbolic and b = 0 catalog families
+DUAL_GOLDEN_CASES = {
+    "numeric_chain": ["--family", CHAIN, "--set", "a1=2,a2=1,a3=3,b1=3,b2=5/2,b3=1"],
+    "mixed_chain": ["--family", CHAIN, "--set", "a1=2,b2=5/2", "--convention", "differentiation"],
+    "symbolic_double_cycle": ["--family", DOUBLE_CYCLE],
+    "b0_pentagon": [
+        "--family", PENTAGON, "--set", "b1=2,b2=0,b3=1,b4=3,b5=1/3", "--convention", "differentiation",
+    ],
+}
+
+
+def dual_golden_runs():
+    """(golden file name, dual argv) for text and json, with and without --verify."""
+    for name, args in DUAL_GOLDEN_CASES.items():
+        for fmt in ("text", "json"):
+            for verify in (False, True):
+                suffix = "_verify" if verify else ""
+                ext = "json" if fmt == "json" else "txt"
+                argv = ["dual", *args, "--format", fmt] + (["--verify"] if verify else [])
+                yield f"dual_{name}{suffix}.{ext}", argv
+
+
 class TestGoldenBytes:
     def test_resultant_json_with_numeric_determinant(self, capsys):
         code, out, _ = run_cli(
@@ -416,6 +476,12 @@ class TestGoldenBytes:
         )
         assert code == 0
         assert out == (GOLDEN / "lefschetz_pentagon.json").read_text()
+
+    @pytest.mark.parametrize("golden, argv", [pytest.param(*run, id=run[0]) for run in dual_golden_runs()])
+    def test_dual_output(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
 
 class TestMonomialArgument:

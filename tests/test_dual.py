@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from binomial_ci import (
+    BinomialFamily,
     CONTRACTION,
     DIFFERENTIATION,
     CoeffAssignment,
@@ -316,3 +317,54 @@ class TestFlatKernel:
             apply_action({(1, 0): SparsePoly.symbol_a(2, 1)}, {(1, 1): SparsePoly.symbol_a(3, 1)})
         with pytest.raises(ValueError):
             verify_annihilation(three_var_chain(), {(1, 1, 1): SparsePoly.symbol_a(2, 1)})
+
+
+def _view_families():
+    """Symbolic, mixed and numeric families, plus b = 0 in numeric and mixed form."""
+    rng = random.Random(30)
+    numeric = random_family(rng, numeric=True)
+    symbolic = random_family(rng, numeric=False)
+    zero_b = BinomialFamily.numeric(numeric.degrees, numeric.tails, numeric.a_values, [0] * numeric.n)
+    one_zero_b = specialize(symbolic, CoeffAssignment((None,) * symbolic.n, (Fraction(0),) + (None,) * (symbolic.n - 1)))
+    return _kernel_families() + [zero_b, one_zero_b]
+
+
+class TestDualViews:
+    """Every view of a DualGenerator against per-coefficient substitution."""
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_views_match_per_coefficient_substitution(self, convention):
+        modes = set()
+        for fam in _view_families():
+            dual = dual_generator(fam, convention)
+            a, b = fam.a_values, fam.b_values
+            expected = {}
+            for alpha, cm in dual.coeffs.items():
+                poly = cm.substitute(a, b).to_sparse()
+                if not poly.is_zero():
+                    expected[alpha] = poly
+            assert dual.sparse_terms() == expected
+            if fam.is_numeric:
+                values = {alpha: cm.evaluate(a, b) for alpha, cm in dual.coeffs.items()}
+                assert dual.evaluate() == {alpha: v for alpha, v in values.items() if v}
+                assert all(type(v) is Fraction for v in dual.evaluate().values())
+            else:
+                with pytest.raises(ValueError, match="every symbol"):
+                    dual.evaluate()
+            modes.add((fam.coeff_mode, any(v == 0 for v in b)))
+        assert modes >= {("symbolic", False), ("mixed", False), ("mixed", True), ("numeric", False), ("numeric", True)}
+
+    def test_annihilation_reads_the_same_terms_as_sparse_terms(self):
+        nonzero = 0
+        for fam in _view_families():
+            for built in (CONTRACTION, DIFFERENTIATION):
+                dual = dual_generator(fam, built)
+                for checked in (CONTRACTION, DIFFERENTIATION):
+                    got = verify_annihilation(fam, dual, checked)
+                    assert got.residuals == verify_annihilation(fam, dual.sparse_terms(), checked).residuals
+                    nonzero += bool(got.residuals)
+        assert nonzero  # convention mismatches leave residuals to compare
+
+    def test_dual_of_another_variable_count_is_rejected(self, loop2):
+        with pytest.raises(ValueError, match="variable counts"):
+            verify_annihilation(three_var_chain(), dual_generator(loop2))

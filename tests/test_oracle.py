@@ -5,6 +5,7 @@ import pytest
 
 from binomial_ci import (
     CONTRACTION,
+    DIFFERENTIATION,
     CoeffAssignment,
     Monomial,
     NotCompleteIntersectionError,
@@ -355,3 +356,56 @@ def test_inverse_system_dims_eliminates_only_up_to_half_the_degree(monkeypatch):
     degrees.clear()
     assert inverse_system_dims(wlp_failure_form(), 1).values == (1, 5)
     assert degrees == [0, 1]
+
+
+def spans_by_row_space(family, F):
+    """The earlier one-elimination-per-degree routine: every catalecticant row
+    of a monomial outside the avoided-power set lies in the span of the
+    avoided-power rows."""
+    from binomial_ci.linalg import RowSpace
+    from binomial_ci.oracle import _catalecticant_rows, _integer_form
+
+    terms, n, top = _integer_form(F)
+    for j in range(top + 1):
+        monomials = monomials_of_degree(n, j)
+        space = RowSpace()
+        others = []
+        for m, row in zip(monomials, _catalecticant_rows(terms, n, top, j, monomials)):
+            if family.in_basis(m):
+                space.add(row)
+            else:
+                others.append(row)
+        if not all(space.contains(row) for row in others):
+            return False
+    return True
+
+
+def perturbed_form(rng, F, n):
+    """A numeric copy of F with one coefficient rescaled, another term
+    dropped and a new term of the same degree added."""
+    out = dict(F)
+    keys = sorted(out)
+    out[rng.choice(keys)] *= random_nonzero(rng)
+    if len(keys) > 1:
+        del out[rng.choice(keys[1:])]
+    missing = [m.exponents for m in monomials_of_degree(n, sum(keys[0])) if m.exponents not in out]
+    if missing:
+        out[rng.choice(missing)] = random_nonzero(rng)
+    return out
+
+
+def test_rank_per_degree_spanning_matches_the_row_space_routine(ci_corpus, pentagon):
+    rng = random.Random(89)
+    families = list(ci_corpus) + [degenerate(f) for f in ci_corpus]
+    cases = [(pentagon, wlp_failure_form())]
+    for fam in families:
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            F = dual_generator(fam, convention).evaluate()
+            if F:
+                cases += [(fam, F), (fam, perturbed_form(rng, F, fam.n)), (fam, perturbed_form(rng, F, fam.n))]
+    outcomes = []
+    for fam, F in cases:
+        expected = spans_by_row_space(fam, F)
+        assert m_spans_ann_quotient(fam, F) == expected
+        outcomes.append(expected)
+    assert True in outcomes and False in outcomes

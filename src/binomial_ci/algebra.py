@@ -9,9 +9,10 @@ printed polynomial is byte-reproducible.
 
 Validation happens at the API boundary.  The public constructors
 `Monomial(exps)` and `SparsePoly(n, terms)` check and coerce everything they
-are given.  `Monomial._raw` and `SparsePoly._raw` build a value unchecked;
-they are internal, and only for values derived from already checked ones
-(products, quotients, graph successors, sums of polynomials).
+are given.  `Monomial._raw`, `CoeffMonomial._raw` and `SparsePoly._raw` build
+a value unchecked; they are internal, and only for values derived from
+already checked ones (products, quotients, graph successors, label counts of
+graph paths, sums of polynomials).
 
 The exact identity checks (`dual.verify_annihilation`, `dual.apply_action`,
 `rewrite.check_certificate`) accumulate into one flat dict that maps
@@ -254,6 +255,16 @@ class CoeffMonomial:
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "a_exp", a_exp)
         object.__setattr__(self, "b_exp", b_exp)
+
+    @classmethod
+    def _raw(cls, scalar: Fraction, a_exp: tuple[int, ...], b_exp: tuple[int, ...]) -> CoeffMonomial:
+        """Unchecked: scalar must be a nonzero Fraction and a_exp, b_exp int
+        tuples of equal length."""
+        cm = object.__new__(cls)
+        object.__setattr__(cm, "scalar", scalar)
+        object.__setattr__(cm, "a_exp", a_exp)
+        object.__setattr__(cm, "b_exp", b_exp)
+        return cm
 
     @classmethod
     def constant(cls, n: int, value: Rational) -> CoeffMonomial:

@@ -83,16 +83,20 @@ def _apply_set(family: BinomialFamily, assignments: list[str]) -> BinomialFamily
 def _load_family(args) -> BinomialFamily:
     """The --family source, a file path or inline text, with --set applied."""
     try:
-        is_file = Path(args.family).exists()
+        is_file = Path(args.family).is_file()
     except OSError:  # inline text can exceed path-name limits
         is_file = False
     text = Path(args.family).read_text() if is_file else args.family
     return _apply_set(load_family(text), args.set)
 
 
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(text)
 
@@ -163,8 +167,10 @@ def _cmd_reduce(args) -> int:
     lines.append(f"path labels: {' '.join(map(str, outcome.path_labels)) or '(empty)'}")
     if args.certificate:
         cert = certificate(family, m, args.cutoff)
-        payload["certificate"] = certificate_to_json(cert)
-        lines.append("certificate: " + render_certificate(cert))
+        if args.format == "json":
+            payload["certificate"] = certificate_to_json(cert)
+        else:
+            lines.append("certificate: " + render_certificate(cert))
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -172,14 +178,18 @@ def _cmd_reduce(args) -> int:
 def _cmd_dual(args) -> int:
     family = _parsed(_load_family, args)
     dual = dual_generator(family, args.convention)
-    payload = dual_to_json(dual)
-    payload["n"] = family.n
-    if args.verify:
-        payload["annihilation"] = verify_annihilation(family, dual, args.convention).ok
+    ok = verify_annihilation(family, dual, args.convention).ok if args.verify else None
+    if args.format == "json":
+        payload = dual_to_json(dual)
+        payload["n"] = family.n
+        if args.verify:
+            payload["annihilation"] = ok
+        _print_json(payload)
+        return 0
     lines = [f"socle degree: {dual.socle_degree}", f"s vector: {list(dual.s)}", f"F = {dual}"]
-    if "annihilation" in payload:
-        lines.append(f"annihilation check: {'ok' if payload['annihilation'] else 'FAILED'}")
-    _emit(args, payload, "\n".join(lines))
+    if args.verify:
+        lines.append(f"annihilation check: {'ok' if ok else 'FAILED'}")
+    print("\n".join(lines))
     return 0
 
 
@@ -247,6 +257,12 @@ def _load_dual_file(path: str):
         try:
             terms[alpha] = as_fraction(coeff)
         except ValueError as exc:
+            try:
+                Fraction(coeff)
+            except ZeroDivisionError:
+                raise FamilyError(f"dual file coefficient {coeff!r} has a zero denominator") from exc
+            except ValueError:
+                pass
             raise FamilyError(f"dual file carries a symbolic coefficient {coeff!r}; lefschetz needs numeric values") from exc
         except TypeError as exc:
             raise FamilyError(f'dual file coefficient {coeff!r} is not an exact rational (an int or a "p/q" string)') from exc

@@ -149,12 +149,13 @@ def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> Dua
     _check_convention(convention)
     graph, reach, s = _paths_to_target(family)
     degree = family.socle_degree
+    one = Fraction(1)
     coeffs: dict[Exponents, CoeffMonomial] = {}
     for v, r in reach.items():
         alpha = graph.vertices[v].exponents
-        scalar = multinomial(degree, alpha) if convention == DIFFERENTIATION else 1
+        scalar = Fraction(multinomial(degree, alpha)) if convention == DIFFERENTIATION else one
         a_exp = tuple(x - y for x, y in zip(s, r))
-        coeffs[alpha] = CoeffMonomial(Fraction(scalar), a_exp, r)
+        coeffs[alpha] = CoeffMonomial._raw(scalar, a_exp, r)
     return DualGenerator(family, convention, degree, s, coeffs)
 
 

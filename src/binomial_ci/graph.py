@@ -3,11 +3,18 @@
 Each monomial divisible by some x_i^{d_i} has exactly one outgoing edge,
 labeled by the least such i, to m*m_i/x_i^{d_i}; the rest are sinks.  The
 structure depends only on the tails and degrees, never on the coefficients.
+
+`build_graph` keeps the last graph it built, keyed by (family, degree): a
+request asks for the same one or two graphs back to back (the structural
+determinant, the radical and the dual all read them), so each is built once.
+The returned graph is shared between callers and must be treated as
+read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import Monomial, SparsePoly, monomials_of_degree
 from .family import BinomialFamily
@@ -73,8 +80,14 @@ class ReductionGraph:
         return sum(1 for s in self.succ if s is not None)
 
 
+@lru_cache(maxsize=1)
 def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
-    """Build the reduction graph on all degree-d monomials."""
+    """Build the reduction graph on all degree-d monomials.
+
+    The last graph built is cached, so a repeated call returns the same
+    shared object; callers must not mutate it.  One entry keeps at most one
+    extra graph alive.
+    """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     vertices = tuple(monomials_of_degree(family.n, d))

@@ -143,15 +143,17 @@ def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Ce
     n = family.n
     r = _label_counts(n, labels)
     zero = (0,) * n
-    a_product = CoeffMonomial(Fraction(1), r, zero)
-    rhs_coeff = CoeffMonomial(Fraction(1), zero, r)
+    one = Fraction(1)
+    a_product = CoeffMonomial(one, r, zero)
+    rhs_coeff = CoeffMonomial(one, zero, r)
+    leads = [family.lead_monomial(i) for i in range(1, n + 1)]
     steps = []
     before = [0] * n  # label counts of the steps already taken
     for m_prev, label in zip(monomials, labels):
         after = [total - seen for total, seen in zip(r, before)]
         after[label - 1] -= 1
-        scale = CoeffMonomial(Fraction(1), tuple(after), tuple(before))
-        steps.append(CertificateStep(label, m_prev / family.lead_monomial(label), scale))
+        scale = CoeffMonomial._raw(one, tuple(after), tuple(before))
+        steps.append(CertificateStep(label, m_prev / leads[label - 1], scale))
         before[label - 1] += 1
     return Certificate(kind, m, a_product, tuple(steps), rhs_coeff, monomials[-1])
 
@@ -179,10 +181,11 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
         key = (mono.exponents, sym)
         acc[key] = acc.get(key, 0) + sign * (q.numerator if q.denominator == 1 else q)
 
+    leads = [family.lead_monomial(i) for i in range(1, n + 1)]
     put(cert.input, cert.a_product, 1)
     for step in cert.steps:
         i = step.gen_index
-        put(step.multiplier * family.lead_monomial(i), step.scale, -1, i - 1)
+        put(step.multiplier * leads[i - 1], step.scale, -1, i - 1)
         put(step.multiplier * family.tails[i - 1], step.scale, 1, n + i - 1)
     put(cert.rhs_monomial, cert.rhs_coeff, -1)
     return {Monomial._raw(x): poly for x, poly in group_flat_terms(n, acc).items()}

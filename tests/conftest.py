@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomial_ci import BinomialFamily, Monomial, is_complete_intersection, monomials_of_degree
+from binomial_ci import BinomialFamily, CoeffMonomial, Monomial, is_complete_intersection, monomials_of_degree
 from binomial_ci.catalog import (
     five_var_pentagon,
     five_var_pentagon_alt,
@@ -59,6 +59,16 @@ def random_family(rng, numeric=True, n_range=(2, 4), max_degree=3):
     a = [random_nonzero(rng) for _ in range(n)]
     b = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)]
     return BinomialFamily.numeric(degrees, tails, a, b)
+
+
+def assert_as_checked(cm):
+    """An unchecked coefficient monomial equals, field for field and type for
+    type, the checked CoeffMonomial built from the same fields."""
+    checked = CoeffMonomial(cm.scalar, cm.a_exp, cm.b_exp)
+    assert cm == checked and hash(cm) == hash(checked)
+    assert type(cm.scalar) is Fraction and cm.scalar != 0
+    assert type(cm.a_exp) is tuple and type(cm.b_exp) is tuple
+    assert all(type(e) is int for e in cm.a_exp + cm.b_exp)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from binomial_ci import cli
 from binomial_ci.cli import build_parser, main
+from binomial_ci.dual import DualGenerator
 from binomial_ci.family import family_to_json
 from binomial_ci.catalog import five_var_pentagon, three_var_chain, three_var_double_cycle
 
@@ -242,8 +244,9 @@ class TestLefschetz:
         [
             (1.5, 'error: dual file coefficient 1.5 is not an exact rational (an int or a "p/q" string)\n'),
             ("a1*b2", "error: dual file carries a symbolic coefficient 'a1*b2'; lefschetz needs numeric values\n"),
+            ("1/0", "error: dual file coefficient '1/0' has a zero denominator\n"),
         ],
-        ids=["float", "symbolic"],
+        ids=["float", "symbolic", "zero-denominator"],
     )
     def test_non_rational_coefficient_messages(self, capsys, tmp_path, coeff, message):
         dual_file = tmp_path / "dual.json"
@@ -279,6 +282,18 @@ class TestErrorsAndExitCodes:
             capsys, "graph", "--family", "/no/such/file.json", "--degree", "2"
         )
         assert code == 1
+
+    def test_empty_family_is_inline_text(self, capsys):
+        code, out, err = run_cli(capsys, "graph", "--family", "", "--degree", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 1, column 1: no generators found\n"
+
+    def test_directory_family_is_inline_text(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "graph", "--family", str(tmp_path), "--degree", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 1, column 1: unexpected character '/'\n"
 
     def test_negative_max_degree_exits_1(self, capsys):
         code, out, err = run_cli(
@@ -482,6 +497,26 @@ class TestGoldenBytes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+
+class TestRequestedFormatOnly:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dual_verify_substitutes_twice(self, capsys, monkeypatch, fmt):
+        calls = []
+        original = DualGenerator._substituted
+        monkeypatch.setattr(DualGenerator, "_substituted", lambda self: calls.append(1) or original(self))
+        code, _, _ = run_cli(capsys, "dual", "--family", CHAIN, "--verify", "--format", fmt)
+        assert code == 0
+        assert len(calls) == 2  # the annihilation check and the one rendering
+
+    @pytest.mark.parametrize("fmt, unused", [("text", "certificate_to_json"), ("json", "render_certificate")])
+    def test_reduce_certificate_renders_one_format(self, capsys, monkeypatch, fmt, unused):
+        monkeypatch.setattr(cli, unused, lambda cert: pytest.fail(f"{unused} ran for --format {fmt}"))
+        code, out, _ = run_cli(
+            capsys, "reduce", "--family", CHAIN, "--monomial", "x1^2*x2", "--certificate", "--format", fmt
+        )
+        assert code == 0
+        assert "certificate" in out
 
 
 class TestMonomialArgument:

@@ -26,7 +26,7 @@ from binomial_ci.catalog import five_var_pentagon, pentagon_dual_form, three_var
 from binomial_ci.dual import dual_to_json
 from binomial_ci.rewrite import TO_BASIS
 
-from conftest import random_family
+from conftest import assert_as_checked, random_family
 
 
 class TestSVector:
@@ -68,6 +68,16 @@ class TestDualGenerator:
             for alpha, (a, b) in EXPECTED_CONTRACTION.items()
         }
         assert dict(dual.coeffs) == expected
+
+    def test_unchecked_coefficients_equal_checked_ones(self, ci_corpus):
+        rng = random.Random(41)
+        families = list(ci_corpus[:8]) + [random_family(rng, numeric=False) for _ in range(8)]
+        for fam in families:
+            for convention in (CONTRACTION, DIFFERENTIATION):
+                dual = dual_generator(fam, convention)
+                for cm in dual.coeffs.values():
+                    assert_as_checked(cm)
+                assert verify_annihilation(fam, dual, convention).ok
 
     def test_differentiation_is_multinomial_times_contraction(self):
         rng = random.Random(21)

@@ -2,17 +2,28 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from binomial_ci import (
+    CONTRACTION,
+    DIFFERENTIATION,
     BinomialFamily,
     CoeffAssignment,
     Monomial,
     SparsePoly,
     build_graph,
+    certificate,
+    check_certificate,
     cycle_polynomial,
+    det_structural,
+    dual_generator,
     graph_cycle_polynomial,
     parse_monomial,
+    reduce_monomial,
+    resultant_radical,
     specialize,
     to_dot,
+    verify_annihilation,
 )
 from binomial_ci.graph import CYCLIC, SINK, TRANSIENT, graph_to_json
 
@@ -317,3 +328,53 @@ def test_build_graph_matches_checked_reference():
             compared += len(vertices)
             cycles_seen += len(cycles)
     assert compared > 3000 and cycles_seen > 100
+
+
+GRAPH_FIELDS = ("d", "vertices", "index", "succ", "labels", "vertex_class", "cycles")
+
+
+class TestGraphCache:
+    def test_cached_graph_equals_an_uncached_build(self, ci_corpus):
+        rng = random.Random(31)
+        families = list(ci_corpus) + [random_family(rng, numeric=rng.random() < 0.5) for _ in range(15)]
+        for family in families:
+            for d in (family.socle_degree, family.resultant_degree):
+                cached = build_graph(family, d)
+                fresh = build_graph.__wrapped__(family, d)
+                assert build_graph(family, d) is cached
+                assert cached is not fresh
+                assert cached.family == family
+                for name in GRAPH_FIELDS:
+                    assert getattr(cached, name) == getattr(fresh, name), name
+
+    def test_other_coefficients_get_their_own_family(self, double_cycle):
+        d = double_cycle.resultant_degree
+        symbolic = build_graph(double_cycle, d)
+        values = CoeffAssignment.of(3, a1=1, a2=2, a3=3, b1=4, b2=5, b3=6)
+        numeric = specialize(double_cycle, values)
+        assert numeric.tails == double_cycle.tails and numeric != double_cycle
+        g = build_graph(numeric, d)
+        assert g.family == numeric
+        assert g.family.a_values == (1, 2, 3)
+        assert build_graph(double_cycle, d).family == double_cycle
+        assert symbolic.succ == g.succ
+
+    def test_negative_degree_raises_on_every_call(self, chain):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="nonnegative"):
+                build_graph(chain, -1)
+
+    def test_a_structure_job_builds_two_graphs(self, pentagon):
+        family = pentagon
+        build_graph.cache_clear()
+        build_graph(family, family.resultant_degree)
+        det_structural(family)
+        resultant_radical(family)
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            F = dual_generator(family, convention)
+            assert verify_annihilation(family, F, convention).ok
+        m = Monomial.variable(family.n, 1, family.socle_degree)
+        reduce_monomial(family, m)
+        assert check_certificate(family, certificate(family, m))
+        info = build_graph.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (2, 3, 1)

@@ -26,7 +26,7 @@ from binomial_ci import (
 from binomial_ci.graph import SINK, TRANSIENT
 from binomial_ci.rewrite import certificate_residual, certificate_to_json, render_certificate
 
-from conftest import random_family
+from conftest import assert_as_checked, random_family
 
 
 class TestReduceMonomial:
@@ -189,6 +189,21 @@ class TestCertificates:
         assert cert.rhs_coeff == CoeffMonomial(Fraction(1), (0, 0, 0), (2, 1, 0))
         assert cert.rhs_monomial == parse_monomial("x1*x2*x3", 3)
         assert check_certificate(chain, cert)
+
+    def test_unchecked_step_scales_equal_checked_ones(self, ci_corpus):
+        rng = random.Random(43)
+        families = list(ci_corpus[:8]) + [random_family(rng, numeric=False) for _ in range(8)]
+        steps = 0
+        for fam in families:
+            monomials = monomials_of_degree(fam.n, fam.resultant_degree)
+            for m in rng.sample(monomials, k=min(4, len(monomials))):
+                for k in (None, 1):
+                    cert = certificate(fam, m, k)
+                    for step in cert.steps:
+                        assert_as_checked(step.scale)
+                        steps += 1
+                    assert certificate_residual(fam, cert) == {}
+        assert steps > 100
 
     def test_sink_certificate_is_trivial(self, chain):
         m = parse_monomial("x1*x2*x3", 3)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, sub
 from typing import Iterable, Mapping, Union
 
@@ -36,11 +35,11 @@ def as_fraction(value: Rational) -> Fraction:
     """Coerce an int, "p/q" string, or Fraction to an exact rational.
 
     A string that is not a rational or has a zero denominator raises
-    ValueError; any other type, floats included, raises TypeError.
+    ValueError; any other type, floats and bools included, raises TypeError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -174,61 +173,6 @@ def falling_product(alpha: Iterable[int], gamma: Iterable[int]) -> int:
         for j in range(g):
             out *= a - j
     return out
-
-
-def divisors(e: int) -> list[int]:
-    """Positive divisors of e in increasing order."""
-    if e < 1:
-        raise ValueError("divisors of a positive integer only")
-    small, large = [], []
-    i = 1
-    while i * i <= e:
-        if e % i == 0:
-            small.append(i)
-            if i != e // i:
-                large.append(e // i)
-        i += 1
-    return small + large[::-1]
-
-
-def _unidiv_exact(num: list[int], den: Iterable[int]) -> list[int]:
-    # Integer univariate division, coefficients ascending; remainder must vanish.
-    num = list(num)
-    den = list(den)
-    dd = len(den) - 1
-    lead = den[-1]
-    qdeg = len(num) - 1 - dd
-    quot = [0] * (qdeg + 1)
-    for k in range(qdeg, -1, -1):
-        c = num[k + dd]
-        if c == 0:
-            continue
-        if c % lead:
-            raise ArithmeticError("inexact univariate division")
-        q = c // lead
-        quot[k] = q
-        for j, dc in enumerate(den):
-            num[k + j] -= q * dc
-    if any(num):
-        raise ArithmeticError("nonzero remainder in exact univariate division")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(e: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending) of the e-th cyclotomic polynomial.
-
-    Computed by exact division of x^e - 1 by the cyclotomic polynomials of the
-    proper divisors of e.
-    """
-    if e < 1:
-        raise ValueError("cyclotomic index must be positive")
-    poly = [-1] + [0] * (e - 1) + [1]
-    for d in divisors(e):
-        if d == e:
-            continue
-        poly = _unidiv_exact(poly, cyclotomic(d))
-    return tuple(poly)
 
 
 @dataclass(frozen=True)

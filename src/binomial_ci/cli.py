@@ -250,10 +250,13 @@ def _load_dual_file(path: str):
     data = json.loads(Path(path).read_text())
     try:
         items = [(tuple(item["alpha"]), item["coeff"]) for item in data["terms"]]
+        {alpha for alpha, _ in items}  # hash every exponent: a nested list is malformed
     except (KeyError, TypeError) as exc:
         raise FamilyError(f"malformed dual file: {exc}") from exc
     terms = {}
     for alpha, coeff in items:
+        if alpha in terms:
+            raise FamilyError(f"dual file repeats exponent {alpha}")
         try:
             terms[alpha] = as_fraction(coeff)
         except ValueError as exc:

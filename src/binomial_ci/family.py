@@ -529,10 +529,11 @@ def _json_value(value) -> OptionalRational:
 
 
 def _json_int(value) -> int:
-    # int() would truncate a float and read a bool as 0 or 1.
-    if isinstance(value, (bool, float)):
+    # Only a JSON integer: int() would truncate a float, read a bool as 0 or 1
+    # and parse a string.
+    if type(value) is not int:
         raise FamilyValidationError(f"{value!r} is not an integer")
-    return int(value)
+    return value
 
 
 def family_from_json(data: dict | str) -> BinomialFamily:
@@ -560,6 +561,8 @@ def family_from_json(data: dict | str) -> BinomialFamily:
         if mode == "symbolic":
             a_values = b_values = None
         elif mode in ("numeric", "mixed"):
+            if not (isinstance(coefficients["a"], list) and isinstance(coefficients["b"], list)):
+                raise FamilyValidationError("coefficients 'a' and 'b' must be JSON lists")
             a_values = [_json_value(v) for v in coefficients["a"]]
             b_values = [_json_value(v) for v in coefficients["b"]]
             if mode == "numeric" and (None in a_values or None in b_values):

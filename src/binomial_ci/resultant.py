@@ -4,7 +4,9 @@ At degree sum(d_i - 1) + 1 every monomial is divisible by some x_i^{d_i}, so
 the rows (x^alpha / x_i^{d_i}) * f_i form a square matrix with every a on the
 diagonal and a single -b per row sitting on the reduction-graph successor.
 Its determinant is the a-product over transient vertices times the cycle
-polynomials, and the radical of the resultant follows from the graph's cycles.
+polynomials, and the radical of the resultant follows from the graph's cycles:
+every cycle's label counts r are primitive, so its factor is the binomial
+a^r - b^r itself.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .algebra import SparsePoly, cyclotomic, divisors
+from .algebra import SparsePoly
 from .family import BinomialFamily, CoeffAssignment, specialize
 from .graph import CYCLIC, Cycle, ReductionGraph, build_graph, cycle_polynomial
 from .linalg import det_sparse
@@ -157,47 +158,30 @@ def matrix_determinant(matrix: CMatrix) -> Fraction:
     return det_sparse(matrix.numeric_rows(family.a_values, family.b_values), matrix.size)
 
 
-def _homogenized_cyclotomic(n: int, e: int, s: tuple[int, ...]) -> SparsePoly:
-    # Psi_e(A, B) with A = prod a_i^{s_i}, B = prod b_i^{s_i}.
-    coeffs = cyclotomic(e)
-    degree = len(coeffs) - 1
-    zero = (0,) * n
-    terms = []
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        a_part = tuple(j * si for si in s)
-        b_part = tuple((degree - j) * si for si in s)
-        terms.append((a_part + b_part, c))
-    return SparsePoly(n, terms)
-
-
 def radical_of_cycle_product(graph: ReductionGraph) -> list[SparsePoly]:
-    """Distinct candidate irreducible factors of the cycle-polynomial product.
+    """The distinct cycle polynomials a^r - b^r, in order of first cycle.
 
-    Each cycle's a^r - b^r splits as the product of homogenized cyclotomic
-    polynomials in (a^s, b^s) over the divisors of g = gcd(r), s = r/g.
-    Factors are deduplicated by their (s, e) key and then by exact equality.
+    These are the irreducible non-monomial factors of the cycle product,
+    because every label count r of a resultant-degree cycle is primitive
+    (gcd(r) = 1), so a^r - b^r does not split further.
+
+    Lemma.  Suppose r = g*s with g > 1 and s primitive.  Put c_k = b_k/a_k
+    and let H be the hypersurface {c^s = zeta}, zeta a primitive g-th root
+    of unity.  On H, a^r = b^r, so by the radical theorem Res vanishes on H.
+    Each point of V(Res) has a support S and a set K of binomials whose two
+    terms both survive on S; some pair (S, K) covers a dense part of H.  Let
+    L = {lambda : sum lambda_k u_k|_S = 0}, u_k = d_k e_k - tail_k, be its
+    left-kernel lattice.  Then c^lambda = 1 on H for every lambda in L.  A
+    character c^lambda is constant on a coset of {c^s = 1} only when
+    lambda is in Z*s, and c^lambda = 1 on H then forces lambda in Z*g*s.
+    L is nonzero, or Res would vanish identically, which it does not at
+    b = 0.  But L is the kernel of an integer matrix, hence saturated, so
+    s is in L, and c^s = 1 contradicts c^s = zeta on H.
     """
-    n = graph.n
-    factors: list[SparsePoly] = []
-    seen: set[tuple[tuple[int, ...], int]] = set()
+    first: dict[tuple[int, ...], Cycle] = {}
     for cycle in graph.cycles:
-        r = cycle.label_counts
-        g = 0
-        for entry in r:
-            g = gcd(g, entry)
-        s = tuple(entry // g for entry in r)
-        for e in divisors(g):
-            if (s, e) in seen:
-                continue
-            seen.add((s, e))
-            factors.append(_homogenized_cyclotomic(n, e, s))
-    unique: list[SparsePoly] = []
-    for f in factors:
-        if all(f != u for u in unique):
-            unique.append(f)
-    return unique
+        first.setdefault(cycle.label_counts, cycle)
+    return [cycle_polynomial(cycle) for cycle in first.values()]
 
 
 @dataclass(frozen=True)

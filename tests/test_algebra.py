@@ -8,7 +8,6 @@ from binomial_ci import (
     CoeffMonomial,
     Monomial,
     SparsePoly,
-    cyclotomic,
     monomials_of_degree,
     multinomial,
     poly_divides,
@@ -98,29 +97,6 @@ class TestMultinomial:
 
     def test_grows_exactly(self):
         assert multinomial(60, (20, 20, 20)) == math.factorial(60) // math.factorial(20) ** 3
-
-
-class TestCyclotomic:
-    def test_small_values(self):
-        assert cyclotomic(1) == (-1, 1)
-        assert cyclotomic(2) == (1, 1)
-        assert cyclotomic(6) == (1, -1, 1)
-        assert cyclotomic(12) == (1, 0, -1, 0, 1)
-
-    def test_product_over_divisors_recovers_x_e_minus_1(self):
-        for e in range(1, 31):
-            product = [1]
-            for d in range(1, e + 1):
-                if e % d:
-                    continue
-                phi = cyclotomic(d)
-                out = [0] * (len(product) + len(phi) - 1)
-                for i, x in enumerate(product):
-                    for j, y in enumerate(phi):
-                        out[i + j] += x * y
-                product = out
-            expected = [-1] + [0] * (e - 1) + [1]
-            assert product == expected, e
 
 
 class TestCoeffMonomial:
@@ -338,6 +314,10 @@ class TestBoundaryValidation:
             sym(1, "a1") * 1.5
         with pytest.raises(TypeError):
             sym(1, "a1") + 1.5
+        # bool subclasses int, but True is not the rational 1
+        for value in (True, False):
+            with pytest.raises(TypeError):
+                SparsePoly.constant(1, value)
 
     def test_enumerated_monomials_equal_and_hash_like_checked_ones(self):
         for n, d in ((1, 3), (3, 4), (5, 2)):

@@ -245,8 +245,9 @@ class TestLefschetz:
             (1.5, 'error: dual file coefficient 1.5 is not an exact rational (an int or a "p/q" string)\n'),
             ("a1*b2", "error: dual file carries a symbolic coefficient 'a1*b2'; lefschetz needs numeric values\n"),
             ("1/0", "error: dual file coefficient '1/0' has a zero denominator\n"),
+            (True, 'error: dual file coefficient True is not an exact rational (an int or a "p/q" string)\n'),
         ],
-        ids=["float", "symbolic", "zero-denominator"],
+        ids=["float", "symbolic", "zero-denominator", "bool"],
     )
     def test_non_rational_coefficient_messages(self, capsys, tmp_path, coeff, message):
         dual_file = tmp_path / "dual.json"
@@ -255,6 +256,15 @@ class TestLefschetz:
         assert code == 1
         assert out == ""
         assert err == message
+
+    def test_repeated_exponent_exits_1(self, capsys, tmp_path):
+        # Keeping either coefficient would silently drop the other term.
+        dual_file = tmp_path / "dual.json"
+        dual_file.write_text(json.dumps({"terms": [{"alpha": [1, 1], "coeff": 1}, {"alpha": [1, 1], "coeff": 2}]}))
+        code, out, err = run_cli(capsys, "lefschetz", "--dual-file", str(dual_file))
+        assert code == 1
+        assert out == ""
+        assert err == "error: dual file repeats exponent (1, 1)\n"
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_trials_exit_1(self, capsys, tmp_path, trials):
@@ -319,8 +329,12 @@ class TestErrorsAndExitCodes:
             ("lefschetz", [1, 2]),
             ("lefschetz", {"terms": [{"alpha": [1, -3], "coeff": "1"}]}),
             ("lefschetz", {"terms": [{"alpha": [1.5, 0.5], "coeff": "1"}, {"alpha": [0, 1], "coeff": "1"}]}),
+            ("lefschetz", {"terms": [{"alpha": [[1], 1], "coeff": "1"}]}),
         ],
-        ids=["generator-not-an-object", "float-degree", "dual-file-not-an-object", "negative-exponent", "float-exponent"],
+        ids=[
+            "generator-not-an-object", "float-degree", "dual-file-not-an-object", "negative-exponent",
+            "float-exponent", "nested-exponent",
+        ],
     )
     def test_malformed_json_exits_1(self, capsys, tmp_path, command, payload):
         if command == "graph":
@@ -390,9 +404,9 @@ def test_console_entry_point_runs():
     assert "a1*a2*a3*(a2*a3 - b2*b3)" in result.stdout
 
 
-def _json_chain_with_float_coefficient() -> str:
+def _json_chain_with_coefficient(a1) -> str:
     data = family_to_json(three_var_chain())
-    data["coefficients"] = {"mode": "numeric", "a": [1.5, "1", "1"], "b": ["1", "1", "1"]}
+    data["coefficients"] = {"mode": "numeric", "a": [a1, "1", "1"], "b": ["1", "1", "1"]}
     return json.dumps(data)
 
 
@@ -409,10 +423,18 @@ class TestBadRationalInput:
                 ["graph", "--family", CHAIN.replace("a1*x1^2", "1/0*x1^2"), "--degree", "2"],
                 "1/0",
             ),
-            (["graph", "--family", _json_chain_with_float_coefficient(), "--degree", "2"], "1.5"),
+            (["graph", "--family", _json_chain_with_coefficient(1.5), "--degree", "2"], "1.5"),
             (["graph", "--family", CHAIN, "--set", "a=1", "--degree", "2"], "'a'"),
+            # bool subclasses int, but a JSON true is not a coefficient
+            (
+                ["graph", "--family", _json_chain_with_coefficient(True), "--degree", "2"],
+                'coefficient True is not an integer or a "p/q" string',
+            ),
         ],
-        ids=["set-zero-denominator", "poly-zero-denominator", "text-zero-denominator", "json-float", "set-no-index"],
+        ids=[
+            "set-zero-denominator", "poly-zero-denominator", "text-zero-denominator", "json-float", "set-no-index",
+            "json-bool",
+        ],
     )
     def test_exits_1_naming_the_value(self, capsys, argv, bad):
         code, out, err = run_cli(capsys, *argv)

@@ -142,6 +142,31 @@ class TestRoundTrip:
         with pytest.raises(FamilyValidationError):
             family_from_json(duplicate)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"n": "2", "generators": [{"i": "1", "d": "2", "m": ["0", "2"]}, {"i": 2, "d": 2, "m": [2, 0]}]},
+                "'2' is not an integer",
+            ),
+            ({"n": "x", "generators": []}, "'x' is not an integer"),
+            # a string or an object would be read value by value: "12" as a = (1, 2)
+            (
+                {
+                    "n": 2,
+                    "generators": [{"i": 1, "d": 2, "m": [0, 2]}, {"i": 2, "d": 2, "m": [2, 0]}],
+                    "coefficients": {"mode": "numeric", "a": "12", "b": {"3": 0, "4": 0}},
+                },
+                "coefficients 'a' and 'b' must be JSON lists",
+            ),
+        ],
+        ids=["numeric-strings", "non-numeric-string", "coefficients-not-lists"],
+    )
+    def test_json_values_of_the_wrong_json_type_are_named(self, data, message):
+        with pytest.raises(FamilyValidationError) as exc:
+            family_from_json(data)
+        assert str(exc.value) == message
+
 
 class TestSpecialize:
     def test_identity_assignment(self, double_cycle):

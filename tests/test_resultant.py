@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from binomial_ci import (
     resultant_radical,
     specialize,
 )
-from binomial_ci.resultant import BOUNDED, CERTAIN, PROBABILISTIC
+from binomial_ci.resultant import BOUNDED, CERTAIN, PROBABILISTIC, det_structural_parts
 
 from conftest import random_family, random_nonzero
 
@@ -168,39 +170,6 @@ class TestRadicalOfCycleProduct:
         factors = radical_of_cycle_product(build_graph(double_cycle, 4))
         assert factors == [sym_binomial(3, 2, 3)]
 
-    def test_gcd_splitting_into_cyclotomics(self):
-        # searches over small families never produced gcd(r) > 1, so drive the
-        # divisor splitting with synthetic cycles: r = (1,1) and r = (2,2)
-        from types import SimpleNamespace
-
-        from binomial_ci.graph import Cycle
-
-        m = Monomial((1, 1))
-        cycles = (
-            Cycle((m, m), (1, 2), (1, 1)),
-            Cycle((m, m, m, m), (1, 2, 1, 2), (2, 2)),
-        )
-        graph = SimpleNamespace(n=2, cycles=cycles)
-        factors = radical_of_cycle_product(graph)
-        a12 = sym(2, "a1") * sym(2, "a2")
-        b12 = sym(2, "b1") * sym(2, "b2")
-        assert factors == [a12 - b12, a12 + b12]
-
-    def test_gcd_three_splits_into_three_cyclotomic_factors(self):
-        from types import SimpleNamespace
-
-        from binomial_ci.graph import Cycle
-
-        m = Monomial((1, 1))
-        graph = SimpleNamespace(n=2, cycles=(Cycle((m,) * 6, (1, 2) * 3, (3, 3)),))
-        factors = radical_of_cycle_product(graph)
-        a12 = sym(2, "a1") * sym(2, "a2")
-        b12 = sym(2, "b1") * sym(2, "b2")
-        # a^3 - b^3 = (a - b)(a^2 + ab + b^2) in the packed symbols
-        assert factors == [a12 - b12, a12 * a12 + a12 * b12 + b12 * b12]
-        product = factors[0] * factors[1]
-        assert product == a12**3 - b12**3
-
     def test_acyclic_graph_has_no_factors(self, chain):
         assert radical_of_cycle_product(build_graph(chain, 3)) == []
 
@@ -212,6 +181,31 @@ class TestRadicalOfCycleProduct:
             p = graph_cycle_polynomial(graph)
             for f in radical_of_cycle_product(graph):
                 assert poly_divides(f, p)
+
+    def test_resultant_degree_cycles_are_primitive(self):
+        # The lemma in radical_of_cycle_product: every cycle's label counts
+        # have gcd 1, so a^r - b^r is the whole factor.  Every tail choice.
+        for degrees in [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (3, 6), (2, 2, 2), (2, 2, 3), (3, 3, 3)]:
+            n = len(degrees)
+            choices = [
+                [m for m in monomials_of_degree(n, d) if m != Monomial.variable(n, i + 1, d)]
+                for i, d in enumerate(degrees)
+            ]
+            for tails in itertools.product(*choices):
+                fam = BinomialFamily.symbolic(list(degrees), list(tails))
+                graph = build_graph.__wrapped__(fam, fam.resultant_degree)
+                for cycle in graph.cycles:
+                    assert math.gcd(*cycle.label_counts) == 1, (degrees, tails, cycle)
+
+    def test_radical_equals_the_determinants_distinct_factors(self, ci_corpus):
+        rng = random.Random(46)
+        families = list(ci_corpus) + [random_family(rng, numeric=False) for _ in range(15)]
+        for fam in families:
+            graph = build_graph(fam, fam.resultant_degree)
+            radical = radical_of_cycle_product(graph)
+            _, det_factors = det_structural_parts(graph)
+            assert len(set(radical)) == len(radical)
+            assert set(radical) == {poly for poly, _ in det_factors}
 
 
 class TestResultantRadical:

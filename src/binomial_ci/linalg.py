@@ -78,14 +78,6 @@ class RowSpace:
     def contains(self, row: Row) -> bool:
         return not self._reduced(to_int_row(row))
 
-    def copy(self) -> RowSpace:
-        """An independent space with the same rows; adding to either leaves
-        the other unchanged."""
-        other = RowSpace()
-        # Pivot rows are never mutated in place, so they can be shared.
-        other._pivots = dict(self._pivots)
-        return other
-
 
 def rank_of(rows: Iterable[Row]) -> int:
     space = RowSpace()

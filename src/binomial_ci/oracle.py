@@ -1,8 +1,13 @@
-"""Brute-force verification by exact linear algebra.
+"""Verification by exact linear algebra, independent of the reduction graph.
 
-Hilbert functions come from ranks of Macaulay matrices with integer rows
-(the degree-j multiples of the generators, each scaled once to coprime
-integers); the complete-intersection test is the one rank h_{D+1} = 0.
+Every row x^beta * f_k of a Macaulay matrix has at most two terms, so the
+ideal's degree-j piece is read off the right kernel of its Macaulay matrix,
+built by `macaulay_kernel` as a union-find over the columns: Hilbert
+functions count its live components, membership of a monomial or polynomial
+and the avoided-power basis test read its components, and the
+complete-intersection test is the one rank h_{D+1} = 0.  `macaulay_rows`
+builds the same matrix as integer rows (each generator scaled once to
+coprime integers) for the brute-force `linalg.RowSpace` reference.
 Inverse-system dimensions come from catalecticant ranks under contraction of
 rows x^gamma o F from `dual.action_image`, up to half the degree of F (the
 catalecticants of complementary degrees are transposes).  The avoided-power
@@ -13,7 +18,6 @@ and exact; no probabilistic rank.
 
 from __future__ import annotations
 
-import math
 from operator import add
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +27,7 @@ from typing import Mapping, Sequence
 from .algebra import Monomial, as_fraction, monomials_of_degree
 from .dual import DIFFERENTIATION, Exponents, _check_convention, action_image, normalize_terms, numeric_form
 from .family import BinomialFamily
-from .linalg import RowSpace, rank_of, to_int_row
+from .linalg import rank_of, to_int_row
 
 
 class NotCompleteIntersectionError(ValueError):
@@ -93,23 +97,168 @@ def macaulay_rows(n: int, generators: Generators, degree: int) -> list[dict[int,
     return rows
 
 
-def _macaulay_space(n: int, generators: Generators, degree: int) -> RowSpace:
-    """Row space of the degree-`degree` Macaulay matrix."""
-    space = RowSpace()
-    for row in macaulay_rows(n, generators, degree):
-        space.add(row)
-    return space
+class MacaulayKernel:
+    """Right kernel of the degree-j Macaulay matrix of a binomial system.
+
+    Every row x^beta * f_k has at most two terms: a_k in the column
+    u = beta + d_k e_k and -b_k in the column v = beta + tail_k.  A kernel
+    vector y therefore satisfies a_k y_u = b_k y_v on every row, and the
+    columns fall into components of a union-find over the two-term rows.
+    Each column stores its potential r, an exponent vector packed into one
+    int, with y_u = c^r y_root for c_k = b_k/a_k.  A component is *dead*
+    (y = 0 on it) when it holds a one-term row (a_k = 0 or b_k = 0) or a
+    cycle whose vector r has c^r != 1, the lattice criterion of Eisenbud &
+    Sturmfels; each live component is one kernel dimension.  So the rank is
+    #columns - #live, a monomial is in the row space exactly when its
+    component is dead, and a polynomial p exactly when
+    sum p_u c^pot(u) = 0 over each live component.
+
+    Built complete and path-compressed: `root[x]` is the component of column
+    x and `pot[x]` its potential relative to the root.  Read only.
+    """
+
+    __slots__ = ("ratios", "width", "root", "pot", "dead", "live")
+
+    def __init__(
+        self, ratios: tuple[Fraction | None, ...], width: int, root: list[int], pot: list[int], dead: bytearray
+    ):
+        self.ratios = ratios  # c_k, or None where a_k or b_k is zero
+        self.width = width  # base of the packed potentials, balanced digits
+        self.root = root
+        self.pot = pot
+        self.dead = dead
+        self.live = sum(1 for x, r in enumerate(root) if x == r and not dead[x])
+
+    @property
+    def rank(self) -> int:
+        return len(self.root) - self.live
+
+    def contains_column(self, x: int) -> bool:
+        return bool(self.dead[self.root[x]])
+
+    def contains(self, row: Mapping[int, Fraction]) -> bool:
+        """Whether the {column: rational} row lies in the row space."""
+        sums: dict[int, Fraction] = {}
+        for x, value in row.items():
+            r = self.root[x]
+            if not self.dead[r]:
+                factor = _character(self.ratios, _unpack(self.pot[x], len(self.ratios), self.width))
+                sums[r] = sums.get(r, 0) + value * factor
+        return not any(sums.values())
+
+
+def _unpack(packed: int, n: int, width: int) -> list[int]:
+    """The exponent vector of a potential packed in balanced base `width`."""
+    half = width // 2
+    out = []
+    for _ in range(n):
+        digit = (packed + half) % width - half
+        out.append(digit)
+        packed = (packed - digit) // width
+    return out
+
+
+def _character(ratios, r: Sequence[int]) -> Fraction:
+    """c^r = prod c_k^r_k; every k with r_k != 0 has a nonzero ratio."""
+    value = Fraction(1)
+    for c, e in zip(ratios, r):
+        if e:
+            value *= c**e
+    return value
+
+
+def macaulay_kernel(
+    degrees: Sequence[int],
+    tails: Sequence[Exponents],
+    a_values: Sequence[Fraction],
+    b_values: Sequence[Fraction],
+    degree: int,
+) -> MacaulayKernel:
+    """The MacaulayKernel of f_k = a_k x_k^d_k - b_k x^tails[k] in degree
+    `degree`; a_k = 0 is allowed (the radical's probe points)."""
+    n = len(degrees)
+    columns = _columns(n, degree)
+    size = len(columns)
+    # A potential, or a cycle vector less its closing edge, sums +-e_k along
+    # a path of the spanning forest, at most size - 1 edges, so no digit
+    # exceeds size in magnitude.  Balanced digits up to 2 * size + 1 leave a
+    # margin: every packed value decodes uniquely.
+    width = 2 * (2 * size + 1) + 1
+    parent = list(range(size))
+    pot = [0] * size
+    dead = bytearray(size)
+    weight = [1] * size
+    ratios = []
+    moves = []
+    for k, (d, tail, a, b) in enumerate(zip(degrees, tails, a_values, b_values)):
+        ratios.append(Fraction(b) / a if a and b else None)
+        if not (a or b):
+            continue  # f_k = 0: no rows
+        delta = list(tail)
+        delta[k] -= d
+        # kind: 0 links u and v; 1 kills u (b_k = 0); 2 kills v (a_k = 0)
+        moves.append((k, d, tuple(delta), 0 if a and b else 1 if a else 2, width**k))
+    ratios = tuple(ratios)
+    verdicts: dict[int, bool] = {}
+
+    def find(x: int) -> int:
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        acc = 0
+        for y in reversed(path):
+            acc += pot[y]
+            pot[y] = acc
+            parent[y] = x
+        return x
+
+    for u, iu in columns.items():
+        for k, d, delta, kind, step in moves:
+            if u[k] < d:
+                continue
+            if kind == 1:
+                dead[find(iu)] = 1
+                continue
+            iv = columns[tuple(map(add, u, delta))]
+            if kind == 2:
+                dead[find(iv)] = 1
+                continue
+            ru, rv = parent[iu], parent[iv]
+            if parent[ru] != ru:
+                ru = find(iu)
+            if parent[rv] != rv:
+                rv = find(iv)
+            # c^pot(u) y_ru = c_k c^pot(v) y_rv, so y_ru = c^r y_rv
+            r = step + pot[iv] - pot[iu]
+            if ru == rv:
+                if r and not dead[ru]:
+                    holds = verdicts.get(r)
+                    if holds is None:
+                        holds = verdicts[r] = _character(ratios, _unpack(r, n, width)) == 1
+                    if not holds:
+                        dead[ru] = 1
+            elif weight[ru] <= weight[rv]:
+                parent[ru], pot[ru] = rv, r
+                weight[rv] += weight[ru]
+                dead[rv] |= dead[ru]
+            else:
+                parent[rv], pot[rv] = ru, -r
+                weight[ru] += weight[rv]
+                dead[ru] |= dead[rv]
+    for x, p in enumerate(parent):
+        if parent[p] != p:
+            find(x)
+    return MacaulayKernel(ratios, width, parent, pot, dead)
 
 
 @lru_cache(maxsize=512)
-def _ideal_space(family: BinomialFamily, degree: int) -> RowSpace:
-    # Shared by every caller: read it, or mutate a copy().
-    return _macaulay_space(family.n, [family.generator_values(i) for i in range(1, family.n + 1)], degree)
-
-
-def _fills_degree(space: RowSpace, n: int, degree: int) -> bool:
-    """Whether a degree-`degree` row space is all of R_degree: h_degree = 0."""
-    return space.rank == math.comb(degree + n - 1, n - 1)
+def _ideal_space(family: BinomialFamily, degree: int) -> MacaulayKernel:
+    """The degree-`degree` piece of the ideal, as its Macaulay kernel.
+    Shared by every caller: read it only."""
+    return macaulay_kernel(
+        family.degrees, tuple(t.exponents for t in family.tails), family.a_values, family.b_values, degree
+    )
 
 
 def _check_max_degree(max_degree: int) -> None:
@@ -118,15 +267,11 @@ def _check_max_degree(max_degree: int) -> None:
 
 
 def hilbert_function(family: BinomialFamily, max_degree: int) -> HilbertFunction:
-    """h_j = dim R_j - rank(Macaulay matrix) for j = 0..max_degree."""
+    """h_j = dim R_j - rank(Macaulay matrix), the number of live kernel
+    components, for j = 0..max_degree."""
     _check_max_degree(max_degree)
     _require_numeric(family)
-    return HilbertFunction(
-        tuple(
-            math.comb(j + family.n - 1, family.n - 1) - _ideal_space(family, j).rank
-            for j in range(max_degree + 1)
-        )
-    )
+    return HilbertFunction(tuple(_ideal_space(family, j).live for j in range(max_degree + 1)))
 
 
 def ci_reference(degrees: Sequence[int], max_degree: int) -> tuple[int, ...]:
@@ -152,8 +297,7 @@ def is_complete_intersection(family: BinomialFamily) -> bool:
     Cohen-Macaulay ring R are a regular sequence (Bruns & Herzog, 2.1), whose
     Hilbert function is ci_reference, zero past D."""
     _require_numeric(family)
-    top = family.socle_degree + 1
-    return _fills_degree(_ideal_space(family, top), family.n, top)
+    return not _ideal_space(family, family.socle_degree + 1).live
 
 
 def basis_check(family: BinomialFamily) -> bool:
@@ -164,24 +308,27 @@ def basis_check(family: BinomialFamily) -> bool:
         raise NotCompleteIntersectionError(
             "basis_check requires a complete intersection at the given coefficients"
         )
+    # The quotient R_j / I_j is dual to the kernel, one coordinate per live
+    # component, and a monomial's functional y -> y_m is a nonzero multiple
+    # of its component's coordinate when that component is live.  So the
+    # avoided-power monomials are independent modulo I_j exactly when they
+    # lie in distinct live components.
     for j in range(family.socle_degree + 1):
         columns = _columns(family.n, j)
-        space = _ideal_space(family, j).copy()
-        h = len(columns) - space.rank
+        kernel = _ideal_space(family, j)
         basis = family.basis_monomials(j)
-        if len(basis) != h:
+        if len(basis) != kernel.live:
             return False
-        for m in basis:
-            if not space.add({columns[m.exponents]: 1}):
-                return False
+        roots = {kernel.root[columns[m.exponents]] for m in basis}
+        if len(roots) != len(basis) or any(kernel.dead[r] for r in roots):
+            return False
     return True
 
 
 def ideal_membership(family: BinomialFamily, m: Monomial) -> bool:
     """Whether m lies in the degree-deg(m) piece of the ideal."""
     _require_numeric(family)
-    column = _columns(family.n, m.degree)[m.exponents]
-    return _ideal_space(family, m.degree).contains({column: 1})
+    return _ideal_space(family, m.degree).contains_column(_columns(family.n, m.degree)[m.exponents])
 
 
 def polynomial_in_ideal(family: BinomialFamily, terms: Mapping[Monomial, Fraction]) -> bool:

@@ -19,7 +19,7 @@ from .algebra import SparsePoly
 from .family import BinomialFamily, CoeffAssignment, specialize
 from .graph import CYCLIC, Cycle, ReductionGraph, build_graph, cycle_polynomial
 from .linalg import det_sparse
-from .oracle import _fills_degree, _macaulay_space
+from .oracle import macaulay_kernel
 
 CERTAIN = "certain"
 PROBABILISTIC = "probabilistic"
@@ -229,18 +229,14 @@ def _random_nonzero(rng: random.Random, bound: int = 1000) -> Fraction:
 def _probe_t_index(family: BinomialFamily, i: int, rng: random.Random, trials: int = 5) -> TEntry:
     # Specialize a_i := 0 (and unfixed symbols to random nonzero rationals);
     # any complete intersection (h_{D+1} = 0, as in is_complete_intersection)
-    # among the trials certifies a_i does not divide the resultant.
-    n = family.n
-    for _ in range(trials):
+    # among the trials certifies a_i does not divide the resultant.  A numeric
+    # family draws nothing, so its trials would all test the same point.
+    tails = tuple(t.exponents for t in family.tails)
+    for _ in range(1 if family.is_numeric else trials):
         a_vals = [v if v is not None else _random_nonzero(rng) for v in family.a_values]
         b_vals = [v if v is not None else _random_nonzero(rng) for v in family.b_values]
         a_vals[i - 1] = Fraction(0)
-        generators = [
-            {family.lead_monomial(k): a_vals[k - 1], family.tails[k - 1]: -b_vals[k - 1]}
-            for k in range(1, n + 1)
-        ]
-        top = family.socle_degree + 1
-        if _fills_degree(_macaulay_space(n, generators, top), n, top):
+        if not macaulay_kernel(family.degrees, tails, a_vals, b_vals, family.socle_degree + 1).live:
             return TEntry(i, 0, CERTAIN)
     return TEntry(i, 1, PROBABILISTIC)
 

@@ -7,6 +7,7 @@ functions, Hessian ranks) and compares for exact equality.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,12 +17,14 @@ from .dual import CONTRACTION, DIFFERENTIATION, dual_generator, s_vector, verify
 from .family import CoeffAssignment, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
 from .lefschetz import graded_dimension, hessian, monomial_basis
+from .linalg import rank_of
 from .oracle import (
     basis_check,
     hilbert_function,
     inverse_system_dims,
     is_complete_intersection,
     m_spans_ann_quotient,
+    macaulay_rows,
 )
 from .resultant import det_numeric_oracle, det_structural, radical_of_cycle_product, resultant_radical
 from .rewrite import TO_CYCLE, certificate, check_certificate, reduce_monomial, reduce_polynomial
@@ -248,6 +251,23 @@ def _check_ci_points() -> bool:
     return True
 
 
+def _check_kernel_against_rows() -> bool:
+    # The union-find kernel behind every Hilbert function, against exact row
+    # reduction of the same Macaulay matrices, through degree D + 2.
+    fam = catalog.three_var_double_cycle()
+    generic = CoeffAssignment.of(3, a1=2, a2=-3, a3=5, b1=7, b2=1, b3=-4)
+    # a2*a3 = b2*b3, and b1 = 0 leaves one-term rows
+    degenerate = CoeffAssignment.of(3, a1=1, a2=1, a3=1, b1=0, b2=1, b3=1)
+    for assignment in (generic, degenerate):
+        point = specialize(fam, assignment)
+        generators = [point.generator_values(i) for i in range(1, 4)]
+        top = point.socle_degree + 2
+        expected = tuple(math.comb(j + 2, 2) - rank_of(macaulay_rows(3, generators, j)) for j in range(top + 1))
+        if hilbert_function(point, top).values != expected:
+            return False
+    return True
+
+
 def _check_small_values() -> bool:
     return multinomial(3, (1, 1, 1)) == 6 and multinomial(3, (2, 1, 0)) == 3
 
@@ -268,6 +288,7 @@ CHECKS = [
     ("alternate pentagon: inverse-system dims at the special locus", _check_pentagon_alt_dims),
     ("WLP failure form: deficient Hessian, spanning fails", _check_wlp_failure),
     ("complete-intersection test points", _check_ci_points),
+    ("Macaulay kernel vs row reduction, generic and degenerate", _check_kernel_against_rows),
     ("multinomial values", _check_small_values),
 ]
 

@@ -371,7 +371,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "16/16 checks passed" in out
+        assert "17/17 checks passed" in out
 
 
 class TestDeterminism:

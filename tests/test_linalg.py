@@ -133,16 +133,6 @@ def test_det_rejects_non_square():
         det_sparse(wide, 3)
 
 
-def test_rowspace_copy_is_independent():
-    space = RowSpace()
-    space.add({0: 1, 1: 2})
-    copy = space.copy()
-    assert copy.add({1: 1, 2: 1})
-    assert copy.rank == 2 and space.rank == 1
-    assert not space.contains({1: 1, 2: 1})
-    assert copy.contains({0: 1, 1: 2})
-
-
 def naive_sparse_det(rows, size):
     """Leibniz expansion over all permutations, skipping zero products."""
     total = Fraction(0)

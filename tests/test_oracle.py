@@ -409,3 +409,125 @@ def test_rank_per_degree_spanning_matches_the_row_space_routine(ci_corpus, penta
         assert m_spans_ann_quotient(fam, F) == expected
         outcomes.append(expected)
     assert True in outcomes and False in outcomes
+
+
+# ---------------------------------------------------------------------------
+# The union-find Macaulay kernel against the brute-force rows: macaulay_rows
+# eliminated by RowSpace.
+
+
+def rows_space(degrees, tails, a, b, degree):
+    """The degree-`degree` Macaulay row space by exact row reduction."""
+    from binomial_ci.linalg import RowSpace
+    from binomial_ci.oracle import macaulay_rows
+
+    n = len(degrees)
+    generators = [
+        {Monomial.variable(n, k + 1, d): a[k], tails[k]: -b[k]} for k, d in enumerate(degrees)
+    ]
+    space = RowSpace()
+    rows = macaulay_rows(n, generators, degree)
+    for row in rows:
+        space.add(row)
+    return space, rows
+
+
+def basis_check_by_rows(family):
+    """The copy-and-add basis test: in each degree the avoided-power
+    monomials count h_j and each one enlarges the Macaulay row space."""
+    for j in range(family.socle_degree + 1):
+        space, _ = rows_space(family.degrees, family.tails, family.a_values, family.b_values, j)
+        columns = {m: x for x, m in enumerate(monomials_of_degree(family.n, j))}
+        basis = family.basis_monomials(j)
+        if len(basis) != len(columns) - space.rank:
+            return False
+        if not all(space.add({columns[m]: 1}) for m in basis):
+            return False
+    return True
+
+
+def with_b(family, b_values):
+    return specialize(family, CoeffAssignment(family.a_values, tuple(b_values)))
+
+
+def tied(family, rng):
+    """The family with every ratio c_k = b_k/a_k drawn from {c, 1/c}, so that
+    cycles whose vector r is nonzero can still have c^r = 1."""
+    c = rng.choice([Fraction(2), Fraction(-1), Fraction(-1, 3), Fraction(3, 2)])
+    return with_b(family, [a * rng.choice([c, 1 / c]) for a in family.a_values])
+
+
+def kernel_points(ci_corpus):
+    """(family or None, degrees, tails, a, b): the corpus, its b = a, b = -a
+    and b = 0 variants, a_i = 0 probe points, ratio ties and seeded random
+    families.  Probe points are not families, since a family has a_i != 0."""
+    rng = random.Random(131)
+    families = list(ci_corpus)
+    for fam in ci_corpus:
+        families.append(with_b(fam, fam.a_values))
+        families.append(with_b(fam, [-a for a in fam.a_values]))
+    for fam in ci_corpus[:8]:
+        families.append(with_b(fam, [0] * fam.n))
+    for fam in [random_family(rng, n_range=(2, 3)) for _ in range(12)]:
+        families.append(tied(fam, rng))
+    # Long live paths: from degree 8 on, the rows join every column
+    # x1^i*x2^(j-i) into one component, which c_1 * c_2 = 1 keeps live, with
+    # potentials of up to about j/2 in one digit.
+    chain = parse_family("f1 = 1*x1^5 - 2*x1^4*x2 ; f2 = 3*x2^5 - 3/2*x1*x2^4")
+    families += [chain, with_b(chain, [Fraction(-1), Fraction(-3)])]
+    randoms = [random_family(rng) for _ in range(12)]
+    families += randoms
+    points = [(f, f.degrees, f.tails, f.a_values, f.b_values) for f in families]
+    for fam in ci_corpus[:8] + randoms[:4]:
+        for i in range(fam.n):
+            a = list(fam.a_values)
+            a[i] = Fraction(0)
+            points.append((None, fam.degrees, fam.tails, a, fam.b_values))
+    return points
+
+
+def test_kernel_matches_row_reduction(ci_corpus):
+    from binomial_ci.oracle import macaulay_kernel
+
+    rng = random.Random(137)
+    outcomes = set()
+    for family, degrees, tails, a, b in kernel_points(ci_corpus):
+        n = len(degrees)
+        exps = tuple(t.exponents for t in tails)
+        top = sum(d - 1 for d in degrees) + 2
+        values = []
+        for j in range(top + 1):
+            monomials = monomials_of_degree(n, j)
+            space, rows = rows_space(degrees, tails, a, b, j)
+            kernel = macaulay_kernel(degrees, exps, a, b, j)
+            assert kernel.rank == space.rank
+            values.append(len(monomials) - space.rank)
+            for x, m in enumerate(monomials):
+                expected = space.contains({x: 1})
+                assert kernel.contains_column(x) == expected
+                if family is not None:
+                    assert ideal_membership(family, m) == expected
+            for _ in range(3 if rows else 0):
+                combo: dict[int, Fraction] = {}
+                for row in rng.sample(rows, min(len(rows), 4)):
+                    scale = random_nonzero(rng)
+                    for x, v in row.items():
+                        combo[x] = combo.get(x, 0) + scale * v
+                extra = dict(combo)
+                x = rng.randrange(len(monomials))
+                extra[x] = extra.get(x, 0) + random_nonzero(rng)
+                for poly in (combo, extra):
+                    expected = space.contains(poly)
+                    assert kernel.contains(poly) == expected
+                    if family is not None:
+                        terms = {monomials[x]: v for x, v in poly.items()}
+                        assert polynomial_in_ideal(family, terms) == expected
+                    outcomes.add(expected)
+        if family is not None:
+            assert hilbert_function(family, top).values == tuple(values)
+            if values[top - 1] == 0:  # h_{D+1} = 0: a complete intersection
+                assert basis_check(family) == basis_check_by_rows(family)
+            else:
+                with pytest.raises(NotCompleteIntersectionError):
+                    basis_check(family)
+    assert outcomes == {True, False}

@@ -354,3 +354,82 @@ def test_probe_statuses_match_the_full_hilbert_function_reference():
         assert got == reference_probe(family, seed)
         seen.update(got.values())
     assert {(CERTAIN, 0), (PROBABILISTIC, 1)} <= seen
+
+
+def probe_by_rows(family, i, rng, trials=5):
+    """The probe before the Macaulay kernel: five trials whatever the family,
+    each an exact RowSpace rank of the degree-(D+1) Macaulay rows."""
+    from binomial_ci.linalg import RowSpace
+    from binomial_ci.oracle import macaulay_rows
+    from binomial_ci.resultant import TEntry, _random_nonzero
+
+    n, top = family.n, family.socle_degree + 1
+    for _ in range(trials):
+        a = [v if v is not None else _random_nonzero(rng) for v in family.a_values]
+        b = [v if v is not None else _random_nonzero(rng) for v in family.b_values]
+        a[i - 1] = Fraction(0)
+        generators = [
+            {family.lead_monomial(k): a[k - 1], family.tails[k - 1]: -b[k - 1]} for k in range(1, n + 1)
+        ]
+        space = RowSpace()
+        for row in macaulay_rows(n, generators, top):
+            space.add(row)
+        if space.rank == math.comb(top + n - 1, n - 1):
+            return TEntry(i, 0, CERTAIN)
+    return TEntry(i, 1, PROBABILISTIC)
+
+
+def test_probe_builds_one_kernel_on_a_numeric_family_and_keeps_the_cli_output(monkeypatch, capsys):
+    import binomial_ci.resultant as resultant
+    from binomial_ci import catalog, format_family
+    from binomial_ci.cli import main
+
+    rng = random.Random(139)
+    symbolic = [
+        catalog.three_var_chain(),
+        catalog.three_var_double_cycle(),
+        catalog.two_var_loop(),
+        catalog.five_var_pentagon(),
+    ]
+    symbolic += [pure_power_family(rng) for _ in range(6)]
+    families = list(symbolic)
+    for fam in symbolic[:1] + symbolic[4:]:
+        for _ in range(3):
+            values = [random_nonzero(rng) for _ in range(2 * fam.n)]
+            families.append(specialize(fam, CoeffAssignment(tuple(values[: fam.n]), tuple(values[fam.n :]))))
+    families.append(specialize(symbolic[0], CoeffAssignment((None,) * 3, (1, 1, 1))))  # mixed
+
+    real_kernel, real_probe = resultant.macaulay_kernel, resultant._probe_t_index
+    builds = []
+    probes = []  # (numeric, kernel builds, status)
+
+    def counting_kernel(*args):
+        builds.append(args)
+        return real_kernel(*args)
+
+    def counting_probe(family, i, rng, trials=5):
+        builds.clear()
+        entry = real_probe(family, i, rng, trials)
+        probes.append((family.is_numeric, len(builds), entry.status))
+        return entry
+
+    def cli_json(family, seed):
+        argv = ["resultant", "--family", format_family(family), "--radical", "--probe", "--seed", str(seed), "--format", "json"]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    for seed, family in enumerate(families):
+        with monkeypatch.context() as patch:
+            patch.setattr(resultant, "macaulay_kernel", counting_kernel)
+            patch.setattr(resultant, "_probe_t_index", counting_probe)
+            got = cli_json(family, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(resultant, "_probe_t_index", probe_by_rows)
+            assert got == cli_json(family, seed)
+    for numeric, count, status in probes:
+        if numeric:
+            assert count == 1
+        else:
+            assert 1 <= count <= 5 and (count == 5 or status == CERTAIN)
+    seen = {(numeric, status) for numeric, _, status in probes}
+    assert seen == {(n, s) for n in (True, False) for s in (CERTAIN, PROBABILISTIC)}

@@ -30,7 +30,14 @@ from .family import (
 from .graph import build_graph, graph_cycle_polynomial, graph_to_json, to_dot
 from .lefschetz import slp_check
 from .oracle import ci_reference, hilbert_function
-from .resultant import CMatrix, det_structural_parts, expand_factored, graph_radical, matrix_determinant
+from .resultant import (
+    det_numeric_oracle,
+    det_structural,
+    det_structural_parts,
+    matrix_to_json,
+    matrix_to_text,
+    resultant_radical,
+)
 from .rewrite import (
     TO_BASIS,
     certificate,
@@ -198,14 +205,12 @@ def _cmd_resultant(args) -> int:
     show_radical = args.radical or not (args.matrix or args.det)
     payload: dict = {}
     lines: list[str] = []
-    graph = build_graph(family, family.resultant_degree)
-    matrix = CMatrix(family, graph)
     if args.matrix:
-        payload["matrix"] = matrix.to_json()
-        lines.append(matrix.to_text())
+        payload["matrix"] = matrix_to_json(family)
+        lines.append(matrix_to_text(family))
     if args.det:
-        monomial, factors = det_structural_parts(graph)
-        det = expand_factored(monomial, factors)
+        monomial, factors = det_structural_parts(family)
+        det = det_structural(family)
         factored = str(monomial) + "".join(
             f"*({poly})" + (f"^{count}" if count > 1 else "") for poly, count in factors
         )
@@ -214,12 +219,12 @@ def _cmd_resultant(args) -> int:
         lines.append(f"|C| = {factored}")
         lines.append(f"expanded: {det}")
         if family.is_numeric:
-            value = matrix_determinant(matrix)
+            value = det_numeric_oracle(family)
             payload["determinant_value"] = str(value)
             lines.append(f"|C| at the family's values = {value}")
     if show_radical:
         rng = random.Random(args.seed)
-        result = graph_radical(graph, probe=args.probe, rng=rng)
+        result = resultant_radical(family, probe=args.probe, rng=rng)
         payload["radical"] = result.to_json()
         factored = [f"a{e.index}" for e in result.t if e.value == 1]
         factored += [f"({f})" for f in result.factors if not f.is_constant()]

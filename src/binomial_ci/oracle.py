@@ -70,6 +70,12 @@ def _require_numeric(family: BinomialFamily) -> None:
         raise ValueError("this oracle needs a fully numeric family")
 
 
+def _check_variables(family: BinomialFamily, monomials) -> None:
+    for m in monomials:
+        if len(m.exponents) != family.n:
+            raise ValueError(f"monomial {m} does not have {family.n} variables")
+
+
 Generators = Sequence[Mapping[Monomial | Exponents, Fraction | int]]
 
 
@@ -328,12 +334,14 @@ def basis_check(family: BinomialFamily) -> bool:
 def ideal_membership(family: BinomialFamily, m: Monomial) -> bool:
     """Whether m lies in the degree-deg(m) piece of the ideal."""
     _require_numeric(family)
+    _check_variables(family, [m])
     return _ideal_space(family, m.degree).contains_column(_columns(family.n, m.degree)[m.exponents])
 
 
 def polynomial_in_ideal(family: BinomialFamily, terms: Mapping[Monomial, Fraction]) -> bool:
     """Membership for a homogeneous polynomial given as monomial -> rational."""
     _require_numeric(family)
+    _check_variables(family, terms)
     coeffs = {m: as_fraction(c) for m, c in terms.items()}
     nonzero = {m: c for m, c in coeffs.items() if c}
     if not nonzero:

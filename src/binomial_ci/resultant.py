@@ -1,12 +1,18 @@
-"""The structured resultant matrix and the radical of the resultant.
+"""The resultant matrix, its determinant and the radical of the resultant.
 
-At degree sum(d_i - 1) + 1 every monomial is divisible by some x_i^{d_i}, so
-the rows (x^alpha / x_i^{d_i}) * f_i form a square matrix with every a on the
-diagonal and a single -b per row sitting on the reduction-graph successor.
-Its determinant is the a-product over transient vertices times the cycle
-polynomials, and the radical of the resultant follows from the graph's cycles:
-every cycle's label counts r are primitive, so its factor is the binomial
-a^r - b^r itself.
+At the resultant degree sum(d_i - 1) + 1 every monomial is divisible by some
+x_i^{d_i}, so the rows (x^alpha / x_i^{d_i}) * f_i form a square matrix, and
+that matrix is the reduction graph at that degree: row x^alpha holds a_i on
+the diagonal, i being its label, and -b_i in the column of its successor.
+The successor is never the diagonal, since no tail equals its generator's
+lead monomial.  Every function here takes the family and reads the one
+cached resultant-degree graph; the matrix's text, JSON and numeric rows come
+straight from its vertices, labels and successors.
+
+The determinant is the a-product over transient vertices times the cycle
+polynomials, and the radical of the resultant follows from the graph's
+cycles: every cycle's label counts r are primitive, so its factor is the
+binomial a^r - b^r itself.
 """
 
 from __future__ import annotations
@@ -26,108 +32,59 @@ PROBABILISTIC = "probabilistic"
 BOUNDED = "bounded"
 
 
-class CMatrix:
-    """Square coefficient matrix of the degree-d multiples of the generators.
-
-    Rows and columns are indexed by the degree-d monomials in canonical order;
-    the row for x^alpha in block S_i carries a_i on the diagonal and -b_i in
-    the column of the successor monomial x^alpha * m_i / x_i^{d_i}.
-    """
-
-    def __init__(self, family: BinomialFamily, graph: ReductionGraph):
-        self.family = family
-        self.graph = graph
-        self.degree = graph.d
-        self.monomials = graph.vertices
-        if any(s is None for s in graph.succ):
-            raise AssertionError("the resultant degree admits no sinks")
-        self.partition = tuple(graph.labels)  # S_i index per row monomial
-        self.succ_cols = tuple(graph.succ)
-
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
-
-    def numeric_rows(self, a_vals, b_vals) -> list[dict[int, Fraction]]:
-        """The rows at the given values, as {column: entry} dictionaries.
-
-        The successor column is never the diagonal, since no tail equals its
-        generator's lead monomial.
-        """
-        a = [Fraction(v) for v in a_vals]
-        minus_b = [-Fraction(v) for v in b_vals]
-        return [
-            {r: a[i - 1], succ: minus_b[i - 1]}
-            for r, (i, succ) in enumerate(zip(self.partition, self.succ_cols))
-        ]
-
-    def entry_symbol(self, r: int, c: int) -> str:
-        i = self.partition[r]
-        out = []
-        if c == r:
-            out.append(f"a{i}")
-        if c == self.succ_cols[r]:
-            out.append(f"-b{i}")
-        return "".join(out) if out else "0"
-
-    def to_text(self) -> str:
-        header = [str(m) for m in self.monomials]
-        cells = [
-            [self.entry_symbol(r, c) for c in range(self.size)] for r in range(self.size)
-        ]
-        widths = [
-            max(len(header[c]), max(len(cells[r][c]) for r in range(self.size)))
-            for c in range(self.size)
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for row in cells:
-            lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "size": self.size,
-            "rows": [
-                {
-                    "monomial": str(m),
-                    "i": self.partition[r],
-                    "successor": str(self.monomials[self.succ_cols[r]]),
-                }
-                for r, m in enumerate(self.monomials)
-            ],
-        }
+def _resultant_graph(family: BinomialFamily) -> ReductionGraph:
+    """The shared reduction graph at the resultant degree; read it only."""
+    graph = build_graph(family, family.resultant_degree)
+    if any(s is None for s in graph.succ):
+        raise AssertionError("the resultant degree admits no sinks")
+    return graph
 
 
-def build_c_matrix(family: BinomialFamily) -> CMatrix:
-    return CMatrix(family, build_graph(family, family.resultant_degree))
+def matrix_to_text(family: BinomialFamily) -> str:
+    """The symbolic matrix as right-aligned columns under a monomial header."""
+    graph = _resultant_graph(family)
+    table = [[str(m) for m in graph.vertices]]
+    for r, (i, succ) in enumerate(zip(graph.labels, graph.succ)):
+        row = ["0"] * len(graph.vertices)
+        row[r], row[succ] = f"a{i}", f"-b{i}"
+        table.append(row)
+    widths = [max(len(row[c]) for row in table) for c in range(len(graph.vertices))]
+    return "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in table)
 
 
-def det_structural_parts(graph: ReductionGraph) -> tuple[SparsePoly, list[tuple[SparsePoly, int]]]:
-    """Factored determinant of the resultant-degree graph:
-    (a-monomial, [(cycle polynomial, multiplicity)])."""
-    n = graph.n
+def matrix_to_json(family: BinomialFamily) -> dict:
+    """The matrix as its degree, size and rows (monomial, label, successor)."""
+    graph = _resultant_graph(family)
+    return {
+        "degree": graph.d,
+        "size": len(graph.vertices),
+        "rows": [
+            {"monomial": str(m), "i": i, "successor": str(graph.vertices[succ])}
+            for m, i, succ in zip(graph.vertices, graph.labels, graph.succ)
+        ],
+    }
+
+
+def _cycles_by_counts(graph: ReductionGraph) -> dict[tuple[int, ...], list[Cycle]]:
+    """The graph's cycles grouped by label counts r, in order of first cycle."""
+    groups: dict[tuple[int, ...], list[Cycle]] = {}
+    for cycle in graph.cycles:
+        groups.setdefault(cycle.label_counts, []).append(cycle)
+    return groups
+
+
+def det_structural_parts(family: BinomialFamily) -> tuple[SparsePoly, list[tuple[SparsePoly, int]]]:
+    """The determinant, factored: (a-monomial over the transient vertices,
+    [(cycle polynomial, multiplicity)] in descending order of r)."""
+    graph = _resultant_graph(family)
+    n = family.n
     a_exp = [0] * n
     for label, cls in zip(graph.labels, graph.vertex_class):
         if cls != CYCLIC:
             a_exp[label - 1] += 1
-    monomial = SparsePoly.monomial(n, tuple(a_exp), (0,) * n)
-    grouped: dict[tuple[int, ...], list[Cycle]] = {}
-    for cycle in graph.cycles:
-        grouped.setdefault(cycle.label_counts, []).append(cycle)
-    factors = [
-        (cycle_polynomial(cycles[0]), len(cycles))
-        for _, cycles in sorted(grouped.items(), reverse=True)
-    ]
-    return monomial, factors
-
-
-def expand_factored(monomial: SparsePoly, factors: list[tuple[SparsePoly, int]]) -> SparsePoly:
-    """The product monomial * prod(poly ** count) of a factored determinant."""
-    result = monomial
-    for poly, count in factors:
-        result = result * poly**count
-    return result
+    groups = _cycles_by_counts(graph)
+    factors = [(cycle_polynomial(groups[r][0]), len(groups[r])) for r in sorted(groups, reverse=True)]
+    return SparsePoly.monomial(n, tuple(a_exp), (0,) * n), factors
 
 
 def det_structural(family: BinomialFamily) -> SparsePoly:
@@ -136,26 +93,27 @@ def det_structural(family: BinomialFamily) -> SparsePoly:
     With the a-symbols on the diagonal the sign works out to +1: the product
     of the transient labels' a-symbols times the cycle polynomials.
     """
-    return expand_factored(*det_structural_parts(build_graph(family, family.resultant_degree)))
+    det, factors = det_structural_parts(family)
+    for poly, count in factors:
+        det = det * poly**count
+    return det
 
 
 def det_numeric_oracle(family: BinomialFamily, assignment: CoeffAssignment | None = None) -> Fraction:
-    """Exact determinant of the specialized matrix, by sparse elimination."""
-    if assignment is not None:
-        family = specialize(family, assignment)
-    if not family.is_numeric:
-        raise ValueError("the numeric determinant needs a fully numeric family")
-    return matrix_determinant(build_c_matrix(family))
-
-
-def matrix_determinant(matrix: CMatrix) -> Fraction:
-    """Exact determinant of the matrix at its fully numeric family's values.
+    """Exact determinant of the specialized matrix.
 
     Eliminates the two-entry rows generically with det_sparse, independent of
     the cycle formula.
     """
-    family = matrix.family
-    return det_sparse(matrix.numeric_rows(family.a_values, family.b_values), matrix.size)
+    if assignment is not None:
+        family = specialize(family, assignment)
+    if not family.is_numeric:
+        raise ValueError("the numeric determinant needs a fully numeric family")
+    graph = _resultant_graph(family)
+    a = [Fraction(v) for v in family.a_values]
+    minus_b = [-Fraction(v) for v in family.b_values]
+    rows = [{r: a[i - 1], succ: minus_b[i - 1]} for r, (i, succ) in enumerate(zip(graph.labels, graph.succ))]
+    return det_sparse(rows, len(rows))
 
 
 def radical_of_cycle_product(graph: ReductionGraph) -> list[SparsePoly]:
@@ -178,10 +136,7 @@ def radical_of_cycle_product(graph: ReductionGraph) -> list[SparsePoly]:
     b = 0.  But L is the kernel of an integer matrix, hence saturated, so
     s is in L, and c^s = 1 contradicts c^s = zeta on H.
     """
-    first: dict[tuple[int, ...], Cycle] = {}
-    for cycle in graph.cycles:
-        first.setdefault(cycle.label_counts, cycle)
-    return [cycle_polynomial(cycle) for cycle in first.values()]
+    return [cycle_polynomial(cycles[0]) for cycles in _cycles_by_counts(graph).values()]
 
 
 @dataclass(frozen=True)
@@ -272,12 +227,7 @@ def resultant_radical(family: BinomialFamily, probe: bool = False, rng: random.R
     Remaining indices are probed probabilistically when `probe` is set and
     reported as bounded otherwise.
     """
-    return graph_radical(build_graph(family, family.resultant_degree), probe, rng)
-
-
-def graph_radical(graph: ReductionGraph, probe: bool = False, rng: random.Random | None = None) -> RadicalResult:
-    """resultant_radical of the graph's family, from its resultant-degree graph."""
-    family = graph.family
+    graph = _resultant_graph(family)
     n = family.n
     raw_factors = radical_of_cycle_product(graph)
     factors: list[SparsePoly] = []

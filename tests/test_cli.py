@@ -1,15 +1,19 @@
 import json
+import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from binomial_ci import cli
+from binomial_ci import build_graph, cli, det_numeric_oracle, det_structural, format_family, resultant_radical
 from binomial_ci.cli import build_parser, main
 from binomial_ci.dual import DualGenerator
 from binomial_ci.family import family_to_json
 from binomial_ci.catalog import five_var_pentagon, three_var_chain, three_var_double_cycle
+
+from conftest import random_family
 
 DOUBLE_CYCLE = "f1 = a1*x1^2 - b1*x1*x3 ; f2 = a2*x2^2 - b2*x2*x3 ; f3 = a3*x3^2 - b3*x2*x3"
 CHAIN = "f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x3 ; f3 = a3*x3^2 - b3*x1^2"
@@ -394,6 +398,73 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestOneResultantPath:
+    """`resultant` prints what the library's family-taking functions return."""
+
+    def test_json_equals_the_library_calls(self, capsys):
+        rng = random.Random(1313)
+        families = [three_var_chain(), three_var_double_cycle()]
+        families += [random_family(rng, numeric=numeric) for numeric in (False, True) * 6]
+        numeric_seen = 0
+        for seed, family in enumerate(families):
+            code, out, _ = run_cli(
+                capsys,
+                "resultant", "--family", format_family(family), "--det", "--radical", "--probe",
+                "--seed", str(seed), "--format", "json",
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["determinant"] == str(det_structural(family))
+            if family.is_numeric:
+                numeric_seen += 1
+                assert payload["determinant_value"] == str(det_numeric_oracle(family))
+            else:
+                assert "determinant_value" not in payload
+            expected = resultant_radical(family, probe=True, rng=random.Random(seed)).to_json()
+            assert payload["radical"] == expected
+        assert numeric_seen == 6
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--family", DOUBLE_CYCLE], ["--family", CHAIN, "--set", "a1=2,a2=1,a3=3,b1=3,b2=5/2,b3=1", "--probe"]],
+        ids=["symbolic", "numeric-probe"],
+    )
+    def test_one_graph_build_per_call(self, capsys, extra):
+        build_graph.cache_clear()
+        code, _, _ = run_cli(capsys, "resultant", *extra, "--matrix", "--det", "--radical")
+        assert code == 0
+        assert build_graph.cache_info().misses == 1
+
+
+def readme_samples():
+    """[argv, expected output lines, truncated] per `$ binomial-ci ...` line of
+    the README "Sample outputs" block; a `...` line ends the expected lines."""
+    prompt = "$ binomial-ci "
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("Sample outputs:", 1)[1].split("```", 2)[1]
+    samples = []
+    for line in block.strip().splitlines():
+        if line.startswith(prompt):
+            samples.append([shlex.split(line[len(prompt):]), [], False])
+        elif line == "...":
+            samples[-1][2] = True
+        elif not samples[-1][2]:
+            samples[-1][1].append(line)
+    return samples
+
+
+def test_readme_sample_outputs(capsys):
+    samples = readme_samples()
+    assert len(samples) == 2
+    for argv, lines, truncated in samples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        printed = out.splitlines()
+        assert printed[: len(lines)] == lines
+        if not truncated:
+            assert len(printed) == len(lines)
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "binomial_ci", "resultant", "--family", DOUBLE_CYCLE],
@@ -491,6 +562,21 @@ class TestGoldenBytes:
         )
         assert code == 0
         assert out == (GOLDEN / "resultant_chain.json").read_text()
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("resultant_symbolic_double_cycle.txt", ["--family", DOUBLE_CYCLE]),
+            (
+                "resultant_numeric_chain.txt",
+                ["--family", CHAIN, "--set", "a1=2,a2=1,a3=3,b1=3,b2=5/2,b3=1", "--probe", "--seed", "3"],
+            ),
+        ],
+    )
+    def test_resultant_text(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, "resultant", *argv, "--matrix", "--det", "--radical")
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_lefschetz_json_on_dual_file(self, capsys, tmp_path):
         pentagon = family_to_json(five_var_pentagon())

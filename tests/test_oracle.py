@@ -156,6 +156,18 @@ class TestIdealMembership:
         with pytest.raises(TypeError):
             polynomial_in_ideal(fam, {m: float(c) for m, c in gen.items()})
 
+    @pytest.mark.parametrize("exps", [(1, 1, 1), (3,), (0, 0, 0)])
+    def test_wrong_variable_count_raises_value_error(self, loop2, exps):
+        numeric = unit_point(loop2)
+        m = Monomial(exps)
+        with pytest.raises(ValueError, match="does not have 2 variables"):
+            ideal_membership(numeric, m)
+        with pytest.raises(ValueError, match="does not have 2 variables"):
+            polynomial_in_ideal(numeric, {m: Fraction(1)})
+        # one stray monomial among good ones, even with a zero coefficient
+        with pytest.raises(ValueError, match="does not have 2 variables"):
+            polynomial_in_ideal(numeric, {Monomial((1, 0)): Fraction(1), m: Fraction(0)})
+
 
 class TestInverseSystem:
     def test_single_variable_powers(self):

@@ -8,12 +8,13 @@ from binomial_ci import (
     CoeffAssignment,
     Monomial,
     SparsePoly,
-    build_c_matrix,
     build_graph,
     det_numeric_oracle,
     det_structural,
     graph_cycle_polynomial,
     is_complete_intersection,
+    matrix_to_json,
+    matrix_to_text,
     monomials_of_degree,
     parse_family,
     poly_divides,
@@ -36,39 +37,60 @@ def sym_binomial(n, i, j):
 
 
 class TestCMatrix:
+    """The coefficient matrix C is the resultant-degree graph: its JSON and
+    text dumps, and the numeric rows that det_numeric_oracle eliminates."""
+
     def test_double_cycle_matrix_shape(self, double_cycle):
-        matrix = build_c_matrix(double_cycle)
-        assert matrix.size == 15
-        assert matrix.degree == 4
+        matrix = matrix_to_json(double_cycle)
+        assert matrix["size"] == len(matrix["rows"]) == 15
+        assert matrix["degree"] == 4
+        labels = [row["i"] for row in matrix["rows"]]
         # S_1 holds the monomials divisible by x1^2: 6 of degree 4
-        assert matrix.partition.count(1) == 6
-        assert matrix.partition.count(2) == 5
-        assert matrix.partition.count(3) == 4
+        assert labels.count(1) == 6
+        assert labels.count(2) == 5
+        assert labels.count(3) == 4
 
     def test_two_variable_partition(self, loop2):
-        matrix = build_c_matrix(loop2)
-        assert matrix.size == 4
-        assert [str(m) for m in matrix.monomials] == ["x1^3", "x1^2*x2", "x1*x2^2", "x2^3"]
-        assert matrix.partition == (1, 1, 2, 2)
+        matrix = matrix_to_json(loop2)
+        assert matrix["size"] == 4
+        assert [row["monomial"] for row in matrix["rows"]] == ["x1^3", "x1^2*x2", "x1*x2^2", "x2^3"]
+        assert [row["i"] for row in matrix["rows"]] == [1, 1, 2, 2]
 
     def test_almost_binomial_shape(self):
         rng = random.Random(41)
         for _ in range(10):
             fam = random_family(rng, numeric=False)
-            matrix = build_c_matrix(fam)
-            a_per_column = [0] * matrix.size
-            for r in range(matrix.size):
-                i = matrix.partition[r]
+            graph = build_graph(fam, fam.resultant_degree)
+            rows = matrix_to_json(fam)["rows"]
+            cells = [line.split() for line in matrix_to_text(fam).splitlines()[1:]]
+            assert len(rows) == len(cells) == len(graph.vertices)
+            for r, (row, row_cells) in enumerate(zip(rows, cells)):
+                i, succ = graph.labels[r], graph.succ[r]
                 # each row: one a_i on the diagonal, one -b_i elsewhere
-                assert matrix.succ_cols[r] != r
-                a_per_column[r] += 1
+                assert succ is not None and succ != r
+                assert row_cells[r] == f"a{i}" and row_cells[succ] == f"-b{i}"
+                assert sum(v != "0" for v in row_cells) == 2
+                assert row == {"monomial": str(graph.vertices[r]), "i": i, "successor": str(graph.vertices[succ])}
                 # row label matches the block of the row monomial
-                assert fam.step(matrix.monomials[r])[0] == i
+                assert fam.step(graph.vertices[r]) == (i, graph.vertices[succ])
+            a_per_column = [sum(row[c].startswith("a") for row in cells) for c in range(len(cells))]
             assert all(c == 1 for c in a_per_column)
 
-    def test_numeric_rows_hold_a_on_the_diagonal_and_minus_b_on_the_successor(self, loop2):
-        matrix = build_c_matrix(loop2)
-        rows = matrix.numeric_rows([2, Fraction(1, 3)], [5, 7])
+    def test_numeric_rows_hold_a_on_the_diagonal_and_minus_b_on_the_successor(self, loop2, monkeypatch):
+        import binomial_ci.resultant as resultant
+
+        real_det = resultant.det_sparse
+        seen = []
+
+        def capturing_det(rows, size):
+            seen.append((rows, size))
+            return real_det(rows, size)
+
+        monkeypatch.setattr(resultant, "det_sparse", capturing_det)
+        numeric = specialize(loop2, CoeffAssignment((2, Fraction(1, 3)), (5, 7)))
+        value = det_numeric_oracle(numeric)
+        [(rows, size)] = seen
+        assert size == 4
         assert rows == [
             {0: 2, 1: -5},
             {1: 2, 2: -5},
@@ -76,14 +98,13 @@ class TestCMatrix:
             {3: Fraction(1, 3), 2: -7},
         ]
         assert all(isinstance(v, Fraction) for row in rows for v in row.values())
+        assert value == det_structural(loop2).evaluate([2, Fraction(1, 3)], [5, 7])
 
     def test_text_and_json_dumps(self, loop2):
-        matrix = build_c_matrix(loop2)
-        text = matrix.to_text()
-        lines = text.splitlines()
+        lines = matrix_to_text(loop2).splitlines()
         assert lines[0].split() == ["x1^3", "x1^2*x2", "x1*x2^2", "x2^3"]
         assert lines[1].split() == ["a1", "-b1", "0", "0"]
-        data = matrix.to_json()
+        data = matrix_to_json(loop2)
         assert data["rows"][0] == {"monomial": "x1^3", "i": 1, "successor": "x1^2*x2"}
 
 
@@ -111,7 +132,7 @@ class TestDetStructural:
             assert len(b_zero.terms) == 1
             key, coeff = next(iter(b_zero.terms.items()))
             assert coeff == 1
-            assert sum(key) == build_c_matrix(fam).size
+            assert sum(key) == matrix_to_json(fam)["size"]
             assert all(e == 0 for e in key[fam.n :])
 
     def test_matches_numeric_oracle_at_random_points(self):
@@ -203,7 +224,7 @@ class TestRadicalOfCycleProduct:
         for fam in families:
             graph = build_graph(fam, fam.resultant_degree)
             radical = radical_of_cycle_product(graph)
-            _, det_factors = det_structural_parts(graph)
+            _, det_factors = det_structural_parts(fam)
             assert len(set(radical)) == len(radical)
             assert set(radical) == {poly for poly, _ in det_factors}
 

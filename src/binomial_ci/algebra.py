@@ -14,10 +14,12 @@ a value unchecked; they are internal, and only for values derived from
 already checked ones (products, quotients, graph successors, label counts of
 graph paths, sums of polynomials).
 
-The exact identity checks (`dual.verify_annihilation`, `dual.apply_action`,
-`rewrite.check_certificate`) accumulate into one flat dict that maps
-(outer exponents, symbol exponents) to a rational, int while integral;
-`group_flat_terms` turns it back into one SparsePoly per outer key.
+The exact identity checks end in one flat dict that maps (outer exponents,
+symbol exponents) to a rational, int while integral.  `rewrite.check_certificate`
+accumulates into it directly; `dual.verify_annihilation` and
+`dual.apply_action` accumulate under packed int keys and unpack only the
+nonzero entries into it.  `group_flat_terms` turns it back into one
+SparsePoly per outer key.
 """
 
 from __future__ import annotations

@@ -228,6 +228,8 @@ def _cmd_resultant(args) -> int:
         payload["radical"] = result.to_json()
         factored = [f"a{e.index}" for e in result.t if e.value == 1]
         factored += [f"({f})" for f in result.factors if not f.is_constant()]
+        if result.product.is_zero():
+            factored = ["0"]
         lines.append("radical: " + ("*".join(factored) if factored else "1"))
         lines.append(f"expanded: {result.product}")
         for e in result.t:

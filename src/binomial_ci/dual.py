@@ -9,21 +9,25 @@ The family's values enter F once, in `DualGenerator._substituted`, from one
 table of powers per symbol (no exponent exceeds s_i); sparse_terms, evaluate,
 str, dual_to_json and verify_annihilation all read its flat terms.
 
-The action x^gamma o F lives here only, in `action_image`, on forms normalized
-by `normalize_terms`; apply_action, verify_annihilation, the catalecticants
-of `oracle` and the Hessians of `lefschetz` all call it.  apply_action and
-verify_annihilation go through the flat kernel `_act`: it expands every
-coefficient once into (symbol exponents, rational) terms and accumulates
-the products in one dict keyed by (X exponents, symbol exponents), so no
-intermediate polynomial is built; only nonzero results are grouped back
-into SparsePoly (or, for numeric inputs, Fraction) coefficients.
+The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
+in two forms that the tests pin together.  `action_image` maps tuple-keyed
+terms; the catalecticants of `oracle` and the Hessians of `lefschetz` call
+it.  apply_action and verify_annihilation go through the packed kernel
+`_act`, after Monagan and Pearce's packed monomials: every coefficient is
+expanded once into (symbol exponents, rational) terms, each term of F is
+packed once into one int that holds its X and symbol exponents, and each
+product is one int add and one rational multiply into a single dict.  No
+intermediate polynomial is built; only the nonzero entries are unpacked and
+grouped back into SparsePoly (or, for numeric inputs, Fraction) coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from itertools import chain
+from math import perm
+from operator import sub
 from typing import Mapping
 
 from .algebra import (
@@ -124,8 +128,10 @@ class DualGenerator:
                     num, den = num * pn, den * pd
                     sym[i] = 0
             if num:
-                q = Fraction(num, den)
-                out[alpha] = (tuple(sym), q.numerator if q.denominator == 1 else q)
+                if den != 1:
+                    q = Fraction(num, den)
+                    num = q.numerator if q.denominator == 1 else q
+                out[alpha] = (tuple(sym), num)
         return out
 
     def sparse_terms(self) -> dict[Exponents, SparsePoly]:
@@ -209,9 +215,9 @@ def numeric_form(F) -> tuple[dict[Exponents, Fraction], int, int]:
 def action_image(terms: Terms, gamma: Exponents, differentiate: bool) -> Terms:
     """x^gamma o F for F given as normalized exponent -> coefficient terms.
 
-    The one implementation of the action: contraction sends X^alpha to
-    X^(alpha-gamma) when gamma <= alpha and to 0 otherwise; differentiation
-    also multiplies by the falling factorials of alpha over gamma.
+    Contraction sends X^alpha to X^(alpha-gamma) when gamma <= alpha and to
+    0 otherwise; differentiation also multiplies by the falling factorials
+    of alpha over gamma.  `_act` computes the same action under packed keys.
     """
     image = {}
     support = [(i, g) for i, g in enumerate(gamma) if g]
@@ -244,30 +250,83 @@ def _flat(terms: Terms, m: int) -> Flat:
     return out
 
 
-def _act(f_flat: Flat, big_flat: Flat, differentiate: bool) -> dict:
-    """sum over gamma of c_gamma * (x^gamma o F) as flat terms.
+Packed = list[tuple[Exponents, list[tuple[int, int | Fraction]]]]
 
-    The one exact kernel of apply_action and verify_annihilation: each
-    product of a term of c_gamma and a term of a coefficient of F is one
-    tuple add and one rational multiply into a single dict keyed by
-    (X exponents, symbol exponents).  action_image, on the positions of F's
-    terms, gives each shifted key and the term it comes from.
+
+def _lane_top(*flats: Flat) -> int:
+    """The largest exponent, X or symbol, in any of the flat forms."""
+    exps = chain.from_iterable(chain(flat, (sym for terms in flat.values() for sym, _ in terms)) for flat in flats)
+    return max(chain.from_iterable(exps), default=0)
+
+
+def _lane_bytes(top: int) -> int:
+    """Bytes per packed lane: (2*top).bit_length() bits, rounded up to whole
+    bytes, so the sum of two exponents up to top never leaves its lane."""
+    return max(1, ((2 * top).bit_length() + 7) // 8)
+
+
+def _pack(exps: Exponents, nb: int) -> int:
+    """exps[j] in bytes [j*nb, (j+1)*nb) of one little-endian int."""
+    if nb == 1:
+        return int.from_bytes(bytes(exps), "little")
+    return int.from_bytes(b"".join(e.to_bytes(nb, "little") for e in exps), "little")
+
+
+def _packed(flat: Flat, top: int) -> Packed:
+    """[(alpha, [(pack(alpha + sym), rational)])] in the order of flat."""
+    nb = _lane_bytes(top)
+    return [(alpha, [(_pack(alpha + sym, nb), c) for sym, c in terms]) for alpha, terms in flat.items()]
+
+
+def _act(f_flat: Flat, big: Packed, top: int, differentiate: bool) -> dict[int, int | Fraction]:
+    """sum over gamma of c_gamma * (x^gamma o F) under packed keys.
+
+    The one exact kernel of apply_action and verify_annihilation, after
+    Monagan and Pearce's packed monomials: each key holds the X exponents
+    and then the symbol exponents in lanes of _lane_bytes(top) bytes, where
+    top bounds every exponent of both sides, so no lane of a product
+    overflows.  A term of F whose alpha passes the test alpha >= gamma on
+    gamma's support shifts by pack(0, s1) - pack(gamma, 0) with one int add
+    and no borrow.  Under differentiation the falling factorial
+    alpha_i!/(alpha_i - g)! comes from one table per exponent g of f.
     """
-    alphas = list(big_flat)
-    positions = {alpha: j for j, alpha in enumerate(alphas)}
-    sources = list(big_flat.values())
-    acc: dict = {}
+    nb = _lane_bytes(top)
+    tables = {g: [perm(a, g) for a in range(top + 1)] for g in set(chain.from_iterable(f_flat))} if differentiate else {}
+    acc: dict[int, int | Fraction] = {}
     get = acc.get
     for gamma, f_syms in f_flat.items():
-        for key, j in action_image(positions, gamma, False).items():
-            scale = falling_product(alphas[j], gamma) if differentiate else 1
-            big_syms = sources[j]
-            for s1, c1 in f_syms:
-                c1 *= scale
-                for s2, c2 in big_syms:
-                    k = (key, tuple(map(add, s1, s2)))
-                    acc[k] = get(k, 0) + c1 * c2
+        support = [(i, g) for i, g in enumerate(gamma) if g]
+        falls = [(i, tables[g]) for i, g in support] if differentiate else ()
+        shift = 8 * nb * len(gamma)
+        deltas = [((_pack(s1, nb) << shift) - _pack(gamma, nb), c1) for s1, c1 in f_syms]
+        for alpha, big_terms in big:
+            for i, g in support:
+                if alpha[i] < g:
+                    break
+            else:
+                scale = 1
+                for i, table in falls:
+                    scale *= table[alpha[i]]
+                for d, c1 in deltas:
+                    c1 *= scale
+                    for p, c2 in big_terms:
+                        k = p + d
+                        acc[k] = get(k, 0) + c1 * c2
     return acc
+
+
+def _unpacked(acc: dict[int, int | Fraction], n: int, m: int, top: int) -> dict:
+    """{(X exponents, symbol exponents): rational} for the nonzero entries
+    of a packed accumulator of _act."""
+    nb = _lane_bytes(top)
+    size = (n + 2 * m) * nb
+    out = {}
+    for p, c in acc.items():
+        if c:
+            raw = p.to_bytes(size, "little")
+            lanes = tuple(raw) if nb == 1 else tuple(int.from_bytes(raw[j : j + nb], "little") for j in range(0, size, nb))
+            out[lanes[:n], lanes[n:]] = c
+    return out
 
 
 def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
@@ -283,10 +342,13 @@ def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
     f_norm, n = normalize_terms(f_terms)
     big_norm, n = normalize_terms(big_terms, n)
     m = next((c.n for c in (*f_norm.values(), *big_norm.values()) if isinstance(c, SparsePoly)), None)
-    acc = _act(_flat(f_norm, m or 0), _flat(big_norm, m or 0), convention == DIFFERENTIATION)
+    f_flat, big_flat = _flat(f_norm, m or 0), _flat(big_norm, m or 0)
+    top = _lane_top(f_flat, big_flat)
+    acc = _act(f_flat, _packed(big_flat, top), top, convention == DIFFERENTIATION)
+    terms = _unpacked(acc, n or 0, m or 0, top)
     if m is None:
-        return {key: Fraction(c) for (key, _), c in acc.items() if c}
-    return group_flat_terms(m, acc)
+        return {key: Fraction(c) for (key, _), c in terms.items()}
+    return group_flat_terms(m, terms)
 
 
 @dataclass(frozen=True)
@@ -313,11 +375,13 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
         big_flat = {alpha: [term] for alpha, term in F._substituted().items()}
     else:
         big_flat = _flat(normalize_terms(F, n)[0], n)
+    f_flats = [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
+    top = _lane_top(big_flat, *f_flats)
+    big = _packed(big_flat, top)
     differentiate = convention == DIFFERENTIATION
     residuals: dict[int, dict] = {}
-    for i in range(1, n + 1):
-        f_flat = _flat(normalize_terms(family.generator(i), n)[0], n)
-        res = group_flat_terms(n, _act(f_flat, big_flat, differentiate))
+    for i, f_flat in enumerate(f_flats, 1):
+        res = group_flat_terms(n, _unpacked(_act(f_flat, big, top, differentiate), n, n, top))
         if res:
             residuals[i] = res
     return AnnihilationResult(not residuals, residuals)

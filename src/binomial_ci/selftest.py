@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import catalog
 from .algebra import CoeffMonomial, SparsePoly, multinomial, poly_divides
-from .dual import CONTRACTION, DIFFERENTIATION, dual_generator, s_vector, verify_annihilation
+from .dual import CONTRACTION, DIFFERENTIATION, action_image, apply_action, dual_generator, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
 from .lefschetz import graded_dimension, hessian, monomial_basis
@@ -130,6 +130,31 @@ def _check_annihilation() -> bool:
     fam = catalog.three_var_double_cycle()
     for convention in (CONTRACTION, DIFFERENTIATION):
         if not verify_annihilation(fam, dual_generator(fam, convention), convention).ok:
+            return False
+    return True
+
+
+def _check_packed_action() -> bool:
+    # apply_action's packed kernel against the tuple-keyed action_image, on
+    # the chain's dual with one coefficient scaled by b1 and one term dropped,
+    # so some generator leaves a nonzero residual.
+    fam = catalog.three_var_chain()
+    for convention in (CONTRACTION, DIFFERENTIATION):
+        F = dual_generator(fam, convention).sparse_terms()
+        keys = sorted(F)
+        F[keys[-1]] = F[keys[-1]] * SparsePoly.symbol_b(3, 1)
+        del F[keys[0]]
+        residuals = 0
+        for i in range(1, 4):
+            expected: dict = {}
+            for gamma, c in fam.generator(i).items():
+                for key, v in action_image(F, gamma.exponents, convention == DIFFERENTIATION).items():
+                    expected[key] = expected.get(key, SparsePoly.zero(3)) + c * v
+            expected = {key: v for key, v in expected.items() if not v.is_zero()}
+            if apply_action(fam.generator(i), F, convention) != expected:
+                return False
+            residuals += bool(expected)
+        if not residuals:
             return False
     return True
 
@@ -281,6 +306,7 @@ CHECKS = [
     ("s vector of the double-cycle family", _check_s_vector),
     ("dual generators, both conventions, term for term", _check_dual_generators),
     ("symbolic annihilation of constructed duals", _check_annihilation),
+    ("packed action kernel vs action_image on a perturbed dual", _check_packed_action),
     ("structural determinant vs numeric oracle", _check_structural_determinant),
     ("radical of the resultant", _check_resultant_radical),
     ("b = 0 collapse of dual and radical", _check_zero_tail_collapse),

@@ -187,6 +187,14 @@ class TestResultant:
         assert code == 0
         assert "t1 = " in out
 
+    def test_vanishing_radical_prints_zero(self, capsys):
+        family = "f1 = x1^2 - x2^2 ; f2 = x2^2 - x1^2"
+        code, out, _ = run_cli(capsys, "resultant", "--radical", "--family", family)
+        assert code == 0
+        assert out.splitlines()[:2] == ["radical: 0", "expanded: 0"]
+        code, out, _ = run_cli(capsys, "resultant", "--radical", "--family", family, "--format", "json")
+        assert json.loads(out)["radical"]["product"] == "0"
+
 
 class TestHilbert:
     def test_with_reference(self, capsys):
@@ -375,7 +383,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "17/17 checks passed" in out
+        assert "18/18 checks passed" in out
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from binomial_ci import (
     dual_generator,
     monomials_of_degree,
     multinomial,
+    parse_family,
     reduce_monomial,
     s_vector,
     specialize,
@@ -378,3 +379,108 @@ class TestDualViews:
     def test_dual_of_another_variable_count_is_rejected(self, loop2):
         with pytest.raises(ValueError, match="variable counts"):
             verify_annihilation(three_var_chain(), dual_generator(loop2))
+
+
+class TestPackedLanes:
+    """The packed kernel at the edges of a lane, against the reference."""
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    @pytest.mark.parametrize("top", [127, 128, 255, 256])
+    def test_x_exponents_at_a_lane_edge(self, convention, top):
+        n = 2
+        a1, b2 = SparsePoly.symbol_a(n, 1), SparsePoly.symbol_b(n, 2)
+        f = {(1, 0): a1, (0, 1): Fraction(-2, 3), (top, 0): 5, (top - 1, 1): b2}
+        F = {(top, 1): b2, (top - 1, 2): Fraction(7, 2), (1, top): a1 * a1, (top, top): 1, (0, 0): 3}
+        differentiate = convention == DIFFERENTIATION
+        assert apply_action(f, F, convention) == _reference_action(f, F, differentiate, n)
+        numeric = {key: c for key, c in F.items() if not isinstance(c, SparsePoly)}
+        expected = _reference_action({(top, 0): 5, (1, 0): Fraction(1, 3)}, numeric, differentiate, n)
+        assert apply_action({(top, 0): 5, (1, 0): Fraction(1, 3)}, numeric, convention) == {
+            key: v.constant_value() for key, v in expected.items()
+        }
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    @pytest.mark.parametrize("e1, e2", [(64, 64), (100, 100), (127, 127), (128, 128), (255, 1), (200, 56), (255, 255)])
+    def test_symbol_sums_carry_past_a_lane(self, convention, e1, e2):
+        # the product's symbol lanes hold e1 + e2, past what either exponent needs
+        n = 2
+        f = {(1, 0): SparsePoly.monomial(n, (e1, 0), (0, 1)), (0, 1): SparsePoly.monomial(n, (0, e1), (e2, 0), -1)}
+        F = {(2, 1): SparsePoly.monomial(n, (e2, 0), (0, e1)), (1, 2): SparsePoly.monomial(n, (0, e2), (e1, 0), 3)}
+        got = apply_action(f, F, convention)
+        assert got == _reference_action(f, F, convention == DIFFERENTIATION, n)
+        assert got[(1, 1)].terms  # X1*X2 collects both products; they do not cancel
+        assert max(max(k) for k in got[(1, 1)].terms) == e1 + e2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "f1 = a1*x1^60 - b1*x1*x2^59 ; f2 = a2*x2^60 - b2*x1^59*x2",
+            "f1 = a1*x1^130 - b1*x1*x2^129 ; f2 = a2*x2^2 - b2*x1*x2",
+        ],
+    )
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_high_degree_families(self, text, convention):
+        fam = parse_family(text)
+        differentiate = convention == DIFFERENTIATION
+        dual = dual_generator(fam, convention)
+        assert verify_annihilation(fam, dual, convention).ok
+        rng = random.Random(fam.socle_degree)
+        exact = dual.sparse_terms()
+        for F in (exact, _perturbed(rng, exact, fam.n)):
+            got = verify_annihilation(fam, F, convention)
+            assert got.residuals == _reference_residuals(fam, F, differentiate)
+        assert got.residuals
+        values = CoeffAssignment((Fraction(2), Fraction(-3, 5)), (Fraction(7), Fraction(1, 2)))
+        point = specialize(fam, values)
+        F = _perturbed(rng, dual_generator(point, convention).sparse_terms(), fam.n)
+        assert verify_annihilation(point, F, convention).residuals == _reference_residuals(point, F, differentiate)
+
+    def test_empty_inputs(self, double_cycle):
+        F = dual_generator(double_cycle).sparse_terms()
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            assert apply_action({}, F, convention) == {}
+            assert apply_action(double_cycle.generator(1), {}, convention) == {}
+            assert apply_action({}, {}, convention) == {}
+            got = verify_annihilation(double_cycle, {}, convention)
+            assert got.ok and got.residuals == {} == _reference_residuals(double_cycle, {}, False)
+
+
+def test_packed_kernel_matches_the_reference_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    exponents = st.one_of(st.integers(min_value=0, max_value=4), st.sampled_from([63, 64, 127, 128, 129, 255, 256]))
+    rationals = st.builds(Fraction, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(min_value=1, max_value=5))
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(min_value=1, max_value=3))
+        m = draw(st.integers(min_value=1, max_value=3))
+        symbolic = draw(st.booleans())
+
+        def coefficient():
+            if symbolic and draw(st.booleans()):
+                syms = draw(st.lists(st.tuples(*[exponents] * (2 * m)), min_size=1, max_size=3))
+                return SparsePoly(m, [(sym, draw(rationals)) for sym in syms])
+            return draw(rationals)
+
+        def form():
+            keys = draw(st.lists(st.tuples(*[exponents] * n), max_size=5, unique=True))
+            return {key: coefficient() for key in keys}
+
+        return m, form(), form(), draw(st.sampled_from([CONTRACTION, DIFFERENTIATION]))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        m, f, F, convention = case
+        got = apply_action(f, F, convention)
+        expected = _reference_action(f, F, convention == DIFFERENTIATION, m)
+        if any(isinstance(c, SparsePoly) for c in (*f.values(), *F.values())):
+            assert got == expected
+            assert all(isinstance(c, SparsePoly) for c in got.values())
+        else:
+            assert got == {key: v.constant_value() for key, v in expected.items()}
+            assert all(type(c) is Fraction for c in got.values())
+
+    check()

@@ -120,15 +120,33 @@ class Monomial:
         return self.render()
 
 
+# The most degree-d monomials any one request may enumerate: 2,000,000 take
+# a few seconds to list in pure Python, and everything built on them (graph
+# vertices, Macaulay columns) is larger still.
+MONOMIAL_BUDGET = 2_000_000
+
+
+def check_monomial_budget(n: int, d: int) -> None:
+    """Raise ValueError when the binomial(d + n - 1, n - 1) monomials of
+    degree d in n variables exceed MONOMIAL_BUDGET."""
+    count = math.comb(d + n - 1, n - 1)
+    if count > MONOMIAL_BUDGET:
+        raise ValueError(
+            f"{count} monomials of degree {d} in {n} variables exceed the budget of {MONOMIAL_BUDGET}"
+        )
+
+
 def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     """All degree-d monomials in n variables, in descending lex order.
 
     The count is binomial(d + n - 1, n - 1); x1-heavy monomials come first.
+    A count above MONOMIAL_BUDGET raises ValueError before any is built.
     """
     if n < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    check_monomial_budget(n, d)
     # Step like an odometer, without recursion: the next exponent vector in
     # descending lex order moves one unit out of e[j], the rightmost nonzero
     # entry before the last, and puts it together with the last entry into

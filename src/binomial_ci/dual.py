@@ -1,9 +1,12 @@
-"""Macaulay dual generators built from the reduction graph at socle degree.
+"""Macaulay dual generators, by reverse search from the socle monomial.
 
-The coefficient of X^alpha is a^(s-r) * b^r (times a multinomial factor under
-differentiation) when the vertex x^alpha has a directed path with label counts
-r to the target x1^(d1-1)...xn^(dn-1), and zero otherwise; s collects the
-per-label maxima over all such paths.
+The coefficient of X^alpha is a^(s-r) * b^r (times D!/alpha! under
+differentiation) when x^alpha has a reduction path with label counts r to
+the target x1^(d1-1)...xn^(dn-1), and zero otherwise; s collects the
+per-label maxima over all such paths.  So F lives on the target's in-tree,
+which `_in_tree` finds by inverting the rewrite step on exponent tuples,
+without building the socle-degree reduction graph; the tree is cached, so
+both conventions and `s_vector` share one search.
 
 The family's values enter F once, in `DualGenerator._substituted`, from one
 table of powers per symbol (no exponent exceeds s_i); sparse_terms, evaluate,
@@ -25,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import accumulate, chain
 from math import perm
-from operator import sub
+from operator import add, le, lt, mul, sub
 from typing import Mapping
 
 from .algebra import (
@@ -35,12 +39,11 @@ from .algebra import (
     Monomial,
     SparsePoly,
     as_fraction,
+    check_monomial_budget,
     falling_product,
     group_flat_terms,
-    multinomial,
 )
 from .family import BinomialFamily
-from .graph import build_graph
 
 CONTRACTION = "contraction"
 DIFFERENTIATION = "differentiation"
@@ -54,44 +57,59 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
 
 
-def _paths_to_target(family: BinomialFamily):
-    """Reverse traversal of the in-tree of the socle-degree target sink.
+@lru_cache(maxsize=1)
+def _in_tree(family: BinomialFamily) -> tuple[dict[Exponents, Exponents], Exponents]:
+    """({alpha: r}, s) over the in-tree of the socle monomial x^target,
+    target = (d1-1, .., dn-1): r counts the labels on the path from x^alpha
+    to the target, and s holds their per-label maxima.
 
-    Returns (graph, {vertex index: label-count vector}, s) where s holds the
-    per-label maxima.  Paths in a functional graph are unique; the traversal
-    checks that each vertex is reached once.
+    A reverse search from the target on exponent tuples that never builds
+    the socle-degree graph.  It inverts `BinomialFamily._move`: w has the
+    label-i predecessor v = w - tail_i + d_i e_i exactly when w >= tail_i
+    componentwise (then v_i = w_i - tail_i,i + d_i >= d_i) and v_j < d_j for
+    every j < i (so i is the least index that v can reduce by).  The target
+    is a sink, as every entry is below its d_i.  A vertex has at most one
+    successor, and a vertex found from w reaches the target through w, so
+    it is not on w's own path; hence each vertex is found once, the tree
+    has no cycle and the search ends.  Each vertex's predecessors are
+    visited in descending lex order, depth first.
+
+    The size of the degree-D monomial space is checked against
+    `MONOMIAL_BUDGET` first.  The last tree is cached and shared; callers
+    must not mutate it.
     """
     n = family.n
-    degree = family.socle_degree
-    graph = build_graph(family, degree)
-    target_idx = graph.index[tuple(d - 1 for d in family.degrees)]
-    if graph.succ[target_idx] is not None:
-        raise AssertionError("the socle-degree target must be a sink")
-    preds: dict[int, list[int]] = {}
-    for v, s in enumerate(graph.succ):
-        if s is not None:
-            preds.setdefault(s, []).append(v)
-    reach: dict[int, tuple[int, ...]] = {target_idx: (0,) * n}
-    queue = [target_idx]
-    while queue:
-        v = queue.pop()
-        rv = reach[v]
-        for u in preds.get(v, ()):
-            if u in reach:
-                raise AssertionError("duplicate path to the dual target")
-            label = graph.labels[u]
-            reach[u] = tuple(
-                c + 1 if j == label - 1 else c for j, c in enumerate(rv)
-            )
-            queue.append(u)
-    s = tuple(max(r[j] for r in reach.values()) for j in range(n))
-    return graph, reach, s
+    degrees = family.degrees
+    check_monomial_budget(n, family.socle_degree)
+    moves = []  # per label i: tail_i, the bounds tail_i,j + d_j (j < i) on w, v - w, and e_i
+    for i, (tail, d) in enumerate(zip(family.tails, degrees)):
+        t = tail.exponents
+        step = [-e for e in t]
+        step[i] += d
+        unit = (0,) * i + (1,) + (0,) * (n - i - 1)
+        moves.append((t, tuple(map(add, t[:i], degrees)), tuple(step), unit))
+    target = tuple(d - 1 for d in degrees)
+    tree = {target: (0,) * n}
+    stack = [target]
+    while stack:
+        w = stack.pop()
+        rw = tree[w]
+        preds = [
+            (tuple(map(add, w, step)), unit)
+            for tail, below, step, unit in moves
+            if all(map(le, tail, w)) and all(map(lt, w, below))
+        ]
+        preds.sort(reverse=True)
+        for v, unit in preds:
+            tree[v] = tuple(map(add, rw, unit))
+            stack.append(v)
+    return tree, tuple(map(max, zip(*tree.values())))
 
 
 def s_vector(family: BinomialFamily) -> tuple[int, ...]:
-    """Per-label maxima of edge counts over all paths into the target sink."""
-    _, _, s = _paths_to_target(family)
-    return s
+    """Per-label maxima of the label counts over all paths into the socle
+    monomial x1^(d1-1)...xn^(dn-1), read from its cached in-tree."""
+    return _in_tree(family)[1]
 
 
 @dataclass(frozen=True)
@@ -151,17 +169,22 @@ class DualGenerator:
 
 
 def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> DualGenerator:
-    """Construct the dual generator of the family from its reduction graph."""
+    """The dual generator F: X^alpha gets a^(s-r) * b^r for every vertex
+    alpha of the in-tree of the socle monomial, r its path's label counts,
+    times D!/alpha! under differentiation."""
     _check_convention(convention)
-    graph, reach, s = _paths_to_target(family)
+    tree, s = _in_tree(family)
     degree = family.socle_degree
-    one = Fraction(1)
+    fact = list(accumulate(range(1, degree + 1), mul, initial=1)) if convention == DIFFERENTIATION else None
+    scalar = Fraction(1)
     coeffs: dict[Exponents, CoeffMonomial] = {}
-    for v, r in reach.items():
-        alpha = graph.vertices[v].exponents
-        scalar = Fraction(multinomial(degree, alpha)) if convention == DIFFERENTIATION else one
-        a_exp = tuple(x - y for x, y in zip(s, r))
-        coeffs[alpha] = CoeffMonomial._raw(scalar, a_exp, r)
+    for alpha, r in tree.items():
+        if fact:
+            den = 1
+            for a in alpha:
+                den *= fact[a]
+            scalar = Fraction(fact[degree] // den)
+        coeffs[alpha] = CoeffMonomial._raw(scalar, tuple(map(sub, s, r)), r)
     return DualGenerator(family, convention, degree, s, coeffs)
 
 

@@ -5,10 +5,11 @@ labeled by the least such i, to m*m_i/x_i^{d_i}; the rest are sinks.  The
 structure depends only on the tails and degrees, never on the coefficients.
 
 `build_graph` keeps the last graph it built, keyed by (family, degree): a
-request asks for the same one or two graphs back to back (the structural
-determinant, the radical and the dual all read them), so each is built once.
-The returned graph is shared between callers and must be treated as
-read-only.
+request asks for the same graph back to back (the structural determinant and
+the radical both read the resultant-degree graph), so it is built once.  The
+dual generator does not read it: `dual` finds the socle monomial's in-tree by
+a reverse search of its own.  The returned graph is shared between callers
+and must be treated as read-only.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, as_fraction, monomials_of_degree
+from .algebra import Monomial, as_fraction, check_monomial_budget, monomials_of_degree
 from .dual import DIFFERENTIATION, Exponents, _check_convention, action_image, normalize_terms, numeric_form
 from .family import BinomialFamily
 from .linalg import rank_of, to_int_row
@@ -274,8 +274,10 @@ def _check_max_degree(max_degree: int) -> None:
 
 def hilbert_function(family: BinomialFamily, max_degree: int) -> HilbertFunction:
     """h_j = dim R_j - rank(Macaulay matrix), the number of live kernel
-    components, for j = 0..max_degree."""
+    components, for j = 0..max_degree.  The largest degree is checked
+    against the monomial budget before any is enumerated."""
     _check_max_degree(max_degree)
+    check_monomial_budget(family.n, max_degree)
     _require_numeric(family)
     return HilbertFunction(tuple(_ideal_space(family, j).live for j in range(max_degree + 1)))
 

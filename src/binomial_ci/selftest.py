@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import catalog
 from .algebra import CoeffMonomial, SparsePoly, multinomial, poly_divides
-from .dual import CONTRACTION, DIFFERENTIATION, action_image, apply_action, dual_generator, s_vector, verify_annihilation
+from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, action_image, apply_action, dual_generator, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
 from .lefschetz import graded_dimension, hessian, monomial_basis
@@ -99,6 +99,33 @@ def _check_certificates() -> bool:
 
 def _check_s_vector() -> bool:
     return s_vector(catalog.three_var_double_cycle()) == (2, 1, 1)
+
+
+def _check_in_tree() -> bool:
+    # The reverse search against successor walks on the socle-degree graph.
+    for fam in (
+        catalog.three_var_double_cycle(),
+        catalog.three_var_chain(),
+        catalog.two_var_loop(),
+        catalog.five_var_pentagon(),
+        catalog.five_var_pentagon_alt(),
+    ):
+        g = build_graph(fam, fam.socle_degree)
+        target = g.index[tuple(d - 1 for d in fam.degrees)]
+        walks = {}
+        for start, m in enumerate(g.vertices):
+            r, v = [0] * fam.n, start
+            for _ in g.vertices:
+                if g.succ[v] is None:
+                    break
+                r[g.labels[v] - 1] += 1
+                v = g.succ[v]
+            if v == target:
+                walks[m.exponents] = tuple(r)
+        tree, s = _in_tree(fam)
+        if tree != walks or s != tuple(map(max, zip(*walks.values()))):
+            return False
+    return True
 
 
 def _expected_dual_terms(differentiation: bool) -> dict[tuple[int, ...], CoeffMonomial]:
@@ -305,6 +332,7 @@ CHECKS = [
     ("reduction certificates expand to zero", _check_certificates),
     ("s vector of the double-cycle family", _check_s_vector),
     ("dual generators, both conventions, term for term", _check_dual_generators),
+    ("socle in-tree by reverse search vs forward graph walks", _check_in_tree),
     ("symbolic annihilation of constructed duals", _check_annihilation),
     ("packed action kernel vs action_image on a perturbed dual", _check_packed_action),
     ("structural determinant vs numeric oracle", _check_structural_determinant),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from binomial_ci import algebra
 from binomial_ci import (
     CoeffMonomial,
     Monomial,
@@ -83,6 +84,15 @@ class TestMonomialEnumeration:
         assert len(mons) == 1500
         assert mons[0].exponents == (1,) + (0,) * 1499
         assert mons[-1].exponents == (0,) * 1499 + (1,)
+
+
+    def test_budget_is_checked_before_enumeration(self, monkeypatch):
+        with pytest.raises(ValueError, match="budget"):
+            monomials_of_degree(8, 60)  # C(67, 7), about 8.7e8 monomials
+        monkeypatch.setattr(algebra, "MONOMIAL_BUDGET", 15)
+        assert len(monomials_of_degree(3, 4)) == 15
+        with pytest.raises(ValueError, match="21 monomials of degree 5 in 3 variables exceed the budget of 15"):
+            monomials_of_degree(3, 5)
 
 
 class TestMultinomial:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from binomial_ci import build_graph, cli, det_numeric_oracle, det_structural, format_family, resultant_radical
+from binomial_ci import Monomial, build_graph, cli, det_numeric_oracle, det_structural, format_family, resultant_radical
 from binomial_ci.cli import build_parser, main
 from binomial_ci.dual import DualGenerator
 from binomial_ci.family import family_to_json
@@ -288,6 +288,36 @@ class TestLefschetz:
         assert err == "error: trials must be at least 1\n"
 
 
+class TestMonomialBudget:
+    EIGHT = " ; ".join(f"f{i} = a{i}*x{i}^2 - b{i}*x{i % 8 + 1}^2" for i in range(1, 9))
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        """Fail the test once more monomials are built than parsing needs."""
+        raw = Monomial._raw.__func__
+        calls = []
+
+        def counted(cls, exps):
+            calls.append(1)
+            if len(calls) > 10_000:
+                raise AssertionError("monomial enumeration started")
+            return raw(cls, exps)
+
+        monkeypatch.setattr(Monomial, "_raw", classmethod(counted))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--family", EIGHT, "--degree", "60"],
+            ["hilbert", "--family", DOUBLE_CYCLE, "--set", "a1=1,a2=1,a3=1,b1=1,b2=1,b3=2", "--max-degree", "1000000000"],
+        ],
+    )
+    def test_over_budget_exits_1_before_enumerating(self, capsys, no_enumeration, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "exceed the budget" in err
+
+
 class TestErrorsAndExitCodes:
     def test_validation_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "graph", "--family", "f1 = a1*x1 - b1", "--degree", "2")
@@ -383,7 +413,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "18/18 checks passed" in out
+        assert "19/19 checks passed" in out
 
 
 class TestDeterminism:

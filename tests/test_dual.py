@@ -24,7 +24,8 @@ from binomial_ci import (
     verify_annihilation,
 )
 from binomial_ci.catalog import five_var_pentagon, pentagon_dual_form, three_var_chain
-from binomial_ci.dual import dual_to_json
+from binomial_ci.algebra import MONOMIAL_BUDGET
+from binomial_ci.dual import _in_tree, dual_to_json
 from binomial_ci.rewrite import TO_BASIS
 
 from conftest import assert_as_checked, random_family
@@ -134,6 +135,99 @@ class TestDualGenerator:
         assert len(data["terms"]) == 6
         assert data["terms"][0]["alpha"] == [3, 0, 0]
         assert data["terms"][0]["coeff"] == "a2*b1^2*b3"
+
+
+def _forward_in_tree(family):
+    """Oracle for dual._in_tree from the socle-degree reduction graph:
+    ({alpha: r}, s) over the vertices whose successor walk ends at the
+    target, keyed in the order of a depth-first search over predecessor
+    lists in vertex (descending lex) order."""
+    graph = build_graph(family, family.socle_degree)
+    n = family.n
+    target = graph.index[tuple(d - 1 for d in family.degrees)]
+    counts = {}
+    for start in range(len(graph.vertices)):
+        r, v, seen = [0] * n, start, set()
+        while graph.succ[v] is not None and v not in seen:
+            seen.add(v)
+            r[graph.labels[v] - 1] += 1
+            v = graph.succ[v]
+        if v == target:
+            counts[start] = tuple(r)
+    preds = {}
+    for v in counts:
+        if v != target:
+            preds.setdefault(graph.succ[v], []).append(v)
+    order, stack = [target], [target]
+    while stack:
+        kids = preds.get(stack.pop(), [])
+        order += kids
+        stack += kids
+    tree = {graph.vertices[v].exponents: counts[v] for v in order}
+    return tree, tuple(max(r[j] for r in tree.values()) for j in range(n))
+
+
+def _pure_power_family(rng, n, max_degree):
+    """A random family in which about a third of the tails are pure powers x_j^d_i."""
+    degrees = [rng.randint(2, max_degree) for _ in range(n)]
+    tails = []
+    for i, d in enumerate(degrees):
+        if rng.random() < 0.3:
+            tails.append(Monomial.variable(n, rng.choice([j for j in range(1, n + 1) if j != i + 1]), d))
+        else:
+            options = [m for m in monomials_of_degree(n, d) if m != Monomial.variable(n, i + 1, d)]
+            tails.append(rng.choice(options))
+    return BinomialFamily.symbolic(degrees, tails)
+
+
+def _tree_families(ci_corpus):
+    rng = random.Random(1515)
+    zero_b = [
+        specialize(fam, CoeffAssignment((None,) * fam.n, (Fraction(0),) * fam.n))
+        for fam in (three_var_chain(), five_var_pentagon(), *ci_corpus[:5])
+    ]
+    seeded = [_pure_power_family(rng, rng.randint(2, 6), rng.choice((2, 3, 3, 4))) for _ in range(40)]
+    return [*ci_corpus, *zero_b, *seeded]
+
+
+class TestInTree:
+    def test_reverse_search_matches_the_forward_graph_walk(self, ci_corpus):
+        for fam in _tree_families(ci_corpus):
+            tree, s = _in_tree(fam)
+            expected_tree, expected_s = _forward_in_tree(fam)
+            assert list(tree.items()) == list(expected_tree.items())
+            assert s == expected_s == s_vector(fam)
+            for convention in (CONTRACTION, DIFFERENTIATION):
+                dual = dual_generator(fam, convention)
+                assert dual.s == s
+                assert list(dual.coeffs) == list(expected_tree)
+
+    def test_every_tree_edge_is_a_rewrite_step(self, ci_corpus):
+        for fam in _tree_families(ci_corpus):
+            tree, _ = _in_tree(fam)
+            target = tuple(d - 1 for d in fam.degrees)
+            assert fam._move(target, fam.n) is None
+            for v, r in tree.items():
+                if v == target:
+                    continue
+                i, w = fam._move(v, fam.n)
+                assert w in tree
+                assert r == tuple(c + (j == i - 1) for j, c in enumerate(tree[w]))
+
+    def test_differentiation_scalars_are_multinomials(self, ci_corpus):
+        for fam in _tree_families(ci_corpus)[::3]:
+            dual = dual_generator(fam, DIFFERENTIATION)
+            for alpha, cm in dual.coeffs.items():
+                assert cm.scalar == multinomial(fam.socle_degree, alpha)
+
+    def test_over_budget_socle_degree_is_refused(self):
+        n, d = 8, 10  # D = 72: C(79, 7) monomials of the socle degree
+        tails = [Monomial.variable(n, i % n + 1, d) for i in range(1, n + 1)]
+        fam = BinomialFamily.symbolic([d] * n, tails)
+        assert math.comb(fam.socle_degree + n - 1, n - 1) > MONOMIAL_BUDGET
+        for call in (s_vector, dual_generator):
+            with pytest.raises(ValueError, match="budget"):
+                call(fam)
 
 
 class TestApplyAction:

@@ -21,6 +21,7 @@ from binomial_ci import (
     parse_monomial,
     reduce_monomial,
     resultant_radical,
+    s_vector,
     specialize,
     to_dot,
     verify_annihilation,
@@ -364,7 +365,14 @@ class TestGraphCache:
             with pytest.raises(ValueError, match="nonnegative"):
                 build_graph(chain, -1)
 
-    def test_a_structure_job_builds_two_graphs(self, pentagon):
+    def test_the_dual_builds_no_graph(self, pentagon):
+        build_graph.cache_clear()
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            dual_generator(pentagon, convention)
+        s_vector(pentagon)
+        assert build_graph.cache_info().misses == 0
+
+    def test_a_structure_job_builds_one_graph(self, pentagon):
         family = pentagon
         build_graph.cache_clear()
         build_graph(family, family.resultant_degree)
@@ -377,4 +385,4 @@ class TestGraphCache:
         reduce_monomial(family, m)
         assert check_certificate(family, certificate(family, m))
         info = build_graph.cache_info()
-        assert (info.misses, info.hits, info.maxsize) == (2, 3, 1)
+        assert (info.misses, info.hits, info.maxsize) == (1, 2, 1)

@@ -25,30 +25,32 @@ SparsePoly per outer key.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 Rational = Union[Fraction, int, str]
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # the string form of a Rational
 
 
 def as_fraction(value: Rational) -> Fraction:
-    """Coerce an int, "p/q" string, or Fraction to an exact rational.
-
-    A string that is not a rational or has a zero denominator raises
-    ValueError; any other type, floats and bools included, raises TypeError.
-    """
+    """Coerce an int, a Fraction or a "[+-]digits[/digits]" string to an
+    exact rational.  Other strings (decimals, exponents: Fraction("1e3000000")
+    builds a 3-million-digit int) and zero denominators raise ValueError;
+    other types, floats and bools included, raise TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot interpret {value!r} as an exact rational") from None
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
+    kind = ValueError if isinstance(value, str) else TypeError
+    raise kind(f'{value!r} is not an exact rational (an int or a "p/q" string)')
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ import contextlib
 import functools
 import json
 import random
+import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import as_fraction
@@ -74,7 +74,7 @@ def _parsed(parse, *args):
 def _apply_set(family: BinomialFamily, assignments: list[str]) -> BinomialFamily:
     if not assignments:
         return family
-    symbols: dict[str, Fraction] = {}
+    symbols = {}
     for chunk in assignments:
         for piece in chunk.split(","):
             piece = piece.strip()
@@ -266,16 +266,10 @@ def _load_dual_file(path: str):
             raise FamilyError(f"dual file repeats exponent {alpha}")
         try:
             terms[alpha] = as_fraction(coeff)
-        except ValueError as exc:
-            try:
-                Fraction(coeff)
-            except ZeroDivisionError:
-                raise FamilyError(f"dual file coefficient {coeff!r} has a zero denominator") from exc
-            except ValueError:
-                pass
-            raise FamilyError(f"dual file carries a symbolic coefficient {coeff!r}; lefschetz needs numeric values") from exc
-        except TypeError as exc:
-            raise FamilyError(f'dual file coefficient {coeff!r} is not an exact rational (an int or a "p/q" string)') from exc
+        except (TypeError, ValueError) as exc:
+            if isinstance(coeff, str) and re.search(r"[ab][0-9]", coeff):  # names a symbol a_i or b_i
+                raise FamilyError(f"dual file carries a symbolic coefficient {coeff!r}; lefschetz needs numeric values") from exc
+            raise FamilyError(f"dual file coefficient {exc}") from exc
     if not terms:
         raise FamilyError("dual file has no terms")
     return terms

@@ -22,32 +22,17 @@ from math import factorial, lcm
 from operator import add
 from typing import Sequence
 
-from .algebra import Monomial, as_fraction, monomials_of_degree
-from .dual import Exponents, action_image, numeric_form
-from .linalg import RowSpace, dense_rank, rank_of
-from .oracle import _catalecticant_rows, _integer_form
+from .algebra import Monomial, as_fraction
+from .dual import DIFFERENTIATION, Exponents, action_image, numeric_form
+from .linalg import dense_rank, rank_of
+from .oracle import _contraction_basis, _integer_form, catalecticant_rows
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:
     """A monomial basis of the degree-k part of R/Ann(F) under differentiation,
-    chosen greedily in canonical monomial order via catalecticant ranks."""
-    return _monomial_basis(*_integer_form(F), k)
-
-
-def _monomial_basis(terms: dict[Exponents, int], n: int, top: int, k: int) -> list[Monomial]:
-    candidates = monomials_of_degree(n, k)
-    rows = _catalecticant_rows(terms, n, top, k, candidates, differentiate=True)
-    space = RowSpace()
-    basis = []
-    for m, row in zip(candidates, rows):
-        if space.add(row):
-            basis.append(m)
-    return basis
-
-
-def graded_dimension(F, k: int) -> int:
-    """dim of the degree-k part of R/Ann(F) under differentiation."""
-    return rank_of(_catalecticant_rows(*_integer_form(F), k, None, differentiate=True))
+    chosen greedily in canonical monomial order, read off the contraction
+    catalecticant of the alpha!-scaled form (see `oracle._integer_form`)."""
+    return [Monomial._raw(g) for g in _contraction_basis(_integer_form(F, differentiate=True), k)]
 
 
 class HessianMatrix:
@@ -65,8 +50,7 @@ class HessianMatrix:
         for g in basis:
             if g.degree != k:
                 raise ValueError("basis elements must have the Hessian's degree")
-        rows = _catalecticant_rows(terms, n, top, k, list(basis), differentiate=True)
-        if rank_of(rows) < len(basis):
+        if rank_of(catalecticant_rows(F, k, basis, convention=DIFFERENTIATION)) < len(basis):
             raise ValueError("Hessian basis is dependent in the quotient")
         self.k = k
         self.n = n
@@ -107,8 +91,7 @@ class HessianMatrix:
         return dense_rank(self.substitute(ell))
 
 
-def hessian(F, k: int, basis: Sequence[Monomial]) -> HessianMatrix:
-    return HessianMatrix(F, k, basis)
+hessian = HessianMatrix
 
 
 def _point(ell: Sequence, n: int) -> list[Fraction]:
@@ -160,7 +143,7 @@ def lefschetz_rank(F, k: int, ell: Sequence) -> int:
     # H(c*ell) = c^(D-2k) * H(ell): clearing denominators keeps the rank.
     scale = lcm(*(v.denominator for v in values))
     point = [v.numerator * (scale // v.denominator) for v in values]
-    basis = [g.exponents for g in _monomial_basis(terms, n, top, k)]
+    basis = _contraction_basis(_integer_form(F, differentiate=True), k)
     return dense_rank(_hessian_at(terms, top, k, basis, point))
 
 
@@ -195,16 +178,16 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
     if trials < 1:
         raise ValueError("trials must be at least 1")
     terms, n, top = _integer_form(F)
+    form = _integer_form(F, differentiate=True)
     if rng is None:
         rng = random.Random(0)
     verdicts = []
     for k in range(top // 2 + 1):
-        basis = _monomial_basis(terms, n, top, k)
+        gammas = _contraction_basis(form, k)
         # R/Ann(F) is Gorenstein: Cat_{D-k} is Cat_k transposed up to
         # invertible diagonal scalings (factorials, over Q), so the target
         # A_{D-k} has the dimension of A_k and needs no elimination of its own.
-        target = len(basis)
-        gammas = [g.exponents for g in basis]
+        target = len(gammas)
         best_rank = -1
         best_ell: tuple[Fraction, ...] = ()
         certified = False
@@ -217,9 +200,7 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
                 certified = True
                 break
         status = "holds" if certified else "probably fails"
-        verdicts.append(
-            LefschetzVerdict(k, len(basis), target, best_rank, certified, status, best_ell)
-        )
+        verdicts.append(LefschetzVerdict(k, target, target, best_rank, certified, status, best_ell))
     return verdicts
 
 

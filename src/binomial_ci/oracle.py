@@ -10,9 +10,10 @@ builds the same matrix as integer rows (each generator scaled once to
 coprime integers) for the brute-force `linalg.RowSpace` reference.
 Inverse-system dimensions come from catalecticant ranks under contraction of
 rows x^gamma o F from `dual.action_image`, up to half the degree of F (the
-catalecticants of complementary degrees are transposes).  The avoided-power
-monomials span R/Ann(F) when, in each degree j, the rank of their rows is
-that h_j.  Column indices come from `_columns`.  Everything is deterministic
+catalecticants of complementary degrees are transposes), each read off
+`_contraction_basis`, the one cached elimination per form and degree that
+`lefschetz` shares.  The avoided-power monomials span R/Ann(F) when, in each
+degree j, the rank of their rows is that h_j.  Everything is deterministic
 and exact; no probabilistic rank.
 """
 
@@ -24,10 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, as_fraction, check_monomial_budget, monomials_of_degree
+from .algebra import Monomial, as_fraction, check_monomial_budget, falling_product, monomials_of_degree
 from .dual import DIFFERENTIATION, Exponents, _check_convention, action_image, normalize_terms, numeric_form
 from .family import BinomialFamily
-from .linalg import rank_of, to_int_row
+from .linalg import RowSpace, rank_of, to_int_row
 
 
 class NotCompleteIntersectionError(ValueError):
@@ -395,18 +396,37 @@ def _catalecticant_rows(
     ]
 
 
-def _integer_form(F) -> tuple[dict[Exponents, int], int, int]:
-    """numeric_form(F) scaled to coprime integers, for rank-only callers."""
+class _Terms(dict):
+    """Integer {exponents: coefficient} terms hashed by content; never mutated."""
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+
+def _integer_form(F, differentiate: bool = False) -> tuple[_Terms, int, int]:
+    """numeric_form(F) scaled to coprime integers, for rank-only callers.
+    `differentiate` first scales F[alpha] by alpha!: Cat_j(F) under
+    differentiation is Cat_j of that form under contraction with column beta
+    divided by beta!, so the two share row dependencies (alpha! Fd = D! Fc)."""
     terms, n, top = numeric_form(F)
-    return to_int_row(terms), n, top
+    if differentiate:
+        terms = {alpha: c * falling_product(alpha, alpha) for alpha, c in terms.items()}
+    return _Terms(to_int_row(terms)), n, top
 
 
-def _inverse_dims(form: tuple[dict[Exponents, int], int, int], max_degree: int) -> tuple[int, ...]:
-    """h_0..h_max_degree of an integer form (terms, n, top): catalecticant
-    ranks up to top/2, mirrored above, zero past top."""
-    top = form[2]
-    half = [rank_of(_catalecticant_rows(*form, j)) for j in range(min(top // 2, max_degree) + 1)]
-    return tuple(half[min(j, top - j)] if j <= top else 0 for j in range(max_degree + 1))
+@lru_cache(maxsize=64)
+def _contraction_basis(form: tuple[_Terms, int, int], degree: int) -> tuple[Exponents, ...]:
+    """The exponents gamma of degree `degree`, in canonical order, whose
+    contraction rows x^gamma o F are independent of the rows before them: a
+    basis of length h_degree.  Shared by every caller: read it only."""
+    space = RowSpace()
+    rows = _catalecticant_rows(*form, degree)
+    return tuple(gamma for gamma, row in zip(_columns(form[1], degree), rows) if space.add(row))
+
+
+def _dim(form: tuple[_Terms, int, int], j: int) -> int:
+    """h_j of an integer form (terms, n, top): the rank of Cat_min(j, top-j)."""
+    return len(_contraction_basis(form, min(j, form[2] - j))) if j <= form[2] else 0
 
 
 def inverse_system_dims(F, max_degree: int) -> HilbertFunction:
@@ -417,7 +437,8 @@ def inverse_system_dims(F, max_degree: int) -> HilbertFunction:
     j <= D/2 is eliminated, h_j = h_{D-j} above that, and h_j = 0 past D.
     """
     _check_max_degree(max_degree)
-    return HilbertFunction(_inverse_dims(_integer_form(F), max_degree))
+    form = _integer_form(F)
+    return HilbertFunction(tuple(_dim(form, j) for j in range(max_degree + 1)))
 
 
 def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
@@ -427,14 +448,12 @@ def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
     numeric homogeneous form in the same variables.  The rows m o F of the
     avoided-power monomials m of degree j are among the rows of Cat_j, so
     they span its row space exactly when their rank is h_j = rank Cat_j:
-    one rank per degree, checked against the mirrored half-degree ranks.
+    one rank per degree, checked against the shared `_contraction_basis`.
     """
     form = _integer_form(F)
-    n, top = form[1], form[2]
-    if n != family.n:
+    if form[1] != family.n:
         raise ValueError("form and family have different variable counts")
-    h = _inverse_dims(form, top)
     return all(
-        rank_of(_catalecticant_rows(*form, j, family.basis_monomials(j))) == h[j]
-        for j in range(top + 1)
+        rank_of(_catalecticant_rows(*form, j, family.basis_monomials(j))) == _dim(form, j)
+        for j in range(form[2] + 1)
     )

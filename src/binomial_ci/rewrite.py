@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import algebra
 from .algebra import CoeffMonomial, Monomial, SparsePoly, group_flat_terms
 from .family import BinomialFamily
 
@@ -35,7 +36,8 @@ def _walk(family: BinomialFamily, m: Monomial, k: int):
     """Follow edges with labels <= k until a basis monomial or a repeat.
 
     Returns (monomials, labels, stop_kind); for a cycle stop the last monomial
-    is the second visit of the cycle entry.
+    is the second visit of the cycle entry.  A walk longer than
+    `algebra.MONOMIAL_BUDGET` steps raises ValueError.
     """
     if not 1 <= k <= family.n:
         raise ValueError(f"cutoff must lie in 1..{family.n}")
@@ -48,6 +50,8 @@ def _walk(family: BinomialFamily, m: Monomial, k: int):
         if move is None:
             return monomials, labels, TO_BASIS
         label, nxt = move
+        if len(labels) == algebra.MONOMIAL_BUDGET:
+            raise ValueError(f"the rewriting walk from {m} exceeds the budget of {algebra.MONOMIAL_BUDGET} steps")
         labels.append(label)
         monomials.append(nxt)
         if nxt in seen:

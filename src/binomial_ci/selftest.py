@@ -12,14 +12,15 @@ import random
 from fractions import Fraction
 
 from . import catalog
-from .algebra import CoeffMonomial, SparsePoly, multinomial, poly_divides
-from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, action_image, apply_action, dual_generator, s_vector, verify_annihilation
+from .algebra import CoeffMonomial, SparsePoly, monomials_of_degree, multinomial, poly_divides
+from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, action_image, apply_action, dual_generator, numeric_form, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
-from .lefschetz import graded_dimension, hessian, monomial_basis
-from .linalg import rank_of
+from .lefschetz import hessian, monomial_basis
+from .linalg import RowSpace, rank_of
 from .oracle import (
     basis_check,
+    catalecticant_rows,
     hilbert_function,
     inverse_system_dims,
     is_complete_intersection,
@@ -273,9 +274,9 @@ def _check_wlp_failure() -> bool:
     F = catalog.wlp_failure_form()
     if inverse_system_dims(F, 5).values != (1, 5, 10, 10, 5, 1):
         return False
-    if graded_dimension(F, 2) != 10:
-        return False
     basis = monomial_basis(F, 2)
+    if len(basis) != 10:
+        return False
     matrix = hessian(F, 2, basis)
     rng = random.Random(31)
     for _ in range(5):
@@ -320,6 +321,27 @@ def _check_kernel_against_rows() -> bool:
     return True
 
 
+def _check_scaled_basis() -> bool:
+    # monomial_basis reads the contraction catalecticant of the alpha!-scaled
+    # form; a greedy pass over the differentiation rows themselves must pick
+    # the same monomials in every degree.
+    fam = specialize(catalog.three_var_double_cycle(), CoeffAssignment.of(3, a1=2, a2=3, a3=1, b1=5, b2=1, b3=7))
+    forms = [
+        catalog.wlp_failure_form(),
+        catalog.pentagon_dual_form_at([2, 3, 5, 7, 11]),
+        dual_generator(fam, DIFFERENTIATION).evaluate(),
+    ]
+    for F in forms:
+        _, n, top = numeric_form(F)
+        for k in range(top + 1):
+            candidates = monomials_of_degree(n, k)
+            space = RowSpace()
+            rows = catalecticant_rows(F, k, candidates, convention=DIFFERENTIATION)
+            if monomial_basis(F, k) != [m for m, row in zip(candidates, rows) if space.add(row)]:
+                return False
+    return True
+
+
 def _check_small_values() -> bool:
     return multinomial(3, (1, 1, 1)) == 6 and multinomial(3, (2, 1, 0)) == 3
 
@@ -343,6 +365,7 @@ CHECKS = [
     ("WLP failure form: deficient Hessian, spanning fails", _check_wlp_failure),
     ("complete-intersection test points", _check_ci_points),
     ("Macaulay kernel vs row reduction, generic and degenerate", _check_kernel_against_rows),
+    ("differentiation basis from the alpha!-scaled form vs greedy rows", _check_scaled_basis),
     ("multinomial values", _check_small_values),
 ]
 

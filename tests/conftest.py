@@ -11,6 +11,7 @@ from binomial_ci.catalog import (
     three_var_double_cycle,
     two_var_loop,
 )
+from binomial_ci.dual import numeric_form
 
 
 @pytest.fixture
@@ -81,3 +82,16 @@ def ci_corpus():
         if is_complete_intersection(fam):
             families.append(fam)
     return families
+
+
+def greedy_differentiation_basis(F, k):
+    """The canonical greedy basis by its definition: a RowSpace pass over the
+    differentiation rows of every degree-k monomial, in canonical order."""
+    from binomial_ci.linalg import RowSpace
+    from binomial_ci.oracle import catalecticant_rows
+
+    _, n, _ = numeric_form(F)
+    candidates = monomials_of_degree(n, k)
+    space = RowSpace()
+    rows = catalecticant_rows(F, k, candidates, convention="differentiation")
+    return [m for m, row in zip(candidates, rows) if space.add(row)]

@@ -423,3 +423,19 @@ class TestSubstitute:
             p.substitute([1], [None, None])
         with pytest.raises(ValueError):
             p.substitute([1, 2], [None, None, None])
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize("text, value", [("7", 7), ("-3/4", Fraction(-3, 4)), ("+2/6", Fraction(1, 3)), ("0", 0)])
+    def test_integer_and_quotient_strings(self, text, value):
+        assert algebra.as_fraction(text) == value
+
+    @pytest.mark.parametrize("text", ["0.5", "1e5", "1e3000000", "1.", ".5", " 3", "3 ", "1_0", "3/", "/3", "inf", "\u0663", ""])
+    def test_other_strings_are_rejected(self, text):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            algebra.as_fraction(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "-5/000"])
+    def test_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            algebra.as_fraction(text)

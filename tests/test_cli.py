@@ -3,6 +3,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from binomial_ci import Monomial, build_graph, cli, det_numeric_oracle, det_stru
 from binomial_ci.cli import build_parser, main
 from binomial_ci.dual import DualGenerator
 from binomial_ci.family import family_to_json
-from binomial_ci.catalog import five_var_pentagon, three_var_chain, three_var_double_cycle
+from binomial_ci.catalog import five_var_pentagon, three_var_chain, three_var_double_cycle, wlp_failure_form
 
 from conftest import random_family
 
@@ -413,7 +414,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "19/19 checks passed" in out
+        assert "20/20 checks passed" in out
 
 
 class TestDeterminism:
@@ -554,6 +555,63 @@ class TestBadRationalInput:
         assert "Traceback" not in err
 
 
+class TestDecimalAndExponentStrings:
+    """Fraction("1e3000000") builds a 3-million-digit int; only integers and
+    "p/q" strings are exact-rational input."""
+
+    HUGE = "1e3000000"
+
+    def test_dual_file_exponent_string_is_not_an_exact_rational(self, capsys, tmp_path):
+        dual_file = tmp_path / "dual.json"
+        dual_file.write_text(json.dumps({"terms": [{"alpha": [1, 1, 1], "coeff": "1e5"}]}))
+        code, out, err = run_cli(capsys, "lefschetz", "--dual-file", str(dual_file))
+        assert code == 1
+        assert out == ""
+        assert err == 'error: dual file coefficient \'1e5\' is not an exact rational (an int or a "p/q" string)\n'
+
+    @pytest.mark.parametrize("entry", ["hilbert-json", "set", "lefschetz-dual-file"])
+    def test_huge_exponent_exits_1_at_once(self, capsys, tmp_path, entry):
+        if entry == "hilbert-json":
+            argv = ["hilbert", "--family", _json_chain_with_coefficient(self.HUGE), "--max-degree", "2"]
+        elif entry == "set":
+            argv = ["graph", "--family", CHAIN, "--set", f"a1={self.HUGE}", "--degree", "2"]
+        else:
+            dual_file = tmp_path / "dual.json"
+            dual_file.write_text(json.dumps({"terms": [{"alpha": [2, 1], "coeff": self.HUGE}]}))
+            argv = ["lefschetz", "--dual-file", str(dual_file)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and self.HUGE in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0.5", "1e5", "1E5", "1.5e-3", "1_000", "inf", "nan"])
+    def test_set_rejects_non_fraction_numerals(self, capsys, value):
+        code, out, err = run_cli(capsys, "graph", "--family", CHAIN, "--set", f"a2={value}", "--degree", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
+class TestRewriteWalkBudget:
+    def test_long_walk_exits_1(self, capsys, monkeypatch):
+        import binomial_ci.algebra as algebra
+
+        monkeypatch.setattr(algebra, "MONOMIAL_BUDGET", 1000)
+        family = "f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1^2"
+        argv = ["reduce", "--family", family, "--set", "a1=1,a2=1,b1=1,b2=2", "--monomial", "x1^2000"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: the rewriting walk from x1^2000 exceeds the budget of 1000 steps\n"
+        monkeypatch.setattr(algebra, "MONOMIAL_BUDGET", 2000)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "outcome: cycle" in out
+
+
 PENTAGON = (
     "f1 = x1^2 - b1*x2*x3 ; f2 = x2^2 - b2*x3*x4 ; f3 = x3^2 - b3*x4*x5 ; "
     "f4 = x4^2 - b4*x1*x5 ; f5 = x5^2 - b5*x1*x2"
@@ -637,6 +695,17 @@ class TestGoldenBytes:
         )
         assert code == 0
         assert out == (GOLDEN / "lefschetz_pentagon.json").read_text()
+
+    def test_lefschetz_json_on_the_wlp_failure_form(self, capsys, tmp_path):
+        # Every trial at k = 2 runs and falls short: the "probably fails" branch.
+        terms = [{"alpha": list(alpha), "coeff": str(c)} for alpha, c in wlp_failure_form().items()]
+        dual_file = tmp_path / "dual.json"
+        dual_file.write_text(json.dumps({"terms": terms}))
+        code, out, _ = run_cli(
+            capsys, "lefschetz", "--dual-file", str(dual_file), "--trials", "3", "--seed", "5", "--format", "json"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "lefschetz_wlp_failure.json").read_text()
 
     @pytest.mark.parametrize("golden, argv", [pytest.param(*run, id=run[0]) for run in dual_golden_runs()])
     def test_dual_output(self, capsys, golden, argv):

@@ -10,6 +10,7 @@ from binomial_ci import (
     Monomial,
     dual_generator,
     hessian,
+    inverse_system_dims,
     is_complete_intersection,
     lefschetz_rank,
     monomial_basis,
@@ -20,11 +21,11 @@ from binomial_ci import (
 )
 from binomial_ci.catalog import pentagon_dual_form_at, wlp_failure_form
 from binomial_ci.dual import numeric_form
-from binomial_ci.lefschetz import HessianMatrix, _hessian_at, _monomial_basis, graded_dimension, has_slp
+from binomial_ci.lefschetz import HessianMatrix, _hessian_at, has_slp
 from binomial_ci.linalg import dense_rank
 from binomial_ci.oracle import _integer_form
 
-from conftest import random_family, random_nonzero
+from conftest import greedy_differentiation_basis, random_family, random_nonzero
 
 
 def squarefree_product_form():
@@ -74,7 +75,7 @@ class TestHessian:
             basis = monomial_basis(F, k)
             matrix = hessian(F, k, basis)
             ell = [Fraction(rng.randint(-100, 100)) for _ in range(5)]
-            assert matrix.rank_at(ell) <= min(len(basis), graded_dimension(F, 5 - k))
+            assert matrix.rank_at(ell) <= min(len(basis), len(monomial_basis(F, 5 - k)))
 
 
 class TestLefschetzRank:
@@ -94,7 +95,7 @@ class TestLefschetzRank:
     def test_wlp_failure_is_rank_deficient_for_every_ell(self):
         F = wlp_failure_form()
         rng = random.Random(54)
-        assert graded_dimension(F, 2) == 10
+        assert len(monomial_basis(F, 2)) == 10
         for _ in range(5):
             ell = [Fraction(rng.randint(-100, 100)) for _ in range(5)]
             assert lefschetz_rank(F, 2, ell) < 10
@@ -159,22 +160,42 @@ def test_target_size_is_the_high_degree_dimension():
         _, _, top = numeric_form(F)
         for v in slp_check(F, trials=1, rng=random.Random(5)):
             basis = monomial_basis(F, v.k)
-            assert graded_dimension(F, top - v.k) == len(basis) == v.target_size
+            assert len(monomial_basis(F, top - v.k)) == len(basis) == v.target_size
+
+
+def test_basis_matches_a_greedy_pass_over_the_differentiation_rows():
+    from binomial_ci.linalg import rank_of
+    from binomial_ci.oracle import catalecticant_rows
+
+    rng = random.Random(73)
+    forms = gorenstein_cases() + [
+        squarefree_product_form(),
+        pentagon_dual_form_at([Fraction(rng.randint(2, 9), rng.randint(1, 3)) for _ in range(5)]),
+    ]
+    for F in forms:
+        _, n, top = numeric_form(F)
+        dims = inverse_system_dims(F, top).values
+        for k in range(top + 1):
+            assert monomial_basis(F, k) == greedy_differentiation_basis(F, k)
+            assert dims[k] == rank_of(catalecticant_rows(F, k))
 
 
 def test_slp_check_eliminates_only_up_to_half_the_socle_degree(monkeypatch):
-    import binomial_ci.lefschetz as lefschetz
+    import binomial_ci.oracle as oracle
 
     degrees = []
-    real = lefschetz._catalecticant_rows
+    real = oracle._catalecticant_rows
 
     def counting(terms, n, top, degree, *args, **kwargs):
         degrees.append(degree)
         return real(terms, n, top, degree, *args, **kwargs)
 
-    monkeypatch.setattr(lefschetz, "_catalecticant_rows", counting)
+    oracle._contraction_basis.cache_clear()
+    monkeypatch.setattr(oracle, "_catalecticant_rows", counting)
     slp_check(wlp_failure_form(), trials=2, rng=random.Random(3))  # socle degree 5
-    assert sorted(set(degrees)) == [0, 1, 2]
+    assert degrees == [0, 1, 2]
+    slp_check(wlp_failure_form(), trials=2, rng=random.Random(4))
+    assert degrees == [0, 1, 2]  # a repeated call reads the cached bases
 
 
 class TestPointValidation:
@@ -230,7 +251,7 @@ def test_hessian_kernel_matches_the_symbolic_oracle():
     for F in kernel_cases():
         terms, n, top = _integer_form(F)
         for k in range(top // 2 + 1):
-            basis = _monomial_basis(terms, n, top, k)
+            basis = monomial_basis(F, k)
             oracle = HessianMatrix(terms, k, basis)
             scale = factorial(top - 2 * k)
             points = [

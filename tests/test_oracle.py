@@ -362,12 +362,40 @@ def test_inverse_system_dims_eliminates_only_up_to_half_the_degree(monkeypatch):
         degrees.append(degree)
         return real(terms, n, top, degree, *args, **kwargs)
 
+    oracle._contraction_basis.cache_clear()
     monkeypatch.setattr(oracle, "_catalecticant_rows", counting)
     assert inverse_system_dims(wlp_failure_form(), 8).values == (1, 5, 10, 10, 5, 1, 0, 0, 0)
     assert degrees == [0, 1, 2]
-    degrees.clear()
     assert inverse_system_dims(wlp_failure_form(), 1).values == (1, 5)
-    assert degrees == [0, 1]
+    assert degrees == [0, 1, 2]  # a repeated call reads the cached bases
+
+
+def test_one_catalecticant_elimination_per_degree_for_a_whole_verify_job(monkeypatch, ci_corpus):
+    import binomial_ci.oracle as oracle
+    from binomial_ci import slp_check
+
+    full = []
+    real = oracle._catalecticant_rows
+
+    def counting(terms, n, top, degree, monomials=None, *args):
+        if monomials is None:
+            full.append(degree)
+        return real(terms, n, top, degree, monomials, *args)
+
+    monkeypatch.setattr(oracle, "_catalecticant_rows", counting)
+    families = [fam for fam in ci_corpus if fam.socle_degree >= 2][:4]
+    assert families
+    for fam in families:
+        D = fam.socle_degree
+        Fc = dual_generator(fam, CONTRACTION).evaluate()
+        Fd = dual_generator(fam, DIFFERENTIATION).evaluate()
+        oracle._contraction_basis.cache_clear()
+        full.clear()
+        inverse_system_dims(Fc, D)
+        m_spans_ann_quotient(fam, Fc)
+        slp_check(Fd, trials=1, rng=random.Random(0))
+        assert full == list(range(D // 2 + 1))
+        assert oracle._contraction_basis.cache_info().misses == D // 2 + 1
 
 
 def spans_by_row_space(family, F):

@@ -26,7 +26,7 @@ from binomial_ci import (
     verify_annihilation,
 )
 
-from conftest import random_family, random_nonzero
+from conftest import greedy_differentiation_basis, random_family, random_nonzero
 
 
 def test_structural_determinant_equals_oracle_everywhere():
@@ -142,7 +142,7 @@ def test_hessian_kernel_matches_the_symbolic_oracle_hypothesis():
     st = pytest.importorskip("hypothesis.strategies")
     from math import factorial
 
-    from binomial_ci.lefschetz import HessianMatrix, _hessian_at, _monomial_basis
+    from binomial_ci.lefschetz import HessianMatrix, _hessian_at, monomial_basis
     from binomial_ci.oracle import _integer_form
 
     @st.composite
@@ -162,9 +162,53 @@ def test_hessian_kernel_matches_the_symbolic_oracle_hypothesis():
     def check(case):
         F, k, ell = case
         terms, n, top = _integer_form(F)
-        basis = _monomial_basis(terms, n, top, k)
+        basis = monomial_basis(F, k)
         scale = factorial(top - 2 * k)
         expected = [[scale * v for v in row] for row in HessianMatrix(terms, k, basis).substitute(ell)]
         assert _hessian_at(terms, top, k, [g.exponents for g in basis], ell) == expected
+
+    check()
+
+
+def test_scaled_contraction_basis_matches_the_differentiation_rows_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from binomial_ci.lefschetz import monomial_basis
+    from binomial_ci.linalg import rank_of
+    from binomial_ci.oracle import catalecticant_rows
+
+    from math import prod
+
+    from binomial_ci import multinomial
+
+    @st.composite
+    def forms(draw):
+        # Sparse forms, and sums of one or two powers of linear forms, whose
+        # differentiation ranks fall short of their contraction ranks.
+        n = draw(st.integers(min_value=1, max_value=4))
+        degree = draw(st.integers(min_value=0, max_value=7))
+        monomials = monomials_of_degree(n, degree)
+        coeffs = st.integers(min_value=-20, max_value=20).filter(bool)
+        if draw(st.booleans()):
+            chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=10, unique=True))
+            return {m.exponents: draw(coeffs) for m in chosen}, degree
+        F = {}
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            ell = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+            for m in monomials:
+                c = multinomial(degree, m.exponents) * prod(v**e for v, e in zip(ell, m.exponents))
+                F[m.exponents] = F.get(m.exponents, 0) + c
+        F = {alpha: c for alpha, c in F.items() if c}
+        hypothesis.assume(F)
+        return F, degree
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(forms())
+    def check(case):
+        F, top = case
+        dims = inverse_system_dims(F, top + 1).values
+        for k in range(top + 2):
+            assert monomial_basis(F, k) == greedy_differentiation_basis(F, k)
+            assert dims[k] == rank_of(catalecticant_rows(F, k))
 
     check()

@@ -354,3 +354,17 @@ class TestCertificateResidual:
             certificate_residual(chain, dataclasses.replace(cert, steps=(step,) + cert.steps[1:]))
         with pytest.raises(ValueError, match="Laurent"):
             certificate_residual(chain, dataclasses.replace(cert, rhs_coeff=laurent))
+
+
+def test_walk_past_the_monomial_budget_raises(chain, monkeypatch):
+    import binomial_ci.algebra as algebra
+
+    m = parse_monomial("x1^40", 3)
+    steps = len(reduce_monomial(chain, m).path_labels)
+    monkeypatch.setattr(algebra, "MONOMIAL_BUDGET", steps - 1)
+    with pytest.raises(ValueError, match="budget"):
+        reduce_monomial(chain, m)
+    with pytest.raises(ValueError, match="budget"):
+        certificate(chain, m)
+    monkeypatch.setattr(algebra, "MONOMIAL_BUDGET", steps)
+    assert len(reduce_monomial(chain, m).path_labels) == steps

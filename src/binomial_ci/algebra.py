@@ -15,8 +15,8 @@ already checked ones (products, quotients, graph successors, label counts of
 graph paths, sums of polynomials).
 
 The exact identity checks end in one flat dict that maps (outer exponents,
-symbol exponents) to a rational, int while integral.  `rewrite.check_certificate`
-accumulates into it directly; `dual.verify_annihilation` and
+symbol exponents) to a rational, int while integral.
+`rewrite.check_certificate`, `dual.verify_annihilation` and
 `dual.apply_action` accumulate under packed int keys and unpack only the
 nonzero entries into it.  `group_flat_terms` turns it back into one
 SparsePoly per outer key.
@@ -35,6 +35,16 @@ Rational = Union[Fraction, int, str]
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # the string form of a Rational
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, or only its type and length when the
+    repr is longer than 40 characters, so that a huge input gives one short
+    line."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"a {type(value).__name__} of {len(value) if isinstance(value, str) else len(text)} characters"
+
+
 def as_fraction(value: Rational) -> Fraction:
     """Coerce an int, a Fraction or a "[+-]digits[/digits]" string to an
     exact rational.  Other strings (decimals, exponents: Fraction("1e3000000")
@@ -48,9 +58,9 @@ def as_fraction(value: Rational) -> Fraction:
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"{value!r} has a zero denominator") from None
+            raise ValueError(f"{shown(value)} has a zero denominator") from None
     kind = ValueError if isinstance(value, str) else TypeError
-    raise kind(f'{value!r} is not an exact rational (an int or a "p/q" string)')
+    raise kind(f'{shown(value)} is not an exact rational (an int or a "p/q" string)')
 
 
 @dataclass(frozen=True)

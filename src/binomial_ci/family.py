@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Monomial, Rational, SparsePoly, as_fraction, monomials_of_degree
+from .algebra import Monomial, Rational, SparsePoly, as_fraction, monomials_of_degree, shown
 
 
 class FamilyError(ValueError):
@@ -524,7 +524,7 @@ def _json_value(value) -> OptionalRational:
         return as_fraction(value)
     except (TypeError, ValueError):
         raise FamilyValidationError(
-            f"coefficient {value!r} is not an integer or a \"p/q\" string"
+            f"coefficient {shown(value)} is not an integer or a \"p/q\" string"
         ) from None
 
 
@@ -532,7 +532,7 @@ def _json_int(value) -> int:
     # Only a JSON integer: int() would truncate a float, read a bool as 0 or 1
     # and parse a string.
     if type(value) is not int:
-        raise FamilyValidationError(f"{value!r} is not an integer")
+        raise FamilyValidationError(f"{shown(value)} is not an integer")
     return value
 
 

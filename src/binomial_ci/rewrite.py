@@ -3,19 +3,28 @@
 Following the reduction edges with labels <= k rewrites a monomial either to a
 basis monomial (no exponent reaches its d_i for i <= k) with an exact
 coefficient b^r/a^r, or into a cycle, in which case the monomial lies in the
-ideal whenever the family is a regular sequence.  Every reduction, under any
-cutoff k, can be certified by a relation that expands to zero symbolically;
-certificate_residual expands it into one flat dict of (x exponents, symbol
-exponents) -> rational terms, with no polynomial arithmetic.
+ideal whenever the family is a regular sequence.  The walk runs on exponent
+tuples through `BinomialFamily._move`, and `Monomial`s are built only for
+outputs.  The last walk is cached, so reduce_monomial and certificate on the
+same (monomial, k) share one walk.
+
+Every reduction, under any cutoff k, can be certified by a relation that
+expands to zero symbolically.  certificate_residual expands a given
+certificate on packed int keys, after Monagan and Pearce's packed monomials
+as in `dual._act`: each key holds the x exponents and the 2n symbol
+exponents, and each step costs one pack and two int adds.  It reads only the
+certificate, never the walk, so it checks an arbitrary certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import algebra
 from .algebra import CoeffMonomial, Monomial, SparsePoly, group_flat_terms
+from .dual import _lane_bytes, _pack, _unpacked
 from .family import BinomialFamily
 
 TO_BASIS = "basis"
@@ -32,32 +41,40 @@ class ReductionOutcome:
     cycle_entry: Monomial | None = None
 
 
-def _walk(family: BinomialFamily, m: Monomial, k: int):
-    """Follow edges with labels <= k until a basis monomial or a repeat.
+@lru_cache(maxsize=1)
+def _walk(family: BinomialFamily, exps: tuple[int, ...], k: int, budget: int):
+    """Follow edges with labels <= k from exps until a basis monomial or a
+    repeat, one `family._move` per step on exponent tuples.
 
-    Returns (monomials, labels, stop_kind); for a cycle stop the last monomial
-    is the second visit of the cycle entry.  A walk longer than
-    `algebra.MONOMIAL_BUDGET` steps raises ValueError.
+    Returns (exponent tuples, labels, stop_kind); for a cycle stop the last
+    tuple is the second visit of the cycle entry.  A walk longer than budget
+    steps (callers pass `algebra.MONOMIAL_BUDGET`) raises ValueError.  The
+    last walk is cached, so reduce_monomial and certificate on the same
+    request walk once; the returned lists are shared and must not be
+    mutated.  The one entry keeps at most one walk alive, and
+    MONOMIAL_BUDGET bounds its length.
     """
-    if not 1 <= k <= family.n:
-        raise ValueError(f"cutoff must lie in 1..{family.n}")
-    monomials = [m]
+    n = family.n
+    if not 1 <= k <= n:
+        raise ValueError(f"cutoff must lie in 1..{n}")
+    if len(exps) != n:
+        raise ValueError(f"monomial {Monomial._raw(exps)} does not have {n} variables")
+    move = family._move
+    states = [exps]
     labels: list[int] = []
-    seen = {m}
-    current = m
+    seen = {exps}
     while True:
-        move = family.step(current, k)
-        if move is None:
-            return monomials, labels, TO_BASIS
-        label, nxt = move
-        if len(labels) == algebra.MONOMIAL_BUDGET:
-            raise ValueError(f"the rewriting walk from {m} exceeds the budget of {algebra.MONOMIAL_BUDGET} steps")
+        step = move(exps, k)
+        if step is None:
+            return states, labels, TO_BASIS
+        if len(labels) == budget:
+            raise ValueError(f"the rewriting walk from {Monomial._raw(states[0])} exceeds the budget of {budget} steps")
+        label, exps = step
         labels.append(label)
-        monomials.append(nxt)
-        if nxt in seen:
-            return monomials, labels, TO_CYCLE
-        seen.add(nxt)
-        current = nxt
+        states.append(exps)
+        if exps in seen:
+            return states, labels, TO_CYCLE
+        seen.add(exps)
 
 
 def _label_counts(n: int, labels: list[int]) -> tuple[int, ...]:
@@ -70,14 +87,13 @@ def _label_counts(n: int, labels: list[int]) -> tuple[int, ...]:
 def reduce_monomial(family: BinomialFamily, m: Monomial, k: int | None = None) -> ReductionOutcome:
     """Reduce m along the reduction edges with labels <= k (default n)."""
     k = family.n if k is None else k
-    monomials, labels, kind = _walk(family, m, k)
+    states, labels, kind = _walk(family, m.exponents, k, algebra.MONOMIAL_BUDGET)
     r = _label_counts(family.n, labels)
+    end = Monomial._raw(states[-1])
     if kind == TO_BASIS:
         coeff = CoeffMonomial(Fraction(1), tuple(-e for e in r), r)
-        return ReductionOutcome(
-            TO_BASIS, tuple(labels), r, basis_monomial=monomials[-1], coeff=coeff
-        )
-    return ReductionOutcome(TO_CYCLE, tuple(labels), r, cycle_entry=monomials[-1])
+        return ReductionOutcome(TO_BASIS, tuple(labels), r, basis_monomial=end, coeff=coeff)
+    return ReductionOutcome(TO_CYCLE, tuple(labels), r, cycle_entry=end)
 
 
 @dataclass(frozen=True)
@@ -143,23 +159,42 @@ class Certificate:
 def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Certificate:
     """The relation of reduce_monomial(family, m, k): the same walk along the
     edges with labels <= k (default n), so kind and rhs match its outcome."""
-    monomials, labels, kind = _walk(family, m, family.n if k is None else k)
+    states, labels, kind = _walk(family, m.exponents, family.n if k is None else k, algebra.MONOMIAL_BUDGET)
     n = family.n
     r = _label_counts(n, labels)
     zero = (0,) * n
     one = Fraction(1)
     a_product = CoeffMonomial(one, r, zero)
     rhs_coeff = CoeffMonomial(one, zero, r)
-    leads = [family.lead_monomial(i) for i in range(1, n + 1)]
+    degrees = family.degrees
     steps = []
     before = [0] * n  # label counts of the steps already taken
-    for m_prev, label in zip(monomials, labels):
-        after = [total - seen for total, seen in zip(r, before)]
+    after = list(r)  # label counts of the steps after this one
+    for exps, label in zip(states, labels):
         after[label - 1] -= 1
         scale = CoeffMonomial._raw(one, tuple(after), tuple(before))
-        steps.append(CertificateStep(label, m_prev / leads[label - 1], scale))
+        multiplier = list(exps)  # the previous vertex over x_i^{d_i}
+        multiplier[label - 1] -= degrees[label - 1]
+        steps.append(CertificateStep(label, Monomial._raw(tuple(multiplier)), scale))
         before[label - 1] += 1
-    return Certificate(kind, m, a_product, tuple(steps), rhs_coeff, monomials[-1])
+    return Certificate(kind, m, a_product, tuple(steps), rhs_coeff, Monomial._raw(states[-1]))
+
+
+def _lanes(n: int, mono: Monomial, cm: CoeffMonomial) -> tuple[int, ...]:
+    """mono's exponents and then cm's symbol exponents, the lanes of one
+    packed key; a symbol count other than n or a negative exponent raises."""
+    if len(cm.a_exp) != n:
+        raise ValueError("polynomials live in different symbol counts")
+    if len(mono.exponents) != n:
+        raise ValueError(f"monomial {mono} does not have {n} variables")
+    lanes = mono.exponents + cm.a_exp + cm.b_exp
+    if min(lanes) < 0:
+        raise ValueError("Laurent exponents cannot be converted to a polynomial")
+    return lanes
+
+
+def _rational(q: Fraction) -> int | Fraction:
+    return q.numerator if q.denominator == 1 else q
 
 
 def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Monomial, SparsePoly]:
@@ -168,31 +203,42 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     Every coefficient is a coefficient monomial, so each term of the identity
     is one flat term (x exponents, symbol exponents) -> rational: the input
     and rhs terms, and per step -p_s*a_i at mult_s*x_i^{d_i} and +p_s*b_i at
-    mult_s*tail_i.
+    mult_s*tail_i.  The terms live on packed int keys (`dual._pack`) in lanes
+    wide enough for twice the largest exponent present, so each step is one
+    pack of mult_s and p_s plus two int adds of the precomputed keys of
+    x_i^{d_i}*a_i and tail_i*b_i.  Every exponent is checked before any key is
+    built, since a negative lane would borrow from its neighbour.
     """
     n = family.n
-    acc: dict = {}
-
-    def put(mono: Monomial, cm: CoeffMonomial, sign: int, slot: int | None = None) -> None:
-        if cm.n != n:
-            raise ValueError("polynomials live in different symbol counts")
-        sym = cm.a_exp + cm.b_exp
-        if min(sym) < 0:
-            raise ValueError("Laurent exponents cannot be converted to a polynomial")
-        if slot is not None:
-            sym = sym[:slot] + (sym[slot] + 1,) + sym[slot + 1 :]
-        q = cm.scalar
-        key = (mono.exponents, sym)
-        acc[key] = acc.get(key, 0) + sign * (q.numerator if q.denominator == 1 else q)
-
-    leads = [family.lead_monomial(i) for i in range(1, n + 1)]
-    put(cert.input, cert.a_product, 1)
+    first = _lanes(n, cert.input, cert.a_product)
+    last = _lanes(n, cert.rhs_monomial, cert.rhs_coeff)
+    top = max(*family.degrees, *first, *last)  # d_i >= 1 bounds tail_i's exponents
+    rows = []
     for step in cert.steps:
         i = step.gen_index
-        put(step.multiplier * leads[i - 1], step.scale, -1, i - 1)
-        put(step.multiplier * family.tails[i - 1], step.scale, 1, n + i - 1)
-    put(cert.rhs_monomial, cert.rhs_coeff, -1)
-    return {Monomial._raw(x): poly for x, poly in group_flat_terms(n, acc).items()}
+        if not 1 <= i <= n:
+            raise ValueError(f"generator index {i} out of range 1..{n}")
+        lanes = _lanes(n, step.multiplier, step.scale)
+        top = max(top, max(lanes))
+        rows.append((i - 1, lanes, _rational(step.scale.scalar)))
+    nb = _lane_bytes(top)
+    zero = (0,) * n
+    leads, tails = [], []
+    for i in range(1, n + 1):
+        unit = Monomial.variable(n, i).exponents
+        leads.append(_pack(family.lead_monomial(i).exponents + unit + zero, nb))
+        tails.append(_pack(family.tails[i - 1].exponents + zero + unit, nb))
+    acc = {_pack(first, nb): _rational(cert.a_product.scalar)}
+    get = acc.get
+    for i, lanes, q in rows:
+        p = _pack(lanes, nb)
+        key = p + leads[i]
+        acc[key] = get(key, 0) - q
+        key = p + tails[i]
+        acc[key] = get(key, 0) + q
+    key = _pack(last, nb)
+    acc[key] = get(key, 0) - _rational(cert.rhs_coeff.scalar)
+    return {Monomial._raw(x): poly for x, poly in group_flat_terms(n, _unpacked(acc, n, n, top)).items()}
 
 
 def check_certificate(family: BinomialFamily, cert: Certificate) -> bool:

@@ -7,12 +7,13 @@ functions, Hessian ranks) and compares for exact equality.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 from . import catalog
-from .algebra import CoeffMonomial, SparsePoly, monomials_of_degree, multinomial, poly_divides
+from .algebra import CoeffMonomial, Monomial, SparsePoly, monomials_of_degree, multinomial, poly_divides
 from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, action_image, apply_action, dual_generator, numeric_form, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
@@ -28,7 +29,7 @@ from .oracle import (
     macaulay_rows,
 )
 from .resultant import det_numeric_oracle, det_structural, radical_of_cycle_product, resultant_radical
-from .rewrite import TO_CYCLE, certificate, check_certificate, reduce_monomial, reduce_polynomial
+from .rewrite import TO_CYCLE, certificate, certificate_residual, check_certificate, reduce_monomial, reduce_polynomial
 
 
 def _sym_binomial(n: int, i: int, j: int) -> SparsePoly:
@@ -96,6 +97,55 @@ def _check_certificates() -> bool:
             return False
     out = reduce_monomial(famA, parse_monomial("x1*x2*x3^2", 3))
     return out.kind == TO_CYCLE
+
+
+def _sparse_residual(fam, cert) -> dict:
+    """The certificate identity expanded with SparsePoly arithmetic."""
+    n = fam.n
+    acc: dict = {}
+
+    def put(mono, poly):
+        acc[mono] = acc.get(mono, SparsePoly.zero(n)) + poly
+
+    put(cert.input, cert.a_product.to_sparse())
+    for step in cert.steps:
+        i = step.gen_index
+        scale = step.scale.to_sparse()
+        put(step.multiplier * fam.lead_monomial(i), -(scale * SparsePoly.symbol_a(n, i)))
+        put(step.multiplier * fam.tails[i - 1], scale * SparsePoly.symbol_b(n, i))
+    put(cert.rhs_monomial, -cert.rhs_coeff.to_sparse())
+    return {m: p for m, p in acc.items() if not p.is_zero()}
+
+
+def _check_packed_residual() -> bool:
+    # The packed residual of certificate_residual against a SparsePoly
+    # expansion, on certificates of the catalog families with one step's
+    # scale, multiplier or generator index changed.  A scale exponent of 255
+    # on a_i, plus the a_i of f_i, is the first sum past a 1-byte lane.
+    for fam in (
+        catalog.three_var_double_cycle(),
+        catalog.three_var_chain(),
+        catalog.two_var_loop(),
+        catalog.five_var_pentagon(),
+    ):
+        n = fam.n
+        zero = (0,) * n
+        for m in monomials_of_degree(fam.n, fam.resultant_degree)[::7]:
+            cert = certificate(fam, m)
+            if certificate_residual(fam, cert):
+                return False
+            for s, step in enumerate(cert.steps):
+                for new in (
+                    dataclasses.replace(step, scale=step.scale * CoeffMonomial(Fraction(2, 3), zero, zero)),
+                    dataclasses.replace(step, scale=CoeffMonomial(Fraction(1), Monomial.variable(n, step.gen_index, 255).exponents, zero)),
+                    dataclasses.replace(step, multiplier=step.multiplier * Monomial.variable(n, 1 + s % n)),
+                    dataclasses.replace(step, gen_index=step.gen_index % n + 1),
+                ):
+                    bad = dataclasses.replace(cert, steps=cert.steps[:s] + (new,) + cert.steps[s + 1 :])
+                    residual = certificate_residual(fam, bad)
+                    if not residual or residual != _sparse_residual(fam, bad):
+                        return False
+    return True
 
 
 def _check_s_vector() -> bool:
@@ -352,6 +402,7 @@ CHECKS = [
     ("degree-3 chain graph funnels to x1*x2*x3", _check_chain_graph),
     ("reduction of x1^2*x2 with coefficient b1^2*b2/(a1^2*a2)", _check_chain_reduction),
     ("reduction certificates expand to zero", _check_certificates),
+    ("packed certificate residual vs SparsePoly on tampered certificates", _check_packed_residual),
     ("s vector of the double-cycle family", _check_s_vector),
     ("dual generators, both conventions, term for term", _check_dual_generators),
     ("socle in-tree by reverse search vs forward graph walks", _check_in_tree),

@@ -414,7 +414,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "20/20 checks passed" in out
+        assert "21/21 checks passed" in out
 
 
 class TestDeterminism:
@@ -553,6 +553,24 @@ class TestBadRationalInput:
         assert err.startswith("error:")
         assert bad in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilbert", "--family", _json_chain_with_coefficient("1" * 5000), "--max-degree", "2"],
+            ["hilbert", "--family", _json_chain_with_coefficient("1" * 4000 + "x"), "--max-degree", "2"],
+            ["hilbert", "--family", _json_chain_with_coefficient([1] * 2000), "--max-degree", "2"],
+            ["graph", "--family", CHAIN, "--set", "a1=" + "1" * 4000 + "x", "--degree", "2"],
+        ],
+        ids=["json-5000-digits", "json-long-string", "json-long-list", "set-long-string"],
+    )
+    def test_huge_value_gives_one_short_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.endswith("\n")
+        assert "\n" not in err[:-1]
+        assert len(err) < 200
 
 
 class TestDecimalAndExponentStrings:

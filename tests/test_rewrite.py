@@ -23,6 +23,8 @@ from binomial_ci import (
     reduce_polynomial,
     specialize,
 )
+from binomial_ci import rewrite
+from binomial_ci.family import BinomialFamily
 from binomial_ci.graph import SINK, TRANSIENT
 from binomial_ci.rewrite import certificate_residual, certificate_to_json, render_certificate
 
@@ -346,6 +348,47 @@ class TestCertificateResidual:
                         tampered += 1
         assert tampered > 50
 
+    def test_exponents_past_one_byte_lanes_match_the_reference(self, chain):
+        # x1^300 walks 897 steps with scale exponents up to 597: 2-byte lanes
+        cert = certificate(chain, parse_monomial("x1^300", 3))
+        assert max(max(s.scale.a_exp + s.scale.b_exp) for s in cert.steps) >= 128
+        assert certificate_residual(chain, cert) == {} == _reference_residual(chain, cert)
+        rng = random.Random(19)
+        for bad in _tampered(rng, cert, 3):
+            residual = certificate_residual(chain, bad)
+            assert residual and residual == _reference_residual(chain, bad)
+
+    @pytest.mark.parametrize("e", [127, 128, 200, 254, 255, 256, 70000])
+    def test_large_tampered_scale_exponents_match_the_reference(self, chain, e):
+        cert = certificate(chain, parse_monomial("x1^2*x2", 3))
+        big = CoeffMonomial(Fraction(1), (e, 0, 0), (0, 0, e - 1))
+        for s in range(len(cert.steps)):
+            step = dataclasses.replace(cert.steps[s], scale=big)
+            bad = dataclasses.replace(cert, steps=cert.steps[:s] + (step,) + cert.steps[s + 1 :])
+            residual = certificate_residual(chain, bad)
+            assert residual and residual == _reference_residual(chain, bad)
+        bad = dataclasses.replace(cert, a_product=big, rhs_monomial=parse_monomial(f"x3^{e}", 3))
+        assert certificate_residual(chain, bad) == _reference_residual(chain, bad)
+
+    def test_other_symbol_counts_raise(self, chain):
+        cert = certificate(chain, parse_monomial("x1^2*x2", 3))
+        two = CoeffMonomial(Fraction(1), (1, 0), (0, 1))
+        step = dataclasses.replace(cert.steps[0], scale=two)
+        for bad in (
+            dataclasses.replace(cert, steps=(step,) + cert.steps[1:]),
+            dataclasses.replace(cert, a_product=two),
+            dataclasses.replace(cert, rhs_coeff=two),
+        ):
+            with pytest.raises(ValueError, match="symbol counts"):
+                certificate_residual(chain, bad)
+
+    def test_malformed_steps_raise(self, chain):
+        cert = certificate(chain, parse_monomial("x1^2*x2", 3))
+        for change in ({"gen_index": 0}, {"gen_index": 4}, {"multiplier": Monomial((1, 0))}):
+            step = dataclasses.replace(cert.steps[0], **change)
+            with pytest.raises(ValueError):
+                certificate_residual(chain, dataclasses.replace(cert, steps=(step,) + cert.steps[1:]))
+
     def test_laurent_exponents_raise(self, chain):
         cert = certificate(chain, parse_monomial("x1^2*x2", 3))
         laurent = CoeffMonomial(Fraction(1), (-1, 0, 0), (0, 0, 0))
@@ -368,3 +411,44 @@ def test_walk_past_the_monomial_budget_raises(chain, monkeypatch):
         certificate(chain, m)
     monkeypatch.setattr(algebra, "MONOMIAL_BUDGET", steps)
     assert len(reduce_monomial(chain, m).path_labels) == steps
+
+
+class TestOneWalkPerRequest:
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        """Every exponent tuple that `BinomialFamily._move` is asked about."""
+        seen = []
+        move = BinomialFamily._move
+
+        def counting(family, exps, limit):
+            seen.append(exps)
+            return move(family, exps, limit)
+
+        monkeypatch.setattr(BinomialFamily, "_move", counting)
+        rewrite._walk.cache_clear()
+        return seen
+
+    def test_reduce_then_certificate_walk_once(self, chain, double_cycle, moves):
+        for fam, text, kind in ((chain, "x1^2*x2", TO_BASIS), (double_cycle, "x3^4", TO_CYCLE)):
+            m = parse_monomial(text, 3)
+            del moves[:]
+            out = reduce_monomial(fam, m)
+            assert out.kind == kind
+            # one move per step, plus the one that finds no edge at a basis monomial
+            walked = len(out.path_labels) + (kind == TO_BASIS)
+            assert len(moves) == walked and len(set(moves)) == walked
+            cert = certificate(fam, m)
+            assert certificate(fam, m, fam.n) == cert
+            assert [s.gen_index for s in cert.steps] == list(out.path_labels)
+            assert len(moves) == walked
+
+    def test_another_monomial_or_cutoff_walks_again(self, chain, moves):
+        m = parse_monomial("x1^3*x2", 3)
+        reduce_monomial(chain, m)
+        for other, k in ((m, 1), (m, 2), (parse_monomial("x1^2*x2^2", 3), None), (m, None)):
+            before = len(moves)
+            certificate(chain, other, k)
+            assert len(moves) > before
+            before = len(moves)
+            reduce_monomial(chain, other, k)
+            assert len(moves) == before

@@ -148,10 +148,10 @@ def check_monomial_budget(n: int, d: int) -> None:
         )
 
 
-def monomials_of_degree(n: int, d: int) -> list[Monomial]:
-    """All degree-d monomials in n variables, in descending lex order.
+def exponents_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
+    """All degree-d exponent vectors in n variables, in descending lex order.
 
-    The count is binomial(d + n - 1, n - 1); x1-heavy monomials come first.
+    The count is binomial(d + n - 1, n - 1); x1-heavy vectors come first.
     A count above MONOMIAL_BUDGET raises ValueError before any is built.
     """
     if n < 1:
@@ -164,7 +164,7 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     # entry before the last, and puts it together with the last entry into
     # e[j + 1].
     e = [d] + [0] * (n - 1)
-    out = [Monomial._raw(tuple(e))]
+    out = [tuple(e)]
     last = n - 1
     j = 0 if last and d else -1
     while j >= 0:
@@ -172,13 +172,18 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
         e[last] = 0
         e[j] -= 1
         e[j + 1] = rest + 1
-        out.append(Monomial._raw(tuple(e)))
+        out.append(tuple(e))
         if j + 1 < last:
             j += 1
         else:
             while j >= 0 and not e[j]:
                 j -= 1
     return out
+
+
+def monomials_of_degree(n: int, d: int) -> list[Monomial]:
+    """The monomials of `exponents_of_degree(n, d)`, in its order."""
+    return list(map(Monomial._raw, exponents_of_degree(n, d)))
 
 
 def multinomial(d: int, alpha: Iterable[int]) -> int:

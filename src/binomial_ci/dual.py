@@ -16,12 +16,16 @@ The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
 in two forms that the tests pin together.  `action_image` maps tuple-keyed
 terms; the catalecticants of `oracle` and the Hessians of `lefschetz` call
 it.  apply_action and verify_annihilation go through the packed kernel
-`_act`, after Monagan and Pearce's packed monomials: every coefficient is
-expanded once into (symbol exponents, rational) terms, each term of F is
-packed once into one int that holds its X and symbol exponents, and each
-product is one int add and one rational multiply into a single dict.  No
-intermediate polynomial is built; only the nonzero entries are unpacked and
-grouped back into SparsePoly (or, for numeric inputs, Fraction) coefficients.
+`_act`, after Monagan and Pearce's packed monomials: each term of F, X and
+symbol exponents together, is packed once by `_pack` into one int of 1-, 2-,
+4- or 8-byte lanes whose top bits stay free as guards, one subtract and mask
+on those bits tests divisibility by x^gamma, and each product is one int add
+and one rational multiply into a single dict.  The kernel only contracts:
+differentiation contracts the alpha!-scaled form and divides each nonzero
+term at X^k by k!, the identity behind `oracle._integer_form`.  Only the
+nonzero entries are unpacked and grouped back into SparsePoly (or, for
+numeric inputs, Fraction) coefficients.  `rewrite` and `graph` pack with the
+same `_pack`.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
-from math import perm
+from itertools import accumulate, chain, repeat, starmap
+from math import factorial, prod
 from operator import add, le, lt, mul, sub
+from struct import Struct
+from struct import error as StructError
 from typing import Mapping
 
 from .algebra import (
@@ -129,7 +135,8 @@ class DualGenerator:
     def _substituted(self) -> dict[Exponents, tuple[Exponents, int | Fraction]]:
         """{alpha: (2n symbol exponents, rational)} for the nonzero coefficients:
         fixed values substituted (their exponents drop to 0) in integer numerator
-        and denominator products, integral values as int."""
+        and denominator products, integral values as int.  A negative exponent
+        of a fixed symbol raises ValueError naming its term."""
         fam = self.family
         fixed = [
             (i, [(v.numerator**e, v.denominator**e) for e in range(top + 1)])
@@ -138,18 +145,19 @@ class DualGenerator:
         ]
         out = {}
         for alpha, cm in self.coeffs.items():
-            num, den = cm.scalar.numerator, cm.scalar.denominator
-            sym = [*cm.a_exp, *cm.b_exp]
-            for i, powers in fixed:
-                if sym[i]:
-                    pn, pd = powers[sym[i]]
-                    num, den = num * pn, den * pd
-                    sym[i] = 0
-            if num:
-                if den != 1:
-                    q = Fraction(num, den)
-                    num = q.numerator if q.denominator == 1 else q
-                out[alpha] = (tuple(sym), num)
+            q, sym = cm.scalar, cm.a_exp + cm.b_exp
+            if fixed:
+                num, den, sym = q.numerator, q.denominator, list(sym)
+                for i, powers in fixed:
+                    e = sym[i]
+                    if e:
+                        if e < 0:
+                            raise ValueError(f"Laurent exponents cannot be converted to a polynomial: ({cm})*X^{list(alpha)}")
+                        pn, pd = powers[e]
+                        num, den, sym[i] = num * pn, den * pd, 0
+                q, sym = Fraction(num, den) if den != 1 else num, tuple(sym)
+            if q:
+                out[alpha] = (sym, q.numerator if q.denominator == 1 else q)
         return out
 
     def sparse_terms(self) -> dict[Exponents, SparsePoly]:
@@ -240,7 +248,7 @@ def action_image(terms: Terms, gamma: Exponents, differentiate: bool) -> Terms:
 
     Contraction sends X^alpha to X^(alpha-gamma) when gamma <= alpha and to
     0 otherwise; differentiation also multiplies by the falling factorials
-    of alpha over gamma.  `_act` computes the same action under packed keys.
+    of alpha over gamma.  `_apply` computes the same action under packed keys.
     """
     image = {}
     support = [(i, g) for i, g in enumerate(gamma) if g]
@@ -254,14 +262,16 @@ def action_image(terms: Terms, gamma: Exponents, differentiate: bool) -> Terms:
     return image
 
 
-Flat = dict[Exponents, list[tuple[Exponents, int | Fraction]]]
+Flat = list[tuple[Exponents, tuple[Exponents, int | Fraction]]]
 
 
 def _flat(terms: Terms, m: int) -> Flat:
-    """Each coefficient as its (symbol exponents, rational) terms in m symbol
-    pairs, integral values as int; a Fraction is one term on the zero key."""
+    """[(alpha, (symbol exponents, rational))], the shape of
+    `DualGenerator._substituted().items()`: each coefficient as its terms in
+    m symbol pairs, integral values as int; a Fraction is one term on the
+    zero symbol key."""
     zero = (0,) * (2 * m)
-    out: Flat = {}
+    out: Flat = []
     for key, c in terms.items():
         if isinstance(c, SparsePoly):
             if c.n != m:
@@ -269,87 +279,112 @@ def _flat(terms: Terms, m: int) -> Flat:
             items = c.terms.items()
         else:
             items = ((zero, c),)
-        out[key] = [(sym, q.numerator if q.denominator == 1 else q) for sym, q in items]
+        out += [(key, (sym, q.numerator if q.denominator == 1 else q)) for sym, q in items]
     return out
-
-
-Packed = list[tuple[Exponents, list[tuple[int, int | Fraction]]]]
-
-
-def _lane_top(*flats: Flat) -> int:
-    """The largest exponent, X or symbol, in any of the flat forms."""
-    exps = chain.from_iterable(chain(flat, (sym for terms in flat.values() for sym, _ in terms)) for flat in flats)
-    return max(chain.from_iterable(exps), default=0)
 
 
 def _lane_bytes(top: int) -> int:
-    """Bytes per packed lane: (2*top).bit_length() bits, rounded up to whole
-    bytes, so the sum of two exponents up to top never leaves its lane."""
-    return max(1, ((2 * top).bit_length() + 7) // 8)
+    """Bytes per packed lane, 1, 2, 4 or 8: room for the sum of two exponents
+    up to top with the lane's top bit still free as a guard."""
+    bits = (2 * top).bit_length() + 1
+    for nb in (1, 2, 4, 8):
+        if bits <= 8 * nb:
+            return nb
+    raise ValueError(f"exponent {top} is too large for a packed key")
+
+
+@lru_cache(maxsize=64)
+def _layout(size: int, nb: int) -> Struct:
+    """size unsigned little-endian lanes of nb bytes (struct codes B, H, I,
+    Q): the same widths and lane order on every host."""
+    return Struct(f"<{size}{'BHIQ'[nb.bit_length() - 1]}")
 
 
 def _pack(exps: Exponents, nb: int) -> int:
-    """exps[j] in bytes [j*nb, (j+1)*nb) of one little-endian int."""
-    if nb == 1:
-        return int.from_bytes(bytes(exps), "little")
-    return int.from_bytes(b"".join(e.to_bytes(nb, "little") for e in exps), "little")
+    """exps[j] in bytes [j*nb, (j+1)*nb) of one int; every entry must fit an
+    unsigned lane of nb bytes."""
+    return int.from_bytes(_layout(len(exps), nb).pack(*exps), "little")
 
 
-def _packed(flat: Flat, top: int) -> Packed:
-    """[(alpha, [(pack(alpha + sym), rational)])] in the order of flat."""
-    nb = _lane_bytes(top)
-    return [(alpha, [(_pack(alpha + sym, nb), c) for sym, c in terms]) for alpha, terms in flat.items()]
+def _pack_all(vectors, size: int, nb: int) -> list[int]:
+    """[_pack(v, nb) for v in vectors], for vectors of size entries, in C."""
+    return list(map(int.from_bytes, starmap(_layout(size, nb).pack, vectors), repeat("little")))
 
 
-def _act(f_flat: Flat, big: Packed, top: int, differentiate: bool) -> dict[int, int | Fraction]:
-    """sum over gamma of c_gamma * (x^gamma o F) under packed keys.
+def _unpacked(key: int, size: int, nb: int) -> Exponents:
+    """The size lanes of a packed key: the inverse of _pack."""
+    return _layout(size, nb).unpack(key.to_bytes(size * nb, "little"))
 
-    The one exact kernel of apply_action and verify_annihilation, after
-    Monagan and Pearce's packed monomials: each key holds the X exponents
-    and then the symbol exponents in lanes of _lane_bytes(top) bytes, where
-    top bounds every exponent of both sides, so no lane of a product
-    overflows.  A term of F whose alpha passes the test alpha >= gamma on
-    gamma's support shifts by pack(0, s1) - pack(gamma, 0) with one int add
-    and no borrow.  Under differentiation the falling factorial
-    alpha_i!/(alpha_i - g)! comes from one table per exponent g of f.
+
+def _nonzero(acc: dict[int, int | Fraction], n: int, m: int, nb: int) -> dict:
+    """{(X exponents, symbol exponents): rational} for the nonzero entries of
+    a packed accumulator with n X lanes and 2m symbol lanes."""
+    out = {}
+    for key, c in acc.items():
+        if c:
+            lanes = _unpacked(key, n + 2 * m, nb)
+            out[lanes[:n], lanes[n:]] = c
+    return out
+
+
+def _act(f_flat: Flat, big: list[tuple[int, int | Fraction]], n: int, nb: int, guard: int) -> dict[int, int | Fraction]:
+    """sum over gamma of c_gamma * (x^gamma o F) under contraction, on packed
+    keys: the one exact kernel of apply_action and verify_annihilation.
+
+    After Monagan and Pearce's packed monomials: big holds F's terms as
+    (p | G, rational), p one int with the X and then the symbol exponents in
+    lanes of nb bytes and G = guard, the top bits of the X lanes.
+    `_lane_bytes` keeps each lane's top bit free, so with g = pack(gamma),
+    ((p | G) - g) & G == G tests alpha >= gamma in every lane at once: no
+    lane borrows from the next, and a lane keeps its guard bit exactly when
+    alpha's entry is at least gamma's.  A term that passes moves to
+    p - g + pack(0, s1) with one int add.
     """
-    nb = _lane_bytes(top)
-    tables = {g: [perm(a, g) for a in range(top + 1)] for g in set(chain.from_iterable(f_flat))} if differentiate else {}
+    shift = 8 * nb * n
     acc: dict[int, int | Fraction] = {}
-    get = acc.get
-    for gamma, f_syms in f_flat.items():
-        support = [(i, g) for i, g in enumerate(gamma) if g]
-        falls = [(i, tables[g]) for i, g in support] if differentiate else ()
-        shift = 8 * nb * len(gamma)
-        deltas = [((_pack(s1, nb) << shift) - _pack(gamma, nb), c1) for s1, c1 in f_syms]
-        for alpha, big_terms in big:
-            for i, g in support:
-                if alpha[i] < g:
-                    break
-            else:
-                scale = 1
-                for i, table in falls:
-                    scale *= table[alpha[i]]
-                for d, c1 in deltas:
-                    c1 *= scale
-                    for p, c2 in big_terms:
-                        k = p + d
-                        acc[k] = get(k, 0) + c1 * c2
+    for gamma, (s1, c1) in f_flat:
+        g = _pack(gamma, nb)
+        d = (_pack(s1, nb) << shift) - g - guard
+        image = {p + d: c1 * c2 for p, c2 in big if (p - g) & guard == guard}  # distinct p, distinct keys
+        if len(image) > len(acc):
+            acc, image = image, acc
+        get = acc.get
+        for k, c in image.items():
+            acc[k] = get(k, 0) + c
     return acc
 
 
-def _unpacked(acc: dict[int, int | Fraction], n: int, m: int, top: int) -> dict:
-    """{(X exponents, symbol exponents): rational} for the nonzero entries
-    of a packed accumulator of _act."""
-    nb = _lane_bytes(top)
-    size = (n + 2 * m) * nb
-    out = {}
-    for p, c in acc.items():
-        if c:
-            raw = p.to_bytes(size, "little")
-            lanes = tuple(raw) if nb == 1 else tuple(int.from_bytes(raw[j : j + nb], "little") for j in range(0, size, nb))
-            out[lanes[:n], lanes[n:]] = c
-    return out
+def _apply(f_flats: list[Flat], big_flat, n: int, m: int, differentiate: bool) -> list[dict]:
+    """[f o F as {(X exponents, symbol exponents): rational}] for each f,
+    with F's terms big_flat in the shape of `_flat`.
+
+    One max over every tuple packed sizes the lanes, so F may hold any
+    exponents.  A negative one fails the lane's range check when packed and
+    raises ValueError naming its term.  Differentiation is contraction of
+    the alpha!-scaled form, since x^gamma o X^alpha = alpha!/(alpha -
+    gamma)! X^(alpha - gamma) under differentiation: each nonzero term at
+    X^k is then divided by k!.
+    """
+    keys = [alpha + sym for alpha, (sym, _) in big_flat]
+    f_keys = [gamma + sym for f_flat in f_flats for gamma, (sym, _) in f_flat]
+    nb = _lane_bytes(max(chain.from_iterable(chain(keys, f_keys)), default=0))
+    guard = _pack((1 << 8 * nb - 1,) * n, nb)
+    try:
+        packed = _pack_all(keys, n + 2 * m, nb)
+    except StructError:
+        for alpha, (sym, q) in big_flat:
+            if min(alpha + sym) < 0:
+                term = CoeffMonomial._raw(Fraction(q), sym[:m], sym[m:])
+                raise ValueError(f"Laurent exponents cannot be converted to a polynomial: ({term})*X^{list(alpha)}") from None
+        raise
+    if differentiate:
+        big = [(p | guard, q * prod(map(factorial, alpha))) for p, (alpha, (_, q)) in zip(packed, big_flat)]
+    else:
+        big = [(p | guard, q) for p, (_, (_, q)) in zip(packed, big_flat)]
+    images = [_nonzero(_act(f_flat, big, n, nb, guard), n, m, nb) for f_flat in f_flats]
+    if differentiate:
+        images = [{key: Fraction(c, prod(map(factorial, key[0]))) for key, c in image.items()} for image in images]
+    return images
 
 
 def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
@@ -365,10 +400,7 @@ def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
     f_norm, n = normalize_terms(f_terms)
     big_norm, n = normalize_terms(big_terms, n)
     m = next((c.n for c in (*f_norm.values(), *big_norm.values()) if isinstance(c, SparsePoly)), None)
-    f_flat, big_flat = _flat(f_norm, m or 0), _flat(big_norm, m or 0)
-    top = _lane_top(f_flat, big_flat)
-    acc = _act(f_flat, _packed(big_flat, top), top, convention == DIFFERENTIATION)
-    terms = _unpacked(acc, n or 0, m or 0, top)
+    (terms,) = _apply([_flat(f_norm, m or 0)], _flat(big_norm, m or 0), n or 0, m or 0, convention == DIFFERENTIATION)
     if m is None:
         return {key: Fraction(c) for (key, _), c in terms.items()}
     return group_flat_terms(m, terms)
@@ -395,18 +427,12 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     if isinstance(F, DualGenerator):
         if F.n != n:
             raise ValueError("the dual generator and the family have different variable counts")
-        big_flat = {alpha: [term] for alpha, term in F._substituted().items()}
+        big_flat = F._substituted().items()
     else:
         big_flat = _flat(normalize_terms(F, n)[0], n)
     f_flats = [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
-    top = _lane_top(big_flat, *f_flats)
-    big = _packed(big_flat, top)
-    differentiate = convention == DIFFERENTIATION
-    residuals: dict[int, dict] = {}
-    for i, f_flat in enumerate(f_flats, 1):
-        res = group_flat_terms(n, _unpacked(_act(f_flat, big, top, differentiate), n, n, top))
-        if res:
-            residuals[i] = res
+    images = _apply(f_flats, big_flat, n, n, convention == DIFFERENTIATION)
+    residuals = {i: res for i, res in enumerate((group_flat_terms(n, image) for image in images), 1) if res}
     return AnnihilationResult(not residuals, residuals)
 
 

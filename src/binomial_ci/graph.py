@@ -4,6 +4,12 @@ Each monomial divisible by some x_i^{d_i} has exactly one outgoing edge,
 labeled by the least such i, to m*m_i/x_i^{d_i}; the rest are sinks.  The
 structure depends only on the tails and degrees, never on the coefficients.
 
+`build_graph` works on exponent tuples from `algebra.exponents_of_degree`,
+each packed by `dual._pack` into one int: one subtract and mask on the guard
+bits, as in `dual._act`, gives a vertex's label, and its successor is one int
+add of the label's packed delta plus one dict lookup.  `vertices` and `index`
+are built on first read; cycles build `Monomial`s for their own vertices.
+
 `build_graph` keeps the last graph it built, keyed by (family, degree): a
 request asks for the same graph back to back (the structural determinant and
 the radical both read the resultant-degree graph), so it is built once.  The
@@ -15,9 +21,10 @@ and must be treated as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .algebra import Monomial, SparsePoly, monomials_of_degree
+from .algebra import Monomial, SparsePoly, exponents_of_degree
+from .dual import _lane_bytes, _pack, _pack_all
 from .family import BinomialFamily
 
 SINK = "sink"
@@ -38,14 +45,14 @@ class Cycle:
 
 
 class ReductionGraph:
-    """The labeled successor structure on all monomials of one degree."""
+    """The labeled successor structure on all monomials of one degree, whose
+    exponent vectors `exponents` holds in the order of `monomials_of_degree`."""
 
     def __init__(
         self,
         family: BinomialFamily,
         d: int,
-        vertices: tuple[Monomial, ...],
-        index: dict[tuple[int, ...], int],
+        exponents: tuple[tuple[int, ...], ...],
         succ: tuple[int | None, ...],
         labels: tuple[int | None, ...],
         vertex_class: tuple[str, ...],
@@ -53,12 +60,19 @@ class ReductionGraph:
     ):
         self.family = family
         self.d = d
-        self.vertices = vertices
-        self.index = index  # exponent tuple -> vertex position
+        self.exponents = exponents
         self.succ = succ
         self.labels = labels
         self.vertex_class = vertex_class
         self.cycles = cycles
+
+    @cached_property
+    def vertices(self) -> tuple[Monomial, ...]:
+        return tuple(map(Monomial._raw, self.exponents))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:  # exponent tuple -> vertex position
+        return dict(zip(self.exponents, range(len(self.exponents))))
 
     @property
     def n(self) -> int:
@@ -91,68 +105,52 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    vertices = tuple(monomials_of_degree(family.n, d))
-    lookup = {m.exponents: v for v, m in enumerate(vertices)}
-    move = family._move
     n = family.n
-    succ: list[int | None] = []
-    labels: list[int | None] = []
-    for m in vertices:
-        edge = move(m.exponents, n)
-        if edge is None:
-            succ.append(None)
-            labels.append(None)
-        else:
-            labels.append(edge[0])
-            succ.append(lookup[edge[1]])
+    exps = exponents_of_degree(n, d)
+    nb = _lane_bytes(max(d, *family.degrees))  # tail_i's entries are at most d_i
+    width = 8 * nb
+    keys = _pack_all(exps, n, nb)
+    lookup = dict(zip(keys, range(len(keys))))
+    # With the guard bits G of `dual._act`, lane i of ((key | G) - pack(d)) & G
+    # keeps its top bit exactly when e_i >= d_i; the lowest bit left sits at
+    # width * label - 1, so its bit length over width is the label (0: sink).
+    guard = _pack((1 << width - 1,) * n, nb)
+    bound = _pack(family.degrees, nb)
+    found = [(t & -t).bit_length() // width for t in [((key | guard) - bound) & guard for key in keys]]
+    # key + deltas[label] packs e - d_i e_i + tail_i, the label-i successor
+    deltas = [0] + [_pack(t.exponents, nb) - (di << width * i) for i, (t, di) in enumerate(zip(family.tails, family.degrees))]
+    succ = [lookup[key + deltas[i]] if i else None for key, i in zip(keys, found)]
+    labels = [i or None for i in found]
 
-    count = len(vertices)
-    state = [0] * count  # 0 fresh, 1 on the current walk, 2 finished
-    vertex_class: list[str] = [TRANSIENT] * count
+    count = len(exps)
+    vertex_class = [SINK if s is None else TRANSIENT for s in succ]
+    reached = [-1] * count  # the start of the first walk through each vertex
     raw_cycles: list[list[int]] = []
     for start in range(count):
-        if state[start]:
-            continue
         walk: list[int] = []
-        position: dict[int, int] = {}
         v = start
-        while True:
-            if state[v] == 1:
-                cut = position[v]
-                raw_cycles.append(walk[cut:])
-                for u in walk[cut:]:
-                    vertex_class[u] = CYCLIC
-                break
-            if state[v] == 2:
-                break
-            state[v] = 1
-            position[v] = len(walk)
+        while v is not None and reached[v] < 0:
+            reached[v] = start
             walk.append(v)
-            nxt = succ[v]
-            if nxt is None:
-                vertex_class[v] = SINK
-                break
-            v = nxt
-        for u in walk:
-            state[u] = 2
+            v = succ[v]
+        if v is not None and reached[v] == start:  # the walk closed on itself
+            raw_cycles.append(walk[walk.index(v) :])
+            for u in raw_cycles[-1]:
+                vertex_class[u] = CYCLIC
 
     rotations = []
     for raw in raw_cycles:
-        smallest = min(range(len(raw)), key=lambda j: vertices[raw[j]].exponents)
+        smallest = min(range(len(raw)), key=lambda j: exps[raw[j]])
         rotations.append(raw[smallest:] + raw[:smallest])
     rotations.sort(key=lambda rotated: rotated[0])
     cycles = []
     for rotated in rotations:
         cycle_labels = tuple(labels[v] for v in rotated)
-        counts = [0] * family.n
+        counts = [0] * n
         for lab in cycle_labels:
             counts[lab - 1] += 1
-        cycles.append(
-            Cycle(tuple(vertices[v] for v in rotated), cycle_labels, tuple(counts))
-        )
-    return ReductionGraph(
-        family, d, vertices, lookup, tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles)
-    )
+        cycles.append(Cycle(tuple(Monomial._raw(exps[v]) for v in rotated), cycle_labels, tuple(counts)))
+    return ReductionGraph(family, d, tuple(exps), tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles))
 
 
 def cycle_polynomial(cycle: Cycle) -> SparsePoly:

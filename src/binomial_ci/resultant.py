@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .algebra import SparsePoly
 from .family import BinomialFamily, CoeffAssignment, specialize
@@ -91,11 +92,15 @@ def det_structural(family: BinomialFamily) -> SparsePoly:
     """The determinant read off the reduction graph at the resultant degree.
 
     With the a-symbols on the diagonal the sign works out to +1: the product
-    of the transient labels' a-symbols times the cycle polynomials.
+    of the transient labels' a-symbols times the cycle polynomials.  Each
+    (a^r - b^r)^c is expanded by the binomial theorem into its c + 1 terms
+    (-1)^k C(c, k) a^((c-k)r) b^(kr).
     """
     det, factors = det_structural_parts(family)
-    for poly, count in factors:
-        det = det * poly**count
+    for poly, c in factors:
+        (ka, u), (kb, v) = poly.terms.items()  # u*a^r + v*b^r, u = 1 and v = -1
+        terms = {tuple((c - k) * x + k * y for x, y in zip(ka, kb)): u ** (c - k) * v**k * comb(c, k) for k in range(c + 1)}
+        det = det * SparsePoly._raw(poly.n, terms)
     return det
 
 

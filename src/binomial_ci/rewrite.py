@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import algebra
 from .algebra import CoeffMonomial, Monomial, SparsePoly, group_flat_terms
-from .dual import _lane_bytes, _pack, _unpacked
+from .dual import _lane_bytes, _nonzero, _pack, _pack_all
 from .family import BinomialFamily
 
 TO_BASIS = "basis"
@@ -203,9 +203,9 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     Every coefficient is a coefficient monomial, so each term of the identity
     is one flat term (x exponents, symbol exponents) -> rational: the input
     and rhs terms, and per step -p_s*a_i at mult_s*x_i^{d_i} and +p_s*b_i at
-    mult_s*tail_i.  The terms live on packed int keys (`dual._pack`) in lanes
-    wide enough for twice the largest exponent present, so each step is one
-    pack of mult_s and p_s plus two int adds of the precomputed keys of
+    mult_s*tail_i.  The terms live on packed int keys (`dual._pack`) in
+    `dual._lane_bytes` lanes for the largest exponent present, so each step is
+    one pack of mult_s and p_s plus two int adds of the precomputed keys of
     x_i^{d_i}*a_i and tail_i*b_i.  Every exponent is checked before any key is
     built, since a negative lane would borrow from its neighbour.
     """
@@ -230,15 +230,14 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
         tails.append(_pack(family.tails[i - 1].exponents + zero + unit, nb))
     acc = {_pack(first, nb): _rational(cert.a_product.scalar)}
     get = acc.get
-    for i, lanes, q in rows:
-        p = _pack(lanes, nb)
+    for (i, _, q), p in zip(rows, _pack_all([lanes for _, lanes, _ in rows], 3 * n, nb)):
         key = p + leads[i]
         acc[key] = get(key, 0) - q
         key = p + tails[i]
         acc[key] = get(key, 0) + q
     key = _pack(last, nb)
     acc[key] = get(key, 0) - _rational(cert.rhs_coeff.scalar)
-    return {Monomial._raw(x): poly for x, poly in group_flat_terms(n, _unpacked(acc, n, n, top)).items()}
+    return {Monomial._raw(x): poly for x, poly in group_flat_terms(n, _nonzero(acc, n, n, nb)).items()}
 
 
 def check_certificate(family: BinomialFamily, cert: Certificate) -> bool:

@@ -121,7 +121,8 @@ def _check_packed_residual() -> bool:
     # The packed residual of certificate_residual against a SparsePoly
     # expansion, on certificates of the catalog families with one step's
     # scale, multiplier or generator index changed.  A scale exponent of 255
-    # on a_i, plus the a_i of f_i, is the first sum past a 1-byte lane.
+    # on a_i, plus the a_i of f_i, sums past one byte (the packed lanes keep
+    # a guard bit, so here they are 2 bytes wide).
     for fam in (
         catalog.three_var_double_cycle(),
         catalog.three_var_chain(),

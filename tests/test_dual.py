@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,8 +26,8 @@ from binomial_ci import (
     verify_annihilation,
 )
 from binomial_ci.catalog import five_var_pentagon, pentagon_dual_form, three_var_chain
-from binomial_ci.algebra import MONOMIAL_BUDGET
-from binomial_ci.dual import _in_tree, dual_to_json
+from binomial_ci.algebra import MONOMIAL_BUDGET, exponents_of_degree
+from binomial_ci.dual import _in_tree, _lane_bytes, _nonzero, _pack, _pack_all, _unpacked, dual_to_json
 from binomial_ci.rewrite import TO_BASIS
 
 from conftest import assert_as_checked, random_family
@@ -578,3 +580,112 @@ def test_packed_kernel_matches_the_reference_hypothesis():
             assert all(type(c) is Fraction for c in got.values())
 
     check()
+
+
+def _tampered_duals(rng, dual):
+    """Copies of a DualGenerator, built with dataclasses.replace: one scalar
+    times 2/3, one unit of some b_i exponent moved onto a_i, one term dropped,
+    and a new term with scalar -3/5 at a degree-D monomial outside F."""
+    coeffs = dict(dual.coeffs)
+    keys = sorted(coeffs)
+    n = dual.n
+    out = []
+    alpha = rng.choice(keys)
+    cm = coeffs[alpha]
+    out.append({**coeffs, alpha: CoeffMonomial(cm.scalar * Fraction(2, 3), cm.a_exp, cm.b_exp)})
+    movable = [(key, i) for key in keys for i in range(n) if coeffs[key].b_exp[i]]
+    if movable:
+        alpha, i = rng.choice(movable)
+        cm = coeffs[alpha]
+        unit = tuple(int(j == i) for j in range(n))
+        moved = CoeffMonomial(cm.scalar, tuple(map(sum, zip(cm.a_exp, unit))), tuple(b - u for b, u in zip(cm.b_exp, unit)))
+        out.append({**coeffs, alpha: moved})
+    if len(keys) > 1:
+        out.append({key: cm for key, cm in coeffs.items() if key != rng.choice(keys)})
+    missing = [e for e in exponents_of_degree(n, dual.socle_degree) if e not in coeffs]
+    if missing:
+        out.append({**coeffs, rng.choice(missing): CoeffMonomial(Fraction(-3, 5), (0,) * n, (0,) * n)})
+    return [dataclasses.replace(dual, coeffs=c) for c in out]
+
+
+def _substituted_reference(fam, dual):
+    """The dual's terms by per-coefficient substitution, as in TestDualViews."""
+    terms = {alpha: cm.substitute(fam.a_values, fam.b_values).to_sparse() for alpha, cm in dual.coeffs.items()}
+    return {alpha: poly for alpha, poly in terms.items() if not poly.is_zero()}
+
+
+class TestGuardBitKernel:
+    """The contraction-only packed kernel: tampered DualGenerators, guard-bit
+    edges, lane switch points and the packing pair."""
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_tampered_dual_generators_match_the_reference(self, convention):
+        rng = random.Random(33)
+        differentiate = convention == DIFFERENTIATION
+        modes, nonzero = set(), 0
+        for fam in _view_families():
+            for bad in _tampered_duals(rng, dual_generator(fam, convention)):
+                got = verify_annihilation(fam, bad, convention)
+                assert got.residuals == _reference_residuals(fam, _substituted_reference(fam, bad), differentiate)
+                nonzero += bool(got.residuals)
+            modes.add(fam.coeff_mode)
+        assert modes == {"symbolic", "mixed", "numeric"}
+        assert nonzero > 20
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_negative_exponents_raise_naming_the_term(self, convention):
+        symbolic = three_var_chain()
+        mixed = specialize(symbolic, CoeffAssignment((Fraction(2),) + (None,) * 2, (None,) * 3))
+        for fam in (symbolic, mixed):
+            dual = dual_generator(fam, convention)
+            alpha = max(dual.coeffs)
+            cm = dual.coeffs[alpha]
+            negative_a1 = CoeffMonomial(cm.scalar, (-1,) + cm.a_exp[1:], cm.b_exp)
+            bad = dataclasses.replace(dual, coeffs={**dual.coeffs, alpha: negative_a1})
+            with pytest.raises(ValueError, match=r"Laurent exponents .*X\^" + re.escape(str(list(alpha)))):
+                verify_annihilation(fam, bad, convention)
+            bad = dataclasses.replace(dual, coeffs={**dual.coeffs, (-1, 2, 2): cm})
+            with pytest.raises(ValueError, match=r"Laurent exponents .*X\^\[-1, 2, 2\]"):
+                verify_annihilation(fam, bad, convention)
+
+    @pytest.mark.parametrize(
+        "top, nb, conventions",
+        [
+            (63, 1, (CONTRACTION, DIFFERENTIATION)),
+            (64, 2, (CONTRACTION, DIFFERENTIATION)),
+            (16383, 2, (CONTRACTION, DIFFERENTIATION)),
+            (16384, 4, (CONTRACTION,)),
+            (2**30 - 1, 4, (CONTRACTION,)),
+            (2**62 - 1, 8, (CONTRACTION,)),
+        ],
+    )
+    def test_divisibility_at_the_lane_edges(self, top, nb, conventions):
+        # alpha_i = gamma_i passes and alpha_i = gamma_i - 1 fails, with
+        # symbol exponents that sum to 2 * top in the product
+        assert _lane_bytes(top) == nb
+        n = 2
+        sym = SparsePoly.monomial(n, (top, 0), (0, 1))
+        f = {(top, 0): sym, (0, top): Fraction(-2, 3), (1, 1): 5}
+        F = {(top, 1): sym, (top - 1, 2): 3, (1, top): Fraction(7, 2), (2, top - 1): sym, (top, top): 1}
+        for convention in conventions:
+            got = apply_action(f, F, convention)
+            assert got == _reference_action(f, F, convention == DIFFERENTIATION, n)
+            assert list(got[(0, 1)].terms) == [(2 * top, 0, 0, 2)]
+
+    def test_the_widest_lane_is_the_limit(self):
+        assert _lane_bytes(2**62 - 1) == 8
+        with pytest.raises(ValueError, match="too large"):
+            _lane_bytes(2**62)
+        with pytest.raises(ValueError, match="too large"):
+            apply_action({(1, 0): 1}, {(2**62, 0): 1})
+
+    @pytest.mark.parametrize("nb", [1, 2, 4, 8])
+    def test_pack_and_unpacked_round_trip(self, nb):
+        top = 2 ** (8 * nb) - 1
+        vectors = [(0,), (top,), (1, 0, top), (top // 2, top, 0, 1, 2)]
+        for v in vectors:
+            key = _pack(v, nb)
+            assert _unpacked(key, len(v), nb) == v
+            assert [(key >> 8 * nb * j) & top for j in range(len(v))] == list(v)  # lane j at bits 8*nb*j, on any host
+        assert _pack_all([(1, 2), (top, 0)], 2, nb) == [_pack((1, 2), nb), _pack((top, 0), nb)]
+        assert _nonzero({_pack((1, 2, 3), nb): 5, _pack((3, 2, 1), nb): 0}, 1, 1, nb) == {((1,), (2, 3)): 5}

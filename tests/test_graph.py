@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from binomial_ci import (
     to_dot,
     verify_annihilation,
 )
+from binomial_ci.algebra import exponents_of_degree, monomials_of_degree
+from binomial_ci.dual import _lane_bytes
 from binomial_ci.graph import CYCLIC, SINK, TRANSIENT, graph_to_json
 
 from conftest import random_family
@@ -386,3 +389,67 @@ class TestGraphCache:
         assert check_certificate(family, certificate(family, m))
         info = build_graph.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# The packed build: exponent tuples from the odometer, successors by packed keys
+
+
+def _packed_build_families():
+    """Seeded random families, plus two-variable ones whose resultant degrees
+    (69, 134 and 16499) pass the 1- and 2-byte packed lanes."""
+    rng = random.Random(20261019)
+    families = [random_family(rng, numeric=rng.random() < 0.5) for _ in range(12)]
+    for d1, d2 in ((40, 30), (70, 65), (9000, 7500)):
+        t, u = rng.randrange(d1), rng.randint(1, d2)
+        tails = [Monomial((t, d1 - t)), Monomial((u, d2 - u))]
+        families.append(BinomialFamily.symbolic([d1, d2], tails))
+    return families
+
+
+class TestPackedBuild:
+    def test_successors_and_labels_follow_family_step(self):
+        widths = set()
+        for family in _packed_build_families():
+            for d in sorted({1, family.socle_degree, family.resultant_degree}):
+                g = build_graph.__wrapped__(family, d)
+                for v, e in enumerate(g.exponents):
+                    move = family.step(Monomial(e))
+                    if move is None:
+                        assert g.succ[v] is None and g.labels[v] is None
+                    else:
+                        assert (g.labels[v], g.exponents[g.succ[v]]) == (move[0], move[1].exponents)
+                widths.add(_lane_bytes(max(d, *family.degrees)))
+        assert widths == {1, 2, 4}
+
+    def test_vertices_and_index_are_built_on_first_read(self, double_cycle):
+        for family in _packed_build_families()[:6] + [double_cycle]:
+            d = family.resultant_degree
+            g = build_graph.__wrapped__(family, d)
+            assert "vertices" not in g.__dict__ and "index" not in g.__dict__
+            assert list(g.vertices) == monomials_of_degree(family.n, d)
+            assert g.vertices is g.vertices
+            assert [g.index[m.exponents] for m in g.vertices] == list(range(len(g.vertices)))
+            assert [g.vertices[v] for v in g.index.values()] == list(g.vertices)
+
+    def test_a_structure_job_builds_no_vertices(self, pentagon):
+        build_graph.cache_clear()
+        det_structural(pentagon)
+        resultant_radical(pentagon)
+        g = build_graph(pentagon, pentagon.resultant_degree)
+        assert g.cycles and "vertices" not in g.__dict__ and "index" not in g.__dict__
+
+    def test_odometer_matches_the_recursive_enumeration(self):
+        for n in range(1, 9):
+            for d in range(9):
+                expected = list(exponent_vectors(n, d))
+                assert expected == sorted(expected, reverse=True)
+                assert exponents_of_degree(n, d) == expected
+                assert [m.exponents for m in monomials_of_degree(n, d)] == expected
+
+    def test_many_variables_at_degree_one_is_fast(self):
+        start = time.perf_counter()
+        exps = exponents_of_degree(1500, 1)
+        assert time.perf_counter() - start < 1.0
+        assert len(exps) == 1500 and exps[0][0] == 1 and exps[-1][-1] == 1
+        assert all(sum(e) == 1 for e in exps)

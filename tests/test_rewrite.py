@@ -24,6 +24,7 @@ from binomial_ci import (
     specialize,
 )
 from binomial_ci import rewrite
+from binomial_ci.dual import _lane_bytes
 from binomial_ci.family import BinomialFamily
 from binomial_ci.graph import SINK, TRANSIENT
 from binomial_ci.rewrite import certificate_residual, certificate_to_json, render_certificate
@@ -360,6 +361,20 @@ class TestCertificateResidual:
 
     @pytest.mark.parametrize("e", [127, 128, 200, 254, 255, 256, 70000])
     def test_large_tampered_scale_exponents_match_the_reference(self, chain, e):
+        cert = certificate(chain, parse_monomial("x1^2*x2", 3))
+        big = CoeffMonomial(Fraction(1), (e, 0, 0), (0, 0, e - 1))
+        for s in range(len(cert.steps)):
+            step = dataclasses.replace(cert.steps[s], scale=big)
+            bad = dataclasses.replace(cert, steps=cert.steps[:s] + (step,) + cert.steps[s + 1 :])
+            residual = certificate_residual(chain, bad)
+            assert residual and residual == _reference_residual(chain, bad)
+        bad = dataclasses.replace(cert, a_product=big, rhs_monomial=parse_monomial(f"x3^{e}", 3))
+        assert certificate_residual(chain, bad) == _reference_residual(chain, bad)
+
+    @pytest.mark.parametrize("e, nb", [(63, 1), (64, 2), (16383, 2), (16384, 4)])
+    def test_lane_switch_points_match_the_reference(self, chain, e, nb):
+        # the largest exponent is e, so the residual's lanes are _lane_bytes(e) wide
+        assert _lane_bytes(e) == nb
         cert = certificate(chain, parse_monomial("x1^2*x2", 3))
         big = CoeffMonomial(Fraction(1), (e, 0, 0), (0, 0, e - 1))
         for s in range(len(cert.steps)):

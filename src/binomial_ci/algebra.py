@@ -8,11 +8,16 @@ exponent tuple compared a1, .., an, b1, .., bn), fixed once so that every
 printed polynomial is byte-reproducible.
 
 Validation happens at the API boundary.  The public constructors
-`Monomial(exps)` and `SparsePoly(n, terms)` check and coerce everything they
-are given.  `Monomial._raw`, `CoeffMonomial._raw` and `SparsePoly._raw` build
+`Monomial(exps)`, `CoeffMonomial(...)` and `SparsePoly(n, terms)` check
+everything they are given: exponents through `as_int`, coefficients through
+`as_fraction`.  `Monomial._raw`, `CoeffMonomial._raw` and `SparsePoly._raw` build
 a value unchecked; they are internal, and only for values derived from
 already checked ones (products, quotients, graph successors, label counts of
 graph paths, sums of polynomials).
+
+One routine, `_put_values`, puts values into the symbols: the evaluate and
+substitute methods of CoeffMonomial and SparsePoly and the dual generator's
+coefficients all call it on flat (symbol exponents, rational) terms.
 
 The exact identity checks end in one flat dict that maps (outer exponents,
 symbol exponents) to a rational, int while integral.
@@ -28,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Union
 
 Rational = Union[Fraction, int, str]
@@ -63,6 +68,14 @@ def as_fraction(value: Rational) -> Fraction:
     raise kind(f'{shown(value)} is not an exact rational (an int or a "p/q" string)')
 
 
+def as_int(value) -> int:
+    """value when it is an int but not a bool, for exponents, degrees and
+    counts; ValueError otherwise (int() would truncate 2.7 and parse "3")."""
+    if type(value) is not int:
+        raise ValueError(f"{shown(value)} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A monomial x1^e1 * ... * xn^en, stored as its exponent vector."""
@@ -70,7 +83,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(map(as_int, self.exponents))
         if any(e < 0 for e in exps):
             raise ValueError("monomial exponents must be nonnegative")
         object.__setattr__(self, "exponents", exps)
@@ -188,7 +201,7 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
 
 def multinomial(d: int, alpha: Iterable[int]) -> int:
     """The multinomial coefficient d! / (alpha_1! * ... * alpha_n!)."""
-    parts = tuple(int(a) for a in alpha)
+    parts = tuple(map(as_int, alpha))
     if any(a < 0 for a in parts):
         raise ValueError("multinomial entries must be nonnegative")
     if sum(parts) != d:
@@ -212,6 +225,46 @@ def falling_product(alpha: Iterable[int], gamma: Iterable[int]) -> int:
     return out
 
 
+def _power(value: Fraction, e: int) -> tuple[int, int]:
+    """(numerator, denominator) of value**e; 0**e for e < 0 raises."""
+    if e < 0 and not value:
+        raise ZeroDivisionError("zero substituted into a negative exponent")
+    num, den = value.as_integer_ratio()
+    return (num**e, den**e) if e >= 0 else (den**-e, num**-e)
+
+
+def _put_values(terms: Iterable[tuple], n: int, a_vals: Iterable, b_vals: Iterable) -> Iterable[tuple]:
+    """The (symbol exponents, rational) terms in n symbol pairs, in order and
+    zeros included, with the values put in (one per symbol, None for a free
+    one, else ValueError): a fixed symbol's exponent e drops to 0 and the term
+    gains value**e, ZeroDivisionError for 0**e with e < 0.  Integer powers come
+    from one table per call and symbol, keyed by e; each term makes one
+    Fraction, and integral results are ints.  With no symbol fixed, terms come
+    back as given."""
+    a_vals, b_vals = list(a_vals), list(b_vals)
+    if len(a_vals) != n or len(b_vals) != n:
+        raise ValueError(f"need {n} a-values and {n} b-values, got {len(a_vals)} and {len(b_vals)}")
+    values = a_vals + b_vals
+    fixed = [(i, as_fraction(v), {}) for i, v in enumerate(values) if v is not None]
+    if not fixed:
+        return terms
+    free = [int(v is None) for v in values]  # keeps the exponents of free symbols
+    zero = None if any(free) else (0,) * len(values)  # every symbol fixed
+    out = []
+    for sym, q in terms:
+        num, den = q.as_integer_ratio()
+        for i, value, powers in fixed:
+            e = sym[i]
+            if e:
+                try:
+                    pn, pd = powers[e]
+                except KeyError:
+                    pn, pd = powers[e] = _power(value, e)
+                num, den = num * pn, den * pd
+        out.append((zero or tuple(map(mul, sym, free)), Fraction(num, den) if den != 1 else num))
+    return out
+
+
 @dataclass(frozen=True)
 class CoeffMonomial:
     """An exact rational times a Laurent monomial in a1..an, b1..bn.
@@ -226,8 +279,8 @@ class CoeffMonomial:
 
     def __post_init__(self) -> None:
         scalar = as_fraction(self.scalar)
-        a_exp = tuple(int(x) for x in self.a_exp)
-        b_exp = tuple(int(x) for x in self.b_exp)
+        a_exp = tuple(map(as_int, self.a_exp))
+        b_exp = tuple(map(as_int, self.b_exp))
         if len(a_exp) != len(b_exp):
             raise ValueError("a- and b-exponent blocks must have equal length")
         if scalar == 0:
@@ -290,33 +343,14 @@ class CoeffMonomial:
         return self * inv
 
     def evaluate(self, a_vals: Iterable[Rational], b_vals: Iterable[Rational]) -> Fraction:
-        result = self.scalar
-        if result == 0:
-            return result
-        for e, v in zip(self.a_exp, a_vals):
-            if e:
-                result *= as_fraction(v) ** e
-        for e, v in zip(self.b_exp, b_vals):
-            if e:
-                result *= as_fraction(v) ** e
-        return result
+        """The value at one rational per symbol (None raises TypeError)."""
+        return self.substitute(map(as_fraction, a_vals), map(as_fraction, b_vals)).scalar
 
     def substitute(self, a_vals: Iterable[Rational | None], b_vals: Iterable[Rational | None]) -> CoeffMonomial:
         """Replace the given symbols by values; None entries stay symbolic."""
-        scalar = self.scalar
-        if scalar == 0:
-            return self
-        a_exp, b_exp = list(self.a_exp), list(self.b_exp)
-        for exps, vals in ((a_exp, a_vals), (b_exp, b_vals)):
-            for i, v in enumerate(vals):
-                if v is None or not exps[i]:
-                    continue
-                value = as_fraction(v)
-                if value == 0 and exps[i] < 0:
-                    raise ZeroDivisionError("zero substituted into a negative exponent")
-                scalar = scalar * value ** exps[i] if value else Fraction(0)
-                exps[i] = 0
-        return CoeffMonomial(scalar, tuple(a_exp), tuple(b_exp))
+        n = self.n
+        ((sym, value),) = _put_values([(self.a_exp + self.b_exp, self.scalar)], n, a_vals, b_vals)
+        return CoeffMonomial(value, sym[:n], sym[n:])
 
     def to_sparse(self) -> SparsePoly:
         """View as a SparsePoly; fails on negative (Laurent) exponents."""
@@ -387,7 +421,7 @@ class SparsePoly:
                 coeff = as_fraction(coeff)
                 if coeff == 0:
                     continue
-                key = tuple(int(e) for e in key)
+                key = tuple(map(as_int, key))
                 if len(key) != 2 * n:
                     raise ValueError(f"exponent vector must have length {2 * n}")
                 if any(e < 0 for e in key):
@@ -539,39 +573,15 @@ class SparsePoly:
         return [(k, self.terms[k]) for k in sorted(self.terms, key=_term_sort_key, reverse=True)]
 
     def evaluate(self, a_vals: Iterable[Rational], b_vals: Iterable[Rational]) -> Fraction:
-        vals = [as_fraction(v) for v in a_vals] + [as_fraction(v) for v in b_vals]
-        if len(vals) != 2 * self.n:
-            raise ValueError("need one value per symbol")
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, key):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        """The value at one rational per symbol (None raises TypeError)."""
+        return self.substitute(map(as_fraction, a_vals), map(as_fraction, b_vals)).constant_value()
 
     def substitute(self, a_vals: Iterable[Rational | None], b_vals: Iterable[Rational | None]) -> SparsePoly:
         """Replace the given symbols by values; None entries stay symbolic."""
-        vals = list(a_vals) + list(b_vals)
-        if len(vals) != 2 * self.n:
-            raise ValueError("need one entry per symbol")
-        fixed = [(i, as_fraction(v)) for i, v in enumerate(vals) if v is not None]
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for key, coeff in self.terms.items():
-            hits = [(i, v) for i, v in fixed if key[i]]
-            if hits:
-                new_key = list(key)
-                for i, v in hits:
-                    coeff = coeff * v ** key[i]
-                    new_key[i] = 0
-                key = tuple(new_key)
-            total = acc[key] + coeff if key in acc else coeff
-            if total:
-                acc[key] = total
-            elif key in acc:
-                del acc[key]
-        return SparsePoly._raw(self.n, acc)
+        acc: dict[tuple[int, ...], int | Fraction] = {}
+        for key, value in _put_values(self.terms.items(), self.n, a_vals, b_vals):
+            acc[key] = acc.get(key, 0) + value
+        return SparsePoly._raw(self.n, {key: Fraction(c) for key, c in acc.items() if c})
 
     def __str__(self) -> str:
         if not self.terms:

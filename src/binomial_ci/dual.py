@@ -8,9 +8,9 @@ which `_in_tree` finds by inverting the rewrite step on exponent tuples,
 without building the socle-degree reduction graph; the tree is cached, so
 both conventions and `s_vector` share one search.
 
-The family's values enter F once, in `DualGenerator._substituted`, from one
-table of powers per symbol (no exponent exceeds s_i); sparse_terms, evaluate,
-str, dual_to_json and verify_annihilation all read its flat terms.
+The family's values enter F once, in `DualGenerator._substituted`, through
+`algebra._put_values`; sparse_terms, evaluate, str, dual_to_json and
+verify_annihilation all read its flat terms.
 
 The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
 in two forms that the tests pin together.  `action_image` maps tuple-keyed
@@ -37,13 +37,13 @@ from itertools import accumulate, chain, repeat, starmap
 from math import factorial, prod
 from operator import add, le, lt, mul, sub
 from struct import Struct
-from struct import error as StructError
 from typing import Mapping
 
 from .algebra import (
     CoeffMonomial,
     Monomial,
     SparsePoly,
+    _put_values,
     as_fraction,
     check_monomial_budget,
     falling_product,
@@ -132,33 +132,28 @@ class DualGenerator:
     def n(self) -> int:
         return self.family.n
 
+    # Set by dual_generator, whose exponents alpha, s - r and r are never
+    # negative (its coeffs are read-only); the check costs more than a symbolic
+    # family's substitution.  Others, dataclasses.replace's too, are checked.
+    _checked = False
+
     def _substituted(self) -> dict[Exponents, tuple[Exponents, int | Fraction]]:
-        """{alpha: (2n symbol exponents, rational)} for the nonzero coefficients:
-        fixed values substituted (their exponents drop to 0) in integer numerator
-        and denominator products, integral values as int.  A negative exponent
-        of a fixed symbol raises ValueError naming its term."""
-        fam = self.family
-        fixed = [
-            (i, [(v.numerator**e, v.denominator**e) for e in range(top + 1)])
-            for i, (v, top) in enumerate(zip(fam.a_values + fam.b_values, self.s + self.s))
-            if v is not None
-        ]
-        out = {}
-        for alpha, cm in self.coeffs.items():
-            q, sym = cm.scalar, cm.a_exp + cm.b_exp
-            if fixed:
-                num, den, sym = q.numerator, q.denominator, list(sym)
-                for i, powers in fixed:
-                    e = sym[i]
-                    if e:
-                        if e < 0:
-                            raise ValueError(f"Laurent exponents cannot be converted to a polynomial: ({cm})*X^{list(alpha)}")
-                        pn, pd = powers[e]
-                        num, den, sym[i] = num * pn, den * pd, 0
-                q, sym = Fraction(num, den) if den != 1 else num, tuple(sym)
-            if q:
-                out[alpha] = (sym, q.numerator if q.denominator == 1 else q)
-        return out
+        """{alpha: (2n symbol exponents, rational)} for the nonzero coefficients,
+        with the family's values put in by `_put_values`, integral values as
+        int, in one pass when no value is fixed.  A negative exponent raises
+        ValueError naming its term, so that every view of F fails alike."""
+        coeffs, fam = self.coeffs, self.family
+        if not self._checked:
+            for alpha, cm in coeffs.items():
+                if min(alpha + cm.a_exp + cm.b_exp) < 0:
+                    raise ValueError(f"Laurent exponents cannot be converted to a polynomial: ({cm})*X^{list(alpha)}")
+        terms = ((cm.a_exp + cm.b_exp, cm.scalar) for cm in coeffs.values())
+        terms = _put_values(terms, self.n, fam.a_values, fam.b_values)
+        return {
+            alpha: (sym, ratio[0] if ratio[1] == 1 else q)
+            for alpha, (sym, q) in zip(coeffs, terms)
+            if (ratio := q.as_integer_ratio())[0]
+        }
 
     def sparse_terms(self) -> dict[Exponents, SparsePoly]:
         """Coefficients as polynomials, with the family's values substituted."""
@@ -193,7 +188,9 @@ def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> Dua
                 den *= fact[a]
             scalar = Fraction(fact[degree] // den)
         coeffs[alpha] = CoeffMonomial._raw(scalar, tuple(map(sub, s, r)), r)
-    return DualGenerator(family, convention, degree, s, coeffs)
+    dual = DualGenerator(family, convention, degree, s, coeffs)
+    object.__setattr__(dual, "_checked", True)
+    return dual
 
 
 Terms = dict[Exponents, Fraction | SparsePoly]
@@ -359,24 +356,17 @@ def _apply(f_flats: list[Flat], big_flat, n: int, m: int, differentiate: bool) -
     with F's terms big_flat in the shape of `_flat`.
 
     One max over every tuple packed sizes the lanes, so F may hold any
-    exponents.  A negative one fails the lane's range check when packed and
-    raises ValueError naming its term.  Differentiation is contraction of
-    the alpha!-scaled form, since x^gamma o X^alpha = alpha!/(alpha -
-    gamma)! X^(alpha - gamma) under differentiation: each nonzero term at
-    X^k is then divided by k!.
+    nonnegative exponents (`normalize_terms` and `DualGenerator._substituted`
+    reject negative ones).  Differentiation is contraction of the
+    alpha!-scaled form, since x^gamma o X^alpha = alpha!/(alpha - gamma)!
+    X^(alpha - gamma) under differentiation: each nonzero term at X^k is
+    then divided by k!.
     """
     keys = [alpha + sym for alpha, (sym, _) in big_flat]
     f_keys = [gamma + sym for f_flat in f_flats for gamma, (sym, _) in f_flat]
     nb = _lane_bytes(max(chain.from_iterable(chain(keys, f_keys)), default=0))
     guard = _pack((1 << 8 * nb - 1,) * n, nb)
-    try:
-        packed = _pack_all(keys, n + 2 * m, nb)
-    except StructError:
-        for alpha, (sym, q) in big_flat:
-            if min(alpha + sym) < 0:
-                term = CoeffMonomial._raw(Fraction(q), sym[:m], sym[m:])
-                raise ValueError(f"Laurent exponents cannot be converted to a polynomial: ({term})*X^{list(alpha)}") from None
-        raise
+    packed = _pack_all(keys, n + 2 * m, nb)
     if differentiate:
         big = [(p | guard, q * prod(map(factorial, alpha))) for p, (alpha, (_, q)) in zip(packed, big_flat)]
     else:

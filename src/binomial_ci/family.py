@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Monomial, Rational, SparsePoly, as_fraction, monomials_of_degree, shown
+from .algebra import Monomial, Rational, SparsePoly, as_fraction, as_int, monomials_of_degree, shown
 
 
 class FamilyError(ValueError):
@@ -31,6 +31,14 @@ class FamilyValidationError(FamilyError):
 
 
 OptionalRational = Fraction | None
+
+
+def _family_int(value) -> int:
+    """`as_int` for counts, degrees and indices, raising FamilyValidationError."""
+    try:
+        return as_int(value)
+    except ValueError as exc:
+        raise FamilyValidationError(str(exc)) from None
 
 
 def _coerce_values(values: Sequence | None, n: int, what: str) -> tuple[OptionalRational, ...]:
@@ -55,10 +63,10 @@ class BinomialFamily:
     b_values: tuple[OptionalRational, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        n = int(self.n)
+        n = _family_int(self.n)
         if n < 1:
             raise FamilyValidationError("a family needs at least one generator")
-        degrees = tuple(int(d) for d in self.degrees)
+        degrees = tuple(map(_family_int, self.degrees))
         tails = tuple(self.tails)
         if len(degrees) != n or len(tails) != n:
             raise FamilyValidationError("need one degree and one tail per generator")
@@ -528,19 +536,11 @@ def _json_value(value) -> OptionalRational:
         ) from None
 
 
-def _json_int(value) -> int:
-    # Only a JSON integer: int() would truncate a float, read a bool as 0 or 1
-    # and parse a string.
-    if type(value) is not int:
-        raise FamilyValidationError(f"{shown(value)} is not an integer")
-    return value
-
-
 def family_from_json(data: dict | str) -> BinomialFamily:
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = _json_int(data["n"])
+        n = _family_int(data["n"])
         generators = data["generators"]
         if len(generators) != n:
             raise FamilyValidationError(f"expected {n} generators, got {len(generators)}")
@@ -548,14 +548,14 @@ def family_from_json(data: dict | str) -> BinomialFamily:
         tails: list[Monomial] = [Monomial.one(n)] * n
         seen = set()
         for g in generators:
-            i = _json_int(g["i"])
+            i = _family_int(g["i"])
             if not 1 <= i <= n:
                 raise FamilyValidationError(f"generator index {i} out of range 1..{n}")
             if i in seen:
                 raise FamilyValidationError(f"duplicate generator index {i}")
             seen.add(i)
-            degrees[i - 1] = _json_int(g["d"])
-            tails[i - 1] = Monomial(tuple(_json_int(e) for e in g["m"]))
+            degrees[i - 1] = g["d"]
+            tails[i - 1] = Monomial(tuple(_family_int(e) for e in g["m"]))
         coefficients = data.get("coefficients", {"mode": "symbolic"})
         mode = coefficients.get("mode", "symbolic")
         if mode == "symbolic":

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, as_fraction, check_monomial_budget, falling_product, monomials_of_degree
+from .algebra import Monomial, as_fraction, check_monomial_budget, exponents_of_degree, falling_product
 from .dual import DIFFERENTIATION, Exponents, _check_convention, action_image, normalize_terms, numeric_form
 from .family import BinomialFamily
 from .linalg import RowSpace, rank_of, to_int_row
@@ -84,7 +84,7 @@ Generators = Sequence[Mapping[Monomial | Exponents, Fraction | int]]
 def _columns(n: int, degree: int) -> dict[Exponents, int]:
     """The column index of the degree-`degree` monomials: exponent tuple ->
     position in canonical order.  Shared by every caller: read it only."""
-    return {m.exponents: j for j, m in enumerate(monomials_of_degree(n, degree))}
+    return {exps: j for j, exps in enumerate(exponents_of_degree(n, degree))}
 
 
 def macaulay_rows(n: int, generators: Generators, degree: int) -> list[dict[int, int]]:

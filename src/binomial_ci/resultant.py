@@ -265,11 +265,7 @@ def resultant_radical(family: BinomialFamily, probe: bool = False, rng: random.R
         else:
             entries.append(TEntry(i, 1, BOUNDED))
 
-    contributions = [
-        SparsePoly.symbol_a(n, e.index).substitute(family.a_values, family.b_values)
-        for e in entries
-        if e.value == 1
-    ]
+    contributions = [family.a_poly(e.index) for e in entries if e.value == 1]
     contributions.extend(factors)
     product = _radical_product(n, contributions)
     return RadicalResult(tuple(entries), tuple(factors), product)

@@ -365,6 +365,138 @@ class TestBoundaryValidation:
         assert CoeffMonomial.zero(n).to_sparse() == SparsePoly.zero(n)
 
 
+class TestIntegerExponents:
+    """Exponents pass one rule: an int and not a bool (`algebra.as_int`)."""
+
+    @pytest.mark.parametrize("exps", [(2.7, True), ("3", 0), (1, True), (2.0, 1)])
+    def test_monomial(self, exps):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Monomial(exps)
+
+    @pytest.mark.parametrize("key", [(1.0, 0), (True, 0), (0, "1")])
+    def test_sparse_poly(self, key):
+        with pytest.raises(ValueError, match="is not an integer"):
+            SparsePoly(1, {key: 1})
+
+    @pytest.mark.parametrize("a_exp, b_exp", [((2.0,), (0,)), ((0,), (True,)), (("-1",), (0,))])
+    def test_coeff_monomial(self, a_exp, b_exp):
+        with pytest.raises(ValueError, match="is not an integer"):
+            CoeffMonomial(1, a_exp, b_exp)
+
+    @pytest.mark.parametrize("alpha", [(2.9, 1), (True, True)])
+    def test_multinomial(self, alpha):
+        with pytest.raises(ValueError, match="is not an integer"):
+            multinomial(3, alpha)
+
+    def test_ints_pass_unchanged(self):
+        assert Monomial((2, 0)).exponents == (2, 0)
+        assert CoeffMonomial(1, (-1,), (2,)).a_exp == (-1,)
+        assert list(SparsePoly(1, {(1, 2): 1}).terms) == [(1, 2)]
+
+
+class TestValueLists:
+    """evaluate and substitute of CoeffMonomial and SparsePoly share one
+    contract: one value per symbol, else ValueError."""
+
+    @pytest.mark.parametrize("a_vals, b_vals", [([2], [3]), ([2, 3, 4], [3, 5]), ([2, 3], [3]), ([2, 3], [3, 5, 7])])
+    def test_a_value_list_of_the_wrong_length_raises(self, a_vals, b_vals):
+        for value in (CoeffMonomial(1, (1, 1), (0, 1)), SparsePoly.monomial(2, (1, 1), (0, 1))):
+            with pytest.raises(ValueError, match="need 2 a-values and 2 b-values"):
+                value.evaluate(a_vals, b_vals)
+            with pytest.raises(ValueError, match="need 2 a-values and 2 b-values"):
+                value.substitute(a_vals, b_vals)
+
+    def test_laurent_coefficients_take_values(self):
+        cm = CoeffMonomial(Fraction(3), (-2, 0), (1, 0))  # 3*b1/a1^2
+        assert cm.evaluate(["-1/2", 5], [7, 0]) == 84
+        assert cm.substitute([Fraction(-1, 2), None], [None, None]) == CoeffMonomial(12, (0, 0), (1, 0))
+        with pytest.raises(ZeroDivisionError):
+            cm.evaluate([0, 1], [1, 1])
+        with pytest.raises(ZeroDivisionError):
+            cm.substitute([0, None], [None, None])
+
+    def test_evaluation_needs_every_value(self):
+        for value in (CoeffMonomial(1, (1, 0), (0, 0)), sym(2, "a1")):
+            with pytest.raises(TypeError):
+                value.evaluate([1, None], [1, 1])
+            assert type(value.evaluate([3, 1], [1, 1])) is Fraction
+
+
+def test_substitution_agrees_with_sympy_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+
+    rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+    @st.composite
+    def cases(draw):
+        # A SparsePoly, or a CoeffMonomial with negative exponents, and a
+        # partial assignment of None, 0, negative and non-integral values
+        # that a second assignment completes.
+        n = draw(st.integers(1, 3))
+        laurent = draw(st.booleans())
+        exps = st.tuples(*[st.integers(-3 if laurent else 0, 3)] * (2 * n))
+        if laurent:
+            key = draw(exps)
+            value = CoeffMonomial(draw(rationals), key[:n], key[n:])
+        else:
+            value = SparsePoly(n, draw(st.lists(st.tuples(exps, rationals), max_size=5)))
+        partial = draw(st.lists(st.one_of(st.none(), st.just(0), rationals), min_size=2 * n, max_size=2 * n))
+        full = [draw(rationals) if v is None else v for v in partial]
+        return n, value, partial, full
+
+    def terms(value):
+        if isinstance(value, CoeffMonomial):
+            return [(value.a_exp + value.b_exp, value.scalar)]
+        return list(value.terms.items())
+
+    def to_sympy(value, symbols):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(symbols, key))) for key, c in terms(value)),
+            sympy.Integer(0),
+        )
+
+    def rational(v):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    def pole(expr):
+        return expr.has(sympy.zoo, sympy.nan)
+
+    def agrees(got, expected):
+        # sympy's value, or ZeroDivisionError where sympy finds a pole
+        if not pole(expected):
+            value = got()
+            assert rational(value if isinstance(value, Fraction) else value.scalar) == expected
+            return value
+        with pytest.raises(ZeroDivisionError):
+            got()
+        return None
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        n, value, partial, full = case
+        symbols = sympy.symbols(" ".join([f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]))
+        expr = to_sympy(value, symbols)
+        at_full = {s: rational(v) for s, v in zip(symbols, full)}
+        direct = agrees(lambda: value.evaluate(full[:n], full[n:]), expr.subs(at_full, simultaneous=True))
+        assert direct is None or type(direct) is Fraction
+        fixed = {s: rational(v) for s, v in zip(symbols, partial) if v is not None}
+        partial_expr = expr.subs(fixed, simultaneous=True)
+        if pole(partial_expr):
+            with pytest.raises(ZeroDivisionError):
+                value.substitute(partial[:n], partial[n:])
+            return
+        substituted = value.substitute(partial[:n], partial[n:])
+        assert sympy.expand(to_sympy(substituted, symbols) - partial_expr) == 0
+        # A zero put in first cancels a later pole, in sympy as here.
+        two_step = agrees(lambda: substituted.evaluate(full[:n], full[n:]), partial_expr.subs(at_full, simultaneous=True))
+        assert direct is None or two_step == direct
+
+    check()
+
+
 class TestSubstitute:
     def test_colliding_keys_merge(self):
         n = 2

@@ -12,6 +12,7 @@ from binomial_ci import (
     DIFFERENTIATION,
     CoeffAssignment,
     CoeffMonomial,
+    DualGenerator,
     Monomial,
     SparsePoly,
     apply_action,
@@ -689,3 +690,46 @@ class TestGuardBitKernel:
             assert [(key >> 8 * nb * j) & top for j in range(len(v))] == list(v)  # lane j at bits 8*nb*j, on any host
         assert _pack_all([(1, 2), (top, 0)], 2, nb) == [_pack((1, 2), nb), _pack((top, 0), nb)]
         assert _nonzero({_pack((1, 2, 3), nb): 5, _pack((3, 2, 1), nb): 0}, 1, 1, nb) == {((1,), (2, 3)): 5}
+
+
+class TestHandBuiltDuals:
+    """DualGenerators built by dataclasses.replace: every view reads one
+    substitution, and a negative exponent fails every view alike."""
+
+    def test_a_fixed_symbol_above_s_renders_and_fails_annihilation(self):
+        mixed = specialize(three_var_chain(), CoeffAssignment((Fraction(2), None, None), (None,) * 3))
+        dual = dual_generator(mixed, CONTRACTION)
+        alpha = (1, 1, 1)
+        cm = dual.coeffs[alpha]
+        assert dual.s[0] == cm.a_exp[0] == 3
+        bad = dataclasses.replace(dual, coeffs={**dual.coeffs, alpha: CoeffMonomial(cm.scalar, (4, 2, 1), cm.b_exp)})
+        assert " + 16*a2^2*a3*X1*X2*X3 + " in str(bad)
+        assert bad.sparse_terms()[alpha] == SparsePoly.monomial(3, (0, 2, 1), (0, 0, 0), 16)
+        assert {"alpha": [1, 1, 1], "coeff": "16*a2^2*a3"} in dual_to_json(bad)["terms"]
+        assert not verify_annihilation(mixed, bad, CONTRACTION)
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_a_negative_exponent_raises_one_error_on_every_path(self, convention):
+        symbolic = three_var_chain()
+        numeric = specialize(symbolic, CoeffAssignment((Fraction(2), Fraction(3), Fraction(5)), (Fraction(7), Fraction(-1), Fraction(1, 2))))
+        for fam in (symbolic, numeric):
+            dual = dual_generator(fam, convention)
+            cm = dual.coeffs[(3, 0, 0)]
+            negative = CoeffMonomial(cm.scalar, (-1,) + cm.a_exp[1:], cm.b_exp)
+            bad = dataclasses.replace(dual, coeffs={**dual.coeffs, (3, 0, 0): negative})
+            message = re.escape(f"Laurent exponents cannot be converted to a polynomial: ({negative})*X^[3, 0, 0]")
+            views = [str, DualGenerator.sparse_terms, dual_to_json, lambda F: verify_annihilation(fam, F, convention)]
+            if fam.is_numeric:
+                views.append(DualGenerator.evaluate)
+            for view in views:
+                with pytest.raises(ValueError, match=message):
+                    view(bad)
+
+    def test_a_replaced_copy_reads_like_the_generated_dual(self):
+        for fam in _view_families():
+            for convention in (CONTRACTION, DIFFERENTIATION):
+                dual = dual_generator(fam, convention)
+                copy = dataclasses.replace(dual)
+                assert copy == dual and copy._substituted() == dual._substituted()
+                assert str(copy) == str(dual)
+                assert verify_annihilation(fam, copy, convention) == verify_annihilation(fam, dual, convention)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from binomial_ci import (
+    BinomialFamily,
     CoeffAssignment,
     FamilyParseError,
     FamilyValidationError,
@@ -230,3 +231,16 @@ class TestHelpers:
     def test_socle_and_resultant_degrees(self, double_cycle):
         assert double_cycle.socle_degree == 3
         assert double_cycle.resultant_degree == 4
+
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [([2.9, 2], "2.9 is not an integer"), ([True, 2], "True is not an integer"), (["2", 2], "'2' is not an integer")],
+    )
+    def test_degrees_must_be_ints(self, degrees, message):
+        tails = [Monomial((1, 1)), Monomial((1, 1))]
+        with pytest.raises(FamilyValidationError, match=message):
+            BinomialFamily.numeric(degrees, tails, [1, 1], [1, 1])
+
+    def test_generator_count_must_be_an_int(self):
+        with pytest.raises(FamilyValidationError, match="2.0 is not an integer"):
+            BinomialFamily(2.0, (2, 2), (Monomial((1, 1)), Monomial((1, 1))))

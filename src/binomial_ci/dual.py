@@ -8,9 +8,11 @@ which `_in_tree` finds by inverting the rewrite step on exponent tuples,
 without building the socle-degree reduction graph; the tree is cached, so
 both conventions and `s_vector` share one search.
 
-The family's values enter F once, in `DualGenerator._substituted`, through
-`algebra._put_values`; sparse_terms, evaluate, str, dual_to_json and
-verify_annihilation all read its flat terms.
+So F is a function of the family and the convention alone, and a
+`DualGenerator` holds just those two and the tree.  The family's values
+enter once, in `DualGenerator._substituted`, through `algebra._put_values`;
+sparse_terms, evaluate, str, dual_to_json and verify_annihilation all read
+its flat terms.  Any other form is a mapping, checked by `normalize_terms`.
 
 The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
 in two forms that the tests pin together.  `action_image` maps tuple-keyed
@@ -30,14 +32,13 @@ same `_pack`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat, starmap
+from itertools import chain, repeat, starmap
 from math import factorial, prod
-from operator import add, le, lt, mul, sub
+from operator import add, le, lt, sub
 from struct import Struct
-from typing import Mapping
 
 from .algebra import (
     CoeffMonomial,
@@ -120,38 +121,52 @@ def s_vector(family: BinomialFamily) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DualGenerator:
-    """A dual generator with coefficient monomials per exponent vector."""
+    """The dual generator F of a family under a convention: the in-tree and s
+    are read once, at construction, and every term comes from them."""
 
     family: BinomialFamily
     convention: str
-    socle_degree: int
-    s: tuple[int, ...]
-    coeffs: Mapping[Exponents, CoeffMonomial]
+    _tree: dict[Exponents, Exponents] = field(init=False, repr=False, compare=False)
+    s: tuple[int, ...] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_convention(self.convention)
+        tree, s = _in_tree(self.family)
+        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "s", s)
 
     @property
     def n(self) -> int:
         return self.family.n
 
-    # Set by dual_generator, whose exponents alpha, s - r and r are never
-    # negative (its coeffs are read-only); the check costs more than a symbolic
-    # family's substitution.  Others, dataclasses.replace's too, are checked.
-    _checked = False
+    @property
+    def socle_degree(self) -> int:
+        return self.family.socle_degree
+
+    def _terms(self):
+        """(s - r, r, scalar) per in-tree vertex, in the tree's order; the
+        scalar is D!/alpha! under differentiation and 1 under contraction."""
+        s, tree = self.s, self._tree
+        scalars = repeat(1)
+        if self.convention == DIFFERENTIATION:
+            top = factorial(self.socle_degree)
+            scalars = (top // prod(map(factorial, alpha)) for alpha in tree)
+        return ((tuple(map(sub, s, r)), r, c) for r, c in zip(tree.values(), scalars))
+
+    @property
+    def coeffs(self) -> dict[Exponents, CoeffMonomial]:
+        """{alpha: coefficient monomial}, built afresh on each read."""
+        return {alpha: CoeffMonomial._raw(Fraction(c), a, r) for alpha, (a, r, c) in zip(self._tree, self._terms())}
 
     def _substituted(self) -> dict[Exponents, tuple[Exponents, int | Fraction]]:
         """{alpha: (2n symbol exponents, rational)} for the nonzero coefficients,
         with the family's values put in by `_put_values`, integral values as
-        int, in one pass when no value is fixed.  A negative exponent raises
-        ValueError naming its term, so that every view of F fails alike."""
-        coeffs, fam = self.coeffs, self.family
-        if not self._checked:
-            for alpha, cm in coeffs.items():
-                if min(alpha + cm.a_exp + cm.b_exp) < 0:
-                    raise ValueError(f"Laurent exponents cannot be converted to a polynomial: ({cm})*X^{list(alpha)}")
-        terms = ((cm.a_exp + cm.b_exp, cm.scalar) for cm in coeffs.values())
-        terms = _put_values(terms, self.n, fam.a_values, fam.b_values)
+        int.  Every exponent is nonnegative, as r <= s."""
+        fam = self.family
+        terms = _put_values(((a + r, c) for a, r, c in self._terms()), self.n, fam.a_values, fam.b_values)
         return {
             alpha: (sym, ratio[0] if ratio[1] == 1 else q)
-            for alpha, (sym, q) in zip(coeffs, terms)
+            for alpha, (sym, q) in zip(self._tree, terms)
             if (ratio := q.as_integer_ratio())[0]
         }
 
@@ -172,25 +187,8 @@ class DualGenerator:
 
 
 def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> DualGenerator:
-    """The dual generator F: X^alpha gets a^(s-r) * b^r for every vertex
-    alpha of the in-tree of the socle monomial, r its path's label counts,
-    times D!/alpha! under differentiation."""
-    _check_convention(convention)
-    tree, s = _in_tree(family)
-    degree = family.socle_degree
-    fact = list(accumulate(range(1, degree + 1), mul, initial=1)) if convention == DIFFERENTIATION else None
-    scalar = Fraction(1)
-    coeffs: dict[Exponents, CoeffMonomial] = {}
-    for alpha, r in tree.items():
-        if fact:
-            den = 1
-            for a in alpha:
-                den *= fact[a]
-            scalar = Fraction(fact[degree] // den)
-        coeffs[alpha] = CoeffMonomial._raw(scalar, tuple(map(sub, s, r)), r)
-    dual = DualGenerator(family, convention, degree, s, coeffs)
-    object.__setattr__(dual, "_checked", True)
-    return dual
+    """The dual generator of the family under the convention."""
+    return DualGenerator(family, convention)
 
 
 Terms = dict[Exponents, Fraction | SparsePoly]
@@ -356,8 +354,8 @@ def _apply(f_flats: list[Flat], big_flat, n: int, m: int, differentiate: bool) -
     with F's terms big_flat in the shape of `_flat`.
 
     One max over every tuple packed sizes the lanes, so F may hold any
-    nonnegative exponents (`normalize_terms` and `DualGenerator._substituted`
-    reject negative ones).  Differentiation is contraction of the
+    nonnegative exponents (`normalize_terms` rejects negative ones, and a
+    `DualGenerator` has none).  Differentiation is contraction of the
     alpha!-scaled form, since x^gamma o X^alpha = alpha!/(alpha - gamma)!
     X^(alpha - gamma) under differentiation: each nonzero term at X^k is
     then divided by k!.

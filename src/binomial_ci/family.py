@@ -210,13 +210,13 @@ class CoeffAssignment:
         return cls((None,) * n, (None,) * n)
 
     @classmethod
-    def of(cls, n: int, **symbols: Rational) -> CoeffAssignment:
+    def of(cls, n: int, /, **symbols: Rational) -> CoeffAssignment:
         """Assignment from keyword symbols, e.g. of(3, a1=1, b2="2/3")."""
         a: list[OptionalRational] = [None] * n
         b: list[OptionalRational] = [None] * n
         for name, value in symbols.items():
             block, digits = name[:1], name[1:]
-            if block not in ("a", "b") or not digits.isdecimal() or not 1 <= int(digits) <= n:
+            if block not in ("a", "b") or not (digits.isascii() and digits.isdecimal()) or not 1 <= int(digits) <= n:
                 raise FamilyValidationError(f"unknown symbol {name!r}")
             (a if block == "a" else b)[int(digits) - 1] = as_fraction(value)
         return cls(tuple(a), tuple(b))
@@ -242,7 +242,8 @@ def specialize(family: BinomialFamily, assignment: CoeffAssignment) -> BinomialF
 #   factor := "x" NAT ("^" NAT)?
 #   coeff  := "a" NAT | "b" NAT | RATIONAL
 #
-# Generators are separated by ";" or newlines; whitespace is insignificant.
+# NAT is ASCII digits.  Generators are separated by ";" or newlines;
+# whitespace is insignificant.
 # ---------------------------------------------------------------------------
 
 
@@ -283,18 +284,18 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isalpha():
             start = i
             i += 1
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(_Token("NAME", text[start:i], line, col))
             col += i - start
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
             if i < len(text) and text[i] == "/":
                 j = i + 1
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 if j > i + 1:
                     if not int(text[i + 1 : j]):

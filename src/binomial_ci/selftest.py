@@ -200,9 +200,7 @@ def _check_dual_generators() -> bool:
     fam = catalog.three_var_double_cycle()
     contraction = dual_generator(fam, CONTRACTION)
     differentiation = dual_generator(fam, DIFFERENTIATION)
-    return dict(contraction.coeffs) == _expected_dual_terms(False) and dict(
-        differentiation.coeffs
-    ) == _expected_dual_terms(True)
+    return contraction.coeffs == _expected_dual_terms(False) and differentiation.coeffs == _expected_dual_terms(True)
 
 
 def _check_annihilation() -> bool:

@@ -535,6 +535,11 @@ class TestBadRationalInput:
             ),
             (["graph", "--family", _json_chain_with_coefficient(1.5), "--degree", "2"], "1.5"),
             (["graph", "--family", CHAIN, "--set", "a=1", "--degree", "2"], "'a'"),
+            # n and cls name CoeffAssignment.of's own parameters; an index is ASCII digits
+            (["graph", "--family", CHAIN, "--set", "n=3", "--degree", "2"], "unknown symbol 'n'"),
+            (["graph", "--family", CHAIN, "--set", "cls=2", "--degree", "2"], "unknown symbol 'cls'"),
+            (["graph", "--family", CHAIN, "--set", "a\u0661=2", "--degree", "2"], "unknown symbol 'a\u0661'"),
+            (["graph", "--family", CHAIN, "--set", "b\uff12=3", "--degree", "2"], "unknown symbol 'b\uff12'"),
             # bool subclasses int, but a JSON true is not a coefficient
             (
                 ["graph", "--family", _json_chain_with_coefficient(True), "--degree", "2"],
@@ -543,14 +548,14 @@ class TestBadRationalInput:
         ],
         ids=[
             "set-zero-denominator", "poly-zero-denominator", "text-zero-denominator", "json-float", "set-no-index",
-            "json-bool",
+            "set-n", "set-cls", "set-arabic-index", "set-fullwidth-index", "json-bool",
         ],
     )
     def test_exits_1_naming_the_value(self, capsys, argv, bad):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert bad in err
         assert "Traceback" not in err
 

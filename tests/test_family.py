@@ -99,6 +99,27 @@ class TestParsing:
         with pytest.raises(FamilyValidationError):
             parse_family("f1 = a1*x1^2 - b1*x1^2")
 
+    # (text, line, column): fullwidth and Arabic-Indic digits and superscripts
+    # are not NAT, which is ASCII digits only
+    NON_ASCII_DIGITS = [
+        ("f1 = a1*x\uff11^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 10),
+        ("f1 = \u0662*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 6),
+        ("f1 = a1*x1^\u00b2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 12),
+        ("f1 = a1*x1\u00b2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 11),
+        ("f1 = a1*x1^2 - b1*x1*x2\nf\u0662 = a2*x2^2 - b2*x1*x2", 2, 2),
+        ("f1 = a1*x1^2 - 1/\u0663*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 17),
+    ]
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        NON_ASCII_DIGITS,
+        ids=["fullwidth-x-index", "arabic-coefficient", "superscript-power", "superscript-x-index", "arabic-f-index", "arabic-denominator"],
+    )
+    def test_non_ascii_digits_are_parse_errors(self, text, line, col):
+        with pytest.raises(FamilyParseError) as err:
+            parse_family(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
 
 class TestRoundTrip:
     def test_print_parse_round_trip_random(self):
@@ -188,6 +209,15 @@ class TestSpecialize:
         with pytest.raises(FamilyValidationError):
             specialize(double_cycle, CoeffAssignment.of(3, a2=0))
 
+    @pytest.mark.parametrize(
+        "name",
+        ["n", "cls", "a\u0661", "b\uff12", "a\u00b9", "a", "c1", "a4"],
+        ids=["n", "cls", "arabic-a1", "fullwidth-b2", "superscript-a1", "a", "c1", "a4"],
+    )
+    def test_of_rejects_names_that_are_not_symbols(self, name):
+        with pytest.raises(FamilyValidationError, match=f"unknown symbol {name!r}"):
+            CoeffAssignment.of(3, **{name: 2})
+
     def test_generator_polynomials(self, double_cycle):
         numeric = specialize(
             double_cycle, CoeffAssignment.of(3, a1=2, a2=1, a3=1, b1=0, b2=1, b3=1)
@@ -204,6 +234,16 @@ class TestHelpers:
         assert parse_monomial("1", 3) == Monomial((0, 0, 0))
         with pytest.raises(FamilyValidationError):
             parse_monomial("x5", 3)
+
+    @pytest.mark.parametrize(
+        "text", ["x\uff11^2", "x1^\u00b2", "x1\u00b2", "x\u0661*x2"], ids=["fullwidth", "superscript-power", "superscript", "arabic"]
+    )
+    def test_monomial_parsers_take_ascii_digits_only(self, text):
+        for parse in (parse_monomial, parse_x_polynomial):
+            with pytest.raises(FamilyParseError, match="line 1, column"):
+                parse(text, 2)
+        with pytest.raises(FamilyParseError, match="line 1, column 1"):
+            parse_x_polynomial("\u0662*x1", 2)
 
     def test_parse_x_polynomial(self):
         terms = parse_x_polynomial("2*x1^2*x2 - 1/3*x2^3 + x1*x2^2", 2)

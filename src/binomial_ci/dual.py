@@ -4,7 +4,7 @@ The coefficient of X^alpha is a^(s-r) * b^r (times D!/alpha! under
 differentiation) when x^alpha has a reduction path with label counts r to
 the target x1^(d1-1)...xn^(dn-1), and zero otherwise; s collects the
 per-label maxima over all such paths.  So F lives on the target's in-tree,
-which `_in_tree` finds by inverting the rewrite step on exponent tuples,
+which `_in_tree` finds by inverting the packed rewrite step of `keys.rule`,
 without building the socle-degree reduction graph; the tree is cached, so
 both conventions and `s_vector` share one search.
 
@@ -18,16 +18,14 @@ The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
 in two forms that the tests pin together.  `action_image` maps tuple-keyed
 terms; the catalecticants of `oracle` and the Hessians of `lefschetz` call
 it.  apply_action and verify_annihilation go through the packed kernel
-`_act`, after Monagan and Pearce's packed monomials: each term of F, X and
-symbol exponents together, is packed once by `_pack` into one int of 1-, 2-,
-4- or 8-byte lanes whose top bits stay free as guards, one subtract and mask
-on those bits tests divisibility by x^gamma, and each product is one int add
-and one rational multiply into a single dict.  The kernel only contracts:
-differentiation contracts the alpha!-scaled form and divides each nonzero
-term at X^k by k!, the identity behind `oracle._integer_form`.  Only the
-nonzero entries are unpacked and grouped back into SparsePoly (or, for
-numeric inputs, Fraction) coefficients.  `rewrite` and `graph` pack with the
-same `_pack`.
+`_act`, on the lane layout of `keys`: each term of F, X and symbol exponents
+together, is packed once into one int of guarded lanes, one subtract and
+mask on the guard bits tests divisibility by x^gamma, and each product is
+one int add and one rational multiply into a single dict.  The kernel only
+contracts: differentiation contracts the alpha!-scaled form and divides
+each nonzero term at X^k by k!, the identity behind `oracle._integer_form`.
+Only the nonzero entries are unpacked and grouped back into SparsePoly (or,
+for numeric inputs, Fraction) coefficients.
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from math import factorial, prod
-from operator import add, le, lt, sub
-from struct import Struct
+from operator import sub
 
 from .algebra import (
     CoeffMonomial,
@@ -51,6 +48,7 @@ from .algebra import (
     group_flat_terms,
 )
 from .family import BinomialFamily
+from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpacked, rule
 
 CONTRACTION = "contraction"
 DIFFERENTIATION = "differentiation"
@@ -59,7 +57,7 @@ _CONVENTIONS = (CONTRACTION, DIFFERENTIATION)
 Exponents = tuple[int, ...]
 
 
-def _check_convention(convention: str) -> None:
+def check_convention(convention: str) -> None:
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
 
@@ -70,46 +68,42 @@ def _in_tree(family: BinomialFamily) -> tuple[dict[Exponents, Exponents], Expone
     target = (d1-1, .., dn-1): r counts the labels on the path from x^alpha
     to the target, and s holds their per-label maxima.
 
-    A reverse search from the target on exponent tuples that never builds
-    the socle-degree graph.  It inverts `BinomialFamily._move`: w has the
-    label-i predecessor v = w - tail_i + d_i e_i exactly when w >= tail_i
-    componentwise (then v_i = w_i - tail_i,i + d_i >= d_i) and v_j < d_j for
-    every j < i (so i is the least index that v can reduce by).  The target
-    is a sink, as every entry is below its d_i.  A vertex has at most one
-    successor, and a vertex found from w reaches the target through w, so
-    it is not on w's own path; hence each vertex is found once, the tree
-    has no cycle and the search ends.  Each vertex's predecessors are
-    visited in descending lex order, depth first.
+    A reverse search from the target on packed keys that never builds the
+    socle-degree graph.  It inverts the step of `keys.rule`: w has the
+    label-i predecessor v = w - deltas[i-1] exactly when w >= tail_i
+    componentwise and v's own label is i.  One guard test on (w | G) -
+    deltas[i-1] checks w >= tail_i off lane i, and lane i cannot borrow, as
+    tail_i,i <= d_i; the label test then asks v_i >= d_i, which is w_i >=
+    tail_i,i, and v_j < d_j for every j < i.  The target is a sink, as every
+    entry is below its d_i.  A vertex has at most one successor, and a
+    vertex found from w reaches the target through w, so it is not on w's
+    own path; hence each vertex is found once, the tree has no cycle and
+    the search ends.  Each vertex's predecessors are visited in descending
+    lex order of their exponent tuples, depth first.
 
     The size of the degree-D monomial space is checked against
     `MONOMIAL_BUDGET` first.  The last tree is cached and shared; callers
     must not mutate it.
     """
     n = family.n
-    degrees = family.degrees
     check_monomial_budget(n, family.socle_degree)
-    moves = []  # per label i: tail_i, the bounds tail_i,j + d_j (j < i) on w, v - w, and e_i
-    for i, (tail, d) in enumerate(zip(family.tails, degrees)):
-        t = tail.exponents
-        step = [-e for e in t]
-        step[i] += d
-        unit = (0,) * i + (1,) + (0,) * (n - i - 1)
-        moves.append((t, tuple(map(add, t[:i], degrees)), tuple(step), unit))
-    target = tuple(d - 1 for d in degrees)
+    nb, guard, bound, deltas = rule(family.degrees, [t.exponents for t in family.tails], family.socle_degree)
+    target = tuple(d - 1 for d in family.degrees)
     tree = {target: (0,) * n}
-    stack = [target]
+    stack = [(target, _pack(target, nb) | guard)]  # (w, w's key | G)
     while stack:
-        w = stack.pop()
+        w, key = stack.pop()
         rw = tree[w]
-        preds = [
-            (tuple(map(add, w, step)), unit)
-            for tail, below, step, unit in moves
-            if all(map(le, tail, w)) and all(map(lt, w, below))
-        ]
-        preds.sort(reverse=True)
-        for v, unit in preds:
-            tree[v] = tuple(map(add, rw, unit))
-            stack.append(v)
+        preds = []
+        for i, delta in enumerate(deltas, 1):
+            v = key - delta  # v | G when w >= tail_i
+            if v & guard == guard:
+                rows = (v - bound) & guard
+                if (rows & -rows).bit_length() == 8 * nb * i:  # v's label is i
+                    preds.append((_unpacked(v ^ guard, n, nb), i, v))
+        for alpha, i, v in sorted(preds, reverse=True):
+            tree[alpha] = rw[: i - 1] + (rw[i - 1] + 1,) + rw[i:]
+            stack.append((alpha, v))
     return tree, tuple(map(max, zip(*tree.values())))
 
 
@@ -130,7 +124,7 @@ class DualGenerator:
     s: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_convention(self.convention)
+        check_convention(self.convention)
         tree, s = _in_tree(self.family)
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "s", s)
@@ -278,50 +272,6 @@ def _flat(terms: Terms, m: int) -> Flat:
     return out
 
 
-def _lane_bytes(top: int) -> int:
-    """Bytes per packed lane, 1, 2, 4 or 8: room for the sum of two exponents
-    up to top with the lane's top bit still free as a guard."""
-    bits = (2 * top).bit_length() + 1
-    for nb in (1, 2, 4, 8):
-        if bits <= 8 * nb:
-            return nb
-    raise ValueError(f"exponent {top} is too large for a packed key")
-
-
-@lru_cache(maxsize=64)
-def _layout(size: int, nb: int) -> Struct:
-    """size unsigned little-endian lanes of nb bytes (struct codes B, H, I,
-    Q): the same widths and lane order on every host."""
-    return Struct(f"<{size}{'BHIQ'[nb.bit_length() - 1]}")
-
-
-def _pack(exps: Exponents, nb: int) -> int:
-    """exps[j] in bytes [j*nb, (j+1)*nb) of one int; every entry must fit an
-    unsigned lane of nb bytes."""
-    return int.from_bytes(_layout(len(exps), nb).pack(*exps), "little")
-
-
-def _pack_all(vectors, size: int, nb: int) -> list[int]:
-    """[_pack(v, nb) for v in vectors], for vectors of size entries, in C."""
-    return list(map(int.from_bytes, starmap(_layout(size, nb).pack, vectors), repeat("little")))
-
-
-def _unpacked(key: int, size: int, nb: int) -> Exponents:
-    """The size lanes of a packed key: the inverse of _pack."""
-    return _layout(size, nb).unpack(key.to_bytes(size * nb, "little"))
-
-
-def _nonzero(acc: dict[int, int | Fraction], n: int, m: int, nb: int) -> dict:
-    """{(X exponents, symbol exponents): rational} for the nonzero entries of
-    a packed accumulator with n X lanes and 2m symbol lanes."""
-    out = {}
-    for key, c in acc.items():
-        if c:
-            lanes = _unpacked(key, n + 2 * m, nb)
-            out[lanes[:n], lanes[n:]] = c
-    return out
-
-
 def _act(f_flat: Flat, big: list[tuple[int, int | Fraction]], n: int, nb: int, guard: int) -> dict[int, int | Fraction]:
     """sum over gamma of c_gamma * (x^gamma o F) under contraction, on packed
     keys: the one exact kernel of apply_action and verify_annihilation.
@@ -363,7 +313,7 @@ def _apply(f_flats: list[Flat], big_flat, n: int, m: int, differentiate: bool) -
     keys = [alpha + sym for alpha, (sym, _) in big_flat]
     f_keys = [gamma + sym for f_flat in f_flats for gamma, (sym, _) in f_flat]
     nb = _lane_bytes(max(chain.from_iterable(chain(keys, f_keys)), default=0))
-    guard = _pack((1 << 8 * nb - 1,) * n, nb)
+    guard = _guard(n, nb)
     packed = _pack_all(keys, n + 2 * m, nb)
     if differentiate:
         big = [(p | guard, q * prod(map(factorial, alpha))) for p, (alpha, (_, q)) in zip(packed, big_flat)]
@@ -384,7 +334,7 @@ def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
     rationals, coefficient monomials, or sparse polynomials; when either side
     is symbolic, every coefficient of the result is a SparsePoly.
     """
-    _check_convention(convention)
+    check_convention(convention)
     f_norm, n = normalize_terms(f_terms)
     big_norm, n = normalize_terms(big_terms, n)
     m = next((c.n for c in (*f_norm.values(), *big_norm.values()) if isinstance(c, SparsePoly)), None)
@@ -410,7 +360,7 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     coefficients.  Symbol values fixed by the family are substituted into the
     generator coefficients; everything else stays symbolic.
     """
-    _check_convention(convention)
+    check_convention(convention)
     n = family.n
     if isinstance(F, DualGenerator):
         if F.n != n:

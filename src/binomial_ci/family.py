@@ -167,7 +167,12 @@ class BinomialFamily:
         return None if move is None else (move[0], Monomial._raw(move[1]))
 
     def _move(self, exps: tuple[int, ...], limit: int) -> tuple[int, tuple[int, ...]] | None:
-        """`step` on an exponent tuple of length n: (i, successor exponents)."""
+        """`step` on an exponent tuple of length n: (i, successor exponents).
+
+        The one tuple encoding of the step; `keys.rule` is the packed one.
+        It stays because a single monomial's exponents are unbounded: the
+        rewriting walk and `step` take exponents of 2^62 and more, which no
+        packed lane holds.  The tests also check the packed rule against it."""
         for i, d in enumerate(self.degrees):
             if exps[i] >= d:
                 if i >= limit:
@@ -297,12 +302,12 @@ def _tokenize(text: str) -> list[_Token]:
                 j = i + 1
                 while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
-                if j > i + 1:
-                    if not int(text[i + 1 : j]):
-                        raise FamilyParseError(
-                            f"zero denominator in {text[start:j]!r}", line, col
-                        )
-                    i = j
+                if j == i + 1:
+                    found = repr(text[j]) if j < len(text) else "end of input"
+                    raise FamilyParseError(f"a fraction needs ASCII digits after '/', found {found}", line, col + j - start)
+                if not int(text[i + 1 : j]):
+                    raise FamilyParseError(f"zero denominator in {text[start:j]!r}", line, col)
+                i = j
             tokens.append(_Token("NUMBER", text[start:i], line, col))
             col += i - start
             continue

@@ -5,17 +5,18 @@ labeled by the least such i, to m*m_i/x_i^{d_i}; the rest are sinks.  The
 structure depends only on the tails and degrees, never on the coefficients.
 
 `build_graph` works on exponent tuples from `algebra.exponents_of_degree`,
-each packed by `dual._pack` into one int: one subtract and mask on the guard
-bits, as in `dual._act`, gives a vertex's label, and its successor is one int
-add of the label's packed delta plus one dict lookup.  `vertices` and `index`
-are built on first read; cycles build `Monomial`s for their own vertices.
+each packed into one int of `keys` lanes, and reads the step from
+`keys.rule`: one subtract and mask on the guard bits gives a vertex's label,
+and its successor is one int add of the label's packed delta plus one dict
+lookup.  `vertices` and `index` are built on first read; cycles build
+`Monomial`s for their own vertices.
 
 `build_graph` keeps the last graph it built, keyed by (family, degree): a
 request asks for the same graph back to back (the structural determinant and
 the radical both read the resultant-degree graph), so it is built once.  The
 dual generator does not read it: `dual` finds the socle monomial's in-tree by
-a reverse search of its own.  The returned graph is shared between callers
-and must be treated as read-only.
+a reverse search on the same `keys.rule`.  The returned graph is shared
+between callers and must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .algebra import Monomial, SparsePoly, exponents_of_degree
-from .dual import _lane_bytes, _pack, _pack_all
 from .family import BinomialFamily
+from .keys import _pack_all, rule
 
 SINK = "sink"
 TRANSIENT = "transient"
@@ -107,19 +108,14 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
         raise ValueError("degree must be nonnegative")
     n = family.n
     exps = exponents_of_degree(n, d)
-    nb = _lane_bytes(max(d, *family.degrees))  # tail_i's entries are at most d_i
-    width = 8 * nb
+    nb, guard, bound, deltas = rule(family.degrees, [t.exponents for t in family.tails], d)
     keys = _pack_all(exps, n, nb)
     lookup = dict(zip(keys, range(len(keys))))
-    # With the guard bits G of `dual._act`, lane i of ((key | G) - pack(d)) & G
-    # keeps its top bit exactly when e_i >= d_i; the lowest bit left sits at
-    # width * label - 1, so its bit length over width is the label (0: sink).
-    guard = _pack((1 << width - 1,) * n, nb)
-    bound = _pack(family.degrees, nb)
+    # the lowest guard bit that `keys.rule`'s test leaves sits at width * label
+    # - 1, so its bit length over the lane width is the label (0: a sink)
+    width = 8 * nb
     found = [(t & -t).bit_length() // width for t in [((key | guard) - bound) & guard for key in keys]]
-    # key + deltas[label] packs e - d_i e_i + tail_i, the label-i successor
-    deltas = [0] + [_pack(t.exponents, nb) - (di << width * i) for i, (t, di) in enumerate(zip(family.tails, family.degrees))]
-    succ = [lookup[key + deltas[i]] if i else None for key, i in zip(keys, found)]
+    succ = [lookup[key + deltas[i - 1]] if i else None for key, i in zip(keys, found)]
     labels = [i or None for i in found]
 
     count = len(exps)

@@ -2,19 +2,22 @@
 
 Every row x^beta * f_k of a Macaulay matrix has at most two terms, so the
 ideal's degree-j piece is read off the right kernel of its Macaulay matrix,
-built by `macaulay_kernel` as a union-find over the columns: Hilbert
-functions count its live components, membership of a monomial or polynomial
-and the avoided-power basis test read its components, and the
-complete-intersection test is the one rank h_{D+1} = 0.  `macaulay_rows`
-builds the same matrix as integer rows (each generator scaled once to
-coprime integers) for the brute-force `linalg.RowSpace` reference.
-Inverse-system dimensions come from catalecticant ranks under contraction of
-rows x^gamma o F from `dual.action_image`, up to half the degree of F (the
-catalecticants of complementary degrees are transposes), each read off
-`_contraction_basis`, the one cached elimination per form and degree that
-`lefschetz` shares.  The avoided-power monomials span R/Ann(F) when, in each
-degree j, the rank of their rows is that h_j.  Everything is deterministic
-and exact; no probabilistic rank.
+built by `macaulay_kernel` as a union-find over the columns.  The columns
+are the cached packed degree-j keys of `keys.degree_keys`; each set bit of
+`keys.rule`'s guard test on a column u is one row, with u as its x_k^d_k
+column and u + deltas[k] as its other.  Hilbert functions count the live
+components, membership of a monomial or polynomial and the avoided-power
+basis test read the components, and the complete-intersection test is the
+one rank h_{D+1} = 0.  `macaulay_rows` builds the same matrix as integer
+rows (each generator scaled once to coprime integers) for the brute-force
+`linalg.RowSpace` reference.  Inverse-system dimensions come from
+catalecticant ranks under contraction of rows x^gamma o F from
+`dual.action_image`, up to half the degree of F (the catalecticants of
+complementary degrees are transposes), each read off `_contraction_basis`,
+the one cached elimination per form and degree that `lefschetz` shares.
+The avoided-power monomials span R/Ann(F) when, in each degree j, the rank
+of their rows is that h_j.  Everything is deterministic and exact; no
+probabilistic rank.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .algebra import Monomial, as_fraction, check_monomial_budget, exponents_of_degree, falling_product
-from .dual import DIFFERENTIATION, Exponents, _check_convention, action_image, normalize_terms, numeric_form
+from .dual import DIFFERENTIATION, Exponents, action_image, check_convention, normalize_terms, numeric_form
 from .family import BinomialFamily
+from .keys import degree_keys, rule
 from .linalg import RowSpace, rank_of, to_int_row
 
 
@@ -184,8 +188,10 @@ def macaulay_kernel(
     """The MacaulayKernel of f_k = a_k x_k^d_k - b_k x^tails[k] in degree
     `degree`; a_k = 0 is allowed (the radical's probe points)."""
     n = len(degrees)
-    columns = _columns(n, degree)
-    size = len(columns)
+    nb, guard, bound, deltas = rule(degrees, tails, degree)
+    lane = 8 * nb
+    keys, index = degree_keys(n, degree, nb)
+    size = len(keys)
     # A potential, or a cycle vector less its closing edge, sums +-e_k along
     # a path of the spanning forest, at most size - 1 edges, so no digit
     # exceeds size in magnitude.  Balanced digits up to 2 * size + 1 leave a
@@ -195,17 +201,10 @@ def macaulay_kernel(
     pot = [0] * size
     dead = bytearray(size)
     weight = [1] * size
-    ratios = []
-    moves = []
-    for k, (d, tail, a, b) in enumerate(zip(degrees, tails, a_values, b_values)):
-        ratios.append(Fraction(b) / a if a and b else None)
-        if not (a or b):
-            continue  # f_k = 0: no rows
-        delta = list(tail)
-        delta[k] -= d
-        # kind: 0 links u and v; 1 kills u (b_k = 0); 2 kills v (a_k = 0)
-        moves.append((k, d, tuple(delta), 0 if a and b else 1 if a else 2, width**k))
-    ratios = tuple(ratios)
+    ratios = tuple(Fraction(b) / a if a and b else None for a, b in zip(a_values, b_values))
+    # per k, (kind, width**k): kind 0 links u and v, 1 kills u (b_k = 0), 2 kills v
+    # (a_k = 0), and None leaves f_k = 0 without rows
+    kinds = [(0 if a and b else 1 if a else 2 if b else None, width**k) for k, (a, b) in enumerate(zip(a_values, b_values))]
     verdicts: dict[int, bool] = {}
 
     def find(x: int) -> int:
@@ -220,14 +219,18 @@ def macaulay_kernel(
             parent[y] = x
         return x
 
-    for u, iu in columns.items():
-        for k, d, delta, kind, step in moves:
-            if u[k] < d:
+    for iu, u in enumerate(keys):
+        rows = ((u | guard) - bound) & guard  # lane k's guard bit: the row x^(u - d_k e_k) * f_k
+        while rows:
+            k = (rows & -rows).bit_length() // lane - 1
+            rows &= rows - 1
+            kind, step = kinds[k]
+            if kind is None:
                 continue
             if kind == 1:
                 dead[find(iu)] = 1
                 continue
-            iv = columns[tuple(map(add, u, delta))]
+            iv = index[u + deltas[k]]
             if kind == 2:
                 dead[find(iv)] = 1
                 continue
@@ -370,7 +373,7 @@ def catalecticant_rows(
     Contraction by default; differentiation weights each image coefficient by
     the falling factorials of the exponents.
     """
-    _check_convention(convention)
+    check_convention(convention)
     return _catalecticant_rows(
         *numeric_form(F), degree, monomials, convention == DIFFERENTIATION
     )

@@ -4,16 +4,17 @@ Following the reduction edges with labels <= k rewrites a monomial either to a
 basis monomial (no exponent reaches its d_i for i <= k) with an exact
 coefficient b^r/a^r, or into a cycle, in which case the monomial lies in the
 ideal whenever the family is a regular sequence.  The walk runs on exponent
-tuples through `BinomialFamily._move`, and `Monomial`s are built only for
+tuples through `BinomialFamily._move`, not on packed keys, since a single
+monomial's exponents are unbounded, and `Monomial`s are built only for
 outputs.  The last walk is cached, so reduce_monomial and certificate on the
 same (monomial, k) share one walk.
 
 Every reduction, under any cutoff k, can be certified by a relation that
 expands to zero symbolically.  certificate_residual expands a given
-certificate on packed int keys, after Monagan and Pearce's packed monomials
-as in `dual._act`: each key holds the x exponents and the 2n symbol
-exponents, and each step costs one pack and two int adds.  It reads only the
-certificate, never the walk, so it checks an arbitrary certificate.
+certificate on the packed int keys of `keys`: each key holds the x exponents
+and the 2n symbol exponents, and each step costs one pack and two int adds.
+It reads only the certificate, never the walk, so it checks an arbitrary
+certificate.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from functools import lru_cache
 
 from . import algebra
 from .algebra import CoeffMonomial, Monomial, SparsePoly, group_flat_terms
-from .dual import _lane_bytes, _nonzero, _pack, _pack_all
 from .family import BinomialFamily
+from .keys import _lane_bytes, _nonzero, _pack, _pack_all
 
 TO_BASIS = "basis"
 TO_CYCLE = "cycle"
@@ -203,8 +204,8 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     Every coefficient is a coefficient monomial, so each term of the identity
     is one flat term (x exponents, symbol exponents) -> rational: the input
     and rhs terms, and per step -p_s*a_i at mult_s*x_i^{d_i} and +p_s*b_i at
-    mult_s*tail_i.  The terms live on packed int keys (`dual._pack`) in
-    `dual._lane_bytes` lanes for the largest exponent present, so each step is
+    mult_s*tail_i.  The terms live on packed int keys (`keys._pack`) in
+    `keys._lane_bytes` lanes for the largest exponent present, so each step is
     one pack of mult_s and p_s plus two int adds of the precomputed keys of
     x_i^{d_i}*a_i and tail_i*b_i.  Every exponent is checked before any key is
     built, since a negative lane would borrow from its neighbour.

@@ -154,7 +154,10 @@ def _check_s_vector() -> bool:
 
 
 def _check_in_tree() -> bool:
-    # The reverse search against successor walks on the socle-degree graph.
+    # The packed graph and the reverse search both read `keys.rule`; check
+    # them against the tuple rule `BinomialFamily.step`: the graph's labels
+    # and successors at the socle and resultant degrees, and the in-tree
+    # against the rewriting walks from every socle-degree monomial.
     for fam in (
         catalog.three_var_double_cycle(),
         catalog.three_var_chain(),
@@ -162,18 +165,17 @@ def _check_in_tree() -> bool:
         catalog.five_var_pentagon(),
         catalog.five_var_pentagon_alt(),
     ):
-        g = build_graph(fam, fam.socle_degree)
-        target = g.index[tuple(d - 1 for d in fam.degrees)]
+        for d in (fam.socle_degree, fam.resultant_degree):
+            g = build_graph(fam, d)
+            steps = [s if s is None else (label, g.vertices[s]) for s, label in zip(g.succ, g.labels)]
+            if steps != [fam.step(m) for m in g.vertices]:
+                return False
+        target = Monomial(tuple(d - 1 for d in fam.degrees))
         walks = {}
-        for start, m in enumerate(g.vertices):
-            r, v = [0] * fam.n, start
-            for _ in g.vertices:
-                if g.succ[v] is None:
-                    break
-                r[g.labels[v] - 1] += 1
-                v = g.succ[v]
-            if v == target:
-                walks[m.exponents] = tuple(r)
+        for m in monomials_of_degree(fam.n, fam.socle_degree):
+            outcome = reduce_monomial(fam, m)  # walks by the tuple step `BinomialFamily._move`
+            if outcome.basis_monomial == target:
+                walks[m.exponents] = outcome.r_vector
         tree, s = _in_tree(fam)
         if tree != walks or s != tuple(map(max, zip(*walks.values()))):
             return False
@@ -404,7 +406,7 @@ CHECKS = [
     ("packed certificate residual vs SparsePoly on tampered certificates", _check_packed_residual),
     ("s vector of the double-cycle family", _check_s_vector),
     ("dual generators, both conventions, term for term", _check_dual_generators),
-    ("socle in-tree by reverse search vs forward graph walks", _check_in_tree),
+    ("packed graph and socle in-tree vs the tuple rewrite step", _check_in_tree),
     ("symbolic annihilation of constructed duals", _check_annihilation),
     ("packed action kernel vs action_image on a perturbed dual", _check_packed_action),
     ("structural determinant vs numeric oracle", _check_structural_determinant),

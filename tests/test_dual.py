@@ -28,7 +28,8 @@ from binomial_ci import (
 )
 from binomial_ci.catalog import five_var_pentagon, pentagon_dual_form, three_var_chain
 from binomial_ci.algebra import MONOMIAL_BUDGET, exponents_of_degree
-from binomial_ci.dual import _in_tree, _lane_bytes, _nonzero, _pack, _pack_all, _unpacked, dual_to_json
+from binomial_ci.dual import _in_tree, dual_to_json
+from binomial_ci.keys import _lane_bytes
 from binomial_ci.rewrite import TO_BASIS
 
 from conftest import assert_as_checked, random_family
@@ -231,6 +232,45 @@ class TestInTree:
         for call in (s_vector, dual_generator):
             with pytest.raises(ValueError, match="budget"):
                 call(fam)
+
+
+def _wide_tree_families():
+    """Seeded families whose socle degrees put the in-tree's keys in 1-, 2-
+    and 4-byte lanes, with label counts past 255 from the 2-byte ones on."""
+    rng = random.Random(61)
+    families = []
+    for degrees in ((3, 2, 3), (40, 30), (300, 250), (30, 25, 20), (9000, 7500), (12000, 9000)):
+        n = len(degrees)
+        tails = []
+        for i, d in enumerate(degrees):
+            while True:
+                cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+                exps = tuple(hi - lo for lo, hi in zip((0, *cuts), (*cuts, d)))
+                if exps[i] != d:
+                    break
+            tails.append(Monomial(exps))
+        families.append(BinomialFamily.symbolic(list(degrees), tails))
+    return families
+
+
+class TestPackedInTree:
+    def test_every_lane_width_gives_rewrite_steps(self):
+        widths, counts = set(), 0
+        for fam in _wide_tree_families():
+            tree, s = _in_tree(fam)
+            target = tuple(d - 1 for d in fam.degrees)
+            assert fam._move(target, fam.n) is None and tree[target] == (0,) * fam.n
+            for v, r in tree.items():
+                if v != target:
+                    i, w = fam._move(v, fam.n)
+                    assert r == tuple(c + (j == i - 1) for j, c in enumerate(tree[w]))
+            assert s == tuple(map(max, zip(*tree.values())))
+            widths.add(_lane_bytes(max(fam.socle_degree, *fam.degrees)))
+            counts = max(counts, *s)
+            if fam.socle_degree < 1000:  # the forward walks take seconds on the 4-byte families
+                expected_tree, expected_s = _forward_in_tree(fam)
+                assert list(tree.items()) == list(expected_tree.items()) and s == expected_s
+        assert widths == {1, 2, 4} and counts > 255
 
 
 class TestApplyAction:
@@ -617,7 +657,7 @@ def _substituted_reference(fam, coeffs):
 
 class TestGuardBitKernel:
     """The contraction-only packed kernel: tampered dual generator forms,
-    guard-bit edges, lane switch points and the packing pair."""
+    guard-bit edges and lane switch points."""
 
     @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
     def test_tampered_dual_generators_match_the_reference(self, convention):
@@ -678,17 +718,6 @@ class TestGuardBitKernel:
             _lane_bytes(2**62)
         with pytest.raises(ValueError, match="too large"):
             apply_action({(1, 0): 1}, {(2**62, 0): 1})
-
-    @pytest.mark.parametrize("nb", [1, 2, 4, 8])
-    def test_pack_and_unpacked_round_trip(self, nb):
-        top = 2 ** (8 * nb) - 1
-        vectors = [(0,), (top,), (1, 0, top), (top // 2, top, 0, 1, 2)]
-        for v in vectors:
-            key = _pack(v, nb)
-            assert _unpacked(key, len(v), nb) == v
-            assert [(key >> 8 * nb * j) & top for j in range(len(v))] == list(v)  # lane j at bits 8*nb*j, on any host
-        assert _pack_all([(1, 2), (top, 0)], 2, nb) == [_pack((1, 2), nb), _pack((top, 0), nb)]
-        assert _nonzero({_pack((1, 2, 3), nb): 5, _pack((3, 2, 1), nb): 0}, 1, 1, nb) == {((1,), (2, 3)): 5}
 
 
 class TestHandBuiltDuals:

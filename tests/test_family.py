@@ -18,6 +18,7 @@ from binomial_ci import (
     parse_monomial,
     specialize,
 )
+from binomial_ci.cli import main
 from binomial_ci.family import parse_x_polynomial
 
 from conftest import random_family
@@ -107,7 +108,7 @@ class TestParsing:
         ("f1 = a1*x1^\u00b2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 12),
         ("f1 = a1*x1\u00b2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 11),
         ("f1 = a1*x1^2 - b1*x1*x2\nf\u0662 = a2*x2^2 - b2*x1*x2", 2, 2),
-        ("f1 = a1*x1^2 - 1/\u0663*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 17),
+        ("f1 = a1*x1^2 - 1/\u0663*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 1, 18),
     ]
 
     @pytest.mark.parametrize(
@@ -119,6 +120,30 @@ class TestParsing:
         with pytest.raises(FamilyParseError) as err:
             parse_family(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+
+    # (text, column, found): a slash after a number needs ASCII digits, and
+    # the error names the character after the slash, at its column
+    BAD_DENOMINATORS = [
+        ("f1 = a1*x1^2 - 1/\u0663*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 18, "'\u0663'"),
+        ("f1 = a1*x1^2 - 1/x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", 18, "'x'"),
+        ("f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - 1/", 44, "end of input"),
+    ]
+
+    @pytest.mark.parametrize("text, col, found", BAD_DENOMINATORS, ids=["arabic", "variable", "end"])
+    def test_a_fraction_needs_ascii_digits_after_the_slash(self, text, col, found):
+        with pytest.raises(FamilyParseError) as err:
+            parse_family(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert str(err.value) == f"line 1, column {col}: a fraction needs ASCII digits after '/', found {found}"
+
+    @pytest.mark.parametrize("text, col, found", BAD_DENOMINATORS, ids=["arabic", "variable", "end"])
+    def test_the_cli_exits_1_with_one_line_naming_the_character(self, capsys, text, col, found):
+        assert main(["graph", "--family", text, "--degree", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert f"column {col}: a fraction needs ASCII digits after '/', found {found}" in captured.err
 
 
 class TestRoundTrip:

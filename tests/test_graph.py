@@ -28,7 +28,7 @@ from binomial_ci import (
     verify_annihilation,
 )
 from binomial_ci.algebra import exponents_of_degree, monomials_of_degree
-from binomial_ci.dual import _lane_bytes
+from binomial_ci.keys import _lane_bytes
 from binomial_ci.graph import CYCLIC, SINK, TRANSIENT, graph_to_json
 
 from conftest import random_family

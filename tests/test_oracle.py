@@ -571,3 +571,81 @@ def test_kernel_matches_row_reduction(ci_corpus):
                 with pytest.raises(NotCompleteIntersectionError):
                     basis_check(family)
     assert outcomes == {True, False}
+
+
+# The packed kernel in wide lanes: columns of 2- and 4-byte keys
+
+
+def _wide_points(rng, degrees, count):
+    """count seeded tail choices, each at generic values, b = 0, an a_k = 0
+    probe, that probe with b = 0 (f_k = 0) and ratios tied to {c, 1/c}:
+    (tails, a, b)."""
+    n = len(degrees)
+    points = []
+    for _ in range(count):
+        tails = []
+        for i, d in enumerate(degrees):
+            tails.append(rng.choice([m for m in monomials_of_degree(n, d) if m.exponents[i] != d]))
+        a = [random_nonzero(rng) for _ in range(n)]
+        b = [random_nonzero(rng) for _ in range(n)]
+        probe = list(a)
+        probe[rng.randrange(n)] = Fraction(0)
+        c = rng.choice([Fraction(2), Fraction(-1), Fraction(3, 2)])
+        tied = [x * rng.choice([c, 1 / c]) for x in a]
+        points += [(tails, a, b), (tails, a, [0] * n), (tails, probe, b), (tails, probe, [0] * n), (tails, a, tied)]
+    return points
+
+
+@pytest.mark.parametrize(
+    "degrees, js, nb",
+    [((40, 30), range(60, 71), 2), ((70, 65), range(126, 136), 2), ((64, 2, 2), range(7), 2), ((16390, 3), range(14), 4)],
+)
+def test_kernel_matches_row_reduction_in_wide_lanes(degrees, js, nb):
+    from binomial_ci.keys import rule
+    from binomial_ci.oracle import macaulay_kernel
+
+    rng = random.Random(sum(degrees))
+    widths, outcomes = set(), set()
+    for tails, a, b in _wide_points(rng, degrees, 2):
+        exps = tuple(t.exponents for t in tails)
+        for j in js:
+            widths.add(rule(degrees, exps, j)[0])
+            space, _ = rows_space(degrees, tails, a, b, j)
+            kernel = macaulay_kernel(degrees, exps, a, b, j)
+            assert kernel.rank == space.rank
+            expected = [space.contains({x: 1}) for x in range(len(kernel.root))]
+            assert [kernel.contains_column(x) for x in range(len(kernel.root))] == expected
+            outcomes.update(expected)
+    assert nb in widths and outcomes == {True, False}
+
+
+def test_kernel_at_a_four_byte_degree_matches_ci_reference_and_the_walks():
+    # Row reduction of 16000-column matrices is out of reach: at a complete
+    # intersection the live count is h_j, and a monomial lies in the ideal
+    # exactly when its rewriting walk ends in a cycle.
+    from binomial_ci import BinomialFamily, TO_CYCLE
+    from binomial_ci.keys import rule
+    from binomial_ci.oracle import macaulay_kernel
+
+    rng = random.Random(16384)
+    outcomes = set()
+    for d1, d2 in ((16380, 40), (16390, 7)):
+        t, u = rng.randrange(d1), rng.randint(1, d2)
+        tails = [Monomial((t, d1 - t)), Monomial((u, d2 - u))]
+        a = [Fraction(rng.randint(1, 9)) for _ in range(2)]
+        b = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
+        fam = BinomialFamily.numeric([d1, d2], tails, a, b)
+        assert is_complete_intersection(fam)
+        top = fam.socle_degree + 1
+        reference = ci_reference(fam.degrees, top)
+        exps = tuple(m.exponents for m in tails)
+        for j in (16384, top - 1, top):
+            assert rule(fam.degrees, exps, j)[0] == 4
+            kernel = macaulay_kernel(fam.degrees, exps, a, b, j)
+            assert kernel.live == reference[j]
+            monomials = monomials_of_degree(2, j)
+            for x in range(0, len(monomials), 1201):
+                in_ideal = reduce_monomial(fam, monomials[x]).kind == TO_CYCLE
+                assert kernel.contains_column(x) == in_ideal
+                outcomes.add(in_ideal)
+    assert outcomes == {True, False}

@@ -24,7 +24,7 @@ from binomial_ci import (
     specialize,
 )
 from binomial_ci import rewrite
-from binomial_ci.dual import _lane_bytes
+from binomial_ci.keys import _lane_bytes
 from binomial_ci.family import BinomialFamily
 from binomial_ci.graph import SINK, TRANSIENT
 from binomial_ci.rewrite import certificate_residual, certificate_to_json, render_certificate

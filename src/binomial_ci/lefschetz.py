@@ -202,7 +202,3 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
         status = "holds" if certified else "probably fails"
         verdicts.append(LefschetzVerdict(k, target, target, best_rank, certified, status, best_ell))
     return verdicts
-
-
-def has_slp(F, trials: int = 5, rng: random.Random | None = None) -> bool:
-    return all(v.maximal for v in slp_check(F, trials, rng))

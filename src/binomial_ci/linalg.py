@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Rank and membership queries run on sparse rows kept as gcd-normalized integer
-dictionaries, so elimination never introduces fractions.  Determinants
-eliminate sparse rows with Fraction entries, so a row's cost follows its
-nonzeros rather than the matrix width.
+One fraction-free elimination, `RowSpace._reduced`, serves ranks, membership
+and determinants.  It works on sparse rows kept as gcd-normalized integer
+dictionaries, cancelling the least column first, so it never builds a
+fraction and a row's cost follows its nonzeros rather than the matrix width.
 """
 
 from __future__ import annotations
@@ -15,13 +15,15 @@ from typing import Iterable, Mapping, Sequence
 Row = Mapping[int, Fraction | int]
 
 
-def _normalize(row: dict) -> dict:
+def _normalize(row: dict) -> tuple[dict, int]:
+    """The row divided by the gcd of its entries, and that gcd (1 for an
+    empty row)."""
     g = 0
     for c in row.values():
         g = gcd(g, c)
     if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
+        return {k: v // g for k, v in row.items()}, g
+    return row, 1
 
 
 def to_int_row(row: Row) -> dict:
@@ -32,7 +34,7 @@ def to_int_row(row: Row) -> dict:
     except AttributeError:
         bad = next(v for v in row.values() if not hasattr(v, "denominator"))
         raise TypeError(f"row values must be int or Fraction, not {type(bad).__name__}") from None
-    return _normalize({k: v.numerator * (scale // v.denominator) for k, v in row.items() if v})
+    return _normalize({k: v.numerator * (scale // v.denominator) for k, v in row.items() if v})[0]
 
 
 class RowSpace:
@@ -49,12 +51,21 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _reduced(self, row: dict[int, int]) -> dict[int, int]:
+    def _reduced(self, row: dict[int, int]) -> tuple[dict[int, int], int, int]:
+        """Reduce an integer row against the pivots: (reduced, a_prod, g_prod)
+        with reduced = (a_prod / g_prod) * (row - a combination of pivots).
+
+        Each step multiplies the row by the lead of the pivot it cancels
+        against (a_prod collects those leads) and divides out the gcd of the
+        result (g_prod collects those).  The row comes back as soon as its
+        least column has no pivot, or empty when it lies in the space.
+        """
+        a_prod = g_prod = 1
         while row:
             lead = min(row)
             piv = self._pivots.get(lead)
             if piv is None:
-                return row
+                break
             a, b = piv[lead], row[lead]
             new = {}
             for k, v in row.items():
@@ -64,19 +75,21 @@ class RowSpace:
             for k, v in piv.items():
                 if k not in row:
                     new[k] = -b * v
-            row = _normalize(new)
-        return row
+            row, g = _normalize(new)
+            a_prod *= a
+            g_prod *= g
+        return row, a_prod, g_prod
 
     def add(self, row: Row) -> bool:
         """Insert a row; True when it enlarged the space."""
-        reduced = self._reduced(to_int_row(row))
+        reduced = self._reduced(to_int_row(row))[0]
         if not reduced:
             return False
         self._pivots[min(reduced)] = reduced
         return True
 
     def contains(self, row: Row) -> bool:
-        return not self._reduced(to_int_row(row))
+        return not self._reduced(to_int_row(row))[0]
 
 
 def rank_of(rows: Iterable[Row]) -> int:
@@ -93,42 +106,37 @@ def dense_rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
 def det_sparse(rows: Sequence[Row], size: int) -> Fraction:
     """Exact determinant of a size x size matrix given as sparse rows.
 
-    Each {column: rational} row is reduced against the earlier pivot rows,
-    always cancelling its least column first, with Fraction entries and no
-    row scaling.  Sorted by pivot column the reduced rows are upper
-    triangular, so the determinant is the product of the pivots times the
-    sign of the permutation row -> pivot column.  A row that reduces to zero
-    makes the matrix singular.
+    Each {column: int or Fraction} row is scaled to a coprime integer row
+    (to_int_row) and reduced against the earlier pivots by
+    RowSpace._reduced, which multiplies it by a_prod / g_prod on the way.
+    Sorted by pivot column the reduced rows are upper triangular, so the
+    determinant is the product of the pivots divided by every row's scale,
+    times the sign of the permutation row -> pivot column.  Numerator and
+    denominator stay ints until the one Fraction at the end.  A row that
+    reduces to zero makes the matrix singular; a float entry raises
+    TypeError.
     """
     if len(rows) != size:
         raise ValueError(f"a {size} x {size} determinant needs {size} rows, not {len(rows)}")
-    matrix = []
     for row in rows:
         for k in row:
             if not 0 <= k < size:
                 raise ValueError(f"column {k} outside 0..{size - 1}")
-        matrix.append({k: v if type(v) is Fraction else Fraction(v) for k, v in row.items() if v})
-    pivots: dict[int, dict[int, Fraction]] = {}
+    scaled_rows = [to_int_row(row) for row in rows]
+    space = RowSpace()
     pivot_cols = []
-    det = Fraction(1)
-    for row in matrix:
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                break
-            factor = row[lead] / piv[lead]
-            for k, v in piv.items():
-                w = row.get(k, 0) - factor * v
-                if w:
-                    row[k] = w
-                else:
-                    del row[k]
-        else:  # the row reduced to zero
+    num = den = 1
+    for row, scaled in zip(rows, scaled_rows):
+        reduced, a_prod, g_prod = space._reduced(scaled)
+        if not reduced:
             return Fraction(0)
-        pivots[lead] = row
+        lead = min(reduced)
+        space._pivots[lead] = reduced
         pivot_cols.append(lead)
-        det *= row[lead]
+        # to_int_row scaled the row by scaled[k] / row[k], the same at every k
+        k = next(iter(scaled))
+        num *= reduced[lead] * g_prod * row[k].numerator
+        den *= a_prod * scaled[k] * row[k].denominator
     # A permutation is odd when size minus its cycle count is odd.
     seen = [False] * size
     parity = size
@@ -139,4 +147,5 @@ def det_sparse(rows: Sequence[Row], size: int) -> Fraction:
             while not seen[k]:
                 seen[k] = True
                 k = pivot_cols[k]
+    det = Fraction(num, den)
     return -det if parity % 2 else det

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import SparsePoly
-from .family import BinomialFamily, CoeffAssignment, specialize
+from .family import BinomialFamily
 from .graph import CYCLIC, Cycle, ReductionGraph, build_graph, cycle_polynomial
 from .linalg import det_sparse
 from .oracle import macaulay_kernel
@@ -104,14 +104,12 @@ def det_structural(family: BinomialFamily) -> SparsePoly:
     return det
 
 
-def det_numeric_oracle(family: BinomialFamily, assignment: CoeffAssignment | None = None) -> Fraction:
-    """Exact determinant of the specialized matrix.
+def det_numeric_oracle(family: BinomialFamily) -> Fraction:
+    """Exact determinant of a numeric family's resultant matrix.
 
     Eliminates the two-entry rows generically with det_sparse, independent of
     the cycle formula.
     """
-    if assignment is not None:
-        family = specialize(family, assignment)
     if not family.is_numeric:
         raise ValueError("the numeric determinant needs a fully numeric family")
     graph = _resultant_graph(family)

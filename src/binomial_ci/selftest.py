@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import catalog
 from .algebra import CoeffMonomial, Monomial, SparsePoly, monomials_of_degree, multinomial, poly_divides
 from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, action_image, apply_action, dual_generator, numeric_form, s_vector, verify_annihilation
-from .family import CoeffAssignment, parse_monomial, specialize
+from .family import CoeffAssignment, parse_family, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
 from .lefschetz import hessian, monomial_basis
 from .linalg import RowSpace, rank_of
@@ -359,11 +359,15 @@ def _check_kernel_against_rows() -> bool:
     # The union-find kernel behind every Hilbert function, against exact row
     # reduction of the same Macaulay matrices, through degree D + 2.
     fam = catalog.three_var_double_cycle()
-    generic = CoeffAssignment.of(3, a1=2, a2=-3, a3=5, b1=7, b2=1, b3=-4)
-    # a2*a3 = b2*b3, and b1 = 0 leaves one-term rows
-    degenerate = CoeffAssignment.of(3, a1=1, a2=1, a3=1, b1=0, b2=1, b3=1)
-    for assignment in (generic, degenerate):
-        point = specialize(fam, assignment)
+    points = [
+        specialize(fam, CoeffAssignment.of(3, a1=2, a2=-3, a3=5, b1=7, b2=1, b3=-4)),
+        # a2*a3 = b2*b3, and b1 = 0 leaves one-term rows
+        specialize(fam, CoeffAssignment.of(3, a1=1, a2=1, a3=1, b1=0, b2=1, b3=1)),
+        # a = b and two generators share a tail: many columns meet several
+        # rows, and a kernel that reads only the lowest one goes wrong
+        parse_family("f1 = -1/3*x1^4 - -1/3*x1^2*x2^2 ; f2 = x2^4 - x1^4 ; f3 = 2*x3^4 - 2*x1^2*x2^2"),
+    ]
+    for point in points:
         generators = [point.generator_values(i) for i in range(1, 4)]
         top = point.socle_degree + 2
         expected = tuple(math.comb(j + 2, 2) - rank_of(macaulay_rows(3, generators, j)) for j in range(top + 1))

@@ -21,7 +21,7 @@ from binomial_ci import (
 )
 from binomial_ci.catalog import pentagon_dual_form_at, wlp_failure_form
 from binomial_ci.dual import numeric_form
-from binomial_ci.lefschetz import HessianMatrix, _hessian_at, has_slp
+from binomial_ci.lefschetz import HessianMatrix, _hessian_at
 from binomial_ci.linalg import dense_rank
 from binomial_ci.oracle import _integer_form
 
@@ -108,7 +108,7 @@ class TestSlpCheck:
         verdicts = slp_check(pentagon_dual_form_at(b), trials=4, rng=random.Random(1))
         assert [v.k for v in verdicts] == [0, 1, 2]
         assert all(v.status == "holds" for v in verdicts)
-        assert has_slp(pentagon_dual_form_at(b), trials=4, rng=random.Random(1))
+        assert all(v.maximal for v in slp_check(pentagon_dual_form_at(b), trials=4, rng=random.Random(1)))
 
     def test_wlp_failure_detected_at_k2(self):
         verdicts = slp_check(wlp_failure_form(), trials=4, rng=random.Random(2))
@@ -126,11 +126,11 @@ class TestSlpCheck:
         )
         F = dual_generator(numeric, DIFFERENTIATION).evaluate()
         assert list(F) == [(2, 1, 1)]
-        assert has_slp(F, trials=4, rng=random.Random(3))
+        assert all(v.maximal for v in slp_check(F, trials=4, rng=random.Random(3)))
 
     def test_monomial_ci_dual_has_slp_four_variables(self):
         F = {Monomial((2, 1, 1, 1)): Fraction(1)}
-        assert has_slp(F, trials=4, rng=random.Random(5))
+        assert all(v.maximal for v in slp_check(F, trials=4, rng=random.Random(5)))
 
     def test_verdict_json(self):
         verdicts = slp_check(squarefree_product_form(), trials=2, rng=random.Random(4))

@@ -228,6 +228,27 @@ def test_det_sparse_rejects_a_wrong_row_count():
         det_sparse([{0: 1}], 2)
 
 
+def test_det_sparse_rejects_a_float():
+    with pytest.raises(TypeError, match="not float"):
+        det_sparse([{0: 0.5}], 1)
+    # every row is checked before elimination, even after a zero row
+    with pytest.raises(TypeError, match="not float"):
+        det_sparse([{}, {0: 0.5}], 2)
+
+
+def test_reduced_reports_its_scale():
+    # reduced = (a_prod / g_prod) * (row - a combination of pivots), so
+    # row - (g_prod / a_prod) * reduced lies in the space before the row joins
+    rng = random.Random(11)
+    space = RowSpace()
+    for _ in range(40):
+        row = to_int_row({rng.randrange(8): rng.randint(-9, 9) for _ in range(4)})
+        reduced, a_prod, g_prod = space._reduced(row)
+        scale = Fraction(g_prod, a_prod)
+        assert space.contains({k: row.get(k, 0) - scale * reduced.get(k, 0) for k in row.keys() | reduced.keys()})
+        space.add(row)
+
+
 def test_det_sparse_leaves_its_input_unchanged():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(4)}]
     copy = [dict(row) for row in rows]

@@ -16,8 +16,9 @@ its flat terms.  Any other form is a mapping, checked by `normalize_terms`.
 
 The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
 in two forms that the tests pin together.  `action_image` maps tuple-keyed
-terms; the catalecticants of `oracle` and the Hessians of `lefschetz` call
-it.  apply_action and verify_annihilation go through the packed kernel
+terms: the Hessians of `lefschetz` call it, and it is the tuple reference
+for the catalecticant rows, which `oracle` reads by packed pairing lookups.
+apply_action and verify_annihilation go through the packed kernel
 `_act`, on the lane layout of `keys`: each term of F, X and symbol exponents
 together, is packed once into one int of guarded lanes, one subtract and
 mask on the guard bits tests divisibility by x^gamma, and each product is

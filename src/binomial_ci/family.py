@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lt
 from typing import Sequence
 
-from .algebra import Monomial, Rational, SparsePoly, as_fraction, as_int, monomials_of_degree, shown
+from .algebra import Monomial, Rational, SparsePoly, as_fraction, as_int, exponents_of_degree, shown
 
 
 class FamilyError(ValueError):
@@ -187,9 +188,15 @@ class BinomialFamily:
         limit = self.n if k is None else k
         return all(m.exponents[i] < self.degrees[i] for i in range(limit))
 
+    def basis_exponents(self, d: int) -> list[tuple[int, ...]]:
+        """The degree-d exponent tuples with every entry below its d_i, in
+        the order of `exponents_of_degree`."""
+        degrees = self.degrees
+        return [e for e in exponents_of_degree(self.n, d) if all(map(lt, e, degrees))]
+
     def basis_monomials(self, d: int) -> list[Monomial]:
         """The degree-d monomials with every exponent below its d_i."""
-        return [m for m in monomials_of_degree(self.n, d) if self.in_basis(m)]
+        return list(map(Monomial._raw, self.basis_exponents(d)))
 
     def __str__(self) -> str:
         return format_family(self)

@@ -25,7 +25,7 @@ from typing import Sequence
 from .algebra import Monomial, as_fraction
 from .dual import DIFFERENTIATION, Exponents, action_image, numeric_form
 from .linalg import dense_rank, rank_of
-from .oracle import _contraction_basis, _integer_form, catalecticant_rows
+from .oracle import _contraction_basis, _integer_form, _to_integer, catalecticant_rows
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:
@@ -136,14 +136,15 @@ def _hessian_at(
 
 def lefschetz_rank(F, k: int, ell: Sequence) -> int:
     """Exact rank of the k-th Hessian at ell, over the monomial basis."""
-    terms, n, top = _integer_form(F)
+    normal = numeric_form(F)
+    terms, n, top = _to_integer(normal)
     values = _point(ell, n)
     if top - 2 * k < 0:
         raise ValueError("socle degree is too small for this Hessian order")
     # H(c*ell) = c^(D-2k) * H(ell): clearing denominators keeps the rank.
     scale = lcm(*(v.denominator for v in values))
     point = [v.numerator * (scale // v.denominator) for v in values]
-    basis = _contraction_basis(_integer_form(F, differentiate=True), k)
+    basis = _contraction_basis(_to_integer(normal, differentiate=True), k)
     return dense_rank(_hessian_at(terms, top, k, basis, point))
 
 
@@ -177,8 +178,9 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    terms, n, top = _integer_form(F)
-    form = _integer_form(F, differentiate=True)
+    normal = numeric_form(F)
+    terms, n, top = _to_integer(normal)
+    form = _to_integer(normal, differentiate=True)
     if rng is None:
         rng = random.Random(0)
     verdicts = []

@@ -10,14 +10,19 @@ components, membership of a monomial or polynomial and the avoided-power
 basis test read the components, and the complete-intersection test is the
 one rank h_{D+1} = 0.  `macaulay_rows` builds the same matrix as integer
 rows (each generator scaled once to coprime integers) for the brute-force
-`linalg.RowSpace` reference.  Inverse-system dimensions come from
-catalecticant ranks under contraction of rows x^gamma o F from
-`dual.action_image`, up to half the degree of F (the catalecticants of
-complementary degrees are transposes), each read off `_contraction_basis`,
-the one cached elimination per form and degree that `lefschetz` shares.
-The avoided-power monomials span R/Ann(F) when, in each degree j, the rank
-of their rows is that h_j.  Everything is deterministic and exact; no
-probabilistic rank.
+`linalg.RowSpace` reference.
+
+A form F of degree D pairs R_j with R_{D-j}: the entry of the catalecticant
+Cat_j at (gamma, beta) is F[gamma + beta] under contraction.  F's terms are
+packed once per call on the lanes of `keys`, the columns beta are the
+packed keys `keys.degree_keys` caches, and `_pairing` reads each entry by
+one int add and one dict lookup.  Inverse-system dimensions are the ranks of
+these rows up to half the degree of F (the catalecticants of complementary
+degrees are transposes), each read off `_contraction_basis`, the one cached
+elimination per form and degree that `lefschetz` shares.  The avoided-power
+monomials span R/Ann(F) when, in each degree j <= D/2, the block of the
+pairing on the avoided-power exponents of degrees j and D-j has that rank
+h_j.  Everything is deterministic and exact; no probabilistic rank.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .algebra import Monomial, as_fraction, check_monomial_budget, exponents_of_degree, falling_product
-from .dual import DIFFERENTIATION, Exponents, action_image, check_convention, normalize_terms, numeric_form
+from .dual import DIFFERENTIATION, Exponents, check_convention, normalize_terms, numeric_form
 from .family import BinomialFamily
-from .keys import degree_keys, rule
+from .keys import _lane_bytes, _pack_all, degree_keys, rule
 from .linalg import RowSpace, rank_of, to_int_row
 
 
@@ -75,10 +80,13 @@ def _require_numeric(family: BinomialFamily) -> None:
         raise ValueError("this oracle needs a fully numeric family")
 
 
-def _check_variables(family: BinomialFamily, monomials) -> None:
+def _check_variables(n: int, monomials, degree: int | None = None) -> None:
+    """Each monomial has n variables and, when given, the degree `degree`."""
     for m in monomials:
-        if len(m.exponents) != family.n:
-            raise ValueError(f"monomial {m} does not have {family.n} variables")
+        if len(m.exponents) != n:
+            raise ValueError(f"monomial {m} does not have {n} variables")
+        if degree is not None and m.degree != degree:
+            raise ValueError(f"monomial {m} does not have degree {degree}")
 
 
 Generators = Sequence[Mapping[Monomial | Exponents, Fraction | int]]
@@ -328,10 +336,10 @@ def basis_check(family: BinomialFamily) -> bool:
     for j in range(family.socle_degree + 1):
         columns = _columns(family.n, j)
         kernel = _ideal_space(family, j)
-        basis = family.basis_monomials(j)
+        basis = family.basis_exponents(j)
         if len(basis) != kernel.live:
             return False
-        roots = {kernel.root[columns[m.exponents]] for m in basis}
+        roots = {kernel.root[columns[exps]] for exps in basis}
         if len(roots) != len(basis) or any(kernel.dead[r] for r in roots):
             return False
     return True
@@ -340,14 +348,14 @@ def basis_check(family: BinomialFamily) -> bool:
 def ideal_membership(family: BinomialFamily, m: Monomial) -> bool:
     """Whether m lies in the degree-deg(m) piece of the ideal."""
     _require_numeric(family)
-    _check_variables(family, [m])
+    _check_variables(family.n, [m])
     return _ideal_space(family, m.degree).contains_column(_columns(family.n, m.degree)[m.exponents])
 
 
 def polynomial_in_ideal(family: BinomialFamily, terms: Mapping[Monomial, Fraction]) -> bool:
     """Membership for a homogeneous polynomial given as monomial -> rational."""
     _require_numeric(family)
-    _check_variables(family, terms)
+    _check_variables(family.n, terms)
     coeffs = {m: as_fraction(c) for m, c in terms.items()}
     nonzero = {m: c for m, c in coeffs.items() if c}
     if not nonzero:
@@ -371,12 +379,31 @@ def catalecticant_rows(
     """Action images {m o F} for the given degree-`degree` monomials.
 
     Contraction by default; differentiation weights each image coefficient by
-    the falling factorials of the exponents.
+    the falling factorials of the exponents.  A monomial whose variable count
+    or degree differs from F's and `degree` raises ValueError.
     """
     check_convention(convention)
-    return _catalecticant_rows(
-        *numeric_form(F), degree, monomials, convention == DIFFERENTIATION
-    )
+    terms, n, top = numeric_form(F)
+    if monomials is not None:
+        _check_variables(n, monomials, degree)
+    return _catalecticant_rows(terms, n, top, degree, monomials, convention == DIFFERENTIATION)
+
+
+def _packed_form(terms: Mapping[Exponents, Fraction | int], n: int, top: int) -> tuple[dict[int, Fraction | int], int]:
+    """(F's terms keyed by packed exponents, nb): nb = _lane_bytes(top) has
+    room for every exponent of degree top, so the key of gamma + beta is the
+    int sum of their keys."""
+    nb = _lane_bytes(top)
+    return dict(zip(_pack_all(terms, n, nb), terms.values())), nb
+
+
+def _pairing(
+    packed: Mapping[int, Fraction | int], gammas: Sequence[int], betas: Sequence[int]
+) -> list[dict[int, Fraction | int]]:
+    """The rows {x: F[gamma + betas[x]]} over the packed keys gamma, nonzero
+    entries only: one int add and one dict lookup per entry."""
+    get = packed.get
+    return [{x: c for x, c in enumerate(map(get, map(gamma.__add__, betas))) if c} for gamma in gammas]
 
 
 def _catalecticant_rows(
@@ -388,15 +415,23 @@ def _catalecticant_rows(
     differentiate: bool = False,
 ):
     """catalecticant_rows for F already normalized to (terms, n, top) by
-    `dual.numeric_form`; integer terms give integer rows."""
+    `dual.numeric_form`, with columns in the order of `_columns(n, top -
+    degree)`; integer terms give integer rows.  The monomials must have n
+    variables and degree `degree`, or the packed keys alias lanes."""
     gammas = _columns(n, degree) if monomials is None else [g.exponents for g in monomials]
     if degree > top:
         return [{} for _ in gammas]
-    columns = _columns(n, top - degree)
-    return [
-        {columns[key]: c for key, c in action_image(terms, gamma, differentiate).items()}
-        for gamma in gammas
-    ]
+    packed, nb = _packed_form(terms, n, top)
+    keys = degree_keys(n, degree, nb)[0] if monomials is None else _pack_all(gammas, n, nb)
+    rows = _pairing(packed, keys, degree_keys(n, top - degree, nb)[0])
+    if differentiate:
+        # x^gamma o X^(gamma+beta) = (gamma+beta)!/beta! X^beta
+        betas = list(_columns(n, top - degree))
+        rows = [
+            {x: c * falling_product(map(add, gamma, betas[x]), gamma) for x, c in row.items()}
+            for gamma, row in zip(gammas, rows)
+        ]
+    return rows
 
 
 class _Terms(dict):
@@ -406,15 +441,23 @@ class _Terms(dict):
         return hash(frozenset(self.items()))
 
 
-def _integer_form(F, differentiate: bool = False) -> tuple[_Terms, int, int]:
-    """numeric_form(F) scaled to coprime integers, for rank-only callers.
-    `differentiate` first scales F[alpha] by alpha!: Cat_j(F) under
-    differentiation is Cat_j of that form under contraction with column beta
-    divided by beta!, so the two share row dependencies (alpha! Fd = D! Fc)."""
-    terms, n, top = numeric_form(F)
+def _to_integer(
+    form: tuple[dict[Exponents, Fraction], int, int], differentiate: bool = False
+) -> tuple[_Terms, int, int]:
+    """A `numeric_form` (terms, n, top) scaled to coprime integers, for
+    rank-only callers.  `differentiate` first scales F[alpha] by alpha!:
+    Cat_j(F) under differentiation is Cat_j of that form under contraction
+    with column beta divided by beta!, so the two share row dependencies
+    (alpha! Fd = D! Fc)."""
+    terms, n, top = form
     if differentiate:
         terms = {alpha: c * falling_product(alpha, alpha) for alpha, c in terms.items()}
     return _Terms(to_int_row(terms)), n, top
+
+
+def _integer_form(F, differentiate: bool = False) -> tuple[_Terms, int, int]:
+    """numeric_form(F) scaled to coprime integers by `_to_integer`."""
+    return _to_integer(numeric_form(F), differentiate)
 
 
 @lru_cache(maxsize=64)
@@ -448,15 +491,31 @@ def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
     """Whether the avoided-power monomials span each graded piece of R/Ann(F).
 
     Only the variable count and degrees of the family matter here; F is any
-    numeric homogeneous form in the same variables.  The rows m o F of the
-    avoided-power monomials m of degree j are among the rows of Cat_j, so
-    they span its row space exactly when their rank is h_j = rank Cat_j:
-    one rank per degree, checked against the shared `_contraction_basis`.
+    nonzero numeric homogeneous form in the same variables, of any degree D.
+    With B_j the avoided-power exponents of degree j, the test takes, for
+    each j <= D/2 only, the block P_j = [F(gamma+beta)] over gamma in B_j and
+    beta in B_{D-j}, and compares its rank with h_j from the shared
+    `_contraction_basis`.
+
+    This is exact for every such F, with no complete-intersection
+    assumption: rank P_j = h_j exactly when B_j spans A_j and B_{D-j} spans
+    A_{D-j}, where A = R/Ann(F).  A is Gorenstein with socle degree D, and
+    (g, h) -> (gh) o F is a perfect pairing A_j x A_{D-j} -> Q (Iarrobino &
+    Kanev, LNM 1721, 1999), so h_j = h_{D-j}.  P_j is that pairing on the
+    classes of B_j and B_{D-j}: its rows factor through A_j and its columns
+    through A_{D-j}, so rank P_j is at most the dimension of either span,
+    and each is at most h_j.  If both sets span, take a basis from each; the
+    Gram block of a perfect pairing on two bases is nonsingular, so rank P_j
+    = h_j.  The degrees j and D-j together cover 0..D.
     """
     form = _integer_form(F)
-    if form[1] != family.n:
+    _, n, top = form
+    if n != family.n:
         raise ValueError("form and family have different variable counts")
-    return all(
-        rank_of(_catalecticant_rows(*form, j, family.basis_monomials(j))) == _dim(form, j)
-        for j in range(form[2] + 1)
-    )
+    packed, nb = _packed_form(*form)
+    for j in range(top // 2 + 1):
+        rows = _pack_all(family.basis_exponents(j), n, nb)
+        columns = _pack_all(family.basis_exponents(top - j), n, nb)
+        if rank_of(_pairing(packed, rows, columns)) != _dim(form, j):
+            return False
+    return True

@@ -13,10 +13,11 @@ import random
 from fractions import Fraction
 
 from . import catalog
-from .algebra import CoeffMonomial, Monomial, SparsePoly, monomials_of_degree, multinomial, poly_divides
+from .algebra import CoeffMonomial, Monomial, SparsePoly, exponents_of_degree, monomials_of_degree, multinomial, poly_divides
 from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, action_image, apply_action, dual_generator, numeric_form, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_family, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
+from .keys import _lane_bytes
 from .lefschetz import hessian, monomial_basis
 from .linalg import RowSpace, rank_of
 from .oracle import (
@@ -337,10 +338,16 @@ def _check_wlp_failure() -> bool:
     return not m_spans_ann_quotient(catalog.five_var_pentagon(), F)
 
 
-def _check_ci_points() -> bool:
+def _ci_points():
+    """(good, bad): the double-cycle family at a CI point and at a non-CI one."""
     fam = catalog.three_var_double_cycle()
     good = specialize(fam, CoeffAssignment.of(3, a1=1, a2=1, a3=1, b1=1, b2=1, b3=2))
     bad = specialize(fam, CoeffAssignment.of(3, a1=1, a2=1, a3=1, b1=1, b2=1, b3=1))
+    return good, bad
+
+
+def _check_ci_points() -> bool:
+    good, bad = _ci_points()
     if not is_complete_intersection(good) or is_complete_intersection(bad):
         return False
     if det_numeric_oracle(good) != 1 or det_numeric_oracle(bad) != 0:
@@ -353,6 +360,55 @@ def _check_ci_points() -> bool:
         if not m_spans_ann_quotient(point, F):
             return False
     return True
+
+
+def _check_packed_catalecticant() -> bool:
+    # The packed pairing rows of catalecticant_rows against rows built from
+    # the tuple-keyed action_image, under both conventions, in 1-byte lanes
+    # and, with a dual lifted by X1^64, in 2-byte lanes.
+    point = specialize(catalog.three_var_double_cycle(), CoeffAssignment.of(3, a1=2, a2=3, a3=1, b1=5, b2=1, b3=7))
+    dual = dual_generator(point, CONTRACTION).evaluate()
+    forms = [
+        catalog.wlp_failure_form(),
+        catalog.pentagon_dual_form_at([2, 3, 5, 7, 11]),
+        dual,
+        {(e[0] + 64, *e[1:]): c for e, c in dual.items()},
+    ]
+    lanes = set()
+    for F in forms:
+        terms, n, top = numeric_form(F)
+        lanes.add(_lane_bytes(top))
+        for j in sorted({0, 1, 2, top - 2, top - 1, top} & set(range(top + 1))):
+            columns = {e: x for x, e in enumerate(exponents_of_degree(n, top - j))}
+            for convention in (CONTRACTION, DIFFERENTIATION):
+                expected = [
+                    {columns[key]: c for key, c in action_image(terms, gamma, convention == DIFFERENTIATION).items()}
+                    for gamma in exponents_of_degree(n, j)
+                ]
+                if catalecticant_rows(F, j, convention=convention) != expected:
+                    return False
+    return lanes == {1, 2}
+
+
+def _check_pairing_spans() -> bool:
+    # m_spans_ann_quotient ranks the pairing blocks for j <= D/2 only; the
+    # definition ranks the avoided-power rows against all of Cat_j at every
+    # j.  X1*..*X5 + X1^5 fails only in the middle pair (2, 3).
+    pentagon = catalog.five_var_pentagon()
+    middle = {(1, 1, 1, 1, 1): 1, (5, 0, 0, 0, 0): 1}
+    cases = [(pentagon, catalog.wlp_failure_form()), (pentagon, middle)]
+    cases += [(point, dual_generator(point, CONTRACTION).evaluate()) for point in _ci_points()]
+    outcomes = set()
+    for fam, F in cases:
+        top = numeric_form(F)[2]
+        expected = all(
+            rank_of(catalecticant_rows(F, j)) == rank_of(catalecticant_rows(F, j, fam.basis_monomials(j)))
+            for j in range(top + 1)
+        )
+        if m_spans_ann_quotient(fam, F) != expected:
+            return False
+        outcomes.add(expected)
+    return outcomes == {True, False}
 
 
 def _check_kernel_against_rows() -> bool:
@@ -420,6 +476,8 @@ CHECKS = [
     ("alternate pentagon: inverse-system dims at the special locus", _check_pentagon_alt_dims),
     ("WLP failure form: deficient Hessian, spanning fails", _check_wlp_failure),
     ("complete-intersection test points", _check_ci_points),
+    ("packed catalecticant rows vs action_image, 1- and 2-byte lanes", _check_packed_catalecticant),
+    ("pairing spanning test over half the degrees vs two ranks", _check_pairing_spans),
     ("Macaulay kernel vs row reduction, generic and degenerate", _check_kernel_against_rows),
     ("differentiation basis from the alpha!-scaled form vs greedy rows", _check_scaled_basis),
     ("multinomial values", _check_small_values),

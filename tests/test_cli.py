@@ -414,7 +414,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "21/21 checks passed" in out
+        assert "23/23 checks passed" in out
 
 
 class TestDeterminism:

@@ -293,6 +293,23 @@ class TestHelpers:
             with pytest.raises(ValueError):
                 double_cycle.step(Monomial(exps))
 
+    def test_basis_exponents_match_the_monomial_definition(self):
+        from binomial_ci import monomials_of_degree
+
+        rng = random.Random(37)
+        for _ in range(20):
+            fam = random_family(rng, n_range=(2, 4))
+            for d in range(fam.socle_degree + 3):
+                expected = [m.exponents for m in monomials_of_degree(fam.n, d) if fam.in_basis(m)]
+                assert fam.basis_exponents(d) == expected
+                assert fam.basis_monomials(d) == [Monomial(e) for e in expected]
+
+    def test_basis_exponents_reject_a_negative_degree(self, double_cycle):
+        with pytest.raises(ValueError, match="nonnegative"):
+            double_cycle.basis_exponents(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            double_cycle.basis_monomials(-1)
+
     def test_socle_and_resultant_degrees(self, double_cycle):
         assert double_cycle.socle_degree == 3
         assert double_cycle.resultant_degree == 4

@@ -198,6 +198,26 @@ def test_slp_check_eliminates_only_up_to_half_the_socle_degree(monkeypatch):
     assert degrees == [0, 1, 2]  # a repeated call reads the cached bases
 
 
+def test_lefschetz_oracles_normalize_the_form_once(monkeypatch):
+    import binomial_ci.lefschetz as lefschetz
+    import binomial_ci.oracle as oracle
+
+    calls = []
+
+    def counting(F):
+        calls.append(F)
+        return numeric_form(F)
+
+    monkeypatch.setattr(lefschetz, "numeric_form", counting)
+    monkeypatch.setattr(oracle, "numeric_form", counting)
+    F = wlp_failure_form()
+    slp_check(F, trials=1)
+    assert len(calls) == 1
+    calls.clear()
+    lefschetz_rank(F, 1, [1, 2, 3, 4, 5])
+    assert len(calls) == 1
+
+
 class TestPointValidation:
     def test_float_point_is_rejected(self):
         F = squarefree_product_form()

@@ -237,6 +237,104 @@ def test_one_pass_spanning_matches_the_two_rank_definition(pentagon):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize(
+    "monomial, degree, message",
+    [
+        (Monomial((1, 0)), 1, "does not have 5 variables"),
+        (Monomial((1, 0, 0, 0, 0, 0)), 1, "does not have 5 variables"),
+        (Monomial((2, 0, 0, 0, 0)), 1, "does not have degree 1"),
+    ],
+    ids=["too-few-variables", "too-many-variables", "wrong-degree"],
+)
+def test_catalecticant_rows_checks_its_monomials(monomial, degree, message):
+    with pytest.raises(ValueError, match=message) as info:
+        catalecticant_rows(wlp_failure_form(), degree, [Monomial((0, 1, 0, 0, 0)), monomial])
+    assert str(monomial) in str(info.value)
+
+
+def action_rows(F, degree, gammas, differentiate):
+    """Catalecticant rows built from the tuple-keyed `dual.action_image`."""
+    from binomial_ci.algebra import exponents_of_degree
+    from binomial_ci.dual import action_image, numeric_form
+
+    terms, n, top = numeric_form(F)
+    columns = {e: x for x, e in enumerate(exponents_of_degree(n, top - degree))}
+    return [{columns[key]: c for key, c in action_image(terms, g, differentiate).items()} for g in gammas]
+
+
+def random_exponents(rng, n, degree):
+    """A random exponent vector of n entries summing to degree."""
+    cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+
+@pytest.mark.parametrize("n, top, nb", [(3, 70, 2), (2, 130, 2), (2, 16390, 4), (2, 20000, 4)])
+def test_packed_rows_match_action_image_in_wide_lanes(n, top, nb):
+    from binomial_ci.keys import _lane_bytes
+    from binomial_ci.oracle import _catalecticant_rows
+
+    assert _lane_bytes(top) == nb
+    rng = random.Random(top)
+    F = {random_exponents(rng, n, top): random_nonzero(rng) for _ in range(6)}
+    alphas = list(F)
+    for degree in (0, 1, 2, rng.randint(3, top - 3), top - 1, top):
+        # gammas below some term of F give nonzero rows; random ones mostly zero rows
+        gammas = {random_exponents(rng, n, degree) for _ in range(4)}
+        for alpha in alphas:
+            rest = random_exponents(rng, n, top - degree)
+            if all(a >= r for a, r in zip(alpha, rest)):
+                gammas.add(tuple(a - r for a, r in zip(alpha, rest)))
+        gammas = sorted(gammas)
+        monomials = [Monomial(g) for g in gammas]
+        # (gamma+beta)!/beta! has about top factors when deg gamma is near top
+        for differentiate in (False, True) if degree <= 2 or top < 1000 else (False,):
+            expected = action_rows(F, degree, gammas, differentiate)
+            assert _catalecticant_rows(F, n, top, degree, monomials, differentiate) == expected
+            convention = DIFFERENTIATION if differentiate else CONTRACTION
+            assert catalecticant_rows(F, degree, monomials, convention) == expected
+        assert any(expected)
+
+
+def test_half_degree_spanning_matches_the_two_rank_definition_off_the_socle_degree():
+    # Forms of a degree other than the family's socle degree, so that the
+    # avoided-power exponents of a degree can outnumber h_j or fall short.
+    rng = random.Random(101)
+    outcomes, more, fewer = set(), False, False
+    for _ in range(40):
+        family = random_family(rng, n_range=(2, 3))
+        top = rng.choice([t for t in range(family.socle_degree + 4) if t != family.socle_degree])
+        monomials = monomials_of_degree(family.n, top)
+        chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 6)))
+        F = {m: random_nonzero(rng) for m in chosen}
+        expected = spans_by_two_ranks(family, F, top)
+        assert m_spans_ann_quotient(family, F) == expected
+        outcomes.add(expected)
+        sizes = [len(family.basis_exponents(j)) for j in range(top + 1)]
+        dims = inverse_system_dims(F, top).values
+        more |= any(s > h for s, h in zip(sizes, dims))
+        fewer |= any(s < h for s, h in zip(sizes, dims))
+    assert outcomes == {True, False}
+    assert more and fewer
+
+
+def test_spanning_ranks_one_pairing_block_per_degree_up_to_half(monkeypatch, ci_corpus):
+    import binomial_ci.oracle as oracle
+
+    blocks = []
+    real = oracle.rank_of
+
+    def counting(rows):
+        blocks.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(oracle, "rank_of", counting)
+    for fam in ci_corpus[:6]:
+        F = dual_generator(fam, CONTRACTION).evaluate()
+        blocks.clear()
+        assert m_spans_ann_quotient(fam, F)
+        assert len(blocks) == fam.socle_degree // 2 + 1
+
+
 class TestFormValidation:
     def test_float_coefficient_is_rejected(self):
         with pytest.raises(TypeError):

@@ -151,14 +151,14 @@ class Monomial:
 MONOMIAL_BUDGET = 2_000_000
 
 
-def check_monomial_budget(n: int, d: int) -> None:
+def check_monomial_budget(n: int, d: int, *, cumulative: bool = False) -> None:
     """Raise ValueError when the binomial(d + n - 1, n - 1) monomials of
-    degree d in n variables exceed MONOMIAL_BUDGET."""
-    count = math.comb(d + n - 1, n - 1)
+    degree d in n variables exceed MONOMIAL_BUDGET; cumulative counts the
+    binomial(d + n, n) monomials of every degree 0..d instead."""
+    count = math.comb(d + n, n) if cumulative else math.comb(d + n - 1, n - 1)
     if count > MONOMIAL_BUDGET:
-        raise ValueError(
-            f"{count} monomials of degree {d} in {n} variables exceed the budget of {MONOMIAL_BUDGET}"
-        )
+        degree = f"degree at most {d}" if cumulative else f"degree {d}"
+        raise ValueError(f"{count} monomials of {degree} in {n} variables exceed the budget of {MONOMIAL_BUDGET}")
 
 
 def exponents_of_degree(n: int, d: int) -> list[tuple[int, ...]]:

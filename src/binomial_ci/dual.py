@@ -9,10 +9,15 @@ without building the socle-degree reduction graph; the tree is cached, so
 both conventions and `s_vector` share one search.
 
 So F is a function of the family and the convention alone, and a
-`DualGenerator` holds just those two and the tree.  The family's values
-enter once, in `DualGenerator._substituted`, through `algebra._put_values`;
-sparse_terms, evaluate, str, dual_to_json and verify_annihilation all read
-its flat terms.  Any other form is a mapping, checked by `normalize_terms`.
+`DualGenerator` holds just those two and the tree.  Its terms come from
+`DualGenerator._terms`, and the family's values enter through
+`algebra._put_values`: sparse_terms, evaluate, str and dual_to_json read the
+flat terms of `DualGenerator._substituted`.  verify_annihilation reads the
+same terms packed straight from the tree (`_packed_dual`): two C passes pack
+the vertices alpha and their label counts r, each key is one int expression
+in them, and the coefficients are the scalars of `_terms`, with the values
+put in by `_put_values` only when the family fixes some.  Any other form is
+a mapping, checked by `normalize_terms`.
 
 The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
 in two forms that the tests pin together.  `action_image` maps tuple-keyed
@@ -22,7 +27,9 @@ apply_action and verify_annihilation go through the packed kernel
 `_act`, on the lane layout of `keys`: each term of F, X and symbol exponents
 together, is packed once into one int of guarded lanes, one subtract and
 mask on the guard bits tests divisibility by x^gamma, and each product is
-one int add and one rational multiply into a single dict.  The kernel only
+one int add and one int multiply into a single dict: each side's rationals
+are scaled to integers by the lcm of their denominators first, and each
+nonzero entry of the image is divided back once.  The kernel only
 contracts: differentiation contracts the alpha!-scaled form and divides
 each nonzero term at X^k by k!, the identity behind `oracle._integer_form`.
 Only the nonzero entries are unpacked and grouped back into SparsePoly (or,
@@ -35,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import sub
 
 from .algebra import (
@@ -138,15 +145,18 @@ class DualGenerator:
     def socle_degree(self) -> int:
         return self.family.socle_degree
 
-    def _terms(self):
-        """(s - r, r, scalar) per in-tree vertex, in the tree's order; the
-        scalar is D!/alpha! under differentiation and 1 under contraction."""
-        s, tree = self.s, self._tree
-        scalars = repeat(1)
+    def _scalars(self):
+        """The scalar of each in-tree vertex, in the tree's order: D!/alpha!
+        under differentiation and 1 under contraction."""
         if self.convention == DIFFERENTIATION:
             top = factorial(self.socle_degree)
-            scalars = (top // prod(map(factorial, alpha)) for alpha in tree)
-        return ((tuple(map(sub, s, r)), r, c) for r, c in zip(tree.values(), scalars))
+            return (top // prod(map(factorial, alpha)) for alpha in self._tree)
+        return repeat(1, len(self._tree))
+
+    def _terms(self):
+        """(s - r, r, scalar) per in-tree vertex, in the tree's order."""
+        s = self.s
+        return ((tuple(map(sub, s, r)), r, c) for r, c in zip(self._tree.values(), self._scalars()))
 
     @property
     def coeffs(self) -> dict[Exponents, CoeffMonomial]:
@@ -273,12 +283,13 @@ def _flat(terms: Terms, m: int) -> Flat:
     return out
 
 
-def _act(f_flat: Flat, big: list[tuple[int, int | Fraction]], n: int, nb: int, guard: int) -> dict[int, int | Fraction]:
+def _act(f_flat: Flat, big: list[tuple[int, int]], n: int, nb: int, guard: int) -> dict[int, int]:
     """sum over gamma of c_gamma * (x^gamma o F) under contraction, on packed
-    keys: the one exact kernel of apply_action and verify_annihilation.
+    keys and integer coefficients: the one exact kernel of apply_action and
+    verify_annihilation.
 
     After Monagan and Pearce's packed monomials: big holds F's terms as
-    (p | G, rational), p one int with the X and then the symbol exponents in
+    (p | G, int), p one int with the X and then the symbol exponents in
     lanes of nb bytes and G = guard, the top bits of the X lanes.
     `_lane_bytes` keeps each lane's top bit free, so with g = pack(gamma),
     ((p | G) - g) & G == G tests alpha >= gamma in every lane at once: no
@@ -287,7 +298,7 @@ def _act(f_flat: Flat, big: list[tuple[int, int | Fraction]], n: int, nb: int, g
     p - g + pack(0, s1) with one int add.
     """
     shift = 8 * nb * n
-    acc: dict[int, int | Fraction] = {}
+    acc: dict[int, int] = {}
     for gamma, (s1, c1) in f_flat:
         g = _pack(gamma, nb)
         d = (_pack(s1, nb) << shift) - g - guard
@@ -300,30 +311,91 @@ def _act(f_flat: Flat, big: list[tuple[int, int | Fraction]], n: int, nb: int, g
     return acc
 
 
-def _apply(f_flats: list[Flat], big_flat, n: int, m: int, differentiate: bool) -> list[dict]:
-    """[f o F as {(X exponents, symbol exponents): rational}] for each f,
-    with F's terms big_flat in the shape of `_flat`.
+def _scaled(qs) -> tuple[list[int], int]:
+    """([q * L for q in qs], L), L the lcm of the rationals' denominators, so
+    every entry is an int."""
+    qs = list(qs)
+    scale = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (scale // q.denominator) for q in qs], scale
+
+
+def _images(
+    f_flats: list[Flat], big: list[tuple[int, int]], scale: int, n: int, m: int, nb: int, guard: int, differentiate: bool
+) -> list[dict]:
+    """[f o F as {(X exponents, symbol exponents): Fraction}] for each f, with
+    F's terms packed in big as (p | G, q * scale), integers.
+
+    Each f's rationals are scaled to integers by the lcm of their own
+    denominators, `_act` multiplies ints only, and each nonzero entry of the
+    image is divided back once, by both scales and, under differentiation
+    (big then holds the alpha!-scaled form), by k! at X^k.
+    """
+    images = []
+    for f_flat in f_flats:
+        ints, f_scale = _scaled(q for _, (_, q) in f_flat)
+        acc = _act([(gamma, (sym, c)) for (gamma, (sym, _)), c in zip(f_flat, ints)], big, n, nb, guard)
+        den = scale * f_scale
+        images.append(
+            {
+                key: Fraction(c, den * prod(map(factorial, key[0])) if differentiate else den)
+                for key, c in _nonzero(acc, n, m, nb).items()
+            }
+        )
+    return images
+
+
+def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: bool) -> list[dict]:
+    """`_images` for F's terms big_flat in the shape of `_flat`.
 
     One max over every tuple packed sizes the lanes, so F may hold any
-    nonnegative exponents (`normalize_terms` rejects negative ones, and a
-    `DualGenerator` has none).  Differentiation is contraction of the
-    alpha!-scaled form, since x^gamma o X^alpha = alpha!/(alpha - gamma)!
-    X^(alpha - gamma) under differentiation: each nonzero term at X^k is
-    then divided by k!.
+    nonnegative exponents (`normalize_terms` rejects negative ones).
+    Differentiation is contraction of the alpha!-scaled form, since
+    x^gamma o X^alpha = alpha!/(alpha - gamma)! X^(alpha - gamma) under
+    differentiation.
     """
     keys = [alpha + sym for alpha, (sym, _) in big_flat]
     f_keys = [gamma + sym for f_flat in f_flats for gamma, (sym, _) in f_flat]
     nb = _lane_bytes(max(chain.from_iterable(chain(keys, f_keys)), default=0))
     guard = _guard(n, nb)
-    packed = _pack_all(keys, n + 2 * m, nb)
+    qs = (q for _, (_, q) in big_flat)
     if differentiate:
-        big = [(p | guard, q * prod(map(factorial, alpha))) for p, (alpha, (_, q)) in zip(packed, big_flat)]
+        qs = (q * prod(map(factorial, alpha)) for alpha, (_, q) in big_flat)
+    ints, scale = _scaled(qs)
+    big = [(p | guard, c) for p, c in zip(_pack_all(keys, n + 2 * m, nb), ints)]
+    return _images(f_flats, big, scale, n, m, nb, guard, differentiate)
+
+
+def _packed_dual(F: DualGenerator, degrees, differentiate: bool) -> tuple[list[tuple[int, int]], int, int, int]:
+    """(big, scale, nb, G): F's terms for `_images`, packed straight from its
+    cached in-tree, to act on by forms of the given degrees.
+
+    Two `_pack_all` calls pack the tree's keys alpha (the X lanes) and its
+    label counts r; with S = pack(s), a vertex's key is A | G | (S - R) << w
+    | R << 2w, w the width of the n X lanes, and no lane of S - R borrows, as
+    r <= s.  The lanes hold twice max(D, max(s) + 1, d_i): s may exceed D.
+    The coefficients are `DualGenerator._scalars`, times alpha! under
+    differentiation; a family with fixed values puts them into the same
+    terms, `_terms`, by `_put_values`, and one AND masks the fixed symbols'
+    lanes out of every key.
+    """
+    fam, tree, n = F.family, F._tree, F.n
+    nb = _lane_bytes(max(F.socle_degree, max(F.s) + 1, *degrees))
+    guard = _guard(n, nb)
+    w = 8 * nb * n
+    top = _pack(F.s, nb)
+    keys = [a | guard | (top - r) << w | r << 2 * w for a, r in zip(_pack_all(tree, n, nb), _pack_all(tree.values(), n, nb))]
+    if fam.coeff_mode == "symbolic":
+        qs = F._scalars()
     else:
-        big = [(p | guard, q) for p, (_, (_, q)) in zip(packed, big_flat)]
-    images = [_nonzero(_act(f_flat, big, n, nb, guard), n, m, nb) for f_flat in f_flats]
+        terms = _put_values(((a + r, c) for a, r, c in F._terms()), n, fam.a_values, fam.b_values)
+        qs = [q for _, q in terms]
+        lane = (1 << 8 * nb) - 1
+        mask = _pack((lane,) * n + tuple(lane if v is None else 0 for v in fam.a_values + fam.b_values), nb)
+        keys = [key & mask for key in keys]
     if differentiate:
-        images = [{key: Fraction(c, prod(map(factorial, key[0]))) for key, c in image.items()} for image in images]
-    return images
+        qs = (q * prod(map(factorial, alpha)) for alpha, q in zip(tree, qs))
+    ints, scale = _scaled(qs)
+    return [(key, c) for key, c in zip(keys, ints) if c], scale, nb, guard
 
 
 def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
@@ -341,7 +413,7 @@ def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
     m = next((c.n for c in (*f_norm.values(), *big_norm.values()) if isinstance(c, SparsePoly)), None)
     (terms,) = _apply([_flat(f_norm, m or 0)], _flat(big_norm, m or 0), n or 0, m or 0, convention == DIFFERENTIATION)
     if m is None:
-        return {key: Fraction(c) for (key, _), c in terms.items()}
+        return {key: c for (key, _), c in terms.items()}
     return group_flat_terms(m, terms)
 
 
@@ -363,14 +435,15 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     """
     check_convention(convention)
     n = family.n
+    differentiate = convention == DIFFERENTIATION
+    f_flats = [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
     if isinstance(F, DualGenerator):
         if F.n != n:
             raise ValueError("the dual generator and the family have different variable counts")
-        big_flat = F._substituted().items()
+        big, scale, nb, guard = _packed_dual(F, family.degrees, differentiate)
+        images = _images(f_flats, big, scale, n, n, nb, guard, differentiate)
     else:
-        big_flat = _flat(normalize_terms(F, n)[0], n)
-    f_flats = [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
-    images = _apply(f_flats, big_flat, n, n, convention == DIFFERENTIATION)
+        images = _apply(f_flats, _flat(normalize_terms(F, n)[0], n), n, n, differentiate)
     residuals = {i: res for i, res in enumerate((group_flat_terms(n, image) for image in images), 1) if res}
     return AnnihilationResult(not residuals, residuals)
 

@@ -4,12 +4,15 @@ Each monomial divisible by some x_i^{d_i} has exactly one outgoing edge,
 labeled by the least such i, to m*m_i/x_i^{d_i}; the rest are sinks.  The
 structure depends only on the tails and degrees, never on the coefficients.
 
-`build_graph` works on exponent tuples from `algebra.exponents_of_degree`,
-each packed into one int of `keys` lanes, and reads the step from
-`keys.rule`: one subtract and mask on the guard bits gives a vertex's label,
-and its successor is one int add of the label's packed delta plus one dict
-lookup.  `vertices` and `index` are built on first read; cycles build
-`Monomial`s for their own vertices.
+`build_graph` reads the packed degree-d keys and their positions from
+`keys.degree_keys`, the table that `oracle.macaulay_kernel` reads at the
+same degree, and the step from `keys.rule`: one subtract and mask on the
+guard bits gives a vertex's label, and its successor is one int add of the
+label's packed delta plus one dict lookup.  No exponent tuple is built for
+that: `exponents` (unpacked from the keys in one C pass), `vertices` and
+`index` are built on first read, and cycles unpack only their own vertices.
+The keys are in the descending lex order of `exponents_of_degree`, so a
+cycle's lex-smallest vertex is the one of largest position.
 
 `build_graph` keeps the last graph it built, keyed by (family, degree): a
 request asks for the same graph back to back (the structural determinant and
@@ -24,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .algebra import Monomial, SparsePoly, exponents_of_degree
+from .algebra import Monomial, SparsePoly, check_monomial_budget
 from .family import BinomialFamily
-from .keys import _pack_all, rule
+from .keys import _unpack_all, degree_keys, rule
 
 SINK = "sink"
 TRANSIENT = "transient"
@@ -47,13 +50,15 @@ class Cycle:
 
 class ReductionGraph:
     """The labeled successor structure on all monomials of one degree, whose
-    exponent vectors `exponents` holds in the order of `monomials_of_degree`."""
+    packed exponent vectors `keys` holds, in lanes of nb bytes, in the order
+    of `monomials_of_degree`."""
 
     def __init__(
         self,
         family: BinomialFamily,
         d: int,
-        exponents: tuple[tuple[int, ...], ...],
+        keys: list[int],
+        nb: int,
         succ: tuple[int | None, ...],
         labels: tuple[int | None, ...],
         vertex_class: tuple[str, ...],
@@ -61,11 +66,16 @@ class ReductionGraph:
     ):
         self.family = family
         self.d = d
-        self.exponents = exponents
+        self.keys = keys  # shared with `keys.degree_keys`: read it only
+        self.nb = nb
         self.succ = succ
         self.labels = labels
         self.vertex_class = vertex_class
         self.cycles = cycles
+
+    @cached_property
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_unpack_all(self.keys, self.family.n, self.nb))
 
     @cached_property
     def vertices(self) -> tuple[Monomial, ...]:
@@ -107,10 +117,9 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n = family.n
-    exps = exponents_of_degree(n, d)
+    check_monomial_budget(n, d)  # before `rule`, which refuses a degree too wide for any lane
     nb, guard, bound, deltas = rule(family.degrees, [t.exponents for t in family.tails], d)
-    keys = _pack_all(exps, n, nb)
-    lookup = dict(zip(keys, range(len(keys))))
+    keys, lookup = degree_keys(n, d, nb)
     # the lowest guard bit that `keys.rule`'s test leaves sits at width * label
     # - 1, so its bit length over the lane width is the label (0: a sink)
     width = 8 * nb
@@ -118,7 +127,7 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
     succ = [lookup[key + deltas[i - 1]] if i else None for key, i in zip(keys, found)]
     labels = [i or None for i in found]
 
-    count = len(exps)
+    count = len(keys)
     vertex_class = [SINK if s is None else TRANSIENT for s in succ]
     reached = [-1] * count  # the start of the first walk through each vertex
     raw_cycles: list[list[int]] = []
@@ -136,7 +145,7 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
 
     rotations = []
     for raw in raw_cycles:
-        smallest = min(range(len(raw)), key=lambda j: exps[raw[j]])
+        smallest = raw.index(max(raw))  # the lex-smallest vertex comes last in the key order
         rotations.append(raw[smallest:] + raw[:smallest])
     rotations.sort(key=lambda rotated: rotated[0])
     cycles = []
@@ -145,8 +154,9 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
         counts = [0] * n
         for lab in cycle_labels:
             counts[lab - 1] += 1
-        cycles.append(Cycle(tuple(Monomial._raw(exps[v]) for v in rotated), cycle_labels, tuple(counts)))
-    return ReductionGraph(family, d, tuple(exps), tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles))
+        vertices = tuple(map(Monomial._raw, _unpack_all([keys[v] for v in rotated], n, nb)))
+        cycles.append(Cycle(vertices, cycle_labels, tuple(counts)))
+    return ReductionGraph(family, d, keys, nb, tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles))
 
 
 def cycle_polynomial(cycle: Cycle) -> SparsePoly:

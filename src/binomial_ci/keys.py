@@ -54,6 +54,13 @@ def _unpacked(key: int, size: int, nb: int) -> tuple[int, ...]:
     return _layout(size, nb).unpack(key.to_bytes(size * nb, "little"))
 
 
+def _unpack_all(keys, size: int, nb: int) -> list[tuple[int, ...]]:
+    """[_unpacked(k, size, nb) for k in keys], in C: one buffer of every key's
+    bytes, read back lane by lane."""
+    width = size * nb
+    return list(_layout(size, nb).iter_unpack(b"".join(map(int.to_bytes, keys, repeat(width), repeat("little")))))
+
+
 def _guard(size: int, nb: int) -> int:
     """The top bit of each of size lanes of nb bytes."""
     return _pack((1 << 8 * nb - 1,) * size, nb)
@@ -88,6 +95,12 @@ def rule(degrees, tails, top: int) -> tuple[int, int, int, list[int]]:
 @lru_cache(maxsize=32)
 def degree_keys(n: int, d: int, nb: int) -> tuple[list[int], dict[int, int]]:
     """(keys, index): the packed degree-d exponent vectors in the order of
-    `exponents_of_degree`, and each key's position.  Shared: read it only."""
+    `exponents_of_degree`, and each key's position.
+
+    The one table of a degree's monomials: `graph.build_graph` reads its
+    vertices and their positions here, and `oracle.macaulay_kernel` and the
+    catalecticant rows and columns read theirs, so a graph and a Macaulay
+    kernel of one degree (and lane width) share one entry.  Shared: read it
+    only."""
     keys = _pack_all(exponents_of_degree(n, d), n, nb)
     return keys, dict(zip(keys, range(len(keys))))

@@ -286,10 +286,11 @@ def _check_max_degree(max_degree: int) -> None:
 
 def hilbert_function(family: BinomialFamily, max_degree: int) -> HilbertFunction:
     """h_j = dim R_j - rank(Macaulay matrix), the number of live kernel
-    components, for j = 0..max_degree.  The largest degree is checked
-    against the monomial budget before any is enumerated."""
+    components, for j = 0..max_degree.  The monomials of every degree up to
+    max_degree, which the kernels enumerate, are checked against the monomial
+    budget before any is enumerated."""
     _check_max_degree(max_degree)
-    check_monomial_budget(family.n, max_degree)
+    check_monomial_budget(family.n, max_degree, cumulative=True)
     _require_numeric(family)
     return HilbertFunction(tuple(_ideal_space(family, j).live for j in range(max_degree + 1)))
 

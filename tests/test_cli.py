@@ -311,6 +311,8 @@ class TestMonomialBudget:
         [
             ["graph", "--family", EIGHT, "--degree", "60"],
             ["hilbert", "--family", DOUBLE_CYCLE, "--set", "a1=1,a2=1,a3=1,b1=1,b2=1,b3=2", "--max-degree", "1000000000"],
+            # 45,451 monomials at the top degree, 4,590,551 over degrees 0..300
+            ["hilbert", "--family", DOUBLE_CYCLE, "--set", "a1=1,a2=1,a3=1,b1=1,b2=1,b3=2", "--max-degree", "300"],
         ],
     )
     def test_over_budget_exits_1_before_enumerating(self, capsys, no_enumeration, argv):
@@ -741,11 +743,11 @@ class TestRequestedFormatOnly:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_dual_verify_substitutes_twice(self, capsys, monkeypatch, fmt):
         calls = []
-        original = DualGenerator._substituted
-        monkeypatch.setattr(DualGenerator, "_substituted", lambda self: calls.append(1) or original(self))
+        original = DualGenerator._scalars
+        monkeypatch.setattr(DualGenerator, "_scalars", lambda self: calls.append(1) or original(self))
         code, _, _ = run_cli(capsys, "dual", "--family", CHAIN, "--verify", "--format", fmt)
         assert code == 0
-        assert len(calls) == 2  # the annihilation check and the one rendering
+        assert len(calls) == 2  # the terms of the annihilation check and of the one rendering
 
     @pytest.mark.parametrize("fmt, unused", [("text", "certificate_to_json"), ("json", "render_certificate")])
     def test_reduce_certificate_renders_one_format(self, capsys, monkeypatch, fmt, unused):

@@ -518,6 +518,72 @@ class TestDualViews:
             verify_annihilation(three_var_chain(), dual_generator(loop2))
 
 
+def _lane_edge_families():
+    """s past D, and X lanes that end at 127, 128, 255 and 256 (D = 2d - 2),
+    each also with one value fixed and with every value fixed."""
+    texts = ["f1 = a1*x1^6 - b1*x2*x3^5 ; f2 = a2*x2^6 - b2*x2^3*x3^3 ; f3 = a3*x3^2 - b3*x1*x3"]
+    texts += [f"f1 = a1*x1^{d} - b1*x1^{d - 1}*x2 ; f2 = a2*x2^{d} - b2*x1^{d}" for d in (64, 65, 128, 129)]
+    families = []
+    for text in texts:
+        fam = parse_family(text)
+        n = fam.n
+        families.append(fam)
+        families.append(specialize(fam, CoeffAssignment((None,) * n, (Fraction(-3, 2),) + (None,) * (n - 1))))
+        families.append(specialize(fam, CoeffAssignment(tuple(range(2, n + 2)), (Fraction(5, 3),) + (1,) * (n - 1))))
+    return families
+
+
+class TestPackedDualFeed:
+    """verify_annihilation packs a DualGenerator straight from its in-tree."""
+
+    def test_s_past_the_socle_degree(self):
+        fam = _lane_edge_families()[0]
+        assert (fam.socle_degree, s_vector(fam)) == (11, (5, 2, 35))
+
+    def test_lane_edges_read_the_same_terms_as_sparse_terms(self):
+        nonzero = 0
+        for fam in _lane_edge_families():
+            for built in (CONTRACTION, DIFFERENTIATION):
+                dual = dual_generator(fam, built)
+                for checked in (CONTRACTION, DIFFERENTIATION):
+                    got = verify_annihilation(fam, dual, checked)
+                    assert got.residuals == verify_annihilation(fam, dual.sparse_terms(), checked).residuals
+                    assert got.ok == (built == checked)
+                    nonzero += bool(got.residuals)
+        assert nonzero == 2 * len(_lane_edge_families())
+
+    def test_a_dual_checked_against_another_family(self):
+        # the lanes must hold the other family's degrees as well as F's own
+        small = parse_family("f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1^2")
+        wide = parse_family("f1 = a1*x1^300 - b1*x2^300 ; f2 = a2*x2^2 - b2*x1*x2")
+        pairs = [(small, wide)] + [(fam, small) for fam in _lane_edge_families()[3:]]
+        nonzero = 0
+        for fam, other in pairs:
+            for convention in (CONTRACTION, DIFFERENTIATION):
+                dual = dual_generator(fam, convention)
+                got = verify_annihilation(other, dual, convention)
+                assert got.residuals == verify_annihilation(other, dual.sparse_terms(), convention).residuals
+                nonzero += bool(got.residuals)
+        assert nonzero == 2 * len(pairs)
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_one_changed_label_count_leaves_a_residual(self, convention):
+        rng = random.Random(34)
+        families = [random_family(rng, numeric=False) for _ in range(6)] + _lane_edge_families()[::3]
+        for fam in families:
+            dual = dual_generator(fam, convention)
+            tree = dict(dual._tree)
+            movable = [(alpha, j) for alpha, r in tree.items() for j in range(fam.n) if r[j] < dual.s[j]]
+            alpha, j = rng.choice(movable)
+            tree[alpha] = tuple(e + (k == j) for k, e in enumerate(tree[alpha]))
+            bad = dataclasses.replace(dual)
+            object.__setattr__(bad, "_tree", tree)
+            got = verify_annihilation(fam, bad, convention)
+            assert not got.ok
+            assert got.residuals == verify_annihilation(fam, bad.sparse_terms(), convention).residuals
+            assert verify_annihilation(fam, dual, convention).ok  # the cached tree is untouched
+
+
 class TestPackedLanes:
     """The packed kernel at the edges of a lane, against the reference."""
 

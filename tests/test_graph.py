@@ -27,8 +27,9 @@ from binomial_ci import (
     to_dot,
     verify_annihilation,
 )
-from binomial_ci.algebra import exponents_of_degree, monomials_of_degree
-from binomial_ci.keys import _lane_bytes
+from binomial_ci import oracle
+from binomial_ci.algebra import MONOMIAL_BUDGET, exponents_of_degree, monomials_of_degree
+from binomial_ci.keys import _lane_bytes, _pack_all, degree_keys, rule
 from binomial_ci.graph import CYCLIC, SINK, TRANSIENT, graph_to_json
 
 from conftest import random_family
@@ -334,7 +335,7 @@ def test_build_graph_matches_checked_reference():
     assert compared > 3000 and cycles_seen > 100
 
 
-GRAPH_FIELDS = ("d", "vertices", "index", "succ", "labels", "vertex_class", "cycles")
+GRAPH_FIELDS = ("d", "exponents", "vertices", "index", "succ", "labels", "vertex_class", "cycles")
 
 
 class TestGraphCache:
@@ -453,3 +454,77 @@ class TestPackedBuild:
         assert time.perf_counter() - start < 1.0
         assert len(exps) == 1500 and exps[0][0] == 1 and exps[-1][-1] == 1
         assert all(sum(e) == 1 for e in exps)
+
+
+# ---------------------------------------------------------------------------
+# The graph on the cached degree keys
+
+
+def _tuple_graph(family, d):
+    """(succ, cycles as (vertex exponents, labels)) by a tuple construction:
+    the odometer's exponent vectors packed afresh, and each cycle rotated to
+    its lex-smallest exponent tuple."""
+    exps = exponents_of_degree(family.n, d)
+    nb, guard, bound, deltas = rule(family.degrees, [t.exponents for t in family.tails], d)
+    keys = _pack_all(exps, family.n, nb)
+    lookup = {key: v for v, key in enumerate(keys)}
+    labels = [(t & -t).bit_length() // (8 * nb) for t in (((key | guard) - bound) & guard for key in keys)]
+    succ = [lookup[key + deltas[i - 1]] if i else None for key, i in zip(keys, labels)]
+    cycles, seen = [], set()
+    for start in range(len(exps)):
+        walk, v = [], start
+        while v is not None and v not in walk and v not in seen:
+            walk.append(v)
+            v = succ[v]
+        seen.update(walk)
+        if v is not None and v in walk:
+            ring = walk[walk.index(v) :]
+            first = ring.index(min(ring, key=lambda u: exps[u]))
+            cycles.append(ring[first:] + ring[:first])
+    cycles.sort(key=lambda ring: ring[0])
+    return succ, [(tuple(exps[v] for v in ring), tuple(labels[v] for v in ring)) for ring in cycles]
+
+
+class TestDegreeKeys:
+    def test_exponents_are_the_odometer_order_built_on_read(self):
+        for family in _packed_build_families():
+            for d in sorted({0, 1, family.socle_degree, family.resultant_degree}):
+                g = build_graph.__wrapped__(family, d)
+                assert "exponents" not in g.__dict__
+                assert g.exponents == tuple(exponents_of_degree(family.n, d))
+                assert g.exponents is g.exponents
+
+    def test_cycles_and_successors_match_the_tuple_construction(self):
+        cycles_seen = 0
+        for family in differential_families() + _packed_build_families()[:12]:
+            for d in sorted({family.socle_degree, family.resultant_degree}):
+                g = build_graph.__wrapped__(family, d)
+                succ, cycles = _tuple_graph(family, d)
+                assert list(g.succ) == succ
+                assert [(tuple(m.exponents for m in c.vertices), c.labels) for c in g.cycles] == cycles
+                cycles_seen += len(cycles)
+        assert cycles_seen > 100
+
+    def test_the_graph_and_the_macaulay_kernel_share_one_entry(self, monkeypatch):
+        read = []
+        monkeypatch.setattr(oracle, "degree_keys", lambda *key: read.append(degree_keys(*key)) or read[-1])
+        family = BinomialFamily.numeric([3, 2, 2], [Monomial((1, 1, 1)), Monomial((0, 0, 2)), Monomial((2, 0, 0))], [1, 2, 3], [4, 5, 6])
+        for d in (family.socle_degree, family.resultant_degree):
+            build_graph.cache_clear()
+            degree_keys.cache_clear()
+            g = build_graph(family, d)
+            oracle.macaulay_kernel(family.degrees, [t.exponents for t in family.tails], family.a_values, family.b_values, d)
+            assert read[-1][0] is g.keys
+            info = degree_keys.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+
+    def test_degree_errors_are_unchanged(self):
+        eight = BinomialFamily.symbolic([2] * 8, [Monomial.variable(8, i % 8 + 1, 2) for i in range(1, 9)])
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            build_graph(eight, -1)
+        count = math.comb(67, 7)
+        message = f"^{count} monomials of degree 60 in 8 variables exceed the budget of {MONOMIAL_BUDGET}$"
+        with pytest.raises(ValueError, match=message):
+            build_graph(eight, 60)
+        with pytest.raises(ValueError, match="monomials of degree 10000000000000000000 in 8 variables exceed the budget"):
+            build_graph(eight, 10**19)

@@ -206,10 +206,13 @@ def multinomial(d: int, alpha: Iterable[int]) -> int:
         raise ValueError("multinomial entries must be nonnegative")
     if sum(parts) != d:
         raise ValueError(f"multinomial degree mismatch: sum{parts} != {d}")
-    result = math.factorial(d)
-    for a in parts:
-        result //= math.factorial(a)
-    return result
+    return math.factorial(d) // exponent_factorial(parts)
+
+
+def exponent_factorial(alpha: Iterable[int]) -> int:
+    """alpha! = alpha_1! * ... * alpha_n!: X^alpha -> alpha! X^alpha turns
+    differentiation into contraction."""
+    return math.prod(map(math.factorial, alpha))
 
 
 def falling_product(alpha: Iterable[int], gamma: Iterable[int]) -> int:

@@ -12,26 +12,28 @@ So F is a function of the family and the convention alone, and a
 `DualGenerator` holds just those two and the tree.  Its terms come from
 `DualGenerator._terms`, and the family's values enter through
 `algebra._put_values`: sparse_terms, evaluate, str and dual_to_json read the
-flat terms of `DualGenerator._substituted`.  verify_annihilation reads the
-same terms packed straight from the tree (`_packed_dual`): two C passes pack
-the vertices alpha and their label counts r, each key is one int expression
-in them, and the coefficients are the scalars of `_terms`, with the values
-put in by `_put_values` only when the family fixes some.  Any other form is
-a mapping, checked by `normalize_terms`.
+flat terms of `DualGenerator._substituted`.  verify_annihilation of a
+DualGenerator under its own convention packs the contraction terms straight
+from the tree (`_packed_dual`): two C passes pack the vertices alpha and
+their label counts r, each key is one int expression in them, and each
+coefficient is 1, or the values the family fixes.  Any other form is a
+mapping, checked by `normalize_terms`.
 
 The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
 in two forms that the tests pin together.  `action_image` maps tuple-keyed
-terms: the Hessians of `lefschetz` call it, and it is the tuple reference
-for the catalecticant rows, which `oracle` reads by packed pairing lookups.
-apply_action and verify_annihilation go through the packed kernel
-`_act`, on the lane layout of `keys`: each term of F, X and symbol exponents
-together, is packed once into one int of guarded lanes, one subtract and
-mask on the guard bits tests divisibility by x^gamma, and each product is
-one int add and one int multiply into a single dict: each side's rationals
-are scaled to integers by the lcm of their denominators first, and each
-nonzero entry of the image is divided back once.  The kernel only
-contracts: differentiation contracts the alpha!-scaled form and divides
-each nonzero term at X^k by k!, the identity behind `oracle._integer_form`.
+terms: the symbolic Hessians of `lefschetz` call it, and it is the tuple
+reference for the catalecticant rows, which `oracle` reads by packed
+pairing lookups.  apply_action, verify_annihilation and the Hessians at a
+point go through the packed kernel `_act`, on the lane layout of `keys`:
+each term of F, X and symbol exponents together, is packed once into one
+int of guarded lanes, one subtract and mask on the guard bits tests
+divisibility by x^gamma, and each product is one int add and one int
+multiply into a single dict: each side's rationals are scaled to integers
+by the lcm of their denominators first, and each nonzero entry of the image
+is divided back once.  The kernel only contracts: with Phi(F) the
+alpha!-scaled form, differentiation is Phi^-1(x^gamma o Phi(F)), so it
+divides each nonzero term at X^k by k! (`oracle._integer_form` reads the
+same identity).  A DualGenerator has Phi(F) = D! times its contraction dual.
 Only the nonzero entries are unpacked and grouped back into SparsePoly (or,
 for numeric inputs, Fraction) coefficients.
 """
@@ -41,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
-from math import factorial, lcm, prod
+from itertools import chain
+from math import factorial, lcm
 from operator import sub
 
 from .algebra import (
@@ -52,6 +54,7 @@ from .algebra import (
     _put_values,
     as_fraction,
     check_monomial_budget,
+    exponent_factorial,
     falling_product,
     group_flat_terms,
 )
@@ -86,7 +89,8 @@ def _in_tree(family: BinomialFamily) -> tuple[dict[Exponents, Exponents], Expone
     entry is below its d_i.  A vertex has at most one successor, and a
     vertex found from w reaches the target through w, so it is not on w's
     own path; hence each vertex is found once, the tree has no cycle and
-    the search ends.  Each vertex's predecessors are visited in descending
+    the search ends; a vertex found twice (a wrong rule) raises
+    AssertionError.  Each vertex's predecessors are visited in descending
     lex order of their exponent tuples, depth first.
 
     The size of the degree-D monomial space is checked against
@@ -110,6 +114,8 @@ def _in_tree(family: BinomialFamily) -> tuple[dict[Exponents, Exponents], Expone
                 if (rows & -rows).bit_length() == 8 * nb * i:  # v's label is i
                     preds.append((_unpacked(v ^ guard, n, nb), i, v))
         for alpha, i, v in sorted(preds, reverse=True):
+            if alpha in tree:
+                raise AssertionError(f"the reverse search reached {alpha} twice")
             tree[alpha] = rw[: i - 1] + (rw[i - 1] + 1,) + rw[i:]
             stack.append((alpha, v))
     return tree, tuple(map(max, zip(*tree.values())))
@@ -145,18 +151,14 @@ class DualGenerator:
     def socle_degree(self) -> int:
         return self.family.socle_degree
 
-    def _scalars(self):
-        """The scalar of each in-tree vertex, in the tree's order: D!/alpha!
-        under differentiation and 1 under contraction."""
+    def _terms(self):
+        """(s - r, r, scalar) per in-tree vertex, in the tree's order: the
+        scalar is D!/alpha! under differentiation and 1 under contraction."""
+        s = self.s
         if self.convention == DIFFERENTIATION:
             top = factorial(self.socle_degree)
-            return (top // prod(map(factorial, alpha)) for alpha in self._tree)
-        return repeat(1, len(self._tree))
-
-    def _terms(self):
-        """(s - r, r, scalar) per in-tree vertex, in the tree's order."""
-        s = self.s
-        return ((tuple(map(sub, s, r)), r, c) for r, c in zip(self._tree.values(), self._scalars()))
+            return ((tuple(map(sub, s, r)), r, top // exponent_factorial(alpha)) for alpha, r in self._tree.items())
+        return ((tuple(map(sub, s, r)), r, 1) for r in self._tree.values())
 
     @property
     def coeffs(self) -> dict[Exponents, CoeffMonomial]:
@@ -323,7 +325,8 @@ def _images(
     f_flats: list[Flat], big: list[tuple[int, int]], scale: int, n: int, m: int, nb: int, guard: int, differentiate: bool
 ) -> list[dict]:
     """[f o F as {(X exponents, symbol exponents): Fraction}] for each f, with
-    F's terms packed in big as (p | G, q * scale), integers.
+    F's terms packed in big as (p | G, q * scale), integers (scale an int or
+    a Fraction).
 
     Each f's rationals are scaled to integers by the lcm of their own
     denominators, `_act` multiplies ints only, and each nonzero entry of the
@@ -337,7 +340,7 @@ def _images(
         den = scale * f_scale
         images.append(
             {
-                key: Fraction(c, den * prod(map(factorial, key[0])) if differentiate else den)
+                key: Fraction(c, den * exponent_factorial(key[0]) if differentiate else den)
                 for key, c in _nonzero(acc, n, m, nb).items()
             }
         )
@@ -359,43 +362,38 @@ def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: b
     guard = _guard(n, nb)
     qs = (q for _, (_, q) in big_flat)
     if differentiate:
-        qs = (q * prod(map(factorial, alpha)) for alpha, (_, q) in big_flat)
+        qs = (q * exponent_factorial(alpha) for alpha, (_, q) in big_flat)
     ints, scale = _scaled(qs)
     big = [(p | guard, c) for p, c in zip(_pack_all(keys, n + 2 * m, nb), ints)]
     return _images(f_flats, big, scale, n, m, nb, guard, differentiate)
 
 
-def _packed_dual(F: DualGenerator, degrees, differentiate: bool) -> tuple[list[tuple[int, int]], int, int, int]:
-    """(big, scale, nb, G): F's terms for `_images`, packed straight from its
-    cached in-tree, to act on by forms of the given degrees.
+def _packed_dual(F: DualGenerator, degrees) -> tuple[list[tuple[int, int]], int, int, int]:
+    """(big, scale, nb, G): the terms of F under contraction for `_images`,
+    whatever F's convention, packed straight from its cached in-tree, to act
+    on by forms of the given degrees.
 
     Two `_pack_all` calls pack the tree's keys alpha (the X lanes) and its
     label counts r; with S = pack(s), a vertex's key is A | G | (S - R) << w
     | R << 2w, w the width of the n X lanes, and no lane of S - R borrows, as
     r <= s.  The lanes hold twice max(D, max(s) + 1, d_i): s may exceed D.
-    The coefficients are `DualGenerator._scalars`, times alpha! under
-    differentiation; a family with fixed values puts them into the same
-    terms, `_terms`, by `_put_values`, and one AND masks the fixed symbols'
-    lanes out of every key.
+    Each coefficient is 1; a family with fixed values puts them in by
+    `_put_values`, and one AND masks the fixed symbols' lanes out of every
+    key.
     """
-    fam, tree, n = F.family, F._tree, F.n
-    nb = _lane_bytes(max(F.socle_degree, max(F.s) + 1, *degrees))
+    fam, tree, n, s = F.family, F._tree, F.n, F.s
+    nb = _lane_bytes(max(F.socle_degree, max(s) + 1, *degrees))
     guard = _guard(n, nb)
     w = 8 * nb * n
-    top = _pack(F.s, nb)
+    top = _pack(s, nb)
     keys = [a | guard | (top - r) << w | r << 2 * w for a, r in zip(_pack_all(tree, n, nb), _pack_all(tree.values(), n, nb))]
     if fam.coeff_mode == "symbolic":
-        qs = F._scalars()
-    else:
-        terms = _put_values(((a + r, c) for a, r, c in F._terms()), n, fam.a_values, fam.b_values)
-        qs = [q for _, q in terms]
-        lane = (1 << 8 * nb) - 1
-        mask = _pack((lane,) * n + tuple(lane if v is None else 0 for v in fam.a_values + fam.b_values), nb)
-        keys = [key & mask for key in keys]
-    if differentiate:
-        qs = (q * prod(map(factorial, alpha)) for alpha, q in zip(tree, qs))
-    ints, scale = _scaled(qs)
-    return [(key, c) for key, c in zip(keys, ints) if c], scale, nb, guard
+        return [(key, 1) for key in keys], 1, nb, guard
+    terms = _put_values(((tuple(map(sub, s, r)) + r, 1) for r in tree.values()), n, fam.a_values, fam.b_values)
+    ints, scale = _scaled(q for _, q in terms)
+    lane = (1 << 8 * nb) - 1
+    mask = _pack((lane,) * n + tuple(lane if v is None else 0 for v in fam.a_values + fam.b_values), nb)
+    return [(key & mask, c) for key, c in zip(keys, ints) if c], scale, nb, guard
 
 
 def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
@@ -431,19 +429,24 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
 
     F may be a DualGenerator or a mapping from monomials/exponent tuples to
     coefficients.  Symbol values fixed by the family are substituted into the
-    generator coefficients; everything else stays symbolic.
+    generator coefficients; everything else stays symbolic.  A DualGenerator
+    of another convention than the check's is read as its terms, a mapping.
     """
     check_convention(convention)
     n = family.n
     differentiate = convention == DIFFERENTIATION
     f_flats = [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
-    if isinstance(F, DualGenerator):
-        if F.n != n:
-            raise ValueError("the dual generator and the family have different variable counts")
-        big, scale, nb, guard = _packed_dual(F, family.degrees, differentiate)
+    if isinstance(F, DualGenerator) and F.n != n:
+        raise ValueError("the dual generator and the family have different variable counts")
+    if isinstance(F, DualGenerator) and F.convention == convention:
+        big, scale, nb, guard = _packed_dual(F, family.degrees)
+        if differentiate:
+            # Phi(F) = D! times the contraction terms packed in big
+            scale = Fraction(scale, factorial(F.socle_degree))
         images = _images(f_flats, big, scale, n, n, nb, guard, differentiate)
     else:
-        images = _apply(f_flats, _flat(normalize_terms(F, n)[0], n), n, n, differentiate)
+        flat = list(F._substituted().items()) if isinstance(F, DualGenerator) else _flat(normalize_terms(F, n)[0], n)
+        images = _apply(f_flats, flat, n, n, differentiate)
     residuals = {i: res for i, res in enumerate((group_flat_terms(n, image) for image in images), 1) if res}
     return AnnihilationResult(not residuals, residuals)
 

@@ -6,11 +6,11 @@ multiplication map by that form's (D-2k)-th power from A_k to A_{D-k}, so
 Lefschetz properties reduce to exact ranks of substituted Hessians.
 
 `HessianMatrix` keeps the symbolic entries, from `dual.action_image`, as the
-oracle.  The rank callers evaluate at a point from one form instead
-(`_hessian_at`): with m = D-2k and L = sum ell_t x_t, the form G = L^m o F
-has degree 2k, and since (sum ell_t d/dX_t)^m P = m! P(ell) for P of degree
-m, m! H_ij(ell) = (g_i+g_j)! G[g_i+g_j], the factorial of an exponent vector
-being the product of its entries' factorials.
+oracle.  The rank callers read one form, Phi(F) = {alpha: alpha! F[alpha]}
+in coprime integers (`oracle._integer_form(F, differentiate=True)`): with
+m = D-2k and L = sum ell_t x_t, m! H_ij(ell) is the coefficient of
+X^(g_i+g_j) in L^m o Phi(F) under contraction (Maeno & Watanabe, Illinois
+J. Math. 53, 2009), which `_hessian` reads by m passes of `dual._act`.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from operator import add
+from math import lcm
 from typing import Sequence
 
 from .algebra import Monomial, as_fraction
-from .dual import DIFFERENTIATION, Exponents, action_image, numeric_form
+from .dual import DIFFERENTIATION, Exponents, _act, action_image, numeric_form
+from .keys import _guard, _pack_all
 from .linalg import dense_rank, rank_of
-from .oracle import _contraction_basis, _integer_form, _to_integer, catalecticant_rows
+from .oracle import _contraction_basis, _integer_form, _packed_form, _pairing, _Terms, catalecticant_rows
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:
@@ -102,50 +102,34 @@ def _point(ell: Sequence, n: int) -> list[Fraction]:
     return values
 
 
-def _hessian_at(
-    terms: dict[Exponents, int], top: int, k: int, basis: Sequence[Exponents], ell: Sequence[int]
-) -> list[list[int]]:
-    """m! times the k-th Hessian of the integer form at the integer point
-    ell, m = top - 2k: G = L^m o F by m passes of sum ell_t d/dX_t, then
-    entry (i, j) is (g_i+g_j)! G[g_i+g_j]."""
-    active = [(t, v) for t, v in enumerate(ell) if v]
-    form = terms
+def _hessian(
+    form: tuple[_Terms, int, int], k: int, basis: Sequence[Exponents], point: Sequence[int]
+) -> list[dict[int, int]]:
+    """m! times the k-th Hessian at the integer point, m = top - 2k, as
+    sparse rows over the basis, for the integer form Phi(F) = (terms, n,
+    top): the pairing of G = L^m o Phi(F), L = sum point_t x_t, on the basis:
+    entry (i, j) is G[g_i + g_j]."""
+    terms, n, top = form
+    packed, nb = _packed_form(terms, n, top)
+    guard = _guard(n, nb)
+    line = [(tuple(int(s == t) for s in range(n)), ((), v)) for t, v in enumerate(point) if v]
     for _ in range(top - 2 * k):
-        image: dict[Exponents, int] = {}
-        get = image.get
-        for alpha, c in form.items():
-            for t, v in active:
-                e = alpha[t]
-                if e:
-                    key = (*alpha[:t], e - 1, *alpha[t + 1 :])
-                    image[key] = get(key, 0) + c * v * e
-        form = {key: c for key, c in image.items() if c}
-    facts = [factorial(e) for e in range(2 * k + 1)]
-    size = len(basis)
-    matrix = [[0] * size for _ in range(size)]
-    for i, gi in enumerate(basis):
-        for j in range(i, size):
-            gamma = tuple(map(add, gi, basis[j]))
-            c = form.get(gamma)
-            if c:
-                for e in gamma:
-                    c *= facts[e]
-                matrix[i][j] = matrix[j][i] = c
-    return matrix
+        packed = _act(line, [(p | guard, c) for p, c in packed.items() if c], n, nb, guard)
+    keys = _pack_all(basis, n, nb)
+    return _pairing(packed, keys, keys)
 
 
 def lefschetz_rank(F, k: int, ell: Sequence) -> int:
     """Exact rank of the k-th Hessian at ell, over the monomial basis."""
-    normal = numeric_form(F)
-    terms, n, top = _to_integer(normal)
+    form = _integer_form(F, differentiate=True)
+    _, n, top = form
     values = _point(ell, n)
     if top - 2 * k < 0:
         raise ValueError("socle degree is too small for this Hessian order")
     # H(c*ell) = c^(D-2k) * H(ell): clearing denominators keeps the rank.
     scale = lcm(*(v.denominator for v in values))
     point = [v.numerator * (scale // v.denominator) for v in values]
-    basis = _contraction_basis(_to_integer(normal, differentiate=True), k)
-    return dense_rank(_hessian_at(terms, top, k, basis, point))
+    return rank_of(_hessian(form, k, _contraction_basis(form, k), point))
 
 
 @dataclass(frozen=True)
@@ -178,9 +162,8 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    normal = numeric_form(F)
-    terms, n, top = _to_integer(normal)
-    form = _to_integer(normal, differentiate=True)
+    form = _integer_form(F, differentiate=True)
+    _, n, top = form
     if rng is None:
         rng = random.Random(0)
     verdicts = []
@@ -195,7 +178,7 @@ def slp_check(F, trials: int = 5, rng: random.Random | None = None) -> list[Lefs
         certified = False
         for _ in range(trials):
             point = [rng.randint(-100, 100) for _ in range(n)]
-            rank = dense_rank(_hessian_at(terms, top, k, gammas, point))
+            rank = rank_of(_hessian(form, k, gammas, point))
             if rank > best_rank:
                 best_rank, best_ell = rank, tuple(map(Fraction, point))
             if rank == target:

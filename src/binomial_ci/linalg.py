@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 One fraction-free elimination, `RowSpace._reduced`, serves ranks, membership
-and determinants.  It works on sparse rows kept as gcd-normalized integer
-dictionaries, cancelling the least column first, so it never builds a
-fraction and a row's cost follows its nonzeros rather than the matrix width.
+and determinants.  It works on sparse integer dictionaries (rational rows
+are scaled first), divided by their gcd after each step, cancelling the
+least column first, so it never builds a fraction and a row's cost follows
+its nonzeros rather than the matrix width.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def to_int_row(row: Row) -> dict:
         bad = next(v for v in row.values() if not hasattr(v, "denominator"))
         raise TypeError(f"row values must be int or Fraction, not {type(bad).__name__}") from None
     return _normalize({k: v.numerator * (scale // v.denominator) for k, v in row.items() if v})[0]
+
+
+def _int_row(row: Row) -> dict:
+    """A copy of a row of nonzero ints, else `to_int_row(row)`: only rational
+    rows are scaled (and a float raises there)."""
+    values = row.values()
+    if {*map(type, values)} <= {int} and 0 not in values:
+        return dict(row)
+    return to_int_row(row)
 
 
 class RowSpace:
@@ -82,14 +92,14 @@ class RowSpace:
 
     def add(self, row: Row) -> bool:
         """Insert a row; True when it enlarged the space."""
-        reduced = self._reduced(to_int_row(row))[0]
+        reduced = self._reduced(_int_row(row))[0]
         if not reduced:
             return False
         self._pivots[min(reduced)] = reduced
         return True
 
     def contains(self, row: Row) -> bool:
-        return not self._reduced(to_int_row(row))[0]
+        return not self._reduced(_int_row(row))[0]
 
 
 def rank_of(rows: Iterable[Row]) -> int:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, as_fraction, check_monomial_budget, exponents_of_degree, falling_product
+from .algebra import Monomial, as_fraction, check_monomial_budget, exponent_factorial, exponents_of_degree
 from .dual import DIFFERENTIATION, Exponents, check_convention, normalize_terms, numeric_form
 from .family import BinomialFamily
 from .keys import _lane_bytes, _pack_all, degree_keys, rule
@@ -379,8 +379,8 @@ def catalecticant_rows(
 ):
     """Action images {m o F} for the given degree-`degree` monomials.
 
-    Contraction by default; differentiation weights each image coefficient by
-    the falling factorials of the exponents.  A monomial whose variable count
+    Contraction by default; differentiation pairs the alpha!-scaled form
+    instead and divides column beta by beta!.  A monomial whose variable count
     or degree differs from F's and `degree` raises ValueError.
     """
     check_convention(convention)
@@ -422,17 +422,22 @@ def _catalecticant_rows(
     gammas = _columns(n, degree) if monomials is None else [g.exponents for g in monomials]
     if degree > top:
         return [{} for _ in gammas]
+    if differentiate:
+        # x^gamma o X^(gamma+beta) = (gamma+beta)!/beta! X^beta
+        terms = _alpha_scaled(terms)
     packed, nb = _packed_form(terms, n, top)
     keys = degree_keys(n, degree, nb)[0] if monomials is None else _pack_all(gammas, n, nb)
     rows = _pairing(packed, keys, degree_keys(n, top - degree, nb)[0])
     if differentiate:
-        # x^gamma o X^(gamma+beta) = (gamma+beta)!/beta! X^beta
         betas = list(_columns(n, top - degree))
-        rows = [
-            {x: c * falling_product(map(add, gamma, betas[x]), gamma) for x, c in row.items()}
-            for gamma, row in zip(gammas, rows)
-        ]
+        rows = [{x: Fraction(c, exponent_factorial(betas[x])) for x, c in row.items()} for row in rows]
     return rows
+
+
+def _alpha_scaled(terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
+    """Phi(F) = {alpha: alpha! F[alpha]}: differentiation by x^gamma is
+    Phi^-1(x^gamma o Phi(F)) by contraction."""
+    return {alpha: c * exponent_factorial(alpha) for alpha, c in terms.items()}
 
 
 class _Terms(dict):
@@ -442,23 +447,16 @@ class _Terms(dict):
         return hash(frozenset(self.items()))
 
 
-def _to_integer(
-    form: tuple[dict[Exponents, Fraction], int, int], differentiate: bool = False
-) -> tuple[_Terms, int, int]:
-    """A `numeric_form` (terms, n, top) scaled to coprime integers, for
-    rank-only callers.  `differentiate` first scales F[alpha] by alpha!:
-    Cat_j(F) under differentiation is Cat_j of that form under contraction
-    with column beta divided by beta!, so the two share row dependencies
-    (alpha! Fd = D! Fc)."""
-    terms, n, top = form
-    if differentiate:
-        terms = {alpha: c * falling_product(alpha, alpha) for alpha, c in terms.items()}
-    return _Terms(to_int_row(terms)), n, top
-
-
 def _integer_form(F, differentiate: bool = False) -> tuple[_Terms, int, int]:
-    """numeric_form(F) scaled to coprime integers by `_to_integer`."""
-    return _to_integer(numeric_form(F), differentiate)
+    """`numeric_form(F)` (terms, n, top) scaled to coprime integers, for
+    rank-only callers.  `differentiate` reads the alpha!-scaled form
+    `_alpha_scaled` instead: Cat_j(F) under differentiation is its Cat_j
+    under contraction with column beta divided by beta!, so the two share
+    row dependencies (alpha! Fd = D! Fc)."""
+    terms, n, top = numeric_form(F)
+    if differentiate:
+        terms = _alpha_scaled(terms)
+    return _Terms(to_int_row(terms)), n, top
 
 
 @lru_cache(maxsize=64)

@@ -36,7 +36,7 @@ BOUNDED = "bounded"
 def _resultant_graph(family: BinomialFamily) -> ReductionGraph:
     """The shared reduction graph at the resultant degree; read it only."""
     graph = build_graph(family, family.resultant_degree)
-    if any(s is None for s in graph.succ):
+    if None in graph.succ:
         raise AssertionError("the resultant degree admits no sinks")
     return graph
 

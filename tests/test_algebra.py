@@ -108,6 +108,13 @@ class TestMultinomial:
     def test_grows_exactly(self):
         assert multinomial(60, (20, 20, 20)) == math.factorial(60) // math.factorial(20) ** 3
 
+    def test_exponent_factorial_is_the_multinomial_denominator(self):
+        assert algebra.exponent_factorial((3, 0, 2)) == 12
+        assert algebra.exponent_factorial(()) == 1
+        for alpha in [(1, 1, 1), (2, 1, 0), (5, 0, 0), (20, 20, 20)]:
+            assert multinomial(sum(alpha), alpha) * algebra.exponent_factorial(alpha) == math.factorial(sum(alpha))
+            assert algebra.exponent_factorial(alpha) == algebra.falling_product(alpha, alpha)
+
 
 class TestCoeffMonomial:
     def test_multiplication_adds_exponents(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from binomial_ci import Monomial, build_graph, cli, det_numeric_oracle, det_structural, format_family, resultant_radical
+from binomial_ci import Monomial, build_graph, cli, det_numeric_oracle, det_structural, dual, format_family, resultant_radical
 from binomial_ci.cli import build_parser, main
 from binomial_ci.dual import DualGenerator
 from binomial_ci.family import family_to_json
@@ -743,11 +743,12 @@ class TestRequestedFormatOnly:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_dual_verify_substitutes_twice(self, capsys, monkeypatch, fmt):
         calls = []
-        original = DualGenerator._scalars
-        monkeypatch.setattr(DualGenerator, "_scalars", lambda self: calls.append(1) or original(self))
+        packed, substituted = dual._packed_dual, DualGenerator._substituted
+        monkeypatch.setattr(dual, "_packed_dual", lambda *args: calls.append("check") or packed(*args))
+        monkeypatch.setattr(DualGenerator, "_substituted", lambda self: calls.append("render") or substituted(self))
         code, _, _ = run_cli(capsys, "dual", "--family", CHAIN, "--verify", "--format", fmt)
         assert code == 0
-        assert len(calls) == 2  # the terms of the annihilation check and of the one rendering
+        assert sorted(calls) == ["check", "render"]  # one annihilation check and one rendering
 
     @pytest.mark.parametrize("fmt, unused", [("text", "certificate_to_json"), ("json", "render_certificate")])
     def test_reduce_certificate_renders_one_format(self, capsys, monkeypatch, fmt, unused):

@@ -28,8 +28,9 @@ from binomial_ci import (
 )
 from binomial_ci.catalog import five_var_pentagon, pentagon_dual_form, three_var_chain
 from binomial_ci.algebra import MONOMIAL_BUDGET, exponents_of_degree
+from binomial_ci import dual as dual_module
 from binomial_ci.dual import _in_tree, dual_to_json
-from binomial_ci.keys import _lane_bytes
+from binomial_ci.keys import _lane_bytes, _pack, rule
 from binomial_ci.rewrite import TO_BASIS
 
 from conftest import assert_as_checked, random_family
@@ -223,6 +224,22 @@ class TestInTree:
             dual = dual_generator(fam, DIFFERENTIATION)
             for alpha, cm in dual.coeffs.items():
                 assert cm.scalar == multinomial(fam.socle_degree, alpha)
+
+    def test_a_rule_that_revisits_a_vertex_raises(self, loop2, monkeypatch):
+        # With bound = pack(1, 1) in place of pack(d) = pack(2, 2), the label
+        # test reads any v with v_1 >= 1 as label 1, so the target x1*x2 comes
+        # back as the label-1 predecessor of x2^2: the search must raise, not
+        # revisit it without end.
+        def ones_bound(degrees, tails, top):
+            nb, guard, _, deltas = rule(degrees, tails, top)
+            return nb, guard, _pack((1,) * len(degrees), nb), deltas
+
+        _in_tree.cache_clear()
+        monkeypatch.setattr(dual_module, "rule", ones_bound)
+        with pytest.raises(AssertionError, match=r"reached \(1, 1\) twice"):
+            _in_tree(loop2)
+        monkeypatch.undo()
+        assert _in_tree(loop2)[0] == {(1, 1): (0, 0), (2, 0): (1, 0), (0, 2): (0, 1)}
 
     def test_over_budget_socle_degree_is_refused(self):
         n, d = 8, 10  # D = 72: C(79, 7) monomials of the socle degree
@@ -553,10 +570,18 @@ class TestPackedDualFeed:
         assert nonzero == 2 * len(_lane_edge_families())
 
     def test_a_dual_checked_against_another_family(self):
-        # the lanes must hold the other family's degrees as well as F's own
+        # The lanes must hold the other family's degrees as well as F's own.
+        # Under differentiation the packed path contracts F's contraction
+        # terms and scales the entry at X^k by D!/k!, while the mapping path
+        # contracts the alpha!-scaled terms and divides by k!; seeded random
+        # pairs, symbolic and numeric, add other shapes.
         small = parse_family("f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1^2")
         wide = parse_family("f1 = a1*x1^300 - b1*x2^300 ; f2 = a2*x2^2 - b2*x1*x2")
         pairs = [(small, wide)] + [(fam, small) for fam in _lane_edge_families()[3:]]
+        rng = random.Random(36)
+        for numeric in (False, True) * 3:
+            fam = random_family(rng, numeric=numeric)
+            pairs.append((fam, random_family(rng, numeric=numeric, n_range=(fam.n, fam.n))))
         nonzero = 0
         for fam, other in pairs:
             for convention in (CONTRACTION, DIFFERENTIATION):

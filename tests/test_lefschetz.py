@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -21,7 +21,7 @@ from binomial_ci import (
 )
 from binomial_ci.catalog import pentagon_dual_form_at, wlp_failure_form
 from binomial_ci.dual import numeric_form
-from binomial_ci.lefschetz import HessianMatrix, _hessian_at
+from binomial_ci.lefschetz import HessianMatrix, _hessian
 from binomial_ci.linalg import dense_rank
 from binomial_ci.oracle import _integer_form
 
@@ -266,10 +266,16 @@ def kernel_cases():
     return forms
 
 
+def dense(rows, size):
+    return [[row.get(j, 0) for j in range(size)] for row in rows]
+
+
 def test_hessian_kernel_matches_the_symbolic_oracle():
     rng = random.Random(92)
     for F in kernel_cases():
         terms, n, top = _integer_form(F)
+        # the alpha!-scaled form, not divided by the gcd of its coefficients
+        scaled = {alpha: c * prod(map(factorial, alpha)) for alpha, c in terms.items()}
         for k in range(top // 2 + 1):
             basis = monomial_basis(F, k)
             oracle = HessianMatrix(terms, k, basis)
@@ -282,8 +288,8 @@ def test_hessian_kernel_matches_the_symbolic_oracle():
             ]
             for ell in points:
                 expected = [[scale * v for v in row] for row in oracle.substitute(ell)]
-                got = _hessian_at(terms, top, k, [g.exponents for g in basis], ell)
-                assert got == expected
+                got = _hessian((scaled, n, top), k, [g.exponents for g in basis], ell)
+                assert dense(got, len(basis)) == expected
 
 
 def slp_by_oracle(F, trials, rng):

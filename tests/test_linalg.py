@@ -26,6 +26,20 @@ def test_to_int_row_rejects_values_that_are_not_int_or_fraction():
         RowSpace().add({0: 0.5})
 
 
+def test_integer_rows_go_in_unscaled_and_are_not_shared():
+    space = RowSpace()
+    row = {0: 2, 1: 4}
+    assert space.add(row)
+    row[1] = 5  # the space holds its own copy
+    assert space.contains({0: 1, 1: 2})
+    assert space.add({1: 0, 2: 3})  # an int row with a zero goes through to_int_row
+    assert space.contains({0: Fraction(1, 2), 1: 1, 2: Fraction(-6)})
+    assert not space.contains({1: 1})
+    assert space.rank == 2
+    with pytest.raises(TypeError, match="not float"):
+        space.contains({0: 1, 1: 1.0})
+
+
 def test_rowspace_rank_and_membership():
     space = RowSpace()
     assert space.add({0: 1, 1: 2})

@@ -140,9 +140,9 @@ def test_spanning_is_coefficient_independent():
 def test_hessian_kernel_matches_the_symbolic_oracle_hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from math import factorial
+    from math import factorial, prod
 
-    from binomial_ci.lefschetz import HessianMatrix, _hessian_at, monomial_basis
+    from binomial_ci.lefschetz import HessianMatrix, _hessian, monomial_basis
     from binomial_ci.oracle import _integer_form
 
     @st.composite
@@ -162,10 +162,12 @@ def test_hessian_kernel_matches_the_symbolic_oracle_hypothesis():
     def check(case):
         F, k, ell = case
         terms, n, top = _integer_form(F)
+        scaled = {alpha: c * prod(map(factorial, alpha)) for alpha, c in terms.items()}
         basis = monomial_basis(F, k)
         scale = factorial(top - 2 * k)
         expected = [[scale * v for v in row] for row in HessianMatrix(terms, k, basis).substitute(ell)]
-        assert _hessian_at(terms, top, k, [g.exponents for g in basis], ell) == expected
+        rows = _hessian((scaled, n, top), k, [g.exponents for g in basis], ell)
+        assert [[row.get(j, 0) for j in range(len(basis))] for row in rows] == expected
 
     check()
 

@@ -25,6 +25,13 @@ symbol exponents) to a rational, int while integral.
 `dual.apply_action` accumulate under packed int keys and unpack only the
 nonzero entries into it.  `group_flat_terms` turns it back into one
 SparsePoly per outer key.
+
+The form layer closes the module: a form in X is a mapping from monomials or
+exponent tuples to coefficients, which `normalize_terms` checks and
+`numeric_form` reads as (terms, n, degree), and CONTRACTION and
+DIFFERENTIATION name the two actions of x on it.  `dual` acts on these forms
+on packed keys, `oracle` and `lefschetz` rank them, and `reference` checks
+both on tuples; `dual` re-exports the layer.
 """
 
 from __future__ import annotations
@@ -213,19 +220,6 @@ def exponent_factorial(alpha: Iterable[int]) -> int:
     """alpha! = alpha_1! * ... * alpha_n!: X^alpha -> alpha! X^alpha turns
     differentiation into contraction."""
     return math.prod(map(math.factorial, alpha))
-
-
-def falling_product(alpha: Iterable[int], gamma: Iterable[int]) -> int:
-    """prod_i alpha_i * (alpha_i - 1) * ... * (alpha_i - gamma_i + 1).
-
-    The factor that differentiating X^alpha by x^gamma puts in front of
-    X^(alpha - gamma).
-    """
-    out = 1
-    for a, g in zip(alpha, gamma):
-        for j in range(g):
-            out *= a - j
-    return out
 
 
 def _power(value: Fraction, e: int) -> tuple[int, int]:
@@ -658,3 +652,72 @@ def poly_divides(p: SparsePoly, q: SparsePoly) -> bool:
             elif key in rem:
                 del rem[key]
     return True
+
+
+# The form layer: forms in X as {exponents: coefficient} terms, and the two
+# actions of x on them.
+
+CONTRACTION = "contraction"
+DIFFERENTIATION = "differentiation"
+_CONVENTIONS = (CONTRACTION, DIFFERENTIATION)
+
+Exponents = tuple[int, ...]
+Terms = dict[Exponents, Union[Fraction, SparsePoly]]
+
+
+def check_convention(convention: str) -> None:
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"convention must be one of {_CONVENTIONS}")
+
+
+def normalize_terms(terms, n: int | None = None) -> tuple[Terms, int | None]:
+    """(terms, width): {monomial or exponent tuple: coefficient} with
+    nonnegative exponent keys all of width n (default: the first key's), zero
+    terms dropped, and each coefficient a SparsePoly or, through as_fraction,
+    a Fraction."""
+    out: Terms = {}
+    for key, coeff in terms.items():
+        if isinstance(key, Monomial):
+            exps = key.exponents
+        else:
+            exps = tuple(key)
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponent vector {exps} must hold nonnegative integers")
+        if n is None:
+            n = len(exps)
+        elif len(exps) != n:
+            raise ValueError(f"exponent vector {exps} does not have {n} entries")
+        if isinstance(coeff, CoeffMonomial):
+            coeff = coeff.to_sparse()
+        if isinstance(coeff, SparsePoly):
+            if coeff.is_zero():
+                continue
+        else:
+            coeff = as_fraction(coeff)
+            if not coeff:
+                continue
+        out[exps] = coeff
+    return out, n
+
+
+def numeric_form(F) -> tuple[dict[Exponents, Fraction], int, int]:
+    """(terms, n, degree) of a nonzero homogeneous form with rational
+    coefficients."""
+    terms, n = normalize_terms(F)
+    if any(isinstance(c, SparsePoly) for c in terms.values()):
+        raise TypeError("the form needs rational coefficients")
+    if not terms:
+        raise ValueError("the zero form has no inverse system")
+    degrees = {sum(k) for k in terms}
+    if len(degrees) != 1:
+        raise ValueError("the form must be homogeneous")
+    return terms, n, degrees.pop()
+
+
+def as_point(ell: Iterable, n: int) -> list[Fraction]:
+    """ell as n exact rationals, a point for the X-variables; a float raises
+    TypeError."""
+    values = [as_fraction(c) for c in ell]
+    if len(values) != n:
+        raise ValueError("need one value per variable")
+    return values

@@ -19,23 +19,22 @@ their label counts r, each key is one int expression in them, and each
 coefficient is 1, or the values the family fixes.  Any other form is a
 mapping, checked by `normalize_terms`.
 
-The action x^gamma o F lives here, on forms normalized by `normalize_terms`,
-in two forms that the tests pin together.  `action_image` maps tuple-keyed
-terms: the symbolic Hessians of `lefschetz` call it, and it is the tuple
-reference for the catalecticant rows, which `oracle` reads by packed
-pairing lookups.  apply_action, verify_annihilation and the Hessians at a
-point go through the packed kernel `_act`, on the lane layout of `keys`:
-each term of F, X and symbol exponents together, is packed once into one
-int of guarded lanes, one subtract and mask on the guard bits tests
-divisibility by x^gamma, and each product is one int add and one int
-multiply into a single dict: each side's rationals are scaled to integers
-by the lcm of their denominators first, and each nonzero entry of the image
-is divided back once.  The kernel only contracts: with Phi(F) the
-alpha!-scaled form, differentiation is Phi^-1(x^gamma o Phi(F)), so it
-divides each nonzero term at X^k by k! (`oracle._integer_form` reads the
-same identity).  A DualGenerator has Phi(F) = D! times its contraction dual.
-Only the nonzero entries are unpacked and grouped back into SparsePoly (or,
-for numeric inputs, Fraction) coefficients.
+The action x^gamma o F lives here on packed keys, on forms normalized by
+`algebra.normalize_terms` (the form layer, re-exported here); `selftest` and
+the tests pin it against its tuple reference, `reference.action_image`.
+apply_action, verify_annihilation and the Hessians at a point go through the
+packed kernel `_act`, on the lane layout of `keys`: each term of F, X and
+symbol exponents together, is packed once into one int of guarded lanes, one
+subtract and mask on the guard bits tests divisibility by x^gamma, and each
+product is one int add and one int multiply into a single dict: each side's
+rationals are scaled to integers by the lcm of their denominators first, and
+each nonzero entry of the image is divided back once.  The kernel only
+contracts: with Phi(F) the alpha!-scaled form, differentiation is
+Phi^-1(x^gamma o Phi(F)), so it divides each nonzero term at X^k by k!
+(`oracle._integer_form` reads the same identity).  A DualGenerator has
+Phi(F) = D! times its contraction dual.  Only the nonzero entries are
+unpacked and grouped back into SparsePoly (or, for numeric inputs, Fraction)
+coefficients.
 """
 
 from __future__ import annotations
@@ -47,30 +46,24 @@ from itertools import chain
 from math import factorial, lcm
 from operator import sub
 
-from .algebra import (
+from .algebra import (  # the form layer is re-exported here: binomial_ci.dual.CONTRACTION etc.
+    CONTRACTION,
+    DIFFERENTIATION,
     CoeffMonomial,
+    Exponents,
     Monomial,
     SparsePoly,
+    Terms,
     _put_values,
-    as_fraction,
+    check_convention,
     check_monomial_budget,
     exponent_factorial,
-    falling_product,
     group_flat_terms,
+    normalize_terms,
+    numeric_form,
 )
 from .family import BinomialFamily
 from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpacked, rule
-
-CONTRACTION = "contraction"
-DIFFERENTIATION = "differentiation"
-_CONVENTIONS = (CONTRACTION, DIFFERENTIATION)
-
-Exponents = tuple[int, ...]
-
-
-def check_convention(convention: str) -> None:
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"convention must be one of {_CONVENTIONS}")
 
 
 @lru_cache(maxsize=1)
@@ -196,72 +189,6 @@ class DualGenerator:
 def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> DualGenerator:
     """The dual generator of the family under the convention."""
     return DualGenerator(family, convention)
-
-
-Terms = dict[Exponents, Fraction | SparsePoly]
-
-
-def normalize_terms(terms, n: int | None = None) -> tuple[Terms, int | None]:
-    """(terms, width): {monomial or exponent tuple: coefficient} with
-    nonnegative exponent keys all of width n (default: the first key's), zero
-    terms dropped, and each coefficient a SparsePoly or, through as_fraction,
-    a Fraction."""
-    out: Terms = {}
-    for key, coeff in terms.items():
-        if isinstance(key, Monomial):
-            exps = key.exponents
-        else:
-            exps = tuple(key)
-            if not all(type(e) is int and e >= 0 for e in exps):
-                raise ValueError(f"exponent vector {exps} must hold nonnegative integers")
-        if n is None:
-            n = len(exps)
-        elif len(exps) != n:
-            raise ValueError(f"exponent vector {exps} does not have {n} entries")
-        if isinstance(coeff, CoeffMonomial):
-            coeff = coeff.to_sparse()
-        if isinstance(coeff, SparsePoly):
-            if coeff.is_zero():
-                continue
-        else:
-            coeff = as_fraction(coeff)
-            if not coeff:
-                continue
-        out[exps] = coeff
-    return out, n
-
-
-def numeric_form(F) -> tuple[dict[Exponents, Fraction], int, int]:
-    """(terms, n, degree) of a nonzero homogeneous form with rational
-    coefficients."""
-    terms, n = normalize_terms(F)
-    if any(isinstance(c, SparsePoly) for c in terms.values()):
-        raise TypeError("the form needs rational coefficients")
-    if not terms:
-        raise ValueError("the zero form has no inverse system")
-    degrees = {sum(k) for k in terms}
-    if len(degrees) != 1:
-        raise ValueError("the form must be homogeneous")
-    return terms, n, degrees.pop()
-
-
-def action_image(terms: Terms, gamma: Exponents, differentiate: bool) -> Terms:
-    """x^gamma o F for F given as normalized exponent -> coefficient terms.
-
-    Contraction sends X^alpha to X^(alpha-gamma) when gamma <= alpha and to
-    0 otherwise; differentiation also multiplies by the falling factorials
-    of alpha over gamma.  `_apply` computes the same action under packed keys.
-    """
-    image = {}
-    support = [(i, g) for i, g in enumerate(gamma) if g]
-    for alpha, c in terms.items():
-        for i, g in support:
-            if alpha[i] < g:
-                break
-        else:
-            key = tuple(map(sub, alpha, gamma))
-            image[key] = c * falling_product(alpha, gamma) if differentiate else c
-    return image
 
 
 Flat = list[tuple[Exponents, tuple[Exponents, int | Fraction]]]

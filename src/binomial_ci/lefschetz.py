@@ -1,16 +1,17 @@
-"""Hessian matrices of a dual generator and rank-based Lefschetz checks.
+"""Hessian ranks of a dual generator and rank-based Lefschetz checks.
 
 The k-th Hessian w.r.t. a basis g_1..g_r of A_k has entries (g_i*g_j) o F;
 substituting a linear form's coefficients for the X-variables represents the
 multiplication map by that form's (D-2k)-th power from A_k to A_{D-k}, so
 Lefschetz properties reduce to exact ranks of substituted Hessians.
 
-`HessianMatrix` keeps the symbolic entries, from `dual.action_image`, as the
-oracle.  The rank callers read one form, Phi(F) = {alpha: alpha! F[alpha]}
-in coprime integers (`oracle._integer_form(F, differentiate=True)`): with
+The rank callers read one form, Phi(F) = {alpha: alpha! F[alpha]} in
+coprime integers (`oracle._integer_form(F, differentiate=True)`): with
 m = D-2k and L = sum ell_t x_t, m! H_ij(ell) is the coefficient of
 X^(g_i+g_j) in L^m o Phi(F) under contraction (Maeno & Watanabe, Illinois
 J. Math. 53, 2009), which `_hessian` reads by m passes of `dual._act`.
+The symbolic Hessians they are checked against, `reference.HessianMatrix`,
+are built entry by entry from `reference.action_image`.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .algebra import Monomial, as_fraction
-from .dual import DIFFERENTIATION, Exponents, _act, action_image, numeric_form
+from .algebra import Exponents, Monomial, as_point
+from .dual import _act
 from .keys import _guard, _pack_all
-from .linalg import dense_rank, rank_of
-from .oracle import _contraction_basis, _integer_form, _packed_form, _pairing, _Terms, catalecticant_rows
+from .linalg import rank_of
+from .oracle import _contraction_basis, _integer_form, _packed_form, _pairing, _Terms
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:
@@ -33,73 +34,6 @@ def monomial_basis(F, k: int) -> list[Monomial]:
     chosen greedily in canonical monomial order, read off the contraction
     catalecticant of the alpha!-scaled form (see `oracle._integer_form`)."""
     return [Monomial._raw(g) for g in _contraction_basis(_integer_form(F, differentiate=True), k)]
-
-
-class HessianMatrix:
-    """Symmetric matrix of differentiation values (g_i*g_j) o F.
-
-    Substituting a point for the X-variables gives the matrix of the
-    multiplication map by the (D-2k)-th power of the corresponding linear
-    form, from the degree-k to the degree-(D-k) part of R/Ann(F).
-    """
-
-    def __init__(self, F, k: int, basis: Sequence[Monomial]):
-        terms, n, top = numeric_form(F)
-        if top - 2 * k < 0:
-            raise ValueError("socle degree is too small for this Hessian order")
-        for g in basis:
-            if g.degree != k:
-                raise ValueError("basis elements must have the Hessian's degree")
-        if rank_of(catalecticant_rows(F, k, basis, convention=DIFFERENTIATION)) < len(basis):
-            raise ValueError("Hessian basis is dependent in the quotient")
-        self.k = k
-        self.n = n
-        self.socle_degree = top
-        self.basis = tuple(basis)
-        size = len(basis)
-        entries: list[list[dict[Exponents, Fraction]]] = [[None] * size for _ in range(size)]  # type: ignore[list-item]
-        for i in range(size):
-            for j in range(i, size):
-                entry = action_image(terms, (basis[i] * basis[j]).exponents, True)
-                entries[i][j] = entry
-                entries[j][i] = entry
-        self.entries = entries
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-    def substitute(self, ell: Sequence) -> list[list[Fraction]]:
-        """Evaluate every entry at X_i = ell_i."""
-        values = _point(ell, self.n)
-        out = []
-        for row in self.entries:
-            line = []
-            for entry in row:
-                total = Fraction(0)
-                for exps, c in entry.items():
-                    term = c
-                    for v, e in zip(values, exps):
-                        if e:
-                            term *= v**e
-                    total += term
-                line.append(total)
-            out.append(line)
-        return out
-
-    def rank_at(self, ell: Sequence) -> int:
-        return dense_rank(self.substitute(ell))
-
-
-hessian = HessianMatrix
-
-
-def _point(ell: Sequence, n: int) -> list[Fraction]:
-    """ell as n exact rationals; a float raises TypeError."""
-    values = [as_fraction(c) for c in ell]
-    if len(values) != n:
-        raise ValueError("need one value per variable")
-    return values
 
 
 def _hessian(
@@ -123,7 +57,7 @@ def lefschetz_rank(F, k: int, ell: Sequence) -> int:
     """Exact rank of the k-th Hessian at ell, over the monomial basis."""
     form = _integer_form(F, differentiate=True)
     _, n, top = form
-    values = _point(ell, n)
+    values = as_point(ell, n)
     if top - 2 * k < 0:
         raise ValueError("socle degree is too small for this Hessian order")
     # H(c*ell) = c^(D-2k) * H(ell): clearing denominators keeps the rank.

@@ -109,10 +109,6 @@ def rank_of(rows: Iterable[Row]) -> int:
     return space.rank
 
 
-def dense_rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
-    return rank_of({j: v for j, v in enumerate(row) if v} for row in matrix)
-
-
 def det_sparse(rows: Sequence[Row], size: int) -> Fraction:
     """Exact determinant of a size x size matrix given as sparse rows.
 

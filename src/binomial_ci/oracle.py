@@ -6,11 +6,8 @@ built by `macaulay_kernel` as a union-find over the columns.  The columns
 are the cached packed degree-j keys of `keys.degree_keys`; each set bit of
 `keys.rule`'s guard test on a column u is one row, with u as its x_k^d_k
 column and u + deltas[k] as its other.  Hilbert functions count the live
-components, membership of a monomial or polynomial and the avoided-power
-basis test read the components, and the complete-intersection test is the
-one rank h_{D+1} = 0.  `macaulay_rows` builds the same matrix as integer
-rows (each generator scaled once to coprime integers) for the brute-force
-`linalg.RowSpace` reference.
+components, monomial membership and the avoided-power basis test read the
+components, and the complete-intersection test is the one rank h_{D+1} = 0.
 
 A form F of degree D pairs R_j with R_{D-j}: the entry of the catalecticant
 Cat_j at (gamma, beta) is F[gamma + beta] under contraction.  F's terms are
@@ -23,18 +20,20 @@ elimination per form and degree that `lefschetz` shares.  The avoided-power
 monomials span R/Ann(F) when, in each degree j <= D/2, the block of the
 pairing on the avoided-power exponents of degrees j and D-j has that rank
 h_j.  Everything is deterministic and exact; no probabilistic rank.
+
+The brute-force references these kernels are checked against, the Macaulay
+and catalecticant rows on exponent tuples and polynomial membership by row
+reduction, live in `reference`, which this module does not import.
 """
 
 from __future__ import annotations
 
-from operator import add
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, as_fraction, check_monomial_budget, exponent_factorial, exponents_of_degree
-from .dual import DIFFERENTIATION, Exponents, check_convention, normalize_terms, numeric_form
+from .algebra import Exponents, Monomial, check_monomial_budget, exponent_factorial, exponents_of_degree, numeric_form
 from .family import BinomialFamily
 from .keys import _lane_bytes, _pack_all, degree_keys, rule
 from .linalg import RowSpace, rank_of, to_int_row
@@ -80,40 +79,11 @@ def _require_numeric(family: BinomialFamily) -> None:
         raise ValueError("this oracle needs a fully numeric family")
 
 
-def _check_variables(n: int, monomials, degree: int | None = None) -> None:
-    """Each monomial has n variables and, when given, the degree `degree`."""
-    for m in monomials:
-        if len(m.exponents) != n:
-            raise ValueError(f"monomial {m} does not have {n} variables")
-        if degree is not None and m.degree != degree:
-            raise ValueError(f"monomial {m} does not have degree {degree}")
-
-
-Generators = Sequence[Mapping[Monomial | Exponents, Fraction | int]]
-
-
 @lru_cache(maxsize=32)
 def _columns(n: int, degree: int) -> dict[Exponents, int]:
     """The column index of the degree-`degree` monomials: exponent tuple ->
     position in canonical order.  Shared by every caller: read it only."""
     return {exps: j for j, exps in enumerate(exponents_of_degree(n, degree))}
-
-
-def macaulay_rows(n: int, generators: Generators, degree: int) -> list[dict[int, int]]:
-    """Integer rows x^beta * f_k of the degree-`degree` Macaulay matrix, by
-    generator and then by beta in canonical order."""
-    columns = _columns(n, degree)
-    rows = []
-    for gen in generators:
-        terms = to_int_row(normalize_terms(gen, n)[0])
-        if not terms:
-            continue
-        shift = degree - max(map(sum, terms))
-        if shift < 0:
-            continue
-        for beta in _columns(n, shift):
-            rows.append({columns[tuple(map(add, beta, exps))]: c for exps, c in terms.items()})
-    return rows
 
 
 class MacaulayKernel:
@@ -128,21 +98,16 @@ class MacaulayKernel:
     (y = 0 on it) when it holds a one-term row (a_k = 0 or b_k = 0) or a
     cycle whose vector r has c^r != 1, the lattice criterion of Eisenbud &
     Sturmfels; each live component is one kernel dimension.  So the rank is
-    #columns - #live, a monomial is in the row space exactly when its
-    component is dead, and a polynomial p exactly when
-    sum p_u c^pot(u) = 0 over each live component.
+    #columns - #live, and a monomial is in the row space exactly when its
+    component is dead.
 
     Built complete and path-compressed: `root[x]` is the component of column
     x and `pot[x]` its potential relative to the root.  Read only.
     """
 
-    __slots__ = ("ratios", "width", "root", "pot", "dead", "live")
+    __slots__ = ("root", "pot", "dead", "live")
 
-    def __init__(
-        self, ratios: tuple[Fraction | None, ...], width: int, root: list[int], pot: list[int], dead: bytearray
-    ):
-        self.ratios = ratios  # c_k, or None where a_k or b_k is zero
-        self.width = width  # base of the packed potentials, balanced digits
+    def __init__(self, root: list[int], pot: list[int], dead: bytearray):
         self.root = root
         self.pot = pot
         self.dead = dead
@@ -154,16 +119,6 @@ class MacaulayKernel:
 
     def contains_column(self, x: int) -> bool:
         return bool(self.dead[self.root[x]])
-
-    def contains(self, row: Mapping[int, Fraction]) -> bool:
-        """Whether the {column: rational} row lies in the row space."""
-        sums: dict[int, Fraction] = {}
-        for x, value in row.items():
-            r = self.root[x]
-            if not self.dead[r]:
-                factor = _character(self.ratios, _unpack(self.pot[x], len(self.ratios), self.width))
-                sums[r] = sums.get(r, 0) + value * factor
-        return not any(sums.values())
 
 
 def _unpack(packed: int, n: int, width: int) -> list[int]:
@@ -209,7 +164,7 @@ def macaulay_kernel(
     pot = [0] * size
     dead = bytearray(size)
     weight = [1] * size
-    ratios = tuple(Fraction(b) / a if a and b else None for a, b in zip(a_values, b_values))
+    ratios = tuple(Fraction(b) / a if a and b else None for a, b in zip(a_values, b_values))  # c_k, None at a zero
     # per k, (kind, width**k): kind 0 links u and v, 1 kills u (b_k = 0), 2 kills v
     # (a_k = 0), and None leaves f_k = 0 without rows
     kinds = [(0 if a and b else 1 if a else 2 if b else None, width**k) for k, (a, b) in enumerate(zip(a_values, b_values))]
@@ -267,7 +222,7 @@ def macaulay_kernel(
     for x, p in enumerate(parent):
         if parent[p] != p:
             find(x)
-    return MacaulayKernel(ratios, width, parent, pot, dead)
+    return MacaulayKernel(parent, pot, dead)
 
 
 @lru_cache(maxsize=512)
@@ -349,45 +304,9 @@ def basis_check(family: BinomialFamily) -> bool:
 def ideal_membership(family: BinomialFamily, m: Monomial) -> bool:
     """Whether m lies in the degree-deg(m) piece of the ideal."""
     _require_numeric(family)
-    _check_variables(family.n, [m])
+    if m.n != family.n:
+        raise ValueError(f"monomial {m} does not have {family.n} variables")
     return _ideal_space(family, m.degree).contains_column(_columns(family.n, m.degree)[m.exponents])
-
-
-def polynomial_in_ideal(family: BinomialFamily, terms: Mapping[Monomial, Fraction]) -> bool:
-    """Membership for a homogeneous polynomial given as monomial -> rational."""
-    _require_numeric(family)
-    _check_variables(family.n, terms)
-    coeffs = {m: as_fraction(c) for m, c in terms.items()}
-    nonzero = {m: c for m, c in coeffs.items() if c}
-    if not nonzero:
-        return True
-    degrees = {m.degree for m in nonzero}
-    if len(degrees) != 1:
-        raise ValueError("membership test expects a homogeneous polynomial")
-    degree = degrees.pop()
-    columns = _columns(family.n, degree)
-    return _ideal_space(family, degree).contains(
-        {columns[m.exponents]: c for m, c in nonzero.items()}
-    )
-
-
-def catalecticant_rows(
-    F,
-    degree: int,
-    monomials: Sequence[Monomial] | None = None,
-    convention: str = "contraction",
-):
-    """Action images {m o F} for the given degree-`degree` monomials.
-
-    Contraction by default; differentiation pairs the alpha!-scaled form
-    instead and divides column beta by beta!.  A monomial whose variable count
-    or degree differs from F's and `degree` raises ValueError.
-    """
-    check_convention(convention)
-    terms, n, top = numeric_form(F)
-    if monomials is not None:
-        _check_variables(n, monomials, degree)
-    return _catalecticant_rows(terms, n, top, degree, monomials, convention == DIFFERENTIATION)
 
 
 def _packed_form(terms: Mapping[Exponents, Fraction | int], n: int, top: int) -> tuple[dict[int, Fraction | int], int]:
@@ -407,37 +326,15 @@ def _pairing(
     return [{x: c for x, c in enumerate(map(get, map(gamma.__add__, betas))) if c} for gamma in gammas]
 
 
-def _catalecticant_rows(
-    terms: Mapping[Exponents, Fraction],
-    n: int,
-    top: int,
-    degree: int,
-    monomials: Sequence[Monomial] | None = None,
-    differentiate: bool = False,
-):
-    """catalecticant_rows for F already normalized to (terms, n, top) by
-    `dual.numeric_form`, with columns in the order of `_columns(n, top -
-    degree)`; integer terms give integer rows.  The monomials must have n
-    variables and degree `degree`, or the packed keys alias lanes."""
-    gammas = _columns(n, degree) if monomials is None else [g.exponents for g in monomials]
+def _catalecticant_rows(terms: Mapping[Exponents, Fraction | int], n: int, top: int, degree: int):
+    """The contraction catalecticant of F = (terms, n, top), normalized by
+    `algebra.numeric_form`: row gamma is {x: F[gamma + beta_x]}, gamma and
+    beta_x in the orders of `_columns(n, degree)` and `_columns(n, top -
+    degree)`; integer terms give integer rows."""
     if degree > top:
-        return [{} for _ in gammas]
-    if differentiate:
-        # x^gamma o X^(gamma+beta) = (gamma+beta)!/beta! X^beta
-        terms = _alpha_scaled(terms)
+        return [{} for _ in _columns(n, degree)]
     packed, nb = _packed_form(terms, n, top)
-    keys = degree_keys(n, degree, nb)[0] if monomials is None else _pack_all(gammas, n, nb)
-    rows = _pairing(packed, keys, degree_keys(n, top - degree, nb)[0])
-    if differentiate:
-        betas = list(_columns(n, top - degree))
-        rows = [{x: Fraction(c, exponent_factorial(betas[x])) for x, c in row.items()} for row in rows]
-    return rows
-
-
-def _alpha_scaled(terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-    """Phi(F) = {alpha: alpha! F[alpha]}: differentiation by x^gamma is
-    Phi^-1(x^gamma o Phi(F)) by contraction."""
-    return {alpha: c * exponent_factorial(alpha) for alpha, c in terms.items()}
+    return _pairing(packed, degree_keys(n, degree, nb)[0], degree_keys(n, top - degree, nb)[0])
 
 
 class _Terms(dict):
@@ -450,12 +347,13 @@ class _Terms(dict):
 def _integer_form(F, differentiate: bool = False) -> tuple[_Terms, int, int]:
     """`numeric_form(F)` (terms, n, top) scaled to coprime integers, for
     rank-only callers.  `differentiate` reads the alpha!-scaled form
-    `_alpha_scaled` instead: Cat_j(F) under differentiation is its Cat_j
-    under contraction with column beta divided by beta!, so the two share
-    row dependencies (alpha! Fd = D! Fc)."""
+    Phi(F) = {alpha: alpha! F[alpha]} instead: differentiation by x^gamma is
+    Phi^-1(x^gamma o Phi(F)) by contraction, so Cat_j(F) under
+    differentiation is the contraction Cat_j(Phi(F)) with column beta divided
+    by beta!, and the two share row dependencies (alpha! Fd = D! Fc)."""
     terms, n, top = numeric_form(F)
     if differentiate:
-        terms = _alpha_scaled(terms)
+        terms = {alpha: c * exponent_factorial(alpha) for alpha, c in terms.items()}
     return _Terms(to_int_row(terms)), n, top
 
 

@@ -13,22 +13,23 @@ import random
 from fractions import Fraction
 
 from . import catalog
-from .algebra import CoeffMonomial, Monomial, SparsePoly, exponents_of_degree, monomials_of_degree, multinomial, poly_divides
-from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, action_image, apply_action, dual_generator, numeric_form, s_vector, verify_annihilation
+from .algebra import CoeffMonomial, Monomial, SparsePoly, monomials_of_degree, multinomial, numeric_form, poly_divides
+from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, apply_action, dual_generator, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_family, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
 from .keys import _lane_bytes
-from .lefschetz import hessian, monomial_basis
+from .lefschetz import monomial_basis
 from .linalg import RowSpace, rank_of
 from .oracle import (
+    _catalecticant_rows,
+    _integer_form,
     basis_check,
-    catalecticant_rows,
     hilbert_function,
     inverse_system_dims,
     is_complete_intersection,
     m_spans_ann_quotient,
-    macaulay_rows,
 )
+from .reference import action_image, catalecticant_rows, hessian, macaulay_rows
 from .resultant import det_numeric_oracle, det_structural, radical_of_cycle_product, resultant_radical
 from .rewrite import TO_CYCLE, certificate, certificate_residual, check_certificate, reduce_monomial, reduce_polynomial
 
@@ -363,9 +364,10 @@ def _check_ci_points() -> bool:
 
 
 def _check_packed_catalecticant() -> bool:
-    # The packed pairing rows of catalecticant_rows against rows built from
-    # the tuple-keyed action_image, under both conventions, in 1-byte lanes
-    # and, with a dual lifted by X1^64, in 2-byte lanes.
+    # The packed pairing rows of the contraction catalecticant against the
+    # reference rows, built from the tuple-keyed action_image, in 1-byte
+    # lanes and, with a dual lifted by X1^64, in 2-byte lanes.  (The
+    # differentiation rows are the alpha!-scaled form's: _check_scaled_basis.)
     point = specialize(catalog.three_var_double_cycle(), CoeffAssignment.of(3, a1=2, a2=3, a3=1, b1=5, b2=1, b3=7))
     dual = dual_generator(point, CONTRACTION).evaluate()
     forms = [
@@ -376,17 +378,12 @@ def _check_packed_catalecticant() -> bool:
     ]
     lanes = set()
     for F in forms:
-        terms, n, top = numeric_form(F)
+        form = _integer_form(F)
+        top = form[2]
         lanes.add(_lane_bytes(top))
         for j in sorted({0, 1, 2, top - 2, top - 1, top} & set(range(top + 1))):
-            columns = {e: x for x, e in enumerate(exponents_of_degree(n, top - j))}
-            for convention in (CONTRACTION, DIFFERENTIATION):
-                expected = [
-                    {columns[key]: c for key, c in action_image(terms, gamma, convention == DIFFERENTIATION).items()}
-                    for gamma in exponents_of_degree(n, j)
-                ]
-                if catalecticant_rows(F, j, convention=convention) != expected:
-                    return False
+            if _catalecticant_rows(*form, j) != catalecticant_rows(form[0], j):
+                return False
     return lanes == {1, 2}
 
 

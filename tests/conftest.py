@@ -88,7 +88,7 @@ def greedy_differentiation_basis(F, k):
     """The canonical greedy basis by its definition: a RowSpace pass over the
     differentiation rows of every degree-k monomial, in canonical order."""
     from binomial_ci.linalg import RowSpace
-    from binomial_ci.oracle import catalecticant_rows
+    from binomial_ci.reference import catalecticant_rows
 
     _, n, _ = numeric_form(F)
     candidates = monomials_of_degree(n, k)

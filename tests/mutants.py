@@ -1,0 +1,180 @@
+"""Mutation check of the fast kernels: every mutant in MUTANTS must be killed.
+
+    python tests/mutants.py
+
+Each row names a file under src/, an exact snippet that must occur in it
+once, its one-line replacement, and the check that must fail on the mutant:
+"selftest" (python -m binomial_ci selftest) or a test file run by pytest.
+The runner first runs every check on an unmutated copy, which must pass.
+Then, for each mutant, it copies src/, tests/, README.md and pyproject.toml
+into a temporary directory, applies that one mutant and runs its check,
+at most two subprocesses at a time, each under a timeout.
+
+The run fails when a mutant survives (its check passes), hangs (its check
+outlives the timeout), or its snippet no longer matches exactly, so a change
+to a mutated line must update its row.  A change that adds or alters a packed
+kernel adds its mutant here.  The mutants target the fast modules only; the
+brute-force references in `binomial_ci.reference` are what they are checked
+against.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "README.md", "pyproject.toml")
+WORKERS = 2
+TIMEOUT_S = 120
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    check: str  # "selftest" or a test file
+
+
+MUTANTS = [
+    Mutant(
+        "spanning blocks skip j = floor(D/2)",
+        "src/binomial_ci/oracle.py",
+        "    for j in range(top // 2 + 1):\n        rows = _pack_all(",
+        "    for j in range(top // 2):\n        rows = _pack_all(",
+        "selftest",
+    ),
+    Mutant(
+        "lanes without room for the sum of two exponents",
+        "src/binomial_ci/keys.py",
+        "    bits = (2 * top).bit_length() + 1",
+        "    bits = top.bit_length() + 1",
+        "selftest",
+    ),
+    Mutant(
+        "Macaulay kernel reads only the lowest row of a column",
+        "src/binomial_ci/oracle.py",
+        "            rows &= rows - 1",
+        "            rows = 0",
+        "selftest",
+    ),
+    Mutant(
+        "cycle multiplicities set to 1",
+        "src/binomial_ci/resultant.py",
+        "(cycle_polynomial(groups[r][0]), len(groups[r]))",
+        "(cycle_polynomial(groups[r][0]), 1)",
+        "selftest",
+    ),
+    Mutant(
+        "reverse search drops the lower-lane label test",
+        "src/binomial_ci/dual.py",
+        "                if (rows & -rows).bit_length() == 8 * nb * i:  # v's label is i",
+        "                if rows >> (8 * nb * i - 1) & 1:  # v's label is i",
+        "selftest",
+    ),
+    Mutant(
+        "packed dual keeps the fixed symbols' lanes",
+        "src/binomial_ci/dual.py",
+        "    return [(key & mask, c) for key, c in zip(keys, ints) if c], scale, nb, guard",
+        "    return [(key, c) for key, c in zip(keys, ints) if c], scale, nb, guard",
+        "tests/test_dual.py",
+    ),
+    Mutant(
+        "packed dual lanes sized without max(s) + 1",
+        "src/binomial_ci/dual.py",
+        "    nb = _lane_bytes(max(F.socle_degree, max(s) + 1, *degrees))",
+        "    nb = _lane_bytes(max(F.socle_degree, *degrees))",
+        "tests/test_dual.py",
+    ),
+    Mutant(
+        "packed dual lanes sized without the checked degrees",
+        "src/binomial_ci/dual.py",
+        "    nb = _lane_bytes(max(F.socle_degree, max(s) + 1, *degrees))",
+        "    nb = _lane_bytes(max(F.socle_degree, max(s) + 1))",
+        "tests/test_dual.py",
+    ),
+    Mutant(
+        "Lefschetz verdicts skip k = floor(D/2)",
+        "src/binomial_ci/lefschetz.py",
+        "    for k in range(top // 2 + 1):",
+        "    for k in range(top // 2):",
+        "tests/test_lefschetz.py",
+    ),
+    Mutant(
+        "every pure-power t entry set to 0",
+        "src/binomial_ci/resultant.py",
+        "        elif i not in off_cycle_labels:",
+        "        elif True:",
+        "tests/test_resultant.py",
+    ),
+]
+
+
+def _command(check: str) -> list[str]:
+    if check == "selftest":
+        return [sys.executable, "-m", "binomial_ci", "selftest"]
+    return [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", check]
+
+
+def _copy(into: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(source, into / name)
+
+
+def _run(check: str, mutant: Mutant | None = None) -> tuple[str, float]:
+    """('passed' | 'failed' | 'hung' | 'no match', seconds) for one check on
+    a fresh copy, with the mutant applied when given."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        if mutant is not None:
+            target = copy / mutant.path
+            text = target.read_text()
+            if text.count(mutant.snippet) != 1:
+                return "no match", 0.0
+            target.write_text(text.replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        try:
+            done = subprocess.run(
+                _command(check), cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return "hung", time.perf_counter() - start
+        return ("passed" if done.returncode == 0 else "failed"), time.perf_counter() - start
+
+
+def main() -> int:
+    problems = 0
+    with ThreadPoolExecutor(WORKERS) as pool:
+        checks = sorted({m.check for m in MUTANTS})
+        for check, (outcome, seconds) in zip(checks, pool.map(_run, checks)):
+            print(f"{'baseline' if outcome == 'passed' else 'BROKEN':9} {check} on the unmutated copy ({seconds:.1f} s)")
+            problems += outcome != "passed"
+        if problems:
+            print("a check fails without any mutant; fix it first")
+            return 1
+        runs = pool.map(lambda m: _run(m.check, m), MUTANTS)
+        for mutant, (outcome, seconds) in zip(MUTANTS, runs):
+            verdict = {"failed": "killed", "passed": "SURVIVED", "hung": "HUNG", "no match": "NO MATCH"}[outcome]
+            print(f"{verdict:9} {mutant.name} [{mutant.path}] by {mutant.check} ({seconds:.1f} s)")
+            problems += outcome != "failed"
+    print(f"{len(MUTANTS) - problems}/{len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

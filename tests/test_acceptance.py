@@ -48,7 +48,8 @@ from binomial_ci.catalog import (
     three_var_double_cycle,
     wlp_failure_form,
 )
-from binomial_ci.lefschetz import hessian, monomial_basis
+from binomial_ci.lefschetz import monomial_basis
+from binomial_ci.reference import hessian
 from binomial_ci.rewrite import TO_BASIS, TO_CYCLE
 
 from conftest import random_nonzero

@@ -569,6 +569,17 @@ class TestPackedDualFeed:
                     nonzero += bool(got.residuals)
         assert nonzero == 2 * len(_lane_edge_families())
 
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_label_counts_past_one_byte_with_one_byte_degrees(self, convention):
+        # max(s) = 267 needs 2-byte symbol lanes although D = 34 and every
+        # d_i fit in one byte; lanes sized by max(D, d_i) alone overflow.
+        fam = parse_family(
+            "f1 = a1*x1^8 - b1*x1^3*x2^2*x3^2*x4 ; f2 = a2*x2^9 - b2*x1^3*x2^3*x3^2*x4 ; "
+            "f3 = a3*x3^11 - b3*x1^3*x2^2*x3^4*x4^2 ; f4 = a4*x4^10 - b4*x1^5*x2*x3^2*x4^2"
+        )
+        assert (fam.socle_degree, s_vector(fam), len(_in_tree(fam)[0])) == (34, (267, 154, 145, 90), 7770)
+        assert verify_annihilation(fam, dual_generator(fam, convention), convention).ok
+
     def test_a_dual_checked_against_another_family(self):
         # The lanes must hold the other family's degrees as well as F's own.
         # Under differentiation the packed path contracts F's contraction

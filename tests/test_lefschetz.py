@@ -21,9 +21,9 @@ from binomial_ci import (
 )
 from binomial_ci.catalog import pentagon_dual_form_at, wlp_failure_form
 from binomial_ci.dual import numeric_form
-from binomial_ci.lefschetz import HessianMatrix, _hessian
-from binomial_ci.linalg import dense_rank
+from binomial_ci.lefschetz import _hessian
 from binomial_ci.oracle import _integer_form
+from binomial_ci.reference import HessianMatrix
 
 from conftest import greedy_differentiation_basis, random_family, random_nonzero
 
@@ -165,7 +165,7 @@ def test_target_size_is_the_high_degree_dimension():
 
 def test_basis_matches_a_greedy_pass_over_the_differentiation_rows():
     from binomial_ci.linalg import rank_of
-    from binomial_ci.oracle import catalecticant_rows
+    from binomial_ci.reference import catalecticant_rows
 
     rng = random.Random(73)
     forms = gorenstein_cases() + [
@@ -186,9 +186,9 @@ def test_slp_check_eliminates_only_up_to_half_the_socle_degree(monkeypatch):
     degrees = []
     real = oracle._catalecticant_rows
 
-    def counting(terms, n, top, degree, *args, **kwargs):
+    def counting(terms, n, top, degree):
         degrees.append(degree)
-        return real(terms, n, top, degree, *args, **kwargs)
+        return real(terms, n, top, degree)
 
     oracle._contraction_basis.cache_clear()
     monkeypatch.setattr(oracle, "_catalecticant_rows", counting)
@@ -199,7 +199,6 @@ def test_slp_check_eliminates_only_up_to_half_the_socle_degree(monkeypatch):
 
 
 def test_lefschetz_oracles_normalize_the_form_once(monkeypatch):
-    import binomial_ci.lefschetz as lefschetz
     import binomial_ci.oracle as oracle
 
     calls = []
@@ -208,7 +207,6 @@ def test_lefschetz_oracles_normalize_the_form_once(monkeypatch):
         calls.append(F)
         return numeric_form(F)
 
-    monkeypatch.setattr(lefschetz, "numeric_form", counting)
     monkeypatch.setattr(oracle, "numeric_form", counting)
     F = wlp_failure_form()
     slp_check(F, trials=1)

@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from binomial_ci.linalg import RowSpace, dense_rank, det_sparse, rank_of, to_int_row
+from binomial_ci.linalg import RowSpace, det_sparse, rank_of, to_int_row
+from binomial_ci.reference import dense_rank
 
 
 def test_to_int_row_clears_denominators():

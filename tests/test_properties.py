@@ -96,7 +96,7 @@ def test_cutoff_reduction_is_congruent_modulo_the_leading_generators():
     # with labels <= k the identity m = coeff*m' holds modulo (f_1, .., f_k)
     from binomial_ci import reduce_monomial
     from binomial_ci.linalg import RowSpace
-    from binomial_ci.oracle import macaulay_rows
+    from binomial_ci.reference import macaulay_rows
     from binomial_ci.rewrite import TO_BASIS
 
     rng = random.Random(67)
@@ -142,7 +142,8 @@ def test_hessian_kernel_matches_the_symbolic_oracle_hypothesis():
     st = pytest.importorskip("hypothesis.strategies")
     from math import factorial, prod
 
-    from binomial_ci.lefschetz import HessianMatrix, _hessian, monomial_basis
+    from binomial_ci.lefschetz import _hessian, monomial_basis
+    from binomial_ci.reference import HessianMatrix
     from binomial_ci.oracle import _integer_form
 
     @st.composite
@@ -177,7 +178,7 @@ def test_scaled_contraction_basis_matches_the_differentiation_rows_hypothesis():
     st = pytest.importorskip("hypothesis.strategies")
     from binomial_ci.lefschetz import monomial_basis
     from binomial_ci.linalg import rank_of
-    from binomial_ci.oracle import catalecticant_rows
+    from binomial_ci.reference import catalecticant_rows
 
     from math import prod
 

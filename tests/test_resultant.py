@@ -381,7 +381,7 @@ def probe_by_rows(family, i, rng, trials=5):
     """The probe before the Macaulay kernel: five trials whatever the family,
     each an exact RowSpace rank of the degree-(D+1) Macaulay rows."""
     from binomial_ci.linalg import RowSpace
-    from binomial_ci.oracle import macaulay_rows
+    from binomial_ci.reference import macaulay_rows
     from binomial_ci.resultant import TEntry, _random_nonzero
 
     n, top = family.n, family.socle_degree + 1

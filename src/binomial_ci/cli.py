@@ -114,8 +114,10 @@ def _cmd_graph(args) -> int:
     if args.format == "dot":
         print(to_dot(graph))
         return 0
-    payload = graph_to_json(graph)
-    payload["cycle_polynomial"] = str(graph_cycle_polynomial(graph))
+    cycle_polynomial = str(graph_cycle_polynomial(graph))
+    if args.format == "json":
+        _print_json({**graph_to_json(graph), "cycle_polynomial": cycle_polynomial})
+        return 0
     lines = [
         f"vertices: {len(graph.vertices)}",
         f"edges: {graph.edge_count()}",
@@ -126,8 +128,8 @@ def _cmd_graph(args) -> int:
         lines.append(
             "  " + " -> ".join(str(v) for v in c.vertices) + f"  r={list(c.label_counts)}"
         )
-    lines.append(f"cycle polynomial: {payload['cycle_polynomial']}")
-    _emit(args, payload, "\n".join(lines))
+    lines.append(f"cycle polynomial: {cycle_polynomial}")
+    print("\n".join(lines))
     return 0
 
 
@@ -205,9 +207,11 @@ def _cmd_resultant(args) -> int:
     show_radical = args.radical or not (args.matrix or args.det)
     payload: dict = {}
     lines: list[str] = []
-    if args.matrix:
-        payload["matrix"] = matrix_to_json(family)
-        lines.append(matrix_to_text(family))
+    if args.matrix:  # the matrix is V x V: render only the requested format
+        if args.format == "json":
+            payload["matrix"] = matrix_to_json(family)
+        else:
+            lines.append(matrix_to_text(family))
     if args.det:
         monomial, factors = det_structural_parts(family)
         det = det_structural(family)

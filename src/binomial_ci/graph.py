@@ -14,6 +14,12 @@ that: `exponents` (unpacked from the keys in one C pass), `vertices` and
 The keys are in the descending lex order of `exponents_of_degree`, so a
 cycle's lex-smallest vertex is the one of largest position.
 
+Each graph summarizes its cycles once, on first read: `cycle_types` maps the
+label counts r to k_r, the number of cycles of that type, and
+`off_cycle_counts` holds e_i, the i-labeled vertices on no cycle.  The cycle
+polynomial is prod_r (a^r - b^r)^{k_r}, one binomial expansion per type, and
+the resultant layer reads its determinant, factors and radical off (e, k).
+
 `build_graph` keeps the last graph it built, keyed by (family, degree): a
 request asks for the same graph back to back (the structural determinant and
 the radical both read the resultant-degree graph), so it is built once.  The
@@ -25,7 +31,9 @@ between callers and must be treated as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
 
 from .algebra import Monomial, SparsePoly, check_monomial_budget
 from .family import BinomialFamily
@@ -84,6 +92,23 @@ class ReductionGraph:
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:  # exponent tuple -> vertex position
         return dict(zip(self.exponents, range(len(self.exponents))))
+
+    @cached_property
+    def cycle_types(self) -> dict[tuple[int, ...], int]:
+        """r -> k: the number of cycles whose label counts are r, in order of
+        first cycle."""
+        types: dict[tuple[int, ...], int] = {}
+        for cycle in self.cycles:
+            types[cycle.label_counts] = types.get(cycle.label_counts, 0) + 1
+        return types
+
+    @cached_property
+    def off_cycle_counts(self) -> tuple[int, ...]:
+        """e_i: the i-labeled vertices on no cycle.  The cycles of a
+        functional graph are disjoint, and each cycle of type r holds r_i of
+        the i-labeled vertices, so e_i = #{i labels} - sum_r k_r * r_i."""
+        on_cycles = [sum(k * r[i] for r, k in self.cycle_types.items()) for i in range(self.n)]
+        return tuple(self.labels.count(i + 1) - on for i, on in enumerate(on_cycles))
 
     @property
     def n(self) -> int:
@@ -159,19 +184,25 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
     return ReductionGraph(family, d, keys, nb, tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles))
 
 
+def _binomial_power(n: int, r: tuple[int, ...], k: int) -> SparsePoly:
+    """(a^r - b^r)^k, expanded by the binomial theorem into its k + 1 terms
+    (-1)^j C(k, j) a^((k-j)r) b^(jr)."""
+    return SparsePoly._raw(
+        n, {tuple((k - j) * x for x in r) + tuple(j * x for x in r): Fraction((-1) ** j * comb(k, j)) for j in range(k + 1)}
+    )
+
+
 def cycle_polynomial(cycle: Cycle) -> SparsePoly:
     """The binomial a^r - b^r for the cycle's label counts r."""
-    n = len(cycle.label_counts)
-    r = cycle.label_counts
-    zero = (0,) * n
-    return SparsePoly(n, [(r + zero, 1), (zero + r, -1)])
+    return _binomial_power(len(cycle.label_counts), cycle.label_counts, 1)
 
 
 def graph_cycle_polynomial(graph: ReductionGraph) -> SparsePoly:
-    """Product of the cycle polynomials over all cycles; 1 when acyclic."""
+    """Product of the cycle polynomials over all cycles, one binomial power
+    (a^r - b^r)^k per cycle type; 1 when acyclic."""
     result = SparsePoly.one(graph.n)
-    for cycle in graph.cycles:
-        result = result * cycle_polynomial(cycle)
+    for r, k in graph.cycle_types.items():
+        result = result * _binomial_power(graph.n, r, k)
     return result
 
 

@@ -9,10 +9,12 @@ lead monomial.  Every function here takes the family and reads the one
 cached resultant-degree graph; the matrix's text, JSON and numeric rows come
 straight from its vertices, labels and successors.
 
-The determinant is the a-product over transient vertices times the cycle
-polynomials, and the radical of the resultant follows from the graph's
-cycles: every cycle's label counts r are primitive, so its factor is the
-binomial a^r - b^r itself.
+Everything past the matrix reads the graph's cycle summary: k_r, the number
+of cycles whose label counts are r (`ReductionGraph.cycle_types`), and e_i,
+the i-labeled vertices on no cycle (`ReductionGraph.off_cycle_counts`).  The
+determinant is prod a_i^{e_i} * prod_r (a^r - b^r)^{k_r}.  Every r is
+primitive, so the radical's cycle factors are the binomials a^r - b^r
+themselves, one per type, and a_i drops from the radical when e_i = 0.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .algebra import SparsePoly
 from .family import BinomialFamily
-from .graph import CYCLIC, Cycle, ReductionGraph, build_graph, cycle_polynomial
+from .graph import ReductionGraph, _binomial_power, build_graph, graph_cycle_polynomial
 from .linalg import det_sparse
 from .oracle import macaulay_kernel
 
@@ -66,42 +67,24 @@ def matrix_to_json(family: BinomialFamily) -> dict:
     }
 
 
-def _cycles_by_counts(graph: ReductionGraph) -> dict[tuple[int, ...], list[Cycle]]:
-    """The graph's cycles grouped by label counts r, in order of first cycle."""
-    groups: dict[tuple[int, ...], list[Cycle]] = {}
-    for cycle in graph.cycles:
-        groups.setdefault(cycle.label_counts, []).append(cycle)
-    return groups
-
-
 def det_structural_parts(family: BinomialFamily) -> tuple[SparsePoly, list[tuple[SparsePoly, int]]]:
-    """The determinant, factored: (a-monomial over the transient vertices,
-    [(cycle polynomial, multiplicity)] in descending order of r)."""
+    """The determinant, factored: (a^e, [(a^r - b^r, k_r)] in descending
+    order of r), from the resultant-degree graph's cycle summary."""
     graph = _resultant_graph(family)
     n = family.n
-    a_exp = [0] * n
-    for label, cls in zip(graph.labels, graph.vertex_class):
-        if cls != CYCLIC:
-            a_exp[label - 1] += 1
-    groups = _cycles_by_counts(graph)
-    factors = [(cycle_polynomial(groups[r][0]), len(groups[r])) for r in sorted(groups, reverse=True)]
-    return SparsePoly.monomial(n, tuple(a_exp), (0,) * n), factors
+    factors = [(_binomial_power(n, r, 1), graph.cycle_types[r]) for r in sorted(graph.cycle_types, reverse=True)]
+    return SparsePoly.monomial(n, graph.off_cycle_counts, (0,) * n), factors
 
 
 def det_structural(family: BinomialFamily) -> SparsePoly:
     """The determinant read off the reduction graph at the resultant degree.
 
-    With the a-symbols on the diagonal the sign works out to +1: the product
-    of the transient labels' a-symbols times the cycle polynomials.  Each
-    (a^r - b^r)^c is expanded by the binomial theorem into its c + 1 terms
-    (-1)^k C(c, k) a^((c-k)r) b^(kr).
+    With the a-symbols on the diagonal the sign works out to +1: a^e, the
+    a-symbols of the vertices on no cycle, times the cycle polynomial
+    prod_r (a^r - b^r)^{k_r}.
     """
-    det, factors = det_structural_parts(family)
-    for poly, c in factors:
-        (ka, u), (kb, v) = poly.terms.items()  # u*a^r + v*b^r, u = 1 and v = -1
-        terms = {tuple((c - k) * x + k * y for x, y in zip(ka, kb)): u ** (c - k) * v**k * comb(c, k) for k in range(c + 1)}
-        det = det * SparsePoly._raw(poly.n, terms)
-    return det
+    graph = _resultant_graph(family)
+    return SparsePoly.monomial(family.n, graph.off_cycle_counts, (0,) * family.n) * graph_cycle_polynomial(graph)
 
 
 def det_numeric_oracle(family: BinomialFamily) -> Fraction:
@@ -139,7 +122,7 @@ def radical_of_cycle_product(graph: ReductionGraph) -> list[SparsePoly]:
     b = 0.  But L is the kernel of an integer matrix, hence saturated, so
     s is in L, and c^s = 1 contradicts c^s = zeta on H.
     """
-    return [cycle_polynomial(cycles[0]) for cycles in _cycles_by_counts(graph).values()]
+    return [_binomial_power(graph.n, r, 1) for r in graph.cycle_types]
 
 
 @dataclass(frozen=True)
@@ -225,8 +208,9 @@ def _radical_product(n: int, contributions: list[SparsePoly]) -> SparsePoly:
 def resultant_radical(family: BinomialFamily, probe: bool = False, rng: random.Random | None = None) -> RadicalResult:
     """The radical of the resultant, determined from the reduction graph.
 
-    When no tail is a pure variable power, every t_i is 1 (certain).  An
-    index whose i-labeled edges all lie on cycles gets t_i = 0 (certain).
+    An index whose tail is no pure variable power gets t_i = 1 (certain).
+    An index with e_i = 0, every i-labeled vertex on a cycle, gets t_i = 0
+    (certain).
     Remaining indices are probed probabilistically when `probe` is set and
     reported as bounded otherwise.
     """
@@ -244,11 +228,6 @@ def resultant_radical(family: BinomialFamily, probe: bool = False, rng: random.R
         support = [j for j, e in enumerate(m.exponents) if e]
         if len(support) == 1:
             pure_power_vars.add(support[0] + 1)
-    off_cycle_labels = {
-        label
-        for label, cls in zip(graph.labels, graph.vertex_class)
-        if cls != CYCLIC
-    }
 
     if rng is None:
         rng = random.Random(0)
@@ -256,7 +235,7 @@ def resultant_radical(family: BinomialFamily, probe: bool = False, rng: random.R
     for i in range(1, n + 1):
         if i not in pure_power_vars:
             entries.append(TEntry(i, 1, CERTAIN))
-        elif i not in off_cycle_labels:
+        elif not graph.off_cycle_counts[i - 1]:
             entries.append(TEntry(i, 0, CERTAIN))
         elif probe:
             entries.append(_probe_t_index(family, i, rng))

@@ -225,10 +225,10 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     nb = _lane_bytes(top)
     zero = (0,) * n
     leads, tails = [], []
-    for i in range(1, n + 1):
-        unit = Monomial.variable(n, i).exponents
-        leads.append(_pack(family.lead_monomial(i).exponents + unit + zero, nb))
-        tails.append(_pack(family.tails[i - 1].exponents + zero + unit, nb))
+    for i, (d, tail) in enumerate(zip(family.degrees, family.tails)):
+        unit = zero[:i] + (1,) + zero[i + 1 :]
+        leads.append(_pack(tuple(d * u for u in unit) + unit + zero, nb))  # x_i^{d_i} * a_i
+        tails.append(_pack(tail.exponents + zero + unit, nb))
     acc = {_pack(first, nb): _rational(cert.a_product.scalar)}
     get = acc.get
     for (i, _, q), p in zip(rows, _pack_all([lanes for _, lanes, _ in rows], 3 * n, nb)):

@@ -69,10 +69,24 @@ MUTANTS = [
     ),
     Mutant(
         "cycle multiplicities set to 1",
-        "src/binomial_ci/resultant.py",
-        "(cycle_polynomial(groups[r][0]), len(groups[r]))",
-        "(cycle_polynomial(groups[r][0]), 1)",
+        "src/binomial_ci/graph.py",
+        "        result = result * _binomial_power(graph.n, r, k)",
+        "        result = result * _binomial_power(graph.n, r, 1)",
         "selftest",
+    ),
+    Mutant(
+        "cycle types each counted once",
+        "src/binomial_ci/graph.py",
+        "            types[cycle.label_counts] = types.get(cycle.label_counts, 0) + 1",
+        "            types[cycle.label_counts] = 1",
+        "selftest",
+    ),
+    Mutant(
+        "off-cycle counts without the factor k",
+        "src/binomial_ci/graph.py",
+        "        on_cycles = [sum(k * r[i] for r, k in self.cycle_types.items()) for i in range(self.n)]",
+        "        on_cycles = [sum(r[i] for r, k in self.cycle_types.items()) for i in range(self.n)]",
+        "tests/test_resultant.py",
     ),
     Mutant(
         "reverse search drops the lower-lane label test",
@@ -112,9 +126,51 @@ MUTANTS = [
     Mutant(
         "every pure-power t entry set to 0",
         "src/binomial_ci/resultant.py",
-        "        elif i not in off_cycle_labels:",
+        "        elif not graph.off_cycle_counts[i - 1]:",
         "        elif True:",
         "tests/test_resultant.py",
+    ),
+    Mutant(
+        "Macaulay kernel cycles never kill",
+        "src/binomial_ci/oracle.py",
+        "                    if not holds:",
+        "                    if False:",
+        "selftest",
+    ),
+    Mutant(
+        "union potential sign flipped",
+        "src/binomial_ci/oracle.py",
+        "                parent[ru], pot[ru] = rv, r",
+        "                parent[ru], pot[ru] = rv, -r",
+        "selftest",
+    ),
+    Mutant(
+        "one-term row never kills at u",
+        "src/binomial_ci/oracle.py",
+        "                dead[find(iu)] = 1",
+        "                find(iu)",
+        "selftest",
+    ),
+    Mutant(
+        "spanning blocks read B_j x B_j",
+        "src/binomial_ci/oracle.py",
+        "        columns = _pack_all(family.basis_exponents(top - j), n, nb)",
+        "        columns = _pack_all(family.basis_exponents(j), n, nb)",
+        "selftest",
+    ),
+    Mutant(
+        "det_sparse drops the permutation sign",
+        "src/binomial_ci/linalg.py",
+        "    return -det if parity % 2 else det",
+        "    return det",
+        "tests/test_linalg.py",
+    ),
+    Mutant(
+        "a stray bit in the packed dual's R lanes",
+        "src/binomial_ci/dual.py",
+        "(top - r) << w | r << 2 * w for a, r in",
+        "(top - r) << w | (r | 1) << 2 * w for a, r in",
+        "tests/test_dual.py",
     ),
 ]
 

@@ -759,6 +759,20 @@ class TestRequestedFormatOnly:
         assert code == 0
         assert "certificate" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "dot"])
+    def test_graph_builds_no_json_for_other_formats(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "graph_to_json", lambda graph: pytest.fail(f"graph_to_json ran for --format {fmt}"))
+        code, out, _ = run_cli(capsys, "graph", "--family", DOUBLE_CYCLE, "--degree", "4", "--format", fmt)
+        assert code == 0
+        assert "x2^2*x3^2" in out
+
+    @pytest.mark.parametrize("fmt, unused", [("text", "matrix_to_json"), ("json", "matrix_to_text")])
+    def test_resultant_matrix_renders_one_format(self, capsys, monkeypatch, fmt, unused):
+        monkeypatch.setattr(cli, unused, lambda family: pytest.fail(f"{unused} ran for --format {fmt}"))
+        code, out, _ = run_cli(capsys, "resultant", "--family", DOUBLE_CYCLE, "--matrix", "--format", fmt)
+        assert code == 0
+        assert "x1^4" in out
+
 
 class TestMonomialArgument:
     @pytest.mark.parametrize("text", ["3*x1^2", "a1*x1", "-x1", "2", "1*x1"])

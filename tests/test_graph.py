@@ -179,6 +179,54 @@ class TestInvariants:
                 assert sum(c.label_counts) == len(c)
 
 
+
+
+class TestCycleSummary:
+    """The per-graph cycle summary (cycle types r -> k and off-cycle label
+    counts e) against its per-vertex definitions, at the socle and resultant
+    degrees of seeded random families and of the double cycle, whose two
+    cycles share the type (0, 1, 1)."""
+
+    @staticmethod
+    def graphs(double_cycle):
+        rng = random.Random(27)
+        families = [random_family(rng, numeric=rng.random() < 0.5, n_range=(2, 5)) for _ in range(40)]
+        yield build_graph(double_cycle, 4)
+        for fam in families:
+            for d in (fam.socle_degree, fam.resultant_degree):
+                yield build_graph(fam, d)
+
+    def test_summary_matches_the_vertices(self, double_cycle):
+        repeated_types = 0
+        for g in self.graphs(double_cycle):
+            grouped = {}
+            for c in g.cycles:
+                grouped.setdefault(c.label_counts, []).append(c)
+            assert list(g.cycle_types.items()) == [(r, len(cycles)) for r, cycles in grouped.items()]
+            off_cycle = [0] * g.n
+            for label, cls in zip(g.labels, g.vertex_class):
+                if label is not None and cls != CYCLIC:
+                    off_cycle[label - 1] += 1
+            assert g.off_cycle_counts == tuple(off_cycle)
+            repeated_types += any(k > 1 for k in g.cycle_types.values())
+        assert repeated_types >= 5
+
+    def test_polynomials_match_the_cycles(self, double_cycle):
+        for g in self.graphs(double_cycle):
+            product = SparsePoly.one(g.n)
+            for c in g.cycles:
+                product = product * cycle_polynomial(c)
+            assert graph_cycle_polynomial(g) == product
+            if g.d == g.family.resultant_degree:
+                a_e = SparsePoly.monomial(g.n, g.off_cycle_counts, (0,) * g.n)
+                assert det_structural(g.family) == a_e * product
+
+    def test_double_cycle_summary(self, double_cycle):
+        g = build_graph(double_cycle, 4)
+        assert g.cycle_types == {(0, 1, 1): 2}
+        assert g.off_cycle_counts == (6, 3, 2)
+        assert graph_cycle_polynomial(g) == sym_binomial(3, 2, 3) ** 2
+
 class TestExports:
     def test_dot_output(self, chain):
         g = build_graph(chain, 3)

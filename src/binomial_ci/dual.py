@@ -16,8 +16,11 @@ flat terms of `DualGenerator._substituted`.  verify_annihilation of a
 DualGenerator under its own convention packs the contraction terms straight
 from the tree (`_packed_dual`): two C passes pack the vertices alpha and
 their label counts r, each key is one int expression in them, and each
-coefficient is 1, or the values the family fixes.  Any other form is a
-mapping, checked by `normalize_terms`.
+coefficient is 1, or the values the family fixes.  The kernel's pass over
+them is the same under both conventions, so one pass per (checked family,
+tree) serves both (`_dual_pass`), and each check only divides; the tree is
+shared and read-only.  Any other form is a mapping, checked by
+`normalize_terms`.
 
 The action x^gamma o F lives here on packed keys, on forms normalized by
 `algebra.normalize_terms` (the form layer, re-exported here); `selftest` and
@@ -248,34 +251,38 @@ def _scaled(qs) -> tuple[list[int], int]:
     return [q.numerator * (scale // q.denominator) for q in qs], scale
 
 
-def _images(
-    f_flats: list[Flat], big: list[tuple[int, int]], scale: int, n: int, m: int, nb: int, guard: int, differentiate: bool
-) -> list[dict]:
-    """[f o F as {(X exponents, symbol exponents): Fraction}] for each f, with
-    F's terms packed in big as (p | G, q * scale), integers (scale an int or
-    a Fraction).
-
-    Each f's rationals are scaled to integers by the lcm of their own
-    denominators, `_act` multiplies ints only, and each nonzero entry of the
-    image is divided back once, by both scales and, under differentiation
-    (big then holds the alpha!-scaled form), by k! at X^k.
+def _pass(f_flats: list[Flat], big: list[tuple[int, int]], n: int, m: int, nb: int, guard: int) -> list[tuple[dict, int]]:
+    """[({(X exponents, symbol exponents): int}, f_scale)] for each f: the
+    nonzero entries of `_act` on F's terms packed in big as (p | G, int),
+    before any division.  Each f's rationals are scaled to integers by
+    f_scale, the lcm of their own denominators, so `_act` multiplies ints
+    only.  The pass knows no convention: `_divided` applies it.
     """
-    images = []
+    passes = []
     for f_flat in f_flats:
         ints, f_scale = _scaled(q for _, (_, q) in f_flat)
         acc = _act([(gamma, (sym, c)) for (gamma, (sym, _)), c in zip(f_flat, ints)], big, n, nb, guard)
+        passes.append((_nonzero(acc, n, m, nb), f_scale))
+    return passes
+
+
+def _divided(passes: list[tuple[dict, int]], scale, differentiate: bool) -> list[dict]:
+    """[f o F as {(X exponents, symbol exponents): Fraction}] from `_pass`,
+    big's terms being q * scale (scale an int or a Fraction): each entry is
+    divided once, by scale * f_scale and, under differentiation (big then
+    holds the alpha!-scaled form), by k! at X^k."""
+    images = []
+    for entries, f_scale in passes:
         den = scale * f_scale
         images.append(
-            {
-                key: Fraction(c, den * exponent_factorial(key[0]) if differentiate else den)
-                for key, c in _nonzero(acc, n, m, nb).items()
-            }
+            {key: Fraction(c, den * exponent_factorial(key[0]) if differentiate else den) for key, c in entries.items()}
         )
     return images
 
 
 def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: bool) -> list[dict]:
-    """`_images` for F's terms big_flat in the shape of `_flat`.
+    """[f o F] for F's terms big_flat in the shape of `_flat`: `_pass`, then
+    `_divided`.
 
     One max over every tuple packed sizes the lanes, so F may hold any
     nonnegative exponents (`normalize_terms` rejects negative ones).
@@ -292,11 +299,11 @@ def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: b
         qs = (q * exponent_factorial(alpha) for alpha, (_, q) in big_flat)
     ints, scale = _scaled(qs)
     big = [(p | guard, c) for p, c in zip(_pack_all(keys, n + 2 * m, nb), ints)]
-    return _images(f_flats, big, scale, n, m, nb, guard, differentiate)
+    return _divided(_pass(f_flats, big, n, m, nb, guard), scale, differentiate)
 
 
 def _packed_dual(F: DualGenerator, degrees) -> tuple[list[tuple[int, int]], int, int, int]:
-    """(big, scale, nb, G): the terms of F under contraction for `_images`,
+    """(big, scale, nb, G): the terms of F under contraction for `_pass`,
     whatever F's convention, packed straight from its cached in-tree, to act
     on by forms of the given degrees.
 
@@ -351,6 +358,37 @@ class AnnihilationResult:
         return self.ok
 
 
+# The last pass of a DualGenerator, ((checked family, F.family, F._tree),
+# (passes, scale)): the key holds the tree itself, so its id is never reused
+# while the entry lives.
+_NO_PASS: tuple = ((None, None, None), None)
+_last_pass = _NO_PASS
+
+
+def _dual_pass(family: BinomialFamily, F: DualGenerator) -> tuple[list[tuple[dict, int]], int]:
+    """(passes, scale): `_pass` of the family's generators on F's contraction
+    terms packed by `_packed_dual`, which hold q * scale.
+
+    The pass is the same under both conventions, so the last one is kept:
+    checking the same family against F's family and tree again, under
+    either convention, only divides.  A check of another tree misses at
+    one identity test."""
+    global _last_pass
+    (checked, fam, tree), result = _last_pass
+    if tree is F._tree and checked == family and fam == F.family:
+        return result
+    big, scale, nb, guard = _packed_dual(F, family.degrees)
+    result = _pass(_generator_flats(family), big, family.n, family.n, nb, guard), scale
+    _last_pass = (family, F.family, F._tree), result
+    return result
+
+
+def _generator_flats(family: BinomialFamily) -> list[Flat]:
+    """f_1, .., f_n in the shape of `_flat`."""
+    n = family.n
+    return [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
+
+
 def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION) -> AnnihilationResult:
     """Check f_i o F = 0 for every generator, exactly.
 
@@ -358,22 +396,26 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     coefficients.  Symbol values fixed by the family are substituted into the
     generator coefficients; everything else stays symbolic.  A DualGenerator
     of another convention than the check's is read as its terms, a mapping.
+
+    A DualGenerator of the check's convention is contracted once per
+    (checked family, tree) by `_dual_pass`, on the shared, read-only in-tree:
+    Phi(F) is D! times the contraction dual, so both conventions read the
+    same packed pass and differ only in its division.
     """
     check_convention(convention)
     n = family.n
     differentiate = convention == DIFFERENTIATION
-    f_flats = [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
     if isinstance(F, DualGenerator) and F.n != n:
         raise ValueError("the dual generator and the family have different variable counts")
     if isinstance(F, DualGenerator) and F.convention == convention:
-        big, scale, nb, guard = _packed_dual(F, family.degrees)
+        passes, scale = _dual_pass(family, F)
         if differentiate:
-            # Phi(F) = D! times the contraction terms packed in big
+            # Phi(F) = D! times the contraction terms of the pass
             scale = Fraction(scale, factorial(F.socle_degree))
-        images = _images(f_flats, big, scale, n, n, nb, guard, differentiate)
+        images = _divided(passes, scale, differentiate)
     else:
         flat = list(F._substituted().items()) if isinstance(F, DualGenerator) else _flat(normalize_terms(F, n)[0], n)
-        images = _apply(f_flats, flat, n, n, differentiate)
+        images = _apply(_generator_flats(family), flat, n, n, differentiate)
     residuals = {i: res for i, res in enumerate((group_flat_terms(n, image) for image in images), 1) if res}
     return AnnihilationResult(not residuals, residuals)
 

@@ -43,15 +43,23 @@ def _resultant_graph(family: BinomialFamily) -> ReductionGraph:
 
 
 def matrix_to_text(family: BinomialFamily) -> str:
-    """The symbolic matrix as right-aligned columns under a monomial header."""
+    """The symbolic matrix as right-aligned columns under a monomial header.
+
+    Built one row at a time: a column's width is the longest of its header,
+    its diagonal a{i} and the -b{i} of the rows whose successor it is (a 0
+    is narrower than any a{i})."""
     graph = _resultant_graph(family)
-    table = [[str(m) for m in graph.vertices]]
+    header = [str(m) for m in graph.vertices]
+    widths = [max(len(h), len(f"a{i}")) for h, i in zip(header, graph.labels)]
+    for i, succ in zip(graph.labels, graph.succ):
+        widths[succ] = max(widths[succ], len(f"-b{i}"))
+    zeros = ["0".rjust(w) for w in widths]
+    lines = ["  ".join(map(str.rjust, header, widths))]
     for r, (i, succ) in enumerate(zip(graph.labels, graph.succ)):
-        row = ["0"] * len(graph.vertices)
-        row[r], row[succ] = f"a{i}", f"-b{i}"
-        table.append(row)
-    widths = [max(len(row[c]) for row in table) for c in range(len(graph.vertices))]
-    return "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in table)
+        row = zeros.copy()
+        row[r], row[succ] = f"a{i}".rjust(widths[r]), f"-b{i}".rjust(widths[succ])
+        lines.append("  ".join(row))
+    return "\n".join(lines)
 
 
 def matrix_to_json(family: BinomialFamily) -> dict:

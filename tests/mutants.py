@@ -172,6 +172,20 @@ MUTANTS = [
         "(top - r) << w | (r | 1) << 2 * w for a, r in",
         "tests/test_dual.py",
     ),
+    Mutant(
+        "dual pass reused without the checked family",
+        "src/binomial_ci/dual.py",
+        "    if tree is F._tree and checked == family and fam == F.family:",
+        "    if tree is F._tree and fam == F.family:",
+        "tests/test_dual.py",
+    ),
+    Mutant(
+        "dual pass reused without the tree's identity",
+        "src/binomial_ci/dual.py",
+        "    if tree is F._tree and checked == family and fam == F.family:",
+        "    if checked == family and fam == F.family:",
+        "tests/test_dual.py",
+    ),
 ]
 
 

@@ -593,13 +593,17 @@ class TestPackedDualFeed:
         for numeric in (False, True) * 3:
             fam = random_family(rng, numeric=numeric)
             pairs.append((fam, random_family(rng, numeric=numeric, n_range=(fam.n, fam.n))))
+        # Checking (fam, other, fam) in a row: no check may read the pass
+        # that `verify_annihilation` kept from the other family's.
         nonzero = 0
         for fam, other in pairs:
             for convention in (CONTRACTION, DIFFERENTIATION):
                 dual = dual_generator(fam, convention)
-                got = verify_annihilation(other, dual, convention)
-                assert got.residuals == verify_annihilation(other, dual.sparse_terms(), convention).residuals
-                nonzero += bool(got.residuals)
+                for checked in (fam, other, fam):
+                    got = verify_annihilation(checked, dual, convention)
+                    assert got.residuals == verify_annihilation(checked, dual.sparse_terms(), convention).residuals
+                    assert got.ok == (checked is fam)
+                    nonzero += bool(got.residuals)
         assert nonzero == 2 * len(pairs)
 
     @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
@@ -618,6 +622,31 @@ class TestPackedDualFeed:
             assert not got.ok
             assert got.residuals == verify_annihilation(fam, bad.sparse_terms(), convention).residuals
             assert verify_annihilation(fam, dual, convention).ok  # the cached tree is untouched
+
+
+class TestOnePassPerTree:
+    """Both conventions of a DualGenerator read one packed contraction pass
+    per (checked family, tree)."""
+
+    def test_both_conventions_make_one_pass(self, monkeypatch, double_cycle, loop2):
+        calls = []
+        act = dual_module._act
+        monkeypatch.setattr(dual_module, "_act", lambda *args: calls.append(1) or act(*args))
+        n = double_cycle.n
+        for order in ((CONTRACTION, DIFFERENTIATION), (DIFFERENTIATION, CONTRACTION)):
+            monkeypatch.setattr(dual_module, "_last_pass", dual_module._NO_PASS)
+            calls.clear()
+            for convention in order:
+                assert verify_annihilation(double_cycle, dual_generator(double_cycle, convention), convention).ok
+            assert len(calls) == n  # one _act per generator, not 2n
+        # two families in turn, each with both conventions on one tree: every check recomputes
+        duals = {fam: [dual_generator(fam, c) for c in (CONTRACTION, DIFFERENTIATION)] for fam in (double_cycle, loop2)}
+        monkeypatch.setattr(dual_module, "_last_pass", dual_module._NO_PASS)
+        calls.clear()
+        for k in range(2):
+            for fam, pair in duals.items():
+                assert verify_annihilation(fam, pair[k], pair[k].convention).ok
+        assert len(calls) == 2 * (double_cycle.n + loop2.n)
 
 
 class TestPackedLanes:

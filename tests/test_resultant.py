@@ -100,6 +100,30 @@ class TestCMatrix:
         assert all(isinstance(v, Fraction) for row in rows for v in row.values())
         assert value == det_structural(loop2).evaluate([2, Fraction(1, 3)], [5, 7])
 
+    def test_text_matches_the_grid_rendering(self):
+        # The reference sizes every column over the whole V x V grid of cells;
+        # families with ten or more variables mix one- and two-digit labels.
+        def grid_text(fam):
+            graph = build_graph(fam, fam.resultant_degree)
+            table = [[str(m) for m in graph.vertices]]
+            for r, (i, succ) in enumerate(zip(graph.labels, graph.succ)):
+                row = ["0"] * len(graph.vertices)
+                row[r], row[succ] = f"a{i}", f"-b{i}"
+                table.append(row)
+            widths = [max(len(row[c]) for row in table) for c in range(len(graph.vertices))]
+            return "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in table)
+
+        rng = random.Random(43)
+        families = [random_family(rng, numeric=numeric) for numeric in (False, True) * 6]
+        for n in (10, 11, 12):
+            degrees = [1] * n
+            for i in rng.sample(range(n), 2):
+                degrees[i] = 2
+            tails = [rng.choice([m for m in monomials_of_degree(n, d) if m.exponents[i] != d]) for i, d in enumerate(degrees)]
+            families.append(BinomialFamily.symbolic(degrees, tails))
+        for fam in families:
+            assert matrix_to_text(fam) == grid_text(fam)
+
     def test_text_and_json_dumps(self, loop2):
         lines = matrix_to_text(loop2).splitlines()
         assert lines[0].split() == ["x1^3", "x1^2*x2", "x1*x2^2", "x2^3"]

@@ -101,11 +101,13 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    """The payload as JSON, or the text lines, written one by one: joining
+    them first would hold one more copy of the text."""
     if args.format == "json":
         _print_json(payload)
     else:
-        print(text)
+        print(*lines, sep="\n")
 
 
 def _cmd_graph(args) -> int:
@@ -148,8 +150,8 @@ def _cmd_reduce(args) -> int:
             "reduced": {str(m): str(v) for m, v in ordered},
             "used_conditional_zero": result.used_conditional_zero,
         }
-        text = f"reduced: {rendered}\nconditional zeros used: {'yes' if result.used_conditional_zero else 'no'}"
-        _emit(args, payload, text)
+        lines = [f"reduced: {rendered}", f"conditional zeros used: {'yes' if result.used_conditional_zero else 'no'}"]
+        _emit(args, payload, lines)
         return 0
     m = _parsed(parse_monomial, args.monomial, family.n)
     outcome = reduce_monomial(family, m, args.cutoff)
@@ -180,7 +182,7 @@ def _cmd_reduce(args) -> int:
             payload["certificate"] = certificate_to_json(cert)
         else:
             lines.append("certificate: " + render_certificate(cert))
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lines)
     return 0
 
 
@@ -238,7 +240,7 @@ def _cmd_resultant(args) -> int:
         lines.append(f"expanded: {result.product}")
         for e in result.t:
             lines.append(f"  t{e.index} = {e.value} ({e.status})")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lines)
     return 0
 
 
@@ -253,7 +255,7 @@ def _cmd_hilbert(args) -> int:
         payload["matches_ci"] = hf.values == reference
         lines.append(f"complete-intersection reference: {list(reference)}")
         lines.append(f"matches: {'yes' if payload['matches_ci'] else 'no'}")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lines)
     return 0
 
 
@@ -290,7 +292,7 @@ def _cmd_lefschetz(args) -> int:
             f"k={v.k}: dim {v.basis_size} -> {v.target_size}, rank {v.rank}, {v.status}"
         )
     lines.append("SLP: " + ("holds (certified per k)" if payload["slp"] else "not certified"))
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lines)
     return 0
 
 

@@ -5,7 +5,10 @@ differentiation) when x^alpha has a reduction path with label counts r to
 the target x1^(d1-1)...xn^(dn-1), and zero otherwise; s collects the
 per-label maxima over all such paths.  So F lives on the target's in-tree,
 which `_in_tree` finds by inverting the packed rewrite step of `keys.rule`,
-without building the socle-degree reduction graph; the tree is cached, so
+without building the socle-degree reduction graph.  The search touches only
+ints: packed vertex keys, each r as one int of count lanes, and one order of
+the labels fixed up front in place of a sort at each vertex; the vertices
+and counts are unpacked once, when the tree is done.  The tree is cached, so
 both conventions and `s_vector` share one search.
 
 So F is a function of the family and the convention alone, and a
@@ -52,6 +55,7 @@ from operator import sub
 from .algebra import (  # the form layer is re-exported here: binomial_ci.dual.CONTRACTION etc.
     CONTRACTION,
     DIFFERENTIATION,
+    MONOMIAL_BUDGET,
     CoeffMonomial,
     Exponents,
     Monomial,
@@ -66,7 +70,7 @@ from .algebra import (  # the form layer is re-exported here: binomial_ci.dual.C
     numeric_form,
 )
 from .family import BinomialFamily
-from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpacked, rule
+from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpack_all, _unpacked, rule
 
 
 @lru_cache(maxsize=1)
@@ -81,40 +85,56 @@ def _in_tree(family: BinomialFamily) -> tuple[dict[Exponents, Exponents], Expone
     componentwise and v's own label is i.  One guard test on (w | G) -
     deltas[i-1] checks w >= tail_i off lane i, and lane i cannot borrow, as
     tail_i,i <= d_i; the label test then asks v_i >= d_i, which is w_i >=
-    tail_i,i, and v_j < d_j for every j < i.  The target is a sink, as every
-    entry is below its d_i.  A vertex has at most one successor, and a
-    vertex found from w reaches the target through w, so it is not on w's
-    own path; hence each vertex is found once, the tree has no cycle and
-    the search ends; a vertex found twice (a wrong rule) raises
-    AssertionError.  Each vertex's predecessors are visited in descending
-    lex order of their exponent tuples, depth first.
+    tail_i,i, and v_j < d_j for every j < i: one mask of the guard bits of
+    lanes 1..i on (v | G) - pack(d) must leave lane i's bit alone.  The
+    target is a sink, as every entry is below its d_i.  A vertex has at most
+    one successor, and a vertex found from w reaches the target through w,
+    so it is not on w's own path; hence each vertex is found once, the tree
+    has no cycle and the search ends; a vertex found twice (a wrong rule)
+    raises AssertionError.
 
-    The size of the degree-D monomial space is checked against
-    `MONOMIAL_BUDGET` first.  The last tree is cached and shared; callers
-    must not mutate it.
+    Each vertex's predecessors are visited in descending lex order of their
+    exponent tuples, depth first.  That order is one order of the labels:
+    the label-i predecessor is v_i = w + u_i with u_i = d_i e_i - tail_i,
+    so the v_i of any w compare as the u_i do, and the u_i are distinct
+    (entry i of u_i is positive, entry i of every other u_j at most 0).
+    The labels are sorted by u_i once, not the predecessors at each vertex.
+
+    The search touches only ints.  Each vertex's r is one int of
+    `_lane_bytes(MONOMIAL_BUDGET)`-byte lanes, and its predecessors add
+    their label's unit: each r_i is below the tree size, which is at most
+    the size of the degree-D monomial space, checked against
+    `MONOMIAL_BUDGET` first, so no lane overflows.  The keys and counts are
+    unpacked once, at the end, by two `_unpack_all` calls.  The last tree
+    is cached and shared; callers must not mutate it.
     """
     n = family.n
     check_monomial_budget(n, family.socle_degree)
-    nb, guard, bound, deltas = rule(family.degrees, [t.exponents for t in family.tails], family.socle_degree)
-    target = tuple(d - 1 for d in family.degrees)
-    tree = {target: (0,) * n}
-    stack = [(target, _pack(target, nb) | guard)]  # (w, w's key | G)
+    degrees, tails = family.degrees, [t.exponents for t in family.tails]
+    nb, guard, bound, deltas = rule(degrees, tails, family.socle_degree)
+    rb = _lane_bytes(MONOMIAL_BUDGET)  # count lanes: every r_i < tree size <= MONOMIAL_BUDGET
+    ends = [8 * nb * i for i in range(1, n + 1)]  # lane i ends below bit ends[i-1]
+    u = [tuple(d * (j == i) - e for j, e in enumerate(t)) for i, (d, t) in enumerate(zip(degrees, tails))]
+    labels = [  # (deltas[i-1], guard bits of lanes 1..i, lane i's guard bit, label i's count unit)
+        (deltas[i], guard & ((1 << ends[i]) - 1), 1 << ends[i] - 1, 1 << 8 * rb * i)
+        for i in sorted(range(n), key=u.__getitem__, reverse=True)
+    ]
+    root = _pack(tuple(d - 1 for d in degrees), nb) | guard
+    keys, counts, seen = [root], [0], {root}  # vertex keys | G, and their packed r
+    stack = [(root, 0)]
     while stack:
-        w, key = stack.pop()
-        rw = tree[w]
-        preds = []
-        for i, delta in enumerate(deltas, 1):
+        key, r = stack.pop()
+        for delta, mask, bit, unit in labels:
             v = key - delta  # v | G when w >= tail_i
-            if v & guard == guard:
-                rows = (v - bound) & guard
-                if (rows & -rows).bit_length() == 8 * nb * i:  # v's label is i
-                    preds.append((_unpacked(v ^ guard, n, nb), i, v))
-        for alpha, i, v in sorted(preds, reverse=True):
-            if alpha in tree:
-                raise AssertionError(f"the reverse search reached {alpha} twice")
-            tree[alpha] = rw[: i - 1] + (rw[i - 1] + 1,) + rw[i:]
-            stack.append((alpha, v))
-    return tree, tuple(map(max, zip(*tree.values())))
+            if v & guard == guard and (v - bound) & mask == bit:  # v's label is i
+                if v in seen:
+                    raise AssertionError(f"the reverse search reached {_unpacked(v ^ guard, n, nb)} twice")
+                seen.add(v)
+                keys.append(v)
+                counts.append(rv := r + unit)
+                stack.append((v, rv))
+    rs = _unpack_all(counts, n, rb)
+    return dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), rs)), tuple(map(max, zip(*rs)))
 
 
 def s_vector(family: BinomialFamily) -> tuple[int, ...]:

@@ -208,25 +208,27 @@ def graph_cycle_polynomial(graph: ReductionGraph) -> SparsePoly:
 
 def to_dot(graph: ReductionGraph) -> str:
     """Graphviz rendering; cyclic vertices are drawn with a double border."""
+    names = [str(m) for m in graph.vertices]
     lines = ["digraph reduction_graph {"]
-    for m, cls in zip(graph.vertices, graph.vertex_class):
+    for name, cls in zip(names, graph.vertex_class):
         attr = " [peripheries=2]" if cls == CYCLIC else ""
-        lines.append(f'	"{m}"{attr};')
-    for m, s, lab in zip(graph.vertices, graph.succ, graph.labels):
+        lines.append(f'	"{name}"{attr};')
+    for name, s, lab in zip(names, graph.succ, graph.labels):
         if s is None:
             continue
-        lines.append(f'	"{m}" -> "{graph.vertices[s]}" [label="{lab}"];')
+        lines.append(f'	"{name}" -> "{names[s]}" [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
 def graph_to_json(graph: ReductionGraph) -> dict:
+    names = [str(m) for m in graph.vertices]
     return {
         "d": graph.d,
-        "vertices": [str(m) for m in graph.vertices],
+        "vertices": names,
         "edges": [
-            {"from": str(m), "to": str(graph.vertices[s]), "label": lab}
-            for m, s, lab in zip(graph.vertices, graph.succ, graph.labels)
+            {"from": name, "to": names[s], "label": lab}
+            for name, s, lab in zip(names, graph.succ, graph.labels)
             if s is not None
         ],
         "cycles": [

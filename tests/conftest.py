@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from binomial_ci import BinomialFamily, CoeffMonomial, Monomial, is_complete_intersection, monomials_of_degree
+from binomial_ci.algebra import exponents_of_degree
 from binomial_ci.catalog import (
     five_var_pentagon,
     five_var_pentagon_alt,
@@ -60,6 +61,29 @@ def random_family(rng, numeric=True, n_range=(2, 4), max_degree=3):
     a = [random_nonzero(rng) for _ in range(n)]
     b = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)]
     return BinomialFamily.numeric(degrees, tails, a, b)
+
+
+def family_strategy(st):
+    """A hypothesis strategy of families: n in 2..4, each d_i in 2..4, each
+    tail a degree-d_i monomial other than the lead x_i^d_i, and symbolic or
+    numeric coefficients, numeric ones nonzero rationals.  It takes the
+    hypothesis.strategies module, so this file imports no hypothesis."""
+    rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+
+    @st.composite
+    def families(draw):
+        n = draw(st.integers(2, 4))
+        degrees = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+        tails = [
+            Monomial(draw(st.sampled_from([e for e in exponents_of_degree(n, d) if e[i] != d])))
+            for i, d in enumerate(degrees)
+        ]
+        if draw(st.booleans()):
+            return BinomialFamily.symbolic(degrees, tails)
+        values = st.lists(rationals, min_size=n, max_size=n)
+        return BinomialFamily.numeric(degrees, tails, draw(values), draw(values))
+
+    return families()
 
 
 def assert_as_checked(cm):

@@ -91,8 +91,22 @@ MUTANTS = [
     Mutant(
         "reverse search drops the lower-lane label test",
         "src/binomial_ci/dual.py",
-        "                if (rows & -rows).bit_length() == 8 * nb * i:  # v's label is i",
-        "                if rows >> (8 * nb * i - 1) & 1:  # v's label is i",
+        "(v - bound) & mask == bit:  # v's label is i",
+        "(v - bound) & bit == bit:  # v's label is i",
+        "selftest",
+    ),
+    Mutant(
+        "reverse search visits the labels in ascending order",
+        "src/binomial_ci/dual.py",
+        "        for i in sorted(range(n), key=u.__getitem__, reverse=True)",
+        "        for i in sorted(range(n), key=u.__getitem__)",
+        "tests/test_dual.py",
+    ),
+    Mutant(
+        "a label's count unit in the next lane",
+        "src/binomial_ci/dual.py",
+        "1 << ends[i] - 1, 1 << 8 * rb * i)",
+        "1 << ends[i] - 1, 1 << 8 * rb * (i + 1))",
         "selftest",
     ),
     Mutant(

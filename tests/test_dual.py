@@ -33,7 +33,7 @@ from binomial_ci.dual import _in_tree, dual_to_json
 from binomial_ci.keys import _lane_bytes, _pack, rule
 from binomial_ci.rewrite import TO_BASIS
 
-from conftest import assert_as_checked, random_family
+from conftest import assert_as_checked, family_strategy, random_family
 
 
 class TestSVector:
@@ -249,6 +249,21 @@ class TestInTree:
         for call in (s_vector, dual_generator):
             with pytest.raises(ValueError, match="budget"):
                 call(fam)
+
+
+def test_reverse_search_matches_the_forward_walk_on_drawn_families_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(family_strategy(st))
+    def check(fam):
+        tree, s = _in_tree(fam)
+        expected_tree, expected_s = _forward_in_tree(fam)
+        assert list(tree.items()) == list(expected_tree.items())
+        assert s == expected_s
+
+    check()
 
 
 def _wide_tree_families():

@@ -242,6 +242,34 @@ class TestExports:
         assert dot.count("peripheries=2") == 4
         assert dot.count("->") == 15
 
+    def test_dot_text_is_pinned(self, double_cycle):
+        # a sink (x1*x2*x3, no edge out), a two-cycle and its in-edges, byte for byte
+        assert to_dot(build_graph(double_cycle, 3)) == "\n".join(
+            [
+                "digraph reduction_graph {",
+                '\t"x1^3";',
+                '\t"x1^2*x2";',
+                '\t"x1^2*x3";',
+                '\t"x1*x2^2";',
+                '\t"x1*x2*x3";',
+                '\t"x1*x3^2";',
+                '\t"x2^3";',
+                '\t"x2^2*x3" [peripheries=2];',
+                '\t"x2*x3^2" [peripheries=2];',
+                '\t"x3^3";',
+                '\t"x1^3" -> "x1^2*x3" [label="1"];',
+                '\t"x1^2*x2" -> "x1*x2*x3" [label="1"];',
+                '\t"x1^2*x3" -> "x1*x3^2" [label="1"];',
+                '\t"x1*x2^2" -> "x1*x2*x3" [label="2"];',
+                '\t"x1*x3^2" -> "x1*x2*x3" [label="3"];',
+                '\t"x2^3" -> "x2^2*x3" [label="2"];',
+                '\t"x2^2*x3" -> "x2*x3^2" [label="2"];',
+                '\t"x2*x3^2" -> "x2^2*x3" [label="3"];',
+                '\t"x3^3" -> "x2*x3^2" [label="3"];',
+                "}",
+            ]
+        )
+
     def test_dot_deterministic(self, double_cycle):
         assert to_dot(build_graph(double_cycle, 4)) == to_dot(build_graph(double_cycle, 4))
 

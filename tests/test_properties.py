@@ -1,4 +1,5 @@
-"""Cross-module invariants on randomly generated families (seeded)."""
+"""Cross-module invariants on randomly generated families (seeded, or drawn
+by hypothesis with derandomize=True)."""
 
 import random
 from fractions import Fraction
@@ -8,17 +9,22 @@ import pytest
 from binomial_ci import (
     CONTRACTION,
     CoeffAssignment,
+    Monomial,
     SparsePoly,
     build_graph,
+    certificate,
+    check_certificate,
     det_numeric_oracle,
     det_structural,
     dual_generator,
+    format_family,
     graph_cycle_polynomial,
     hilbert_function,
     inverse_system_dims,
     is_complete_intersection,
     m_spans_ann_quotient,
     monomials_of_degree,
+    parse_family,
     poly_divides,
     radical_of_cycle_product,
     resultant_radical,
@@ -26,7 +32,7 @@ from binomial_ci import (
     verify_annihilation,
 )
 
-from conftest import greedy_differentiation_basis, random_family, random_nonzero
+from conftest import family_strategy, greedy_differentiation_basis, random_family, random_nonzero
 
 
 def test_structural_determinant_equals_oracle_everywhere():
@@ -213,5 +219,35 @@ def test_scaled_contraction_basis_matches_the_differentiation_rows_hypothesis():
         for k in range(top + 2):
             assert monomial_basis(F, k) == greedy_differentiation_basis(F, k)
             assert dims[k] == rank_of(catalecticant_rows(F, k))
+
+    check()
+
+
+def test_drawn_families_round_trip_through_text_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(family_strategy(st))
+    def check(fam):
+        assert parse_family(format_family(fam)) == fam
+
+    check()
+
+
+def test_certificates_hold_on_drawn_families_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(family_strategy(st), st.randoms(use_true_random=False))
+    def check(fam, rng):
+        # seeded monomials of degree D+1 and D+2: each reduces to a basis
+        # monomial or enters a cycle, and either way its certificate holds
+        for degree in (fam.socle_degree + 1, fam.socle_degree + 2):
+            for _ in range(3):
+                cuts = sorted(rng.randint(0, degree) for _ in range(fam.n - 1))
+                m = Monomial(tuple(hi - lo for lo, hi in zip((0, *cuts), (*cuts, degree))))
+                assert check_certificate(fam, certificate(fam, m))
 
     check()

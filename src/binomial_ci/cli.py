@@ -131,7 +131,7 @@ def _cmd_graph(args) -> int:
             "  " + " -> ".join(str(v) for v in c.vertices) + f"  r={list(c.label_counts)}"
         )
     lines.append(f"cycle polynomial: {cycle_polynomial}")
-    print("\n".join(lines))
+    print(*lines, sep="\n")
     return 0
 
 
@@ -200,7 +200,7 @@ def _cmd_dual(args) -> int:
     lines = [f"socle degree: {dual.socle_degree}", f"s vector: {list(dual.s)}", f"F = {dual}"]
     if args.verify:
         lines.append(f"annihilation check: {'ok' if ok else 'FAILED'}")
-    print("\n".join(lines))
+    print(*lines, sep="\n")
     return 0
 
 

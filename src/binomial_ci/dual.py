@@ -21,8 +21,8 @@ from the tree (`_packed_dual`): two C passes pack the vertices alpha and
 their label counts r, each key is one int expression in them, and each
 coefficient is 1, or the values the family fixes.  The kernel's pass over
 them is the same under both conventions, so one pass per (checked family,
-tree) serves both (`_dual_pass`), and each check only divides; the tree is
-shared and read-only.  Any other form is a mapping, checked by
+dual's family) serves both (`_dual_pass`), and each check only divides; the
+tree is shared and read-only.  Any other form is a mapping, checked by
 `normalize_terms`.
 
 The action x^gamma o F lives here on packed keys, on forms normalized by
@@ -322,9 +322,9 @@ def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: b
     return _divided(_pass(f_flats, big, n, m, nb, guard), scale, differentiate)
 
 
-def _packed_dual(F: DualGenerator, degrees) -> tuple[list[tuple[int, int]], int, int, int]:
-    """(big, scale, nb, G): the terms of F under contraction for `_pass`,
-    whatever F's convention, packed straight from its cached in-tree, to act
+def _packed_dual(fam: BinomialFamily, degrees) -> tuple[list[tuple[int, int]], int, int, int]:
+    """(big, scale, nb, G): the terms of fam's dual generator under
+    contraction for `_pass`, packed straight from its cached in-tree, to act
     on by forms of the given degrees.
 
     Two `_pack_all` calls pack the tree's keys alpha (the X lanes) and its
@@ -335,8 +335,8 @@ def _packed_dual(F: DualGenerator, degrees) -> tuple[list[tuple[int, int]], int,
     `_put_values`, and one AND masks the fixed symbols' lanes out of every
     key.
     """
-    fam, tree, n, s = F.family, F._tree, F.n, F.s
-    nb = _lane_bytes(max(F.socle_degree, max(s) + 1, *degrees))
+    (tree, s), n = _in_tree(fam), fam.n
+    nb = _lane_bytes(max(fam.socle_degree, max(s) + 1, *degrees))
     guard = _guard(n, nb)
     w = 8 * nb * n
     top = _pack(s, nb)
@@ -378,29 +378,18 @@ class AnnihilationResult:
         return self.ok
 
 
-# The last pass of a DualGenerator, ((checked family, F.family, F._tree),
-# (passes, scale)): the key holds the tree itself, so its id is never reused
-# while the entry lives.
-_NO_PASS: tuple = ((None, None, None), None)
-_last_pass = _NO_PASS
+@lru_cache(maxsize=1)
+def _dual_pass(family: BinomialFamily, dual_family: BinomialFamily) -> tuple[list[tuple[dict, int]], int]:
+    """(passes, scale): `_pass` of the family's generators on the contraction
+    terms of dual_family's dual generator packed by `_packed_dual`, which
+    hold q * scale.
 
-
-def _dual_pass(family: BinomialFamily, F: DualGenerator) -> tuple[list[tuple[dict, int]], int]:
-    """(passes, scale): `_pass` of the family's generators on F's contraction
-    terms packed by `_packed_dual`, which hold q * scale.
-
-    The pass is the same under both conventions, so the last one is kept:
-    checking the same family against F's family and tree again, under
-    either convention, only divides.  A check of another tree misses at
-    one identity test."""
-    global _last_pass
-    (checked, fam, tree), result = _last_pass
-    if tree is F._tree and checked == family and fam == F.family:
-        return result
-    big, scale, nb, guard = _packed_dual(F, family.degrees)
-    result = _pass(_generator_flats(family), big, family.n, family.n, nb, guard), scale
-    _last_pass = (family, F.family, F._tree), result
-    return result
+    The in-tree is a function of the dual's family alone (`_in_tree`), and
+    the pass is the same under both conventions, so the last one is kept:
+    checking the same family against a dual of the same family again, under
+    either convention, only divides."""
+    big, scale, nb, guard = _packed_dual(dual_family, family.degrees)
+    return _pass(_generator_flats(family), big, family.n, family.n, nb, guard), scale
 
 
 def _generator_flats(family: BinomialFamily) -> list[Flat]:
@@ -418,17 +407,21 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     of another convention than the check's is read as its terms, a mapping.
 
     A DualGenerator of the check's convention is contracted once per
-    (checked family, tree) by `_dual_pass`, on the shared, read-only in-tree:
-    Phi(F) is D! times the contraction dual, so both conventions read the
-    same packed pass and differ only in its division.
+    (checked family, dual's family) by `_dual_pass`, on the shared, read-only
+    in-tree: Phi(F) is D! times the contraction dual, so both conventions
+    read the same packed pass and differ only in its division.  That pass
+    reads the family's in-tree from `_in_tree`, so F takes it only when it
+    holds that very tree.  Any other DualGenerator is read as its terms: one
+    whose tree was replaced, or one built before another family's search
+    took `_in_tree`'s one entry (its tree is then searched again).
     """
     check_convention(convention)
     n = family.n
     differentiate = convention == DIFFERENTIATION
     if isinstance(F, DualGenerator) and F.n != n:
         raise ValueError("the dual generator and the family have different variable counts")
-    if isinstance(F, DualGenerator) and F.convention == convention:
-        passes, scale = _dual_pass(family, F)
+    if isinstance(F, DualGenerator) and F.convention == convention and F._tree is _in_tree(F.family)[0]:
+        passes, scale = _dual_pass(family, F.family)
         if differentiate:
             # Phi(F) = D! times the contraction terms of the pass
             scale = Fraction(scale, factorial(F.socle_degree))

@@ -8,10 +8,11 @@ assigned).  Families parse from a small text grammar or from JSON.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import Monomial, Rational, SparsePoly, as_fraction, as_int, exponents_of_degree, shown
 
@@ -255,12 +256,22 @@ def specialize(family: BinomialFamily, assignment: CoeffAssignment) -> BinomialF
 #   coeff  := "a" NAT | "b" NAT | RATIONAL
 #
 # NAT is ASCII digits.  Generators are separated by ";" or newlines;
-# whitespace is insignificant.
+# whitespace is insignificant.  The lexical classes, one alternative each of
+# _LEXEME and tried in this order: a separator (";" or a newline), blanks
+# (any other str.isspace run), an operator (one of "=-*^+"), a name (one
+# str.isalpha letter and its ASCII digits), a number (ASCII digits and an
+# optional "/" denominator) and any other character, which is an error.
+# [^\W\d] holds every letter, but also "_", "²" and other word characters
+# that are not letters, so a name's first character is checked by isalpha.
 # ---------------------------------------------------------------------------
 
+_LEXEME = re.compile(
+    r"(?P<SEP>[;\n])|(?P<BLANK>[^\S\n]+)|(?P<OP>[-=*^+])|(?P<NAME>[^\W\d][0-9]*)"
+    r"|(?P<NUMBER>[0-9]+(?:/(?P<den>[0-9]*))?)|(?P<OTHER>.)"
+)
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # NAME | NUMBER | OP | SEP | END
     text: str
     line: int
@@ -268,58 +279,27 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text`, each at its line and column (both 1-based): the
+    column is the match offset less the offset where its line starts."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line, start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind, lexeme, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "SEP":
             tokens.append(_Token("SEP", ";", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == ";":
-            tokens.append(_Token("SEP", ";", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "=-*^+":
-            tokens.append(_Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha():
-            start = i
-            i += 1
-            while i < len(text) and "0" <= text[i] <= "9":
-                i += 1
-            tokens.append(_Token("NAME", text[start:i], line, col))
-            col += i - start
-            continue
-        if "0" <= ch <= "9":
-            start = i
-            while i < len(text) and "0" <= text[i] <= "9":
-                i += 1
-            if i < len(text) and text[i] == "/":
-                j = i + 1
-                while j < len(text) and "0" <= text[j] <= "9":
-                    j += 1
-                if j == i + 1:
-                    found = repr(text[j]) if j < len(text) else "end of input"
-                    raise FamilyParseError(f"a fraction needs ASCII digits after '/', found {found}", line, col + j - start)
-                if not int(text[i + 1 : j]):
-                    raise FamilyParseError(f"zero denominator in {text[start:j]!r}", line, col)
-                i = j
-            tokens.append(_Token("NUMBER", text[start:i], line, col))
-            col += i - start
-            continue
-        raise FamilyParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("END", "", line, col))
+            if lexeme == "\n":
+                line, start = line + 1, m.end()
+        elif kind == "OTHER" or kind == "NAME" and not lexeme[0].isalpha():
+            raise FamilyParseError(f"unexpected character {lexeme[0]!r}", line, col)
+        elif kind != "BLANK":
+            den = m["den"]  # None unless a number has a "/"
+            if den == "":
+                found = repr(text[m.end()]) if m.end() < len(text) else "end of input"
+                raise FamilyParseError(f"a fraction needs ASCII digits after '/', found {found}", line, m.end() - start + 1)
+            if den and not int(den):
+                raise FamilyParseError(f"zero denominator in {lexeme!r}", line, col)
+            tokens.append(_Token(kind, lexeme, line, col))
+    tokens.append(_Token("END", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -347,7 +327,7 @@ class _Parser:
 
     def indexed_name(self, prefixes: str) -> tuple[str, int]:
         tok = self.next()
-        if tok.kind != "NAME" or not tok.text or tok.text[0] not in prefixes or len(tok.text) < 2:
+        if tok.kind != "NAME" or tok.text[0] not in prefixes or len(tok.text) < 2:
             raise FamilyParseError(
                 f"expected one of {'/'.join(prefixes)} followed by an index, found {tok.text!r}",
                 tok.line,
@@ -418,9 +398,7 @@ class _Parser:
         return Monomial(tuple(out))
 
     def parse_generator(self):
-        block, idx = self.indexed_name("f")
-        if block != "f":
-            self.fail("generators must be named f1, f2, ...")
+        _, idx = self.indexed_name("f")
         self.expect_op("=")
         lead = self.parse_term()
         self.expect_op("-")
@@ -429,6 +407,21 @@ class _Parser:
         if tok.kind not in ("SEP", "END"):
             self.fail(f"unexpected {tok.text!r} after the tail term")
         return idx, lead, tail
+
+
+def _coefficient(term, role: str, idx: int, tok: _Token) -> OptionalRational:
+    """The value of generator f_idx's "leading" or "tail" coefficient: None
+    for its own symbol (a_idx leads, b_idx tails), 1 for a bare monomial.
+    The other block's symbol, or an own symbol of another index, is an error
+    at `tok`."""
+    kind, payload, _ = term
+    own, other = ("a", "b") if role == "leading" else ("b", "a")
+    if kind == own and payload != idx:
+        raise FamilyParseError(f"{role} coefficient of f{idx} must be {own}{idx}", tok.line, tok.col)
+    if kind == other:
+        article = "an" if other == "a" else "a"
+        raise FamilyParseError(f"{role} coefficient of f{idx} cannot be {article} {other}-symbol", tok.line, tok.col)
+    return None if kind == own else payload if kind == "num" else Fraction(1)
 
 
 def parse_family(text: str) -> BinomialFamily:
@@ -465,43 +458,16 @@ def parse_family(text: str) -> BinomialFamily:
     a_values: list[OptionalRational] = [None] * n
     b_values: list[OptionalRational] = [None] * n
     for (idx, lead, tail), tok in raw:
-        lead_kind, lead_payload, lead_exps = lead
-        if list(lead_exps.keys()) != [idx]:
+        if list(lead[2]) != [idx]:
             raise FamilyParseError(
                 f"the leading monomial of f{idx} must be a power of x{idx}", tok.line, tok.col
             )
-        if lead_kind == "a":
-            if lead_payload != idx:
-                raise FamilyParseError(
-                    f"leading coefficient of f{idx} must be a{idx}", tok.line, tok.col
-                )
-        elif lead_kind == "b":
-            raise FamilyParseError(
-                f"leading coefficient of f{idx} cannot be a b-symbol", tok.line, tok.col
-            )
-        elif lead_kind == "num":
-            a_values[idx - 1] = lead_payload
-        else:  # bare monomial means coefficient 1
-            a_values[idx - 1] = Fraction(1)
-        degrees[idx - 1] = lead_exps[idx]
-
-        tail_kind, tail_payload, tail_exps = tail
-        if not tail_exps:
+        a_values[idx - 1] = _coefficient(lead, "leading", idx, tok)
+        degrees[idx - 1] = lead[2][idx]
+        if not tail[2]:
             raise FamilyParseError(f"missing tail monomial in f{idx}", tok.line, tok.col)
-        if tail_kind == "b":
-            if tail_payload != idx:
-                raise FamilyParseError(
-                    f"tail coefficient of f{idx} must be b{idx}", tok.line, tok.col
-                )
-        elif tail_kind == "a":
-            raise FamilyParseError(
-                f"tail coefficient of f{idx} cannot be an a-symbol", tok.line, tok.col
-            )
-        elif tail_kind == "num":
-            b_values[idx - 1] = tail_payload
-        else:
-            b_values[idx - 1] = Fraction(1)
-        tails[idx - 1] = _Parser.monomial(tail_exps, n, f" in generator f{idx}")
+        b_values[idx - 1] = _coefficient(tail, "tail", idx, tok)
+        tails[idx - 1] = _Parser.monomial(tail[2], n, f" in generator f{idx}")
     return BinomialFamily(n, tuple(degrees), tuple(tails), tuple(a_values), tuple(b_values))
 
 

@@ -225,7 +225,12 @@ def macaulay_kernel(
     return MacaulayKernel(parent, pot, dead)
 
 
-@lru_cache(maxsize=512)
+# One request reads at most D + 2 kernels (degrees 0..D+1: `basis_check`
+# reads degree D+1 again after `is_complete_intersection`), and every hit
+# comes from within one request, since a new family misses.  32 entries keep
+# all of them on the benchmark pools without holding the kernels of earlier
+# families.
+@lru_cache(maxsize=32)
 def _ideal_space(family: BinomialFamily, degree: int) -> MacaulayKernel:
     """The degree-`degree` piece of the ideal, as its Macaulay kernel.
     Shared by every caller: read it only."""

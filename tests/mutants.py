@@ -1,4 +1,5 @@
-"""Mutation check of the fast kernels: every mutant in MUTANTS must be killed.
+"""Mutation check of the fast kernels and the text lexer: every mutant in
+MUTANTS must be killed.
 
     python tests/mutants.py
 
@@ -13,9 +14,11 @@ at most two subprocesses at a time, each under a timeout.
 The run fails when a mutant survives (its check passes), hangs (its check
 outlives the timeout), or its snippet no longer matches exactly, so a change
 to a mutated line must update its row.  A change that adds or alters a packed
-kernel adds its mutant here.  The mutants target the fast modules only; the
-brute-force references in `binomial_ci.reference` are what they are checked
-against.  pytest does not collect this file.
+kernel adds its mutant here.  The mutants target the fast modules and the
+lexer of the family text grammar; the brute-force references in
+`binomial_ci.reference` are what the kernels are checked against, and the
+pinned parse errors of tests/test_family.py what the lexer is.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -119,15 +122,15 @@ MUTANTS = [
     Mutant(
         "packed dual lanes sized without max(s) + 1",
         "src/binomial_ci/dual.py",
-        "    nb = _lane_bytes(max(F.socle_degree, max(s) + 1, *degrees))",
-        "    nb = _lane_bytes(max(F.socle_degree, *degrees))",
+        "    nb = _lane_bytes(max(fam.socle_degree, max(s) + 1, *degrees))",
+        "    nb = _lane_bytes(max(fam.socle_degree, *degrees))",
         "tests/test_dual.py",
     ),
     Mutant(
         "packed dual lanes sized without the checked degrees",
         "src/binomial_ci/dual.py",
-        "    nb = _lane_bytes(max(F.socle_degree, max(s) + 1, *degrees))",
-        "    nb = _lane_bytes(max(F.socle_degree, max(s) + 1))",
+        "    nb = _lane_bytes(max(fam.socle_degree, max(s) + 1, *degrees))",
+        "    nb = _lane_bytes(max(fam.socle_degree, max(s) + 1))",
         "tests/test_dual.py",
     ),
     Mutant(
@@ -187,18 +190,25 @@ MUTANTS = [
         "tests/test_dual.py",
     ),
     Mutant(
-        "dual pass reused without the checked family",
+        "dual pass taken by a dual whose tree was replaced",
         "src/binomial_ci/dual.py",
-        "    if tree is F._tree and checked == family and fam == F.family:",
-        "    if tree is F._tree and fam == F.family:",
+        " and F.convention == convention and F._tree is _in_tree(F.family)[0]:",
+        " and F.convention == convention:",
         "tests/test_dual.py",
     ),
     Mutant(
-        "dual pass reused without the tree's identity",
-        "src/binomial_ci/dual.py",
-        "    if tree is F._tree and checked == family and fam == F.family:",
-        "    if checked == family and fam == F.family:",
-        "tests/test_dual.py",
+        "lexer keeps the line start after a newline",
+        "src/binomial_ci/family.py",
+        "                line, start = line + 1, m.end()",
+        "                line, start = line + 1, start",
+        "tests/test_family.py",
+    ),
+    Mutant(
+        "lexer takes any word character for a letter",
+        "src/binomial_ci/family.py",
+        'elif kind == "OTHER" or kind == "NAME" and not lexeme[0].isalpha():',
+        'elif kind == "OTHER":',
+        "tests/test_family.py",
     ),
 ]
 

@@ -742,7 +742,7 @@ class TestGoldenBytes:
 class TestRequestedFormatOnly:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_dual_verify_substitutes_twice(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(dual, "_last_pass", dual._NO_PASS)  # no pass kept from an earlier check
+        dual._dual_pass.cache_clear()  # no pass kept from an earlier check
         calls = []
         packed, substituted = dual._packed_dual, DualGenerator._substituted
         monkeypatch.setattr(dual, "_packed_dual", lambda *args: calls.append("check") or packed(*args))

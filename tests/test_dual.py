@@ -649,14 +649,14 @@ class TestOnePassPerTree:
         monkeypatch.setattr(dual_module, "_act", lambda *args: calls.append(1) or act(*args))
         n = double_cycle.n
         for order in ((CONTRACTION, DIFFERENTIATION), (DIFFERENTIATION, CONTRACTION)):
-            monkeypatch.setattr(dual_module, "_last_pass", dual_module._NO_PASS)
+            dual_module._dual_pass.cache_clear()
             calls.clear()
             for convention in order:
                 assert verify_annihilation(double_cycle, dual_generator(double_cycle, convention), convention).ok
             assert len(calls) == n  # one _act per generator, not 2n
         # two families in turn, each with both conventions on one tree: every check recomputes
         duals = {fam: [dual_generator(fam, c) for c in (CONTRACTION, DIFFERENTIATION)] for fam in (double_cycle, loop2)}
-        monkeypatch.setattr(dual_module, "_last_pass", dual_module._NO_PASS)
+        dual_module._dual_pass.cache_clear()
         calls.clear()
         for k in range(2):
             for fam, pair in duals.items():

@@ -137,6 +137,43 @@ class TestParsing:
         assert (err.value.line, err.value.col) == (1, col)
         assert str(err.value) == f"line 1, column {col}: a fraction needs ASCII digits after '/', found {found}"
 
+    # (text, line, column, message): one error of each kind the term and
+    # generator rules raise, the whole message pinned with its position
+    G2 = " ; f2 = a2*x2^2 - b2*x1*x2"
+    PARSE_ERRORS = [
+        ("f1 = x1^2*2 - b1*x1*x2" + G2, 1, 11, "a rational coefficient may only start a term"),
+        ("f1 = a1*x1^2 - b1*x1*x2 ;\n  f2 = x2^2*a2 - b2*x1*x2", 2, 13, "coefficient 'a2' may only start a term"),
+        ("f1 = a1*x1^b1 - b1*x1*x2" + G2, 1, 12, "expected an integer exponent"),
+        ("f1 = a1*x1^1/2 - b1*x1*x2" + G2, 1, 12, "expected an integer exponent"),
+        ("f1 = a1*y1^2 - b1*x1*x2" + G2, 1, 9, "expected a coefficient or a variable, found 'y1'"),
+        ("f1 = a1*x1^2 - b1*x1*" + G2, 1, 23, "expected a coefficient or a variable, found ';'"),
+        ("f1 = -a1*x1^2 - b1*x1*x2" + G2, 1, 15, "a sign may only precede a rational coefficient"),
+        ("f1 = a1*x1^2 - b1*x1*x2 x2" + G2, 1, 25, "unexpected 'x2' after the tail term"),
+        ("g1 = a1*x1^2 - b1*x1*x2" + G2, 1, 1, "expected one of f followed by an index, found 'g1'"),
+        ("f1 = a1*x^2 - b1*x1*x2" + G2, 1, 9, "expected one of x followed by an index, found 'x'"),
+        ("f1 = a*x1^2 - b1*x1*x2" + G2, 1, 6, "expected one of a/b followed by an index, found 'a'"),
+        ("f1 = a1*x1^2 - b1*x1*x2\nf2 = a2*x2^2 - b2*x1*x2 ;; x1", 2, 28, "expected one of f followed by an index, found 'x1'"),
+        ("f1 = b1*x1^2 - b1*x1*x2" + G2, 1, 25, "leading coefficient of f1 cannot be a b-symbol"),
+        ("f1 = a1*x1^2 - a1*x1*x2" + G2, 1, 25, "tail coefficient of f1 cannot be an a-symbol"),
+        ("f1 = a1*x1^2 - b1*x1*x2 ;\nf2 = a2*x_2^2 - b2*x1*x2", 2, 10, "unexpected character '_'"),
+        ("f1 = a1*x1^2 - b1*x1*x2\n f2 = a2*x2² - b2*x1*x2", 2, 12, "unexpected character '²'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        PARSE_ERRORS,
+        ids=[
+            "rational-after-factor", "symbol-after-factor-line-2", "symbol-exponent", "fraction-exponent",
+            "unknown-name", "missing-factor", "signed-symbol", "after-tail", "generator-name", "bare-x",
+            "bare-a", "name-after-separators-line-2", "b-leads", "a-tails", "underscore-line-2", "superscript-line-2",
+        ],
+    )
+    def test_parse_errors_are_pinned(self, text, line, col, message):
+        with pytest.raises(FamilyParseError) as err:
+            parse_family(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"line {line}, column {col}: {message}"
+
     @pytest.mark.parametrize("text, col, found", BAD_DENOMINATORS, ids=["arabic", "variable", "end"])
     def test_the_cli_exits_1_with_one_line_naming_the_character(self, capsys, text, col, found):
         assert main(["graph", "--family", text, "--degree", "2"]) == 1
@@ -188,6 +225,31 @@ class TestRoundTrip:
         duplicate["generators"][1]["i"] = 1
         with pytest.raises(FamilyValidationError):
             family_from_json(duplicate)
+
+    GENERATORS = [{"i": 1, "d": 2, "m": [0, 2]}, {"i": 2, "d": 2, "m": [2, 0]}]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"n": 2, "generators": GENERATORS[:1]}, "expected 2 generators, got 1"),
+            ({"n": 2, "generators": [GENERATORS[0], {"i": 3, "d": 2, "m": [2, 0]}]}, "generator index 3 out of range 1..2"),
+            (
+                {"n": 2, "generators": GENERATORS, "coefficients": {"mode": "numeric", "a": [1, 1], "b": [1, None]}},
+                "numeric mode does not admit missing values",
+            ),
+            (
+                {"n": 2, "generators": GENERATORS, "coefficients": {"mode": "mixed", "a": [1], "b": [1, None]}},
+                "expected 2 a-values, got 1",
+            ),
+            ({"n": 0, "generators": []}, "a family needs at least one generator"),
+            ({"n": 2, "generators": [GENERATORS[0], {"i": 2, "d": 0, "m": [0, 0]}]}, "generator degrees must be positive"),
+        ],
+        ids=["generator-count", "index-range", "numeric-missing", "value-count", "no-generators", "zero-degree"],
+    )
+    def test_json_errors_are_pinned(self, data, message):
+        with pytest.raises(FamilyValidationError) as exc:
+            family_from_json(data)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "data, message",
@@ -278,6 +340,51 @@ class TestHelpers:
             Monomial((1, 2)): Fraction(1),
         }
         assert parse_x_polynomial("x1 - x1", 2) == {}
+
+    def test_parse_x_polynomial_takes_a_leading_sign(self):
+        assert parse_x_polynomial("-x1^2 + 2*x2", 2) == {Monomial((2, 0)): Fraction(-1), Monomial((0, 1)): Fraction(2)}
+        assert parse_x_polynomial("+x1^2 - 1/2*x2", 2) == {Monomial((2, 0)): Fraction(1), Monomial((0, 1)): Fraction(-1, 2)}
+
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            ("x1 - a1*x2", 1, 11, "polynomial coefficients must be rational literals"),
+            ("x1 - b2*x2", 1, 11, "polynomial coefficients must be rational literals"),
+            ("x1 * x2 = x1", 1, 9, "unexpected '=' in polynomial"),
+            ("x1\n- x2", 1, 3, "unexpected ';' in polynomial"),
+        ],
+        ids=["a-symbol", "b-symbol", "equals", "newline"],
+    )
+    def test_x_polynomial_errors_are_pinned(self, text, line, col, message):
+        with pytest.raises(FamilyParseError) as err:
+            parse_x_polynomial(text, 2)
+        assert str(err.value) == f"line {line}, column {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    TAILS = (Monomial((0, 2)), Monomial((2, 0)))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda t: BinomialFamily(0, (), ()), "a family needs at least one generator"),
+            (lambda t: BinomialFamily(2, (2,), t), "need one degree and one tail per generator"),
+            (lambda t: BinomialFamily.symbolic([2, 0], t), "generator degrees must be positive"),
+            (lambda t: BinomialFamily.numeric([2, 2], t, [1, 1], [1]), "expected 2 b-values, got 1"),
+            (lambda t: BinomialFamily(2, (2, 2), t, (1, None), (1, 1)).generator_values(2), "generator 2 is not fully numeric"),
+            (lambda t: CoeffAssignment((1, 2), (3,)), "assignment blocks must have equal length"),
+            (lambda t: specialize(BinomialFamily.symbolic([2, 2], t), CoeffAssignment.empty(3)), "assignment size does not match the family"),
+        ],
+        ids=["no-generators", "short-degrees", "zero-degree", "value-count", "not-numeric", "assignment-blocks", "assignment-size"],
+    )
+    def test_constructor_errors_are_pinned(self, build, message):
+        with pytest.raises(FamilyValidationError) as exc:
+            build(self.TAILS)
+        assert str(exc.value) == message
+
+    def test_str_is_the_text_grammar(self):
+        fam = BinomialFamily.numeric([2, 2], self.TAILS, [1, "1/2"], [0, -3])
+        assert str(fam) == "f1 = 1*x1^2 - 0*x2^2 ; f2 = 1/2*x2^2 - -3*x1^2"
+        assert parse_family(str(fam)) == fam
 
     def test_step_and_basis(self, double_cycle):
         m = Monomial((2, 1, 0))

@@ -171,10 +171,10 @@ class BinomialFamily:
     def _move(self, exps: tuple[int, ...], limit: int) -> tuple[int, tuple[int, ...]] | None:
         """`step` on an exponent tuple of length n: (i, successor exponents).
 
-        The one tuple encoding of the step; `keys.rule` is the packed one.
-        It stays because a single monomial's exponents are unbounded: the
-        rewriting walk and `step` take exponents of 2^62 and more, which no
-        packed lane holds.  The tests also check the packed rule against it."""
+        The one tuple encoding of the step, and `step`'s implementation;
+        `keys.rule` is the packed one, which the graph, the dual's in-tree,
+        the Macaulay kernel and the rewriting walk read.  The tests and
+        `selftest` check the packed rule against this one."""
         for i, d in enumerate(self.degrees):
             if exps[i] >= d:
                 if i >= limit:
@@ -286,7 +286,7 @@ def _tokenize(text: str) -> list[_Token]:
     for m in _LEXEME.finditer(text):
         kind, lexeme, col = m.lastgroup, m.group(), m.start() - start + 1
         if kind == "SEP":
-            tokens.append(_Token("SEP", ";", line, col))
+            tokens.append(_Token("SEP", lexeme, line, col))
             if lexeme == "\n":
                 line, start = line + 1, m.end()
         elif kind == "OTHER" or kind == "NAME" and not lexeme[0].isalpha():

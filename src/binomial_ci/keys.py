@@ -9,9 +9,12 @@ lane borrows from the next.  So one subtract and mask tests divisibility,
 and one int add multiplies.
 
 The rewrite step x^e -> x^e * m_i / x_i^{d_i}, for the least i with
-x_i^{d_i} | x^e, is `rule`'s table: the reduction graph, the dual's in-tree
-and the Macaulay kernel all read it.  `BinomialFamily._move` is the same step
-on exponent tuples, for single monomials whose exponents no lane holds.
+x_i^{d_i} | x^e, is `rule`'s table: the reduction graph, the dual's in-tree,
+the Macaulay kernel and the rewriting walk all read it.  The walk's lanes are
+sized by its start's degree, which may pass the 8 bytes `struct` packs, so
+the table's few constants are packed by `_shifted` (`_rule`), by shifts past
+8 bytes, and `_unpack_all` reads lanes of any width.  `BinomialFamily._move` is the same step on
+exponent tuples: `step`'s implementation and the tests' reference.
 """
 
 from functools import lru_cache
@@ -21,14 +24,20 @@ from struct import Struct
 from .algebra import exponents_of_degree
 
 
+def _wide_lane_bytes(top: int) -> int:
+    """Bytes per packed lane, a power of two: the fewest with room for the sum
+    of two exponents up to top and the lane's top bit still free as a guard.
+    1, 2, 4 or 8 below top = 2**62, and 16, 32, ... from there on."""
+    return 1 << ((2 * top).bit_length() // 8).bit_length()
+
+
 def _lane_bytes(top: int) -> int:
-    """Bytes per packed lane, 1, 2, 4 or 8: room for the sum of two exponents
-    up to top with the lane's top bit still free as a guard."""
-    bits = (2 * top).bit_length() + 1
-    for nb in (1, 2, 4, 8):
-        if bits <= 8 * nb:
-            return nb
-    raise ValueError(f"exponent {top} is too large for a packed key")
+    """`_wide_lane_bytes(top)`, which must be 1, 2, 4 or 8: a lane `struct`
+    packs."""
+    nb = _wide_lane_bytes(top)
+    if nb > 8:
+        raise ValueError(f"exponent {top} is too large for a packed key")
+    return nb
 
 
 @lru_cache(maxsize=64)
@@ -56,14 +65,27 @@ def _unpacked(key: int, size: int, nb: int) -> tuple[int, ...]:
 
 def _unpack_all(keys, size: int, nb: int) -> list[tuple[int, ...]]:
     """[_unpacked(k, size, nb) for k in keys], in C: one buffer of every key's
-    bytes, read back lane by lane."""
-    width = size * nb
-    return list(_layout(size, nb).iter_unpack(b"".join(map(int.to_bytes, keys, repeat(width), repeat("little")))))
+    bytes, read back lane by lane.  Lanes wider than 8 bytes, which `struct`
+    cannot read, are read from the same buffer by int.from_bytes."""
+    data = b"".join(map(int.to_bytes, keys, repeat(size * nb), repeat("little")))
+    if nb <= 8:
+        return list(_layout(size, nb).iter_unpack(data))
+    lanes = iter([int.from_bytes(data[j : j + nb], "little") for j in range(0, len(data), nb)])
+    return list(zip(*[lanes] * size))
+
+
+def _shifted(exps, nb: int) -> int:
+    """_pack(exps, nb) for lanes of any width: by shifts past the 8 bytes
+    `struct` packs."""
+    if nb <= 8:
+        return _pack(exps, nb)
+    w = 8 * nb
+    return sum(e << w * j for j, e in enumerate(exps))
 
 
 def _guard(size: int, nb: int) -> int:
     """The top bit of each of size lanes of nb bytes."""
-    return _pack((1 << 8 * nb - 1,) * size, nb)
+    return _shifted((1 << 8 * nb - 1,) * size, nb)
 
 
 def _nonzero(acc: dict, n: int, m: int, nb: int) -> dict:
@@ -87,9 +109,15 @@ def rule(degrees, tails, top: int) -> tuple[int, int, int, list[int]]:
     the lowest is the step's label.  key + deltas[i-1] packs the label-i
     successor e - d_i e_i + tail_i.
     """
-    nb = _lane_bytes(max(top, *degrees))
-    deltas = [_pack(t, nb) - (d << 8 * nb * i) for i, (t, d) in enumerate(zip(tails, degrees))]
-    return nb, _guard(len(degrees), nb), _pack(degrees, nb), deltas
+    return _rule(degrees, tails, _lane_bytes(max(top, *degrees)))
+
+
+def _rule(degrees, tails, nb: int) -> tuple[int, int, int, list[int]]:
+    """`rule`'s table on lanes of nb bytes, of any width: `_shifted` packs its
+    constants, so the rewriting walk may take lanes wider than the 8 bytes
+    `struct` packs."""
+    deltas = [_shifted(t, nb) - (d << 8 * nb * i) for i, (t, d) in enumerate(zip(tails, degrees))]
+    return nb, _guard(len(degrees), nb), _shifted(degrees, nb), deltas
 
 
 @lru_cache(maxsize=32)

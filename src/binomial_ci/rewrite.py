@@ -3,30 +3,36 @@
 Following the reduction edges with labels <= k rewrites a monomial either to a
 basis monomial (no exponent reaches its d_i for i <= k) with an exact
 coefficient b^r/a^r, or into a cycle, in which case the monomial lies in the
-ideal whenever the family is a regular sequence.  The walk runs on exponent
-tuples through `BinomialFamily._move`, not on packed keys, since a single
-monomial's exponents are unbounded, and `Monomial`s are built only for
-outputs.  The last walk is cached, so reduce_monomial and certificate on the
-same (monomial, k) share one walk.
+ideal whenever the family is a regular sequence.  The walk runs on packed keys
+(`keys._rule`): one subtract and mask finds each step's label and one int add
+takes the step.  Every state has the start's degree, so lanes sized by that
+degree hold the whole walk, however large its exponents.  The walk keeps its
+labels, not its states, and unpacks only its end; `Monomial`s are built only
+for outputs.  The last walk is cached, so reduce_monomial and certificate on
+the same (monomial, k) share one walk, and a certificate replays the keys
+from the start and the labels and unpacks all its multipliers in one call.
 
 Every reduction, under any cutoff k, can be certified by a relation that
 expands to zero symbolically.  certificate_residual expands a given
 certificate on the packed int keys of `keys`: each key holds the x exponents
-and the 2n symbol exponents, and each step costs one pack and two int adds.
-It reads only the certificate, never the walk, so it checks an arbitrary
-certificate.
+and the 2n symbol exponents, and each step costs two int adds.  It reads only
+the certificate, never the walk, so it checks an arbitrary certificate.
 """
 
 from __future__ import annotations
 
+import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import add, attrgetter, or_, sub
 
 from . import algebra
 from .algebra import CoeffMonomial, Monomial, SparsePoly, group_flat_terms
 from .family import BinomialFamily
-from .keys import _lane_bytes, _nonzero, _pack, _pack_all
+from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _rule, _shifted, _unpack_all, _wide_lane_bytes
 
 TO_BASIS = "basis"
 TO_CYCLE = "cycle"
@@ -45,14 +51,17 @@ class ReductionOutcome:
 @lru_cache(maxsize=1)
 def _walk(family: BinomialFamily, exps: tuple[int, ...], k: int, budget: int):
     """Follow edges with labels <= k from exps until a basis monomial or a
-    repeat, one `family._move` per step on exponent tuples.
+    repeat, one int add per step on packed keys.
 
-    Returns (exponent tuples, labels, stop_kind); for a cycle stop the last
-    tuple is the second visit of the cycle entry.  A walk longer than budget
-    steps (callers pass `algebra.MONOMIAL_BUDGET`) raises ValueError.  The
-    last walk is cached, so reduce_monomial and certificate on the same
-    request walk once; the returned lists are shared and must not be
-    mutated.  The one entry keeps at most one walk alive, and
+    Returns (start, labels, stop_kind, end, nb, deltas): the packed start,
+    each step's label and the exponents of the last state; the keys have
+    lanes of nb bytes and the label-i step adds deltas[i - 1], so the start
+    and the labels give every state.  For a cycle stop the last state is the
+    second visit of the cycle entry.  A walk longer than budget steps
+    (callers pass `algebra.MONOMIAL_BUDGET`) raises ValueError.  The last
+    walk is cached, so reduce_monomial and certificate on the same request
+    walk once; its lists are shared and must not be mutated.  The one entry
+    keeps at most one walk alive, its labels but not its states, and
     MONOMIAL_BUDGET bounds its length.
     """
     n = family.n
@@ -60,37 +69,34 @@ def _walk(family: BinomialFamily, exps: tuple[int, ...], k: int, budget: int):
         raise ValueError(f"cutoff must lie in 1..{n}")
     if len(exps) != n:
         raise ValueError(f"monomial {Monomial._raw(exps)} does not have {n} variables")
-    move = family._move
-    states = [exps]
+    degrees, tails = family.degrees, [t.exponents for t in family.tails]
+    # every state has the start's degree, so no lane of the walk exceeds it
+    nb, guard, bound, deltas = _rule(degrees, tails, _wide_lane_bytes(max(sum(exps), *degrees)))
+    w = 8 * nb
+    below = guard & (1 << w * k) - 1  # the guard bits of lanes 1..k
+    start = key = _shifted(exps, nb)
     labels: list[int] = []
-    seen = {exps}
+    seen = {key}
     while True:
-        step = move(exps, k)
-        if step is None:
-            return states, labels, TO_BASIS
+        rows = ((key | guard) - bound) & below  # lane i's guard bit: x_i^{d_i} divides, i <= k
+        if not rows:
+            return start, labels, TO_BASIS, _unpack_all((key,), n, nb)[0], nb, deltas
         if len(labels) == budget:
-            raise ValueError(f"the rewriting walk from {Monomial._raw(states[0])} exceeds the budget of {budget} steps")
-        label, exps = step
+            raise ValueError(f"the rewriting walk from {Monomial._raw(exps)} exceeds the budget of {budget} steps")
+        label = (rows & -rows).bit_length() // w  # the lowest guard bit left
+        key += deltas[label - 1]
         labels.append(label)
-        states.append(exps)
-        if exps in seen:
-            return states, labels, TO_CYCLE
-        seen.add(exps)
-
-
-def _label_counts(n: int, labels: list[int]) -> tuple[int, ...]:
-    counts = [0] * n
-    for lab in labels:
-        counts[lab - 1] += 1
-    return tuple(counts)
+        if key in seen:
+            return start, labels, TO_CYCLE, _unpack_all((key,), n, nb)[0], nb, deltas
+        seen.add(key)
 
 
 def reduce_monomial(family: BinomialFamily, m: Monomial, k: int | None = None) -> ReductionOutcome:
     """Reduce m along the reduction edges with labels <= k (default n)."""
     k = family.n if k is None else k
-    states, labels, kind = _walk(family, m.exponents, k, algebra.MONOMIAL_BUDGET)
-    r = _label_counts(family.n, labels)
-    end = Monomial._raw(states[-1])
+    _, labels, kind, end, _, _ = _walk(family, m.exponents, k, algebra.MONOMIAL_BUDGET)
+    r = tuple(map(labels.count, range(1, family.n + 1)))
+    end = Monomial._raw(end)
     if kind == TO_BASIS:
         coeff = CoeffMonomial(Fraction(1), tuple(-e for e in r), r)
         return ReductionOutcome(TO_BASIS, tuple(labels), r, basis_monomial=end, coeff=coeff)
@@ -159,26 +165,30 @@ class Certificate:
 
 def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Certificate:
     """The relation of reduce_monomial(family, m, k): the same walk along the
-    edges with labels <= k (default n), so kind and rhs match its outcome."""
-    states, labels, kind = _walk(family, m.exponents, family.n if k is None else k, algebra.MONOMIAL_BUDGET)
+    edges with labels <= k (default n), so kind and rhs match its outcome.
+
+    Step s's multiplier is the walk's key before it, replayed from the
+    start and the labels, less pack(d_i e_i): one `_unpack_all` call reads
+    them all."""
+    start, labels, kind, end, nb, deltas = _walk(family, m.exponents, family.n if k is None else k, algebra.MONOMIAL_BUDGET)
     n = family.n
-    r = _label_counts(n, labels)
+    moves = [0, *deltas]  # the label-i step at index i
+    leads = [0] + [d << 8 * nb * i for i, d in enumerate(family.degrees)]  # pack(d_i e_i) at index i
+    keys = accumulate(map(moves.__getitem__, labels), initial=start)
+    multipliers = _unpack_all(map(sub, keys, map(leads.__getitem__, labels)), n, nb)
+    r = tuple(map(labels.count, range(1, n + 1)))
     zero = (0,) * n
     one = Fraction(1)
-    a_product = CoeffMonomial(one, r, zero)
-    rhs_coeff = CoeffMonomial(one, zero, r)
-    degrees = family.degrees
-    steps = []
+    raw = CoeffMonomial._raw
+    scales = []
     before = [0] * n  # label counts of the steps already taken
     after = list(r)  # label counts of the steps after this one
-    for exps, label in zip(states, labels):
+    for label in labels:
         after[label - 1] -= 1
-        scale = CoeffMonomial._raw(one, tuple(after), tuple(before))
-        multiplier = list(exps)  # the previous vertex over x_i^{d_i}
-        multiplier[label - 1] -= degrees[label - 1]
-        steps.append(CertificateStep(label, Monomial._raw(tuple(multiplier)), scale))
+        scales.append(raw(one, tuple(after), tuple(before)))
         before[label - 1] += 1
-    return Certificate(kind, m, a_product, tuple(steps), rhs_coeff, Monomial._raw(states[-1]))
+    steps = tuple(map(CertificateStep, labels, map(Monomial._raw, multipliers), scales))
+    return Certificate(kind, m, CoeffMonomial(one, r, zero), steps, CoeffMonomial(one, zero, r), Monomial._raw(end))
 
 
 def _lanes(n: int, mono: Monomial, cm: CoeffMonomial) -> tuple[int, ...]:
@@ -204,40 +214,63 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     Every coefficient is a coefficient monomial, so each term of the identity
     is one flat term (x exponents, symbol exponents) -> rational: the input
     and rhs terms, and per step -p_s*a_i at mult_s*x_i^{d_i} and +p_s*b_i at
-    mult_s*tail_i.  The terms live on packed int keys (`keys._pack`) in
-    `keys._lane_bytes` lanes for the largest exponent present, so each step is
-    one pack of mult_s and p_s plus two int adds of the precomputed keys of
-    x_i^{d_i}*a_i and tail_i*b_i.  Every exponent is checked before any key is
-    built, since a negative lane would borrow from its neighbour.
+    mult_s*tail_i.  The terms live on packed int keys (`keys._pack`), so each
+    step is two int adds of the precomputed keys of x_i^{d_i}*a_i and
+    tail_i*b_i to its packed mult_s and p_s.  When every scalar is one value
+    and the terms telescope (the input's term cancels the first step's -
+    term, each step's + term the next step's - term, and the last + term the
+    rhs's), the identity holds with no sum; otherwise the terms are summed.
+
+    The steps are checked in bulk, since a negative lane would borrow from
+    its neighbour: generator indices and tuple lengths by column, negative
+    and too-wide lanes by `struct` as it packs, and lanes that reach their
+    guard bit by one OR of the packed rows.  The lanes are sized for the
+    largest exponent a certificate of `certificate` holds: the input's and
+    rhs's, the degrees and the step count.  Should a step fail, each step is
+    checked in turn, for the first bad one's message, and the lanes are sized
+    for the largest exponent present.
     """
     n = family.n
     first = _lanes(n, cert.input, cert.a_product)
     last = _lanes(n, cert.rhs_monomial, cert.rhs_coeff)
-    top = max(*family.degrees, *first, *last)  # d_i >= 1 bounds tail_i's exponents
-    rows = []
-    for step in cert.steps:
-        i = step.gen_index
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} out of range 1..{n}")
-        lanes = _lanes(n, step.multiplier, step.scale)
-        top = max(top, max(lanes))
-        rows.append((i - 1, lanes, _rational(step.scale.scalar)))
-    nb = _lane_bytes(top)
-    zero = (0,) * n
-    leads, tails = [], []
+    steps = cert.steps
+    index = list(map(attrgetter("gen_index"), steps))
+    scales = list(map(attrgetter("scale"), steps))
+    mults = list(map(attrgetter("multiplier.exponents"), steps))
+    a_exps = list(map(attrgetter("a_exp"), scales))
+    rows = list(map(add, map(add, mults, a_exps), map(attrgetter("b_exp"), scales)))
+    top = max(*family.degrees, *first, *last, len(steps))  # d_i >= 1 bounds tail_i's exponents
+    nb = _wide_lane_bytes(top)
+    well_formed = not steps or 1 <= min(index) and max(index) <= n and {*map(len, mults), *map(len, a_exps)} == {n}
+    packed = None
+    if nb <= 8 and well_formed:
+        with suppress(struct.error):  # a negative lane, or one wider than nb bytes
+            packed = _pack_all(rows, 3 * n, nb)
+    if packed is None or reduce(or_, packed, 0) & _guard(3 * n, nb):
+        for i, step in zip(index, steps):
+            if not 1 <= i <= n:
+                raise ValueError(f"generator index {i} out of range 1..{n}")
+            _lanes(n, step.multiplier, step.scale)
+        nb = _lane_bytes(max(top, *map(max, rows)))
+        packed = _pack_all(rows, 3 * n, nb)
+    w = 8 * nb
+    leads, tails = [0], [0]  # the keys of x_i^{d_i}*a_i and tail_i*b_i at index i
     for i, (d, tail) in enumerate(zip(family.degrees, family.tails)):
-        unit = zero[:i] + (1,) + zero[i + 1 :]
-        leads.append(_pack(tuple(d * u for u in unit) + unit + zero, nb))  # x_i^{d_i} * a_i
-        tails.append(_pack(tail.exponents + zero + unit, nb))
-    acc = {_pack(first, nb): _rational(cert.a_product.scalar)}
+        leads.append(d << w * i | 1 << w * (n + i))
+        tails.append(_pack(tail.exponents, nb) | 1 << w * (2 * n + i))
+    start, end = _pack(first, nb), _pack(last, nb)
+    down = list(map(add, packed, map(leads.__getitem__, index)))  # -p_s*a_i at mult_s*x_i^{d_i}
+    up = list(map(add, packed, map(tails.__getitem__, index)))  # +p_s*b_i at mult_s*tail_i
+    scalars = list(map(attrgetter("scalar"), scales))
+    scalar = cert.a_product.scalar
+    if scalars.count(scalar) == len(scalars) and cert.rhs_coeff.scalar == scalar and [start, *up] == [*down, end]:
+        return {}
+    acc = {start: _rational(scalar)}
     get = acc.get
-    for (i, _, q), p in zip(rows, _pack_all([lanes for _, lanes, _ in rows], 3 * n, nb)):
-        key = p + leads[i]
-        acc[key] = get(key, 0) - q
-        key = p + tails[i]
-        acc[key] = get(key, 0) + q
-    key = _pack(last, nb)
-    acc[key] = get(key, 0) - _rational(cert.rhs_coeff.scalar)
+    for neg, pos, q in zip(down, up, map(_rational, scalars)):
+        acc[neg] = get(neg, 0) - q
+        acc[pos] = get(pos, 0) + q
+    acc[end] = get(end, 0) - _rational(cert.rhs_coeff.scalar)
     return {Monomial._raw(x): poly for x, poly in group_flat_terms(n, _nonzero(acc, n, n, nb)).items()}
 
 

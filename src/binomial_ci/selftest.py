@@ -31,7 +31,7 @@ from .oracle import (
 )
 from .reference import action_image, catalecticant_rows, hessian, macaulay_rows
 from .resultant import det_numeric_oracle, det_structural, radical_of_cycle_product, resultant_radical
-from .rewrite import TO_CYCLE, certificate, certificate_residual, check_certificate, reduce_monomial, reduce_polynomial
+from .rewrite import TO_BASIS, TO_CYCLE, certificate, certificate_residual, check_certificate, reduce_monomial, reduce_polynomial
 
 
 def _sym_binomial(n: int, i: int, j: int) -> SparsePoly:
@@ -155,11 +155,25 @@ def _check_s_vector() -> bool:
     return s_vector(catalog.three_var_double_cycle()) == (2, 1, 1)
 
 
+def _tuple_walk(fam, m: Monomial) -> tuple[str, tuple[int, ...], Monomial]:
+    """(kind, labels, end) of the rewriting walk from m by the tuple step
+    `BinomialFamily.step`, as `reduce_monomial` reports them."""
+    labels, seen = [], {m}
+    while (step := fam.step(m)) is not None:
+        label, m = step
+        labels.append(label)
+        if m in seen:
+            return TO_CYCLE, tuple(labels), m
+        seen.add(m)
+    return TO_BASIS, tuple(labels), m
+
+
 def _check_in_tree() -> bool:
-    # The packed graph and the reverse search both read `keys.rule`; check
-    # them against the tuple rule `BinomialFamily.step`: the graph's labels
-    # and successors at the socle and resultant degrees, and the in-tree
-    # against the rewriting walks from every socle-degree monomial.
+    # The packed graph, the rewriting walk and the reverse search all read
+    # `keys.rule`; check them against the tuple rule `BinomialFamily.step`:
+    # the graph's labels and successors at the socle and resultant degrees,
+    # and the walks from every socle-degree monomial, and the in-tree
+    # against those of them that end at the top basis monomial.
     for fam in (
         catalog.three_var_double_cycle(),
         catalog.three_var_chain(),
@@ -175,9 +189,12 @@ def _check_in_tree() -> bool:
         target = Monomial(tuple(d - 1 for d in fam.degrees))
         walks = {}
         for m in monomials_of_degree(fam.n, fam.socle_degree):
-            outcome = reduce_monomial(fam, m)  # walks by the tuple step `BinomialFamily._move`
-            if outcome.basis_monomial == target:
-                walks[m.exponents] = outcome.r_vector
+            kind, labels, end = _tuple_walk(fam, m)
+            out = reduce_monomial(fam, m)
+            if (out.kind, out.path_labels, out.basis_monomial or out.cycle_entry) != (kind, labels, end):
+                return False
+            if kind == TO_BASIS and end == target:
+                walks[m.exponents] = tuple(map(labels.count, range(1, fam.n + 1)))
         tree, s = _in_tree(fam)
         if tree != walks or s != tuple(map(max, zip(*walks.values()))):
             return False
@@ -463,7 +480,7 @@ CHECKS = [
     ("packed certificate residual vs SparsePoly on tampered certificates", _check_packed_residual),
     ("s vector of the double-cycle family", _check_s_vector),
     ("dual generators, both conventions, term for term", _check_dual_generators),
-    ("packed graph and socle in-tree vs the tuple rewrite step", _check_in_tree),
+    ("packed graph, rewriting walk and socle in-tree vs the tuple rewrite step", _check_in_tree),
     ("symbolic annihilation of constructed duals", _check_annihilation),
     ("packed action kernel vs action_image on a perturbed dual", _check_packed_action),
     ("structural determinant vs numeric oracle", _check_structural_determinant),

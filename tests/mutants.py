@@ -14,11 +14,13 @@ at most two subprocesses at a time, each under a timeout.
 The run fails when a mutant survives (its check passes), hangs (its check
 outlives the timeout), or its snippet no longer matches exactly, so a change
 to a mutated line must update its row.  A change that adds or alters a packed
-kernel adds its mutant here.  The mutants target the fast modules and the
-lexer of the family text grammar; the brute-force references in
-`binomial_ci.reference` are what the kernels are checked against, and the
-pinned parse errors of tests/test_family.py what the lexer is.  pytest does
-not collect this file.
+kernel adds its mutant here.  The mutants target the fast modules, the
+packed rewriting walk and certificate check among them, and the lexer of the
+family text grammar.  The brute-force references in `binomial_ci.reference`
+are what the kernels are checked against, walks by the tuple step
+`BinomialFamily.step` and the SparsePoly expansion of tests/test_rewrite.py
+what the walk and the check are, and the pinned parse errors of
+tests/test_family.py what the lexer is.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ MUTANTS = [
     Mutant(
         "lanes without room for the sum of two exponents",
         "src/binomial_ci/keys.py",
-        "    bits = (2 * top).bit_length() + 1",
-        "    bits = top.bit_length() + 1",
+        "    return 1 << ((2 * top).bit_length() // 8).bit_length()",
+        "    return 1 << (top.bit_length() // 8).bit_length()",
         "selftest",
     ),
     Mutant(
@@ -195,6 +197,27 @@ MUTANTS = [
         " and F.convention == convention and F._tree is _in_tree(F.family)[0]:",
         " and F.convention == convention:",
         "tests/test_dual.py",
+    ),
+    Mutant(
+        "rewriting walk's cutoff one lane too high",
+        "src/binomial_ci/rewrite.py",
+        "    below = guard & (1 << w * k) - 1",
+        "    below = guard & (1 << w * (k + 1)) - 1",
+        "tests/test_rewrite.py",
+    ),
+    Mutant(
+        "rewriting walk takes the highest label",
+        "src/binomial_ci/rewrite.py",
+        "        label = (rows & -rows).bit_length() // w",
+        "        label = rows.bit_length() // w",
+        "selftest",
+    ),
+    Mutant(
+        "certificate residual skips the guard-bit OR",
+        "src/binomial_ci/rewrite.py",
+        "    if packed is None or reduce(or_, packed, 0) & _guard(3 * n, nb):",
+        "    if packed is None:",
+        "tests/test_rewrite.py",
     ),
     Mutant(
         "lexer keeps the line start after a newline",

@@ -636,7 +636,26 @@ class TestRewriteWalkBudget:
         assert code == 0
         assert "outcome: cycle" in out
 
+    def test_start_wider_than_an_8_byte_lane_answers_at_once(self, capsys):
+        # x3^(2^70): no 8-byte lane holds the start, and the walk still answers
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "reduce", "--family", WIDE_FAMILY, "--monomial", f"x3^{2**70}", "--certificate"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        e = 2**70
+        assert out.splitlines() == [
+            f"monomial: x3^{e}",
+            "outcome: cycle",
+            f"cycle entry: x3^{e}",
+            "zero modulo the ideal when the family is a regular sequence",
+            "path labels: 3 2",
+            f"certificate: (a2*a3)*x3^{e} = (a2)*x3^{e - 1}*f3 + (b3)*x3^{e - 1}*f2 + (b2*b3)*x3^{e}",
+        ]
 
+
+WIDE_FAMILY = "f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2 - b2*x3 ; f3 = a3*x3 - b3*x2"
 PENTAGON = (
     "f1 = x1^2 - b1*x2*x3 ; f2 = x2^2 - b2*x3*x4 ; f3 = x3^2 - b3*x4*x5 ; "
     "f4 = x4^2 - b4*x1*x5 ; f5 = x5^2 - b5*x1*x2"

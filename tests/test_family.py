@@ -351,7 +351,7 @@ class TestHelpers:
             ("x1 - a1*x2", 1, 11, "polynomial coefficients must be rational literals"),
             ("x1 - b2*x2", 1, 11, "polynomial coefficients must be rational literals"),
             ("x1 * x2 = x1", 1, 9, "unexpected '=' in polynomial"),
-            ("x1\n- x2", 1, 3, "unexpected ';' in polynomial"),
+            ("x1\n- x2", 1, 3, "unexpected '\\n' in polynomial"),
         ],
         ids=["a-symbol", "b-symbol", "equals", "newline"],
     )

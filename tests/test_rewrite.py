@@ -18,6 +18,7 @@ from binomial_ci import (
     ideal_membership,
     is_complete_intersection,
     monomials_of_degree,
+    parse_family,
     parse_monomial,
     reduce_monomial,
     reduce_polynomial,
@@ -25,11 +26,10 @@ from binomial_ci import (
 )
 from binomial_ci import rewrite
 from binomial_ci.keys import _lane_bytes
-from binomial_ci.family import BinomialFamily
 from binomial_ci.graph import SINK, TRANSIENT
 from binomial_ci.rewrite import certificate_residual, certificate_to_json, render_certificate
 
-from conftest import assert_as_checked, random_family
+from conftest import assert_as_checked, family_strategy, random_family
 
 
 class TestReduceMonomial:
@@ -428,42 +428,90 @@ def test_walk_past_the_monomial_budget_raises(chain, monkeypatch):
     assert len(reduce_monomial(chain, m).path_labels) == steps
 
 
+def _tuple_walk(family, m, k):
+    """(kind, labels, end) of the walk from m along labels <= k, one tuple
+    step `BinomialFamily.step` at a time: the reference of the packed walk."""
+    labels, seen = [], {m}
+    while (step := family.step(m, k)) is not None:
+        label, m = step
+        labels.append(label)
+        if m in seen:
+            return TO_CYCLE, tuple(labels), m
+        seen.add(m)
+    return TO_BASIS, tuple(labels), m
+
+
+def test_packed_walk_matches_the_tuple_step_on_drawn_families_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # exponents up to 70 put some walks' keys in 2-byte lanes
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(family_strategy(st), st.lists(st.integers(0, 70), min_size=4, max_size=4))
+    def check(fam, exps):
+        m = Monomial(tuple(exps[: fam.n]))
+        for k in range(1, fam.n + 1):
+            kind, labels, end = _tuple_walk(fam, m, k)
+            out = reduce_monomial(fam, m, k)
+            assert (out.kind, out.path_labels) == (kind, labels)
+            assert (out.basis_monomial if kind == TO_BASIS else out.cycle_entry) == end
+            cert = certificate(fam, m, k)
+            assert certificate_residual(fam, cert) == {}
+            # reversed, two or more steps no longer telescope and are summed term by term
+            assert certificate_residual(fam, dataclasses.replace(cert, steps=cert.steps[::-1])) == {}
+
+    check()
+
+
+class TestStartWiderThanALane:
+    """x3^(2^70) on a family whose walk from it is the 2-cycle x3 -> x2 -> x3:
+    no 8-byte lane holds the start."""
+
+    FAMILY = "f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2 - b2*x3 ; f3 = a3*x3 - b3*x2"
+
+    def test_walk_answers_cycle(self):
+        fam = parse_family(self.FAMILY)
+        m = Monomial((0, 0, 2**70))
+        out = reduce_monomial(fam, m)
+        assert (out.kind, out.path_labels, out.r_vector) == (TO_CYCLE, (3, 2), (0, 1, 1))
+        assert out.cycle_entry == m
+
+    def test_certificate_text(self):
+        fam = parse_family(self.FAMILY)
+        e = 2**70
+        cert = certificate(fam, Monomial((0, 0, e)))
+        assert render_certificate(cert) == (
+            f"(a2*a3)*x3^{e} = (a2)*x3^{e - 1}*f3 + (b3)*x3^{e - 1}*f2 + (b2*b3)*x3^{e}"
+        )
+        assert cert.kind == TO_CYCLE and cert.rhs_monomial == Monomial((0, 0, e))
+
+
 class TestOneWalkPerRequest:
     @pytest.fixture
-    def moves(self, monkeypatch):
-        """Every exponent tuple that `BinomialFamily._move` is asked about."""
-        seen = []
-        move = BinomialFamily._move
-
-        def counting(family, exps, limit):
-            seen.append(exps)
-            return move(family, exps, limit)
-
-        monkeypatch.setattr(BinomialFamily, "_move", counting)
+    def walks(self):
+        """The number of walks taken since the fixture started: the misses of
+        `rewrite._walk`'s cache, as every other call is a hit."""
         rewrite._walk.cache_clear()
-        return seen
+        return lambda: rewrite._walk.cache_info().misses
 
-    def test_reduce_then_certificate_walk_once(self, chain, double_cycle, moves):
+    def test_reduce_then_certificate_walk_once(self, chain, double_cycle, walks):
         for fam, text, kind in ((chain, "x1^2*x2", TO_BASIS), (double_cycle, "x3^4", TO_CYCLE)):
             m = parse_monomial(text, 3)
-            del moves[:]
+            before = walks()
             out = reduce_monomial(fam, m)
             assert out.kind == kind
-            # one move per step, plus the one that finds no edge at a basis monomial
-            walked = len(out.path_labels) + (kind == TO_BASIS)
-            assert len(moves) == walked and len(set(moves)) == walked
+            assert walks() == before + 1
             cert = certificate(fam, m)
             assert certificate(fam, m, fam.n) == cert
             assert [s.gen_index for s in cert.steps] == list(out.path_labels)
-            assert len(moves) == walked
+            assert walks() == before + 1
 
-    def test_another_monomial_or_cutoff_walks_again(self, chain, moves):
+    def test_another_monomial_or_cutoff_walks_again(self, chain, walks):
         m = parse_monomial("x1^3*x2", 3)
         reduce_monomial(chain, m)
         for other, k in ((m, 1), (m, 2), (parse_monomial("x1^2*x2^2", 3), None), (m, None)):
-            before = len(moves)
+            before = walks()
             certificate(chain, other, k)
-            assert len(moves) > before
-            before = len(moves)
+            assert walks() == before + 1
             reduce_monomial(chain, other, k)
-            assert len(moves) == before
+            assert walks() == before + 1

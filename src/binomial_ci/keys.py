@@ -12,9 +12,9 @@ The rewrite step x^e -> x^e * m_i / x_i^{d_i}, for the least i with
 x_i^{d_i} | x^e, is `rule`'s table: the reduction graph, the dual's in-tree,
 the Macaulay kernel and the rewriting walk all read it.  The walk's lanes are
 sized by its start's degree, which may pass the 8 bytes `struct` packs, so
-the table's few constants are packed by `_shifted` (`_rule`), by shifts past
-8 bytes, and `_unpack_all` reads lanes of any width.  `BinomialFamily._move` is the same step on
-exponent tuples: `step`'s implementation and the tests' reference.
+the table's few constants are packed by shifts (`_shifted`, `_rule`) and
+`_unpack_all` reads lanes of any width.  `BinomialFamily._move` is the same
+step on exponent tuples: `step`'s implementation and the tests' reference.
 """
 
 from functools import lru_cache
@@ -75,10 +75,8 @@ def _unpack_all(keys, size: int, nb: int) -> list[tuple[int, ...]]:
 
 
 def _shifted(exps, nb: int) -> int:
-    """_pack(exps, nb) for lanes of any width: by shifts past the 8 bytes
-    `struct` packs."""
-    if nb <= 8:
-        return _pack(exps, nb)
+    """_pack(exps, nb) by shifts, for lanes of any width, also past the 8
+    bytes `struct` packs."""
     w = 8 * nb
     return sum(e << w * j for j, e in enumerate(exps))
 

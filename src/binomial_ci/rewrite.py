@@ -226,7 +226,8 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     and too-wide lanes by `struct` as it packs, and lanes that reach their
     guard bit by one OR of the packed rows.  The lanes are sized for the
     largest exponent a certificate of `certificate` holds: the input's and
-    rhs's, the degrees and the step count.  Should a step fail, each step is
+    rhs's, the degrees, the input's degree (every multiplier divides a state
+    of that degree) and the step count.  Should a step fail, each step is
     checked in turn, for the first bad one's message, and the lanes are sized
     for the largest exponent present.
     """
@@ -239,7 +240,8 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     mults = list(map(attrgetter("multiplier.exponents"), steps))
     a_exps = list(map(attrgetter("a_exp"), scales))
     rows = list(map(add, map(add, mults, a_exps), map(attrgetter("b_exp"), scales)))
-    top = max(*family.degrees, *first, *last, len(steps))  # d_i >= 1 bounds tail_i's exponents
+    # d_i >= 1 bounds tail_i's exponents, and the input's degree every multiplier's
+    top = max(*family.degrees, *first, *last, sum(cert.input.exponents), len(steps))
     nb = _wide_lane_bytes(top)
     well_formed = not steps or 1 <= min(index) and max(index) <= n and {*map(len, mults), *map(len, a_exps)} == {n}
     packed = None
@@ -251,7 +253,7 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
             if not 1 <= i <= n:
                 raise ValueError(f"generator index {i} out of range 1..{n}")
             _lanes(n, step.multiplier, step.scale)
-        nb = _lane_bytes(max(top, *map(max, rows)))
+        nb = _lane_bytes(max([top, *map(max, rows)]))
         packed = _pack_all(rows, 3 * n, nb)
     w = 8 * nb
     leads, tails = [0], [0]  # the keys of x_i^{d_i}*a_i and tail_i*b_i at index i

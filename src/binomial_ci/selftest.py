@@ -155,11 +155,12 @@ def _check_s_vector() -> bool:
     return s_vector(catalog.three_var_double_cycle()) == (2, 1, 1)
 
 
-def _tuple_walk(fam, m: Monomial) -> tuple[str, tuple[int, ...], Monomial]:
-    """(kind, labels, end) of the rewriting walk from m by the tuple step
-    `BinomialFamily.step`, as `reduce_monomial` reports them."""
+def _tuple_walk(fam, m: Monomial, k: int | None = None) -> tuple[str, tuple[int, ...], Monomial]:
+    """(kind, labels, end) of the rewriting walk from m along labels <= k
+    (default n) by the tuple step `BinomialFamily.step`, as `reduce_monomial`
+    reports them."""
     labels, seen = [], {m}
-    while (step := fam.step(m)) is not None:
+    while (step := fam.step(m, k)) is not None:
         label, m = step
         labels.append(label)
         if m in seen:

@@ -28,6 +28,7 @@ from binomial_ci import rewrite
 from binomial_ci.keys import _lane_bytes
 from binomial_ci.graph import SINK, TRANSIENT
 from binomial_ci.rewrite import certificate_residual, certificate_to_json, render_certificate
+from binomial_ci.selftest import _tuple_walk
 
 from conftest import assert_as_checked, family_strategy, random_family
 
@@ -428,19 +429,6 @@ def test_walk_past_the_monomial_budget_raises(chain, monkeypatch):
     assert len(reduce_monomial(chain, m).path_labels) == steps
 
 
-def _tuple_walk(family, m, k):
-    """(kind, labels, end) of the walk from m along labels <= k, one tuple
-    step `BinomialFamily.step` at a time: the reference of the packed walk."""
-    labels, seen = [], {m}
-    while (step := family.step(m, k)) is not None:
-        label, m = step
-        labels.append(label)
-        if m in seen:
-            return TO_CYCLE, tuple(labels), m
-        seen.add(m)
-    return TO_BASIS, tuple(labels), m
-
-
 def test_packed_walk_matches_the_tuple_step_on_drawn_families_hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -484,6 +472,14 @@ class TestStartWiderThanALane:
             f"(a2*a3)*x3^{e} = (a2)*x3^{e - 1}*f3 + (b3)*x3^{e - 1}*f2 + (b2*b3)*x3^{e}"
         )
         assert cert.kind == TO_CYCLE and cert.rhs_monomial == Monomial((0, 0, e))
+
+    def test_check_of_a_stop_past_the_cutoff_raises_value_error(self):
+        # x3 lies past cutoff 2, so the start is a basis stop and the certificate has no steps
+        fam = parse_family(self.FAMILY)
+        cert = certificate(fam, Monomial((0, 0, 2**70)), 2)
+        assert cert.steps == () and cert.kind == TO_BASIS
+        with pytest.raises(ValueError, match="too large for a packed key"):
+            certificate_residual(fam, cert)
 
 
 class TestOneWalkPerRequest:

@@ -8,22 +8,22 @@ which `_in_tree` finds by inverting the packed rewrite step of `keys.rule`,
 without building the socle-degree reduction graph.  The search touches only
 ints: packed vertex keys, each r as one int of count lanes, and one order of
 the labels fixed up front in place of a sort at each vertex; the vertices
-and counts are unpacked once, when the tree is done.  The tree is cached, so
-both conventions and `s_vector` share one search.
+and counts are unpacked once, when the tree is done.
 
 So F is a function of the family and the convention alone, and a
-`DualGenerator` holds just those two and the tree.  Its terms come from
+`DualGenerator` holds just those two and the family's in-tree value: the
+tree, s and a memo of packed passes.  Its terms come from
 `DualGenerator._terms`, and the family's values enter through
 `algebra._put_values`: sparse_terms, evaluate, str and dual_to_json read the
 flat terms of `DualGenerator._substituted`.  verify_annihilation of a
 DualGenerator under its own convention packs the contraction terms straight
-from the tree (`_packed_dual`): two C passes pack the vertices alpha and
+from F's tree (`_packed_dual`): two C passes pack the vertices alpha and
 their label counts r, each key is one int expression in them, and each
 coefficient is 1, or the values the family fixes.  The kernel's pass over
-them is the same under both conventions, so one pass per (checked family,
-dual's family) serves both (`_dual_pass`), and each check only divides; the
-tree is shared and read-only.  Any other form is a mapping, checked by
-`normalize_terms`.
+them is the same under both conventions, so it is kept in the memo beside
+the tree, keyed by the checked family, and each later check of a dual on
+that tree only divides; the tree is shared and read-only.  Any other form is
+a mapping, checked by `normalize_terms`.
 
 The action x^gamma o F lives here on packed keys, on forms normalized by
 `algebra.normalize_terms` (the form layer, re-exported here); `selftest` and
@@ -73,11 +73,21 @@ from .family import BinomialFamily
 from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpack_all, _unpacked, rule
 
 
+# ({alpha: r}, s, {checked family: (packed pass, scale)}): `_in_tree`'s value
+InTree = tuple[dict[Exponents, Exponents], Exponents, dict]
+
+
+# One entry serves the second convention's dual_generator, and s_vector, after
+# the first convention's search, with the packed passes kept beside the tree;
+# the `structure` job builds both conventions of each family in turn.  A miss
+# costs 0.74 s per pass over its 600-family pool (best of 5, Python 3.11, 2 vCPU).
 @lru_cache(maxsize=1)
-def _in_tree(family: BinomialFamily) -> tuple[dict[Exponents, Exponents], Exponents]:
-    """({alpha: r}, s) over the in-tree of the socle monomial x^target,
-    target = (d1-1, .., dn-1): r counts the labels on the path from x^alpha
-    to the target, and s holds their per-label maxima.
+def _in_tree(family: BinomialFamily) -> InTree:
+    """({alpha: r}, s, passes) over the in-tree of the socle monomial
+    x^target, target = (d1-1, .., dn-1): r counts the labels on the path from
+    x^alpha to the target, s holds their per-label maxima, and passes starts
+    empty: verify_annihilation keeps there, per checked family, its packed
+    contraction pass on this tree.
 
     A reverse search from the target on packed keys that never builds the
     socle-degree graph.  It inverts the step of `keys.rule`: w has the
@@ -105,8 +115,8 @@ def _in_tree(family: BinomialFamily) -> tuple[dict[Exponents, Exponents], Expone
     their label's unit: each r_i is below the tree size, which is at most
     the size of the degree-D monomial space, checked against
     `MONOMIAL_BUDGET` first, so no lane overflows.  The keys and counts are
-    unpacked once, at the end, by two `_unpack_all` calls.  The last tree
-    is cached and shared; callers must not mutate it.
+    unpacked once, at the end, by two `_unpack_all` calls.  The tree is
+    shared; callers must not mutate it.
     """
     n = family.n
     check_monomial_budget(n, family.socle_degree)
@@ -134,30 +144,30 @@ def _in_tree(family: BinomialFamily) -> tuple[dict[Exponents, Exponents], Expone
                 counts.append(rv := r + unit)
                 stack.append((v, rv))
     rs = _unpack_all(counts, n, rb)
-    return dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), rs)), tuple(map(max, zip(*rs)))
+    return dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), rs)), tuple(map(max, zip(*rs))), {}
 
 
 def s_vector(family: BinomialFamily) -> tuple[int, ...]:
     """Per-label maxima of the label counts over all paths into the socle
-    monomial x1^(d1-1)...xn^(dn-1), read from its cached in-tree."""
+    monomial x1^(d1-1)...xn^(dn-1), read from its in-tree."""
     return _in_tree(family)[1]
 
 
 @dataclass(frozen=True)
 class DualGenerator:
-    """The dual generator F of a family under a convention: the in-tree and s
-    are read once, at construction, and every term comes from them."""
+    """The dual generator F of a family under a convention: the family's
+    in-tree value is read once, at construction, and every term comes from
+    its tree and s."""
 
     family: BinomialFamily
     convention: str
-    _tree: dict[Exponents, Exponents] = field(init=False, repr=False, compare=False)
+    _tree: InTree = field(init=False, repr=False, compare=False)
     s: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         check_convention(self.convention)
-        tree, s = _in_tree(self.family)
-        object.__setattr__(self, "_tree", tree)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_tree", in_tree := _in_tree(self.family))
+        object.__setattr__(self, "s", in_tree[1])
 
     @property
     def n(self) -> int:
@@ -170,16 +180,16 @@ class DualGenerator:
     def _terms(self):
         """(s - r, r, scalar) per in-tree vertex, in the tree's order: the
         scalar is D!/alpha! under differentiation and 1 under contraction."""
-        s = self.s
+        tree, s, _ = self._tree
         if self.convention == DIFFERENTIATION:
             top = factorial(self.socle_degree)
-            return ((tuple(map(sub, s, r)), r, top // exponent_factorial(alpha)) for alpha, r in self._tree.items())
-        return ((tuple(map(sub, s, r)), r, 1) for r in self._tree.values())
+            return ((tuple(map(sub, s, r)), r, top // exponent_factorial(alpha)) for alpha, r in tree.items())
+        return ((tuple(map(sub, s, r)), r, 1) for r in tree.values())
 
     @property
     def coeffs(self) -> dict[Exponents, CoeffMonomial]:
         """{alpha: coefficient monomial}, built afresh on each read."""
-        return {alpha: CoeffMonomial._raw(Fraction(c), a, r) for alpha, (a, r, c) in zip(self._tree, self._terms())}
+        return {alpha: CoeffMonomial._raw(Fraction(c), a, r) for alpha, (a, r, c) in zip(self._tree[0], self._terms())}
 
     def _substituted(self) -> dict[Exponents, tuple[Exponents, int | Fraction]]:
         """{alpha: (2n symbol exponents, rational)} for the nonzero coefficients,
@@ -189,7 +199,7 @@ class DualGenerator:
         terms = _put_values(((a + r, c) for a, r, c in self._terms()), self.n, fam.a_values, fam.b_values)
         return {
             alpha: (sym, ratio[0] if ratio[1] == 1 else q)
-            for alpha, (sym, q) in zip(self._tree, terms)
+            for alpha, (sym, q) in zip(self._tree[0], terms)
             if (ratio := q.as_integer_ratio())[0]
         }
 
@@ -322,10 +332,10 @@ def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: b
     return _divided(_pass(f_flats, big, n, m, nb, guard), scale, differentiate)
 
 
-def _packed_dual(fam: BinomialFamily, degrees) -> tuple[list[tuple[int, int]], int, int, int]:
-    """(big, scale, nb, G): the terms of fam's dual generator under
-    contraction for `_pass`, packed straight from its cached in-tree, to act
-    on by forms of the given degrees.
+def _packed_dual(F: DualGenerator, degrees) -> tuple[list[tuple[int, int]], int, int, int]:
+    """(big, scale, nb, G): the terms of F under contraction for `_pass`,
+    packed straight from F's own in-tree, to act on by forms of the given
+    degrees.
 
     Two `_pack_all` calls pack the tree's keys alpha (the X lanes) and its
     label counts r; with S = pack(s), a vertex's key is A | G | (S - R) << w
@@ -335,7 +345,7 @@ def _packed_dual(fam: BinomialFamily, degrees) -> tuple[list[tuple[int, int]], i
     `_put_values`, and one AND masks the fixed symbols' lanes out of every
     key.
     """
-    (tree, s), n = _in_tree(fam), fam.n
+    (tree, s, _), fam, n = F._tree, F.family, F.n
     nb = _lane_bytes(max(fam.socle_degree, max(s) + 1, *degrees))
     guard = _guard(n, nb)
     w = 8 * nb * n
@@ -378,20 +388,6 @@ class AnnihilationResult:
         return self.ok
 
 
-@lru_cache(maxsize=1)
-def _dual_pass(family: BinomialFamily, dual_family: BinomialFamily) -> tuple[list[tuple[dict, int]], int]:
-    """(passes, scale): `_pass` of the family's generators on the contraction
-    terms of dual_family's dual generator packed by `_packed_dual`, which
-    hold q * scale.
-
-    The in-tree is a function of the dual's family alone (`_in_tree`), and
-    the pass is the same under both conventions, so the last one is kept:
-    checking the same family against a dual of the same family again, under
-    either convention, only divides."""
-    big, scale, nb, guard = _packed_dual(dual_family, family.degrees)
-    return _pass(_generator_flats(family), big, family.n, family.n, nb, guard), scale
-
-
 def _generator_flats(family: BinomialFamily) -> list[Flat]:
     """f_1, .., f_n in the shape of `_flat`."""
     n = family.n
@@ -406,22 +402,23 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     generator coefficients; everything else stays symbolic.  A DualGenerator
     of another convention than the check's is read as its terms, a mapping.
 
-    A DualGenerator of the check's convention is contracted once per
-    (checked family, dual's family) by `_dual_pass`, on the shared, read-only
-    in-tree: Phi(F) is D! times the contraction dual, so both conventions
-    read the same packed pass and differ only in its division.  That pass
-    reads the family's in-tree from `_in_tree`, so F takes it only when it
-    holds that very tree.  Any other DualGenerator is read as its terms: one
-    whose tree was replaced, or one built before another family's search
-    took `_in_tree`'s one entry (its tree is then searched again).
+    A DualGenerator of the check's convention is contracted by `_pass` on
+    the terms `_packed_dual` packs from F's own in-tree, once per checked
+    family: the pass is kept in the memo of that in-tree value.  Phi(F) is
+    D! times the contraction dual, so both conventions read the same pass and
+    differ only in its division.
     """
     check_convention(convention)
     n = family.n
     differentiate = convention == DIFFERENTIATION
     if isinstance(F, DualGenerator) and F.n != n:
         raise ValueError("the dual generator and the family have different variable counts")
-    if isinstance(F, DualGenerator) and F.convention == convention and F._tree is _in_tree(F.family)[0]:
-        passes, scale = _dual_pass(family, F.family)
+    if isinstance(F, DualGenerator) and F.convention == convention:
+        memo = F._tree[2]
+        if (done := memo.get(family)) is None:
+            big, scale, nb, guard = _packed_dual(F, family.degrees)
+            done = memo[family] = _pass(_generator_flats(family), big, n, n, nb, guard), scale
+        passes, scale = done
         if differentiate:
             # Phi(F) = D! times the contraction terms of the pass
             scale = Fraction(scale, factorial(F.socle_degree))

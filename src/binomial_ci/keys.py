@@ -67,6 +67,8 @@ def _unpack_all(keys, size: int, nb: int) -> list[tuple[int, ...]]:
     """[_unpacked(k, size, nb) for k in keys], in C: one buffer of every key's
     bytes, read back lane by lane.  Lanes wider than 8 bytes, which `struct`
     cannot read, are read from the same buffer by int.from_bytes."""
+    if not size:  # no lanes: every key is 0, the empty vector
+        return [() for _ in keys]
     data = b"".join(map(int.to_bytes, keys, repeat(size * nb), repeat("little")))
     if nb <= 8:
         return list(_layout(size, nb).iter_unpack(data))
@@ -88,13 +90,9 @@ def _guard(size: int, nb: int) -> int:
 
 def _nonzero(acc: dict, n: int, m: int, nb: int) -> dict:
     """{(X exponents, symbol exponents): rational} for the nonzero entries of
-    a packed accumulator with n X lanes and 2m symbol lanes."""
-    out = {}
-    for key, c in acc.items():
-        if c:
-            lanes = _unpacked(key, n + 2 * m, nb)
-            out[lanes[:n], lanes[n:]] = c
-    return out
+    a packed accumulator with n X lanes and 2m symbol lanes of any width."""
+    keys = [key for key, c in acc.items() if c]
+    return {(lanes[:n], lanes[n:]): acc[key] for key, lanes in zip(keys, _unpack_all(keys, n + 2 * m, nb))}
 
 
 def rule(degrees, tails, top: int) -> tuple[int, int, int, list[int]]:

@@ -196,7 +196,7 @@ def _check_in_tree() -> bool:
                 return False
             if kind == TO_BASIS and end == target:
                 walks[m.exponents] = tuple(map(labels.count, range(1, fam.n + 1)))
-        tree, s = _in_tree(fam)
+        tree, s, _ = _in_tree(fam)
         if tree != walks or s != tuple(map(max, zip(*walks.values()))):
             return False
     return True

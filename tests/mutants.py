@@ -5,7 +5,8 @@ MUTANTS must be killed.
 
 Each row names a file under src/, an exact snippet that must occur in it
 once, its one-line replacement, and the check that must fail on the mutant:
-"selftest" (python -m binomial_ci selftest) or a test file run by pytest.
+"selftest" (python -m binomial_ci selftest), or a test file or test id run
+by pytest.
 The runner first runs every check on an unmutated copy, which must pass.
 Then, for each mutant, it copies src/, tests/, README.md and pyproject.toml
 into a temporary directory, applies that one mutant and runs its check,
@@ -47,7 +48,7 @@ class Mutant:
     path: str
     snippet: str
     replacement: str
-    check: str  # "selftest" or a test file
+    check: str  # "selftest", a test file or a test id
 
 
 MUTANTS = [
@@ -192,11 +193,18 @@ MUTANTS = [
         "tests/test_dual.py",
     ),
     Mutant(
-        "dual pass taken by a dual whose tree was replaced",
+        "dual pass memo read under the dual's own family",
         "src/binomial_ci/dual.py",
-        " and F.convention == convention and F._tree is _in_tree(F.family)[0]:",
-        " and F.convention == convention:",
-        "tests/test_dual.py",
+        "        if (done := memo.get(family)) is None:",
+        "        if (done := memo.get(F.family)) is None:",
+        "tests/test_dual.py::TestPackedDualFeed::test_a_dual_checked_against_another_family",
+    ),
+    Mutant(
+        "packed dual packs the family's cached in-tree, not the one it is handed",
+        "src/binomial_ci/dual.py",
+        "    (tree, s, _), fam, n = F._tree, F.family, F.n",
+        "    (tree, s, _), fam, n = _in_tree(F.family), F.family, F.n",
+        "tests/test_dual.py::TestPackedDualFeed::test_one_changed_label_count_leaves_a_residual",
     ),
     Mutant(
         "rewriting walk's cutoff one lane too high",

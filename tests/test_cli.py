@@ -320,6 +320,14 @@ class TestMonomialBudget:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "exceed the budget" in err
 
+    def test_catalecticant_columns_over_budget_exit_1(self, capsys, tmp_path, no_enumeration):
+        # X1^60 in 8 variables: the degree-60 catalecticant columns alone are C(67, 7)
+        dual_file = tmp_path / "dual.json"
+        dual_file.write_text(json.dumps({"terms": [{"alpha": [60, 0, 0, 0, 0, 0, 0, 0], "coeff": "1"}]}))
+        code, out, err = run_cli(capsys, "lefschetz", "--dual-file", str(dual_file))
+        assert (code, out) == (1, "")
+        assert err == "error: 869648208 monomials of degree 60 in 8 variables exceed the budget of 2000000\n"
+
 
 class TestErrorsAndExitCodes:
     def test_validation_error_exits_1(self, capsys):
@@ -761,7 +769,7 @@ class TestGoldenBytes:
 class TestRequestedFormatOnly:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_dual_verify_substitutes_twice(self, capsys, monkeypatch, fmt):
-        dual._dual_pass.cache_clear()  # no pass kept from an earlier check
+        dual._in_tree.cache_clear()  # no pass kept from an earlier check
         calls = []
         packed, substituted = dual._packed_dual, DualGenerator._substituted
         monkeypatch.setattr(dual, "_packed_dual", lambda *args: calls.append("check") or packed(*args))

@@ -198,7 +198,7 @@ def _tree_families(ci_corpus):
 class TestInTree:
     def test_reverse_search_matches_the_forward_graph_walk(self, ci_corpus):
         for fam in _tree_families(ci_corpus):
-            tree, s = _in_tree(fam)
+            tree, s, _ = _in_tree(fam)
             expected_tree, expected_s = _forward_in_tree(fam)
             assert list(tree.items()) == list(expected_tree.items())
             assert s == expected_s == s_vector(fam)
@@ -209,7 +209,7 @@ class TestInTree:
 
     def test_every_tree_edge_is_a_rewrite_step(self, ci_corpus):
         for fam in _tree_families(ci_corpus):
-            tree, _ = _in_tree(fam)
+            tree, _, _ = _in_tree(fam)
             target = tuple(d - 1 for d in fam.degrees)
             assert fam._move(target, fam.n) is None
             for v, r in tree.items():
@@ -258,7 +258,7 @@ def test_reverse_search_matches_the_forward_walk_on_drawn_families_hypothesis():
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(family_strategy(st))
     def check(fam):
-        tree, s = _in_tree(fam)
+        tree, s, _ = _in_tree(fam)
         expected_tree, expected_s = _forward_in_tree(fam)
         assert list(tree.items()) == list(expected_tree.items())
         assert s == expected_s
@@ -289,7 +289,7 @@ class TestPackedInTree:
     def test_every_lane_width_gives_rewrite_steps(self):
         widths, counts = set(), 0
         for fam in _wide_tree_families():
-            tree, s = _in_tree(fam)
+            tree, s, _ = _in_tree(fam)
             target = tuple(d - 1 for d in fam.degrees)
             assert fam._move(target, fam.n) is None and tree[target] == (0,) * fam.n
             for v, r in tree.items():
@@ -627,12 +627,13 @@ class TestPackedDualFeed:
         families = [random_family(rng, numeric=False) for _ in range(6)] + _lane_edge_families()[::3]
         for fam in families:
             dual = dual_generator(fam, convention)
-            tree = dict(dual._tree)
+            assert verify_annihilation(fam, dual, convention).ok  # a pass of the good tree is kept
+            tree = dict(dual._tree[0])
             movable = [(alpha, j) for alpha, r in tree.items() for j in range(fam.n) if r[j] < dual.s[j]]
             alpha, j = rng.choice(movable)
             tree[alpha] = tuple(e + (k == j) for k, e in enumerate(tree[alpha]))
             bad = dataclasses.replace(dual)
-            object.__setattr__(bad, "_tree", tree)
+            object.__setattr__(bad, "_tree", (tree, dual.s, {}))  # a fresh in-tree value, with its own memo
             got = verify_annihilation(fam, bad, convention)
             assert not got.ok
             assert got.residuals == verify_annihilation(fam, bad.sparse_terms(), convention).residuals
@@ -641,27 +642,38 @@ class TestPackedDualFeed:
 
 class TestOnePassPerTree:
     """Both conventions of a DualGenerator read one packed contraction pass
-    per (checked family, tree)."""
+    per (checked family, in-tree value)."""
 
-    def test_both_conventions_make_one_pass(self, monkeypatch, double_cycle, loop2):
+    @pytest.fixture
+    def acts(self, monkeypatch):
+        """The `_act` calls since the fixture started, with `_in_tree`'s entry,
+        and so any pass kept beside it, cleared."""
         calls = []
         act = dual_module._act
         monkeypatch.setattr(dual_module, "_act", lambda *args: calls.append(1) or act(*args))
+        _in_tree.cache_clear()
+        return calls
+
+    def test_both_conventions_make_one_pass(self, acts, double_cycle):
         n = double_cycle.n
         for order in ((CONTRACTION, DIFFERENTIATION), (DIFFERENTIATION, CONTRACTION)):
-            dual_module._dual_pass.cache_clear()
-            calls.clear()
+            _in_tree.cache_clear()
+            acts.clear()
             for convention in order:
                 assert verify_annihilation(double_cycle, dual_generator(double_cycle, convention), convention).ok
-            assert len(calls) == n  # one _act per generator, not 2n
-        # two families in turn, each with both conventions on one tree: every check recomputes
+            assert len(acts) == n  # one _act per generator, not 2n
+
+    def test_duals_built_first_read_their_own_trees(self, acts, double_cycle, loop2):
+        # Both conventions of two families are built before any check: each
+        # check reads the pass kept on its dual's own in-tree, so no tree is
+        # searched again and each family's generators act once.
         duals = {fam: [dual_generator(fam, c) for c in (CONTRACTION, DIFFERENTIATION)] for fam in (double_cycle, loop2)}
-        dual_module._dual_pass.cache_clear()
-        calls.clear()
+        assert _in_tree.cache_info().misses == 2
         for k in range(2):
             for fam, pair in duals.items():
                 assert verify_annihilation(fam, pair[k], pair[k].convention).ok
-        assert len(calls) == 2 * (double_cycle.n + loop2.n)
+        assert _in_tree.cache_info().misses == 2  # no search beyond the two builds
+        assert len(acts) == double_cycle.n + loop2.n
 
 
 class TestPackedLanes:

@@ -4,7 +4,18 @@ import pytest
 
 from binomial_ci import BinomialFamily, Monomial, monomials_of_degree
 from binomial_ci.algebra import exponents_of_degree
-from binomial_ci.keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpacked, degree_keys, rule
+from binomial_ci.keys import (
+    _guard,
+    _lane_bytes,
+    _nonzero,
+    _pack,
+    _pack_all,
+    _shifted,
+    _unpack_all,
+    _unpacked,
+    degree_keys,
+    rule,
+)
 
 from conftest import random_family
 
@@ -20,6 +31,13 @@ class TestLanes:
             assert [(key >> 8 * nb * j) & top for j in range(len(v))] == list(v)  # lane j at bits 8*nb*j, on any host
         assert _pack_all([(1, 2), (top, 0)], 2, nb) == [_pack((1, 2), nb), _pack((top, 0), nb)]
         assert _nonzero({_pack((1, 2, 3), nb): 5, _pack((3, 2, 1), nb): 0}, 1, 1, nb) == {((1,), (2, 3)): 5}
+
+    @pytest.mark.parametrize("nb", [1, 16])
+    def test_nonzero_reads_lanes_of_any_width_and_none(self, nb):
+        top = 2 ** (8 * nb - 1) - 1
+        assert _nonzero({_shifted((top, 2, 3), nb): 5, _shifted((3, 2, 1), nb): 0}, 1, 1, nb) == {((top,), (2, 3)): 5}
+        assert _nonzero({0: 6, 1: 0}, 0, 0, nb) == {((), ()): 6}
+        assert _unpack_all(iter([0, 0]), 0, nb) == [(), ()]
 
     @pytest.mark.parametrize("top, nb", [(0, 1), (63, 1), (64, 2), (16383, 2), (16384, 4), (2**30 - 1, 4), (2**30, 8)])
     def test_lane_switch_points(self, top, nb):

@@ -473,13 +473,33 @@ class TestStartWiderThanALane:
         )
         assert cert.kind == TO_CYCLE and cert.rhs_monomial == Monomial((0, 0, e))
 
-    def test_check_of_a_stop_past_the_cutoff_raises_value_error(self):
+    def test_check_of_a_stop_past_the_cutoff_holds(self):
         # x3 lies past cutoff 2, so the start is a basis stop and the certificate has no steps
         fam = parse_family(self.FAMILY)
         cert = certificate(fam, Monomial((0, 0, 2**70)), 2)
         assert cert.steps == () and cert.kind == TO_BASIS
-        with pytest.raises(ValueError, match="too large for a packed key"):
-            certificate_residual(fam, cert)
+        assert certificate_residual(fam, cert) == {}
+        assert check_certificate(fam, certificate(fam, Monomial((0, 0, 2**70))))
+
+    def test_tampered_wide_certificates_fail_as_at_narrow_lanes(self):
+        # One multiplier exponent +1 leaves the reference residual; a bad
+        # generator index or a negative exponent raises the message it
+        # raises on a certificate whose lanes fit 8 bytes.
+        fam = parse_family(self.FAMILY)
+        wide, narrow = (certificate(fam, Monomial((0, 0, e))) for e in (2**70, 5))
+        step = dataclasses.replace(wide.steps[0], multiplier=wide.steps[0].multiplier * Monomial((0, 1, 0)))
+        bad = dataclasses.replace(wide, steps=(step,) + wide.steps[1:])
+        residual = certificate_residual(fam, bad)
+        assert residual and residual == _reference_residual(fam, bad)
+        laurent = CoeffMonomial(Fraction(1), (-1, 0, 0), (0, 0, 0))
+        for change in ({"gen_index": 4}, {"gen_index": 0}, {"scale": laurent}):
+            messages = []
+            for cert in (narrow, wide):
+                bad = dataclasses.replace(cert, steps=(dataclasses.replace(cert.steps[0], **change),) + cert.steps[1:])
+                with pytest.raises(ValueError) as raised:
+                    certificate_residual(fam, bad)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
 
 
 class TestOneWalkPerRequest:

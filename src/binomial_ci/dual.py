@@ -12,35 +12,37 @@ and counts are unpacked once, when the tree is done.
 
 So F is a function of the family and the convention alone, and a
 `DualGenerator` holds just those two and the family's in-tree value: the
-tree, s and a memo of packed passes.  Its terms come from
-`DualGenerator._terms`, and the family's values enter through
-`algebra._put_values`: sparse_terms, evaluate, str and dual_to_json read the
-flat terms of `DualGenerator._substituted`.  verify_annihilation of a
-DualGenerator under its own convention packs the contraction terms straight
-from F's tree (`_packed_dual`): two C passes pack the vertices alpha and
-their label counts r, each key is one int expression in them, and each
-coefficient is 1, or the values the family fixes.  The kernel's pass over
-them is the same under both conventions, so it is kept in the memo beside
-the tree, keyed by the checked family, and each later check of a dual on
-that tree only divides; the tree is shared and read-only.  Any other form is
-a mapping, checked by `normalize_terms`.
+tree, s, the search's packed keys and counts, and the verdict of its match.
+Its terms come from `DualGenerator._terms`, and the family's values enter
+through `algebra._put_values`: sparse_terms, evaluate, str and dual_to_json
+read the flat terms of `DualGenerator._substituted`.
+
+Since F = sum of a^(s-r) b^r X^alpha over the tree, f_i o F = 0 is a
+pairing: each term of the lead image must meet a term of the tail image
+whose label counts differ by e_i.  verify_annihilation of a DualGenerator of
+the checked family under the check's convention decides that by `_matches`,
+one dict comparison per generator on the packed keys and counts the search
+kept; the identity holds under both conventions, so its verdict is kept
+beside the tree and the family's other dual reads it for free.  A match
+that holds proves annihilation at any values; one that fails proves
+nothing, and the exact mapping path below decides.  The tree is shared and
+read-only.  Any other form is a mapping, checked by `normalize_terms`.
 
 The action x^gamma o F lives here on packed keys, on forms normalized by
 `algebra.normalize_terms` (the form layer, re-exported here); `selftest` and
 the tests pin it against its tuple reference, `reference.action_image`.
-apply_action, verify_annihilation and the Hessians at a point go through the
-packed kernel `_act`, on the lane layout of `keys`: each term of F, X and
-symbol exponents together, is packed once into one int of guarded lanes, one
-subtract and mask on the guard bits tests divisibility by x^gamma, and each
-product is one int add and one int multiply into a single dict: each side's
-rationals are scaled to integers by the lcm of their denominators first, and
-each nonzero entry of the image is divided back once.  The kernel only
-contracts: with Phi(F) the alpha!-scaled form, differentiation is
-Phi^-1(x^gamma o Phi(F)), so it divides each nonzero term at X^k by k!
-(`oracle._integer_form` reads the same identity).  A DualGenerator has
-Phi(F) = D! times its contraction dual.  Only the nonzero entries are
-unpacked and grouped back into SparsePoly (or, for numeric inputs, Fraction)
-coefficients.
+apply_action, verify_annihilation's mapping path and the Hessians at a point
+go through the packed kernel `_act`, on the lane layout of `keys`: each term
+of F, X and symbol exponents together, is packed once into one int of
+guarded lanes, one subtract and mask on the guard bits tests divisibility by
+x^gamma, and each product is one int add and one int multiply into a single
+dict: each side's rationals are scaled to integers by the lcm of their
+denominators first, and each nonzero entry of the image is divided back
+once.  The kernel only contracts: with Phi(F) the alpha!-scaled form,
+differentiation is Phi^-1(x^gamma o Phi(F)), so it divides each nonzero term
+at X^k by k! (`oracle._integer_form` reads the same identity).  Only the
+nonzero entries are unpacked and grouped back into SparsePoly (or, for
+numeric inputs, Fraction) coefficients.
 """
 
 from __future__ import annotations
@@ -73,21 +75,24 @@ from .family import BinomialFamily
 from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpack_all, _unpacked, rule
 
 
-# ({alpha: r}, s, {checked family: (packed pass, scale)}): `_in_tree`'s value
-InTree = tuple[dict[Exponents, Exponents], Exponents, dict]
+# ({alpha: r}, s, packed keys alpha | G, packed r, [verdict of `_matches`] once
+# checked): `_in_tree`'s value
+InTree = tuple[dict[Exponents, Exponents], Exponents, list[int], list[int], list[bool]]
 
 
 # One entry serves the second convention's dual_generator, and s_vector, after
-# the first convention's search, with the packed passes kept beside the tree;
+# the first convention's search, with the match's verdict kept beside the tree;
 # the `structure` job builds both conventions of each family in turn.  A miss
 # costs 0.74 s per pass over its 600-family pool (best of 5, Python 3.11, 2 vCPU).
 @lru_cache(maxsize=1)
 def _in_tree(family: BinomialFamily) -> InTree:
-    """({alpha: r}, s, passes) over the in-tree of the socle monomial
-    x^target, target = (d1-1, .., dn-1): r counts the labels on the path from
-    x^alpha to the target, s holds their per-label maxima, and passes starts
-    empty: verify_annihilation keeps there, per checked family, its packed
-    contraction pass on this tree.
+    """({alpha: r}, s, keys, counts, verdict) over the in-tree of the socle
+    monomial x^target, target = (d1-1, .., dn-1): r counts the labels on the
+    path from x^alpha to the target and s holds their per-label maxima.  keys
+    and counts are the same vertices as the search packs them, in the dict's
+    order: alpha | G in the lanes of `keys.rule`, and r in count lanes.
+    verdict starts empty: verify_annihilation keeps there the verdict of
+    `_matches`, which reads keys and counts.
 
     A reverse search from the target on packed keys that never builds the
     socle-degree graph.  It inverts the step of `keys.rule`: w has the
@@ -114,9 +119,10 @@ def _in_tree(family: BinomialFamily) -> InTree:
     `_lane_bytes(MONOMIAL_BUDGET)`-byte lanes, and its predecessors add
     their label's unit: each r_i is below the tree size, which is at most
     the size of the degree-D monomial space, checked against
-    `MONOMIAL_BUDGET` first, so no lane overflows.  The keys and counts are
-    unpacked once, at the end, by two `_unpack_all` calls.  The tree is
-    shared; callers must not mutate it.
+    `MONOMIAL_BUDGET` first, so no lane overflows, nor does r + e_i in
+    `_matches`.  The keys and counts are unpacked once, at the end, by two
+    `_unpack_all` calls, and kept packed as well.  The tree is shared;
+    callers must not mutate it.
     """
     n = family.n
     check_monomial_budget(n, family.socle_degree)
@@ -144,7 +150,7 @@ def _in_tree(family: BinomialFamily) -> InTree:
                 counts.append(rv := r + unit)
                 stack.append((v, rv))
     rs = _unpack_all(counts, n, rb)
-    return dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), rs)), tuple(map(max, zip(*rs))), {}
+    return dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), rs)), tuple(map(max, zip(*rs))), keys, counts, []
 
 
 def s_vector(family: BinomialFamily) -> tuple[int, ...]:
@@ -180,7 +186,7 @@ class DualGenerator:
     def _terms(self):
         """(s - r, r, scalar) per in-tree vertex, in the tree's order: the
         scalar is D!/alpha! under differentiation and 1 under contraction."""
-        tree, s, _ = self._tree
+        tree, s = self._tree[:2]
         if self.convention == DIFFERENTIATION:
             top = factorial(self.socle_degree)
             return ((tuple(map(sub, s, r)), r, top // exponent_factorial(alpha)) for alpha, r in tree.items())
@@ -332,34 +338,6 @@ def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: b
     return _divided(_pass(f_flats, big, n, m, nb, guard), scale, differentiate)
 
 
-def _packed_dual(F: DualGenerator, degrees) -> tuple[list[tuple[int, int]], int, int, int]:
-    """(big, scale, nb, G): the terms of F under contraction for `_pass`,
-    packed straight from F's own in-tree, to act on by forms of the given
-    degrees.
-
-    Two `_pack_all` calls pack the tree's keys alpha (the X lanes) and its
-    label counts r; with S = pack(s), a vertex's key is A | G | (S - R) << w
-    | R << 2w, w the width of the n X lanes, and no lane of S - R borrows, as
-    r <= s.  The lanes hold twice max(D, max(s) + 1, d_i): s may exceed D.
-    Each coefficient is 1; a family with fixed values puts them in by
-    `_put_values`, and one AND masks the fixed symbols' lanes out of every
-    key.
-    """
-    (tree, s, _), fam, n = F._tree, F.family, F.n
-    nb = _lane_bytes(max(fam.socle_degree, max(s) + 1, *degrees))
-    guard = _guard(n, nb)
-    w = 8 * nb * n
-    top = _pack(s, nb)
-    keys = [a | guard | (top - r) << w | r << 2 * w for a, r in zip(_pack_all(tree, n, nb), _pack_all(tree.values(), n, nb))]
-    if fam.coeff_mode == "symbolic":
-        return [(key, 1) for key in keys], 1, nb, guard
-    terms = _put_values(((tuple(map(sub, s, r)) + r, 1) for r in tree.values()), n, fam.a_values, fam.b_values)
-    ints, scale = _scaled(q for _, q in terms)
-    lane = (1 << 8 * nb) - 1
-    mask = _pack((lane,) * n + tuple(lane if v is None else 0 for v in fam.a_values + fam.b_values), nb)
-    return [(key & mask, c) for key, c in zip(keys, ints) if c], scale, nb, guard
-
-
 def apply_action(f_terms, big_terms, convention: str = CONTRACTION):
     """Apply a polynomial in x to a polynomial in X by the chosen action.
 
@@ -394,38 +372,65 @@ def _generator_flats(family: BinomialFamily) -> list[Flat]:
     return [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
 
 
+def _matches(F: DualGenerator) -> bool:
+    """Whether the symbolic f_i o F is 0 for every generator of F's own
+    family, read off the packed keys and label counts of F's in-tree.
+
+    Under contraction F = sum of a^(s-r) b^r X^alpha over the tree, and
+    a_i a^(s-r) b^r = b_i a^(s-r') b^r' exactly when r' = r - e_i.  So f_i o
+    F = 0 in Q[a, b][X] exactly when the lead image {alpha - d_i e_i: r},
+    over alpha_i >= d_i, equals the tail image {alpha - tail_i: r + e_i},
+    over alpha >= tail_i: each image is injective in X.  That is one dict
+    comparison per generator, on the search's keys alpha | G (lanes of
+    `keys.rule`) and counts r (lanes of `_lane_bytes(MONOMIAL_BUDGET)`
+    bytes); one subtract and mask tests each key, as in `_act`.
+
+    True proves annihilation under both conventions and at the family's
+    values: putting values in keeps a zero zero, and under differentiation
+    Phi(F) is D! times the contraction dual.  False proves nothing, as
+    values may annihilate what the symbols do not.
+    """
+    fam = F.family
+    _, _, keys, counts, _ = F._tree
+    nb, guard, _, deltas = rule(fam.degrees, [t.exponents for t in fam.tails], fam.socle_degree)
+    rb = _lane_bytes(MONOMIAL_BUDGET)
+    for i, (d, delta) in enumerate(zip(fam.degrees, deltas)):
+        lead = d << 8 * nb * i  # pack(d_i e_i), and pack(tail_i) = lead + delta
+        tail, bit, unit = lead + delta, 1 << 8 * nb * (i + 1) - 1, 1 << 8 * rb * i
+        lead_image = {v: r for k, r in zip(keys, counts) if (v := k - lead) & bit}
+        if lead_image != {v: r + unit for k, r in zip(keys, counts) if (v := k - tail) & guard == guard}:
+            return False
+    return True
+
+
 def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION) -> AnnihilationResult:
     """Check f_i o F = 0 for every generator, exactly.
 
     F may be a DualGenerator or a mapping from monomials/exponent tuples to
     coefficients.  Symbol values fixed by the family are substituted into the
-    generator coefficients; everything else stays symbolic.  A DualGenerator
-    of another convention than the check's is read as its terms, a mapping.
+    generator coefficients; everything else stays symbolic.
 
-    A DualGenerator of the check's convention is contracted by `_pass` on
-    the terms `_packed_dual` packs from F's own in-tree, once per checked
-    family: the pass is kept in the memo of that in-tree value.  Phi(F) is
-    D! times the contraction dual, so both conventions read the same pass and
-    differ only in its division.
+    A DualGenerator of the check's convention and of the checked family is
+    first matched on its in-tree by `_matches`, whose verdict is kept beside
+    the tree, so the family's other dual reads it for free.  When the match
+    fails, and for any other F, the generators act on F's terms by `_apply`:
+    a DualGenerator's terms are its `_substituted` ones.
     """
     check_convention(convention)
     n = family.n
-    differentiate = convention == DIFFERENTIATION
-    if isinstance(F, DualGenerator) and F.n != n:
-        raise ValueError("the dual generator and the family have different variable counts")
-    if isinstance(F, DualGenerator) and F.convention == convention:
-        memo = F._tree[2]
-        if (done := memo.get(family)) is None:
-            big, scale, nb, guard = _packed_dual(F, family.degrees)
-            done = memo[family] = _pass(_generator_flats(family), big, n, n, nb, guard), scale
-        passes, scale = done
-        if differentiate:
-            # Phi(F) = D! times the contraction terms of the pass
-            scale = Fraction(scale, factorial(F.socle_degree))
-        images = _divided(passes, scale, differentiate)
+    if isinstance(F, DualGenerator):
+        if F.n != n:
+            raise ValueError("the dual generator and the family have different variable counts")
+        if F.convention == convention and F.family == family:
+            *_, verdict = F._tree
+            if not verdict:
+                verdict.append(_matches(F))
+            if verdict[0]:
+                return AnnihilationResult(True, {})
+        flat = list(F._substituted().items())
     else:
-        flat = list(F._substituted().items()) if isinstance(F, DualGenerator) else _flat(normalize_terms(F, n)[0], n)
-        images = _apply(_generator_flats(family), flat, n, n, differentiate)
+        flat = _flat(normalize_terms(F, n)[0], n)
+    images = _apply(_generator_flats(family), flat, n, n, convention == DIFFERENTIATION)
     residuals = {i: res for i, res in enumerate((group_flat_terms(n, image) for image in images), 1) if res}
     return AnnihilationResult(not residuals, residuals)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import catalog
 from .algebra import CoeffMonomial, Monomial, SparsePoly, monomials_of_degree, multinomial, numeric_form, poly_divides
-from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, apply_action, dual_generator, s_vector, verify_annihilation
+from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, _matches, apply_action, dual_generator, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_family, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
 from .keys import _lane_bytes
@@ -169,19 +169,23 @@ def _tuple_walk(fam, m: Monomial, k: int | None = None) -> tuple[str, tuple[int,
     return TO_BASIS, tuple(labels), m
 
 
+def _catalog_families():
+    return (
+        catalog.three_var_double_cycle(),
+        catalog.three_var_chain(),
+        catalog.two_var_loop(),
+        catalog.five_var_pentagon(),
+        catalog.five_var_pentagon_alt(),
+    )
+
+
 def _check_in_tree() -> bool:
     # The packed graph, the rewriting walk and the reverse search all read
     # `keys.rule`; check them against the tuple rule `BinomialFamily.step`:
     # the graph's labels and successors at the socle and resultant degrees,
     # and the walks from every socle-degree monomial, and the in-tree
     # against those of them that end at the top basis monomial.
-    for fam in (
-        catalog.three_var_double_cycle(),
-        catalog.three_var_chain(),
-        catalog.two_var_loop(),
-        catalog.five_var_pentagon(),
-        catalog.five_var_pentagon_alt(),
-    ):
+    for fam in _catalog_families():
         for d in (fam.socle_degree, fam.resultant_degree):
             g = build_graph(fam, d)
             steps = [s if s is None else (label, g.vertices[s]) for s, label in zip(g.succ, g.labels)]
@@ -196,7 +200,7 @@ def _check_in_tree() -> bool:
                 return False
             if kind == TO_BASIS and end == target:
                 walks[m.exponents] = tuple(map(labels.count, range(1, fam.n + 1)))
-        tree, s, _ = _in_tree(fam)
+        tree, s = _in_tree(fam)[:2]
         if tree != walks or s != tuple(map(max, zip(*walks.values()))):
             return False
     return True
@@ -231,6 +235,28 @@ def _check_annihilation() -> bool:
         if not verify_annihilation(fam, dual_generator(fam, convention), convention).ok:
             return False
     return True
+
+
+def _check_match() -> bool:
+    # The match on a dual's in-tree gives the verdict the mapping path gives
+    # on its terms: on every catalog family under both conventions, and on
+    # the chain's tree with one label count raised, in its {alpha: r} dict
+    # and in the packed counts the match reads alike.
+    for fam in _catalog_families():
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            dual = dual_generator(fam, convention)
+            if _matches(dual) != verify_annihilation(fam, dual.sparse_terms(), convention).ok:
+                return False
+    fam = catalog.three_var_chain()
+    dual = dual_generator(fam)
+    tree, s, keys, counts, _ = dual._tree
+    tree, counts = dict(tree), list(counts)
+    k, alpha = next((k, alpha) for k, (alpha, r) in enumerate(tree.items()) if r[0] < s[0])
+    tree[alpha] = (tree[alpha][0] + 1, *tree[alpha][1:])
+    counts[k] += 1  # label 1's count is lane 0 of the packed r
+    bad = dataclasses.replace(dual)
+    object.__setattr__(bad, "_tree", (tree, s, keys, counts, []))
+    return not _matches(bad) and not verify_annihilation(fam, bad.sparse_terms()).ok
 
 
 def _check_packed_action() -> bool:
@@ -483,6 +509,7 @@ CHECKS = [
     ("dual generators, both conventions, term for term", _check_dual_generators),
     ("packed graph, rewriting walk and socle in-tree vs the tuple rewrite step", _check_in_tree),
     ("symbolic annihilation of constructed duals", _check_annihilation),
+    ("in-tree match vs the mapping path, catalog and tampered trees", _check_match),
     ("packed action kernel vs action_image on a perturbed dual", _check_packed_action),
     ("structural determinant vs numeric oracle", _check_structural_determinant),
     ("radical of the resultant", _check_resultant_radical),

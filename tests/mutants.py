@@ -116,27 +116,6 @@ MUTANTS = [
         "selftest",
     ),
     Mutant(
-        "packed dual keeps the fixed symbols' lanes",
-        "src/binomial_ci/dual.py",
-        "    return [(key & mask, c) for key, c in zip(keys, ints) if c], scale, nb, guard",
-        "    return [(key, c) for key, c in zip(keys, ints) if c], scale, nb, guard",
-        "tests/test_dual.py",
-    ),
-    Mutant(
-        "packed dual lanes sized without max(s) + 1",
-        "src/binomial_ci/dual.py",
-        "    nb = _lane_bytes(max(fam.socle_degree, max(s) + 1, *degrees))",
-        "    nb = _lane_bytes(max(fam.socle_degree, *degrees))",
-        "tests/test_dual.py",
-    ),
-    Mutant(
-        "packed dual lanes sized without the checked degrees",
-        "src/binomial_ci/dual.py",
-        "    nb = _lane_bytes(max(fam.socle_degree, max(s) + 1, *degrees))",
-        "    nb = _lane_bytes(max(fam.socle_degree, max(s) + 1))",
-        "tests/test_dual.py",
-    ),
-    Mutant(
         "Lefschetz verdicts skip k = floor(D/2)",
         "src/binomial_ci/lefschetz.py",
         "    for k in range(top // 2 + 1):",
@@ -186,24 +165,45 @@ MUTANTS = [
         "tests/test_linalg.py",
     ),
     Mutant(
-        "a stray bit in the packed dual's R lanes",
+        "in-tree match's tail image without the label's count unit",
         "src/binomial_ci/dual.py",
-        "(top - r) << w | r << 2 * w for a, r in",
-        "(top - r) << w | (r | 1) << 2 * w for a, r in",
-        "tests/test_dual.py",
+        "{v: r + unit for k, r in",
+        "{v: r for k, r in",
+        "tests/test_dual.py::TestOnePassPerTree",
     ),
     Mutant(
-        "dual pass memo read under the dual's own family",
+        "in-tree match's lead test on the next lane's guard bit",
         "src/binomial_ci/dual.py",
-        "        if (done := memo.get(family)) is None:",
-        "        if (done := memo.get(F.family)) is None:",
+        "1 << 8 * nb * (i + 1) - 1",
+        "1 << 8 * nb * (i + 2) - 1",
+        "tests/test_dual.py::TestMatch",
+    ),
+    Mutant(
+        "in-tree match's tail test on lane i alone",
+        "src/binomial_ci/dual.py",
+        "(v := k - tail) & guard == guard",
+        "(v := k - tail) & bit",
+        "selftest",
+    ),
+    Mutant(
+        "in-tree match taken for a family other than the dual's",
+        "src/binomial_ci/dual.py",
+        "and F.family == family:",
+        ":",
         "tests/test_dual.py::TestPackedDualFeed::test_a_dual_checked_against_another_family",
     ),
     Mutant(
-        "packed dual packs the family's cached in-tree, not the one it is handed",
+        "a failed in-tree match memoized as True",
         "src/binomial_ci/dual.py",
-        "    (tree, s, _), fam, n = F._tree, F.family, F.n",
-        "    (tree, s, _), fam, n = _in_tree(F.family), F.family, F.n",
+        "verdict.append(_matches(F))",
+        "verdict.append(_matches(F) or True)",
+        "tests/test_dual.py::TestPackedDualFeed::test_one_changed_label_count_leaves_a_residual",
+    ),
+    Mutant(
+        "in-tree match reads the family's cached in-tree, not the dual's",
+        "src/binomial_ci/dual.py",
+        "    _, _, keys, counts, _ = F._tree",
+        "    _, _, keys, counts, _ = _in_tree(fam)",
         "tests/test_dual.py::TestPackedDualFeed::test_one_changed_label_count_leaves_a_residual",
     ),
     Mutant(

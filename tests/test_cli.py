@@ -424,7 +424,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "23/23 checks passed" in out
+        assert "24/24 checks passed" in out
 
 
 class TestDeterminism:
@@ -769,10 +769,10 @@ class TestGoldenBytes:
 class TestRequestedFormatOnly:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_dual_verify_substitutes_twice(self, capsys, monkeypatch, fmt):
-        dual._in_tree.cache_clear()  # no pass kept from an earlier check
+        dual._in_tree.cache_clear()  # no verdict kept from an earlier check
         calls = []
-        packed, substituted = dual._packed_dual, DualGenerator._substituted
-        monkeypatch.setattr(dual, "_packed_dual", lambda *args: calls.append("check") or packed(*args))
+        matches, substituted = dual._matches, DualGenerator._substituted
+        monkeypatch.setattr(dual, "_matches", lambda F: calls.append("check") or matches(F))
         monkeypatch.setattr(DualGenerator, "_substituted", lambda self: calls.append("render") or substituted(self))
         code, _, _ = run_cli(capsys, "dual", "--family", CHAIN, "--verify", "--format", fmt)
         assert code == 0

@@ -198,7 +198,7 @@ def _tree_families(ci_corpus):
 class TestInTree:
     def test_reverse_search_matches_the_forward_graph_walk(self, ci_corpus):
         for fam in _tree_families(ci_corpus):
-            tree, s, _ = _in_tree(fam)
+            tree, s = _in_tree(fam)[:2]
             expected_tree, expected_s = _forward_in_tree(fam)
             assert list(tree.items()) == list(expected_tree.items())
             assert s == expected_s == s_vector(fam)
@@ -209,7 +209,7 @@ class TestInTree:
 
     def test_every_tree_edge_is_a_rewrite_step(self, ci_corpus):
         for fam in _tree_families(ci_corpus):
-            tree, _, _ = _in_tree(fam)
+            tree = _in_tree(fam)[0]
             target = tuple(d - 1 for d in fam.degrees)
             assert fam._move(target, fam.n) is None
             for v, r in tree.items():
@@ -258,7 +258,7 @@ def test_reverse_search_matches_the_forward_walk_on_drawn_families_hypothesis():
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(family_strategy(st))
     def check(fam):
-        tree, s, _ = _in_tree(fam)
+        tree, s = _in_tree(fam)[:2]
         expected_tree, expected_s = _forward_in_tree(fam)
         assert list(tree.items()) == list(expected_tree.items())
         assert s == expected_s
@@ -289,7 +289,7 @@ class TestPackedInTree:
     def test_every_lane_width_gives_rewrite_steps(self):
         widths, counts = set(), 0
         for fam in _wide_tree_families():
-            tree, s, _ = _in_tree(fam)
+            tree, s = _in_tree(fam)[:2]
             target = tuple(d - 1 for d in fam.degrees)
             assert fam._move(target, fam.n) is None and tree[target] == (0,) * fam.n
             for v, r in tree.items():
@@ -565,8 +565,28 @@ def _lane_edge_families():
     return families
 
 
+def _tampered(dual, alpha, j):
+    """A copy of dual whose in-tree value counts one more label j + 1 at
+    alpha, in its {alpha: r} dict and in the packed counts `_matches` reads,
+    and holds no verdict yet."""
+    tree, s, keys, counts, _ = dual._tree
+    k = list(tree).index(alpha)
+    tree, counts = dict(tree), list(counts)
+    tree[alpha] = tuple(e + (i == j) for i, e in enumerate(tree[alpha]))
+    counts[k] += 1 << 8 * _lane_bytes(MONOMIAL_BUDGET) * j
+    bad = dataclasses.replace(dual)
+    object.__setattr__(bad, "_tree", (tree, s, keys, counts, []))
+    return bad
+
+
+def _movable(dual):
+    """(alpha, j) for each label count r_j at alpha that may grow by one: r_j < s_j."""
+    return [(alpha, j) for alpha, r in dual._tree[0].items() for j, (c, top) in enumerate(zip(r, dual.s)) if c < top]
+
+
 class TestPackedDualFeed:
-    """verify_annihilation packs a DualGenerator straight from its in-tree."""
+    """verify_annihilation matches a DualGenerator on its in-tree's packed
+    keys and label counts, and takes the mapping path where the match fails."""
 
     def test_s_past_the_socle_degree(self):
         fam = _lane_edge_families()[0]
@@ -577,6 +597,7 @@ class TestPackedDualFeed:
         for fam in _lane_edge_families():
             for built in (CONTRACTION, DIFFERENTIATION):
                 dual = dual_generator(fam, built)
+                assert dual_module._matches(dual)
                 for checked in (CONTRACTION, DIFFERENTIATION):
                     got = verify_annihilation(fam, dual, checked)
                     assert got.residuals == verify_annihilation(fam, dual.sparse_terms(), checked).residuals
@@ -596,11 +617,10 @@ class TestPackedDualFeed:
         assert verify_annihilation(fam, dual_generator(fam, convention), convention).ok
 
     def test_a_dual_checked_against_another_family(self):
-        # The lanes must hold the other family's degrees as well as F's own.
-        # Under differentiation the packed path contracts F's contraction
-        # terms and scales the entry at X^k by D!/k!, while the mapping path
-        # contracts the alpha!-scaled terms and divides by k!; seeded random
-        # pairs, symbolic and numeric, add other shapes.
+        # The match is F's own family's: a check against another family takes
+        # the mapping path, whose lanes must hold the other family's degrees
+        # as well as F's own.  Seeded random pairs, symbolic and numeric, add
+        # other shapes.
         small = parse_family("f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1^2")
         wide = parse_family("f1 = a1*x1^300 - b1*x2^300 ; f2 = a2*x2^2 - b2*x1*x2")
         pairs = [(small, wide)] + [(fam, small) for fam in _lane_edge_families()[3:]]
@@ -608,8 +628,8 @@ class TestPackedDualFeed:
         for numeric in (False, True) * 3:
             fam = random_family(rng, numeric=numeric)
             pairs.append((fam, random_family(rng, numeric=numeric, n_range=(fam.n, fam.n))))
-        # Checking (fam, other, fam) in a row: no check may read the pass
-        # that `verify_annihilation` kept from the other family's.
+        # Checking (fam, other, fam) in a row: the check against the other
+        # family may not read the verdict kept from fam's.
         nonzero = 0
         for fam, other in pairs:
             for convention in (CONTRACTION, DIFFERENTIATION):
@@ -627,53 +647,112 @@ class TestPackedDualFeed:
         families = [random_family(rng, numeric=False) for _ in range(6)] + _lane_edge_families()[::3]
         for fam in families:
             dual = dual_generator(fam, convention)
-            assert verify_annihilation(fam, dual, convention).ok  # a pass of the good tree is kept
-            tree = dict(dual._tree[0])
-            movable = [(alpha, j) for alpha, r in tree.items() for j in range(fam.n) if r[j] < dual.s[j]]
-            alpha, j = rng.choice(movable)
-            tree[alpha] = tuple(e + (k == j) for k, e in enumerate(tree[alpha]))
-            bad = dataclasses.replace(dual)
-            object.__setattr__(bad, "_tree", (tree, dual.s, {}))  # a fresh in-tree value, with its own memo
+            assert verify_annihilation(fam, dual, convention).ok  # the good tree's verdict is kept
+            bad = _tampered(dual, *rng.choice(_movable(dual)))
+            assert not dual_module._matches(bad)
             got = verify_annihilation(fam, bad, convention)
             assert not got.ok
             assert got.residuals == verify_annihilation(fam, bad.sparse_terms(), convention).residuals
             assert verify_annihilation(fam, dual, convention).ok  # the cached tree is untouched
 
 
+def _assert_match_agrees(fam):
+    """On both duals of fam, the match holds, and the verdict of
+    verify_annihilation equals the mapping path's on the dual's terms, in ok
+    and in residuals."""
+    for convention in (CONTRACTION, DIFFERENTIATION):
+        dual = dual_generator(fam, convention)
+        assert dual_module._matches(dual)
+        got = verify_annihilation(fam, dual, convention)
+        expected = verify_annihilation(fam, dual.sparse_terms(), convention)
+        assert (got.ok, got.residuals) == (expected.ok, expected.residuals) == (True, {})
+
+
+class TestMatch:
+    """`_matches` against the mapping path, which is exact."""
+
+    def test_seeded_random_families(self):
+        rng = random.Random(37)
+        for numeric in (False, True) * 10:
+            _assert_match_agrees(random_family(rng, numeric=numeric))
+
+    def test_numeric_families_with_a_zero_b(self):
+        rng = random.Random(38)
+        for _ in range(8):
+            fam = random_family(rng, numeric=True)
+            b = list(fam.b_values)
+            b[rng.randrange(fam.n)] = 0
+            _assert_match_agrees(BinomialFamily.numeric(fam.degrees, fam.tails, fam.a_values, b))
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_a_failed_match_at_unit_values_is_decided_by_the_mapping_path(self, convention):
+        # With every a_i = b_i = 1 each coefficient a^(s-r) b^r is 1 whatever
+        # r is: one changed label count fails the symbolic match, but F's
+        # terms stay the same and the generators still annihilate them.
+        rng = random.Random(39)
+        tampered = 0
+        for _ in range(8):
+            shape = random_family(rng, numeric=False, n_range=(2, 3))
+            fam = BinomialFamily.numeric(shape.degrees, shape.tails, [1] * shape.n, [1] * shape.n)
+            dual = dual_generator(fam, convention)
+            if not (movable := _movable(dual)):
+                continue
+            bad = _tampered(dual, *rng.choice(movable))
+            assert not dual_module._matches(bad)
+            assert bad.sparse_terms() == dual.sparse_terms()
+            got = verify_annihilation(fam, bad, convention)
+            assert (got.ok, got.residuals) == (True, {})
+            assert verify_annihilation(fam, bad.sparse_terms(), convention).ok
+            tampered += 1
+        assert tampered >= 4
+
+
+def test_match_agrees_with_the_mapping_path_on_drawn_families_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(family_strategy(st))
+    def check(fam):
+        _assert_match_agrees(fam)
+
+    check()
+
+
 class TestOnePassPerTree:
-    """Both conventions of a DualGenerator read one packed contraction pass
-    per (checked family, in-tree value)."""
+    """Both conventions of a DualGenerator read one match per in-tree value,
+    and a match that holds leaves the packed kernel `_act` unused."""
 
     @pytest.fixture
-    def acts(self, monkeypatch):
-        """The `_act` calls since the fixture started, with `_in_tree`'s entry,
-        and so any pass kept beside it, cleared."""
+    def calls(self, monkeypatch):
+        """The `_matches` and `_act` calls since the fixture started, with
+        `_in_tree`'s entry, and so any verdict kept beside it, cleared."""
         calls = []
-        act = dual_module._act
-        monkeypatch.setattr(dual_module, "_act", lambda *args: calls.append(1) or act(*args))
+        match, act = dual_module._matches, dual_module._act
+        monkeypatch.setattr(dual_module, "_matches", lambda F: calls.append("match") or match(F))
+        monkeypatch.setattr(dual_module, "_act", lambda *args: calls.append("act") or act(*args))
         _in_tree.cache_clear()
         return calls
 
-    def test_both_conventions_make_one_pass(self, acts, double_cycle):
-        n = double_cycle.n
+    def test_both_conventions_make_one_pass(self, calls, double_cycle):
         for order in ((CONTRACTION, DIFFERENTIATION), (DIFFERENTIATION, CONTRACTION)):
             _in_tree.cache_clear()
-            acts.clear()
+            calls.clear()
             for convention in order:
                 assert verify_annihilation(double_cycle, dual_generator(double_cycle, convention), convention).ok
-            assert len(acts) == n  # one _act per generator, not 2n
+            assert calls == ["match"]  # one match for both conventions, and no _act
 
-    def test_duals_built_first_read_their_own_trees(self, acts, double_cycle, loop2):
+    def test_duals_built_first_read_their_own_trees(self, calls, double_cycle, loop2):
         # Both conventions of two families are built before any check: each
-        # check reads the pass kept on its dual's own in-tree, so no tree is
-        # searched again and each family's generators act once.
+        # check reads the verdict kept on its dual's own in-tree, so no tree is
+        # searched again and each family's tree is matched once.
         duals = {fam: [dual_generator(fam, c) for c in (CONTRACTION, DIFFERENTIATION)] for fam in (double_cycle, loop2)}
         assert _in_tree.cache_info().misses == 2
         for k in range(2):
             for fam, pair in duals.items():
                 assert verify_annihilation(fam, pair[k], pair[k].convention).ok
         assert _in_tree.cache_info().misses == 2  # no search beyond the two builds
-        assert len(acts) == double_cycle.n + loop2.n
+        assert calls == ["match", "match"]
 
 
 class TestPackedLanes:

@@ -50,9 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import factorial, lcm
 from operator import sub
+from struct import Struct
 
 from .algebra import (  # the form layer is re-exported here: binomial_ci.dual.CONTRACTION etc.
     CONTRACTION,
@@ -120,9 +121,11 @@ def _in_tree(family: BinomialFamily) -> InTree:
     their label's unit: each r_i is below the tree size, which is at most
     the size of the degree-D monomial space, checked against
     `MONOMIAL_BUDGET` first, so no lane overflows, nor does r + e_i in
-    `_matches`.  The keys and counts are unpacked once, at the end, by two
-    `_unpack_all` calls, and kept packed as well.  The tree is shared;
-    callers must not mutate it.
+    `_matches`.  The keys and counts are unpacked once, at the end, and kept
+    packed as well: the keys by `_unpack_all`, the counts into one flat
+    tuple by one little-endian `Struct`, whose entries i, i + n, ... are the
+    r_i, so s is one max per lane and each r a run of n entries.  The tree
+    is shared; callers must not mutate it.
     """
     n = family.n
     check_monomial_budget(n, family.socle_degree)
@@ -149,8 +152,10 @@ def _in_tree(family: BinomialFamily) -> InTree:
                 keys.append(v)
                 counts.append(rv := r + unit)
                 stack.append((v, rv))
-    rs = _unpack_all(counts, n, rb)
-    return dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), rs)), tuple(map(max, zip(*rs))), keys, counts, []
+    data = b"".join(map(int.to_bytes, counts, repeat(n * rb), repeat("little")))
+    flat = Struct(f"<{n * len(counts)}{'BHIQ'[rb.bit_length() - 1]}").unpack(data)
+    tree = dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), zip(*[iter(flat)] * n)))
+    return tree, tuple(max(flat[i::n]) for i in range(n)), keys, counts, []
 
 
 def s_vector(family: BinomialFamily) -> tuple[int, ...]:
@@ -287,44 +292,18 @@ def _scaled(qs) -> tuple[list[int], int]:
     return [q.numerator * (scale // q.denominator) for q in qs], scale
 
 
-def _pass(f_flats: list[Flat], big: list[tuple[int, int]], n: int, m: int, nb: int, guard: int) -> list[tuple[dict, int]]:
-    """[({(X exponents, symbol exponents): int}, f_scale)] for each f: the
-    nonzero entries of `_act` on F's terms packed in big as (p | G, int),
-    before any division.  Each f's rationals are scaled to integers by
-    f_scale, the lcm of their own denominators, so `_act` multiplies ints
-    only.  The pass knows no convention: `_divided` applies it.
-    """
-    passes = []
-    for f_flat in f_flats:
-        ints, f_scale = _scaled(q for _, (_, q) in f_flat)
-        acc = _act([(gamma, (sym, c)) for (gamma, (sym, _)), c in zip(f_flat, ints)], big, n, nb, guard)
-        passes.append((_nonzero(acc, n, m, nb), f_scale))
-    return passes
-
-
-def _divided(passes: list[tuple[dict, int]], scale, differentiate: bool) -> list[dict]:
-    """[f o F as {(X exponents, symbol exponents): Fraction}] from `_pass`,
-    big's terms being q * scale (scale an int or a Fraction): each entry is
-    divided once, by scale * f_scale and, under differentiation (big then
-    holds the alpha!-scaled form), by k! at X^k."""
-    images = []
-    for entries, f_scale in passes:
-        den = scale * f_scale
-        images.append(
-            {key: Fraction(c, den * exponent_factorial(key[0]) if differentiate else den) for key, c in entries.items()}
-        )
-    return images
-
-
 def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: bool) -> list[dict]:
-    """[f o F] for F's terms big_flat in the shape of `_flat`: `_pass`, then
-    `_divided`.
+    """[f o F as {(X exponents, symbol exponents): Fraction}] for F's terms
+    big_flat in the shape of `_flat`.
 
     One max over every tuple packed sizes the lanes, so F may hold any
     nonnegative exponents (`normalize_terms` rejects negative ones).
     Differentiation is contraction of the alpha!-scaled form, since
     x^gamma o X^alpha = alpha!/(alpha - gamma)! X^(alpha - gamma) under
-    differentiation.
+    differentiation.  F's rationals are scaled to integers by scale, and each
+    f's by f_scale, the lcm of their own denominators, so `_act` multiplies
+    ints only; each nonzero entry is divided once, by scale * f_scale and,
+    under differentiation, by k! at X^k.
     """
     keys = [alpha + sym for alpha, (sym, _) in big_flat]
     f_keys = [gamma + sym for f_flat in f_flats for gamma, (sym, _) in f_flat]
@@ -335,7 +314,15 @@ def _apply(f_flats: list[Flat], big_flat: Flat, n: int, m: int, differentiate: b
         qs = (q * exponent_factorial(alpha) for alpha, (_, q) in big_flat)
     ints, scale = _scaled(qs)
     big = [(p | guard, c) for p, c in zip(_pack_all(keys, n + 2 * m, nb), ints)]
-    return _divided(_pass(f_flats, big, n, m, nb, guard), scale, differentiate)
+    images = []
+    for f_flat in f_flats:
+        f_ints, f_scale = _scaled(q for _, (_, q) in f_flat)
+        acc = _act([(gamma, (sym, c)) for (gamma, (sym, _)), c in zip(f_flat, f_ints)], big, n, nb, guard)
+        den = scale * f_scale
+        images.append(
+            {key: Fraction(c, den * exponent_factorial(key[0]) if differentiate else den) for key, c in _nonzero(acc, n, m, nb).items()}
+        )
+    return images
 
 
 def apply_action(f_terms, big_terms, convention: str = CONTRACTION):

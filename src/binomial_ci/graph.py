@@ -6,13 +6,21 @@ structure depends only on the tails and degrees, never on the coefficients.
 
 `build_graph` reads the packed degree-d keys and their positions from
 `keys.degree_keys`, the table that `oracle.macaulay_kernel` reads at the
-same degree, and the step from `keys.rule`: one subtract and mask on the
-guard bits gives a vertex's label, and its successor is one int add of the
-label's packed delta plus one dict lookup.  No exponent tuple is built for
-that: `exponents` (unpacked from the keys in one C pass), `vertices` and
-`index` are built on first read, and cycles unpack only their own vertices.
-The keys are in the descending lex order of `exponents_of_degree`, so a
-cycle's lex-smallest vertex is the one of largest position.
+same degree, and each key's label from `keys.degree_labels`, one table per
+degrees: a label depends on the degrees alone, so every family of the same
+degrees shares it, and only the successors read the tails.  A vertex's
+successor is its key plus the label's packed delta from `keys.rule`, looked
+up among the positions; the three steps are one C-level `map` each, and a
+sink, whose delta is 0, finds itself and is then set to the sentinel
+position count (None in the graph).  Cycles come from one walk per start not
+yet reached, marking each vertex with its walk's start; the sentinel's slot
+is marked already, so it stops every walk into a sink, and a walk that
+stops on its own start's mark has closed a cycle, read back by following
+the successors from where it closed.  No exponent tuple is built for that:
+`exponents` (unpacked from the keys in one C pass), `vertices` and `index`
+are built on first read, and cycles unpack only their own vertices.  The
+keys are in the descending lex order of `exponents_of_degree`, so a cycle's
+lex-smallest vertex is the one of largest position.
 
 Each graph summarizes its cycles once, on first read: `cycle_types` maps the
 label counts r to k_r, the number of cycles of that type, and
@@ -34,10 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
+from operator import add
 
 from .algebra import Monomial, SparsePoly, check_monomial_budget
 from .family import BinomialFamily
-from .keys import _unpack_all, degree_keys, rule
+from .keys import _unpack_all, degree_keys, degree_labels, rule
 
 SINK = "sink"
 TRANSIENT = "transient"
@@ -77,7 +86,7 @@ class ReductionGraph:
         self.keys = keys  # shared with `keys.degree_keys`: read it only
         self.nb = nb
         self.succ = succ
-        self.labels = labels
+        self.labels = labels  # shared with `keys.degree_labels`: read it only
         self.vertex_class = vertex_class
         self.cycles = cycles
 
@@ -133,7 +142,7 @@ class ReductionGraph:
 
 # One entry serves det_structural and resultant_radical after the caller's
 # own build at the resultant degree, as in the `structure` job, which reads
-# all three per family.  A miss costs 0.71 s per pass over that job's
+# all three per family.  A miss costs 0.34 s per pass over that job's
 # 600-family pool (best of 5, Python 3.11, 2 vCPU).
 @lru_cache(maxsize=1)
 def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
@@ -145,29 +154,36 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
         raise ValueError("degree must be nonnegative")
     n = family.n
     check_monomial_budget(n, d)  # before `rule`, which refuses a degree too wide for any lane
-    nb, guard, bound, deltas = rule(family.degrees, [t.exponents for t in family.tails], d)
+    nb, _, _, deltas = rule(family.degrees, [t.exponents for t in family.tails], d)
     keys, lookup = degree_keys(n, d, nb)
-    # the lowest guard bit that `keys.rule`'s test leaves sits at width * label
-    # - 1, so its bit length over the lane width is the label (0: a sink)
-    width = 8 * nb
-    found = [(t & -t).bit_length() // width for t in [((key | guard) - bound) & guard for key in keys]]
-    succ = [lookup[key + deltas[i - 1]] if i else None for key, i in zip(keys, found)]
-    labels = [i or None for i in found]
-
+    found, labels, sinks = degree_labels(family.degrees, d, nb)
+    moves = [0, *deltas]  # label 0, a sink, moves by 0 and finds itself
+    succ = list(map(lookup.__getitem__, map(add, keys, map(moves.__getitem__, found))))
     count = len(keys)
-    vertex_class = [SINK if s is None else TRANSIENT for s in succ]
-    reached = [-1] * count  # the start of the first walk through each vertex
+    edges = succ
+    vertex_class = [TRANSIENT] * count
+    if sinks:  # a sink's successor: the sentinel position count in the walk, None in the graph
+        edges = succ.copy()
+        for v in sinks:
+            succ[v], edges[v], vertex_class[v] = count, None, SINK
+
+    reached = [-1] * count + [count]  # the start of the first walk through each vertex, and the sentinel's
     raw_cycles: list[list[int]] = []
     for start in range(count):
-        walk: list[int] = []
+        if reached[start] >= 0:
+            continue
         v = start
-        while v is not None and reached[v] < 0:
+        while reached[v] < 0:
             reached[v] = start
-            walk.append(v)
             v = succ[v]
-        if v is not None and reached[v] == start:  # the walk closed on itself
-            raw_cycles.append(walk[walk.index(v) :])
-            for u in raw_cycles[-1]:
+        if reached[v] == start:  # the walk closed on itself at v
+            raw = [v]
+            u = succ[v]
+            while u != v:
+                raw.append(u)
+                u = succ[u]
+            raw_cycles.append(raw)
+            for u in raw:
                 vertex_class[u] = CYCLIC
 
     rotations = []
@@ -183,7 +199,7 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
             counts[lab - 1] += 1
         vertices = tuple(map(Monomial._raw, _unpack_all([keys[v] for v in rotated], n, nb)))
         cycles.append(Cycle(vertices, cycle_labels, tuple(counts)))
-    return ReductionGraph(family, d, keys, nb, tuple(succ), tuple(labels), tuple(vertex_class), tuple(cycles))
+    return ReductionGraph(family, d, keys, nb, tuple(edges), labels, tuple(vertex_class), tuple(cycles))
 
 
 def _binomial_power(n: int, r: tuple[int, ...], k: int) -> SparsePoly:

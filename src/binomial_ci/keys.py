@@ -15,10 +15,17 @@ sized by its start's degree, which may pass the 8 bytes `struct` packs, so
 the table's few constants are packed by shifts (`_shifted`, `_rule`) and
 `_unpack_all` reads lanes of any width.  `BinomialFamily._move` is the same
 step on exponent tuples: `step`'s implementation and the tests' reference.
+
+A step's label depends on the degrees alone; only its successor reads the
+tails.  So a degree's monomials have two shared tables: `degree_keys`, the
+packed keys and their positions, and `degree_labels`, the label of each key
+under `rule`'s guard test, one table per degrees that every family of those
+degrees reads.
 """
 
 from functools import lru_cache
-from itertools import repeat, starmap
+from itertools import compress, repeat, starmap
+from operator import not_
 from struct import Struct
 
 from .algebra import exponents_of_degree
@@ -122,9 +129,29 @@ def degree_keys(n: int, d: int, nb: int) -> tuple[list[int], dict[int, int]]:
     `exponents_of_degree`, and each key's position.
 
     The one table of a degree's monomials: `graph.build_graph` reads its
-    vertices and their positions here, and `oracle.macaulay_kernel` and the
-    catalecticant rows and columns read theirs, so a graph and a Macaulay
-    kernel of one degree (and lane width) share one entry.  Shared: read it
-    only."""
+    vertices and their positions here (and their labels in `degree_labels`,
+    in the same order), and `oracle.macaulay_kernel` and the catalecticant
+    rows and columns read theirs, so a graph and a Macaulay kernel of one
+    degree (and lane width) share one entry.  Shared: read it only."""
     keys = _pack_all(exponents_of_degree(n, d), n, nb)
     return keys, dict(zip(keys, range(len(keys))))
+
+
+@lru_cache(maxsize=32)
+def degree_labels(degrees: tuple[int, ...], d: int, nb: int) -> tuple[list[int], tuple[int | None, ...], tuple[int, ...]]:
+    """(found, labels, sinks): the label of each key of `degree_keys(n, d,
+    nb)`, in its order, under `rule`'s guard test, 0 for a sink; the same
+    labels with None for a sink; and the sinks' positions, empty when there
+    is none.
+
+    A label is the least i with x_i^{d_i} | x^e: it depends on the degrees
+    alone, never on the tails, so every family of these degrees shares one
+    table.  The lowest guard bit the test leaves sits at bit 8 * nb * label -
+    1, so its bit length over the lane width is the label.  A miss packs the
+    keys afresh, so a graph build reads `degree_keys` once.  Shared: read it
+    only."""
+    n = len(degrees)
+    keys = _pack_all(exponents_of_degree(n, d), n, nb)
+    guard, bound, width = _guard(n, nb), _shifted(degrees, nb), 8 * nb
+    found = [(t & -t).bit_length() // width for t in [((key | guard) - bound) & guard for key in keys]]
+    return found, tuple([i or None for i in found]), tuple(compress(range(len(found)), map(not_, found)))

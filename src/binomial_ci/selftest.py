@@ -179,17 +179,32 @@ def _catalog_families():
     )
 
 
+def _steps(g) -> list:
+    """The graph's (label, successor) per vertex, None at a sink: the shape
+    of `BinomialFamily.step`."""
+    return [s if s is None else (label, g.vertices[s]) for s, label in zip(g.succ, g.labels)]
+
+
 def _check_in_tree() -> bool:
     # The packed graph, the rewriting walk and the reverse search all read
     # `keys.rule`; check them against the tuple rule `BinomialFamily.step`:
     # the graph's labels and successors at the socle and resultant degrees,
     # and the walks from every socle-degree monomial, and the in-tree
-    # against those of them that end at the top basis monomial.
-    for fam in _catalog_families():
+    # against those of them that end at the top basis monomial.  Families
+    # of equal degrees share one label table (`keys.degree_labels`): each
+    # pair is also built back to back from the warm table.
+    families = _catalog_families()
+    for first, second in ((families[0], families[1]), (families[3], families[4])):
+        for d in (first.socle_degree, first.resultant_degree):
+            pair = [build_graph(fam, d) for fam in (first, second)]
+            if pair[0].labels is not pair[1].labels:
+                return False
+            if any(_steps(g) != [fam.step(m) for m in g.vertices] for fam, g in zip((first, second), pair)):
+                return False
+    for fam in families:
         for d in (fam.socle_degree, fam.resultant_degree):
             g = build_graph(fam, d)
-            steps = [s if s is None else (label, g.vertices[s]) for s, label in zip(g.succ, g.labels)]
-            if steps != [fam.step(m) for m in g.vertices]:
+            if _steps(g) != [fam.step(m) for m in g.vertices]:
                 return False
         target = Monomial(tuple(d - 1 for d in fam.degrees))
         walks = {}

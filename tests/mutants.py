@@ -16,12 +16,13 @@ The run fails when a mutant survives (its check passes), hangs (its check
 outlives the timeout), or its snippet no longer matches exactly, so a change
 to a mutated line must update its row.  A change that adds or alters a packed
 kernel adds its mutant here.  The mutants target the fast modules, the
-packed rewriting walk and certificate check among them, and the lexer of the
-family text grammar.  The brute-force references in `binomial_ci.reference`
-are what the kernels are checked against, walks by the tuple step
-`BinomialFamily.step` and the SparsePoly expansion of tests/test_rewrite.py
-what the walk and the check are, and the pinned parse errors of
-tests/test_family.py what the lexer is.  pytest does not collect this file.
+packed rewriting walk, the certificate check, the graph's shared label table
+and its sentinel walk among them, and the lexer of the family text grammar.
+The brute-force references in `binomial_ci.reference` are what the kernels
+are checked against, walks by the tuple step `BinomialFamily.step` and the
+SparsePoly expansion of tests/test_rewrite.py what the walk and the check
+are, and the pinned parse errors of tests/test_family.py what the lexer is.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -86,6 +87,34 @@ MUTANTS = [
         "            types[cycle.label_counts] = types.get(cycle.label_counts, 0) + 1",
         "            types[cycle.label_counts] = 1",
         "selftest",
+    ),
+    Mutant(
+        "label table keyed without the degrees",
+        "src/binomial_ci/keys.py",
+        "@lru_cache(maxsize=32)\ndef degree_labels(",
+        "@lambda f, memo={}: lambda degrees, d, nb: memo.get((len(degrees), d, nb)) or memo.setdefault((len(degrees), d, nb), f(degrees, d, nb))\ndef degree_labels(",
+        "tests/test_graph.py::TestSharedLabelTable::test_equal_shapes_with_other_degrees_get_their_own_labels",
+    ),
+    Mutant(
+        "graph walk's sentinel slot left unset",
+        "src/binomial_ci/graph.py",
+        "    reached = [-1] * count + [count]",
+        "    reached = [-1] * count + [-1]",
+        "tests/test_graph.py::TestDoubleCycleFamily::test_degree_three_graph_has_one_sink_and_one_cycle",
+    ),
+    Mutant(
+        "graph walk closes a cycle on any earlier walk's vertex",
+        "src/binomial_ci/graph.py",
+        "        if reached[v] == start:",
+        "        if reached[v] >= 0:",
+        "tests/test_graph.py::TestChainFamily::test_all_paths_reach_the_sink",
+    ),
+    Mutant(
+        "a sink's walk successor left at its own position",
+        "src/binomial_ci/graph.py",
+        "succ[v], edges[v], vertex_class[v] = count, None, SINK",
+        "succ[v], edges[v], vertex_class[v] = v, None, SINK",
+        "tests/test_graph.py::TestInvariants::test_sinks_are_exactly_the_basis_monomials",
     ),
     Mutant(
         "off-cycle counts without the factor k",

@@ -29,10 +29,10 @@ from binomial_ci import (
 )
 from binomial_ci import oracle
 from binomial_ci.algebra import MONOMIAL_BUDGET, exponents_of_degree, monomials_of_degree
-from binomial_ci.keys import _lane_bytes, _pack_all, degree_keys, rule
+from binomial_ci.keys import _lane_bytes, _pack_all, degree_keys, degree_labels, rule
 from binomial_ci.graph import CYCLIC, SINK, TRANSIENT, graph_to_json
 
-from conftest import random_family
+from conftest import family_strategy, random_family
 
 
 def sym_binomial(n, i, j):
@@ -604,3 +604,83 @@ class TestDegreeKeys:
             build_graph(eight, 60)
         with pytest.raises(ValueError, match="monomials of degree 10000000000000000000 in 8 variables exceed the budget"):
             build_graph(eight, 10**19)
+
+
+# ---------------------------------------------------------------------------
+# One label table per degrees, shared by every family of those degrees
+
+
+def _tuple_labels(family, d):
+    """The least i with e_i >= d_i for each degree-d exponent vector, None for
+    a sink, straight from the tuples."""
+    return [next((i for i, (e, di) in enumerate(zip(exps, family.degrees), 1) if e >= di), None) for exps in exponents_of_degree(family.n, d)]
+
+
+def _assert_as_the_references(g, family, d):
+    succ, cycles = _tuple_graph(family, d)
+    assert list(g.succ) == succ
+    assert [(tuple(m.exponents for m in c.vertices), c.labels) for c in g.cycles] == cycles
+    vertices, moves = reference_graph(family, d)
+    _, on_cycle = reference_cycles(vertices, moves)
+    assert list(g.labels) == [None if moves[m] is None else moves[m][0] for m in vertices]
+    assert list(g.vertex_class) == [SINK if moves[m] is None else CYCLIC if m in on_cycle else TRANSIENT for m in vertices]
+
+
+class TestSharedLabelTable:
+    """Two families of equal degrees read one `keys.degree_labels` table;
+    families of equal (n, d, nb) but other degrees must not."""
+
+    FIRST = BinomialFamily.symbolic([3, 2, 2], [Monomial((1, 1, 1)), Monomial((0, 0, 2)), Monomial((2, 0, 0))])
+    SECOND = BinomialFamily.symbolic([3, 2, 2], [Monomial((0, 1, 2)), Monomial((1, 0, 1)), Monomial((1, 1, 0))])
+
+    def test_equal_degrees_other_tails_from_a_warm_table(self):
+        f1, f2 = self.FIRST, self.SECOND
+        D = f1.socle_degree
+        for d in (2, D - 1, D, D + 1):
+            build_graph.__wrapped__(f1, d)  # warm the table
+            pair = [build_graph.__wrapped__(f, d) for f in (f1, f2)]
+            for f, g in zip((f1, f2), pair):
+                _assert_as_the_references(g, f, d)
+            assert pair[0].succ != pair[1].succ
+
+    def test_equal_shapes_with_other_degrees_get_their_own_labels(self):
+        f1 = self.FIRST
+        f2 = BinomialFamily.symbolic([2, 3, 2], [Monomial((0, 1, 1)), Monomial((1, 1, 1)), Monomial((2, 0, 0))])
+        assert (f1.n, f1.socle_degree) == (f2.n, f2.socle_degree)
+        D = f1.socle_degree
+        for d in (2, D - 1, D, D + 1):
+            pair = [build_graph.__wrapped__(f, d) for f in (f1, f2)]
+            assert pair[0].nb == pair[1].nb
+            for f, g in zip((f1, f2), pair):
+                _assert_as_the_references(g, f, d)
+            assert pair[0].labels != pair[1].labels
+
+    def test_equal_degrees_share_one_table(self):
+        f1, f2 = self.FIRST, self.SECOND
+        d = f1.resultant_degree
+        degree_labels.cache_clear()
+        build_graph.cache_clear()
+        g1, g2 = build_graph(f1, d), build_graph(f2, d)
+        info = degree_labels.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert g1.labels is g2.labels
+        assert g1.labels is degree_labels(f1.degrees, d, g1.nb)[1]
+
+
+def test_labels_successors_and_cycles_match_the_tuple_construction_on_drawn_families_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(family_strategy(st))
+    def check(family):
+        D = family.socle_degree
+        for d in (1, D, D + 1):
+            g = build_graph(family, d)
+            succ, cycles = _tuple_graph(family, d)
+            assert list(g.labels) == _tuple_labels(family, d)
+            assert list(g.succ) == succ
+            assert [(tuple(m.exponents for m in c.vertices), c.labels) for c in g.cycles] == cycles
+            assert [c == SINK for c in g.vertex_class] == [s is None for s in succ]
+
+    check()

@@ -156,7 +156,7 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
     check_monomial_budget(n, d)  # before `rule`, which refuses a degree too wide for any lane
     nb, _, _, deltas = rule(family.degrees, [t.exponents for t in family.tails], d)
     keys, lookup = degree_keys(n, d, nb)
-    found, labels, sinks = degree_labels(family.degrees, d, nb)
+    found, labels, sinks, _ = degree_labels(family.degrees, d, nb)
     moves = [0, *deltas]  # label 0, a sink, moves by 0 and finds itself
     succ = list(map(lookup.__getitem__, map(add, keys, map(moves.__getitem__, found))))
     count = len(keys)

@@ -18,14 +18,17 @@ step on exponent tuples: `step`'s implementation and the tests' reference.
 
 A step's label depends on the degrees alone; only its successor reads the
 tails.  So a degree's monomials have two shared tables: `degree_keys`, the
-packed keys and their positions, and `degree_labels`, the label of each key
-under `rule`'s guard test, one table per degrees that every family of those
-degrees reads.
+packed keys and their positions, which `graph.build_graph`,
+`oracle.macaulay_kernel` and the catalecticants read, and `degree_labels`,
+one table per degrees that every family of those degrees reads: each key's
+guard test under `rule`, as its label for `graph.build_graph` and as the
+positions of every lane's Macaulay rows for `oracle.macaulay_kernel`.
 """
 
+from array import array
 from functools import lru_cache
 from itertools import compress, repeat, starmap
-from operator import not_
+from operator import and_, not_
 from struct import Struct
 
 from .algebra import exponents_of_degree
@@ -123,7 +126,14 @@ def _rule(degrees, tails, nb: int) -> tuple[int, int, int, list[int]]:
     return nb, _guard(len(degrees), nb), _shifted(degrees, nb), deltas
 
 
-@lru_cache(maxsize=32)
+# One entry per (n, d, nb) that a request reads: its graph's degree, the
+# Macaulay kernels' 0..D+1 and the catalecticants' 0..D.  A seed-1 pass over
+# a pool in its interleaved schedule order reads 36 entries on `verify`
+# (12,924 hits), 28 on `cli-session` and 5 on `structure`; at 32 entries
+# `verify` missed 1979 times.  A miss enumerates and packs the degree's
+# monomials: up to 0.50 ms, at 792 six-variable keys (best of 7, Python
+# 3.11, 2 vCPU).
+@lru_cache(maxsize=64)
 def degree_keys(n: int, d: int, nb: int) -> tuple[list[int], dict[int, int]]:
     """(keys, index): the packed degree-d exponent vectors in the order of
     `exponents_of_degree`, and each key's position.
@@ -137,12 +147,24 @@ def degree_keys(n: int, d: int, nb: int) -> tuple[list[int], dict[int, int]]:
     return keys, dict(zip(keys, range(len(keys))))
 
 
-@lru_cache(maxsize=32)
-def degree_labels(degrees: tuple[int, ...], d: int, nb: int) -> tuple[list[int], tuple[int | None, ...], tuple[int, ...]]:
-    """(found, labels, sinks): the label of each key of `degree_keys(n, d,
-    nb)`, in its order, under `rule`'s guard test, 0 for a sink; the same
-    labels with None for a sink; and the sinks' positions, empty when there
-    is none.
+# One entry per (degrees, d, nb) that a request reads: its graph's degree
+# and its Macaulay kernels' 0..D+1.  A seed-1 pass over a pool in its
+# interleaved schedule order reads 50 entries on `verify` (7,150 hits), 42
+# on `cli-session` and 5 on `structure`.  A miss packs and tests the
+# degree's keys: up to 0.83 ms, at 792 six-variable keys (best of 7, Python
+# 3.11, 2 vCPU).
+@lru_cache(maxsize=64)
+def degree_labels(
+    degrees: tuple[int, ...], d: int, nb: int
+) -> tuple[list[int], tuple[int | None, ...], tuple[int, ...], tuple[array, ...]]:
+    """(found, labels, sinks, rows): the label of each key of
+    `degree_keys(n, d, nb)`, in its order, under `rule`'s guard test, 0 for
+    a sink; the same labels with None for a sink; the sinks' positions, empty
+    when there is none; and, per lane k, the positions of the keys u whose
+    guard test keeps lane k's bit, in key order: the columns u of the
+    Macaulay rows x^(u - d_k e_k) * f_k, as an unsigned int array (4 bytes
+    a row, where a tuple would hold an int object for each position past
+    256).
 
     A label is the least i with x_i^{d_i} | x^e: it depends on the degrees
     alone, never on the tails, so every family of these degrees shares one
@@ -153,5 +175,8 @@ def degree_labels(degrees: tuple[int, ...], d: int, nb: int) -> tuple[list[int],
     n = len(degrees)
     keys = _pack_all(exponents_of_degree(n, d), n, nb)
     guard, bound, width = _guard(n, nb), _shifted(degrees, nb), 8 * nb
-    found = [(t & -t).bit_length() // width for t in [((key | guard) - bound) & guard for key in keys]]
-    return found, tuple([i or None for i in found]), tuple(compress(range(len(found)), map(not_, found)))
+    tests = [((key | guard) - bound) & guard for key in keys]
+    found = [(t & -t).bit_length() // width for t in tests]
+    positions = range(len(keys))
+    rows = tuple(array("I", compress(positions, map(and_, tests, repeat(1 << width * k - 1)))) for k in range(1, n + 1))
+    return found, tuple([i or None for i in found]), tuple(compress(positions, map(not_, found))), rows

@@ -28,6 +28,7 @@ from .oracle import (
     inverse_system_dims,
     is_complete_intersection,
     m_spans_ann_quotient,
+    macaulay_kernel,
 )
 from .reference import action_image, catalecticant_rows, hessian, macaulay_rows
 from .resultant import det_numeric_oracle, det_structural, radical_of_cycle_product, resultant_radical
@@ -485,6 +486,25 @@ def _check_kernel_against_rows() -> bool:
         expected = tuple(math.comb(j + 2, 2) - rank_of(macaulay_rows(3, generators, j)) for j in range(top + 1))
         if hilbert_function(point, top).values != expected:
             return False
+    # A zeroed a_k (the radical's probe points, which no family holds) and a
+    # zeroed b_k each leave f_k one term, -b_k x^v or a_k x^u: the kernel
+    # itself, its rank and each column's membership, against the rows.
+    point = points[0]
+    tails = [t.exponents for t in point.tails]
+    for k in range(3):
+        for zeroed in "ab":
+            a, b = list(point.a_values), list(point.b_values)
+            (a if zeroed == "a" else b)[k] = 0
+            generators = [{point.lead_monomial(i + 1): a[i], point.tails[i]: -b[i]} for i in range(3)]
+            for j in range(point.socle_degree + 3):
+                kernel = macaulay_kernel(point.degrees, tails, a, b, j)
+                space = RowSpace()
+                for row in macaulay_rows(3, generators, j):
+                    space.add(row)
+                if kernel.rank != space.rank:
+                    return False
+                if any(kernel.contains_column(x) != space.contains({x: 1}) for x in range(len(kernel.root))):
+                    return False
     return True
 
 

@@ -17,7 +17,9 @@ outlives the timeout), or its snippet no longer matches exactly, so a change
 to a mutated line must update its row.  A change that adds or alters a packed
 kernel adds its mutant here.  The mutants target the fast modules, the
 packed rewriting walk, the certificate check, the graph's shared label table
-and its sentinel walk among them, and the lexer of the family text grammar.
+and its sentinel walk, the Macaulay kernel's rows per generator from the same
+table and the avoided-power basis filter among them, and the lexer of the
+family text grammar.
 The brute-force references in `binomial_ci.reference` are what the kernels
 are checked against, walks by the tuple step `BinomialFamily.step` and the
 SparsePoly expansion of tests/test_rewrite.py what the walk and the check
@@ -68,11 +70,32 @@ MUTANTS = [
         "selftest",
     ),
     Mutant(
-        "Macaulay kernel reads only the lowest row of a column",
-        "src/binomial_ci/oracle.py",
-        "            rows &= rows - 1",
-        "            rows = 0",
+        "Macaulay row table keeps only each column's label lane",
+        "src/binomial_ci/keys.py",
+        "map(and_, tests, repeat(",
+        "map(and_, [t & -t for t in tests], repeat(",
         "selftest",
+    ),
+    Mutant(
+        "Macaulay row table drops each column's own label lane",
+        "src/binomial_ci/keys.py",
+        "map(and_, tests, repeat(",
+        "map(and_, [t & t - 1 for t in tests], repeat(",
+        "tests/test_oracle.py::test_kernel_with_one_zeroed_coefficient_matches_the_rows_on_drawn_families_hypothesis",
+    ),
+    Mutant(
+        "Macaulay partners read with the previous generator's delta",
+        "src/binomial_ci/oracle.py",
+        "repeat(deltas[k])",
+        "repeat(deltas[k - 1])",
+        "tests/test_oracle.py::test_kernel_matches_row_reduction",
+    ),
+    Mutant(
+        "b_k = 0 kills the partner's component, not the column's",
+        "src/binomial_ci/oracle.py",
+        "            for x in us if a else partners if b else ():",
+        "            for x in partners if a else partners if b else ():",
+        "tests/test_oracle.py::test_kernel_with_one_zeroed_coefficient_matches_the_rows_on_drawn_families_hypothesis",
     ),
     Mutant(
         "cycle multiplicities set to 1",
@@ -91,7 +114,7 @@ MUTANTS = [
     Mutant(
         "label table keyed without the degrees",
         "src/binomial_ci/keys.py",
-        "@lru_cache(maxsize=32)\ndef degree_labels(",
+        "@lru_cache(maxsize=64)\ndef degree_labels(",
         "@lambda f, memo={}: lambda degrees, d, nb: memo.get((len(degrees), d, nb)) or memo.setdefault((len(degrees), d, nb), f(degrees, d, nb))\ndef degree_labels(",
         "tests/test_graph.py::TestSharedLabelTable::test_equal_shapes_with_other_degrees_get_their_own_labels",
     ),
@@ -173,10 +196,10 @@ MUTANTS = [
         "selftest",
     ),
     Mutant(
-        "one-term row never kills at u",
+        "one-term rows never kill",
         "src/binomial_ci/oracle.py",
-        "                dead[find(iu)] = 1",
-        "                find(iu)",
+        "                dead[find(x)] = 1",
+        "                find(x)",
         "selftest",
     ),
     Mutant(
@@ -255,6 +278,13 @@ MUTANTS = [
         "    if packed is None or reduce(or_, packed, 0) & _guard(3 * n, nb):",
         "    if packed is None:",
         "tests/test_rewrite.py",
+    ),
+    Mutant(
+        "avoided-power basis filter takes e_i <= d_i",
+        "src/binomial_ci/family.py",
+        "all(map(lt, e, degrees))",
+        "all(map(int.__le__, e, degrees))",
+        "tests/test_family.py::TestHelpers::test_basis_exponents_match_the_monomial_definition",
     ),
     Mutant(
         "lexer keeps the line start after a newline",

@@ -411,6 +411,14 @@ class TestHelpers:
                 assert fam.basis_exponents(d) == expected
                 assert fam.basis_monomials(d) == [Monomial(e) for e in expected]
 
+    def test_basis_exponents_hand_each_caller_a_fresh_list(self, double_cycle):
+        first = double_cycle.basis_exponents(2)
+        expected = list(first)
+        first.append((9, 9, 9))
+        first.reverse()
+        assert double_cycle.basis_exponents(2) == expected
+        assert double_cycle.basis_exponents(2) is not double_cycle.basis_exponents(2)
+
     def test_basis_exponents_reject_a_negative_degree(self, double_cycle):
         with pytest.raises(ValueError, match="nonnegative"):
             double_cycle.basis_exponents(-1)

@@ -88,4 +88,4 @@ class TestRule:
             assert list(index.items()) == list(zip(keys, range(len(keys))))
             assert [m.exponents for m in monomials_of_degree(n, d)] == [_unpacked(k, n, nb) for k in keys]
             assert degree_keys(n, d, nb) is degree_keys(n, d, nb)
-        assert degree_keys.cache_info().maxsize == 32
+        assert degree_keys.cache_info().maxsize == 64

@@ -732,3 +732,106 @@ def test_kernel_at_a_four_byte_degree_matches_ci_reference_and_the_walks():
                 assert kernel.contains_column(x) == in_ideal
                 outcomes.add(in_ideal)
     assert outcomes == {True, False}
+
+
+def _row_components(rows, size):
+    """The columns joined by two-term rows, as a set of frozensets."""
+    parent = list(range(size))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for row in rows:
+        if len(row) == 2:
+            u, v = map(root, row)
+            parent[u] = v
+    parts: dict[int, set[int]] = {}
+    for x in range(size):
+        parts.setdefault(root(x), set()).add(x)
+    return {frozenset(p) for p in parts.values()}
+
+
+def test_kernel_with_one_zeroed_coefficient_matches_the_rows_on_drawn_families_hypothesis():
+    # The kernel walks each generator's rows in turn, with the kind of its
+    # one-term rows (a_k = 0 or b_k = 0) settled once per generator; against
+    # the rank of `reference.macaulay_rows` in every degree 0..D+1.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from binomial_ci.oracle import macaulay_kernel
+    from binomial_ci.reference import dense_rank
+
+    from conftest import family_strategy
+
+    values = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5)])
+    seen = set()
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(family_strategy(st), st.data())
+    def check(family, data):
+        n = family.n
+        pick = st.lists(values, min_size=n, max_size=n)
+        a, b = (list(family.a_values), list(family.b_values)) if family.is_numeric else (data.draw(pick), data.draw(pick))
+        k, side = data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from("ab"))
+        (a if side == "a" else b)[k] = Fraction(0)
+        exps = tuple(t.exponents for t in family.tails)
+        for j in range(family.socle_degree + 2):
+            space, rows = rows_space(family.degrees, family.tails, a, b, j)
+            size = len(monomials_of_degree(n, j))
+            kernel = macaulay_kernel(family.degrees, exps, a, b, j)
+            assert kernel.live == size - dense_rank([row.get(x, 0) for x in range(size)] for row in rows)
+            contained = [space.contains({x: 1}) for x in range(size)]
+            assert [kernel.contains_column(x) for x in range(size)] == contained
+            parts: dict[int, set[int]] = {}
+            for x, r in enumerate(kernel.root):
+                parts.setdefault(r, set()).add(x)
+            assert {frozenset(p) for p in parts.values()} == _row_components(rows, size)
+            seen.update((side, c) for c in contained)
+
+    check()
+    assert seen == {("a", True), ("a", False), ("b", True), ("b", False)}
+
+
+VERIFY_SHAPES = [(3, 3), (4, 2), (5, 2), (3, 4), (4, 3), (6, 2)]
+
+
+def test_degree_tables_keep_every_key_over_interleaved_verify_shapes():
+    # Families of the six `verify` shapes, in rounds that take one of each
+    # shape in turn as the benchmark's schedule does, through the oracle
+    # calls of a `verify` job.  A cache that evicts a key misses it again,
+    # so misses == currsize exactly when every key missed once: its
+    # distinct keys, with nothing evicted.
+    from binomial_ci import resultant_radical, slp_check
+    from binomial_ci.family import _avoided
+    from binomial_ci.keys import degree_keys, degree_labels
+    from binomial_ci.oracle import _columns
+
+    rng = random.Random(35)
+    rounds = []
+    for _ in range(2):
+        batch = []
+        for n, d in VERIFY_SHAPES:
+            while True:
+                fam = random_family(rng, n_range=(n, n), max_degree=d)
+                if fam.degrees == (d,) * n and is_complete_intersection(fam):
+                    break
+            batch.append(fam)
+        rounds.append(batch)
+    caches = (degree_keys, degree_labels, _columns, _avoided)
+    for cache in caches:
+        cache.cache_clear()
+    for batch in rounds:
+        for fam in batch:
+            top = fam.socle_degree
+            assert is_complete_intersection(fam)
+            resultant_radical(fam)
+            assert basis_check(fam)
+            ideal_membership(fam, Monomial((top + 1,) + (0,) * (fam.n - 1)))
+            F = dual_generator(fam, CONTRACTION).evaluate()
+            assert inverse_system_dims(F, top) == ci_reference(fam.degrees, top)
+            assert m_spans_ann_quotient(fam, F)
+            slp_check(dual_generator(fam, DIFFERENTIATION).evaluate(), trials=1, rng=random.Random(0))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize > 32, (cache, info)

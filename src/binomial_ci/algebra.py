@@ -31,7 +31,10 @@ exponent tuples to coefficients, which `normalize_terms` checks and
 `numeric_form` reads as (terms, n, degree), and CONTRACTION and
 DIFFERENTIATION name the two actions of x on it.  `dual` acts on these forms
 on packed keys, `oracle` and `lefschetz` rank them, and `reference` checks
-both on tuples; `dual` re-exports the layer.
+both on tuples; `dual` re-exports the layer.  The rank oracles read a form as
+`_Terms`, coprime integer terms hashed once, and an evaluated dual generator
+is an `EvaluatedForm`, a read-only mapping that keeps its dual, so that they
+can read its integer form from the dual's in-tree.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from typing import Union
 
 Rational = Union[Fraction, int, str]
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # the string form of a Rational
@@ -712,6 +716,60 @@ def numeric_form(F) -> tuple[dict[Exponents, Fraction], int, int]:
     if len(degrees) != 1:
         raise ValueError("the form must be homogeneous")
     return terms, n, degrees.pop()
+
+
+class _Terms(dict):
+    """Integer {exponents: coefficient} terms hashed by content, once: never
+    mutated, so the hash an `oracle._contraction_basis` lookup reads is its
+    own."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, terms: Mapping[Exponents, int]):
+        super().__init__(terms)
+        self._hash = hash(frozenset(self.items()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class EvaluatedForm(Mapping):
+    """A form {exponents: Fraction} at a family's values, read-only, that keeps
+    the dual generator it was evaluated from (`dual.DualGenerator.evaluate`
+    fills it).  It equals the dict of its nonzero terms, which `build` makes
+    on first read, once.
+
+    Its readers in the oracles go through its dual instead where they can:
+    `oracle._integer_form` takes the dual's coprime integer form, built from
+    its in-tree, and `dual.verify_annihilation` checks the dual itself
+    against its own family and convention."""
+
+    __slots__ = ("dual", "_build", "_terms")
+
+    def __init__(self, dual, build) -> None:
+        self.dual = dual
+        self._build = build
+        self._terms: dict[Exponents, Fraction] | None = None
+
+    def _read(self) -> dict[Exponents, Fraction]:
+        if self._terms is None:
+            self._terms = self._build()
+        return self._terms
+
+    def __getitem__(self, key) -> Fraction:
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def items(self):  # the dict's own view, in C, for `normalize_terms`
+        return self._read().items()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._read()!r})"
 
 
 def as_point(ell: Iterable, n: int) -> list[Fraction]:

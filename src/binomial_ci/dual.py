@@ -12,21 +12,29 @@ and counts are unpacked once, when the tree is done.
 
 So F is a function of the family and the convention alone, and a
 `DualGenerator` holds just those two and the family's in-tree value: the
-tree, s, the search's packed keys and counts, and the verdict of its match.
-Its terms come from `DualGenerator._terms`, and the family's values enter
-through `algebra._put_values`: sparse_terms, evaluate, str and dual_to_json
-read the flat terms of `DualGenerator._substituted`.
+tree, s, the search's packed keys and counts, the verdict of its match and
+the integer form at the family's values.  Its terms come from
+`DualGenerator._terms`, and the family's values enter through
+`algebra._put_values`: sparse_terms, str and dual_to_json read the flat
+terms of `DualGenerator._substituted`.  evaluate is a view: an
+`algebra.EvaluatedForm`, read-only, that keeps its dual and builds its
+Fractions from the same terms on first read.  The rank oracles read it
+through `DualGenerator._integer_form` instead, one coprime integer form per
+family built straight from the tree, since Fc and Phi(Fd) are positive
+multiples of sum a^(s-r) b^r X^alpha; so in a numeric check no Fraction of
+F is built.
 
 Since F = sum of a^(s-r) b^r X^alpha over the tree, f_i o F = 0 is a
 pairing: each term of the lead image must meet a term of the tail image
-whose label counts differ by e_i.  verify_annihilation of a DualGenerator of
-the checked family under the check's convention decides that by `_matches`,
-one dict comparison per generator on the packed keys and counts the search
-kept; the identity holds under both conventions, so its verdict is kept
-beside the tree and the family's other dual reads it for free.  A match
-that holds proves annihilation at any values; one that fails proves
-nothing, and the exact mapping path below decides.  The tree is shared and
-read-only.  Any other form is a mapping, checked by `normalize_terms`.
+whose label counts differ by e_i.  verify_annihilation of a DualGenerator, or
+of its evaluation, of the checked family under the check's convention
+decides that by `_matches`, one dict comparison per generator on the packed
+keys and counts the search kept; the identity holds under both conventions,
+so its verdict is kept beside the tree and the family's other dual reads it
+for free.  A match that holds proves annihilation at any values; one that
+fails proves nothing, and the exact mapping path below decides.  The tree
+is shared and read-only.  Any other form is a mapping, checked by
+`normalize_terms`.
 
 The action x^gamma o F lives here on packed keys, on forms normalized by
 `algebra.normalize_terms` (the form layer, re-exported here); `selftest` and
@@ -51,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from operator import sub
 from struct import Struct
 
@@ -60,11 +68,13 @@ from .algebra import (  # the form layer is re-exported here: binomial_ci.dual.C
     DIFFERENTIATION,
     MONOMIAL_BUDGET,
     CoeffMonomial,
+    EvaluatedForm,
     Exponents,
     Monomial,
     SparsePoly,
     Terms,
     _put_values,
+    _Terms,
     check_convention,
     check_monomial_budget,
     exponent_factorial,
@@ -77,8 +87,8 @@ from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpack_all, 
 
 
 # ({alpha: r}, s, packed keys alpha | G, packed r, [verdict of `_matches`] once
-# checked): `_in_tree`'s value
-InTree = tuple[dict[Exponents, Exponents], Exponents, list[int], list[int], list[bool]]
+# checked, [integer form at the family's values] once read): `_in_tree`'s value
+InTree = tuple[dict[Exponents, Exponents], Exponents, list[int], list[int], list[bool], list[_Terms]]
 
 
 # One entry serves the second convention's dual_generator, and s_vector, after
@@ -87,13 +97,15 @@ InTree = tuple[dict[Exponents, Exponents], Exponents, list[int], list[int], list
 # costs 0.74 s per pass over its 600-family pool (best of 5, Python 3.11, 2 vCPU).
 @lru_cache(maxsize=1)
 def _in_tree(family: BinomialFamily) -> InTree:
-    """({alpha: r}, s, keys, counts, verdict) over the in-tree of the socle
-    monomial x^target, target = (d1-1, .., dn-1): r counts the labels on the
-    path from x^alpha to the target and s holds their per-label maxima.  keys
-    and counts are the same vertices as the search packs them, in the dict's
-    order: alpha | G in the lanes of `keys.rule`, and r in count lanes.
-    verdict starts empty: verify_annihilation keeps there the verdict of
-    `_matches`, which reads keys and counts.
+    """({alpha: r}, s, keys, counts, verdict, integer) over the in-tree of
+    the socle monomial x^target, target = (d1-1, .., dn-1): r counts the
+    labels on the path from x^alpha to the target and s holds their
+    per-label maxima.  keys and counts are the same vertices as the search
+    packs them, in the dict's order: alpha | G in the lanes of `keys.rule`,
+    and r in count lanes.  verdict starts empty: verify_annihilation keeps
+    there the verdict of `_matches`, which reads keys and counts.  integer
+    starts empty too: `DualGenerator._integer_form` keeps there the coprime
+    integer form at the family's values.
 
     A reverse search from the target on packed keys that never builds the
     socle-degree graph.  It inverts the step of `keys.rule`: w has the
@@ -129,7 +141,7 @@ def _in_tree(family: BinomialFamily) -> InTree:
     """
     n = family.n
     check_monomial_budget(n, family.socle_degree)
-    degrees, tails = family.degrees, [t.exponents for t in family.tails]
+    degrees, tails = family.degrees, tuple(t.exponents for t in family.tails)
     nb, guard, bound, deltas = rule(degrees, tails, family.socle_degree)
     rb = _lane_bytes(MONOMIAL_BUDGET)  # count lanes: every r_i < tree size <= MONOMIAL_BUDGET
     ends = [8 * nb * i for i in range(1, n + 1)]  # lane i ends below bit ends[i-1]
@@ -155,7 +167,7 @@ def _in_tree(family: BinomialFamily) -> InTree:
     data = b"".join(map(int.to_bytes, counts, repeat(n * rb), repeat("little")))
     flat = Struct(f"<{n * len(counts)}{'BHIQ'[rb.bit_length() - 1]}").unpack(data)
     tree = dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), zip(*[iter(flat)] * n)))
-    return tree, tuple(max(flat[i::n]) for i in range(n)), keys, counts, []
+    return tree, tuple(max(flat[i::n]) for i in range(n)), keys, counts, [], []
 
 
 def s_vector(family: BinomialFamily) -> tuple[int, ...]:
@@ -219,11 +231,38 @@ class DualGenerator:
         n = self.n
         return {alpha: SparsePoly._raw(n, {sym: Fraction(q)}) for alpha, (sym, q) in self._substituted().items()}
 
-    def evaluate(self) -> dict[Exponents, Fraction]:
-        """Numeric coefficients at the family's values."""
+    def evaluate(self) -> EvaluatedForm:
+        """Numeric coefficients at the family's values, {alpha: Fraction} of
+        the nonzero terms: a read-only mapping, built on first read, that
+        keeps this dual."""
         if not self.family.is_numeric:
             raise ValueError("evaluation needs a value for every symbol")
-        return {alpha: Fraction(q) for alpha, (_, q) in self._substituted().items()}
+        return EvaluatedForm(self, lambda: {alpha: Fraction(q) for alpha, (_, q) in self._substituted().items()})
+
+    def _integer_form(self) -> tuple[_Terms, int, int]:
+        """(terms, n, D): F under contraction, or Phi(F) = {alpha: alpha!
+        F[alpha]} under differentiation, at the family's numeric values,
+        scaled to coprime integers: `oracle._integer_form` of this dual's
+        evaluation under its own convention.
+
+        Both are positive multiples of sum a^(s-r) b^r X^alpha over the tree,
+        as alpha! Fd = D! Fc, so one form serves both conventions: it is built
+        on first read and kept beside the match verdict on the in-tree value.
+        With a_i = p_i/q_i and b_i = u_i/v_i, a^(s-r) b^r times prod (q_i
+        v_i)^(s_i) is prod (p_i v_i)^(s_i-r_i) (q_i u_i)^(r_i): one power table
+        per lane, one product per vertex, and one gcd to make them coprime.
+        Each a_i is nonzero, so the target's term a^s is, and the gcd is
+        positive; the zero terms of a zero b_i are dropped."""
+        tree, s, *_, kept = self._tree
+        if not kept:
+            tables = []
+            for a, b, top in zip(self.family.a_values, self.family.b_values, s):
+                (p, q), (u, v) = a.as_integer_ratio(), b.as_integer_ratio()
+                tables.append([(p * v) ** (top - r) * (q * u) ** r for r in range(top + 1)])
+            values = [prod(map(list.__getitem__, tables, r)) for r in tree.values()]
+            g = gcd(*values)
+            kept.append(_Terms({alpha: c // g for alpha, c in zip(tree, values) if c}))
+        return kept[0], self.n, self.socle_degree
 
     def __str__(self) -> str:
         terms = self.sparse_terms()
@@ -378,8 +417,8 @@ def _matches(F: DualGenerator) -> bool:
     values may annihilate what the symbols do not.
     """
     fam = F.family
-    _, _, keys, counts, _ = F._tree
-    nb, guard, _, deltas = rule(fam.degrees, [t.exponents for t in fam.tails], fam.socle_degree)
+    _, _, keys, counts, *_ = F._tree
+    nb, guard, _, deltas = rule(fam.degrees, tuple(t.exponents for t in fam.tails), fam.socle_degree)
     rb = _lane_bytes(MONOMIAL_BUDGET)
     for i, (d, delta) in enumerate(zip(fam.degrees, deltas)):
         lead = d << 8 * nb * i  # pack(d_i e_i), and pack(tail_i) = lead + delta
@@ -390,6 +429,27 @@ def _matches(F: DualGenerator) -> bool:
     return True
 
 
+def _residuals(family: BinomialFamily, flat: Flat, convention: str) -> AnnihilationResult:
+    """The exact mapping path: the generators act on the terms flat, in the
+    shape of `_flat`, by `_apply`, and every nonzero image is a residual."""
+    n = family.n
+    images = _apply(_generator_flats(family), flat, n, n, convention == DIFFERENTIATION)
+    residuals = {i: res for i, res in enumerate((group_flat_terms(n, image) for image in images), 1) if res}
+    return AnnihilationResult(not residuals, residuals)
+
+
+def _annihilated(F: DualGenerator) -> AnnihilationResult:
+    """verify_annihilation of F against its own family under its own
+    convention: the verdict of `_matches`, kept beside the tree, and where the
+    match fails the exact mapping path on F's `_substituted` terms."""
+    verdict = F._tree[4]
+    if not verdict:
+        verdict.append(_matches(F))
+    if verdict[0]:
+        return AnnihilationResult(True, {})
+    return _residuals(F.family, list(F._substituted().items()), F.convention)
+
+
 def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION) -> AnnihilationResult:
     """Check f_i o F = 0 for every generator, exactly.
 
@@ -397,29 +457,28 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     coefficients.  Symbol values fixed by the family are substituted into the
     generator coefficients; everything else stays symbolic.
 
-    A DualGenerator of the check's convention and of the checked family is
-    first matched on its in-tree by `_matches`, whose verdict is kept beside
-    the tree, so the family's other dual reads it for free.  When the match
-    fails, and for any other F, the generators act on F's terms by `_apply`:
-    a DualGenerator's terms are its `_substituted` ones.
+    A DualGenerator of the check's convention and of the checked family, or
+    its evaluation (`DualGenerator.evaluate`), is first matched on its
+    in-tree by `_matches`, whose verdict is kept beside the tree, so the
+    family's other dual reads it for free.  The evaluation's Fractions are
+    the values of its dual's `_substituted` terms, so where the match fails
+    the mapping path on those terms leaves the same residuals.  For any
+    other F the generators act on F's terms by `_apply`: a DualGenerator's
+    terms are its `_substituted` ones.
     """
     check_convention(convention)
     n = family.n
+    if isinstance(F, EvaluatedForm) and F.dual.family == family and F.dual.convention == convention:
+        return _annihilated(F.dual)
     if isinstance(F, DualGenerator):
         if F.n != n:
             raise ValueError("the dual generator and the family have different variable counts")
         if F.convention == convention and F.family == family:
-            *_, verdict = F._tree
-            if not verdict:
-                verdict.append(_matches(F))
-            if verdict[0]:
-                return AnnihilationResult(True, {})
+            return _annihilated(F)
         flat = list(F._substituted().items())
     else:
         flat = _flat(normalize_terms(F, n)[0], n)
-    images = _apply(_generator_flats(family), flat, n, n, convention == DIFFERENTIATION)
-    residuals = {i: res for i, res in enumerate((group_flat_terms(n, image) for image in images), 1) if res}
-    return AnnihilationResult(not residuals, residuals)
+    return _residuals(family, flat, convention)
 
 
 def dual_to_json(dual: DualGenerator) -> dict:

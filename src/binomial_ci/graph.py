@@ -154,7 +154,7 @@ def build_graph(family: BinomialFamily, d: int) -> ReductionGraph:
         raise ValueError("degree must be nonnegative")
     n = family.n
     check_monomial_budget(n, d)  # before `rule`, which refuses a degree too wide for any lane
-    nb, _, _, deltas = rule(family.degrees, [t.exponents for t in family.tails], d)
+    nb, _, _, deltas = rule(family.degrees, tuple(t.exponents for t in family.tails), d)
     keys, lookup = degree_keys(n, d, nb)
     found, labels, sinks, _ = degree_labels(family.degrees, d, nb)
     moves = [0, *deltas]  # label 0, a sink, moves by 0 and finds itself

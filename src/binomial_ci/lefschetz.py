@@ -22,11 +22,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .algebra import Exponents, Monomial, as_point
+from .algebra import Exponents, Monomial, _Terms, as_point
 from .dual import _act
 from .keys import _guard, _pack_all
 from .linalg import rank_of
-from .oracle import _contraction_basis, _integer_form, _packed_form, _pairing, _Terms
+from .oracle import _contraction_basis, _integer_form, _packed_form, _pairing
 
 
 def monomial_basis(F, k: int) -> list[Monomial]:

@@ -22,7 +22,9 @@ degrees are transposes), each read off `_contraction_basis`, the one cached
 elimination per form and degree that `lefschetz` shares.  The avoided-power
 monomials span R/Ann(F) when, in each degree j <= D/2, the block of the
 pairing on the avoided-power exponents of degrees j and D-j has that rank
-h_j.  Everything is deterministic and exact; no probabilistic rank.
+h_j.  Each caller reads F as one coprime integer form, `_integer_form`; an
+evaluated dual's comes from its in-tree, once per family, without a
+Fraction.  Everything is deterministic and exact; no probabilistic rank.
 
 The brute-force references these kernels are checked against, the Macaulay
 and catalecticant rows on exponent tuples and polynomial membership by row
@@ -38,7 +40,17 @@ from itertools import repeat
 from operator import add
 from typing import Mapping, Sequence
 
-from .algebra import Exponents, Monomial, check_monomial_budget, exponent_factorial, exponents_of_degree, numeric_form
+from .algebra import (
+    DIFFERENTIATION,
+    EvaluatedForm,
+    Exponents,
+    Monomial,
+    _Terms,
+    check_monomial_budget,
+    exponent_factorial,
+    exponents_of_degree,
+    numeric_form,
+)
 from .family import BinomialFamily
 from .keys import _lane_bytes, _pack_all, degree_keys, degree_labels, rule
 from .linalg import RowSpace, rank_of, to_int_row
@@ -356,27 +368,22 @@ def _catalecticant_rows(terms: Mapping[Exponents, Fraction | int], n: int, top: 
     return _pairing(packed, degree_keys(n, degree, nb)[0], degree_keys(n, top - degree, nb)[0])
 
 
-class _Terms(dict):
-    """Integer {exponents: coefficient} terms hashed by content, once: never
-    mutated, so the hash a `_contraction_basis` lookup reads is its own."""
-
-    __slots__ = ("_hash",)
-
-    def __init__(self, terms: Mapping[Exponents, int]):
-        super().__init__(terms)
-        self._hash = hash(frozenset(self.items()))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 def _integer_form(F, differentiate: bool = False) -> tuple[_Terms, int, int]:
     """`numeric_form(F)` (terms, n, top) scaled to coprime integers, for
     rank-only callers.  `differentiate` reads the alpha!-scaled form
     Phi(F) = {alpha: alpha! F[alpha]} instead: differentiation by x^gamma is
     Phi^-1(x^gamma o Phi(F)) by contraction, so Cat_j(F) under
     differentiation is the contraction Cat_j(Phi(F)) with column beta divided
-    by beta!, and the two share row dependencies (alpha! Fd = D! Fc)."""
+    by beta!, and the two share row dependencies (alpha! Fd = D! Fc).
+
+    So an evaluated dual (`algebra.EvaluatedForm`) read with the flag of its
+    own convention, Fc or Phi(Fd), is one form, which its dual builds once
+    per family straight from its in-tree and keeps beside the match verdict
+    (`dual.DualGenerator._integer_form`): its Fractions are never built.
+    The other two convention/flag pairs, and every other mapping, are
+    normalized here."""
+    if isinstance(F, EvaluatedForm) and differentiate == (F.dual.convention == DIFFERENTIATION):
+        return F.dual._integer_form()
     terms, n, top = numeric_form(F)
     if differentiate:
         terms = {alpha: c * exponent_factorial(alpha) for alpha, c in terms.items()}

@@ -71,7 +71,7 @@ def _walk(family: BinomialFamily, exps: tuple[int, ...], k: int, budget: int):
         raise ValueError(f"cutoff must lie in 1..{n}")
     if len(exps) != n:
         raise ValueError(f"monomial {Monomial._raw(exps)} does not have {n} variables")
-    degrees, tails = family.degrees, [t.exponents for t in family.tails]
+    degrees, tails = family.degrees, tuple(t.exponents for t in family.tails)
     # every state has the start's degree, so no lane of the walk exceeds it
     nb, guard, bound, deltas = _rule(degrees, tails, _wide_lane_bytes(max(sum(exps), *degrees)))
     w = 8 * nb

@@ -13,13 +13,22 @@ import random
 from fractions import Fraction
 
 from . import catalog
-from .algebra import CoeffMonomial, Monomial, SparsePoly, monomials_of_degree, multinomial, numeric_form, poly_divides
+from .algebra import (
+    CoeffMonomial,
+    Monomial,
+    SparsePoly,
+    exponent_factorial,
+    monomials_of_degree,
+    multinomial,
+    numeric_form,
+    poly_divides,
+)
 from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, _matches, apply_action, dual_generator, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_family, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
 from .keys import _lane_bytes
 from .lefschetz import monomial_basis
-from .linalg import RowSpace, rank_of
+from .linalg import RowSpace, rank_of, to_int_row
 from .oracle import (
     _catalecticant_rows,
     _integer_form,
@@ -265,13 +274,13 @@ def _check_match() -> bool:
                 return False
     fam = catalog.three_var_chain()
     dual = dual_generator(fam)
-    tree, s, keys, counts, _ = dual._tree
+    tree, s, keys, counts, *_ = dual._tree
     tree, counts = dict(tree), list(counts)
     k, alpha = next((k, alpha) for k, (alpha, r) in enumerate(tree.items()) if r[0] < s[0])
     tree[alpha] = (tree[alpha][0] + 1, *tree[alpha][1:])
     counts[k] += 1  # label 1's count is lane 0 of the packed r
     bad = dataclasses.replace(dual)
-    object.__setattr__(bad, "_tree", (tree, s, keys, counts, []))
+    object.__setattr__(bad, "_tree", (tree, s, keys, counts, [], []))
     return not _matches(bad) and not verify_annihilation(fam, bad.sparse_terms()).ok
 
 
@@ -529,6 +538,25 @@ def _check_scaled_basis() -> bool:
     return True
 
 
+def _check_evaluated_integer_form() -> bool:
+    # An evaluated dual's rank oracles read the coprime integer form its dual
+    # builds from the in-tree, one per family for Fc and Phi(Fd); it must be
+    # to_int_row of the evaluated values, with a negative b and a zero b.
+    kept = []
+    for b in ((Fraction(-1, 3), 4, Fraction(5, 2), -2, 7), (2, Fraction(-3, 4), 0, 1, 5)):
+        point = specialize(catalog.five_var_pentagon(), CoeffAssignment((None,) * 5, tuple(map(Fraction, b))))
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            F = dual_generator(point, convention).evaluate()
+            terms, n, top = numeric_form(dict(F))
+            if convention == DIFFERENTIATION:
+                terms = {alpha: c * exponent_factorial(alpha) for alpha, c in terms.items()}
+            form = _integer_form(F, convention == DIFFERENTIATION)
+            if list(form[0].items()) != list(to_int_row(terms).items()) or form[1:] != (n, top):
+                return False
+            kept.append(form[0])
+    return kept[0] is kept[1] and kept[2] is kept[3] and kept[0] != kept[2]
+
+
 def _check_small_values() -> bool:
     return multinomial(3, (1, 1, 1)) == 6 and multinomial(3, (2, 1, 0)) == 3
 
@@ -557,6 +585,7 @@ CHECKS = [
     ("pairing spanning test over half the degrees vs two ranks", _check_pairing_spans),
     ("Macaulay kernel vs row reduction, generic and degenerate", _check_kernel_against_rows),
     ("differentiation basis from the alpha!-scaled form vs greedy rows", _check_scaled_basis),
+    ("evaluated pentagon duals: in-tree integer form vs their scaled values", _check_evaluated_integer_form),
     ("multinomial values", _check_small_values),
 ]
 

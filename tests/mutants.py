@@ -18,8 +18,9 @@ to a mutated line must update its row.  A change that adds or alters a packed
 kernel adds its mutant here.  The mutants target the fast modules, the
 packed rewriting walk, the certificate check, the graph's shared label table
 and its sentinel walk, the Macaulay kernel's rows per generator from the same
-table and the avoided-power basis filter among them, and the lexer of the
-family text grammar.
+table and the avoided-power basis filter among them, the evaluated dual's
+integer form and annihilation shortcut, and the lexer of the family text
+grammar.
 The brute-force references in `binomial_ci.reference` are what the kernels
 are checked against, walks by the tuple step `BinomialFamily.step` and the
 SparsePoly expansion of tests/test_rewrite.py what the walk and the check
@@ -254,9 +255,30 @@ MUTANTS = [
     Mutant(
         "in-tree match reads the family's cached in-tree, not the dual's",
         "src/binomial_ci/dual.py",
-        "    _, _, keys, counts, _ = F._tree",
-        "    _, _, keys, counts, _ = _in_tree(fam)",
+        "    _, _, keys, counts, *_ = F._tree",
+        "    _, _, keys, counts, *_ = _in_tree(fam)",
         "tests/test_dual.py::TestPackedDualFeed::test_one_changed_label_count_leaves_a_residual",
+    ),
+    Mutant(
+        "evaluated-dual shortcut ignores the convention",
+        "src/binomial_ci/dual.py",
+        "F.dual.family == family and F.dual.convention == convention:",
+        "F.dual.family == family:",
+        "tests/test_dual.py::TestEvaluatedDual::test_annihilation_of_an_evaluation_is_that_of_its_dict",
+    ),
+    Mutant(
+        "in-tree integer form's power tables swap a and b",
+        "src/binomial_ci/dual.py",
+        "(p * v) ** (top - r) * (q * u) ** r",
+        "(q * u) ** (top - r) * (p * v) ** r",
+        "tests/test_dual.py::test_in_tree_integer_form_matches_the_scaled_values_on_drawn_families_hypothesis",
+    ),
+    Mutant(
+        "in-tree integer form read for the other convention/flag pair",
+        "src/binomial_ci/oracle.py",
+        "differentiate == (F.dual.convention == DIFFERENTIATION)",
+        "differentiate != (F.dual.convention == DIFFERENTIATION)",
+        "selftest",
     ),
     Mutant(
         "rewriting walk's cutoff one lane too high",

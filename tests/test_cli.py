@@ -424,7 +424,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "24/24 checks passed" in out
+        assert "25/25 checks passed" in out
 
 
 class TestDeterminism:

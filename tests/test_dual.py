@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -18,19 +19,25 @@ from binomial_ci import (
     apply_action,
     build_graph,
     dual_generator,
+    inverse_system_dims,
+    m_spans_ann_quotient,
+    monomial_basis,
     monomials_of_degree,
     multinomial,
     parse_family,
     reduce_monomial,
     s_vector,
+    slp_check,
     specialize,
     verify_annihilation,
 )
 from binomial_ci.catalog import five_var_pentagon, pentagon_dual_form, three_var_chain
-from binomial_ci.algebra import MONOMIAL_BUDGET, exponents_of_degree
+from binomial_ci.algebra import MONOMIAL_BUDGET, EvaluatedForm, exponent_factorial, exponents_of_degree, numeric_form
 from binomial_ci import dual as dual_module
-from binomial_ci.dual import _in_tree, dual_to_json
+from binomial_ci.dual import AnnihilationResult, _in_tree, dual_to_json
 from binomial_ci.keys import _lane_bytes, _pack, rule
+from binomial_ci.linalg import to_int_row
+from binomial_ci.oracle import _integer_form
 from binomial_ci.rewrite import TO_BASIS
 
 from conftest import assert_as_checked, family_strategy, random_family
@@ -568,14 +575,14 @@ def _lane_edge_families():
 def _tampered(dual, alpha, j):
     """A copy of dual whose in-tree value counts one more label j + 1 at
     alpha, in its {alpha: r} dict and in the packed counts `_matches` reads,
-    and holds no verdict yet."""
-    tree, s, keys, counts, _ = dual._tree
+    and holds no verdict or integer form yet."""
+    tree, s, keys, counts, *_ = dual._tree
     k = list(tree).index(alpha)
     tree, counts = dict(tree), list(counts)
     tree[alpha] = tuple(e + (i == j) for i, e in enumerate(tree[alpha]))
     counts[k] += 1 << 8 * _lane_bytes(MONOMIAL_BUDGET) * j
     bad = dataclasses.replace(dual)
-    object.__setattr__(bad, "_tree", (tree, s, keys, counts, []))
+    object.__setattr__(bad, "_tree", (tree, s, keys, counts, [], []))
     return bad
 
 
@@ -1003,7 +1010,7 @@ class TestHandBuiltDuals:
                 dual_to_json(dual)
                 assert verify_annihilation(fam, dual, convention).ok
                 if fam.is_numeric:
-                    dual.evaluate()
+                    dict(dual.evaluate())
 
     def test_a_replaced_copy_reads_like_the_generated_dual(self):
         for fam in _view_families():
@@ -1013,3 +1020,127 @@ class TestHandBuiltDuals:
                 assert copy == dual and copy._substituted() == dual._substituted()
                 assert str(copy) == str(dual)
                 assert verify_annihilation(fam, copy, convention) == verify_annihilation(fam, dual, convention)
+
+
+def _outcome(check, *args):
+    """check(*args), or the type and message of the error it raises."""
+    try:
+        return check(*args)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+def _assert_integer_forms(fam):
+    """Fc and Phi(Fd) at fam's values read one integer form from the in-tree,
+    to_int_row of their evaluated values; the other two convention/flag
+    pairs read their values."""
+    Fc, Fd = (dual_generator(fam, convention).evaluate() for convention in (CONTRACTION, DIFFERENTIATION))
+    form = _integer_form(Fc)
+    assert _integer_form(Fd, differentiate=True)[0] is form[0]
+    assert form[1:] == _integer_form(Fd, differentiate=True)[1:] == (fam.n, fam.socle_degree)
+    assert list(form[0].items()) == list(to_int_row(numeric_form(dict(Fc))[0]).items())
+    phi = {alpha: c * exponent_factorial(alpha) for alpha, c in numeric_form(dict(Fd))[0].items()}
+    assert list(form[0].items()) == list(to_int_row(phi).items())
+    assert _integer_form(Fc, differentiate=True) == _integer_form(dict(Fc), differentiate=True)
+    assert _integer_form(Fd) == _integer_form(dict(Fd))
+
+
+def test_in_tree_integer_form_matches_the_scaled_values_on_drawn_families_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        family_strategy(st).filter(lambda fam: fam.is_numeric), st.sampled_from(["drawn", "zero b", "b = a"]), st.integers(0, 3)
+    )
+    def check(fam, values, j):
+        a, b = list(fam.a_values), list(fam.b_values)
+        if values == "zero b":
+            b[j % fam.n] = 0
+        elif values == "b = a":
+            b = a
+        _assert_integer_forms(BinomialFamily.numeric(fam.degrees, fam.tails, a, b))
+
+    check()
+
+
+class TestEvaluatedDual:
+    """DualGenerator.evaluate() is a read-only mapping that keeps its dual:
+    every reader gets what it gets from the plain dict of its values."""
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_the_view_equals_its_dict(self, convention):
+        for fam in [fam for fam in _view_families() if fam.is_numeric]:
+            dual = dual_generator(fam, convention)
+            F = dual.evaluate()
+            expected = {alpha: Fraction(q) for alpha, (_, q) in dual._substituted().items()}
+            assert isinstance(F, Mapping) and F.dual is dual
+            assert F == expected and expected == F and dict(F) == expected
+            assert list(F.items()) == list(expected.items()) and len(F) == len(expected)
+            assert all(type(v) is Fraction for v in F.values())
+
+    def test_the_view_is_read_only_and_built_once(self, monkeypatch):
+        fam = specialize(three_var_chain(), CoeffAssignment((Fraction(2),) * 3, (Fraction(-1, 3),) * 3))
+        calls = []
+        substituted = DualGenerator._substituted
+        monkeypatch.setattr(DualGenerator, "_substituted", lambda dual: calls.append(dual) or substituted(dual))
+        F = dual_generator(fam).evaluate()
+        assert isinstance(F, EvaluatedForm) and calls == []
+        key = next(iter(F))
+        with pytest.raises(TypeError):
+            F[key] = Fraction(0)
+        with pytest.raises(TypeError):
+            del F[key]
+        assert F[key] is F[key] and dict(F) == dict(F.items()) and len(F) == len(list(F))
+        assert calls == [F.dual]
+
+    def test_annihilation_of_an_evaluation_is_that_of_its_dict(self):
+        # Checked against its own family and convention an evaluation reads its
+        # dual's match; against another convention, another family of the
+        # same n or another n it is read as the mapping it is, with the same
+        # result or the same error as its dict.
+        rng = random.Random(40)
+        families = [fam for fam in _view_families() if fam.is_numeric]
+        families += [random_family(rng) for _ in range(6)]
+        outcomes = set()
+        for fam in families:
+            others = [random_family(rng, n_range=(fam.n, fam.n)), random_family(rng, n_range=(fam.n % 3 + 2,) * 2)]
+            for built in (CONTRACTION, DIFFERENTIATION):
+                F = dual_generator(fam, built).evaluate()
+                for checked_family in (fam, *others):
+                    for checked in (CONTRACTION, DIFFERENTIATION):
+                        got = _outcome(verify_annihilation, checked_family, F, checked)
+                        assert got == _outcome(verify_annihilation, checked_family, dict(F), checked)
+                        outcomes.add(got.ok if isinstance(got, AnnihilationResult) else got[0])
+        assert outcomes == {True, False, ValueError}
+
+    @pytest.mark.parametrize("convention", [CONTRACTION, DIFFERENTIATION])
+    def test_a_failed_match_of_an_evaluation_leaves_the_residuals_of_its_dict(self, convention):
+        rng = random.Random(41)
+        tampered = failed = 0
+        while tampered < 6:
+            fam = random_family(rng)
+            dual = dual_generator(fam, convention)
+            if not (movable := _movable(dual)):
+                continue
+            bad = _tampered(dual, *rng.choice(movable))
+            F = bad.evaluate()
+            assert not dual_module._matches(bad)
+            got = verify_annihilation(fam, F, convention)
+            assert got == verify_annihilation(fam, dict(F), convention)
+            tampered += 1
+            failed += not got.ok
+        assert failed
+
+    def test_rank_oracles_agree_on_the_view_and_its_dict(self, ci_corpus):
+        rng = random.Random(42)
+        families = ci_corpus[:6] + [random_family(rng) for _ in range(4)]
+        for fam in families:
+            for convention in (CONTRACTION, DIFFERENTIATION):
+                F = dual_generator(fam, convention).evaluate()
+                plain = dict(F)
+                top = fam.socle_degree
+                assert inverse_system_dims(F, top + 1) == inverse_system_dims(plain, top + 1)
+                assert m_spans_ann_quotient(fam, F) == m_spans_ann_quotient(fam, plain)
+                assert slp_check(F, trials=2, rng=random.Random(1)) == slp_check(plain, trials=2, rng=random.Random(1))
+                assert [monomial_basis(F, k) for k in range(top + 1)] == [monomial_basis(plain, k) for k in range(top + 1)]

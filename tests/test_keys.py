@@ -10,6 +10,7 @@ from binomial_ci.keys import (
     _nonzero,
     _pack,
     _pack_all,
+    _rule,
     _shifted,
     _unpack_all,
     _unpacked,
@@ -79,6 +80,16 @@ class TestRule:
                     assert (rows & -rows).bit_length() == 8 * nb * label
                     assert _unpacked(key + deltas[label - 1], n, nb) == successor
         assert widths == {1, 2, 4}
+
+    def test_the_table_is_built_once_per_family_and_lane_width(self):
+        degrees, tails = (3, 2), ((1, 2), (2, 0))
+        first = rule(degrees, tails, 4)
+        assert rule(list(degrees), list(tails), 63) is first  # the same 1-byte lanes
+        assert type(first[3]) is tuple and first == _rule.__wrapped__(degrees, tails, 1)
+        wide = rule(degrees, tails, 64)
+        assert wide[0] == 2 and wide is rule(degrees, tails, 200) is not first
+        assert rule(degrees, ((0, 3), (2, 0)), 4) != first
+        assert _rule.cache_info().maxsize == 4
 
     def test_degree_keys_follow_exponents_of_degree(self):
         for n, d, nb in ((1, 0, 1), (3, 4, 1), (4, 3, 2), (2, 70, 2), (2, 16400, 4)):

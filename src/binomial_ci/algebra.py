@@ -15,6 +15,16 @@ a value unchecked; they are internal, and only for values derived from
 already checked ones (products, quotients, graph successors, label counts of
 graph paths, sums of polynomials).
 
+Terms are summed one way: each key's rationals are added up in one dict,
+and the zero sums are dropped once, at the end.  SparsePoly's constructor,
+sum, product and `substitute`, `group_flat_terms`, `keys._nonzero`,
+`rewrite.reduce_polynomial` and `family.parse_x_polynomial` all do so; only
+`poly_divides` deletes a cancelled key as it goes, since its max must never
+meet a zero entry.  Symbols print one way: `_render_symbols` renders the
+positive exponents of a key and `_term` puts a rational in front, for
+`SparsePoly.__str__` and for `CoeffMonomial.__str__`, whose denominator is
+its negated exponents rendered again.
+
 One routine, `_put_values`, puts values into the symbols: the evaluate and
 substitute methods of CoeffMonomial and SparsePoly and the dual generator's
 coefficients all call it on flat (symbol exponents, rational) terms.
@@ -43,7 +53,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from collections.abc import Iterable, Mapping
 from typing import Union
 
@@ -364,24 +374,11 @@ class CoeffMonomial:
     def __str__(self) -> str:
         if self.scalar == 0:
             return "0"
-        num, den = [], []
-        for block, sym in ((self.a_exp, "a"), (self.b_exp, "b")):
-            for i, e in enumerate(block):
-                if e > 0:
-                    num.append(f"{sym}{i + 1}" + (f"^{e}" if e > 1 else ""))
-                elif e < 0:
-                    den.append(f"{sym}{i + 1}" + (f"^{-e}" if e < -1 else ""))
-        sign = "-" if self.scalar < 0 else ""
-        mag = abs(self.scalar)
-        if not num:
-            head = str(mag)
-        elif mag == 1:
-            head = "*".join(num)
-        else:
-            head = str(mag) + "*" + "*".join(num)
-        if den:
-            return f"{sign}{head}/(" + "*".join(den) + ")"
-        return sign + head
+        key = self.a_exp + self.b_exp
+        text = ("-" if self.scalar < 0 else "") + _term(abs(self.scalar), _render_symbols(key, self.n))
+        if min(key) < 0:
+            text += f"/({_render_symbols(tuple(map(neg, key)), self.n)})"
+        return text
 
 
 def _checked_n(n: int) -> int:
@@ -395,13 +392,23 @@ def _term_sort_key(key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 def _render_symbols(key: tuple[int, ...], n: int) -> str:
+    """The positive exponents of a 2n-entry key as "a1^2*b3"; "" when there
+    is none."""
     parts = []
     for i, e in enumerate(key):
-        if not e:
+        if e <= 0:
             continue
         sym = f"a{i + 1}" if i < n else f"b{i - n + 1}"
         parts.append(sym if e == 1 else f"{sym}^{e}")
     return "*".join(parts)
+
+
+def _term(mag: Fraction, symbols: str) -> str:
+    """A nonnegative rational times rendered symbols: "2*a1", "a1" at 1, the
+    rational alone when there is no symbol."""
+    if not symbols:
+        return str(mag)
+    return symbols if mag == 1 else f"{mag}*{symbols}"
 
 
 class SparsePoly:
@@ -427,12 +434,8 @@ class SparsePoly:
                     raise ValueError(f"exponent vector must have length {2 * n}")
                 if any(e < 0 for e in key):
                     raise ValueError("polynomial exponents must be nonnegative")
-                total = acc.get(key, Fraction(0)) + coeff
-                if total:
-                    acc[key] = total
-                elif key in acc:
-                    del acc[key]
-        self.terms = acc
+                acc[key] = acc.get(key, 0) + coeff
+        self.terms = {key: c for key, c in acc.items() if c}
 
     @classmethod
     def _raw(cls, n: int, terms: dict[tuple[int, ...], Fraction]) -> SparsePoly:
@@ -497,12 +500,8 @@ class SparsePoly:
         self._check(other)
         acc = dict(self.terms)
         for key, coeff in other.terms.items():
-            total = acc.get(key, Fraction(0)) + coeff
-            if total:
-                acc[key] = total
-            elif key in acc:
-                del acc[key]
-        return SparsePoly._raw(self.n, acc)
+            acc[key] = acc.get(key, 0) + coeff
+        return SparsePoly._raw(self.n, {key: c for key, c in acc.items() if c})
 
     __radd__ = __add__
 
@@ -531,12 +530,8 @@ class SparsePoly:
         for k1, c1 in small.items():
             for k2, c2 in large.items():
                 key = tuple(x + y for x, y in zip(k1, k2))
-                total = acc.get(key, Fraction(0)) + c1 * c2
-                if total:
-                    acc[key] = total
-                elif key in acc:
-                    del acc[key]
-        return SparsePoly._raw(self.n, acc)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return SparsePoly._raw(self.n, {key: c for key, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -587,20 +582,11 @@ class SparsePoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        n = self.n
         parts = []
-        for key, coeff in self.sorted_terms():
-            syms = _render_symbols(key, self.n)
-            mag = abs(coeff)
-            if not syms:
-                body = str(mag)
-            elif mag == 1:
-                body = syms
-            else:
-                body = f"{mag}*{syms}"
-            if not parts:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append((" - " if coeff < 0 else " + ") + body)
+        for key, c in self.sorted_terms():
+            parts += (" - " if c < 0 else " + ", _term(abs(c), _render_symbols(key, n)))
+        parts[0] = "-" if parts[0] == " - " else ""  # the first term keeps only its minus
         return "".join(parts)
 
     def __repr__(self) -> str:

@@ -83,7 +83,7 @@ from .algebra import (  # the form layer is re-exported here: binomial_ci.dual.C
     numeric_form,
 )
 from .family import BinomialFamily
-from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpack_all, _unpacked, rule
+from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpack_all, rule
 
 
 # ({alpha: r}, s, packed keys alpha | G, packed r, [verdict of `_matches`] once
@@ -159,7 +159,7 @@ def _in_tree(family: BinomialFamily) -> InTree:
             v = key - delta  # v | G when w >= tail_i
             if v & guard == guard and (v - bound) & mask == bit:  # v's label is i
                 if v in seen:
-                    raise AssertionError(f"the reverse search reached {_unpacked(v ^ guard, n, nb)} twice")
+                    raise AssertionError(f"the reverse search reached {_unpack_all((v ^ guard,), n, nb)[0]} twice")
                 seen.add(v)
                 keys.append(v)
                 counts.append(rv := r + unit)
@@ -468,13 +468,12 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     """
     check_convention(convention)
     n = family.n
-    if isinstance(F, EvaluatedForm) and F.dual.family == family and F.dual.convention == convention:
-        return _annihilated(F.dual)
+    dual = F.dual if isinstance(F, EvaluatedForm) else F
+    if isinstance(dual, DualGenerator) and dual.convention == convention and dual.family == family:
+        return _annihilated(dual)
     if isinstance(F, DualGenerator):
         if F.n != n:
             raise ValueError("the dual generator and the family have different variable counts")
-        if F.convention == convention and F.family == family:
-            return _annihilated(F)
         flat = list(F._substituted().items())
     else:
         flat = _flat(normalize_terms(F, n)[0], n)

@@ -68,15 +68,11 @@ def _pack_all(vectors, size: int, nb: int) -> list[int]:
     return list(map(int.from_bytes, starmap(_layout(size, nb).pack, vectors), repeat("little")))
 
 
-def _unpacked(key: int, size: int, nb: int) -> tuple[int, ...]:
-    """The size lanes of a packed key: the inverse of _pack."""
-    return _layout(size, nb).unpack(key.to_bytes(size * nb, "little"))
-
-
 def _unpack_all(keys, size: int, nb: int) -> list[tuple[int, ...]]:
-    """[_unpacked(k, size, nb) for k in keys], in C: one buffer of every key's
-    bytes, read back lane by lane.  Lanes wider than 8 bytes, which `struct`
-    cannot read, are read from the same buffer by int.from_bytes."""
+    """The size lanes of each packed key, the inverse of `_pack`, in C: one
+    buffer of every key's bytes, read back lane by lane.  Lanes wider than 8
+    bytes, which `struct` cannot read, are read from the same buffer by
+    int.from_bytes."""
     if not size:  # no lanes: every key is 0, the empty vector
         return [() for _ in keys]
     data = b"".join(map(int.to_bytes, keys, repeat(size * nb), repeat("little")))

@@ -19,11 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .algebra import Exponents, Monomial, _Terms, as_point
-from .dual import _act
+from .dual import _act, _scaled
 from .keys import _guard, _pack_all
 from .linalg import rank_of
 from .oracle import _contraction_basis, _integer_form, _packed_form, _pairing
@@ -61,8 +60,7 @@ def lefschetz_rank(F, k: int, ell: Sequence) -> int:
     if top - 2 * k < 0:
         raise ValueError("socle degree is too small for this Hessian order")
     # H(c*ell) = c^(D-2k) * H(ell): clearing denominators keeps the rank.
-    scale = lcm(*(v.denominator for v in values))
-    point = [v.numerator * (scale // v.denominator) for v in values]
+    point, _ = _scaled(values)
     return rank_of(_hessian(form, k, _contraction_basis(form, k), point))
 
 

@@ -131,14 +131,9 @@ def reduce_polynomial(family: BinomialFamily, poly: dict[Monomial, Fraction]) ->
         if outcome.kind == TO_CYCLE:
             conditional = True
             continue
-        value = c * outcome.coeff.evaluate(family.a_values, family.b_values)
         key = outcome.basis_monomial
-        total = acc.get(key, Fraction(0)) + value
-        if total:
-            acc[key] = total
-        elif key in acc:
-            del acc[key]
-    return PolyReduction(acc, conditional)
+        acc[key] = acc.get(key, 0) + c * outcome.coeff.evaluate(family.a_values, family.b_values)
+    return PolyReduction({key: c for key, c in acc.items() if c}, conditional)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ kernel adds its mutant here.  The mutants target the fast modules, the
 packed rewriting walk, the certificate check, the graph's shared label table
 and its sentinel walk, the Macaulay kernel's rows per generator from the same
 table and the avoided-power basis filter among them, the evaluated dual's
-integer form and annihilation shortcut, and the lexer of the family text
-grammar.
+integer form and the same-dual annihilation shortcut, the zero filters of
+SparsePoly's sum and product and the CoeffMonomial denominator, and the
+lexer of the family text grammar.
 The brute-force references in `binomial_ci.reference` are what the kernels
 are checked against, walks by the tuple step `BinomialFamily.step` and the
 SparsePoly expansion of tests/test_rewrite.py what the walk and the check
@@ -241,7 +242,7 @@ MUTANTS = [
     Mutant(
         "in-tree match taken for a family other than the dual's",
         "src/binomial_ci/dual.py",
-        "and F.family == family:",
+        " and dual.family == family:",
         ":",
         "tests/test_dual.py::TestPackedDualFeed::test_a_dual_checked_against_another_family",
     ),
@@ -262,8 +263,8 @@ MUTANTS = [
     Mutant(
         "evaluated-dual shortcut ignores the convention",
         "src/binomial_ci/dual.py",
-        "F.dual.family == family and F.dual.convention == convention:",
-        "F.dual.family == family:",
+        "isinstance(dual, DualGenerator) and dual.convention == convention and",
+        "isinstance(dual, DualGenerator) and",
         "tests/test_dual.py::TestEvaluatedDual::test_annihilation_of_an_evaluation_is_that_of_its_dict",
     ),
     Mutant(
@@ -279,6 +280,27 @@ MUTANTS = [
         "differentiate == (F.dual.convention == DIFFERENTIATION)",
         "differentiate != (F.dual.convention == DIFFERENTIATION)",
         "selftest",
+    ),
+    Mutant(
+        "SparsePoly product keeps the zero sums of cancelled terms",
+        "src/binomial_ci/algebra.py",
+        "+ c1 * c2\n        return SparsePoly._raw(self.n, {key: c for key, c in acc.items() if c})",
+        "+ c1 * c2\n        return SparsePoly._raw(self.n, acc)",
+        "tests/test_algebra.py::TestSparsePoly::test_cancelled_sums_and_products_store_no_zero",
+    ),
+    Mutant(
+        "SparsePoly sum keeps the zero sums of cancelled terms",
+        "src/binomial_ci/algebra.py",
+        "+ coeff\n        return SparsePoly._raw(self.n, {key: c for key, c in acc.items() if c})",
+        "+ coeff\n        return SparsePoly._raw(self.n, acc)",
+        "tests/test_algebra.py::TestSparsePoly::test_cancelled_sums_and_products_store_no_zero",
+    ),
+    Mutant(
+        "CoeffMonomial denominator rendered from the positive exponents",
+        "src/binomial_ci/algebra.py",
+        "_render_symbols(tuple(map(neg, key)), self.n)",
+        "_render_symbols(key, self.n)",
+        "tests/test_algebra.py::TestCoeffMonomial::test_division_and_evaluation",
     ),
     Mutant(
         "rewriting walk's cutoff one lane too high",

@@ -166,6 +166,15 @@ class TestSparsePoly:
         assert p.is_zero()
         assert p.terms == {}
 
+    def test_cancelled_sums_and_products_store_no_zero(self):
+        # Terms that cancel leave no key behind, in a sum or in a product.
+        a1, b1 = sym(2, "a1"), sym(2, "b1")
+        product = (a1 - b1) * (a1 + b1)
+        assert product == a1 * a1 - b1 * b1 and len(product.terms) == 2
+        total = (a1 + b1) + (2 - b1)
+        assert total == a1 + 2 and len(total.terms) == 2
+        assert SparsePoly(2, [((1, 0, 0, 0), 1), ((1, 0, 0, 0), -1), ((0, 0, 1, 0), 2)]).terms == {(0, 0, 1, 0): 2}
+
     def test_printing_canonical_order(self):
         n = 3
         p = sym(n, "a2") * sym(n, "a3") - sym(n, "b2") * sym(n, "b3")
@@ -578,3 +587,87 @@ class TestAsFraction:
     def test_zero_denominator(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
             algebra.as_fraction(text)
+
+
+def _reference_coeff_str(cm):
+    """CoeffMonomial.__str__ as it read before it shared `_render_symbols`:
+    its own loop over both exponent blocks."""
+    if cm.scalar == 0:
+        return "0"
+    num, den = [], []
+    for block, sym in ((cm.a_exp, "a"), (cm.b_exp, "b")):
+        for i, e in enumerate(block):
+            if e > 0:
+                num.append(f"{sym}{i + 1}" + (f"^{e}" if e > 1 else ""))
+            elif e < 0:
+                den.append(f"{sym}{i + 1}" + (f"^{-e}" if e < -1 else ""))
+    sign = "-" if cm.scalar < 0 else ""
+    mag = abs(cm.scalar)
+    if not num:
+        head = str(mag)
+    elif mag == 1:
+        head = "*".join(num)
+    else:
+        head = str(mag) + "*" + "*".join(num)
+    if den:
+        return f"{sign}{head}/(" + "*".join(den) + ")"
+    return sign + head
+
+
+def _reference_symbols(key, n):
+    """`algebra._render_symbols` as it read before: every nonzero exponent."""
+    parts = []
+    for i, e in enumerate(key):
+        if not e:
+            continue
+        sym = f"a{i + 1}" if i < n else f"b{i - n + 1}"
+        parts.append(sym if e == 1 else f"{sym}^{e}")
+    return "*".join(parts)
+
+
+def _reference_poly_str(p):
+    """SparsePoly.__str__ as it read before it shared `_term`: one loop that
+    renders each term and its sign."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for key, coeff in p.sorted_terms():
+        syms = _reference_symbols(key, p.n)
+        mag = abs(coeff)
+        if not syms:
+            body = str(mag)
+        elif mag == 1:
+            body = syms
+        else:
+            body = f"{mag}*{syms}"
+        if not parts:
+            parts.append(("-" if coeff < 0 else "") + body)
+        else:
+            parts.append((" - " if coeff < 0 else " + ") + body)
+    return "".join(parts)
+
+
+def test_printers_match_their_reference_loops_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    scalars = st.one_of(st.sampled_from([0, 1, -1]), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+    @st.composite
+    def values(draw):
+        # A coefficient monomial with negative, zero and positive exponents,
+        # or a sparse polynomial whose drawn terms may collide and cancel.
+        n = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            key = draw(st.tuples(*[st.integers(-3, 3)] * (2 * n)))
+            return CoeffMonomial(draw(scalars), key[:n], key[n:])
+        keys = st.tuples(*[st.integers(0, 3)] * (2 * n))
+        return SparsePoly(n, draw(st.lists(st.tuples(keys, scalars), max_size=6)))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(values())
+    def check(value):
+        reference = _reference_coeff_str if isinstance(value, CoeffMonomial) else _reference_poly_str
+        assert str(value) == reference(value)
+
+    check()

@@ -761,6 +761,16 @@ class TestOnePassPerTree:
         assert _in_tree.cache_info().misses == 2  # no search beyond the two builds
         assert calls == ["match", "match"]
 
+    def test_evaluations_read_their_duals_match(self, calls, monkeypatch):
+        # An evaluation checked against its dual's family and convention takes
+        # the same-dual path: one match for both conventions, and none of its
+        # Fractions is built.
+        fam = specialize(three_var_chain(), CoeffAssignment((Fraction(2),) * 3, (Fraction(-1, 3),) * 3))
+        monkeypatch.setattr(DualGenerator, "_substituted", lambda dual: calls.append("substituted"))
+        for convention in (CONTRACTION, DIFFERENTIATION):
+            assert verify_annihilation(fam, dual_generator(fam, convention).evaluate(), convention).ok
+        assert calls == ["match"]
+
 
 class TestPackedLanes:
     """The packed kernel at the edges of a lane, against the reference."""

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -313,6 +316,49 @@ class TestSpecialize:
         assert f1 == {Monomial((2, 0, 0)): Fraction(2)}  # zero tail dropped
         f2 = numeric.generator_values(2)
         assert f2[Monomial((0, 1, 1))] == Fraction(-1)
+
+
+class TestHash:
+    """A family's hash is computed once, at construction, and every copy
+    hashes afresh."""
+
+    @staticmethod
+    def _fields_hash(fam):
+        return hash((fam.n, fam.degrees, fam.tails, fam.a_values, fam.b_values))
+
+    def test_hashing_a_built_family_calls_no_fraction_hash(self, double_cycle, monkeypatch):
+        fam = specialize(double_cycle, CoeffAssignment.of(3, a1="2/3", a2=1, a3=-5, b1="7/2", b2=0, b3=4))
+        expected = self._fields_hash(fam)
+        calls = []
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda q: calls.append(q) or fraction_hash(q))
+        assert hash(Fraction(1, 3)) == hash(Fraction(1, 3)) and len(calls) == 2  # the spy sees every call
+        calls.clear()
+        assert hash(fam) == hash(fam) == expected
+        assert {fam: 1}[fam] == 1
+        assert calls == []
+
+    def test_equal_families_hash_alike(self, double_cycle):
+        again = load_family(format_family(double_cycle))
+        assert again == double_cycle and again is not double_cycle
+        assert hash(again) == hash(double_cycle) == self._fields_hash(double_cycle)
+
+    def test_replace_and_specialize_hash_afresh(self, double_cycle):
+        numeric = specialize(double_cycle, CoeffAssignment.of(3, a1=2, b3="1/5"))
+        replaced = dataclasses.replace(numeric, b_values=(None, 3, None))
+        for fam in (numeric, replaced):
+            assert hash(fam) == self._fields_hash(fam)
+        assert replaced.b_values == (None, Fraction(3), None)
+
+    def test_copies_and_pickles_do_not_carry_the_hash(self, double_cycle):
+        # Before Python 3.12 hash(None) is an address, so a hash carried into
+        # another process would be stale: a copy must be rebuilt.
+        fam = specialize(double_cycle, CoeffAssignment.of(3, a1=2, b3="1/5"))
+        fresh = hash(fam)
+        stale = BinomialFamily(fam.n, fam.degrees, fam.tails, fam.a_values, fam.b_values)
+        object.__setattr__(stale, "_hash", fresh + 1)
+        for again in (copy.copy(stale), copy.deepcopy(stale), pickle.loads(pickle.dumps(stale))):
+            assert again == fam and hash(again) == fresh
 
 
 class TestHelpers:

@@ -13,7 +13,6 @@ from binomial_ci.keys import (
     _rule,
     _shifted,
     _unpack_all,
-    _unpacked,
     degree_keys,
     rule,
 )
@@ -28,7 +27,7 @@ class TestLanes:
         vectors = [(0,), (top,), (1, 0, top), (top // 2, top, 0, 1, 2)]
         for v in vectors:
             key = _pack(v, nb)
-            assert _unpacked(key, len(v), nb) == v
+            assert _unpack_all((key,), len(v), nb) == [v]
             assert [(key >> 8 * nb * j) & top for j in range(len(v))] == list(v)  # lane j at bits 8*nb*j, on any host
         assert _pack_all([(1, 2), (top, 0)], 2, nb) == [_pack((1, 2), nb), _pack((top, 0), nb)]
         assert _nonzero({_pack((1, 2, 3), nb): 5, _pack((3, 2, 1), nb): 0}, 1, 1, nb) == {((1,), (2, 3)): 5}
@@ -45,7 +44,7 @@ class TestLanes:
         # twice top fits below the guard bit, which _guard sets in every lane
         assert _lane_bytes(top) == nb
         assert 2 * top < 1 << 8 * nb - 1
-        assert _unpacked(_guard(3, nb), 3, nb) == (1 << 8 * nb - 1,) * 3
+        assert _unpack_all((_guard(3, nb),), 3, nb) == [(1 << 8 * nb - 1,) * 3]
 
 
 def _rule_families():
@@ -78,7 +77,7 @@ class TestRule:
                 else:
                     label, successor = move
                     assert (rows & -rows).bit_length() == 8 * nb * label
-                    assert _unpacked(key + deltas[label - 1], n, nb) == successor
+                    assert _unpack_all((key + deltas[label - 1],), n, nb) == [successor]
         assert widths == {1, 2, 4}
 
     def test_the_table_is_built_once_per_family_and_lane_width(self):
@@ -97,6 +96,6 @@ class TestRule:
             exps = exponents_of_degree(n, d)
             assert keys == _pack_all(exps, n, nb)
             assert list(index.items()) == list(zip(keys, range(len(keys))))
-            assert [m.exponents for m in monomials_of_degree(n, d)] == [_unpacked(k, n, nb) for k in keys]
+            assert [m.exponents for m in monomials_of_degree(n, d)] == _unpack_all(keys, n, nb)
             assert degree_keys(n, d, nb) is degree_keys(n, d, nb)
         assert degree_keys.cache_info().maxsize == 64

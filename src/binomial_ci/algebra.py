@@ -427,9 +427,7 @@ class SparsePoly:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, coeff in items:
                 coeff = as_fraction(coeff)
-                if coeff == 0:
-                    continue
-                key = tuple(map(as_int, key))
+                key = tuple(map(as_int, key))  # checked even under a zero coefficient
                 if len(key) != 2 * n:
                     raise ValueError(f"exponent vector must have length {2 * n}")
                 if any(e < 0 for e in key):

@@ -15,14 +15,16 @@ So F is a function of the family and the convention alone, and a
 tree, s, the search's packed keys and counts, the verdict of its match and
 the integer form at the family's values.  Its terms come from
 `DualGenerator._terms`, and the family's values enter through
-`algebra._put_values`: sparse_terms, str and dual_to_json read the flat
-terms of `DualGenerator._substituted`.  evaluate is a view: an
-`algebra.EvaluatedForm`, read-only, that keeps its dual and builds its
-Fractions from the same terms on first read.  The rank oracles read it
-through `DualGenerator._integer_form` instead, one coprime integer form per
-family built straight from the tree, since Fc and Phi(Fd) are positive
-multiples of sum a^(s-r) b^r X^alpha; so in a numeric check no Fraction of
-F is built.
+`algebra._put_values`: sparse_terms and `DualGenerator._rendered`, the one
+renderer of str and dual_to_json, read the flat terms of
+`DualGenerator._substituted`; the renderer prints each through
+`algebra._render_symbols` and `algebra._term`, with no SparsePoly.
+evaluate is a view: an `algebra.EvaluatedForm`, read-only, that keeps its
+dual and builds its Fractions from the same terms on first read.  The rank
+oracles read it through `DualGenerator._integer_form` instead, one coprime
+integer form per family built straight from the tree, since Fc and Phi(Fd)
+are positive multiples of sum a^(s-r) b^r X^alpha; so in a numeric check no
+Fraction of F is built.
 
 Since F = sum of a^(s-r) b^r X^alpha over the tree, f_i o F = 0 is a
 pairing: each term of the lead image must meet a term of the tail image
@@ -74,6 +76,8 @@ from .algebra import (  # the form layer is re-exported here: binomial_ci.dual.C
     SparsePoly,
     Terms,
     _put_values,
+    _render_symbols,
+    _term,
     _Terms,
     check_convention,
     check_monomial_budget,
@@ -217,7 +221,9 @@ class DualGenerator:
     def _substituted(self) -> dict[Exponents, tuple[Exponents, int | Fraction]]:
         """{alpha: (2n symbol exponents, rational)} for the nonzero coefficients,
         with the family's values put in by `_put_values`, integral values as
-        int.  Every exponent is nonnegative, as r <= s."""
+        int.  Every exponent is nonnegative, as r <= s.  Its readers:
+        `_rendered` (str and dual_to_json), sparse_terms, evaluate, and
+        verify_annihilation's exact mapping path."""
         fam = self.family
         terms = _put_values(((a + r, c) for a, r, c in self._terms()), self.n, fam.a_values, fam.b_values)
         return {
@@ -227,7 +233,9 @@ class DualGenerator:
         }
 
     def sparse_terms(self) -> dict[Exponents, SparsePoly]:
-        """Coefficients as polynomials, with the family's values substituted."""
+        """Coefficients as polynomials, with the family's values substituted:
+        public API, which `selftest` and the tests read as a plain mapping
+        (the renderer's reference among them); no output path reads it."""
         n = self.n
         return {alpha: SparsePoly._raw(n, {sym: Fraction(q)}) for alpha, (sym, q) in self._substituted().items()}
 
@@ -264,9 +272,22 @@ class DualGenerator:
             kept.append(_Terms({alpha: c // g for alpha, c in zip(tree, values) if c}))
         return kept[0], self.n, self.socle_degree
 
+    def _rendered(self) -> list[tuple[Exponents, str]]:
+        """(alpha, coefficient text) per nonzero term, in descending order of
+        alpha: the one renderer of str and dual_to_json.  Each text is what
+        str prints for the term's `sparse_terms` polynomial, read straight
+        from `_substituted` through `_render_symbols` and `_term`."""
+        n = self.n
+        terms = self._substituted()
+        out = []
+        for alpha in sorted(terms, reverse=True):
+            sym, q = terms[alpha]
+            names = _render_symbols(sym, n)
+            out.append((alpha, _term(q, names) if q > 0 else "-" + _term(-q, names)))
+        return out
+
     def __str__(self) -> str:
-        terms = self.sparse_terms()
-        return " + ".join(f"{terms[key]}*{Monomial(key).render('X')}" for key in sorted(terms, reverse=True)) or "0"
+        return " + ".join(f"{text}*{Monomial._raw(alpha).render('X')}" for alpha, text in self._rendered()) or "0"
 
 
 def dual_generator(family: BinomialFamily, convention: str = CONTRACTION) -> DualGenerator:
@@ -481,13 +502,9 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
 
 
 def dual_to_json(dual: DualGenerator) -> dict:
-    terms = dual.sparse_terms()
     return {
         "D": dual.socle_degree,
         "convention": dual.convention,
         "s": list(dual.s),
-        "terms": [
-            {"alpha": list(key), "coeff": str(terms[key])}
-            for key in sorted(terms, reverse=True)
-        ],
+        "terms": [{"alpha": list(alpha), "coeff": text} for alpha, text in dual._rendered()],
     }

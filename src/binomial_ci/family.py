@@ -91,7 +91,7 @@ class BinomialFamily:
                 raise FamilyValidationError(
                     f"tail {m} of generator {i} has degree {m.degree}, expected {d}"
                 )
-            if m.exponents == Monomial.variable(n, i, d).exponents:
+            if m.exponents[i - 1] == d:  # of degree d, so x_i^d itself
                 raise FamilyValidationError(f"tail of generator {i} equals x{i}^{d}")
         a_values = _coerce_values(self.a_values, n, "a")
         b_values = _coerce_values(self.b_values, n, "b")
@@ -287,12 +287,32 @@ def specialize(family: BinomialFamily, assignment: CoeffAssignment) -> BinomialF
 # optional "/" denominator) and any other character, which is an error.
 # [^\W\d] holds every letter, but also "_", "²" and other word characters
 # that are not letters, so a name's first character is checked by isalpha.
+#
+# Two paths read a family's text; one accepts, the other raises.  The fast
+# path matches each ";"/newline-separated piece whole against _GENERATOR:
+# the shape `format_family` prints, meaning "fI = " and " - " with single
+# spaces, each term a coefficient (a symbol, or a rational with an optional
+# sign and a nonzero denominator), "*" and x-factors joined by "*", and
+# spaces at the piece's ends.  It yields the (idx, lead, tail) triples of
+# `_Parser.parse_generator`, and `_family_of` checks them, the one
+# validation of both paths.  Any piece it does not match (a hand-written
+# variant such as other blanks or an implicit coefficient among them), and
+# any value that raises on its way to a family, sends the whole text to
+# _tokenize and _Parser, the one path that raises: each message, line and
+# column is theirs.  A monomial is read by the token path alone.
 # ---------------------------------------------------------------------------
 
 _LEXEME = re.compile(
     r"(?P<SEP>[;\n])|(?P<BLANK>[^\S\n]+)|(?P<OP>[-=*^+])|(?P<NAME>[^\W\d][0-9]*)"
     r"|(?P<NUMBER>[0-9]+(?:/(?P<den>[0-9]*))?)|(?P<OTHER>.)"
 )
+
+_X = r"x[0-9]+(?:\^[0-9]+)?"
+# A printed term: a symbol or a signed rational, "*" and x-factors.  Groups:
+# symbol letter, its index, numerator, denominator (never zero), x-factors.
+_TERM = rf"(?:([ab])([0-9]+)|(-?[0-9]+)(?:/([1-9][0-9]*))?)\*({_X}(?:\*{_X})*)"
+_GENERATOR = re.compile(rf" *f([0-9]+) = {_TERM} - {_TERM} *")
+_FACTOR = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 
 class _Token(NamedTuple):
@@ -419,7 +439,7 @@ class _Parser:
         out = [0] * n
         for v, e in exps.items():
             out[v - 1] = e
-        return Monomial(tuple(out))
+        return Monomial._raw(tuple(out))  # exponents read from ASCII digits: ints >= 0
 
     def parse_generator(self):
         _, idx = self.indexed_name("f")
@@ -448,6 +468,43 @@ def _coefficient(term, role: str, idx: int, tok: _Token) -> OptionalRational:
     return None if kind == own else payload if kind == "num" else Fraction(1)
 
 
+def _x_factors(factors: str) -> dict[int, int]:
+    """parse_term's {var_index: exponent} of x-factors that _TERM matched."""
+    exps: dict[int, int] = {}
+    for v, power in _FACTOR.findall(factors):
+        v = int(v)
+        exps[v] = exps.get(v, 0) + (int(power) if power else 1)
+    return exps
+
+
+def _matched_term(symbol, index, num, den, factors):
+    """parse_term's (coeff_kind, coeff_payload, exps) of a term that _TERM
+    matched, from its five groups."""
+    if symbol:
+        return symbol, int(index), _x_factors(factors)
+    return "num", Fraction(int(num), int(den) if den else 1), _x_factors(factors)
+
+
+# Where the fast path's checks would raise: nowhere a user sees, since the
+# token path parses the text again and raises at its own token.
+_UNPLACED = _Token("END", "", 0, 0)
+
+
+def _matched_generators(text: str) -> list | None:
+    """The generators of `text` as `_family_of` takes them, when _GENERATOR
+    matches every nonblank piece between separators; None otherwise."""
+    raw = []
+    for piece in text.replace("\n", ";").split(";"):
+        if not piece or piece.isspace():
+            continue
+        m = _GENERATOR.fullmatch(piece)
+        if m is None:
+            return None
+        g = m.groups()
+        raw.append(((int(g[0]), _matched_term(*g[1:6]), _matched_term(*g[6:])), _UNPLACED))
+    return raw
+
+
 def parse_family(text: str) -> BinomialFamily:
     """Parse the text grammar into a validated family.
 
@@ -456,6 +513,17 @@ def parse_family(text: str) -> BinomialFamily:
     tail coefficient, e.g. "f1 = a1*x1^3 - 0*x1^2*x2" (the placeholder tail
     keeps the reduction graph well defined).
     """
+    try:
+        raw = _matched_generators(text)
+        if raw:
+            return _family_of(raw)
+    except ValueError:
+        pass  # the token path raises it again, at its line and column
+    return _token_family(text)
+
+
+def _token_family(text: str) -> BinomialFamily:
+    """parse_family by the token path alone."""
     parser = _Parser(_tokenize(text))
     raw = []
     while True:
@@ -464,6 +532,13 @@ def parse_family(text: str) -> BinomialFamily:
         if parser.peek().kind == "END":
             break
         raw.append((parser.parse_generator(), parser.peek()))
+    return _family_of(raw)
+
+
+def _family_of(raw: list) -> BinomialFamily:
+    """The family of [((idx, lead, tail), tok)] in the shape of
+    `_Parser.parse_generator`; a generator's error is raised at tok, the
+    token after it."""
     if not raw:
         raise FamilyParseError("no generators found", 1, 1)
     n = len(raw)
@@ -478,7 +553,7 @@ def parse_family(text: str) -> BinomialFamily:
         raise FamilyParseError(f"missing generator index f{missing[0]}", tok.line, tok.col)
 
     degrees: list[int] = [0] * n
-    tails: list[Monomial] = [Monomial.one(n)] * n
+    tails: list[Monomial | None] = [None] * n  # each index once: every entry is set
     a_values: list[OptionalRational] = [None] * n
     b_values: list[OptionalRational] = [None] * n
     for (idx, lead, tail), tok in raw:

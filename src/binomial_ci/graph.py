@@ -240,6 +240,8 @@ def to_dot(graph: ReductionGraph) -> str:
 
 
 def graph_to_json(graph: ReductionGraph) -> dict:
+    """The graph as JSON: each vertex name is rendered once, and a cycle
+    reads its vertices' names by their positions."""
     names = [str(m) for m in graph.vertices]
     return {
         "d": graph.d,
@@ -250,7 +252,7 @@ def graph_to_json(graph: ReductionGraph) -> dict:
             if s is not None
         ],
         "cycles": [
-            {"vertices": [str(m) for m in c.vertices], "r": list(c.label_counts)}
+            {"vertices": [names[graph.index[m.exponents]] for m in c.vertices], "r": list(c.label_counts)}
             for c in graph.cycles
         ],
     }

@@ -20,12 +20,15 @@ packed rewriting walk, the certificate check, the graph's shared label table
 and its sentinel walk, the Macaulay kernel's rows per generator from the same
 table and the avoided-power basis filter among them, the evaluated dual's
 integer form and the same-dual annihilation shortcut, the zero filters of
-SparsePoly's sum and product and the CoeffMonomial denominator, and the
-lexer of the family text grammar.
+SparsePoly's sum and product and the CoeffMonomial denominator, the
+lexer of the family text grammar, its regex path and the checks both paths
+share, and the dual's renderer.
 The brute-force references in `binomial_ci.reference` are what the kernels
 are checked against, walks by the tuple step `BinomialFamily.step` and the
 SparsePoly expansion of tests/test_rewrite.py what the walk and the check
-are, and the pinned parse errors of tests/test_family.py what the lexer is.
+are, the pinned parse errors of tests/test_family.py what the lexer is, the
+token path what the regex path is, and the printed `sparse_terms` what the
+dual's renderer is.
 pytest does not collect this file.
 """
 
@@ -343,6 +346,34 @@ MUTANTS = [
         'elif kind == "OTHER" or kind == "NAME" and not lexeme[0].isalpha():',
         'elif kind == "OTHER":',
         "tests/test_family.py",
+    ),
+    Mutant(
+        "regex path takes a sign before an a/b symbol",
+        "src/binomial_ci/family.py",
+        'rf"(?:([ab])([0-9]+)|',
+        'rf"(?:-?([ab])([0-9]+)|',
+        "tests/test_family.py::TestFastPath",
+    ),
+    Mutant(
+        "generator checks take any lead that holds x_idx",
+        "src/binomial_ci/family.py",
+        "        if list(lead[2]) != [idx]:",
+        "        if idx not in lead[2]:",
+        "tests/test_family.py::TestFastPath",
+    ),
+    Mutant(
+        "generator checks skip the duplicate index",
+        "src/binomial_ci/family.py",
+        "        if idx in seen:",
+        "        if False:",
+        "tests/test_family.py::TestFastPath",
+    ),
+    Mutant(
+        "dual renderer drops a term's minus sign",
+        "src/binomial_ci/dual.py",
+        '"-" + _term(-q, names)',
+        "_term(-q, names)",
+        "tests/test_dual.py::test_the_dual_renderer_prints_what_sparse_terms_print_on_drawn_families_hypothesis",
     ),
 ]
 

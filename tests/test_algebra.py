@@ -325,6 +325,12 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError):
             SparsePoly.constant(0, 1)
 
+    @pytest.mark.parametrize("coeff", [0, "0", 1])
+    @pytest.mark.parametrize("key", [(1, -5), (1.5, "x", -5)], ids=["short-negative", "float-string"])
+    def test_sparse_poly_checks_a_key_whatever_its_coefficient(self, key, coeff):
+        with pytest.raises(ValueError):
+            SparsePoly(2, [(key, coeff)])
+
     def test_sparse_poly_coerces_and_drops_zeros(self):
         p = SparsePoly(1, {(1, 0): "3/2", (0, 1): 2, (1, 1): 0, (2, 0): "0"})
         assert p.terms == {(1, 0): Fraction(3, 2), (0, 1): Fraction(2)}

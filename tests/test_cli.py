@@ -848,3 +848,11 @@ class TestLongExactOutput:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_family_text_keeps_the_default_digit_limit(self, capsys):
+        huge = "1" * (sys.int_info.default_max_str_digits + 1)
+        text = CHAIN.replace("a1*", f"{huge}*")  # the shape the text's regex path reads
+        code, out, err = run_cli(capsys, "graph", "--family", text, "--degree", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1

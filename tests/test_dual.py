@@ -1154,3 +1154,55 @@ class TestEvaluatedDual:
                 assert m_spans_ann_quotient(fam, F) == m_spans_ann_quotient(fam, plain)
                 assert slp_check(F, trials=2, rng=random.Random(1)) == slp_check(plain, trials=2, rng=random.Random(1))
                 assert [monomial_basis(F, k) for k in range(top + 1)] == [monomial_basis(plain, k) for k in range(top + 1)]
+
+
+def _rendered_by_polynomials(F):
+    """dual_to_json's terms and str(F) as printed from one SparsePoly per
+    term of `sparse_terms`: the reference of the shared renderer."""
+    terms = F.sparse_terms()
+    keys = sorted(terms, reverse=True)
+    json_terms = [{"alpha": list(key), "coeff": str(terms[key])} for key in keys]
+    text = " + ".join(f"{terms[key]}*{Monomial(key).render('X')}" for key in keys) or "0"
+    return json_terms, text
+
+
+def test_the_dual_renderer_prints_what_sparse_terms_print_on_drawn_families_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        family_strategy(st),
+        st.sampled_from(["as drawn", "mixed", "zero b", "b = -a"]),
+        st.integers(0, 3),
+        st.sampled_from([CONTRACTION, DIFFERENTIATION]),
+    )
+    def check(fam, values, j, convention):
+        a, b = list(fam.a_values), list(fam.b_values)
+        j %= fam.n
+        if values == "mixed":  # one free symbol in each block, values elsewhere
+            a = [Fraction(-3, 2) if v is None else v for v in a]
+            b = [Fraction(5) if v is None else v for v in b]
+            a[j], b[(j + 1) % fam.n] = None, None
+        elif values == "zero b":
+            b[j] = Fraction(0)
+        elif values == "b = -a":
+            b = [None if v is None else -v for v in a]
+        F = dual_generator(BinomialFamily(fam.n, fam.degrees, fam.tails, tuple(a), tuple(b)), convention)
+        json_terms, text = _rendered_by_polynomials(F)
+        assert dual_to_json(F)["terms"] == json_terms
+        assert str(F) == text
+
+    check()
+
+
+def test_dual_to_json_builds_no_sparse_poly(double_cycle, monkeypatch):
+    duals = [dual_generator(fam) for fam in (double_cycle, specialize(double_cycle, CoeffAssignment.of(3, a1=2, b2="-1/3")))]
+    expected = [(dual_to_json(F), str(F)) for F in duals]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SparsePoly was built")
+
+    monkeypatch.setattr(SparsePoly, "_raw", classmethod(refuse))
+    monkeypatch.setattr(SparsePoly, "__init__", refuse)
+    assert [(dual_to_json(F), str(F)) for F in duals] == expected

@@ -24,7 +24,7 @@ from binomial_ci import (
 from binomial_ci.cli import main
 from binomial_ci.family import parse_x_polynomial
 
-from conftest import random_family
+from conftest import family_strategy, random_family
 
 
 class TestParsing:
@@ -487,3 +487,179 @@ class TestHelpers:
     def test_generator_count_must_be_an_int(self):
         with pytest.raises(FamilyValidationError, match="2.0 is not an integer"):
             BinomialFamily(2.0, (2, 2), (Monomial((1, 1)), Monomial((1, 1))))
+
+
+# Grammar pieces and characters that look like them: Unicode letters, digits
+# and spaces, a minus sign, zero denominators and integers past Python's
+# default limit of 4300 digits for a str -> int conversion.
+_PIECES = [
+    "f1", "f2", "f3", "f", "f0", "f01", "F1", "=", "-", "*", "^", "+", ";", "\n", " ", "\t", "\r",
+    "x1", "x2", "x3", "x4", "x", "x0", "x02", "y1", "a1", "a2", "a3", "b1", "b2", "b3", "a", "b",
+    "0", "1", "2", "07", "12", "1/2", "3/4", "0/5", "3/0", "0/00", "1/", "/", "^1", "^0", "x1^2", "-5/2",
+    "\u00e9", "\u00df", "\u03a9", "\u00aa", "\uff41", "\u00b2", "\u0663", "\uff11",  # é ß Ω ª ａ ² ٣ １
+    "\u00a0", "\u2003", "\u3000", "\x0b", "\x85", "\u2028", "_", "\u2212",  # spaces, "_", a minus sign
+    "9" * 4400, "1/" + "7" * 4400, "x1^" + "3" * 4400,
+]
+
+
+def _written(fam, rng) -> str:
+    """fam in the text grammar as a hand would write it: random blanks, an
+    implicit coefficient 1 or -1, "^1", x1*x1 for x1^2, a symbol for some
+    values, signed rationals, any generator order and separators."""
+
+    def blank():
+        return rng.choice(["", "", " ", "  ", "\t", "\u00a0"])
+
+    def factors(exps):
+        out = []
+        for i, e in enumerate(exps, 1):
+            if e == 1 and rng.random() < 0.8:
+                out.append(f"x{i}")
+            elif e and rng.random() < 0.8:
+                out.append(f"x{i}{blank()}^{blank()}{e}")
+            else:
+                out += [f"x{i}"] * e
+        rng.shuffle(out)
+        return f"{blank()}*{blank()}".join(out)
+
+    def coefficient(value, symbol):
+        if value is None or rng.random() < 0.1:
+            return f"{symbol}{blank()}*{blank()}"
+        if abs(value) == 1 and rng.random() < 0.5:
+            return "" if value > 0 else "-" + blank()
+        sign = "-" + blank() if value < 0 else ""
+        return f"{sign}{abs(value)}{blank()}*{blank()}"
+
+    parts = []
+    for i in rng.sample(range(1, fam.n + 1), fam.n):
+        lead = coefficient(fam.a_values[i - 1], f"a{i}") + factors(fam.lead_monomial(i).exponents)
+        tail = coefficient(fam.b_values[i - 1], f"b{i}") + factors(fam.tails[i - 1].exponents)
+        parts.append(f"{blank()}f{i}{blank()}={blank()}{lead}{blank()}-{blank()}{tail}{blank()}")
+    ends = rng.choice(["", "", ";", "\n", " ; "])
+    return ends + rng.choice([";", "\n", " ; ", ";;", "\n\n", ";\n"]).join(parts) + ends
+
+
+def _mutated(text: str, rng) -> str:
+    """text with one to three deletions, insertions or replacements of pieces."""
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        cut = rng.choice((0, 1, 1, 2, 3))
+        text = text[:k] + (rng.choice(_PIECES) if cut < 3 or rng.random() < 0.5 else "") + text[k + cut:]
+    return text
+
+
+def _printed(fam, rng) -> str:
+    """format_family(fam), its generators in any order and separated as the
+    grammar allows: the shape the regex path reads."""
+    parts = format_family(fam).split(" ; ")
+    rng.shuffle(parts)
+    return rng.choice([" ; ", ";", "\n", " ;\n"]).join(parts) + rng.choice(["", "\n", " "])
+
+
+def _redigited(text: str, rng) -> str:
+    """text with one digit replaced: mostly still the printed shape, which
+    the checks after the regex may refuse."""
+    k = rng.choice([k for k, c in enumerate(text) if c.isdigit()])
+    return text[:k] + rng.choice("0123456789") + text[k + 1:]
+
+
+def _differential_inputs(seed: int, count: int):
+    """Family texts, seeded: printed and hand-written families as they are
+    and mutated, printed ones with a digit changed, and runs of pieces."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        fam = random_family(rng, numeric=rng.random() < 0.5)
+        r = rng.random()
+        if r < 0.2:
+            yield _printed(fam, rng)
+        elif r < 0.4:
+            yield _written(fam, rng)
+        elif r < 0.6:
+            yield _mutated(_written(fam, rng), rng)
+        elif r < 0.7:
+            yield _mutated(_printed(fam, rng), rng)
+        elif r < 0.85:
+            yield _redigited(_printed(fam, rng), rng)
+        else:
+            prefix = rng.choice(["", "f1 = ", "f1 = a1*x1^2 - "])
+            yield prefix + "".join(rng.choices(_PIECES, k=rng.randint(1, 30)))
+
+
+def _outcome(parse, *args):
+    """("ok", repr of the result), or the exception's type, message, line and column."""
+    try:
+        return "ok", repr(parse(*args))
+    except Exception as exc:  # any exception, compared as a value
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def differential_mismatches(seed: int, count: int) -> tuple[list, dict]:
+    """The inputs on which parse_family differs from its token path, and a
+    count of the outcomes: the regex path's families, the other families
+    and the errors by type."""
+    from binomial_ci.family import _matched_generators, _token_family
+
+    mismatches, seen = [], {"fast": 0, "ok": 0}
+    for text in _differential_inputs(seed, count):
+        got, want = _outcome(parse_family, text), _outcome(_token_family, text)
+        if got != want:
+            mismatches.append((text, got, want))
+        fast = want[0] == "ok" and _matched_generators(text)
+        key = "fast" if fast else "ok" if want[0] == "ok" else want[0].__name__
+        seen[key] = seen.get(key, 0) + 1
+    return mismatches, seen
+
+
+class TestFastPath:
+    """The regex path of parse_family accepts the printed shape of the
+    grammar and leaves every error to the token path."""
+
+    def test_it_agrees_with_the_token_path_on_seeded_inputs(self):
+        mismatches, seen = differential_mismatches(20261020, 3000)
+        assert mismatches == []
+        assert seen["fast"] > 600 and seen["ok"] > 400  # both paths parse families
+        assert seen["FamilyParseError"] > 1000 and seen["FamilyValidationError"] > 60 and seen["ValueError"] > 10
+
+    def test_format_family_takes_the_fast_path_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from binomial_ci.family import _family_of, _matched_generators
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(family_strategy(st))
+        def check(fam):
+            text = format_family(fam)
+            assert _family_of(_matched_generators(text)) == fam
+            assert parse_family(text) == fam
+
+        check()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["f1 = -a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", "f1 = a1*x1^2 - - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2"],
+        ids=["lead", "tail"],
+    )
+    def test_a_signed_symbol_is_left_to_the_token_path(self, text):
+        from binomial_ci.family import _matched_generators
+
+        assert _matched_generators(text) is None
+        with pytest.raises(FamilyParseError, match="a sign may only precede a rational coefficient"):
+            parse_family(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("f1 = a1*x1*x2 - b1*x2^2 ; f2 = a2*x2^2 - b2*x1*x2", "line 1, column 25: the leading monomial of f1 must be a power of x1"),
+            ("f1 = a1*x2^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2", "line 1, column 25: the leading monomial of f1 must be a power of x1"),
+            ("f1 = a1*x1^2 - b1*x1*x2 ; f1 = a1*x1^2 - b1*x1*x2", "line 1, column 50: duplicate generator index f1"),
+            ("f1 = a1*x1^2 - b1*x1*x2 ; f3 = a3*x3^2 - b3*x1*x2", "line 1, column 50: missing generator index f2"),
+        ],
+        ids=["lead-of-two-variables", "lead-of-another-variable", "duplicate", "missing"],
+    )
+    def test_the_fast_path_matches_what_its_checks_refuse(self, text, message):
+        from binomial_ci.family import _matched_generators
+
+        assert _matched_generators(text)
+        with pytest.raises(FamilyParseError) as err:
+            parse_family(text)
+        assert str(err.value) == message

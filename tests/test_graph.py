@@ -284,6 +284,15 @@ class TestExports:
             {"vertices": ["x2*x3^3", "x2^2*x3^2"], "r": [0, 1, 1]},
         ]
 
+    def test_cycles_reuse_the_vertex_names(self, double_cycle, monkeypatch):
+        g = build_graph(double_cycle, 4)
+        expected = graph_to_json(g)
+        assert expected["cycles"]
+        rendered = []
+        monkeypatch.setattr(Monomial, "__str__", lambda m: rendered.append(m) or m.render())
+        assert graph_to_json(g) == expected
+        assert len(rendered) == len(g.vertices)  # each vertex once, none again for a cycle
+
 
 # ---------------------------------------------------------------------------
 # Differential test: build_graph against the checked public Monomial arithmetic

@@ -10,13 +10,19 @@ degree hold the whole walk, however large its exponents.  The walk keeps its
 labels, not its states, and unpacks only its end; `Monomial`s are built only
 for outputs.  reduce_monomial and certificate on the same (monomial, k)
 share one walk, and a certificate replays the keys from the start and the
-labels and unpacks all its multipliers in one call.
+labels and unpacks all its multipliers in one call.  Its steps are a tuple
+that also keeps that walk's family, packed start and lane width.
 
 Every reduction, under any cutoff k, can be certified by a relation that
-expands to zero symbolically.  certificate_residual expands a given
-certificate on the packed int keys of `keys`: each key holds the x exponents
-and the 2n symbol exponents, and each step costs two int adds.  It reads only
-the certificate, never the walk, so it checks an arbitrary certificate.
+expands to zero symbolically.  certificate_residual checks a certificate of
+`certificate`, against its own family, by replaying its steps' labels on
+constants packed from the family's degrees and tails: a guard test before
+each step, the end state, a^r and b^r prove the identity, and no
+multiplier or scale is read.  Any other certificate, or one whose replay
+fails, is expanded on the packed int keys of `keys`: each key holds the x
+exponents and the 2n symbol exponents, and each step costs two int adds.
+That expansion reads only the certificate, never the walk, so it checks an
+arbitrary certificate.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
-from operator import add, attrgetter, or_, sub
+from itertools import accumulate, repeat
+from operator import add, and_, attrgetter, or_, sub
 
 from . import algebra
 from .algebra import CoeffMonomial, Monomial, SparsePoly, group_flat_terms
@@ -150,6 +156,8 @@ class Certificate:
     For basis outcomes rhs is b^r times the basis monomial; for cycle outcomes
     the walk runs to the first repeated vertex, so rhs lands on the cycle
     entry and an on-cycle input yields the relation p(C)*m = sum h_i f_i.
+    steps is a tuple of `CertificateStep`s; `certificate`'s also keeps the
+    walk it was built from, which certificate_residual replays.
     """
 
     kind: str
@@ -160,13 +168,24 @@ class Certificate:
     rhs_monomial: Monomial
 
 
+class _WalkSteps(tuple):
+    """The steps of a certificate of `certificate`: their tuple, which also
+    keeps the family, the packed start and the lane width of the walk it
+    was built from, so certificate_residual checks the certificate by
+    replaying the steps' labels.  The tuple is immutable, so it stays the
+    one the walk built.  A tuple of steps made any other way (a slice, a
+    sum, one built by hand) keeps no walk."""
+
+    family = start = nb = None
+
+
 def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Certificate:
     """The relation of reduce_monomial(family, m, k): the same walk along the
     edges with labels <= k (default n), so kind and rhs match its outcome.
 
     Step s's multiplier is the walk's key before it, replayed from the
     start and the labels, less pack(d_i e_i): one `_unpack_all` call reads
-    them all."""
+    them all.  The steps keep the walk, for check_certificate."""
     start, labels, kind, end, nb, deltas = _walk(family, m.exponents, family.n if k is None else k, algebra.MONOMIAL_BUDGET)
     n = family.n
     moves = [0, *deltas]  # the label-i step at index i
@@ -184,7 +203,8 @@ def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Ce
         after[label - 1] -= 1
         scales.append(raw(one, tuple(after), tuple(before)))
         before[label - 1] += 1
-    steps = tuple(map(CertificateStep, labels, map(Monomial._raw, multipliers), scales))
+    steps = _WalkSteps(map(CertificateStep, labels, map(Monomial._raw, multipliers), scales))
+    steps.family, steps.start, steps.nb = family, start, nb
     return Certificate(kind, m, CoeffMonomial(one, r, zero), steps, CoeffMonomial(one, zero, r), Monomial._raw(end))
 
 
@@ -203,6 +223,39 @@ def _lanes(n: int, mono: Monomial, cm: CoeffMonomial) -> tuple[int, ...]:
 
 def _rational(q: Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
+
+
+def _replays(family: BinomialFamily, cert: Certificate) -> bool:
+    """Whether a certificate of `certificate`, of this family, holds by its
+    walk alone: its input packs to the walk's start on the lanes the walk
+    sizes from the input's degree, each label passes the family's guard test
+    (x_i^{d_i} divides the state before the step), the last state is
+    rhs_monomial, and a_product and rhs_coeff are a^r and b^r for the label
+    counts r.  Then every state is a monomial of the input's degree, and the
+    steps the labels build telescope, so the identity holds.  False proves
+    nothing.  The guard, bound and moves are packed here from the family's
+    degrees and tails, as the expansion packs its leads and tails, not read
+    from the `keys._rule` table the walk took its steps by."""
+    steps = cert.steps
+    n, nb, exps = family.n, steps.nb, cert.input.exponents
+    labels = list(map(attrgetter("gen_index"), steps))
+    r = tuple(map(labels.count, range(1, n + 1)))
+    zero = (0,) * n
+    a, c = cert.a_product, cert.rhs_coeff
+    if (a.scalar, a.a_exp, a.b_exp, c.scalar, c.a_exp, c.b_exp) != (1, r, zero, 1, zero, r):
+        return False
+    if len(exps) != n or nb != _wide_lane_bytes(max(sum(exps), *family.degrees)):
+        return False
+    w = 8 * nb
+    guard, bound = _guard(n, nb), _shifted(family.degrees, nb)
+    moves = [0] + [_shifted(t.exponents, nb) - (d << w * i) for i, (d, t) in enumerate(zip(family.degrees, family.tails))]
+    bits = [0] + [1 << w * i - 1 for i in range(1, n + 1)]  # lane i's guard bit at index i
+    states = accumulate(map(moves.__getitem__, labels), initial=steps.start)
+    # the labels come first, so the last state is left for next(states)
+    if not all(map(and_, map(bits.__getitem__, labels), map(sub, map(or_, states, repeat(guard)), repeat(bound)))):
+        return False
+    first, last = _unpack_all((steps.start, next(states)), n, nb)
+    return first == exps and last == cert.rhs_monomial.exponents
 
 
 def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Monomial, SparsePoly]:
@@ -229,11 +282,19 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     for the largest exponent present, of any width: the fallback packs by
     shifts (`_shifted`) and the residual is unpacked by `_unpack_all`, so a
     certificate past the 8 bytes `struct` packs is checked too.
+
+    A certificate of `certificate`, checked against its own family, first
+    takes the packed route: `_replays` replays its steps' labels and reads
+    no multiplier or scale.  A replay that holds proves the identity; one
+    that fails proves nothing, and the steps are expanded as above, so a
+    tampered, hand-built or other-family certificate gets the same residual.
     """
+    steps = cert.steps
+    if type(steps) is _WalkSteps and steps.family == family and _replays(family, cert):
+        return {}
     n = family.n
     first = _lanes(n, cert.input, cert.a_product)
     last = _lanes(n, cert.rhs_monomial, cert.rhs_coeff)
-    steps = cert.steps
     index = list(map(attrgetter("gen_index"), steps))
     scales = list(map(attrgetter("scale"), steps))
     mults = list(map(attrgetter("multiplier.exponents"), steps))

@@ -105,7 +105,8 @@ def _check_certificates() -> bool:
     famB = catalog.three_var_chain()
     for fam, text in ((famB, "x1^2*x2"), (famA, "x1*x2*x3^2"), (famA, "x2^2*x3^2")):
         cert = certificate(fam, parse_monomial(text, 3))
-        if not check_certificate(fam, cert):
+        # the check replays the walk; the expansion reads the steps it built
+        if not check_certificate(fam, cert) or _sparse_residual(fam, cert):
             return False
     out = reduce_monomial(famA, parse_monomial("x1*x2*x3^2", 3))
     return out.kind == TO_CYCLE
@@ -134,7 +135,10 @@ def _check_packed_residual() -> bool:
     # expansion, on certificates of the catalog families with one step's
     # scale, multiplier or generator index changed.  A scale exponent of 255
     # on a_i, plus the a_i of f_i, sums past one byte (the packed lanes keep
-    # a guard bit, so here they are 2 bytes wide).
+    # a guard bit, so here they are 2 bytes wide).  A certificate as
+    # `certificate` returns it checks by replaying its walk, its steps
+    # expand to zero, and with its a_product or rhs_monomial replaced it
+    # gets the expansion's residual.
     for fam in (
         catalog.three_var_double_cycle(),
         catalog.three_var_chain(),
@@ -145,8 +149,15 @@ def _check_packed_residual() -> bool:
         zero = (0,) * n
         for m in monomials_of_degree(fam.n, fam.resultant_degree)[::7]:
             cert = certificate(fam, m)
-            if certificate_residual(fam, cert):
+            if certificate_residual(fam, cert) or _sparse_residual(fam, cert):
                 return False
+            for bad in (
+                dataclasses.replace(cert, a_product=cert.a_product * CoeffMonomial(Fraction(2, 3), zero, zero)),
+                dataclasses.replace(cert, rhs_monomial=cert.rhs_monomial * Monomial.variable(n, 1)),
+            ):
+                residual = certificate_residual(fam, bad)
+                if not residual or residual != _sparse_residual(fam, bad):
+                    return False
             for s, step in enumerate(cert.steps):
                 for new in (
                     dataclasses.replace(step, scale=step.scale * CoeffMonomial(Fraction(2, 3), zero, zero)),

@@ -16,7 +16,8 @@ The run fails when a mutant survives (its check passes), hangs (its check
 outlives the timeout), or its snippet no longer matches exactly, so a change
 to a mutated line must update its row.  A change that adds or alters a packed
 kernel adds its mutant here.  The mutants target the fast modules, the
-packed rewriting walk, the certificate check, the graph's shared label table
+packed rewriting walk, the certificate check and the replay of a kept walk
+that checks a certificate of `certificate`, the graph's shared label table
 and its sentinel walk, the Macaulay kernel's rows per generator from the same
 table and the avoided-power basis filter among them, the evaluated dual's
 integer form and the same-dual annihilation shortcut, the zero filters of
@@ -27,8 +28,9 @@ The brute-force references in `binomial_ci.reference` are what the kernels
 are checked against, walks by the tuple step `BinomialFamily.step` and the
 SparsePoly expansion of tests/test_rewrite.py what the walk and the check
 are, the pinned parse errors of tests/test_family.py what the lexer is, the
-token path what the regex path is, and the printed `sparse_terms` what the
-dual's renderer is.
+token path what the regex path is, the printed `sparse_terms` what the
+dual's renderer is, and the expansion of the same steps what the replay of
+a kept walk is.
 pytest does not collect this file.
 """
 
@@ -325,6 +327,41 @@ MUTANTS = [
         "    if packed is None or reduce(or_, packed, 0) & _guard(3 * n, nb):",
         "    if packed is None:",
         "tests/test_rewrite.py",
+    ),
+    Mutant(
+        "certificate replay drops the per-step guard test",
+        "src/binomial_ci/rewrite.py",
+        "map(and_, map(bits.__getitem__, labels)",
+        "map(or_, map(bits.__getitem__, labels)",
+        "tests/test_rewrite.py::TestCompactCertificates::test_labels_that_fail_a_guard_test_get_the_explicit_residual",
+    ),
+    Mutant(
+        "certificate replay drops the end-state comparison",
+        "src/binomial_ci/rewrite.py",
+        " and last == cert.rhs_monomial.exponents",
+        "",
+        "tests/test_rewrite.py::TestCompactCertificates::test_replaced_fields_get_the_explicit_residual",
+    ),
+    Mutant(
+        "certificate replay taken for a family other than the walk's",
+        "src/binomial_ci/rewrite.py",
+        " and steps.family == family and _replays(",
+        " and _replays(",
+        "tests/test_rewrite.py::TestCompactCertificates::test_a_walk_checked_against_another_family",
+    ),
+    Mutant(
+        "certificate replay moves drop the tails",
+        "src/binomial_ci/rewrite.py",
+        "[0] + [_shifted(t.exponents, nb) - (d << w * i) for",
+        "[0] + [-(d << w * i) for",
+        "tests/test_rewrite.py::TestCompactCertificates::test_check_replays_without_expanding",
+    ),
+    Mutant(
+        "certificate replay skips the a_product and rhs_coeff check",
+        "src/binomial_ci/rewrite.py",
+        "    if (a.scalar, a.a_exp, a.b_exp, c.scalar, c.a_exp, c.b_exp) != (1, r, zero, 1, zero, r):",
+        "    if False:",
+        "tests/test_rewrite.py::TestCompactCertificates::test_replaced_fields_get_the_explicit_residual",
     ),
     Mutant(
         "avoided-power basis filter takes e_i <= d_i",

@@ -531,3 +531,138 @@ class TestOneWalkPerRequest:
             assert walks() == before + 1
             reduce_monomial(chain, other, k)
             assert walks() == before + 1
+
+
+def _outcome(family, cert):
+    """certificate_residual's residual, or the type and message it raises."""
+    try:
+        return certificate_residual(family, cert)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _explicit(cert):
+    """The same certificate with its steps as a plain tuple."""
+    return dataclasses.replace(cert, steps=tuple(cert.steps))
+
+
+class TestCompactCertificates:
+    """A certificate of `certificate` keeps its walk in its steps, and its
+    check replays the labels."""
+
+    def test_check_replays_without_expanding(self, chain, double_cycle, loop2, monkeypatch):
+        cases = [(chain, "x1^2*x2"), (chain, "x1^300"), (double_cycle, "x3^4"), (loop2, "x1*x2^2"), (chain, "x1*x2*x3")]
+        fam = parse_family(TestStartWiderThanALane.FAMILY)
+        certs = [(f, certificate(f, parse_monomial(text, f.n))) for f, text in cases]
+        certs.append((fam, certificate(fam, Monomial((0, 0, 2**70)))))
+
+        def expand(*args):
+            raise AssertionError("the expansion ran")
+
+        monkeypatch.setattr(rewrite, "_lanes", expand)
+        for f, cert in certs:
+            assert type(cert.steps) is rewrite._WalkSteps
+            assert check_certificate(f, cert) and certificate_residual(f, cert) == {}
+
+    def test_steps_are_a_tuple(self, chain):
+        cert = certificate(chain, parse_monomial("x1^3*x2", 3))
+        twin = _explicit(cert)
+        steps = twin.steps
+        assert type(steps) is tuple and isinstance(cert.steps, tuple) and len(steps) == len(cert.steps) > 2
+        assert cert == twin and twin == cert and hash(cert) == hash(twin)
+        assert cert.steps == steps and hash(cert.steps) == hash(steps)
+        assert repr(cert.steps) == repr(steps) and repr(cert) == repr(twin)
+        assert cert.steps[1:3] == steps[1:3] and type(cert.steps[1:3]) is tuple
+        assert type(cert.steps[:1] + (steps[0],)) is tuple
+        assert dataclasses.asdict(cert) == dataclasses.asdict(twin)
+        sink = certificate(chain, parse_monomial("x1*x2*x3", 3))
+        assert sink.steps == () and not sink.steps
+
+    def test_replaced_fields_get_the_explicit_residual(self, chain, double_cycle):
+        for fam, text in ((chain, "x1^3*x2"), (double_cycle, "x3^4"), (double_cycle, "x1*x2*x3")):
+            cert = certificate(fam, parse_monomial(text, 3))
+            n = fam.n
+            zero = (0,) * n
+            twice = CoeffMonomial(Fraction(2), zero, zero)
+            a1, b1 = CoeffMonomial(Fraction(1), (1,) + zero[1:], zero), CoeffMonomial(Fraction(1), zero, (1,) + zero[1:])
+            changes = {
+                "input": [cert.input * Monomial.variable(n, 1), Monomial(zero)],
+                "a_product": [cert.a_product * twice, cert.a_product * a1, cert.a_product * b1],
+                "rhs_coeff": [cert.rhs_coeff * twice, cert.rhs_coeff * a1, cert.rhs_coeff * b1],
+                "rhs_monomial": [cert.rhs_monomial * Monomial.variable(n, 2), Monomial(zero)],
+            }
+            for name, values in changes.items():
+                for value in values:
+                    bad = dataclasses.replace(cert, **{name: value})
+                    assert bad.steps is cert.steps
+                    residual = certificate_residual(fam, bad)
+                    assert residual and residual == certificate_residual(fam, _explicit(bad)) == _reference_residual(fam, bad)
+
+    def test_a_walk_checked_against_another_family(self):
+        # The same degrees, other tails, and the same label counts: x1^2*x2
+        # walks the 2-cycle through x1*x2^2 under the first family and
+        # through x2^3 under the second.  Its labels pass the second family's
+        # guard tests and end on its rhs, but its multipliers are the first
+        # family's, so against the second family the identity fails.
+        first = parse_family("f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1*x2")
+        second = parse_family("f1 = a1*x1^2 - b1*x2^2 ; f2 = a2*x2^2 - b2*x1^2")
+        m = parse_monomial("x1^2*x2", 2)
+        cert = certificate(first, m)
+        assert cert.rhs_monomial == m == certificate(second, m).rhs_monomial
+        assert [s.gen_index for s in cert.steps] == [s.gen_index for s in certificate(second, m).steps]
+        residual = certificate_residual(second, cert)
+        assert residual and residual == certificate_residual(second, _explicit(cert)) == _reference_residual(second, cert)
+        assert certificate_residual(first, cert) == {}
+
+    def test_labels_that_fail_a_guard_test_get_the_explicit_residual(self, double_cycle):
+        # x2*x3^2 walks labels (3, 2); in the order (2, 3) the counts and the
+        # end are the same, but x2^2 does not divide the start.  The steps
+        # below keep the walk, with their generator indices swapped.
+        cert = certificate(double_cycle, parse_monomial("x2*x3^2", 3))
+        walk = cert.steps
+        assert [s.gen_index for s in walk] == [3, 2]
+        swapped = rewrite._WalkSteps(dataclasses.replace(step, gen_index=i) for i, step in zip((2, 3), walk))
+        swapped.family, swapped.start, swapped.nb = double_cycle, walk.start, walk.nb
+        bad = dataclasses.replace(cert, steps=swapped)
+        residual = certificate_residual(double_cycle, bad)
+        assert residual and residual == certificate_residual(double_cycle, _explicit(bad))
+
+
+def test_packed_and_explicit_checks_agree_on_drawn_certificates_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        family_strategy(st),
+        st.lists(st.integers(0, 9), min_size=4, max_size=4),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def check(fam, exps, k, data):
+        n = fam.n
+        m = Monomial(tuple(exps[:n]))
+        cert = certificate(fam, m, min(k, n))
+        assert certificate_residual(fam, cert) == {}
+        twin = _explicit(cert)
+        assert certificate_residual(fam, twin) == {}
+        assert cert == twin and hash(cert) == hash(twin)
+        a, b = sorted(data.draw(st.lists(st.integers(0, len(twin.steps)), min_size=2, max_size=2)))
+        assert type(cert.steps[a:b]) is tuple and cert.steps[a:b] == twin.steps[a:b]
+        other = data.draw(family_strategy(st).filter(lambda f: f.n == n))
+        assert _outcome(other, certificate(fam, m, min(k, n))) == _outcome(other, twin)
+        i = data.draw(st.integers(1, n))
+        x, one, zero = Monomial.variable(n, i), Fraction(1), (0,) * n
+        unit = CoeffMonomial(one, Monomial.variable(n, i).exponents, zero)
+        for name, value in (
+            ("input", cert.input * x),
+            ("a_product", cert.a_product * unit),
+            ("a_product", CoeffMonomial(Fraction(data.draw(st.integers(2, 5))), cert.a_product.a_exp, zero)),
+            ("rhs_coeff", cert.rhs_coeff * unit),
+            ("rhs_monomial", cert.rhs_monomial * x),
+        ):
+            bad = dataclasses.replace(cert, **{name: value})
+            residual = certificate_residual(fam, bad)
+            assert residual and residual == certificate_residual(fam, _explicit(bad))
+
+    check()

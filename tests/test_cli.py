@@ -690,6 +690,23 @@ def dual_golden_runs():
                 yield f"dual_{name}{suffix}.{ext}", argv
 
 
+NUMERIC_CHAIN = ["--family", CHAIN, "--set", "a1=2,a2=1,a3=3,b1=3,b2=5/2,b3=1"]
+NUMERIC_DOUBLE_CYCLE = ["--family", DOUBLE_CYCLE, "--set", "a1=1,a2=2,a3=3,b1=1,b2=1,b3=1"]
+# golden file name -> argv, for the JSON payloads of graph, reduce, hilbert and
+# resultant that the dual and lefschetz goldens do not cover
+JSON_GOLDEN_RUNS = {
+    "graph_double_cycle_d4.json": ["graph", "--family", DOUBLE_CYCLE, "--degree", "4"],
+    "reduce_certificate_basis_chain.json": ["reduce", *NUMERIC_CHAIN, "--monomial", "x1^2*x2", "--certificate"],
+    "reduce_certificate_cycle_double_cycle.json": [
+        "reduce", "--family", DOUBLE_CYCLE, "--monomial", "x2^2*x3^2", "--certificate",
+    ],
+    "reduce_poly_chain.json": ["reduce", *NUMERIC_CHAIN, "--poly", "2*x1^2*x2 - x2^3"],
+    "reduce_poly_zero_double_cycle.json": ["reduce", *NUMERIC_DOUBLE_CYCLE, "--poly", "x2^2*x3^2"],
+    "hilbert_spec_chain.json": ["hilbert", *NUMERIC_CHAIN, "--max-degree", "4", "--spec"],
+    "resultant_matrix_double_cycle.json": ["resultant", "--family", DOUBLE_CYCLE, "--matrix"],
+}
+
+
 class TestGoldenBytes:
     def test_resultant_json_with_numeric_determinant(self, capsys):
         code, out, _ = run_cli(
@@ -762,6 +779,12 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("golden, argv", [pytest.param(*run, id=run[0]) for run in dual_golden_runs()])
     def test_dual_output(self, capsys, golden, argv):
         code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("golden", JSON_GOLDEN_RUNS)
+    def test_json_output(self, capsys, golden):
+        code, out, _ = run_cli(capsys, *JSON_GOLDEN_RUNS[golden], "--format", "json")
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 

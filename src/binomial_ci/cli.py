@@ -3,6 +3,11 @@
 Subcommands: graph, reduce, dual, resultant, hilbert, lefschetz, selftest.
 Families load from a file path or inline text (JSON or the text grammar).
 Exit codes: 0 success, 1 validation/computation error, 2 usage error.
+`--format json` prints sorted, indented JSON, the bytes of
+json.dumps(payload, indent=2, sort_keys=True), through one writer,
+`_indented`: a dict or mixed list joins its children's texts, a list of
+strs or of ints joins their C-encoded texts, and a list of flat dicts is
+encoded in C in one call and re-indented at its row seams.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import random
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .algebra import as_fraction
@@ -97,8 +103,62 @@ def _load_family(args) -> BinomialFamily:
     return _apply_set(load_family(text), args.set)
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_string = json.encoder.encode_basestring_ascii
+
+
+def _indented(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), built by joins: with an
+    indent, the stdlib runs its pure-Python encoder.
+
+    A dict, or a list of mixed values, joins its children's texts.  A list of
+    exact strs or exact ints joins their C-encoded texts; a bool is not an
+    int here, since it prints as true or false.  A list of flat rows,
+    non-empty dicts of scalars (graph edges, matrix rows, certificate steps,
+    radical t entries), is encoded in C in one call with the rows' indent
+    after each comma; one replace then re-indents the seams between rows,
+    the only "},\n" in the text, since an encoded string holds no raw
+    newline.  Keys are strs, as in every payload the CLI prints.  `newline`
+    is a newline and the indent of the line that opens the value."""
+    if type(value) is str:
+        return _string(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (_string(k) + ": " + _indented(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = ("," + inner).join(map(_string, value))
+        elif kinds == {int}:
+            body = ("," + inner).join(map(int.__repr__, value))
+        elif kinds == {dict} and all(value) and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value)))):
+            row = inner + "  "
+            text = json.JSONEncoder(sort_keys=True, separators=("," + row, ": ")).encode(value)
+            body = "{" + row + text[2:-2].replace("}," + row + "{", inner + "}," + inner + "{" + row) + inner + "}"
+        else:
+            body = ("," + inner).join(_indented(v, inner) for v in value)
+        return "[" + inner + body + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)  # a float, or the stdlib's TypeError
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """The payload as json.dumps(payload, indent=2, sort_keys=True) prints it,
+    written by `_indented`: joins for dicts and mixed lists, C-encoded items
+    for lists of strs or ints, one C call for a list of flat dicts."""
+    print(_indented(payload))
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:

@@ -23,14 +23,14 @@ table and the avoided-power basis filter among them, the evaluated dual's
 integer form and the same-dual annihilation shortcut, the zero filters of
 SparsePoly's sum and product and the CoeffMonomial denominator, the
 lexer of the family text grammar, its regex path and the checks both paths
-share, and the dual's renderer.
+share, the dual's renderer, and the CLI's indented JSON writer.
 The brute-force references in `binomial_ci.reference` are what the kernels
 are checked against, walks by the tuple step `BinomialFamily.step` and the
 SparsePoly expansion of tests/test_rewrite.py what the walk and the check
 are, the pinned parse errors of tests/test_family.py what the lexer is, the
 token path what the regex path is, the printed `sparse_terms` what the
-dual's renderer is, and the expansion of the same steps what the replay of
-a kept walk is.
+dual's renderer is, the expansion of the same steps what the replay of a
+kept walk is, and json.dumps with indent=2 what the JSON writer is.
 pytest does not collect this file.
 """
 
@@ -411,6 +411,27 @@ MUTANTS = [
         '"-" + _term(-q, names)',
         "_term(-q, names)",
         "tests/test_dual.py::test_the_dual_renderer_prints_what_sparse_terms_print_on_drawn_families_hypothesis",
+    ),
+    Mutant(
+        "JSON rows re-indent their seams one level deep",
+        "src/binomial_ci/cli.py",
+        '.replace("}," + row + "{", inner + "}," + inner + "{" + row)',
+        '.replace("}," + row + "{", row + "}," + row + "{" + row)',
+        "tests/test_cli.py::TestGoldenBytes::test_json_output",
+    ),
+    Mutant(
+        "JSON int lists take bools, which print as 1 and 0",
+        "src/binomial_ci/cli.py",
+        "        elif kinds == {int}:",
+        "        elif kinds <= {int, bool}:",
+        "tests/test_cli.py::test_indented_writer_matches_json_dumps_hypothesis",
+    ),
+    Mutant(
+        "JSON dicts of mixed values keep insertion order",
+        "src/binomial_ci/cli.py",
+        "for k, v in sorted(value.items()))",
+        "for k, v in value.items())",
+        "tests/test_cli.py::test_indented_writer_matches_json_dumps_hypothesis",
     ),
 ]
 

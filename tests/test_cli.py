@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -824,6 +825,30 @@ class TestRequestedFormatOnly:
         assert code == 0
         assert "x1^4" in out
 
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="this Python has no C JSON encoder")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--family", DOUBLE_CYCLE, "--degree", "4"],
+            ["reduce", "--family", CHAIN, "--monomial", "x1^2*x2", "--certificate"],
+            ["dual", "--family", CHAIN, "--verify"],
+            ["resultant", *NUMERIC_CHAIN, "--matrix", "--det", "--radical", "--probe"],
+            ["hilbert", *NUMERIC_CHAIN, "--max-degree", "4", "--spec"],
+            ["lefschetz"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_output_never_runs_the_pure_python_encoder(self, capsys, monkeypatch, tmp_path, argv):
+        if argv == ["lefschetz"]:
+            dual_file = tmp_path / "dual.json"
+            terms = [{"alpha": list(alpha), "coeff": str(c)} for alpha, c in wlp_failure_form().items()]
+            dual_file.write_text(json.dumps({"terms": terms}))
+            argv = ["lefschetz", "--dual-file", str(dual_file), "--trials", "2"]
+        monkeypatch.setattr(json.encoder, "_make_iterencode", lambda *a, **k: pytest.fail("the pure-Python encoder ran"))
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)
+
 
 class TestMonomialArgument:
     @pytest.mark.parametrize("text", ["3*x1^2", "a1*x1", "-x1", "2", "1*x1"])
@@ -879,3 +904,49 @@ class TestLongExactOutput:
         assert code == 1
         assert out == ""
         assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+
+def test_indented_writer_matches_json_dumps_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    text = st.one_of(st.text(), st.sampled_from(['"q"', "back\\slash", "\x00\n\t\x1f\x7f", "é ü 東 \U0001f600", "},\n  {"]))
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=2**64, max_value=2**200).map(lambda k: k if k % 2 else -k),
+        st.floats(),
+        st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+        text,
+    )
+    row = st.dictionaries(text, scalars, min_size=1)
+    values = st.recursive(
+        scalars,
+        lambda children: st.one_of(
+            st.lists(children),
+            st.lists(children).map(tuple),
+            st.dictionaries(text, children),
+            st.lists(st.one_of(st.integers(), st.booleans())),
+            st.lists(text),
+            st.lists(row, min_size=1),
+            # rows beside an empty dict or a dict holding a list: not flat rows
+            st.lists(st.one_of(row, st.just({}), st.dictionaries(text, st.lists(children), min_size=1)), min_size=1),
+        ),
+        max_leaves=30,
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(values)
+    @hypothesis.example([1, True, 0, False])
+    @hypothesis.example({"b": [1, 2], "a": {"d": (), "c": [{}]}})
+    @hypothesis.example({"rows": [{"b": 1, "a": "},\n      {"}, {"c": None, "d": -0.0}], "t": [{"x": [1]}, {"y": 2}]})
+    @hypothesis.example([{"a": 1}, {}])
+    def check(value):
+        assert cli._indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    check()
+    for bad in (Fraction(1, 2), {1, 2}, [1, Fraction(1, 3)], {"rows": [{"a": {3}}]}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._indented(bad)

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -438,7 +439,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with _int_digits(0):
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed stdout raises here, not at exit
+            return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`), which is no user error.  What is
+        # still buffered goes to os.devnull, so the flush at exit cannot raise
+        # again, as the signal module's "Note on SIGPIPE" advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,8 @@ and counts are unpacked once, when the tree is done.
 
 So F is a function of the family and the convention alone, and a
 `DualGenerator` holds just those two and the family's in-tree value: the
-tree, s, the search's packed keys and counts, the verdict of its match and
-the integer form at the family's values.  Its terms come from
+tree, s, the search's verdict on f_i o F = 0 and the integer form at the
+family's values.  Its terms come from
 `DualGenerator._terms`, and the family's values enter through
 `algebra._put_values`: sparse_terms and `DualGenerator._rendered`, the one
 renderer of str and dual_to_json, read the flat terms of
@@ -28,15 +28,17 @@ Fraction of F is built.
 
 Since F = sum of a^(s-r) b^r X^alpha over the tree, f_i o F = 0 is a
 pairing: each term of the lead image must meet a term of the tail image
-whose label counts differ by e_i.  verify_annihilation of a DualGenerator, or
-of its evaluation, of the checked family under the check's convention
-decides that by `_matches`, one dict comparison per generator on the packed
-keys and counts the search kept; the identity holds under both conventions,
-so its verdict is kept beside the tree and the family's other dual reads it
-for free.  A match that holds proves annihilation at any values; one that
-fails proves nothing, and the exact mapping path below decides.  The tree
-is shared and read-only.  Any other form is a mapping, checked by
-`normalize_terms`.
+whose label counts differ by e_i.  The search decides that as it goes
+(`_in_tree`): every label edge it builds is such a meeting, and it keeps
+the image and count that each other pair must meet, so one comparison and
+one count prove the pairing.  The verdict trusts the search's own label
+edges; `reference.in_tree_match` checks the pairing from {alpha: r} alone.
+The identity holds under both conventions, so verify_annihilation of a
+DualGenerator, or of its evaluation, of the checked family under the
+check's convention reads the verdict kept beside the tree.  A verdict that
+holds proves annihilation at any values; one that fails proves nothing,
+and the exact mapping path below decides.  The tree is shared and
+read-only.  Any other form is a mapping, checked by `normalize_terms`.
 
 The action x^gamma o F lives here on packed keys, on forms normalized by
 `algebra.normalize_terms` (the form layer, re-exported here); `selftest` and
@@ -90,26 +92,24 @@ from .family import BinomialFamily
 from .keys import _guard, _lane_bytes, _nonzero, _pack, _pack_all, _unpack_all, rule
 
 
-# ({alpha: r}, s, packed keys alpha | G, packed r, [verdict of `_matches`] once
-# checked, [integer form at the family's values] once read): `_in_tree`'s value
-InTree = tuple[dict[Exponents, Exponents], Exponents, list[int], list[int], list[bool], list[_Terms]]
+# ({alpha: r}, s, whether the search proved f_i o F = 0, [integer form at the
+# family's values] once read): `_in_tree`'s value
+InTree = tuple[dict[Exponents, Exponents], Exponents, bool, list[_Terms]]
 
 
 # One entry serves the second convention's dual_generator, and s_vector, after
-# the first convention's search, with the match's verdict kept beside the tree;
-# the `structure` job builds both conventions of each family in turn.  A miss
-# costs 0.74 s per pass over its 600-family pool (best of 5, Python 3.11, 2 vCPU).
+# the first convention's search, with the annihilation verdict kept beside the
+# tree; the `structure` job builds both conventions of each family in turn.  A
+# miss costs 0.96-1.00 s per pass over its 600-family pool, verdict included
+# (best of 5, Python 3.11, 2 vCPU).
 @lru_cache(maxsize=1)
 def _in_tree(family: BinomialFamily) -> InTree:
-    """({alpha: r}, s, keys, counts, verdict, integer) over the in-tree of
-    the socle monomial x^target, target = (d1-1, .., dn-1): r counts the
-    labels on the path from x^alpha to the target and s holds their
-    per-label maxima.  keys and counts are the same vertices as the search
-    packs them, in the dict's order: alpha | G in the lanes of `keys.rule`,
-    and r in count lanes.  verdict starts empty: verify_annihilation keeps
-    there the verdict of `_matches`, which reads keys and counts.  integer
-    starts empty too: `DualGenerator._integer_form` keeps there the coprime
-    integer form at the family's values.
+    """({alpha: r}, s, annihilated, integer) over the in-tree of the socle
+    monomial x^target, target = (d1-1, .., dn-1): r counts the labels on the
+    path from x^alpha to the target and s holds their per-label maxima.
+    annihilated is True when the search proved f_i o F = 0 for every
+    generator (below).  integer starts empty: `DualGenerator._integer_form`
+    keeps there the coprime integer form at the family's values.
 
     A reverse search from the target on packed keys that never builds the
     socle-degree graph.  It inverts the step of `keys.rule`: w has the
@@ -132,16 +132,36 @@ def _in_tree(family: BinomialFamily) -> InTree:
     (entry i of u_i is positive, entry i of every other u_j at most 0).
     The labels are sorted by u_i once, not the predecessors at each vertex.
 
+    The same loop decides annihilation.  Under contraction a_i a^(s-r) b^r =
+    b_i a^(s-r') b^r' exactly when r' = r - e_i, so f_i o F = 0 in Q[a, b][X]
+    exactly when, for each i, every vertex alpha with alpha_i >= d_i steps
+    to a vertex alpha + deltas[i-1] whose count is r_alpha - e_i, and every
+    vertex w >= tail_i has the vertex w - deltas[i-1], with count r_w + e_i:
+    the lead and tail images are then one dict.  Every label edge meets both
+    by construction.  What is left are the non-label pairs (v, i): v_i >=
+    d_i, but i is not v's label.  Each is found exactly when the search pops
+    w = v + deltas[i-1] and tries i: the guard test passes and lane i holds
+    d_i, but a lower lane does too.  The search keeps each such v and the
+    count r_w + e_i it must have, and `_annihilates` asks that (a) each kept
+    v is a vertex with that count and (b) there are as many kept pairs as
+    non-label pairs in the tree.  (a) makes the pairs an injection into the
+    non-label pairs and (b) a bijection, so both images agree on every pair.
+    The verdict trusts the label edges the search built; True proves
+    annihilation under both conventions and at the family's values, as
+    putting values in keeps a zero zero and under differentiation Phi(F) is
+    D! times the contraction dual.  False proves nothing, as values may
+    annihilate what the symbols do not.
+
     The search touches only ints.  Each vertex's r is one int of
     `_lane_bytes(MONOMIAL_BUDGET)`-byte lanes, and its predecessors add
     their label's unit: each r_i is below the tree size, which is at most
     the size of the degree-D monomial space, checked against
-    `MONOMIAL_BUDGET` first, so no lane overflows, nor does r + e_i in
-    `_matches`.  The keys and counts are unpacked once, at the end, and kept
-    packed as well: the keys by `_unpack_all`, the counts into one flat
-    tuple by one little-endian `Struct`, whose entries i, i + n, ... are the
-    r_i, so s is one max per lane and each r a run of n entries.  The tree
-    is shared; callers must not mutate it.
+    `MONOMIAL_BUDGET` first, so no lane overflows, nor does a kept r_w +
+    e_i.  The keys and counts are unpacked once, at the end: the keys by
+    `_unpack_all`, the counts into one flat tuple by one little-endian
+    `Struct`, whose entries i, i + n, ... are the r_i, so s is one max per
+    lane and each r a run of n entries.  The tree is shared; callers must
+    not mutate it.
     """
     n = family.n
     check_monomial_budget(n, family.socle_degree)
@@ -155,23 +175,39 @@ def _in_tree(family: BinomialFamily) -> InTree:
         for i in sorted(range(n), key=u.__getitem__, reverse=True)
     ]
     root = _pack(tuple(d - 1 for d in degrees), nb) | guard
-    keys, counts, seen = [root], [0], {root}  # vertex keys | G, and their packed r
+    seen = {root: 0}  # vertex key | G: its packed r, in the order found
+    pv, pc = [], []  # each non-label pair's v, and the count r_w + e_i it must have
     stack = [(root, 0)]
     while stack:
         key, r = stack.pop()
         for delta, mask, bit, unit in labels:
             v = key - delta  # v | G when w >= tail_i
-            if v & guard == guard and (v - bound) & mask == bit:  # v's label is i
-                if v in seen:
-                    raise AssertionError(f"the reverse search reached {_unpack_all((v ^ guard,), n, nb)[0]} twice")
-                seen.add(v)
-                keys.append(v)
-                counts.append(rv := r + unit)
-                stack.append((v, rv))
-    data = b"".join(map(int.to_bytes, counts, repeat(n * rb), repeat("little")))
-    flat = Struct(f"<{n * len(counts)}{'BHIQ'[rb.bit_length() - 1]}").unpack(data)
-    tree = dict(zip(_unpack_all(map(guard.__xor__, keys), n, nb), zip(*[iter(flat)] * n)))
-    return tree, tuple(max(flat[i::n]) for i in range(n)), keys, counts, [], []
+            if v & guard == guard:
+                t = (v - bound) & mask
+                if t == bit:  # v's label is i
+                    if v in seen:
+                        raise AssertionError(f"the reverse search reached {_unpack_all((v ^ guard,), n, nb)[0]} twice")
+                    seen[v] = rv = r + unit
+                    stack.append((v, rv))
+                elif t & bit:  # v_i >= d_i, and a lower label comes first
+                    pv.append(v)
+                    pc.append(r + unit)
+    annihilated = _annihilates(seen, pv, pc, bound, guard)
+    del pv, pc  # freed before the unpack, which peaks the memory
+    data = b"".join(map(int.to_bytes, seen.values(), repeat(n * rb), repeat("little")))
+    flat = Struct(f"<{n * len(seen)}{'BHIQ'[rb.bit_length() - 1]}").unpack(data)
+    tree = dict(zip(_unpack_all(map(guard.__xor__, seen), n, nb), zip(*[iter(flat)] * n)))
+    return tree, tuple(max(flat[i::n]) for i in range(n)), annihilated, []
+
+
+def _annihilates(seen: dict[int, int], pv: list[int], pc: list[int], bound: int, guard: int) -> bool:
+    """The search's verdict on f_i o F = 0 from its outputs: seen {key | G:
+    packed r}, and each non-label pair's v in pv and count in pc.  (a) Each
+    pv[k] is a vertex whose count is pc[k], and (b) there are len(pv)
+    non-label pairs: vertex alpha has a set guard bit in ((alpha | G) -
+    bound) & G for each i with alpha_i >= d_i, one of them its label, and
+    the root, whose entries are all below d, has none and no label."""
+    return list(map(seen.get, pv)) == pc and sum(map(int.bit_count, [(k - bound) & guard for k in seen])) - len(seen) + 1 == len(pv)
 
 
 def s_vector(family: BinomialFamily) -> tuple[int, ...]:
@@ -255,7 +291,7 @@ class DualGenerator:
 
         Both are positive multiples of sum a^(s-r) b^r X^alpha over the tree,
         as alpha! Fd = D! Fc, so one form serves both conventions: it is built
-        on first read and kept beside the match verdict on the in-tree value.
+        on first read and kept beside the verdict on the in-tree value.
         With a_i = p_i/q_i and b_i = u_i/v_i, a^(s-r) b^r times prod (q_i
         v_i)^(s_i) is prod (p_i v_i)^(s_i-r_i) (q_i u_i)^(r_i): one power table
         per lane, one product per vertex, and one gcd to make them coprime.
@@ -419,37 +455,6 @@ def _generator_flats(family: BinomialFamily) -> list[Flat]:
     return [_flat(normalize_terms(family.generator(i), n)[0], n) for i in range(1, n + 1)]
 
 
-def _matches(F: DualGenerator) -> bool:
-    """Whether the symbolic f_i o F is 0 for every generator of F's own
-    family, read off the packed keys and label counts of F's in-tree.
-
-    Under contraction F = sum of a^(s-r) b^r X^alpha over the tree, and
-    a_i a^(s-r) b^r = b_i a^(s-r') b^r' exactly when r' = r - e_i.  So f_i o
-    F = 0 in Q[a, b][X] exactly when the lead image {alpha - d_i e_i: r},
-    over alpha_i >= d_i, equals the tail image {alpha - tail_i: r + e_i},
-    over alpha >= tail_i: each image is injective in X.  That is one dict
-    comparison per generator, on the search's keys alpha | G (lanes of
-    `keys.rule`) and counts r (lanes of `_lane_bytes(MONOMIAL_BUDGET)`
-    bytes); one subtract and mask tests each key, as in `_act`.
-
-    True proves annihilation under both conventions and at the family's
-    values: putting values in keeps a zero zero, and under differentiation
-    Phi(F) is D! times the contraction dual.  False proves nothing, as
-    values may annihilate what the symbols do not.
-    """
-    fam = F.family
-    _, _, keys, counts, *_ = F._tree
-    nb, guard, _, deltas = rule(fam.degrees, tuple(t.exponents for t in fam.tails), fam.socle_degree)
-    rb = _lane_bytes(MONOMIAL_BUDGET)
-    for i, (d, delta) in enumerate(zip(fam.degrees, deltas)):
-        lead = d << 8 * nb * i  # pack(d_i e_i), and pack(tail_i) = lead + delta
-        tail, bit, unit = lead + delta, 1 << 8 * nb * (i + 1) - 1, 1 << 8 * rb * i
-        lead_image = {v: r for k, r in zip(keys, counts) if (v := k - lead) & bit}
-        if lead_image != {v: r + unit for k, r in zip(keys, counts) if (v := k - tail) & guard == guard}:
-            return False
-    return True
-
-
 def _residuals(family: BinomialFamily, flat: Flat, convention: str) -> AnnihilationResult:
     """The exact mapping path: the generators act on the terms flat, in the
     shape of `_flat`, by `_apply`, and every nonzero image is a residual."""
@@ -461,12 +466,9 @@ def _residuals(family: BinomialFamily, flat: Flat, convention: str) -> Annihilat
 
 def _annihilated(F: DualGenerator) -> AnnihilationResult:
     """verify_annihilation of F against its own family under its own
-    convention: the verdict of `_matches`, kept beside the tree, and where the
-    match fails the exact mapping path on F's `_substituted` terms."""
-    verdict = F._tree[4]
-    if not verdict:
-        verdict.append(_matches(F))
-    if verdict[0]:
+    convention: the search's verdict, kept beside the tree, and where it
+    fails the exact mapping path on F's `_substituted` terms."""
+    if F._tree[2]:
         return AnnihilationResult(True, {})
     return _residuals(F.family, list(F._substituted().items()), F.convention)
 
@@ -479,11 +481,11 @@ def verify_annihilation(family: BinomialFamily, F, convention: str = CONTRACTION
     generator coefficients; everything else stays symbolic.
 
     A DualGenerator of the check's convention and of the checked family, or
-    its evaluation (`DualGenerator.evaluate`), is first matched on its
-    in-tree by `_matches`, whose verdict is kept beside the tree, so the
-    family's other dual reads it for free.  The evaluation's Fractions are
-    the values of its dual's `_substituted` terms, so where the match fails
-    the mapping path on those terms leaves the same residuals.  For any
+    its evaluation (`DualGenerator.evaluate`), reads the verdict its in-tree
+    search kept beside the tree (`_in_tree`), so neither dual of a family
+    checks anything more.  The evaluation's Fractions are the values of its
+    dual's `_substituted` terms, so where the verdict fails the mapping path
+    on those terms leaves the same residuals.  For any
     other F the generators act on F's terms by `_apply`: a DualGenerator's
     terms are its `_substituted` ones.
     """

@@ -378,7 +378,7 @@ def _integer_form(F, differentiate: bool = False) -> tuple[_Terms, int, int]:
 
     So an evaluated dual (`algebra.EvaluatedForm`) read with the flag of its
     own convention, Fc or Phi(Fd), is one form, which its dual builds once
-    per family straight from its in-tree and keeps beside the match verdict
+    per family straight from its in-tree and keeps beside the search's verdict
     (`dual.DualGenerator._integer_form`): its Fractions are never built.
     The other two convention/flag pairs, and every other mapping, are
     normalized here."""

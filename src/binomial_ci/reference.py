@@ -8,6 +8,8 @@ cache and no packing:
 - `catalecticant_rows`, one `action_image` per row, under either convention;
 - `macaulay_rows` and `polynomial_in_ideal`, the Macaulay matrix and
   membership by exact row reduction (`linalg.RowSpace`);
+- `in_tree_match`, f_i o F = 0 for F over an in-tree {alpha: r}, by its
+  lead and tail images;
 - `HessianMatrix`, the symbolic Hessians, ranked by `dense_rank`.
 
 `selftest` and the tests import this module; the product paths do not.  It
@@ -19,7 +21,7 @@ cache or kernel with the code it checks; a test parses its imports.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -101,6 +103,28 @@ def catalecticant_rows(F, degree: int, monomials: Sequence[Monomial] | None = No
     columns = _index(n, top - degree) if degree <= top else {}
     differentiate = convention == DIFFERENTIATION
     return [{columns[key]: c for key, c in action_image(terms, gamma, differentiate).items()} for gamma in gammas]
+
+
+def in_tree_match(family: BinomialFamily, tree: Mapping[Exponents, Exponents]) -> bool:
+    """Whether f_i o F = 0 in Q[a, b][X] for every generator of the family,
+    F = sum of a^(s-r) b^r X^alpha over tree {alpha: r} under contraction,
+    on exponent tuples: it reads neither the lanes nor the counts of the
+    search that built the tree.
+
+    a_i a^(s-r) b^r = b_i a^(s-r') b^r' exactly when r' = r - e_i, so f_i o
+    F = 0 exactly when the lead image {alpha - d_i e_i: r}, over alpha_i >=
+    d_i, equals the tail image {alpha - tail_i: r + e_i}, over alpha >=
+    tail_i: each image is injective in X.  True holds under both conventions
+    and at any values; False proves nothing, as values may annihilate what
+    the symbols do not.
+    """
+    for i, (d, tail) in enumerate(zip(family.degrees, family.tails)):
+        t = tail.exponents
+        unit = tuple(int(j == i) for j in range(family.n))
+        lead = {alpha[:i] + (alpha[i] - d,) + alpha[i + 1 :]: r for alpha, r in tree.items() if alpha[i] >= d}
+        if lead != {tuple(map(sub, alpha, t)): tuple(map(add, r, unit)) for alpha, r in tree.items() if all(map(ge, alpha, t))}:
+            return False
+    return True
 
 
 Generators = Sequence[Mapping[Monomial | Exponents, Fraction | int]]

@@ -23,7 +23,7 @@ from .algebra import (
     numeric_form,
     poly_divides,
 )
-from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, _matches, apply_action, dual_generator, s_vector, verify_annihilation
+from .dual import CONTRACTION, DIFFERENTIATION, _in_tree, apply_action, dual_generator, s_vector, verify_annihilation
 from .family import CoeffAssignment, parse_family, parse_monomial, specialize
 from .graph import build_graph, graph_cycle_polynomial
 from .keys import _lane_bytes
@@ -39,7 +39,7 @@ from .oracle import (
     m_spans_ann_quotient,
     macaulay_kernel,
 )
-from .reference import action_image, catalecticant_rows, hessian, macaulay_rows
+from .reference import action_image, catalecticant_rows, hessian, in_tree_match, macaulay_rows
 from .resultant import det_numeric_oracle, det_structural, radical_of_cycle_product, resultant_radical
 from .rewrite import TO_BASIS, TO_CYCLE, certificate, certificate_residual, check_certificate, reduce_monomial, reduce_polynomial
 
@@ -274,25 +274,26 @@ def _check_annihilation() -> bool:
 
 
 def _check_match() -> bool:
-    # The match on a dual's in-tree gives the verdict the mapping path gives
-    # on its terms: on every catalog family under both conventions, and on
-    # the chain's tree with one label count raised, in its {alpha: r} dict
-    # and in the packed counts the match reads alike.
+    # The search's verdict on a dual's in-tree is the reference match's on
+    # its {alpha: r}, and both give the verdict the mapping path gives on its
+    # terms: on every catalog family under both conventions, and on the
+    # chain's tree with one label count raised, which holds a failed verdict.
     for fam in _catalog_families():
+        tree, _, annihilated, _ = _in_tree(fam)
+        if annihilated != in_tree_match(fam, tree):
+            return False
         for convention in (CONTRACTION, DIFFERENTIATION):
-            dual = dual_generator(fam, convention)
-            if _matches(dual) != verify_annihilation(fam, dual.sparse_terms(), convention).ok:
+            if annihilated != verify_annihilation(fam, dual_generator(fam, convention).sparse_terms(), convention).ok:
                 return False
     fam = catalog.three_var_chain()
     dual = dual_generator(fam)
-    tree, s, keys, counts, *_ = dual._tree
-    tree, counts = dict(tree), list(counts)
-    k, alpha = next((k, alpha) for k, (alpha, r) in enumerate(tree.items()) if r[0] < s[0])
+    tree, s, *_ = dual._tree
+    tree = dict(tree)
+    alpha = next(alpha for alpha, r in tree.items() if r[0] < s[0])
     tree[alpha] = (tree[alpha][0] + 1, *tree[alpha][1:])
-    counts[k] += 1  # label 1's count is lane 0 of the packed r
     bad = dataclasses.replace(dual)
-    object.__setattr__(bad, "_tree", (tree, s, keys, counts, [], []))
-    return not _matches(bad) and not verify_annihilation(fam, bad.sparse_terms()).ok
+    object.__setattr__(bad, "_tree", (tree, s, False, []))
+    return not in_tree_match(fam, tree) and not verify_annihilation(fam, bad).ok
 
 
 def _check_packed_action() -> bool:
@@ -583,7 +584,7 @@ CHECKS = [
     ("dual generators, both conventions, term for term", _check_dual_generators),
     ("packed graph, rewriting walk and socle in-tree vs the tuple rewrite step", _check_in_tree),
     ("symbolic annihilation of constructed duals", _check_annihilation),
-    ("in-tree match vs the mapping path, catalog and tampered trees", _check_match),
+    ("in-tree verdict and reference match vs the mapping path, catalog and tampered trees", _check_match),
     ("packed action kernel vs action_image on a perturbed dual", _check_packed_action),
     ("structural determinant vs numeric oracle", _check_structural_determinant),
     ("radical of the resultant", _check_resultant_radical),

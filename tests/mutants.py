@@ -19,7 +19,8 @@ kernel adds its mutant here.  The mutants target the fast modules, the
 packed rewriting walk, the certificate check and the replay of a kept walk
 that checks a certificate of `certificate`, the graph's shared label table
 and its sentinel walk, the Macaulay kernel's rows per generator from the same
-table and the avoided-power basis filter among them, the evaluated dual's
+table and the avoided-power basis filter among them, the in-tree search and
+the annihilation verdict it decides as it goes, the evaluated dual's
 integer form and the same-dual annihilation shortcut, the zero filters of
 SparsePoly's sum and product and the CoeffMonomial denominator, the
 lexer of the family text grammar, its regex path and the checks both paths
@@ -156,8 +157,8 @@ MUTANTS = [
     Mutant(
         "reverse search drops the lower-lane label test",
         "src/binomial_ci/dual.py",
-        "(v - bound) & mask == bit:  # v's label is i",
-        "(v - bound) & bit == bit:  # v's label is i",
+        "t = (v - bound) & mask",
+        "t = (v - bound) & bit",
         "selftest",
     ),
     Mutant(
@@ -224,45 +225,66 @@ MUTANTS = [
         "tests/test_linalg.py",
     ),
     Mutant(
-        "in-tree match's tail image without the label's count unit",
+        "search's non-label pair count without the label's unit",
         "src/binomial_ci/dual.py",
-        "{v: r + unit for k, r in",
-        "{v: r for k, r in",
-        "tests/test_dual.py::TestOnePassPerTree",
-    ),
-    Mutant(
-        "in-tree match's lead test on the next lane's guard bit",
-        "src/binomial_ci/dual.py",
-        "1 << 8 * nb * (i + 1) - 1",
-        "1 << 8 * nb * (i + 2) - 1",
+        "pc.append(r + unit)",
+        "pc.append(r)",
         "tests/test_dual.py::TestMatch",
     ),
     Mutant(
-        "in-tree match's tail test on lane i alone",
+        "search's non-label pair test on the next lane's guard bit",
         "src/binomial_ci/dual.py",
-        "(v := k - tail) & guard == guard",
-        "(v := k - tail) & bit",
-        "selftest",
+        "elif t & bit:",
+        "elif t & bit << 8 * nb:",
+        "tests/test_dual.py::TestMatch",
     ),
     Mutant(
-        "in-tree match taken for a family other than the dual's",
+        "search's non-label pair test without lane i's own test",
+        "src/binomial_ci/dual.py",
+        "elif t & bit:",
+        "elif t:",
+        "tests/test_dual.py::test_search_verdict_matches_the_reference_on_drawn_families_hypothesis",
+    ),
+    Mutant(
+        "search verdict counts the guard bits of the keys, not of key - pack(d)",
+        "src/binomial_ci/dual.py",
+        "[(k - bound) & guard for k in seen]",
+        "[k & guard for k in seen]",
+        "tests/test_dual.py::test_search_verdict_matches_the_reference_on_drawn_families_hypothesis",
+    ),
+    Mutant(
+        "search verdict counts the label of every vertex as a non-label pair",
+        "src/binomial_ci/dual.py",
+        " - len(seen) + 1 == len(pv)",
+        " == len(pv)",
+        "tests/test_dual.py::test_search_verdict_matches_the_reference_on_drawn_families_hypothesis",
+    ),
+    Mutant(
+        "search verdict skips the count comparison of its non-label pairs",
+        "src/binomial_ci/dual.py",
+        "list(map(seen.get, pv)) == pc and ",
+        "",
+        "tests/test_dual.py::TestSearchVerdict::test_tampered_outputs_fail",
+    ),
+    Mutant(
+        "in-tree verdict taken for a family other than the dual's",
         "src/binomial_ci/dual.py",
         " and dual.family == family:",
         ":",
         "tests/test_dual.py::TestPackedDualFeed::test_a_dual_checked_against_another_family",
     ),
     Mutant(
-        "a failed in-tree match memoized as True",
+        "a failed search verdict read as True",
         "src/binomial_ci/dual.py",
-        "verdict.append(_matches(F))",
-        "verdict.append(_matches(F) or True)",
+        "    if F._tree[2]:",
+        "    if F._tree[2] or True:",
         "tests/test_dual.py::TestPackedDualFeed::test_one_changed_label_count_leaves_a_residual",
     ),
     Mutant(
-        "in-tree match reads the family's cached in-tree, not the dual's",
+        "verdict read from the family's cached in-tree, not the dual's",
         "src/binomial_ci/dual.py",
-        "    _, _, keys, counts, *_ = F._tree",
-        "    _, _, keys, counts, *_ = _in_tree(fam)",
+        "    if F._tree[2]:",
+        "    if _in_tree(F.family)[2]:",
         "tests/test_dual.py::TestPackedDualFeed::test_one_changed_label_count_leaves_a_residual",
     ),
     Mutant(

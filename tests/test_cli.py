@@ -525,6 +525,19 @@ def test_console_entry_point_runs():
     assert "a1*a2*a3*(a2*a3 - b2*b3)" in result.stdout
 
 
+def test_closed_stdout_exits_without_a_message():
+    # About 220 kB of JSON, more than a pipe holds: the reader closes the pipe
+    # after one line while the CLI still writes.
+    argv = ["reduce", "--family", CHAIN, "--monomial", "x1^2000", "--certificate", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "binomial_ci", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+
+
 def _json_chain_with_coefficient(a1) -> str:
     data = family_to_json(three_var_chain())
     data["coefficients"] = {"mode": "numeric", "a": [a1, "1", "1"], "b": ["1", "1", "1"]}
@@ -793,14 +806,15 @@ class TestGoldenBytes:
 class TestRequestedFormatOnly:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_dual_verify_substitutes_twice(self, capsys, monkeypatch, fmt):
-        dual._in_tree.cache_clear()  # no verdict kept from an earlier check
+        dual._in_tree.cache_clear()  # no verdict kept from an earlier search
         calls = []
-        matches, substituted = dual._matches, DualGenerator._substituted
-        monkeypatch.setattr(dual, "_matches", lambda F: calls.append("check") or matches(F))
+        verdict, residuals, substituted = dual._annihilates, dual._residuals, DualGenerator._substituted
+        monkeypatch.setattr(dual, "_annihilates", lambda *args: calls.append("search") or verdict(*args))
+        monkeypatch.setattr(dual, "_residuals", lambda *args: calls.append("mapping") or residuals(*args))
         monkeypatch.setattr(DualGenerator, "_substituted", lambda self: calls.append("render") or substituted(self))
         code, _, _ = run_cli(capsys, "dual", "--family", CHAIN, "--verify", "--format", fmt)
         assert code == 0
-        assert sorted(calls) == ["check", "render"]  # one annihilation check and one rendering
+        assert sorted(calls) == ["render", "search"]  # one search, whose verdict needs no mapping path, and one rendering
 
     @pytest.mark.parametrize("fmt, unused", [("text", "certificate_to_json"), ("json", "render_certificate")])
     def test_reduce_certificate_renders_one_format(self, capsys, monkeypatch, fmt, unused):

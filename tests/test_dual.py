@@ -38,6 +38,7 @@ from binomial_ci.dual import AnnihilationResult, _in_tree, dual_to_json
 from binomial_ci.keys import _lane_bytes, _pack, rule
 from binomial_ci.linalg import to_int_row
 from binomial_ci.oracle import _integer_form
+from binomial_ci.reference import in_tree_match
 from binomial_ci.rewrite import TO_BASIS
 
 from conftest import assert_as_checked, family_strategy, random_family
@@ -574,16 +575,19 @@ def _lane_edge_families():
 
 def _tampered(dual, alpha, j):
     """A copy of dual whose in-tree value counts one more label j + 1 at
-    alpha, in its {alpha: r} dict and in the packed counts `_matches` reads,
-    and holds no verdict or integer form yet."""
-    tree, s, keys, counts, *_ = dual._tree
-    k = list(tree).index(alpha)
-    tree, counts = dict(tree), list(counts)
+    alpha in its {alpha: r} dict, holds a failed verdict, so that the
+    mapping path decides, and no integer form yet."""
+    tree, s, *_ = dual._tree
+    tree = dict(tree)
     tree[alpha] = tuple(e + (i == j) for i, e in enumerate(tree[alpha]))
-    counts[k] += 1 << 8 * _lane_bytes(MONOMIAL_BUDGET) * j
     bad = dataclasses.replace(dual)
-    object.__setattr__(bad, "_tree", (tree, s, keys, counts, [], []))
+    object.__setattr__(bad, "_tree", (tree, s, False, []))
     return bad
+
+
+def _reference_match(dual):
+    """`reference.in_tree_match` on the {alpha: r} of dual's in-tree value."""
+    return in_tree_match(dual.family, dual._tree[0])
 
 
 def _movable(dual):
@@ -592,8 +596,8 @@ def _movable(dual):
 
 
 class TestPackedDualFeed:
-    """verify_annihilation matches a DualGenerator on its in-tree's packed
-    keys and label counts, and takes the mapping path where the match fails."""
+    """verify_annihilation of a DualGenerator reads the verdict of its
+    in-tree search, and takes the mapping path where the verdict fails."""
 
     def test_s_past_the_socle_degree(self):
         fam = _lane_edge_families()[0]
@@ -604,7 +608,7 @@ class TestPackedDualFeed:
         for fam in _lane_edge_families():
             for built in (CONTRACTION, DIFFERENTIATION):
                 dual = dual_generator(fam, built)
-                assert dual_module._matches(dual)
+                assert dual._tree[2] and _reference_match(dual)
                 for checked in (CONTRACTION, DIFFERENTIATION):
                     got = verify_annihilation(fam, dual, checked)
                     assert got.residuals == verify_annihilation(fam, dual.sparse_terms(), checked).residuals
@@ -656,7 +660,7 @@ class TestPackedDualFeed:
             dual = dual_generator(fam, convention)
             assert verify_annihilation(fam, dual, convention).ok  # the good tree's verdict is kept
             bad = _tampered(dual, *rng.choice(_movable(dual)))
-            assert not dual_module._matches(bad)
+            assert not _reference_match(bad)
             got = verify_annihilation(fam, bad, convention)
             assert not got.ok
             assert got.residuals == verify_annihilation(fam, bad.sparse_terms(), convention).residuals
@@ -664,19 +668,20 @@ class TestPackedDualFeed:
 
 
 def _assert_match_agrees(fam):
-    """On both duals of fam, the match holds, and the verdict of
-    verify_annihilation equals the mapping path's on the dual's terms, in ok
-    and in residuals."""
+    """On both duals of fam, the search's verdict and the reference match
+    hold, and the verdict of verify_annihilation equals the mapping path's on
+    the dual's terms, in ok and in residuals."""
     for convention in (CONTRACTION, DIFFERENTIATION):
         dual = dual_generator(fam, convention)
-        assert dual_module._matches(dual)
+        assert dual._tree[2] and _reference_match(dual)
         got = verify_annihilation(fam, dual, convention)
         expected = verify_annihilation(fam, dual.sparse_terms(), convention)
         assert (got.ok, got.residuals) == (expected.ok, expected.residuals) == (True, {})
 
 
 class TestMatch:
-    """`_matches` against the mapping path, which is exact."""
+    """The search's verdict and the reference match against the mapping
+    path, which is exact."""
 
     def test_seeded_random_families(self):
         rng = random.Random(37)
@@ -705,7 +710,7 @@ class TestMatch:
             if not (movable := _movable(dual)):
                 continue
             bad = _tampered(dual, *rng.choice(movable))
-            assert not dual_module._matches(bad)
+            assert not _reference_match(bad)
             assert bad.sparse_terms() == dual.sparse_terms()
             got = verify_annihilation(fam, bad, convention)
             assert (got.ok, got.residuals) == (True, {})
@@ -726,17 +731,86 @@ def test_match_agrees_with_the_mapping_path_on_drawn_families_hypothesis():
     check()
 
 
+def _search_outputs(fam):
+    """Copies of (seen, pv, pc, bound, guard), the outputs of `_in_tree`'s
+    search of fam that it passes to `_annihilates`."""
+    got = []
+    verdict = dual_module._annihilates
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dual_module, "_annihilates", lambda *args: got.append(args) or verdict(*args))
+        _in_tree.cache_clear()
+        _in_tree(fam)
+    _in_tree.cache_clear()
+    seen, pv, pc, bound, guard = got[0]
+    return dict(seen), list(pv), list(pc), bound, guard
+
+
+def test_search_verdict_matches_the_reference_on_drawn_families_hypothesis():
+    # On each drawn family the search's verdict is the reference match's, and
+    # its tree the forward walk's; one count raised at the vertex of a drawn
+    # non-label pair fails both, the verdict by its comparison (a).
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(family_strategy(st), st.integers(0, 10**6), st.integers(0, 10**6))
+    def check(fam, k, j):
+        seen, pv, pc, bound, guard = _search_outputs(fam)
+        tree, s, annihilated, _ = _in_tree(fam)
+        expected_tree, expected_s = _forward_in_tree(fam)
+        assert (list(tree.items()), s) == (list(expected_tree.items()), expected_s)
+        assert dual_module._annihilates(seen, pv, pc, bound, guard) == annihilated == in_tree_match(fam, tree) is True
+        if pv:
+            v, j = pv[k % len(pv)], j % fam.n
+            seen[v] += 1 << 8 * _lane_bytes(MONOMIAL_BUDGET) * j
+            alpha = list(tree)[list(seen).index(v)]
+            raised = {**tree, alpha: tuple(e + (i == j) for i, e in enumerate(tree[alpha]))}
+            assert not dual_module._annihilates(seen, pv, pc, bound, guard)
+            assert not in_tree_match(fam, raised)
+
+    check()
+
+
+class TestSearchVerdict:
+    """`_annihilates` on tampered search outputs: each tamper reaches the
+    failing branch, which no untampered family reaches."""
+
+    def test_tampered_outputs_fail(self):
+        rng = random.Random(42)
+        verdict = dual_module._annihilates
+        tampered = 0
+        for fam in [random_family(rng, numeric=False) for _ in range(30)] + _lane_edge_families()[::3]:
+            seen, pv, pc, bound, guard = _search_outputs(fam)
+            assert verdict(seen, pv, pc, bound, guard)
+            if not pv:
+                continue
+            k = rng.randrange(len(pv))
+            v, unit = pv[k], 1 << 8 * _lane_bytes(MONOMIAL_BUDGET) * rng.randrange(fam.n)
+            # a non-label pair's vertex dropped
+            assert not verdict({key: r for key, r in seen.items() if key != v}, pv, pc, bound, guard)
+            # a count off by one, at the vertex or in the pair
+            assert not verdict({**seen, v: seen[v] + unit}, pv, pc, bound, guard)
+            assert not verdict(seen, pv, [*pc[:k], pc[k] + unit, *pc[k + 1 :]], bound, guard)
+            # a pair missing, or one found twice
+            assert not verdict(seen, pv[:k] + pv[k + 1 :], pc[:k] + pc[k + 1 :], bound, guard)
+            assert not verdict(seen, [*pv, v], [*pc, pc[k]], bound, guard)
+            tampered += 1
+        assert tampered >= 10
+
+
 class TestOnePassPerTree:
-    """Both conventions of a DualGenerator read one match per in-tree value,
-    and a match that holds leaves the packed kernel `_act` unused."""
+    """Both conventions of a DualGenerator read one search per family, whose
+    verdict leaves the mapping path and the packed kernel `_act` unused."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The `_matches` and `_act` calls since the fixture started, with
-        `_in_tree`'s entry, and so any verdict kept beside it, cleared."""
+        """The searches (one `_annihilates` call each), mapping paths and
+        `_act` calls since the fixture started, with `_in_tree`'s entry, and
+        so any verdict kept beside it, cleared."""
         calls = []
-        match, act = dual_module._matches, dual_module._act
-        monkeypatch.setattr(dual_module, "_matches", lambda F: calls.append("match") or match(F))
+        verdict, residuals, act = dual_module._annihilates, dual_module._residuals, dual_module._act
+        monkeypatch.setattr(dual_module, "_annihilates", lambda *args: calls.append("search") or verdict(*args))
+        monkeypatch.setattr(dual_module, "_residuals", lambda *args: calls.append("mapping") or residuals(*args))
         monkeypatch.setattr(dual_module, "_act", lambda *args: calls.append("act") or act(*args))
         _in_tree.cache_clear()
         return calls
@@ -747,29 +821,30 @@ class TestOnePassPerTree:
             calls.clear()
             for convention in order:
                 assert verify_annihilation(double_cycle, dual_generator(double_cycle, convention), convention).ok
-            assert calls == ["match"]  # one match for both conventions, and no _act
+            assert calls == ["search"]  # one search for both conventions, no mapping path and no _act
 
     def test_duals_built_first_read_their_own_trees(self, calls, double_cycle, loop2):
         # Both conventions of two families are built before any check: each
         # check reads the verdict kept on its dual's own in-tree, so no tree is
-        # searched again and each family's tree is matched once.
+        # searched again and nothing else is checked.
         duals = {fam: [dual_generator(fam, c) for c in (CONTRACTION, DIFFERENTIATION)] for fam in (double_cycle, loop2)}
         assert _in_tree.cache_info().misses == 2
+        assert calls == ["search", "search"]
         for k in range(2):
             for fam, pair in duals.items():
                 assert verify_annihilation(fam, pair[k], pair[k].convention).ok
         assert _in_tree.cache_info().misses == 2  # no search beyond the two builds
-        assert calls == ["match", "match"]
+        assert calls == ["search", "search"]
 
     def test_evaluations_read_their_duals_match(self, calls, monkeypatch):
         # An evaluation checked against its dual's family and convention takes
-        # the same-dual path: one match for both conventions, and none of its
+        # the same-dual path: one search for both conventions, and none of its
         # Fractions is built.
         fam = specialize(three_var_chain(), CoeffAssignment((Fraction(2),) * 3, (Fraction(-1, 3),) * 3))
         monkeypatch.setattr(DualGenerator, "_substituted", lambda dual: calls.append("substituted"))
         for convention in (CONTRACTION, DIFFERENTIATION):
             assert verify_annihilation(fam, dual_generator(fam, convention).evaluate(), convention).ok
-        assert calls == ["match"]
+        assert calls == ["search"]
 
 
 class TestPackedLanes:
@@ -1135,7 +1210,7 @@ class TestEvaluatedDual:
                 continue
             bad = _tampered(dual, *rng.choice(movable))
             F = bad.evaluate()
-            assert not dual_module._matches(bad)
+            assert not _reference_match(bad)
             got = verify_annihilation(fam, F, convention)
             assert got == verify_annihilation(fam, dict(F), convention)
             tampered += 1

@@ -90,7 +90,10 @@ def _apply_set(family: BinomialFamily, assignments: list[str]) -> BinomialFamily
             name, _, value = piece.partition("=")
             if not value:
                 raise FamilyError(f"malformed assignment {piece!r}; expected sym=value")
-            symbols[name.strip()] = as_fraction(value.strip())
+            name = name.strip()
+            if name in symbols:
+                raise FamilyError(f"symbol {name!r} is assigned twice")
+            symbols[name] = as_fraction(value.strip())
     return specialize(family, CoeffAssignment.of(family.n, **symbols))
 
 

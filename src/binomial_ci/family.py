@@ -248,14 +248,18 @@ class CoeffAssignment:
 
     @classmethod
     def of(cls, n: int, /, **symbols: Rational) -> CoeffAssignment:
-        """Assignment from keyword symbols, e.g. of(3, a1=1, b2="2/3")."""
+        """Assignment from keyword symbols, e.g. of(3, a1=1, b2="2/3"); two
+        names of one symbol, such as a1 and a01, raise."""
         a: list[OptionalRational] = [None] * n
         b: list[OptionalRational] = [None] * n
         for name, value in symbols.items():
             block, digits = name[:1], name[1:]
             if block not in ("a", "b") or not (digits.isascii() and digits.isdecimal()) or not 1 <= int(digits) <= n:
                 raise FamilyValidationError(f"unknown symbol {name!r}")
-            (a if block == "a" else b)[int(digits) - 1] = as_fraction(value)
+            values, i = (a if block == "a" else b), int(digits) - 1
+            if values[i] is not None:
+                raise FamilyValidationError(f"symbol {block}{i + 1} is assigned twice, the second time as {name!r}")
+            values[i] = as_fraction(value)
         return cls(tuple(a), tuple(b))
 
 

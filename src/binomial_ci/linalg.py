@@ -5,6 +5,12 @@ and determinants.  It works on sparse integer dictionaries (rational rows
 are scaled first), divided by their gcd after each step, cancelling the
 least column first, so it never builds a fraction and a row's cost follows
 its nonzeros rather than the matrix width.
+
+Determinants go through one integer core, `_det_int`, which takes integer
+rows and returns numerator and denominator as ints.  It has two callers,
+each of which scales its own rows and folds those scales back in:
+`det_sparse` scales any int or Fraction row by `to_int_row`, and
+`resultant.det_numeric_oracle` scales the rows of each label once.
 """
 
 from __future__ import annotations
@@ -109,40 +115,29 @@ def rank_of(rows: Iterable[Row]) -> int:
     return space.rank
 
 
-def det_sparse(rows: Sequence[Row], size: int) -> Fraction:
-    """Exact determinant of a size x size matrix given as sparse rows.
+def _det_int(rows: Iterable[dict[int, int]], size: int) -> tuple[int, int]:
+    """The determinant of size integer rows as (num, den) ints, num / den.
 
-    Each {column: int or Fraction} row is scaled to a coprime integer row
-    (to_int_row) and reduced against the earlier pivots by
-    RowSpace._reduced, which multiplies it by a_prod / g_prod on the way.
-    Sorted by pivot column the reduced rows are upper triangular, so the
-    determinant is the product of the pivots divided by every row's scale,
-    times the sign of the permutation row -> pivot column.  Numerator and
-    denominator stay ints until the one Fraction at the end.  A row that
-    reduces to zero makes the matrix singular; a float entry raises
-    TypeError.
+    Each row is reduced against the earlier pivots by RowSpace._reduced,
+    which multiplies it by a_prod / g_prod on the way.  Sorted by pivot
+    column the reduced rows are upper triangular, so the determinant is the
+    product of the pivots over the product of those factors, times the sign
+    of the permutation row -> pivot column.  A row that reduces to zero
+    makes the matrix singular: (0, 1).  Rows map columns in 0..size-1 to
+    nonzero ints.
     """
-    if len(rows) != size:
-        raise ValueError(f"a {size} x {size} determinant needs {size} rows, not {len(rows)}")
-    for row in rows:
-        for k in row:
-            if not 0 <= k < size:
-                raise ValueError(f"column {k} outside 0..{size - 1}")
-    scaled_rows = [to_int_row(row) for row in rows]
     space = RowSpace()
     pivot_cols = []
     num = den = 1
-    for row, scaled in zip(rows, scaled_rows):
-        reduced, a_prod, g_prod = space._reduced(scaled)
+    for row in rows:
+        reduced, a_prod, g_prod = space._reduced(row)
         if not reduced:
-            return Fraction(0)
+            return 0, 1
         lead = min(reduced)
         space._pivots[lead] = reduced
         pivot_cols.append(lead)
-        # to_int_row scaled the row by scaled[k] / row[k], the same at every k
-        k = next(iter(scaled))
-        num *= reduced[lead] * g_prod * row[k].numerator
-        den *= a_prod * scaled[k] * row[k].denominator
+        num *= reduced[lead] * g_prod
+        den *= a_prod
     # A permutation is odd when size minus its cycle count is odd.
     seen = [False] * size
     parity = size
@@ -153,5 +148,32 @@ def det_sparse(rows: Sequence[Row], size: int) -> Fraction:
             while not seen[k]:
                 seen[k] = True
                 k = pivot_cols[k]
-    det = Fraction(num, den)
-    return -det if parity % 2 else det
+    return (-num if parity % 2 else num), den
+
+
+def det_sparse(rows: Sequence[Row], size: int) -> Fraction:
+    """Exact determinant of a size x size matrix given as sparse rows.
+
+    Each {column: int or Fraction} row is scaled to a coprime integer row
+    (to_int_row) for the integer core `_det_int`, which
+    `resultant.det_numeric_oracle` also calls with rows it scales once per
+    label.  The determinant is the core's num / den divided by every row's
+    scale; numerator and denominator stay ints until the one Fraction at the
+    end.  Explicit zeros are ignored, and a float entry raises TypeError.
+    """
+    if len(rows) != size:
+        raise ValueError(f"a {size} x {size} determinant needs {size} rows, not {len(rows)}")
+    for row in rows:
+        for k in row:
+            if not 0 <= k < size:
+                raise ValueError(f"column {k} outside 0..{size - 1}")
+    scaled_rows = [to_int_row(row) for row in rows]
+    num, den = _det_int(scaled_rows, size)
+    if not num:
+        return Fraction(0)
+    for row, scaled in zip(rows, scaled_rows):
+        # to_int_row scaled the row by scaled[k] / row[k], the same at every k
+        k = next(iter(scaled))
+        num *= row[k].numerator
+        den *= scaled[k] * row[k].denominator
+    return Fraction(num, den)

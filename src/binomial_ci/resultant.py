@@ -7,14 +7,19 @@ the diagonal, i being its label, and -b_i in the column of its successor.
 The successor is never the diagonal, since no tail equals its generator's
 lead monomial.  Every function here takes the family and reads the one
 cached resultant-degree graph; the matrix's text, JSON and numeric rows come
-straight from its vertices, labels and successors.
+straight from its vertices, labels and successors.  Every row of label i is
+a_i, -b_i up to position, so `det_numeric_oracle` scales the rows to
+coprime integers once per label and eliminates them generically as
+integers, reading no cycle summary: it checks the cycle formula below
+independently.
 
-Everything past the matrix reads the graph's cycle summary: k_r, the number
-of cycles whose label counts are r (`ReductionGraph.cycle_types`), and e_i,
-the i-labeled vertices on no cycle (`ReductionGraph.off_cycle_counts`).  The
-determinant is prod a_i^{e_i} * prod_r (a^r - b^r)^{k_r}.  Every r is
-primitive, so the radical's cycle factors are the binomials a^r - b^r
-themselves, one per type, and a_i drops from the radical when e_i = 0.
+Everything else past the matrix reads the graph's cycle summary: k_r, the
+number of cycles whose label counts are r (`ReductionGraph.cycle_types`),
+and e_i, the i-labeled vertices on no cycle
+(`ReductionGraph.off_cycle_counts`).  The determinant is prod a_i^{e_i} *
+prod_r (a^r - b^r)^{k_r}.  Every r is primitive, so the radical's cycle
+factors are the binomials a^r - b^r themselves, one per type, and a_i drops
+from the radical when e_i = 0.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import SparsePoly
 from .family import BinomialFamily
 from .graph import ReductionGraph, _binomial_power, build_graph, graph_cycle_polynomial
-from .linalg import det_sparse
+from .linalg import _det_int
 from .oracle import macaulay_kernel
 
 CERTAIN = "certain"
@@ -98,16 +104,33 @@ def det_structural(family: BinomialFamily) -> SparsePoly:
 def det_numeric_oracle(family: BinomialFamily) -> Fraction:
     """Exact determinant of a numeric family's resultant matrix.
 
-    Eliminates the two-entry rows generically with det_sparse, independent of
-    the cycle formula.
+    Every row of label i is a_i, -b_i up to position, so its coprime integer
+    pair is found once per label: with s_i = lcm(den a_i, den b_i) and g_i
+    the gcd of a_i s_i and -b_i s_i, the row of x^alpha is {alpha: A_i,
+    successor: B_i} = (s_i / g_i) times the matrix row ({alpha: A_i} when
+    b_i = 0).  These integer rows go to the elimination of `det_sparse`,
+    `linalg._det_int`, and det = prod (g_i / s_i)^{c_i} times their
+    determinant, c_i being the number of rows of label i.  The matrix is
+    eliminated generically, independent of the cycle formula.
     """
     if not family.is_numeric:
         raise ValueError("the numeric determinant needs a fully numeric family")
     graph = _resultant_graph(family)
-    a = [Fraction(v) for v in family.a_values]
-    minus_b = [-Fraction(v) for v in family.b_values]
-    rows = [{r: a[i - 1], succ: minus_b[i - 1]} for r, (i, succ) in enumerate(zip(graph.labels, graph.succ))]
-    return det_sparse(rows, len(rows))
+    pairs, scale_num, scale_den = {}, 1, 1
+    for i, (a, b) in enumerate(zip(family.a_values, family.b_values), start=1):
+        s = lcm(a.denominator, b.denominator)
+        an, bn = a.numerator * (s // a.denominator), -b.numerator * (s // b.denominator)
+        g = gcd(an, bn)
+        pairs[i] = an // g, bn // g
+        c = graph.labels.count(i)
+        scale_num *= g**c
+        scale_den *= s**c
+    rows = [
+        {r: a, succ: b} if b else {r: a}
+        for r, ((a, b), succ) in enumerate(zip(map(pairs.get, graph.labels), graph.succ))
+    ]
+    num, den = _det_int(rows, len(rows))
+    return Fraction(num * scale_num, den * scale_den)
 
 
 def radical_of_cycle_product(graph: ReductionGraph) -> list[SparsePoly]:

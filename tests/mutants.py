@@ -23,15 +23,17 @@ table and the avoided-power basis filter among them, the in-tree search and
 the annihilation verdict it decides as it goes, the evaluated dual's
 integer form and the same-dual annihilation shortcut, the zero filters of
 SparsePoly's sum and product and the CoeffMonomial denominator, the
-lexer of the family text grammar, its regex path and the checks both paths
-share, the dual's renderer, and the CLI's indented JSON writer.
+numeric resultant oracle's scales, one per label, the lexer of the family
+text grammar, its regex path and the checks both paths share, the dual's
+renderer, and the CLI's indented JSON writer.
 The brute-force references in `binomial_ci.reference` are what the kernels
 are checked against, walks by the tuple step `BinomialFamily.step` and the
 SparsePoly expansion of tests/test_rewrite.py what the walk and the check
 are, the pinned parse errors of tests/test_family.py what the lexer is, the
 token path what the regex path is, the printed `sparse_terms` what the
 dual's renderer is, the expansion of the same steps what the replay of a
-kept walk is, and json.dumps with indent=2 what the JSON writer is.
+kept walk is, json.dumps with indent=2 what the JSON writer is, and
+`det_structural` at the same values what the oracle's scales are.
 pytest does not collect this file.
 """
 
@@ -220,9 +222,23 @@ MUTANTS = [
     Mutant(
         "det_sparse drops the permutation sign",
         "src/binomial_ci/linalg.py",
-        "    return -det if parity % 2 else det",
-        "    return det",
+        "    return (-num if parity % 2 else num), den",
+        "    return num, den",
         "tests/test_linalg.py",
+    ),
+    Mutant(
+        "numeric oracle raises a label's scale to c_i - 1",
+        "src/binomial_ci/resultant.py",
+        "        c = graph.labels.count(i)",
+        "        c = graph.labels.count(i) - 1",
+        "tests/test_resultant.py::TestDetStructural::test_matches_numeric_oracle_at_random_points",
+    ),
+    Mutant(
+        "numeric oracle drops the gcd g_i from a label's scale",
+        "src/binomial_ci/resultant.py",
+        "        scale_num *= g**c",
+        "        scale_num *= 1",
+        "tests/test_resultant.py::TestDetStructural::test_matches_numeric_oracle_at_random_points",
     ),
     Mutant(
         "search's non-label pair count without the label's unit",

@@ -602,6 +602,25 @@ class TestBadRationalInput:
         assert len(err) < 200
 
 
+@pytest.mark.parametrize(
+    "sets, named",
+    [
+        (["a1=2,a1=3", "a2=1,b1=1,b2=1"], "'a1'"),
+        (["a1=2", "a1=3,a2=1,b1=1,b2=1"], "'a1'"),
+        (["a1=2,a01=3", "a2=1,b1=1,b2=1"], "a1"),
+    ],
+    ids=["one-set", "two-sets", "leading-zero"],
+)
+def test_a_symbol_assigned_twice_exits_1_naming_it(capsys, sets, named):
+    family = "f1 = a1*x1^2 - b1*x1*x2 ; f2 = a2*x2^2 - b2*x1^2"
+    argv = ["resultant", "--family", family, *(arg for chunk in sets for arg in ("--set", chunk)), "--det"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: symbol ") and "assigned twice" in err and named in err
+    assert err.count("\n") == 1
+
+
 class TestDecimalAndExponentStrings:
     """Fraction("1e3000000") builds a 3-million-digit int; only integers and
     "p/q" strings are exact-rational input."""

@@ -3,6 +3,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from binomial_ci import (
     BinomialFamily,
     CoeffAssignment,
@@ -22,6 +24,7 @@ from binomial_ci import (
     resultant_radical,
     specialize,
 )
+from binomial_ci.linalg import det_sparse, to_int_row
 from binomial_ci.resultant import BOUNDED, CERTAIN, PROBABILISTIC, det_structural_parts
 
 from conftest import random_family, random_nonzero
@@ -79,26 +82,62 @@ class TestCMatrix:
     def test_numeric_rows_hold_a_on_the_diagonal_and_minus_b_on_the_successor(self, loop2, monkeypatch):
         import binomial_ci.resultant as resultant
 
-        real_det = resultant.det_sparse
+        real_core = resultant._det_int
         seen = []
 
-        def capturing_det(rows, size):
+        def capturing_core(rows, size):
             seen.append((rows, size))
-            return real_det(rows, size)
+            return real_core(rows, size)
 
-        monkeypatch.setattr(resultant, "det_sparse", capturing_det)
+        monkeypatch.setattr(resultant, "_det_int", capturing_core)
         numeric = specialize(loop2, CoeffAssignment((2, Fraction(1, 3)), (5, 7)))
         value = det_numeric_oracle(numeric)
         [(rows, size)] = seen
         assert size == 4
-        assert rows == [
-            {0: 2, 1: -5},
-            {1: 2, 2: -5},
-            {2: Fraction(1, 3), 1: -7},
-            {3: Fraction(1, 3), 2: -7},
+        # label 1 (a, b) = (2, 5) and label 2 (1/3, 7), scaled once per label
+        assert [list(row.items()) for row in rows] == [
+            [(0, 2), (1, -5)],
+            [(1, 2), (2, -5)],
+            [(2, 1), (1, -21)],
+            [(3, 1), (2, -21)],
         ]
-        assert all(isinstance(v, Fraction) for row in rows for v in row.values())
+        assert all(type(v) is int for row in rows for v in row.values())
+        fraction_rows = [
+            {0: Fraction(2), 1: Fraction(-5)},
+            {1: Fraction(2), 2: Fraction(-5)},
+            {2: Fraction(1, 3), 1: Fraction(-7)},
+            {3: Fraction(1, 3), 2: Fraction(-7)},
+        ]
+        assert [list(row.items()) for row in rows] == [list(to_int_row(row).items()) for row in fraction_rows]
+        assert value == det_sparse(fraction_rows, 4)
         assert value == det_structural(loop2).evaluate([2, Fraction(1, 3)], [5, 7])
+
+    def test_numeric_oracle_equals_sympy_bareiss(self):
+        # An outside check: sympy's own Bareiss elimination of the same matrix,
+        # built from matrix_to_json's rows, shares no code with RowSpace.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(47)
+        families = []
+        while len(families) < 20:
+            fam = random_family(rng)
+            if matrix_to_json(fam)["size"] <= 40:
+                families.append(fam)
+        values = [v for fam in families for v in (*fam.a_values, *fam.b_values)]
+        assert 0 in values and min(values) < 0
+        assert any(len({v.denominator for v in (*fam.a_values, *fam.b_values)}) > 1 for fam in families)
+        nonzero = 0
+        for fam in families:
+            matrix = matrix_to_json(fam)
+            column = {row["monomial"]: c for c, row in enumerate(matrix["rows"])}
+            m = sympy.zeros(matrix["size"], matrix["size"])
+            for r, row in enumerate(matrix["rows"]):
+                a, b = fam.a_values[row["i"] - 1], fam.b_values[row["i"] - 1]
+                m[r, r] = sympy.Rational(a.numerator, a.denominator)
+                m[r, column[row["successor"]]] = -sympy.Rational(b.numerator, b.denominator)
+            det = m.det(method="bareiss")
+            assert det_numeric_oracle(fam) == Fraction(int(det.p), int(det.q))
+            nonzero += det != 0
+        assert nonzero
 
     def test_text_matches_the_grid_rendering(self):
         # The reference sizes every column over the whole V x V grid of cells;

@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_lefschetz)
 
-    p = sub.add_parser("selftest", help="run the golden example suite")
+    p = sub.add_parser("selftest", help="check the paper's claims on the built-in examples")
     p.set_defaults(func=_cmd_selftest)
     return parser
 

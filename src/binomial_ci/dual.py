@@ -41,8 +41,8 @@ and the exact mapping path below decides.  The tree is shared and
 read-only.  Any other form is a mapping, checked by `normalize_terms`.
 
 The action x^gamma o F lives here on packed keys, on forms normalized by
-`algebra.normalize_terms` (the form layer, re-exported here); `selftest` and
-the tests pin it against its tuple reference, `reference.action_image`.
+`algebra.normalize_terms` (the form layer, re-exported here); the tests pin
+it against its tuple reference, `reference.action_image`.
 apply_action, verify_annihilation's mapping path and the Hessians at a point
 go through the packed kernel `_act`, on the lane layout of `keys`: each term
 of F, X and symbol exponents together, is packed once into one int of

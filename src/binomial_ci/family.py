@@ -197,8 +197,8 @@ class BinomialFamily:
 
         The one tuple encoding of the step, and `step`'s implementation;
         `keys.rule` is the packed one, which the graph, the dual's in-tree,
-        the Macaulay kernel and the rewriting walk read.  The tests and
-        `selftest` check the packed rule against this one."""
+        the Macaulay kernel and the rewriting walk read.  The tests check
+        the packed rule against this one."""
         for i, d in enumerate(self.degrees):
             if exps[i] >= d:
                 if i >= limit:

@@ -67,9 +67,10 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _reduced(self, row: dict[int, int]) -> tuple[dict[int, int], int, int]:
-        """Reduce an integer row against the pivots: (reduced, a_prod, g_prod)
-        with reduced = (a_prod / g_prod) * (row - a combination of pivots).
+    def _reduced(self, row: dict[int, int]) -> tuple[dict[int, int], int | None, int, int]:
+        """Reduce an integer row against the pivots: (reduced, lead, a_prod,
+        g_prod) with reduced = (a_prod / g_prod) * (row - a combination of
+        pivots) and lead its least column, None when reduced is empty.
 
         Each step multiplies the row by the lead of the pivot it cancels
         against (a_prod collects those leads) and divides out the gcd of the
@@ -81,7 +82,7 @@ class RowSpace:
             lead = min(row)
             piv = self._pivots.get(lead)
             if piv is None:
-                break
+                return row, lead, a_prod, g_prod
             a, b = piv[lead], row[lead]
             new = {}
             for k, v in row.items():
@@ -94,14 +95,14 @@ class RowSpace:
             row, g = _normalize(new)
             a_prod *= a
             g_prod *= g
-        return row, a_prod, g_prod
+        return row, None, a_prod, g_prod
 
     def add(self, row: Row) -> bool:
         """Insert a row; True when it enlarged the space."""
-        reduced = self._reduced(_int_row(row))[0]
+        reduced, lead = self._reduced(_int_row(row))[:2]
         if not reduced:
             return False
-        self._pivots[min(reduced)] = reduced
+        self._pivots[lead] = reduced
         return True
 
     def contains(self, row: Row) -> bool:
@@ -130,10 +131,9 @@ def _det_int(rows: Iterable[dict[int, int]], size: int) -> tuple[int, int]:
     pivot_cols = []
     num = den = 1
     for row in rows:
-        reduced, a_prod, g_prod = space._reduced(row)
+        reduced, lead, a_prod, g_prod = space._reduced(row)
         if not reduced:
             return 0, 1
-        lead = min(reduced)
         space._pivots[lead] = reduced
         pivot_cols.append(lead)
         num *= reduced[lead] * g_prod

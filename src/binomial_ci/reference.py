@@ -12,7 +12,8 @@ cache and no packing:
   lead and tail images;
 - `HessianMatrix`, the symbolic Hessians, ranked by `dense_rank`.
 
-`selftest` and the tests import this module; the product paths do not.  It
+The tests import this module, and `selftest` its Hessians; the product
+paths do not.  It
 reads only the form layer and arithmetic of `algebra`, the families of
 `family` and the row reduction of `linalg`, so it shares no lane layout,
 cache or kernel with the code it checks; a test parses its imports.

@@ -13,6 +13,7 @@ from binomial_ci.catalog import (
     two_var_loop,
 )
 from binomial_ci.dual import numeric_form
+from binomial_ci.rewrite import TO_BASIS, TO_CYCLE
 
 
 @pytest.fixture
@@ -84,6 +85,20 @@ def family_strategy(st):
         return BinomialFamily.numeric(degrees, tails, draw(values), draw(values))
 
     return families()
+
+
+def tuple_walk(fam, m, k=None):
+    """(kind, labels, end) of the rewriting walk from m along labels <= k
+    (default n) by the tuple step `BinomialFamily.step`, as `reduce_monomial`
+    reports them."""
+    labels, seen = [], {m}
+    while (step := fam.step(m, k)) is not None:
+        label, m = step
+        labels.append(label)
+        if m in seen:
+            return TO_CYCLE, tuple(labels), m
+        seen.add(m)
+    return TO_BASIS, tuple(labels), m
 
 
 def assert_as_checked(cm):

@@ -6,7 +6,11 @@ MUTANTS must be killed.
 Each row names a file under src/, an exact snippet that must occur in it
 once, its one-line replacement, and the check that must fail on the mutant:
 "selftest" (python -m binomial_ci selftest), or a test file or test id run
-by pytest.
+by pytest.  `selftest` checks only the paper's claims on the worked
+examples, so it names the mutants that break one of them (the cycle counts,
+the in-tree's label tests, the Macaulay kernel's cycles, the spanning
+blocks' columns); every other row names the narrowest test of tests/ that
+compares the fast path with its reference and kills the mutant.
 The runner first runs every check on an unmutated copy, which must pass.
 Then, for each mutant, it copies src/, tests/, README.md and pyproject.toml
 into a temporary directory, applies that one mutant and runs its check,
@@ -70,21 +74,21 @@ MUTANTS = [
         "src/binomial_ci/oracle.py",
         "    for j in range(top // 2 + 1):\n        rows = _pack_all(",
         "    for j in range(top // 2):\n        rows = _pack_all(",
-        "selftest",
+        "tests/test_oracle.py::test_one_pass_spanning_matches_the_two_rank_definition",
     ),
     Mutant(
         "lanes without room for the sum of two exponents",
         "src/binomial_ci/keys.py",
         "    return 1 << ((2 * top).bit_length() // 8).bit_length()",
         "    return 1 << (top.bit_length() // 8).bit_length()",
-        "selftest",
+        "tests/test_dual.py::TestPackedInTree::test_every_lane_width_gives_rewrite_steps",
     ),
     Mutant(
         "Macaulay row table keeps only each column's label lane",
         "src/binomial_ci/keys.py",
         "map(and_, tests, repeat(",
         "map(and_, [t & -t for t in tests], repeat(",
-        "selftest",
+        "tests/test_oracle.py::test_kernel_matches_row_reduction",
     ),
     Mutant(
         "Macaulay row table drops each column's own label lane",
@@ -210,7 +214,7 @@ MUTANTS = [
         "src/binomial_ci/oracle.py",
         "                dead[find(x)] = 1",
         "                find(x)",
-        "selftest",
+        "tests/test_oracle.py::test_kernel_matches_row_reduction",
     ),
     Mutant(
         "spanning blocks read B_j x B_j",
@@ -322,7 +326,7 @@ MUTANTS = [
         "src/binomial_ci/oracle.py",
         "differentiate == (F.dual.convention == DIFFERENTIATION)",
         "differentiate != (F.dual.convention == DIFFERENTIATION)",
-        "selftest",
+        "tests/test_dual.py::test_in_tree_integer_form_matches_the_scaled_values_on_drawn_families_hypothesis",
     ),
     Mutant(
         "SparsePoly product keeps the zero sums of cancelled terms",
@@ -357,7 +361,7 @@ MUTANTS = [
         "src/binomial_ci/rewrite.py",
         "        label = (rows & -rows).bit_length() // w",
         "        label = rows.bit_length() // w",
-        "selftest",
+        "tests/test_rewrite.py::test_packed_walk_matches_the_tuple_step_on_drawn_families_hypothesis",
     ),
     Mutant(
         "certificate residual skips the guard-bit OR",

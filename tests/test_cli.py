@@ -425,7 +425,9 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "25/25 checks passed" in out
+        *checks, total = out.splitlines()
+        assert total == "16/16 checks passed" and len(checks) == 16
+        assert all(line.startswith("ok   ") for line in checks)
 
 
 class TestDeterminism:

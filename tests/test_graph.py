@@ -664,16 +664,16 @@ class TestSharedLabelTable:
                 _assert_as_the_references(g, f, d)
             assert pair[0].labels != pair[1].labels
 
-    def test_equal_degrees_share_one_table(self):
-        f1, f2 = self.FIRST, self.SECOND
-        d = f1.resultant_degree
-        degree_labels.cache_clear()
-        build_graph.cache_clear()
-        g1, g2 = build_graph(f1, d), build_graph(f2, d)
-        info = degree_labels.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert g1.labels is g2.labels
-        assert g1.labels is degree_labels(f1.degrees, d, g1.nb)[1]
+    def test_equal_degrees_share_one_table(self, double_cycle, chain, pentagon, pentagon_alt):
+        for f1, f2 in ((self.FIRST, self.SECOND), (double_cycle, chain), (pentagon, pentagon_alt)):
+            for d in (f1.socle_degree, f1.resultant_degree):
+                degree_labels.cache_clear()
+                build_graph.cache_clear()
+                g1, g2 = build_graph(f1, d), build_graph(f2, d)
+                info = degree_labels.cache_info()
+                assert (info.misses, info.hits) == (1, 1)
+                assert g1.labels is g2.labels
+                assert g1.labels is degree_labels(f1.degrees, d, g1.nb)[1]
 
 
 def test_labels_successors_and_cycles_match_the_tuple_construction_on_drawn_families_hypothesis():

@@ -253,12 +253,14 @@ def test_det_sparse_rejects_a_float():
 
 def test_reduced_reports_its_scale():
     # reduced = (a_prod / g_prod) * (row - a combination of pivots), so
-    # row - (g_prod / a_prod) * reduced lies in the space before the row joins
+    # row - (g_prod / a_prod) * reduced lies in the space before the row joins;
+    # lead is the least column of reduced
     rng = random.Random(11)
     space = RowSpace()
     for _ in range(40):
         row = to_int_row({rng.randrange(8): rng.randint(-9, 9) for _ in range(4)})
-        reduced, a_prod, g_prod = space._reduced(row)
+        reduced, lead, a_prod, g_prod = space._reduced(row)
+        assert lead == (min(reduced) if reduced else None)
         scale = Fraction(g_prod, a_prod)
         assert space.contains({k: row.get(k, 0) - scale * reduced.get(k, 0) for k in row.keys() | reduced.keys()})
         space.add(row)

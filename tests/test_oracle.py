@@ -220,7 +220,8 @@ def spans_by_two_ranks(family, F, top):
 
 def test_one_pass_spanning_matches_the_two_rank_definition(pentagon):
     rng = random.Random(83)
-    cases = [(pentagon, wlp_failure_form(), 5)]
+    # X1*..*X5 + X1^5 fails only in the middle pair of degrees (2, 3)
+    cases = [(pentagon, wlp_failure_form(), 5), (pentagon, {(1, 1, 1, 1, 1): 1, (5, 0, 0, 0, 0): 1}, 5)]
     for _ in range(10):
         family = random_family(rng, n_range=(2, 3))
         top = family.socle_degree
@@ -599,6 +600,8 @@ def kernel_points(ci_corpus):
     # potentials of up to about j/2 in one digit.
     chain = parse_family("f1 = 1*x1^5 - 2*x1^4*x2 ; f2 = 3*x2^5 - 3/2*x1*x2^4")
     families += [chain, with_b(chain, [Fraction(-1), Fraction(-3)])]
+    # a = b, and f1 and f3 share a tail: columns that meet several rows
+    families.append(parse_family("f1 = -1/3*x1^4 - -1/3*x1^2*x2^2 ; f2 = x2^4 - x1^4 ; f3 = 2*x3^4 - 2*x1^2*x2^2"))
     randoms = [random_family(rng) for _ in range(12)]
     families += randoms
     points = [(f, f.degrees, f.tails, f.a_values, f.b_values) for f in families]

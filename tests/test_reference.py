@@ -1,4 +1,5 @@
-"""The brute-force references stay independent of the fast modules.
+"""The brute-force references stay independent of the fast modules, and no
+module of the package rests on what `python -O` strips.
 
 `binomial_ci.reference` must not read the packed lanes, caches or kernels it
 checks, so its imports, inside functions too, are parsed here rather than
@@ -75,6 +76,19 @@ def test_reference_imports_only_the_stdlib_algebra_family_and_linalg():
 def test_only_the_package_and_selftest_import_reference():
     importers = {path.stem for path in PACKAGE.glob("*.py") if ".reference" in imported_modules(path.stem)}
     assert importers == {"__init__", "selftest"}
+
+
+def test_no_module_asserts_or_reads_debug():
+    # python -O strips assert statements and sets __debug__ to False
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert) and getattr(node, "id", None) != "__debug__", (path.name, node.lineno)
+
+
+def test_selftest_imports_no_private_name():
+    for node in ast.walk(ast.parse((PACKAGE / "selftest.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert not [a.name for a in node.names if a.name.startswith("_")], node.module
 
 
 def test_oracle_imports_nothing_from_dual():

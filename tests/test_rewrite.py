@@ -28,9 +28,8 @@ from binomial_ci import rewrite
 from binomial_ci.keys import _lane_bytes
 from binomial_ci.graph import SINK, TRANSIENT
 from binomial_ci.rewrite import certificate_residual, certificate_to_json, render_certificate
-from binomial_ci.selftest import _tuple_walk
 
-from conftest import assert_as_checked, family_strategy, random_family
+from conftest import assert_as_checked, family_strategy, random_family, tuple_walk
 
 
 class TestReduceMonomial:
@@ -439,7 +438,7 @@ def test_packed_walk_matches_the_tuple_step_on_drawn_families_hypothesis():
     def check(fam, exps):
         m = Monomial(tuple(exps[: fam.n]))
         for k in range(1, fam.n + 1):
-            kind, labels, end = _tuple_walk(fam, m, k)
+            kind, labels, end = tuple_walk(fam, m, k)
             out = reduce_monomial(fam, m, k)
             assert (out.kind, out.path_labels) == (kind, labels)
             assert (out.basis_monomial if kind == TO_BASIS else out.cycle_entry) == end

@@ -11,7 +11,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import lt
 from typing import NamedTuple, Sequence
 
@@ -51,17 +50,6 @@ def _coerce_values(values: Sequence | None, n: int, what: str) -> tuple[Optional
     if len(out) != n:
         raise FamilyValidationError(f"expected {n} {what}-values, got {len(out)}")
     return tuple(out)
-
-
-# One entry per (degrees, d) that `basis_check` and `m_spans_ann_quotient`
-# read: 0..D.  A seed-1 `verify` pass in its interleaved schedule order reads
-# 44 entries (10,996 hits).  A miss enumerates and filters the degree's
-# exponents: up to 0.20 ms, at 462 of them (best of 7, Python 3.11, 2 vCPU).
-@lru_cache(maxsize=64)
-def _avoided(degrees: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
-    """The degree-d exponent tuples with every entry below its d_i, in the
-    order of `exponents_of_degree`.  Shared: read it only."""
-    return tuple(e for e in exponents_of_degree(len(degrees), d) if all(map(lt, e, degrees)))
 
 
 @dataclass(frozen=True)
@@ -215,9 +203,8 @@ class BinomialFamily:
 
     def basis_exponents(self, d: int) -> list[tuple[int, ...]]:
         """The degree-d exponent tuples with every entry below its d_i, in
-        the order of `exponents_of_degree`: a fresh list of the shared
-        tuples of `_avoided`."""
-        return list(_avoided(self.degrees, d))
+        the order of `exponents_of_degree`."""
+        return [e for e in exponents_of_degree(self.n, d) if all(map(lt, e, self.degrees))]
 
     def basis_monomials(self, d: int) -> list[Monomial]:
         """The degree-d monomials with every exponent below its d_i."""

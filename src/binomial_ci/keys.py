@@ -18,11 +18,12 @@ step on exponent tuples: `step`'s implementation and the tests' reference.
 
 A step's label depends on the degrees alone; only its successor reads the
 tails.  So a degree's monomials have two shared tables: `degree_keys`, the
-packed keys and their positions, which `graph.build_graph`,
-`oracle.macaulay_kernel` and the catalecticants read, and `degree_labels`,
-one table per degrees that every family of those degrees reads: each key's
-guard test under `rule`, as its label for `graph.build_graph` and as the
-positions of every lane's Macaulay rows for `oracle.macaulay_kernel`.
+packed keys and their positions, the one list of a degree's monomials that
+every module reads, and `degree_labels`, one table per degrees on those
+keys that every family of those degrees reads: each key's guard test under
+`rule`, as its label for `graph.build_graph`, as the positions of every
+lane's Macaulay rows for `oracle.macaulay_kernel`, and as the sinks, the
+avoided-power basis that the oracle's basis and spanning checks read.
 """
 
 from array import array
@@ -133,12 +134,12 @@ def _rule(
 
 
 # One entry per (n, d, nb) that a request reads: its graph's degree, the
-# Macaulay kernels' 0..D+1 and the catalecticants' 0..D.  A seed-1 pass over
-# a pool in its interleaved schedule order reads 36 entries on `verify`
-# (12,924 hits), 28 on `cli-session` and 5 on `structure`; at 32 entries
-# `verify` missed 1979 times.  A miss enumerates and packs the degree's
-# monomials: up to 0.50 ms, at 792 six-variable keys (best of 7, Python
-# 3.11, 2 vCPU).
+# Macaulay kernels' and label tables' 0..D+1, the membership tests' degrees
+# and the catalecticants' 0..D.  A seed-1 pass over a pool in its
+# interleaved schedule order reads 36 entries on `verify` (23,774 hits), 28
+# on `cli-session` and 5 on `structure`; at 32 entries `verify` missed 1979
+# times.  A miss enumerates and packs the degree's monomials: up to
+# 0.50 ms, at 792 six-variable keys (best of 7, Python 3.11, 2 vCPU).
 @lru_cache(maxsize=64)
 def degree_keys(n: int, d: int, nb: int) -> tuple[list[int], dict[int, int]]:
     """(keys, index): the packed degree-d exponent vectors in the order of
@@ -146,19 +147,20 @@ def degree_keys(n: int, d: int, nb: int) -> tuple[list[int], dict[int, int]]:
 
     The one table of a degree's monomials: `graph.build_graph` reads its
     vertices and their positions here (and their labels in `degree_labels`,
-    in the same order), and `oracle.macaulay_kernel` and the catalecticant
-    rows and columns read theirs, so a graph and a Macaulay kernel of one
+    which reads its keys here, in the same order), and
+    `oracle.macaulay_kernel`, the membership test and the catalecticant rows,
+    columns and bases read theirs, so a graph and a Macaulay kernel of one
     degree (and lane width) share one entry.  Shared: read it only."""
     keys = _pack_all(exponents_of_degree(n, d), n, nb)
     return keys, dict(zip(keys, range(len(keys))))
 
 
-# One entry per (degrees, d, nb) that a request reads: its graph's degree
-# and its Macaulay kernels' 0..D+1.  A seed-1 pass over a pool in its
-# interleaved schedule order reads 50 entries on `verify` (7,150 hits), 42
-# on `cli-session` and 5 on `structure`.  A miss packs and tests the
-# degree's keys: up to 0.83 ms, at 792 six-variable keys (best of 7, Python
-# 3.11, 2 vCPU).
+# One entry per (degrees, d, nb) that a request reads: its graph's degree,
+# its Macaulay kernels' 0..D+1, and its basis check's and spanning test's
+# 0..D.  A seed-1 pass over a pool in its interleaved schedule order reads
+# 50 entries on `verify` (18,190 hits), 42 on `cli-session` and 5 on
+# `structure`.  A miss tests the keys of `degree_keys`: 0.48 ms at 792
+# six-variable keys when those are cached (best of 7, Python 3.11, 2 vCPU).
 @lru_cache(maxsize=64)
 def degree_labels(
     degrees: tuple[int, ...], d: int, nb: int
@@ -175,11 +177,12 @@ def degree_labels(
     A label is the least i with x_i^{d_i} | x^e: it depends on the degrees
     alone, never on the tails, so every family of these degrees shares one
     table.  The lowest guard bit the test leaves sits at bit 8 * nb * label -
-    1, so its bit length over the lane width is the label.  A miss packs the
-    keys afresh, so a graph build reads `degree_keys` once.  Shared: read it
-    only."""
+    1, so its bit length over the lane width is the label.  The sinks are
+    the avoided-power monomials, every e_i below its d_i: the basis that
+    `oracle.basis_check` and `oracle.m_spans_ann_quotient` read here.
+    Shared: read it only."""
     n = len(degrees)
-    keys = _pack_all(exponents_of_degree(n, d), n, nb)
+    keys = degree_keys(n, d, nb)[0]
     guard, bound, width = _guard(n, nb), _shifted(degrees, nb), 8 * nb
     tests = [((key | guard) - bound) & guard for key in keys]
     found = [(t & -t).bit_length() // width for t in tests]

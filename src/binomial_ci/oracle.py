@@ -8,9 +8,10 @@ generator by generator from `keys.degree_labels`, one table per degrees:
 f_k's rows are the columns u whose key passes lane k's guard test under
 `keys.rule`, each with u as its x_k^d_k column and u + deltas[k] as its
 other, looked up by one C-level map per generator.  Hilbert functions count
-the live components, monomial membership and the avoided-power basis test
-read the components, and the complete-intersection test is the one rank
-h_{D+1} = 0.
+the live components, and the complete-intersection test is the one rank
+h_{D+1} = 0.  Monomial membership reads the component of the monomial's
+position among the keys, and the avoided-power basis test those of the
+label table's sinks: a key is a sink exactly when no x_i^{d_i} divides it.
 
 A form F of degree D pairs R_j with R_{D-j}: the entry of the catalecticant
 Cat_j at (gamma, beta) is F[gamma + beta] under contraction.  F's terms are
@@ -21,10 +22,11 @@ these rows up to half the degree of F (the catalecticants of complementary
 degrees are transposes), each read off `_contraction_basis`, the one cached
 elimination per form and degree that `lefschetz` shares.  The avoided-power
 monomials span R/Ann(F) when, in each degree j <= D/2, the block of the
-pairing on the avoided-power exponents of degrees j and D-j has that rank
-h_j.  Each caller reads F as one coprime integer form, `_integer_form`; an
-evaluated dual's comes from its in-tree, once per family, without a
-Fraction.  Everything is deterministic and exact; no probabilistic rank.
+pairing on the avoided-power keys of degrees j and D-j, the sinks of
+`keys.degree_labels`, has that rank h_j.  Each caller reads F as one coprime
+integer form, `_integer_form`; an evaluated dual's comes from its in-tree,
+once per family, without a Fraction.  Everything is deterministic and
+exact; no probabilistic rank.
 
 The brute-force references these kernels are checked against, the Macaulay
 and catalecticant rows on exponent tuples and polynomial membership by row
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add
 from typing import Mapping, Sequence
 
@@ -52,7 +54,7 @@ from .algebra import (
     numeric_form,
 )
 from .family import BinomialFamily
-from .keys import _lane_bytes, _pack_all, degree_keys, degree_labels, rule
+from .keys import _lane_bytes, _pack, _pack_all, _unpack_all, degree_keys, degree_labels, rule
 from .linalg import RowSpace, rank_of, to_int_row
 
 
@@ -94,18 +96,6 @@ class HilbertFunction:
 def _require_numeric(family: BinomialFamily) -> None:
     if not family.is_numeric:
         raise ValueError("this oracle needs a fully numeric family")
-
-
-# One entry per (n, degree) that `basis_check` and `ideal_membership` read:
-# 0..D and the members' degrees.  A seed-1 `verify` pass in its interleaved
-# schedule order reads 36 entries (10,284 hits); at 32 it missed 691 times.
-# A miss enumerates the degree's exponents: up to 0.24 ms, at 792 of them
-# (best of 7, Python 3.11, 2 vCPU).
-@lru_cache(maxsize=64)
-def _columns(n: int, degree: int) -> dict[Exponents, int]:
-    """The column index of the degree-`degree` monomials: exponent tuple ->
-    position in canonical order.  Shared by every caller: read it only."""
-    return {exps: j for j, exps in enumerate(exponents_of_degree(n, degree))}
 
 
 class MacaulayKernel:
@@ -318,15 +308,16 @@ def basis_check(family: BinomialFamily) -> bool:
     # The quotient R_j / I_j is dual to the kernel, one coordinate per live
     # component, and a monomial's functional y -> y_m is a nonzero multiple
     # of its component's coordinate when that component is live.  So the
-    # avoided-power monomials are independent modulo I_j exactly when they
-    # lie in distinct live components.
+    # avoided-power monomials, the sinks of the label table the kernel read
+    # (on the lanes `rule` sizes), are independent modulo I_j exactly when
+    # they lie in distinct live components.
+    degrees = family.degrees
     for j in range(family.socle_degree + 1):
-        columns = _columns(family.n, j)
         kernel = _ideal_space(family, j)
-        basis = family.basis_exponents(j)
+        basis = degree_labels(degrees, j, _lane_bytes(max(j, *degrees)))[2]
         if len(basis) != kernel.live:
             return False
-        roots = {kernel.root[columns[exps]] for exps in basis}
+        roots = {kernel.root[x] for x in basis}
         if len(roots) != len(basis) or any(kernel.dead[r] for r in roots):
             return False
     return True
@@ -337,7 +328,9 @@ def ideal_membership(family: BinomialFamily, m: Monomial) -> bool:
     _require_numeric(family)
     if m.n != family.n:
         raise ValueError(f"monomial {m} does not have {family.n} variables")
-    return _ideal_space(family, m.degree).contains_column(_columns(family.n, m.degree)[m.exponents])
+    kernel = _ideal_space(family, m.degree)
+    nb = _lane_bytes(max(m.degree, *family.degrees))  # the lanes `rule` sized for the kernel
+    return kernel.contains_column(degree_keys(family.n, m.degree, nb)[1][_pack(m.exponents, nb)])
 
 
 def _packed_form(terms: Mapping[Exponents, Fraction | int], n: int, top: int) -> tuple[dict[int, Fraction | int], int]:
@@ -360,10 +353,11 @@ def _pairing(
 def _catalecticant_rows(terms: Mapping[Exponents, Fraction | int], n: int, top: int, degree: int):
     """The contraction catalecticant of F = (terms, n, top), normalized by
     `algebra.numeric_form`: row gamma is {x: F[gamma + beta_x]}, gamma and
-    beta_x in the orders of `_columns(n, degree)` and `_columns(n, top -
-    degree)`; integer terms give integer rows."""
+    beta_x in the order of `exponents_of_degree`; integer terms give integer
+    rows.  Past the top degree every row is empty, one per monomial, so a
+    degree over the monomial budget raises."""
     if degree > top:
-        return [{} for _ in _columns(n, degree)]
+        return [{} for _ in exponents_of_degree(n, degree)]
     packed, nb = _packed_form(terms, n, top)
     return _pairing(packed, degree_keys(n, degree, nb)[0], degree_keys(n, top - degree, nb)[0])
 
@@ -394,10 +388,14 @@ def _integer_form(F, differentiate: bool = False) -> tuple[_Terms, int, int]:
 def _contraction_basis(form: tuple[_Terms, int, int], degree: int) -> tuple[Exponents, ...]:
     """The exponents gamma of degree `degree`, in canonical order, whose
     contraction rows x^gamma o F are independent of the rows before them: a
-    basis of length h_degree.  Shared by every caller: read it only."""
-    space = RowSpace()
+    basis of length h_degree, unpacked from the keys of `keys.degree_keys`.
+    Shared by every caller: read it only."""
+    _, n, top = form
     rows = _catalecticant_rows(*form, degree)
-    return tuple(gamma for gamma, row in zip(_columns(form[1], degree), rows) if space.add(row))
+    if degree > top:  # every row is empty
+        return ()
+    space, nb = RowSpace(), _lane_bytes(top)
+    return tuple(_unpack_all(compress(degree_keys(n, degree, nb)[0], map(space.add, rows)), n, nb))
 
 
 def _dim(form: tuple[_Terms, int, int], j: int) -> int:
@@ -422,10 +420,13 @@ def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
 
     Only the variable count and degrees of the family matter here; F is any
     nonzero numeric homogeneous form in the same variables, of any degree D.
-    With B_j the avoided-power exponents of degree j, the test takes, for
+    With B_j the avoided-power monomials of degree j, the test takes, for
     each j <= D/2 only, the block P_j = [F(gamma+beta)] over gamma in B_j and
     beta in B_{D-j}, and compares its rank with h_j from the shared
-    `_contraction_basis`.
+    `_contraction_basis`.  B_j is read as the packed keys at the sinks of
+    `keys.degree_labels`, on F's lanes: each degree past D is capped at
+    D + 1 there, which leaves every sink of degree <= D a sink and fits
+    the lanes.
 
     This is exact for every such F, with no complete-intersection
     assumption: rank P_j = h_j exactly when B_j spans A_j and B_{D-j} spans
@@ -443,9 +444,13 @@ def m_spans_ann_quotient(family: BinomialFamily, F) -> bool:
     if n != family.n:
         raise ValueError("form and family have different variable counts")
     packed, nb = _packed_form(*form)
+    degrees = tuple(min(d, top + 1) for d in family.degrees)
+
+    def avoided(d: int) -> list[int]:
+        keys = degree_keys(n, d, nb)[0]
+        return list(map(keys.__getitem__, degree_labels(degrees, d, nb)[2]))
+
     for j in range(top // 2 + 1):
-        rows = _pack_all(family.basis_exponents(j), n, nb)
-        columns = _pack_all(family.basis_exponents(top - j), n, nb)
-        if rank_of(_pairing(packed, rows, columns)) != _dim(form, j):
+        if rank_of(_pairing(packed, avoided(j), avoided(top - j))) != _dim(form, j):
             return False
     return True

@@ -11,34 +11,32 @@ labels, not its states, and unpacks only its end; `Monomial`s are built only
 for outputs.  reduce_monomial and certificate on the same (monomial, k)
 share one walk, and a certificate replays the keys from the start and the
 labels and unpacks all its multipliers in one call.  Its steps are a tuple
-that also keeps that walk's family, packed start and lane width.
+that also keeps that walk's family and input.
 
 Every reduction, under any cutoff k, can be certified by a relation that
 expands to zero symbolically.  certificate_residual checks a certificate of
-`certificate`, against its own family, by replaying its steps' labels on
-constants packed from the family's degrees and tails: a guard test before
-each step, the end state, a^r and b^r prove the identity, and no
+`certificate`, against its own family and input, by replaying its steps'
+labels on constants packed from the family's degrees and tails: a guard test
+before each step, the end state, a^r and b^r prove the identity, and no
 multiplier or scale is read.  Any other certificate, or one whose replay
-fails, is expanded on the packed int keys of `keys`: each key holds the x
-exponents and the 2n symbol exponents, and each step costs two int adds.
-That expansion reads only the certificate, never the walk, so it checks an
-arbitrary certificate.
+fails, is expanded on packed int keys: each key holds the x exponents and
+the 2n symbol exponents, and each step costs two int adds.  That expansion
+reads only the certificate, never the walk, so it checks an arbitrary
+certificate.
 """
 
 from __future__ import annotations
 
-import struct
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, and_, attrgetter, or_, sub
+from operator import and_, attrgetter, or_, sub
 
 from . import algebra
 from .algebra import CoeffMonomial, Monomial, SparsePoly, group_flat_terms
 from .family import BinomialFamily
-from .keys import _guard, _nonzero, _pack_all, _rule, _shifted, _unpack_all, _wide_lane_bytes
+from .keys import _guard, _nonzero, _rule, _shifted, _unpack_all, _wide_lane_bytes
 
 TO_BASIS = "basis"
 TO_CYCLE = "cycle"
@@ -170,13 +168,14 @@ class Certificate:
 
 class _WalkSteps(tuple):
     """The steps of a certificate of `certificate`: their tuple, which also
-    keeps the family, the packed start and the lane width of the walk it
-    was built from, so certificate_residual checks the certificate by
-    replaying the steps' labels.  The tuple is immutable, so it stays the
-    one the walk built.  A tuple of steps made any other way (a slice, a
-    sum, one built by hand) keeps no walk."""
+    keeps the family and the input monomial of the walk it was built from.
+    These two fix every multiplier and scale, given the labels, so
+    certificate_residual checks the certificate by replaying the steps'
+    labels from that input.  The tuple is immutable, so it stays the one the
+    walk built.  A tuple of steps made any other way (a slice, a sum, one
+    built by hand) keeps no walk."""
 
-    family = start = nb = None
+    family = input = None
 
 
 def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Certificate:
@@ -204,7 +203,7 @@ def certificate(family: BinomialFamily, m: Monomial, k: int | None = None) -> Ce
         scales.append(raw(one, tuple(after), tuple(before)))
         before[label - 1] += 1
     steps = _WalkSteps(map(CertificateStep, labels, map(Monomial._raw, multipliers), scales))
-    steps.family, steps.start, steps.nb = family, start, nb
+    steps.family, steps.input = family, m
     return Certificate(kind, m, CoeffMonomial(one, r, zero), steps, CoeffMonomial(one, zero, r), Monomial._raw(end))
 
 
@@ -226,68 +225,57 @@ def _rational(q: Fraction) -> int | Fraction:
 
 
 def _replays(family: BinomialFamily, cert: Certificate) -> bool:
-    """Whether a certificate of `certificate`, of this family, holds by its
-    walk alone: its input packs to the walk's start on the lanes the walk
-    sizes from the input's degree, each label passes the family's guard test
-    (x_i^{d_i} divides the state before the step), the last state is
-    rhs_monomial, and a_product and rhs_coeff are a^r and b^r for the label
-    counts r.  Then every state is a monomial of the input's degree, and the
-    steps the labels build telescope, so the identity holds.  False proves
-    nothing.  The guard, bound and moves are packed here from the family's
-    degrees and tails, as the expansion packs its leads and tails, not read
-    from the `keys._rule` table the walk took its steps by."""
+    """Whether a certificate of `certificate`, of this family and input,
+    holds by its walk alone: on lanes sized from the input's degree, each
+    label passes the family's guard test (x_i^{d_i} divides the state before
+    the step), the last state is rhs_monomial, and a_product and rhs_coeff
+    are a^r and b^r for the label counts r.  Then every state is a monomial
+    of the input's degree, and the steps the labels build from the input
+    telescope, so the identity holds.  False proves nothing.  The guard,
+    bound and moves are packed here from the family's degrees and tails, as
+    the expansion packs its leads and tails, not read from the `keys._rule`
+    table the walk took its steps by."""
     steps = cert.steps
-    n, nb, exps = family.n, steps.nb, cert.input.exponents
+    if steps.input != cert.input:
+        return False
+    n, exps = family.n, cert.input.exponents
     labels = list(map(attrgetter("gen_index"), steps))
     r = tuple(map(labels.count, range(1, n + 1)))
     zero = (0,) * n
     a, c = cert.a_product, cert.rhs_coeff
     if (a.scalar, a.a_exp, a.b_exp, c.scalar, c.a_exp, c.b_exp) != (1, r, zero, 1, zero, r):
         return False
-    if len(exps) != n or nb != _wide_lane_bytes(max(sum(exps), *family.degrees)):
-        return False
+    nb = _wide_lane_bytes(max(sum(exps), *family.degrees))
     w = 8 * nb
     guard, bound = _guard(n, nb), _shifted(family.degrees, nb)
     moves = [0] + [_shifted(t.exponents, nb) - (d << w * i) for i, (d, t) in enumerate(zip(family.degrees, family.tails))]
     bits = [0] + [1 << w * i - 1 for i in range(1, n + 1)]  # lane i's guard bit at index i
-    states = accumulate(map(moves.__getitem__, labels), initial=steps.start)
+    states = accumulate(map(moves.__getitem__, labels), initial=_shifted(exps, nb))
     # the labels come first, so the last state is left for next(states)
     if not all(map(and_, map(bits.__getitem__, labels), map(sub, map(or_, states, repeat(guard)), repeat(bound)))):
         return False
-    first, last = _unpack_all((steps.start, next(states)), n, nb)
-    return first == exps and last == cert.rhs_monomial.exponents
+    return _unpack_all((next(states),), n, nb)[0] == cert.rhs_monomial.exponents
 
 
 def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Monomial, SparsePoly]:
     """Symbolic expansion of the certificate identity; empty means it holds.
 
+    A certificate of `certificate`, checked against its own family, first
+    takes the packed route: `_replays` replays its steps' labels from its
+    input and reads no multiplier or scale.  A replay that holds proves the
+    identity; one that fails proves nothing, and the steps are expanded, so
+    a tampered, hand-built or other-family certificate gets the same
+    residual.
+
     Every coefficient is a coefficient monomial, so each term of the identity
     is one flat term (x exponents, symbol exponents) -> rational: the input
     and rhs terms, and per step -p_s*a_i at mult_s*x_i^{d_i} and +p_s*b_i at
-    mult_s*tail_i.  The terms live on packed int keys (`keys`), so each
-    step is two int adds of the precomputed keys of x_i^{d_i}*a_i and
-    tail_i*b_i to its packed mult_s and p_s.  When every scalar is one value
-    and the terms telescope (the input's term cancels the first step's -
-    term, each step's + term the next step's - term, and the last + term the
-    rhs's), the identity holds with no sum; otherwise the terms are summed.
-
-    The steps are checked in bulk, since a negative lane would borrow from
-    its neighbour: generator indices and tuple lengths by column, negative
-    and too-wide lanes by `struct` as it packs, and lanes that reach their
-    guard bit by one OR of the packed rows.  The lanes are sized for the
-    largest exponent a certificate of `certificate` holds: the input's and
-    rhs's, the degrees, the input's degree (every multiplier divides a state
-    of that degree) and the step count.  Should a step fail, each step is
-    checked in turn, for the first bad one's message, and the lanes are sized
-    for the largest exponent present, of any width: the fallback packs by
-    shifts (`_shifted`) and the residual is unpacked by `_unpack_all`, so a
-    certificate past the 8 bytes `struct` packs is checked too.
-
-    A certificate of `certificate`, checked against its own family, first
-    takes the packed route: `_replays` replays its steps' labels and reads
-    no multiplier or scale.  A replay that holds proves the identity; one
-    that fails proves nothing, and the steps are expanded as above, so a
-    tampered, hand-built or other-family certificate gets the same residual.
+    mult_s*tail_i.  Each step's generator index and lanes are checked first,
+    since a negative lane would borrow from its neighbour.  The terms live on
+    packed int keys whose lanes are sized by the largest exponent present, of
+    any width: each row mult_s, p_s is packed once by shifts (`_shifted`),
+    each step is two int adds of the keys of x_i^{d_i}*a_i and tail_i*b_i to
+    it, and the nonzero sums are unpacked by `_unpack_all`.
     """
     steps = cert.steps
     if type(steps) is _WalkSteps and steps.family == family and _replays(family, cert):
@@ -295,41 +283,24 @@ def certificate_residual(family: BinomialFamily, cert: Certificate) -> dict[Mono
     n = family.n
     first = _lanes(n, cert.input, cert.a_product)
     last = _lanes(n, cert.rhs_monomial, cert.rhs_coeff)
-    index = list(map(attrgetter("gen_index"), steps))
-    scales = list(map(attrgetter("scale"), steps))
-    mults = list(map(attrgetter("multiplier.exponents"), steps))
-    a_exps = list(map(attrgetter("a_exp"), scales))
-    rows = list(map(add, map(add, mults, a_exps), map(attrgetter("b_exp"), scales)))
-    # d_i >= 1 bounds tail_i's exponents, and the input's degree every multiplier's
-    top = max(*family.degrees, *first, *last, sum(cert.input.exponents), len(steps))
-    nb = _wide_lane_bytes(top)
-    well_formed = not steps or 1 <= min(index) and max(index) <= n and {*map(len, mults), *map(len, a_exps)} == {n}
-    packed = None
-    if nb <= 8 and well_formed:
-        with suppress(struct.error):  # a negative lane, or one wider than nb bytes
-            packed = _pack_all(rows, 3 * n, nb)
-    if packed is None or reduce(or_, packed, 0) & _guard(3 * n, nb):
-        for i, step in zip(index, steps):
-            if not 1 <= i <= n:
-                raise ValueError(f"generator index {i} out of range 1..{n}")
-            _lanes(n, step.multiplier, step.scale)
-        nb = _wide_lane_bytes(max([top, *map(max, rows)]))
-        packed = [_shifted(row, nb) for row in rows]
+    rows = []
+    for step in steps:
+        if not 1 <= step.gen_index <= n:
+            raise ValueError(f"generator index {step.gen_index} out of range 1..{n}")
+        rows.append(_lanes(n, step.multiplier, step.scale))
+    # d_i bounds the exponents of tail_i, of degree d_i, and the 1 each step adds to a symbol lane
+    nb = _wide_lane_bytes(max(*family.degrees, *first, *last, *map(max, rows)))
     w = 8 * nb
     leads, tails = [0], [0]  # the keys of x_i^{d_i}*a_i and tail_i*b_i at index i
     for i, (d, tail) in enumerate(zip(family.degrees, family.tails)):
         leads.append(d << w * i | 1 << w * (n + i))
         tails.append(_shifted(tail.exponents, nb) | 1 << w * (2 * n + i))
     start, end = _shifted(first, nb), _shifted(last, nb)
-    down = list(map(add, packed, map(leads.__getitem__, index)))  # -p_s*a_i at mult_s*x_i^{d_i}
-    up = list(map(add, packed, map(tails.__getitem__, index)))  # +p_s*b_i at mult_s*tail_i
-    scalars = list(map(attrgetter("scalar"), scales))
-    scalar = cert.a_product.scalar
-    if scalars.count(scalar) == len(scalars) and cert.rhs_coeff.scalar == scalar and [start, *up] == [*down, end]:
-        return {}
-    acc = {start: _rational(scalar)}
+    acc = {start: _rational(cert.a_product.scalar)}
     get = acc.get
-    for neg, pos, q in zip(down, up, map(_rational, scalars)):
+    for step, row in zip(steps, rows):
+        i, key, q = step.gen_index, _shifted(row, nb), _rational(step.scale.scalar)
+        neg, pos = key + leads[i], key + tails[i]  # -p_s*a_i at mult_s*x_i^{d_i}, +p_s*b_i at mult_s*tail_i
         acc[neg] = get(neg, 0) - q
         acc[pos] = get(pos, 0) + q
     acc[end] = get(end, 0) - _rational(cert.rhs_coeff.scalar)

@@ -20,11 +20,12 @@ The run fails when a mutant survives (its check passes), hangs (its check
 outlives the timeout), or its snippet no longer matches exactly, so a change
 to a mutated line must update its row.  A change that adds or alters a packed
 kernel adds its mutant here.  The mutants target the fast modules, the
-packed rewriting walk, the certificate check and the replay of a kept walk
-that checks a certificate of `certificate`, the graph's shared label table
-and its sentinel walk, the Macaulay kernel's rows per generator from the same
-table and the avoided-power basis filter among them, the in-tree search and
-the annihilation verdict it decides as it goes, the evaluated dual's
+packed rewriting walk, the certificate check's one expansion and the replay
+of a kept walk that checks a certificate of `certificate` from its input,
+the graph's shared label table and its sentinel walk, the Macaulay kernel's
+rows per generator from the same table, the spanning blocks read from that
+table's sinks, the definitional avoided-power basis filter, the in-tree
+search and the annihilation verdict it decides as it goes, the evaluated dual's
 integer form and the same-dual annihilation shortcut, the zero filters of
 SparsePoly's sum and product and the CoeffMonomial denominator, the
 numeric resultant oracle's scales, one per label, the lexer of the family
@@ -72,8 +73,8 @@ MUTANTS = [
     Mutant(
         "spanning blocks skip j = floor(D/2)",
         "src/binomial_ci/oracle.py",
-        "    for j in range(top // 2 + 1):\n        rows = _pack_all(",
-        "    for j in range(top // 2):\n        rows = _pack_all(",
+        "    for j in range(top // 2 + 1):\n        if rank_of(_pairing(packed, avoided(j)",
+        "    for j in range(top // 2):\n        if rank_of(_pairing(packed, avoided(j)",
         "tests/test_oracle.py::test_one_pass_spanning_matches_the_two_rank_definition",
     ),
     Mutant(
@@ -217,10 +218,17 @@ MUTANTS = [
         "tests/test_oracle.py::test_kernel_matches_row_reduction",
     ),
     Mutant(
+        "spanning blocks read a label table of degrees F's lanes do not hold",
+        "src/binomial_ci/oracle.py",
+        "    degrees = tuple(min(d, top + 1) for d in family.degrees)",
+        "    degrees = family.degrees",
+        "tests/test_oracle.py::test_one_pass_spanning_matches_the_two_rank_definition",
+    ),
+    Mutant(
         "spanning blocks read B_j x B_j",
         "src/binomial_ci/oracle.py",
-        "        columns = _pack_all(family.basis_exponents(top - j), n, nb)",
-        "        columns = _pack_all(family.basis_exponents(j), n, nb)",
+        "avoided(j), avoided(top - j)",
+        "avoided(j), avoided(j)",
         "selftest",
     ),
     Mutant(
@@ -364,11 +372,18 @@ MUTANTS = [
         "tests/test_rewrite.py::test_packed_walk_matches_the_tuple_step_on_drawn_families_hypothesis",
     ),
     Mutant(
-        "certificate residual skips the guard-bit OR",
+        "certificate residual lanes sized without the steps' rows",
         "src/binomial_ci/rewrite.py",
-        "    if packed is None or reduce(or_, packed, 0) & _guard(3 * n, nb):",
-        "    if packed is None:",
-        "tests/test_rewrite.py",
+        "    nb = _wide_lane_bytes(max(*family.degrees, *first, *last, *map(max, rows)))",
+        "    nb = _wide_lane_bytes(max(*family.degrees, *first, *last))",
+        "tests/test_rewrite.py::TestCertificateResidual::test_large_tampered_scale_exponents_match_the_reference",
+    ),
+    Mutant(
+        "certificate replay runs from an input other than the walk's",
+        "src/binomial_ci/rewrite.py",
+        "    if steps.input != cert.input:",
+        "    if False:",
+        "tests/test_rewrite.py::TestCompactCertificates::test_an_input_and_rhs_moved_together_get_the_explicit_residual",
     ),
     Mutant(
         "certificate replay drops the per-step guard test",
@@ -380,8 +395,8 @@ MUTANTS = [
     Mutant(
         "certificate replay drops the end-state comparison",
         "src/binomial_ci/rewrite.py",
-        " and last == cert.rhs_monomial.exponents",
-        "",
+        "    return _unpack_all((next(states),), n, nb)[0] == cert.rhs_monomial.exponents",
+        "    return True",
         "tests/test_rewrite.py::TestCompactCertificates::test_replaced_fields_get_the_explicit_residual",
     ),
     Mutant(
@@ -408,8 +423,8 @@ MUTANTS = [
     Mutant(
         "avoided-power basis filter takes e_i <= d_i",
         "src/binomial_ci/family.py",
-        "all(map(lt, e, degrees))",
-        "all(map(int.__le__, e, degrees))",
+        "all(map(lt, e, self.degrees))",
+        "all(map(int.__le__, e, self.degrees))",
         "tests/test_family.py::TestHelpers::test_basis_exponents_match_the_monomial_definition",
     ),
     Mutant(

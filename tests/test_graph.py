@@ -597,11 +597,13 @@ class TestDegreeKeys:
         for d in (family.socle_degree, family.resultant_degree):
             build_graph.cache_clear()
             degree_keys.cache_clear()
+            degree_labels.cache_clear()
             g = build_graph(family, d)
             oracle.macaulay_kernel(family.degrees, [t.exponents for t in family.tails], family.a_values, family.b_values, d)
             assert read[-1][0] is g.keys
+            # the graph misses, and the label table and the kernel read its entry
             info = degree_keys.cache_info()
-            assert (info.misses, info.hits) == (1, 1)
+            assert (info.misses, info.hits) == (1, 2)
 
     def test_degree_errors_are_unchanged(self):
         eight = BinomialFamily.symbolic([2] * 8, [Monomial.variable(8, i % 8 + 1, 2) for i in range(1, 9)])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -19,6 +19,7 @@ from binomial_ci import (
     slp_check,
     specialize,
 )
+from binomial_ci.algebra import MONOMIAL_BUDGET
 from binomial_ci.catalog import pentagon_dual_form_at, wlp_failure_form
 from binomial_ci.dual import numeric_form
 from binomial_ci.lefschetz import _hessian
@@ -178,6 +179,19 @@ def test_basis_matches_a_greedy_pass_over_the_differentiation_rows():
         for k in range(top + 1):
             assert monomial_basis(F, k) == greedy_differentiation_basis(F, k)
             assert dims[k] == rank_of(catalecticant_rows(F, k))
+
+
+def test_basis_past_the_socle_degree_is_empty_and_over_the_budget_raises():
+    # Past the socle degree every catalecticant row is empty, one per
+    # monomial of the degree, so the basis is empty, and a degree whose
+    # monomials exceed the budget raises before any is built.
+    F = wlp_failure_form()  # 5 variables, socle degree 5
+    for k in (6, 7, 40):
+        assert monomial_basis(F, k) == []
+    k = 10**7
+    message = f"^{comb(k + 4, 4)} monomials of degree {k} in 5 variables exceed the budget of {MONOMIAL_BUDGET}$"
+    with pytest.raises(ValueError, match=message):
+        monomial_basis(F, k)
 
 
 def test_slp_check_eliminates_only_up_to_half_the_socle_degree(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from binomial_ci import (
     CONTRACTION,
     DIFFERENTIATION,
+    BinomialFamily,
     CoeffAssignment,
     Monomial,
     NotCompleteIntersectionError,
@@ -222,6 +223,9 @@ def test_one_pass_spanning_matches_the_two_rank_definition(pentagon):
     rng = random.Random(83)
     # X1*..*X5 + X1^5 fails only in the middle pair of degrees (2, 3)
     cases = [(pentagon, wlp_failure_form(), 5), (pentagon, {(1, 1, 1, 1, 1): 1, (5, 0, 0, 0, 0): 1}, 5)]
+    # degree 200 does not fit these cubics' one-byte lanes; B_2 lacks x2^2, so it spans A_2 only when x1^2 o F != 0
+    wide = BinomialFamily.symbolic([200, 2], [Monomial((0, 200)), Monomial((2, 0))])
+    cases += [(wide, {(1, 2): 1, (3, 0): 1}, 3), (wide, {(1, 2): 1}, 3)]
     for _ in range(10):
         family = random_family(rng, n_range=(2, 3))
         top = family.socle_degree
@@ -806,9 +810,7 @@ def test_degree_tables_keep_every_key_over_interleaved_verify_shapes():
     # so misses == currsize exactly when every key missed once: its
     # distinct keys, with nothing evicted.
     from binomial_ci import resultant_radical, slp_check
-    from binomial_ci.family import _avoided
     from binomial_ci.keys import degree_keys, degree_labels
-    from binomial_ci.oracle import _columns
 
     rng = random.Random(35)
     rounds = []
@@ -821,7 +823,7 @@ def test_degree_tables_keep_every_key_over_interleaved_verify_shapes():
                     break
             batch.append(fam)
         rounds.append(batch)
-    caches = (degree_keys, degree_labels, _columns, _avoided)
+    caches = (degree_keys, degree_labels)
     for cache in caches:
         cache.cache_clear()
     for batch in rounds:

@@ -444,7 +444,7 @@ def test_packed_walk_matches_the_tuple_step_on_drawn_families_hypothesis():
             assert (out.basis_monomial if kind == TO_BASIS else out.cycle_entry) == end
             cert = certificate(fam, m, k)
             assert certificate_residual(fam, cert) == {}
-            # reversed, two or more steps no longer telescope and are summed term by term
+            # reversed, the steps keep no walk, and their expansion still sums to zero
             assert certificate_residual(fam, dataclasses.replace(cert, steps=cert.steps[::-1])) == {}
 
     check()
@@ -597,6 +597,19 @@ class TestCompactCertificates:
                     residual = certificate_residual(fam, bad)
                     assert residual and residual == certificate_residual(fam, _explicit(bad)) == _reference_residual(fam, bad)
 
+    def test_an_input_and_rhs_moved_together_get_the_explicit_residual(self, chain, double_cycle):
+        # Both ends times x_i: the labels replay from the moved input to the
+        # moved rhs, but the multipliers are still those of the input's walk,
+        # so the identity fails.  The steps keep their walk's input for this.
+        for fam, text in ((chain, "x1^3*x2"), (double_cycle, "x3^4"), (double_cycle, "x2*x3^2")):
+            cert = certificate(fam, parse_monomial(text, 3))
+            for i in range(1, 4):
+                x = Monomial.variable(3, i)
+                bad = dataclasses.replace(cert, input=cert.input * x, rhs_monomial=cert.rhs_monomial * x)
+                assert bad.steps is cert.steps
+                residual = certificate_residual(fam, bad)
+                assert residual and residual == certificate_residual(fam, _explicit(bad)) == _reference_residual(fam, bad)
+
     def test_a_walk_checked_against_another_family(self):
         # The same degrees, other tails, and the same label counts: x1^2*x2
         # walks the 2-cycle through x1*x2^2 under the first family and
@@ -621,7 +634,7 @@ class TestCompactCertificates:
         walk = cert.steps
         assert [s.gen_index for s in walk] == [3, 2]
         swapped = rewrite._WalkSteps(dataclasses.replace(step, gen_index=i) for i, step in zip((2, 3), walk))
-        swapped.family, swapped.start, swapped.nb = double_cycle, walk.start, walk.nb
+        swapped.family, swapped.input = double_cycle, walk.input
         bad = dataclasses.replace(cert, steps=swapped)
         residual = certificate_residual(double_cycle, bad)
         assert residual and residual == certificate_residual(double_cycle, _explicit(bad))
